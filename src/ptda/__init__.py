@@ -24,11 +24,8 @@ from .cvb import (
 from .dataio import Dataset, load_csv, preprocess, split_folds
 from .errors import ContractViolation, DomainError, InputError, PtdaError
 from .polya_tree import (
-    CellCounts,
     CentringGaussian,
-    PolyaTreeSpec,
     TreeForest,
-    accumulate_counts,
     alpha,
     cell_boundaries,
     default_depth,
@@ -40,7 +37,6 @@ from .smoothing import SmoothingReport, assign_bins, expected_pvalue, select_c
 
 __all__ = [
     "__version__",
-    "CellCounts",
     "CentringGaussian",
     "ClassProbabilities",
     "ContractViolation",
@@ -49,13 +45,11 @@ __all__ = [
     "FittedModel",
     "Hyperparameters",
     "InputError",
-    "PolyaTreeSpec",
     "PtdaError",
     "SelectionState",
     "SimulationSpec",
     "SmoothingReport",
     "TreeForest",
-    "accumulate_counts",
     "alpha",
     "assign_bins",
     "cell_boundaries",

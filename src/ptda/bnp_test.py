@@ -2,10 +2,12 @@
 
 Evidence that a variable's two group-conditional distributions differ:
 a sum of log-beta contrasts over tree nodes, truncated at the layer above
-the tree depth.  Nodes with zero total count contribute exactly zero and
-are never visited (only occupied cells are stored); nodes occupied by a
-single group also contribute exactly zero and are masked out, which is
-what makes the truncated sum equal the infinite one.
+the tree depth.  Each parent layer is a contiguous block of the dense
+heap-layout forest, and its children are the even and odd nodes of the
+next block, so a layer is scored with strided slices.  Only nodes that
+both groups occupy are scored: a node with zero total count, or with
+observations from a single group, contributes exactly zero, which is what
+makes the truncated sum equal the infinite one.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .polya_tree import CellCounts, PolyaTreeSpec, TreeForest, alpha_for_layer
+from .polya_tree import TreeForest
 from .stats import log_beta
 
 __all__ = ["log_bayes_factor", "log_bayes_factors"]
 
 
-def _node_terms(a: float, c1_left, c1_right, c0_left, c0_right):
+def _node_terms(a, c1_left, c1_right, c0_left, c0_right):
     """Four-part contrast for parent nodes whose children carry the given counts."""
     n_left = c1_left + c0_left
     n_right = c1_right + c0_right
@@ -31,60 +33,33 @@ def _node_terms(a: float, c1_left, c1_right, c0_left, c0_right):
     )
 
 
-def log_bayes_factor(counts: CellCounts, spec: PolyaTreeSpec) -> float:
-    """ln BF for one variable from its cell counts.
-
-    Exactly zero when either group is empty.  `counts` must satisfy the
-    parent/child conservation invariant (checked).
-    """
-    counts.check_conservation()
-    total = 0.0
-    for level in range(counts.depth):  # parent layers 0 .. depth-1
-        if level == 0:
-            pk = np.array([0], dtype=np.int64)
-            p1 = np.array([counts.n1], dtype=np.int64)
-            p0 = np.array([counts.n0], dtype=np.int64)
-        else:
-            pk = counts.cells[level - 1]
-            p1 = counts.count1[level - 1]
-            p0 = counts.count0[level - 1]
-        live = (p1 > 0) & (p0 > 0)
-        if not live.any():
-            continue
-        pk = pk[live]
-        a = alpha_for_layer(level + 1, spec.c)
-        c1l, c0l = counts.counts_at(level + 1, 2 * pk)
-        c1r, c0r = counts.counts_at(level + 1, 2 * pk + 1)
-        total += float(np.sum(_node_terms(a, c1l, c1r, c0l, c0r)))
-    return total
+def log_bayes_factor(tree: TreeForest, c: float) -> float:
+    """ln BF of a one-variable forest; exactly zero when either group is empty."""
+    if tree.p != 1:
+        raise InputError(f"log_bayes_factor takes a one-variable forest, got p={tree.p}")
+    return float(log_bayes_factors(tree, c)[0])
 
 
 def log_bayes_factors(forest: TreeForest, c) -> np.ndarray:
     """Per-variable ln BF across a whole forest, vectorized.
 
-    `c` is a scalar or a length-p vector of smoothing parameters.
+    `c` is a scalar or a length-p vector of smoothing parameters.  Terms
+    are summed per variable in (variable, cell) order.
     """
     c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
     if np.any(c <= 0.0):
         raise InputError("smoothing parameters must be positive")
+    k1, k0 = forest.count1, forest.count0
     out = np.zeros(forest.p)
     for level in range(forest.depth):  # parent layers
-        if level == 0:
-            pkeys = np.arange(forest.p, dtype=np.int64)
-            p1 = np.full(forest.p, forest.n1, dtype=np.int64)
-            p0 = np.full(forest.p, forest.n0, dtype=np.int64)
-        else:
-            pkeys = forest.keys[level - 1]
-            p1 = forest.k1[level - 1]
-            p0 = forest.k0[level - 1]
-        live = (p1 > 0) & (p0 > 0)
-        if not live.any():
+        lo = 1 << level
+        live = (k1[:, lo:2 * lo] > 0) & (k0[:, lo:2 * lo] > 0)
+        var = np.nonzero(live)[0]
+        if var.size == 0:
             continue
-        pkeys = pkeys[live]
-        var = pkeys >> level
-        a = np.ones(pkeys.size) if level == 0 else c[var] * (level * level)
-        c1l, c0l = forest.gather_counts(level + 1, 2 * pkeys)
-        c1r, c0r = forest.gather_counts(level + 1, 2 * pkeys + 1)
-        terms = _node_terms(a, c1l, c1r, c0l, c0r)
+        a = np.ones(var.size) if level == 0 else c[var] * (level * level)
+        left, right = slice(2 * lo, 4 * lo, 2), slice(2 * lo + 1, 4 * lo, 2)
+        terms = _node_terms(a, k1[:, left][live], k1[:, right][live],
+                            k0[:, left][live], k0[:, right][live])
         out += np.bincount(var, weights=terms, minlength=forest.p)
     return out

@@ -22,9 +22,9 @@ from . import __version__
 from .bnp_test import log_bayes_factor, log_bayes_factors
 from .cvb import FittedModel, Hyperparameters, classify, fit_model, update_psi
 from .dataio import Dataset, load_csv, preprocess, write_predictions_csv
-from .errors import InputError, PtdaError
+from .errors import ContractViolation, InputError, PtdaError
 from .evalharness import cross_validate, scaling_probe, write_rows_csv, write_summary_json
-from .polya_tree import CellCounts, CentringGaussian, PolyaTreeSpec, TreeForest, accumulate_counts, default_depth
+from .polya_tree import TreeForest, predictive_density
 from .simgen import SimulationSpec, generate
 from .smoothing import DEFAULT_LADDER, SmoothingReport, select_c
 
@@ -264,6 +264,9 @@ def _cmd_fit(args, cfg: Config) -> int:
     model = fit_model(ds.matrix, ds.labels, c, hyper=cfg.hyper(), depth=cfg.depth,
                       tol=cfg.tol, max_iter=cfg.max_iter, names=ds.names,
                       standardization=ds.standardization)
+    if not model.selection.converged:
+        raise InputError(f"the selection did not converge within --max-iter {cfg.max_iter} sweeps "
+                         f"(--tol {cfg.tol}); raise --max-iter")
     model.save(args.out)
     psi = update_psi(model, ds.matrix)
     error = float(np.mean(classify(psi) != ds.labels))
@@ -277,6 +280,8 @@ def _cmd_predict(args, cfg: Config) -> int:
     ds = _load_dataset(args, need_labels=False)
     if ds.p != model.p:
         raise InputError(f"model has {model.p} variables, data has {ds.p}")
+    if not model.selection.converged:
+        raise InputError("the model's selection did not converge; refit it with a larger --max-iter")
     psi = update_psi(model, model.transform_new(ds.matrix))
     labels = classify(psi, args.threshold)
     write_predictions_csv(args.out, psi.psi, labels)
@@ -311,14 +316,11 @@ def _cmd_bf(args, cfg: Config) -> int:
         if args.value_column not in ds.names:
             raise InputError(f"value column {args.value_column!r} not in header")
         column = ds.matrix[:, ds.names.index(args.value_column)]
-        depth = cfg.depth or default_depth(column.size)
-        spec = PolyaTreeSpec(CentringGaussian.from_sample(column), args.c, depth)
-        value = log_bayes_factor(accumulate_counts(column, ds.labels, spec), spec)
-        print(f"{args.value_column},{value!r}")
+        tree = TreeForest.from_matrix(column[:, None], ds.labels, cfg.depth)
+        print(f"{args.value_column},{log_bayes_factor(tree, args.c)!r}")
         return 0
     ds = _load_dataset(args)
-    depth = cfg.depth or default_depth(ds.n)
-    forest = TreeForest.from_matrix(ds.matrix, ds.labels, depth)
+    forest = TreeForest.from_matrix(ds.matrix, ds.labels, cfg.depth)
     values = log_bayes_factors(forest, args.c)
     for name, value in zip(ds.names, values):
         print(f"{name},{float(value)!r}")
@@ -326,15 +328,12 @@ def _cmd_bf(args, cfg: Config) -> int:
 
 
 def _cmd_density(args, cfg: Config) -> int:
-    from .polya_tree import predictive_density
-
     model = FittedModel.load(args.model)
     if args.variable not in model.names:
         raise InputError(f"variable {args.variable!r} not in the model")
     j = model.names.index(args.variable)
-    tree = model.trees[j]
-    counts = model.counts[j]
-    g = tree.centring
+    tree, c = model.forest.variable(j), float(model.c[j])
+    g = tree.centrings[0]
     lo = args.x_min if args.x_min is not None else g.mean - 4.0 * g.sd
     hi = args.x_max if args.x_max is not None else g.mean + 4.0 * g.sd
     if args.grid_points < 2 or hi <= lo:
@@ -343,8 +342,8 @@ def _cmd_density(args, cfg: Config) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,density_group1,density_group0\n")
         for x in xs:
-            f1 = predictive_density(float(x), counts, tree, 1)
-            f0 = predictive_density(float(x), counts, tree, 0)
+            f1 = predictive_density(float(x), tree, c, 1)
+            f0 = predictive_density(float(x), tree, c, 0)
             fh.write(f"{float(x)!r},{f1!r},{f0!r}\n")
     return 0
 
@@ -381,6 +380,9 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = _config_from(args)
         return _COMMANDS[args.command](args, cfg)
+    except ContractViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 2
     except PtdaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

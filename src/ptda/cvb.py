@@ -11,20 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, InputError
-from .polya_tree import (
-    CellCounts,
-    CentringGaussian,
-    PolyaTreeSpec,
-    TreeForest,
-    alpha_for_layer,
-    cell_indices,
-    default_depth,
-)
+from .errors import ContractViolation, DomainError, InputError, PtdaError
+from .polya_tree import CentringGaussian, TreeForest
 from .stats import expit
 
 __all__ = [
@@ -40,6 +32,7 @@ __all__ = [
 ]
 
 ETA_CLAMP = 700.0
+MODEL_FORMAT = 2
 _OPEN_LO = 1e-300
 _OPEN_HI = float(np.nextafter(1.0, 0.0))
 
@@ -118,40 +111,40 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
     return SelectionState(np.array(om), max_iter, False)
 
 
-def path_probability(x: float, counts: CellCounts, group: int, spec: PolyaTreeSpec) -> float:
+def path_probability(x: float, tree: TreeForest, group: int, c: float) -> float:
     """Probability that a point resembling x takes x's path in group `group`.
 
-    Product over layers of (alpha + child count) / (2 alpha + parent
-    count); equals 2**(-depth) when the tree holds no observations.
+    One-variable forest.  Product over layers of (alpha + child count) /
+    (2 alpha + parent count); equals 2**(-depth) when the tree holds no
+    observations.
     """
     if group not in (0, 1):
         raise InputError("group must be 0 or 1")
     if not math.isfinite(x):
         raise InputError("path_probability requires finite x")
-    idx = cell_indices(np.array([x]), spec.centring, spec.depth)[0]
-    total = 0.0
-    parent = counts.n1 if group == 1 else counts.n0
-    for level in range(1, spec.depth + 1):
-        c1, c0 = counts.count(format(int(idx[level - 1]), f"0{level}b"))
-        child = c1 if group == 1 else c0
-        a = alpha_for_layer(level, spec.c)
-        total += math.log(a + child) - math.log(2.0 * a + parent)
-        parent = child
-    return math.exp(total)
+    lp1, lp0 = log_path_probability_matrix(tree, c, [[x]])
+    return math.exp((lp1 if group == 1 else lp0)[0, 0])
 
 
 def log_path_probability_matrix(forest: TreeForest, c, points) -> tuple[np.ndarray, np.ndarray]:
-    """(m, p) log path probabilities for both groups, vectorized over a forest."""
+    """(m, p) log path probabilities for both groups, vectorized over a forest.
+
+    Each point's layer-l node is read straight out of the dense count
+    arrays at (1 << l) + (leaf >> (depth - l)).
+    """
     c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
-    layer_keys = forest.new_point_keys(points)
-    m = layer_keys[0].shape[0]
+    leaf = forest.leaves(points)
+    m = leaf.shape[0]
+    offset = np.arange(forest.p, dtype=np.int64) * forest.count1.shape[1]  # row starts, flat
     lp1 = np.zeros((m, forest.p))
     lp0 = np.zeros((m, forest.p))
     parent1 = np.full((m, forest.p), float(forest.n1))
     parent0 = np.full((m, forest.p), float(forest.n0))
     for level in range(1, forest.depth + 1):
         a = np.ones(forest.p) if level == 1 else c * ((level - 1) ** 2)
-        c1, c0 = forest.gather_counts(level, layer_keys[level - 1])
+        node = offset + (1 << level) + (leaf >> (forest.depth - level))
+        c1 = np.take(forest.count1, node)
+        c0 = np.take(forest.count0, node)
         lp1 += np.log(a + c1) - np.log(2.0 * a + parent1)
         lp0 += np.log(a + c0) - np.log(2.0 * a + parent0)
         parent1 = c1.astype(float)
@@ -159,26 +152,48 @@ def log_path_probability_matrix(forest: TreeForest, c, points) -> tuple[np.ndarr
     return lp1, lp0
 
 
+def _smoothing_vector(c, p: int) -> np.ndarray:
+    """Per-variable smoothing parameters, each in (0, 100]."""
+    c = np.broadcast_to(np.asarray(c, dtype=float), (p,))
+    if not np.all((c > 0.0) & (c <= 100.0)):
+        raise DomainError("smoothing parameters must lie in (0, 100]")
+    return c
+
+
+def _leaf_counts(rows, total: int, group: int) -> np.ndarray:
+    """Validated (p, 2**depth) leaf counts of one group from a model file."""
+    width = len(rows[0]) if isinstance(rows[0], list) else -1
+    if any(not isinstance(r, list) or len(r) != width for r in rows):
+        raise InputError(f"group-{group} leaf counts must be lists of one length")
+    counts = np.array(rows)
+    if counts.dtype.kind != "i":
+        raise InputError(f"group-{group} leaf counts must be integers")
+    if np.any(counts < 0):
+        raise InputError(f"group-{group} leaf counts must be non-negative")
+    if np.any(counts.sum(axis=1) != total):
+        raise InputError(f"group-{group} leaf counts of a variable do not sum to n{group}={total}")
+    return counts
+
+
 @dataclass
 class FittedModel:
-    """Converged selection state plus everything prediction needs.
+    """Selection state plus everything prediction needs.
 
-    Trees and counts live in the same coordinate space as the training
-    matrix the model was fitted on.  `standardization` maps incoming raw
-    points into that space ((x - mean) / sd per variable, None for
-    identity): prediction inputs must pass through `transform_new`.
+    `forest` holds every variable's tree as dense heap-layout counts and
+    `c` the per-variable smoothing parameters, in the same coordinate
+    space as the training matrix the model was fitted on.
+    `standardization` maps incoming raw points into that space ((x - mean)
+    / sd per variable, None for identity): prediction inputs must pass
+    through `transform_new`.
     """
 
     hyper: Hyperparameters
     selection: SelectionState
-    trees: list
-    counts: list
-    n1: int
-    n0: int
+    forest: TreeForest
+    c: np.ndarray
     names: list
     standardization: tuple | None = None
     log_bf: np.ndarray | None = None
-    _forest: TreeForest | None = field(default=None, repr=False)
 
     @property
     def omega(self) -> np.ndarray:
@@ -186,15 +201,19 @@ class FittedModel:
 
     @property
     def p(self) -> int:
-        return len(self.trees)
-
-    @property
-    def c(self) -> np.ndarray:
-        return np.array([t.c for t in self.trees])
+        return self.forest.p
 
     @property
     def depth(self) -> int:
-        return self.trees[0].depth
+        return self.forest.depth
+
+    @property
+    def n1(self) -> int:
+        return self.forest.n1
+
+    @property
+    def n0(self) -> int:
+        return self.forest.n0
 
     def transform_new(self, points) -> np.ndarray:
         x = np.asarray(points, dtype=float)
@@ -205,70 +224,101 @@ class FittedModel:
         means, sds = self.standardization
         return (x - means) / sds
 
-    def forest(self) -> TreeForest:
-        if self._forest is None:
-            self._forest = _forest_from_counts(self.trees, self.counts, self.n1, self.n0)
-        return self._forest
-
     def to_json_dict(self) -> dict:
+        width = 1 << self.depth
+        leaf1 = self.forest.count1[:, width:].tolist()
+        leaf0 = self.forest.count0[:, width:].tolist()
         variables = []
-        for name, tree, cc, w in zip(self.names, self.trees, self.counts, self.selection.omega):
-            g = tree.centring
+        for j, (name, g) in enumerate(zip(self.names, self.forest.centrings)):
             if self.standardization is None:
                 mean, sd = g.mean, g.sd
             else:
                 # fold the raw -> model transform into one raw-unit Gaussian
-                i = len(variables)
-                mu, s = self.standardization[0][i], self.standardization[1][i]
+                mu, s = self.standardization[0][j], self.standardization[1][j]
                 mean, sd = float(mu + s * g.mean), float(s * g.sd)
             variables.append({
                 "name": name,
                 "mean": mean,
                 "sd": sd,
-                "c": tree.c,
-                "depth": tree.depth,
-                "omega": float(w),
-                "counts": {code: list(v) for code, v in sorted(cc.as_path_map().items())},
+                "c": float(self.c[j]),
+                "omega": float(self.selection.omega[j]),
+                "leaf1": leaf1[j],
+                "leaf0": leaf0[j],
             })
         return {
+            "format": MODEL_FORMAT,
             "hyperparameters": {"a_y": self.hyper.a_y, "b_y": self.hyper.b_y, "u": self.hyper.u},
             "n1": self.n1,
             "n0": self.n0,
+            "iteration": self.selection.iteration,
+            "converged": self.selection.converged,
             "variables": variables,
         }
 
     def save(self, path):
+        """Write the model as JSON, format 2.
+
+        Top level: "format" (2), "hyperparameters", the group sizes "n1"
+        and "n0", the selection sweep count "iteration" and its
+        "converged" flag.  Each entry of "variables" carries the name, the
+        raw-unit centring "mean" and "sd", "c", "omega", and the
+        deepest-layer cell counts "leaf1" and "leaf0" (2**depth integers
+        each, so the depth is their length's log2).  Loading checks the
+        counts against n1 and n0 and sums them back up into the internal
+        nodes; format-1 files (path-code count maps) are refused.
+        """
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh, indent=1)
             fh.write("\n")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FittedModel":
-        hyper = Hyperparameters(**doc["hyperparameters"])
-        trees, counts, names, omega = [], [], [], []
-        for rec in doc["variables"]:
-            names.append(rec["name"])
-            omega.append(rec["omega"])
-            trees.append(PolyaTreeSpec(CentringGaussian(rec["mean"], rec["sd"]), rec["c"], rec["depth"]))
-            counts.append(CellCounts.from_path_map(
-                {k: tuple(v) for k, v in rec["counts"].items()}, rec["depth"]))
-        selection = SelectionState(np.array(omega), 0, True)
-        return cls(hyper, selection, trees, counts, int(doc["n1"]), int(doc["n0"]), names)
+        """Model from a format-2 document; anything malformed raises InputError."""
+        found = doc.get("format") if isinstance(doc, dict) else None
+        if found != MODEL_FORMAT:
+            raise InputError(f"unsupported model format {found!r}; refit to write format {MODEL_FORMAT}")
+        try:
+            records = doc["variables"]
+            if not isinstance(records, list) or not records:
+                raise InputError("the model has no variables")
+            centrings = [CentringGaussian(r["mean"], r["sd"]) for r in records]
+            forest = TreeForest.from_leaves(
+                centrings,
+                _leaf_counts([r["leaf1"] for r in records], doc["n1"], 1),
+                _leaf_counts([r["leaf0"] for r in records], doc["n0"], 0))
+            selection = SelectionState(np.array([r["omega"] for r in records], dtype=float),
+                                       int(doc["iteration"]), doc["converged"] is True)
+            c = _smoothing_vector([r["c"] for r in records], len(records))
+            return cls(Hyperparameters(**doc["hyperparameters"]), selection, forest,
+                       c, [r["name"] for r in records])
+        except PtdaError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed model file: {exc!r}") from exc
 
     @classmethod
     def load(cls, path) -> "FittedModel":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"cannot parse model file {path}: {exc}") from exc
+        return cls.from_json_dict(doc)
 
 
 def update_psi(model: FittedModel, newpoints) -> ClassProbabilities:
-    """Class probabilities for already-standardized new points."""
+    """Class probabilities for new points, already in the model's coordinate space.
+
+    Each point's log path probabilities are gathered from the model's
+    dense forest, one node per layer and variable, and their group-1
+    minus group-0 ratios are weighted by omega on top of the prior odds.
+    """
     if not model.selection.converged:
         raise ContractViolation("update_psi requires a converged selection state")
     x = np.asarray(newpoints, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.p:
         raise InputError(f"expected an (m, {model.p}) matrix, got shape {x.shape}")
-    lp1, lp0 = log_path_probability_matrix(model.forest(), model.c, x)
+    lp1, lp0 = log_path_probability_matrix(model.forest, model.c, x)
     prior = math.log(model.hyper.a_y + model.n1) - math.log(model.hyper.b_y + model.n0)
     eta = prior + (lp1 - lp0) @ model.selection.omega
     eta = np.clip(eta, -ETA_CLAMP, ETA_CLAMP)
@@ -286,46 +336,24 @@ def classify(psi: ClassProbabilities, threshold: float = 0.5) -> np.ndarray:
 def fit_model(matrix, labels, c, hyper: Hyperparameters | None = None,
               depth: int | None = None, tol: float = 1e-6, max_iter: int = 1000,
               names=None, standardization=None) -> FittedModel:
-    """Fit the full model: trees, evidence, and converged selection state.
+    """Fit the full model: trees, evidence, and selection state.
 
-    `c` is a scalar or per-variable vector of smoothing parameters;
-    `standardization` records the raw -> matrix transform if the caller
-    standardized the columns (stored for prediction, not applied here).
+    `c` is a scalar or per-variable vector of smoothing parameters in
+    (0, 100]; `depth` None means floor(log2 n).  `standardization` records
+    the raw -> matrix transform if the caller standardized the columns
+    (stored for prediction, not applied here).  The returned selection
+    state records whether the sweeps converged within `max_iter`.
     """
     from .bnp_test import log_bayes_factors
 
     hyper = hyper or Hyperparameters()
     x = np.asarray(matrix, dtype=float)
-    y = np.asarray(labels)
     if x.ndim != 2:
         raise InputError("matrix must be two-dimensional")
-    n, p = x.shape
-    depth = default_depth(n) if depth is None else depth
-    forest = TreeForest.from_matrix(x, y, depth)
-    c_vec = np.broadcast_to(np.asarray(c, dtype=float), (p,))
+    c_vec = _smoothing_vector(c, x.shape[1])
+    forest = TreeForest.from_matrix(x, labels, depth)
     log_bf = log_bayes_factors(forest, c_vec)
     selection = update_omega(log_bf, hyper, tol=tol, max_iter=max_iter)
-    trees = [PolyaTreeSpec(forest.centrings[j], float(c_vec[j]), depth) for j in range(p)]
-    counts = [forest.var_counts(j) for j in range(p)]
     if names is None:
-        names = [f"V{j + 1}" for j in range(p)]
-    return FittedModel(hyper, selection, trees, list(counts), forest.n1, forest.n0,
-                       list(names), standardization, log_bf, forest)
-
-
-def _forest_from_counts(trees, counts, n1, n0) -> TreeForest:
-    """Rebuild the stacked forest arrays from per-variable counts."""
-    depth = trees[0].depth
-    p = len(trees)
-    keys, k1, k0 = [], [], []
-    for level in range(1, depth + 1):
-        parts_k, parts_1, parts_0 = [], [], []
-        for j, cc in enumerate(counts):
-            parts_k.append(cc.cells[level - 1] + (j << level))
-            parts_1.append(cc.count1[level - 1])
-            parts_0.append(cc.count0[level - 1])
-        keys.append(np.concatenate(parts_k) if parts_k else np.empty(0, dtype=np.int64))
-        k1.append(np.concatenate(parts_1) if parts_1 else np.empty(0, dtype=np.int64))
-        k0.append(np.concatenate(parts_0) if parts_0 else np.empty(0, dtype=np.int64))
-    centrings = [t.centring for t in trees]
-    return TreeForest(depth, n1, n0, p, centrings, keys, k1, k0)
+        names = [f"V{j + 1}" for j in range(forest.p)]
+    return FittedModel(hyper, selection, forest, c_vec, list(names), standardization, log_bf)

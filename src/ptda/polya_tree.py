@@ -1,40 +1,44 @@
-"""Dyadic quantile-partition trees centred on Gaussians.
+"""Dyadic quantile-partition trees centred on Gaussians, stored as one dense forest.
 
 One tree per variable: layer l splits the real line into 2**l half-open
-cells (lower, upper] at the quantiles of the centring Gaussian, a point's
-path through the tree is the binary expansion of its centring CDF value,
-and the tree stores per-cell observation counts for the two response
-groups.  Only occupied cells are stored, keyed by (layer, cell index), so
-memory is O(n * depth) per variable.
+cells (lower, upper] at the quantiles of the centring Gaussian, and a
+point's path through the tree is the binary expansion of its centring CDF
+value.  A value on a dyadic boundary belongs to the left cell, matching
+the (lower, upper] convention.
+
+The p trees of a dataset share one heap layout: each group holds a
+(p, 2**(depth+1)) int64 count array in which node 2**l + k is cell k of
+layer l, the children of node i are 2i and 2i+1, node 1 is the root and
+node 0 is unused.  Every cell is stored, occupied or not, so a point's
+layer-l node is (1 << l) + (leaf >> (depth - l)) for its deepest-layer
+cell `leaf`, and count lookups are plain indexing.
 
 Path codes are strings of '0'/'1' digits; '0' means branching left.  The
-empty string is the root.  A point whose CDF value sits exactly on a cell
-boundary belongs to the left cell, matching the (lower, upper] convention.
+empty string is the root.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, InputError
+from .errors import DomainError, InputError
 from .stats import normal_cdf, normal_pdf, normal_quantile
 
 __all__ = [
     "SD_FLOOR",
+    "MAX_FOREST_CELLS",
     "CentringGaussian",
-    "PolyaTreeSpec",
-    "CellCounts",
     "TreeForest",
     "default_depth",
+    "check_depth",
     "alpha",
     "alpha_for_layer",
     "cell_boundaries",
+    "leaf_indices",
     "path_of",
-    "cell_indices",
-    "accumulate_counts",
     "predictive_density",
 ]
 
@@ -42,12 +46,30 @@ __all__ = [
 # (every point takes the same path) instead of dividing by zero
 SD_FLOOR = 1e-8
 
+MAX_FOREST_CELLS = 1 << 26
+"""Upper bound on p * 2**(depth+1), the nodes of one group's count array.
+
+Two int64 arrays of this many nodes take 1 GiB, the memory budget of a
+forest; a depth beyond it raises DomainError before anything is allocated.
+"""
+
 
 def default_depth(n: int) -> int:
     """Default truncation layer, floor(log2 n), never below 1."""
     if n < 1:
         raise DomainError("depth is defined for n >= 1")
     return max(1, int(math.floor(math.log2(n)))) if n > 1 else 1
+
+
+def check_depth(depth, p: int) -> int:
+    """Return `depth` if it is an integer >= 1 whose forest fits MAX_FOREST_CELLS."""
+    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 1:
+        raise DomainError(f"depth must be an integer >= 1, got {depth!r}")
+    # p * 2**(depth+1) <= MAX_FOREST_CELLS, without forming 2**depth
+    if depth + 1 > (MAX_FOREST_CELLS // max(p, 1)).bit_length() - 1:
+        raise DomainError(f"depth {depth} with {p} variables exceeds the forest budget of "
+                          f"{MAX_FOREST_CELLS} cells per group")
+    return int(depth)
 
 
 @dataclass(frozen=True)
@@ -83,21 +105,6 @@ class CentringGaussian:
         return normal_pdf((x - self.mean) / self.sd) / self.sd
 
 
-@dataclass(frozen=True)
-class PolyaTreeSpec:
-    """Per-variable tree definition: centring, smoothing parameter, truncation depth."""
-
-    centring: CentringGaussian
-    c: float
-    depth: int
-
-    def __post_init__(self):
-        if not (0.0 < self.c <= 100.0):
-            raise DomainError(f"smoothing parameter must lie in (0, 100], got {self.c!r}")
-        if self.depth < 1:
-            raise DomainError(f"depth must be >= 1, got {self.depth!r}")
-
-
 def alpha(code: str, c: float) -> float:
     """Beta parameter attached to the cell at `code` (children share it).
 
@@ -131,154 +138,119 @@ def cell_boundaries(code: str, g: CentringGaussian) -> tuple[float, float]:
     return (lower, upper)
 
 
-def cell_indices(column, centring: CentringGaussian, depth: int) -> np.ndarray:
-    """(n, depth) array of cell indices, entry [i, l-1] locating point i at layer l.
+def leaf_indices(u, depth: int) -> np.ndarray:
+    """Deepest-layer cell index of each CDF value: its first `depth` binary digits.
 
-    Computed as the exact binary expansion of the centring CDF value; a
-    value on a dyadic boundary goes to the left cell.
+    The layer-l cell is the index shifted right by depth - l.  A value on
+    a dyadic boundary goes to the left cell.
     """
-    u = np.atleast_1d(np.asarray(centring.cdf(np.asarray(column, dtype=float)), dtype=float))
-    n = u.size
-    out = np.empty((n, depth), dtype=np.int64)
-    t = u.copy()
-    k = np.zeros(n, dtype=np.int64)
-    for level in range(depth):
+    t = np.array(u, dtype=float)
+    k = np.zeros(t.shape, dtype=np.int64)
+    for _ in range(depth):
         t *= 2.0
         d = t > 1.0
         t -= d  # exact: t in (1, 2] stays representable after subtracting 1
         k = 2 * k + d
-        out[:, level] = k
-    return out
+    return k
 
 
-def path_of(x: float, spec: PolyaTreeSpec) -> str:
-    """Depth-D path code of a point."""
-    if not math.isfinite(x):
-        raise InputError(f"path_of requires a finite value, got {x!r}")
-    k = int(cell_indices(np.array([x]), spec.centring, spec.depth)[0, -1])
-    return format(k, f"0{spec.depth}b")
+def _sum_layers(leaf: np.ndarray) -> np.ndarray:
+    """Heap-layout counts from (p, 2**depth) leaf counts; each parent is its children's sum."""
+    p, width = leaf.shape
+    heap = np.zeros((p, 2 * width), dtype=np.int64)
+    heap[:, width:] = leaf
+    lo = width // 2
+    while lo >= 1:
+        heap[:, lo:2 * lo] = heap[:, 2 * lo:4 * lo:2] + heap[:, 2 * lo + 1:4 * lo:2]
+        lo //= 2
+    return heap
 
 
-@dataclass
-class CellCounts:
-    """Sparse per-group counts over the dyadic cells of one variable's tree.
+class TreeForest:
+    """All p trees of a dataset as two dense heap-layout count arrays.
 
-    `cells[l-1]` holds the sorted indices of the occupied (total count > 0)
-    cells at layer l, with aligned group counts in `count1`/`count0`.
-    Root counts are (n1, n0).
+    `count1` / `count0` are (p, 2**(depth+1)) int64 arrays, one per group,
+    laid out as described in the module docstring.  Counts are independent
+    of the smoothing parameters, so one forest serves every candidate c.
+    A single variable is a forest with p = 1.
     """
 
-    depth: int
-    n1: int
-    n0: int
-    cells: list = field(default_factory=list)
-    count1: list = field(default_factory=list)
-    count0: list = field(default_factory=list)
-
-    def count(self, code: str) -> tuple[int, int]:
-        """(group-1, group-0) count of the cell at `code`; zeros if unoccupied."""
-        level = len(code)
-        if level == 0:
-            return (self.n1, self.n0)
-        if level > self.depth:
-            raise DomainError(f"code {code!r} is below the truncation depth {self.depth}")
-        k = int(code, 2)
-        cells = self.cells[level - 1]
-        i = int(np.searchsorted(cells, k))
-        if i < cells.size and cells[i] == k:
-            return (int(self.count1[level - 1][i]), int(self.count0[level - 1][i]))
-        return (0, 0)
-
-    def counts_at(self, level: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized `count` for an array of cell indices at one layer."""
-        if level == 0:
-            shape = np.shape(k)
-            return (np.full(shape, self.n1, dtype=np.int64),
-                    np.full(shape, self.n0, dtype=np.int64))
-        cells = self.cells[level - 1]
-        idx = np.searchsorted(cells, k)
-        idx_c = np.minimum(idx, cells.size - 1) if cells.size else np.zeros_like(idx)
-        hit = (cells[idx_c] == k) if cells.size else np.zeros(np.shape(k), dtype=bool)
-        c1 = np.where(hit, self.count1[level - 1][idx_c] if cells.size else 0, 0)
-        c0 = np.where(hit, self.count0[level - 1][idx_c] if cells.size else 0, 0)
-        return c1.astype(np.int64), c0.astype(np.int64)
-
-    def as_path_map(self) -> dict[str, tuple[int, int]]:
-        """Occupied nodes as {path code: (n1, n0)}, root included."""
-        out = {"": (self.n1, self.n0)}
-        for level in range(1, self.depth + 1):
-            for k, c1, c0 in zip(self.cells[level - 1], self.count1[level - 1], self.count0[level - 1]):
-                out[format(int(k), f"0{level}b")] = (int(c1), int(c0))
-        return out
+    def __init__(self, centrings, count1: np.ndarray, count0: np.ndarray):
+        self.centrings = list(centrings)
+        self.count1 = count1
+        self.count0 = count0
+        self.p = count1.shape[0]
+        self.depth = count1.shape[1].bit_length() - 2
+        self.n1 = int(count1[0, 1])
+        self.n0 = int(count0[0, 1])
 
     @classmethod
-    def from_path_map(cls, mapping: dict, depth: int) -> "CellCounts":
-        n1, n0 = (int(v) for v in mapping.get("", (0, 0)))
-        by_level: dict[int, list] = {l: [] for l in range(1, depth + 1)}
-        for code, (c1, c0) in mapping.items():
-            if code == "":
-                continue
-            if len(code) > depth:
-                raise InputError(f"code {code!r} exceeds depth {depth}")
-            by_level[len(code)].append((int(code, 2), int(c1), int(c0)))
-        cells, count1, count0 = [], [], []
-        for level in range(1, depth + 1):
-            rows = sorted(by_level[level])
-            cells.append(np.array([r[0] for r in rows], dtype=np.int64))
-            count1.append(np.array([r[1] for r in rows], dtype=np.int64))
-            count0.append(np.array([r[2] for r in rows], dtype=np.int64))
-        return cls(depth, n1, n0, cells, count1, count0)
+    def from_leaves(cls, centrings, leaf1, leaf0) -> "TreeForest":
+        """Forest from per-variable (p, 2**depth) deepest-layer counts of each group."""
+        leaf1 = np.asarray(leaf1, dtype=np.int64)
+        leaf0 = np.asarray(leaf0, dtype=np.int64)
+        p, width = leaf1.shape
+        depth = width.bit_length() - 1
+        if leaf0.shape != leaf1.shape or width < 1 or width != 1 << depth or len(centrings) != p:
+            raise InputError("leaf counts must be (p, 2**depth) per group with one centring per variable")
+        check_depth(depth, p)
+        return cls(centrings, _sum_layers(leaf1), _sum_layers(leaf0))
 
-    def check_conservation(self):
-        """Raise ContractViolation unless every parent equals the sum of its children."""
-        for level in range(self.depth):
-            if level == 0:
-                pk = np.array([0], dtype=np.int64)
-                p1 = np.array([self.n1], dtype=np.int64)
-                p0 = np.array([self.n0], dtype=np.int64)
-            else:
-                pk, p1, p0 = self.cells[level - 1], self.count1[level - 1], self.count0[level - 1]
-            child1 = np.zeros_like(p1)
-            child0 = np.zeros_like(p0)
-            for bit in (0, 1):
-                c1, c0 = self.counts_at(level + 1, 2 * pk + bit)
-                child1 = child1 + c1
-                child0 = child0 + c0
-            if not (np.array_equal(child1, p1) and np.array_equal(child0, p0)):
-                raise ContractViolation(f"count conservation fails between layers {level} and {level + 1}")
-        if np.any(np.concatenate([np.array([self.n1, self.n0])] + [c for c in self.count1] + [c for c in self.count0]) < 0):
-            raise ContractViolation("negative cell count")
+    @classmethod
+    def from_matrix(cls, matrix, labels, depth: int | None = None) -> "TreeForest":
+        """Forest of an (n, p) matrix; depth None means default_depth(n)."""
+        x = np.asarray(matrix, dtype=float)
+        y = np.asarray(labels)
+        if x.ndim != 2 or y.shape != (x.shape[0],):
+            raise InputError("matrix must be (n, p) with one label per row")
+        n, p = x.shape
+        if p < 1:
+            raise InputError("the matrix has no variables")
+        if not np.all((y == 0) | (y == 1)):
+            raise InputError("labels must be 0 or 1")
+        y = y.astype(bool)
+        if n < 2 or not (y.any() and (~y).any()):
+            raise InputError("fitting requires both groups non-empty")
+        depth = check_depth(default_depth(n) if depth is None else depth, p)
+        if not np.all(np.isfinite(x)):
+            raise InputError("the matrix must be finite")
+        means = x.mean(axis=0)
+        sds = x.std(axis=0, ddof=1)
+        degenerate = ~(np.isfinite(sds) & (sds > 0.0))
+        sds = np.where(degenerate, SD_FLOOR, sds)
+        centrings = [
+            CentringGaussian(float(m), float(s), bool(dg))
+            for m, s, dg in zip(means, sds, degenerate)
+        ]
+        width = 1 << depth
+        flat = leaf_indices(normal_cdf((x - means) / sds), depth) + np.arange(p, dtype=np.int64) * width
+        leaf1 = np.bincount(flat[y].ravel(), minlength=p * width).reshape(p, width)
+        leaf0 = np.bincount(flat[~y].ravel(), minlength=p * width).reshape(p, width)
+        return cls.from_leaves(centrings, leaf1, leaf0)
 
+    def leaves(self, matrix) -> np.ndarray:
+        """(m, p) deepest-layer cell index of each point in each variable's tree."""
+        x = np.asarray(matrix, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.p:
+            raise InputError(f"expected points with {self.p} variables, got shape {x.shape}")
+        means = np.array([g.mean for g in self.centrings])
+        sds = np.array([g.sd for g in self.centrings])
+        return leaf_indices(normal_cdf((x - means) / sds), self.depth)
 
-def accumulate_counts(column, labels, spec: PolyaTreeSpec) -> CellCounts:
-    """Bin one column into the tree, counting per group at every layer."""
-    x = np.asarray(column, dtype=float)
-    y = np.asarray(labels)
-    if x.size < 1:
-        raise InputError("accumulate_counts requires at least one observation")
-    if x.shape != y.shape:
-        raise InputError("column and labels must have equal length")
-    if not np.all(np.isfinite(x)):
-        raise InputError("accumulate_counts requires finite values")
-    if not np.all((y == 0) | (y == 1)):
-        raise InputError("labels must be 0 or 1")
-    y = y.astype(bool)
-    idx = cell_indices(x, spec.centring, spec.depth)
-    cells, count1, count0 = [], [], []
-    for level in range(1, spec.depth + 1):
-        k = idx[:, level - 1]
-        occupied = np.unique(k)
-        pos = np.searchsorted(occupied, k)
-        c1 = np.bincount(pos[y], minlength=occupied.size)
-        c0 = np.bincount(pos[~y], minlength=occupied.size)
-        cells.append(occupied)
-        count1.append(c1.astype(np.int64))
-        count0.append(c0.astype(np.int64))
-    return CellCounts(spec.depth, int(y.sum()), int((~y).sum()), cells, count1, count0)
+    def variable(self, j: int) -> "TreeForest":
+        """One-variable forest (a view) of variable j."""
+        return TreeForest(self.centrings[j:j + 1], self.count1[j:j + 1], self.count0[j:j + 1])
 
 
-def predictive_density(x: float, counts: CellCounts, spec: PolyaTreeSpec, group: int) -> float:
-    """Posterior-mean density of one group's distribution at x.
+def path_of(x: float, tree: TreeForest) -> str:
+    """Depth-D path code of a point in a one-variable forest."""
+    if not math.isfinite(x):
+        raise InputError(f"path_of requires a finite value, got {x!r}")
+    return format(int(tree.leaves([[x]])[0, 0]), f"0{tree.depth}b")
+
+
+def predictive_density(x: float, tree: TreeForest, c: float, group: int) -> float:
+    """Posterior-mean density of one group's distribution at x, one-variable forest.
 
     The centring density times, for each layer, twice the posterior-mean
     branch probability along x's path.  With no observations this is the
@@ -288,124 +260,13 @@ def predictive_density(x: float, counts: CellCounts, spec: PolyaTreeSpec, group:
         raise InputError("group must be 0 or 1")
     if not math.isfinite(x):
         raise InputError("predictive_density requires finite x")
-    idx = cell_indices(np.array([x]), spec.centring, spec.depth)[0]
-    value = float(spec.centring.pdf(x))
-    parent = counts.n1 if group == 1 else counts.n0
-    for level in range(1, spec.depth + 1):
-        c1, c0 = counts.count(format(int(idx[level - 1]), f"0{level}b"))
-        child = c1 if group == 1 else c0
-        a = alpha_for_layer(level, spec.c)
+    counts = (tree.count1 if group == 1 else tree.count0)[0]
+    leaf = int(tree.leaves([[x]])[0, 0])
+    value = float(tree.centrings[0].pdf(x))
+    parent = counts[1]
+    for level in range(1, tree.depth + 1):
+        child = counts[(1 << level) + (leaf >> (tree.depth - level))]
+        a = alpha_for_layer(level, c)
         value *= 2.0 * (a + child) / (2.0 * a + parent)
         parent = child
-    return value
-
-
-class TreeForest:
-    """All p trees of a dataset in stacked sparse form.
-
-    Occupied cells at layer l across every variable are stored in one
-    sorted int64 key array, key = variable * 2**l + cell, so that child
-    lookups (key -> 2 * key + bit) and count gathers vectorize across the
-    whole matrix.  Counts are independent of the smoothing parameters, so
-    one forest serves every candidate c.
-    """
-
-    def __init__(self, depth, n1, n0, p, centrings, keys, k1, k0):
-        self.depth = depth
-        self.n1 = n1
-        self.n0 = n0
-        self.p = p
-        self.centrings = centrings
-        self.keys = keys
-        self.k1 = k1
-        self.k0 = k0
-
-    @classmethod
-    def from_matrix(cls, matrix, labels, depth: int) -> "TreeForest":
-        x = np.asarray(matrix, dtype=float)
-        y = np.asarray(labels).astype(bool)
-        if x.ndim != 2 or x.shape[0] != y.size:
-            raise InputError("matrix must be (n, p) with one label per row")
-        n, p = x.shape
-        if n < 2 or not (y.any() and (~y).any()):
-            raise InputError("fitting requires both groups non-empty")
-        means = x.mean(axis=0)
-        sds = x.std(axis=0, ddof=1)
-        degenerate = ~(np.isfinite(sds) & (sds > 0.0))
-        sds = np.where(degenerate, SD_FLOOR, sds)
-        centrings = [
-            CentringGaussian(float(m), float(s), bool(dg))
-            for m, s, dg in zip(means, sds, degenerate)
-        ]
-        u = normal_cdf((x - means) / sds)
-        keys, k1, k0 = _accumulate_layers(u, y, depth, p)
-        return cls(depth, int(y.sum()), int((~y).sum()), p, centrings, keys, k1, k0)
-
-    def var_counts(self, j: int) -> CellCounts:
-        """Per-variable CellCounts view of variable j."""
-        cells, count1, count0 = [], [], []
-        for level in range(1, self.depth + 1):
-            keys = self.keys[level - 1]
-            lo = np.searchsorted(keys, j << level)
-            hi = np.searchsorted(keys, (j + 1) << level)
-            cells.append((keys[lo:hi] - (j << level)).astype(np.int64))
-            count1.append(self.k1[level - 1][lo:hi].copy())
-            count0.append(self.k0[level - 1][lo:hi].copy())
-        return CellCounts(self.depth, self.n1, self.n0, cells, count1, count0)
-
-    def new_point_keys(self, matrix) -> list[np.ndarray]:
-        """Per-layer (m, p) key arrays locating new points' cells."""
-        x = np.asarray(matrix, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.p:
-            raise InputError(f"expected points with {self.p} variables, got shape {x.shape}")
-        means = np.array([g.mean for g in self.centrings])
-        sds = np.array([g.sd for g in self.centrings])
-        u = normal_cdf((x - means) / sds)
-        m = u.shape[0]
-        var = np.arange(self.p, dtype=np.int64)
-        t = u.copy()
-        k = np.zeros((m, self.p), dtype=np.int64)
-        out = []
-        for level in range(1, self.depth + 1):
-            t *= 2.0
-            d = t > 1.0
-            t -= d
-            k = 2 * k + d
-            out.append(k + (var << level))
-        return out
-
-    def gather_counts(self, level: int, query_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Group counts of the cells named by `query_keys` at `level` (0 for absent)."""
-        keys = self.keys[level - 1]
-        idx = np.searchsorted(keys, query_keys)
-        if keys.size:
-            idx_c = np.minimum(idx, keys.size - 1)
-            hit = keys[idx_c] == query_keys
-            c1 = np.where(hit, self.k1[level - 1][idx_c], 0)
-            c0 = np.where(hit, self.k0[level - 1][idx_c], 0)
-        else:
-            c1 = np.zeros_like(query_keys)
-            c0 = np.zeros_like(query_keys)
-        return c1, c0
-
-
-def _accumulate_layers(u, y, depth, p):
-    """Stacked sparse per-layer counts from the (n, p) CDF-value matrix."""
-    var = np.arange(p, dtype=np.int64)
-    t = u.copy()
-    k = np.zeros(u.shape, dtype=np.int64)
-    keys_out, k1_out, k0_out = [], [], []
-    for level in range(1, depth + 1):
-        t *= 2.0
-        d = t > 1.0
-        t -= d
-        k = 2 * k + d
-        keys = (k + (var << level)).ravel()
-        occupied = np.unique(keys)
-        pos = np.searchsorted(occupied, keys).reshape(u.shape)
-        c1 = np.bincount(pos[y].ravel(), minlength=occupied.size)
-        c0 = np.bincount(pos[~y].ravel(), minlength=occupied.size)
-        keys_out.append(occupied)
-        k1_out.append(c1.astype(np.int64))
-        k0_out.append(c0.astype(np.int64))
-    return keys_out, k1_out, k0_out
+    return float(value)

@@ -23,7 +23,7 @@ import numpy as np
 from .bnp_test import log_bayes_factors
 from .cvb import ETA_CLAMP, Hyperparameters, log_path_probability_matrix, update_omega
 from .errors import DomainError, InputError
-from .polya_tree import TreeForest, default_depth
+from .polya_tree import TreeForest
 from .rng import SUBSAMPLE_STREAM, substream
 from .stats import ks_two_sample, shapiro_wilk
 
@@ -190,7 +190,6 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     expected = (v1 + float(p) ** hyper.u * v0) / (1.0 + float(p) ** hyper.u)
     bins = assign_bins(expected)
 
-    depth = default_depth(n) if depth is None else depth
     forest = TreeForest.from_matrix(x, y, depth)
     prior = math.log(hyper.a_y + forest.n1) - math.log(hyper.b_y + forest.n0)
     y_int = yb.astype(np.int8)

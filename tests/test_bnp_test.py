@@ -8,16 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptda.bnp_test import log_bayes_factor, log_bayes_factors
-from ptda.errors import ContractViolation
-from ptda.polya_tree import (
-    CellCounts,
-    CentringGaussian,
-    PolyaTreeSpec,
-    TreeForest,
-    accumulate_counts,
-    path_of,
-)
+from ptda.cvb import FittedModel, fit_model
+from ptda.errors import InputError
+from ptda.polya_tree import CentringGaussian, TreeForest, path_of
 
+from adapters import path_map, tree_from_leaves, tree_of
 from oracles import dense_log_bayes_factor, exact_log_bayes_factor_with_point
 
 STD = CentringGaussian(0.0, 1.0)
@@ -30,46 +25,47 @@ def random_case(seed, n_max=32, depth_max=5):
     c = float(rng.uniform(0.2, 20.0))
     col = rng.normal(size=n)
     labels = rng.integers(0, 2, size=n)
-    g = CentringGaussian.from_sample(col)
-    spec = PolyaTreeSpec(g, c, depth)
-    return col, labels, spec
+    return col, labels, c, depth
 
 
 class TestFixtures:
     def test_depth_one_hand_value(self):
-        cc = CellCounts.from_path_map({"": (2, 2), "0": (2, 0), "1": (0, 2)}, 1)
-        spec = PolyaTreeSpec(STD, 1.0, 1)
-        assert log_bayes_factor(cc, spec) == pytest.approx(math.log(10.0 / 3.0), abs=1e-12)
+        tree = tree_from_leaves([2, 0], [0, 2], STD)
+        assert log_bayes_factor(tree, 1.0) == pytest.approx(math.log(10.0 / 3.0), abs=1e-12)
 
     def test_one_group_empty_is_zero(self):
         rng = np.random.default_rng(1)
         col = rng.normal(size=12)
-        cc = accumulate_counts(col, np.ones(12, dtype=int), PolyaTreeSpec(STD, 2.0, 3))
-        assert log_bayes_factor(cc, PolyaTreeSpec(STD, 2.0, 3)) == 0.0
+        tree = tree_of(col, np.ones(12, dtype=int), 3, STD)
+        assert log_bayes_factor(tree, 2.0) == 0.0
 
     def test_no_observations_is_zero(self):
-        cc = CellCounts.from_path_map({"": (0, 0)}, 3)
-        assert log_bayes_factor(cc, PolyaTreeSpec(STD, 1.0, 3)) == 0.0
+        tree = tree_from_leaves(np.zeros(8, dtype=int), np.zeros(8, dtype=int), STD)
+        assert log_bayes_factor(tree, 1.0) == 0.0
 
     def test_monotone_evidence_under_duplication(self):
-        spec = PolyaTreeSpec(STD, 1.0, 1)
-        single = CellCounts.from_path_map({"": (2, 2), "0": (2, 0), "1": (0, 2)}, 1)
-        doubled = CellCounts.from_path_map({"": (4, 4), "0": (4, 0), "1": (0, 4)}, 1)
-        assert log_bayes_factor(doubled, spec) > log_bayes_factor(single, spec)
+        single = tree_from_leaves([2, 0], [0, 2], STD)
+        doubled = tree_from_leaves([4, 0], [0, 4], STD)
+        assert log_bayes_factor(doubled, 1.0) > log_bayes_factor(single, 1.0)
 
     def test_inconsistent_counts_rejected(self):
-        bad = CellCounts.from_path_map({"": (3, 2), "0": (1, 0), "1": (0, 2)}, 1)
-        with pytest.raises(ContractViolation):
-            log_bayes_factor(bad, PolyaTreeSpec(STD, 1.0, 1))
+        # the dense build conserves counts by construction; a model file
+        # whose leaf counts disagree with its group sizes is refused
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(12, 2))
+        doc = fit_model(x, np.array([1, 0] * 6), 1.0, depth=1).to_json_dict()
+        doc["variables"][0]["leaf1"] = [1, 0]
+        with pytest.raises(InputError):
+            FittedModel.from_json_dict(doc)
 
 
 class TestAgainstDenseOracle:
     @pytest.mark.parametrize("seed", range(40))
     def test_sparse_equals_dense(self, seed):
-        col, labels, spec = random_case(seed)
-        cc = accumulate_counts(col, labels, spec)
-        ours = log_bayes_factor(cc, spec)
-        ref = dense_log_bayes_factor(cc.as_path_map(), spec.depth, spec.c)
+        col, labels, c, depth = random_case(seed)
+        tree = tree_of(col, labels, depth)
+        ours = log_bayes_factor(tree, c)
+        ref = dense_log_bayes_factor(path_map(tree), depth, c)
         assert ours == pytest.approx(ref, abs=1e-10)
 
     def test_identical_samples_case(self):
@@ -79,22 +75,20 @@ class TestAgainstDenseOracle:
         values = rng.normal(size=15)
         col = np.concatenate([values, values])
         labels = np.array([1] * 15 + [0] * 15)
-        g = CentringGaussian.from_sample(col)
-        spec = PolyaTreeSpec(g, 1.0, 4)
-        cc = accumulate_counts(col, labels, spec)
-        ours = log_bayes_factor(cc, spec)
-        ref = dense_log_bayes_factor(cc.as_path_map(), 4, 1.0)
+        tree = TreeForest.from_matrix(col[:, None], labels, 4)
+        ours = log_bayes_factor(tree, 1.0)
+        ref = dense_log_bayes_factor(path_map(tree), 4, 1.0)
         assert ours == pytest.approx(ref, abs=1e-10)
 
 
 class TestSymmetries:
     @pytest.mark.parametrize("seed", range(10))
     def test_label_swap(self, seed):
-        col, labels, spec = random_case(seed, n_max=40)
-        cc = accumulate_counts(col, labels, spec)
-        swapped = accumulate_counts(col, 1 - labels, spec)
-        assert log_bayes_factor(cc, spec) == pytest.approx(
-            log_bayes_factor(swapped, spec), abs=1e-12)
+        col, labels, c, depth = random_case(seed, n_max=40)
+        tree = tree_of(col, labels, depth)
+        swapped = tree_of(col, 1 - labels, depth)
+        assert log_bayes_factor(tree, c) == pytest.approx(
+            log_bayes_factor(swapped, c), abs=1e-12)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(5)
@@ -102,16 +96,14 @@ class TestSymmetries:
         labels = rng.integers(0, 2, size=50)
         while labels.sum() in (0, 50):
             labels = rng.integers(0, 2, size=50)
-        g1 = CentringGaussian.from_sample(col)
-        spec1 = PolyaTreeSpec(g1, 2.0, 5)
         moved = 3.0 * col + 5.0
-        g2 = CentringGaussian.from_sample(moved)
-        spec2 = PolyaTreeSpec(g2, 2.0, 5)
-        v1 = log_bayes_factor(accumulate_counts(col, labels, spec1), spec1)
-        v2 = log_bayes_factor(accumulate_counts(moved, labels, spec2), spec2)
+        tree1 = tree_of(col, labels, 5)
+        tree2 = tree_of(moved, labels, 5)
+        v1 = log_bayes_factor(tree1, 2.0)
+        v2 = log_bayes_factor(tree2, 2.0)
         assert v1 == pytest.approx(v2, abs=1e-9)
         for x in col[:10]:
-            assert path_of(x, spec1) == path_of(3.0 * x + 5.0, spec2)
+            assert path_of(x, tree1) == path_of(3.0 * x + 5.0, tree2)
 
 
 class TestStirlingDrop:
@@ -125,14 +117,12 @@ class TestStirlingDrop:
             rng = np.random.default_rng(seed)
             col = rng.normal(size=n)
             labels = np.array([1, 0] * (n // 2))
-            g = CentringGaussian.from_sample(col)
-            spec = PolyaTreeSpec(g, 1.0, depth)
-            cc = accumulate_counts(col, labels, spec)
-            implemented = log_bayes_factor(cc, spec)
+            tree = tree_of(col, labels, depth)
+            implemented = log_bayes_factor(tree, 1.0)
             for t in range(draws):
                 exact = exact_log_bayes_factor_with_point(
-                    cc.as_path_map(), depth, 1.0,
-                    path_of(float(rng.normal()), spec), t % 2)
+                    path_map(tree), depth, 1.0,
+                    path_of(float(rng.normal()), tree), t % 2)
                 total += abs(exact - implemented)
                 count += 1
         return total / count
@@ -159,8 +149,7 @@ class TestBatch:
         forest = TreeForest.from_matrix(x, y, 5)
         batch = log_bayes_factors(forest, c)
         for j in range(7):
-            spec = PolyaTreeSpec(forest.centrings[j], float(c[j]), 5)
-            direct = log_bayes_factor(forest.var_counts(j), spec)
+            direct = log_bayes_factor(tree_of(x[:, j], y, 5, forest.centrings[j]), float(c[j]))
             assert batch[j] == pytest.approx(direct, abs=1e-10)
 
     @given(st.integers(0, 10_000))

@@ -6,8 +6,11 @@ import os
 import numpy as np
 import pytest
 
+import ptda.cli
 from ptda.cli import build_parser, dispatch
+from ptda.errors import ContractViolation
 
+from adapters import path_map, tree_of
 from oracles import dense_log_bayes_factor
 
 
@@ -146,12 +149,10 @@ class TestBf:
         assert code == 0
         printed = float(stdout.strip().split(",")[1])
 
-        from ptda.polya_tree import CentringGaussian, PolyaTreeSpec, accumulate_counts
         labels = np.array([i % 2 for i in range(16)])
-        spec = PolyaTreeSpec(CentringGaussian.from_sample(values), 1.0, 3)
-        cc = accumulate_counts(values, labels, spec)
+        tree = tree_of(values, labels, 3)
         assert printed == pytest.approx(
-            dense_log_bayes_factor(cc.as_path_map(), 3, 1.0), abs=1e-10)
+            dense_log_bayes_factor(path_map(tree), 3, 1.0), abs=1e-10)
 
     def test_matrix_mode_prints_per_variable(self, tmp_path, capsys):
         out = simulate_small(tmp_path, seed=19)
@@ -250,3 +251,68 @@ class TestConfig:
         code = dispatch(["bench", "--config", str(cfg), "--p-values", "8",
                          "--n", "8", "--out", str(tmp_path / "b.csv")])
         assert code == 1
+
+
+class TestExitCodes:
+    def test_contract_violation_exits_two(self, tmp_path, monkeypatch, capsys):
+        def broken(args, cfg):
+            raise ContractViolation("a broken invariant")
+
+        monkeypatch.setitem(ptda.cli._COMMANDS, "simulate", broken)
+        code, _, err = run(["simulate", "--setting", "1", "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "internal error" in err
+
+    def test_unconverged_fit_exits_one_without_output(self, tmp_path, capsys):
+        out = simulate_small(tmp_path, seed=47)
+        model_path = tmp_path / "model.json"
+        code, _, err = run(["fit", "--data", str(out / "train.csv"), "--label-column", "y",
+                            "--c", "1.0", "--max-iter", "1", "--tol", "1e-30",
+                            "--out", str(model_path)], capsys)
+        assert code == 1
+        assert "--max-iter" in err
+        assert not model_path.exists()
+
+    def test_unconverged_model_predict_exits_one(self, tmp_path, capsys):
+        from ptda.cvb import fit_model
+        from ptda.dataio import load_csv
+
+        out = simulate_small(tmp_path, seed=61)
+        ds = load_csv(out / "train.csv", label_column="y")
+        model_path = tmp_path / "model.json"
+        fit_model(ds.matrix, ds.labels, 1.0, max_iter=1, tol=1e-30, names=ds.names).save(model_path)
+        pred_path = tmp_path / "pred.csv"
+        code, _, err = run(["predict", "--model", str(model_path), "--data", str(out / "test.csv"),
+                            "--label-column", "y", "--out", str(pred_path)], capsys)
+        assert code == 1
+        assert "did not converge" in err
+        assert not pred_path.exists()
+
+
+class TestDepthOption:
+    @pytest.mark.parametrize("command", ["bf", "fit"])
+    def test_depth_zero_exits_one(self, tmp_path, capsys, command):
+        out = simulate_small(tmp_path, seed=53)
+        argv = [command, "--data", str(out / "train.csv"), "--label-column", "y",
+                "--depth", "0"]
+        if command == "fit":
+            argv += ["--c", "1.0", "--out", str(tmp_path / "m.json")]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "depth" in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_oversized_depth_exits_one_without_allocating(self, tmp_path, capsys):
+        import tracemalloc
+
+        out = simulate_small(tmp_path, seed=59)
+        argv = ["bf", "--data", str(out / "train.csv"), "--label-column", "y", "--depth", "40"]
+        tracemalloc.start()
+        try:
+            code, _, err = run(argv, capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert "depth" in err
+        assert peak < 10 * 2 ** 20  # a depth-40 forest would need 2**41 cells per variable

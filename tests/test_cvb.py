@@ -20,8 +20,9 @@ from ptda.cvb import (
     update_psi,
 )
 from ptda.errors import DomainError, InputError
-from ptda.polya_tree import CellCounts, CentringGaussian, PolyaTreeSpec
+from ptda.polya_tree import CentringGaussian
 
+from adapters import tree_from_leaves
 from oracles import jacobi_omega
 
 STD = CentringGaussian(0.0, 1.0)
@@ -104,31 +105,38 @@ class TestUpdateOmega:
 
 class TestPathProbability:
     def test_empty_counts_halving(self):
-        cc = CellCounts.from_path_map({"": (0, 0)}, 3)
-        spec = PolyaTreeSpec(STD, 1.0, 3)
-        assert path_probability(0.4, cc, 1, spec) == pytest.approx(0.125, rel=1e-12)
+        tree = tree_from_leaves(np.zeros(8, dtype=int), np.zeros(8, dtype=int), STD)
+        assert path_probability(0.4, tree, 1, 1.0) == pytest.approx(0.125, rel=1e-12)
 
     def test_single_shared_point(self):
-        cc = CellCounts.from_path_map({"": (1, 0), "0": (1, 0)}, 1)
-        spec = PolyaTreeSpec(STD, 7.0, 1)  # alpha at layer 1 is 1 regardless of c
-        assert path_probability(-0.5, cc, 1, spec) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        tree = tree_from_leaves([1, 0], [0, 0], STD)
+        # alpha at layer 1 is 1 regardless of c
+        assert path_probability(-0.5, tree, 1, 7.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_single_opposite_point(self):
-        cc = CellCounts.from_path_map({"": (1, 0), "1": (1, 0)}, 1)
-        spec = PolyaTreeSpec(STD, 7.0, 1)
-        assert path_probability(-0.5, cc, 1, spec) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        tree = tree_from_leaves([0, 1], [0, 0], STD)
+        assert path_probability(-0.5, tree, 1, 7.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_batch_matches_scalar(self):
         x, y, model = training_model(seed=3)
         rng = np.random.default_rng(9)
         new = rng.normal(size=(8, model.p))
-        lp1, lp0 = log_path_probability_matrix(model.forest(), model.c, new)
+        lp1, lp0 = log_path_probability_matrix(model.forest, model.c, new)
         for r in range(8):
             for j in range(model.p):
-                assert math.exp(lp1[r, j]) == pytest.approx(
-                    path_probability(new[r, j], model.counts[j], 1, model.trees[j]), rel=1e-10)
-                assert math.exp(lp0[r, j]) == pytest.approx(
-                    path_probability(new[r, j], model.counts[j], 0, model.trees[j]), rel=1e-10)
+                tree, c = model.forest.variable(j), model.c[j]
+                # the product form of the path probability, layer by layer
+                leaf = int(tree.leaves([[new[r, j]]])[0, 0])
+                for group, lp in ((1, lp1), (0, lp0)):
+                    counts = (tree.count1 if group == 1 else tree.count0)[0]
+                    prob, parent = 1.0, counts[1]
+                    for level in range(1, tree.depth + 1):
+                        child = counts[(1 << level) + (leaf >> (tree.depth - level))]
+                        a = 1.0 if level == 1 else c * (level - 1) ** 2
+                        prob *= (a + child) / (2.0 * a + parent)
+                        parent = child
+                    assert math.exp(lp[r, j]) == pytest.approx(prob, rel=1e-10)
+                    assert path_probability(new[r, j], tree, group, c) == pytest.approx(prob, rel=1e-10)
 
 
 class TestUpdatePsi:
@@ -160,9 +168,9 @@ class TestUpdatePsi:
         model = fit_model(x, y, 1.0, depth=2)
         model.selection.omega = np.ones(1)
         x_new = np.array([[-1.0]])
-        tree, cc = model.trees[0], model.counts[0]
-        pi1 = path_probability(-1.0, cc, 1, tree)
-        pi0 = path_probability(-1.0, cc, 0, tree)
+        tree, c = model.forest.variable(0), model.c[0]
+        pi1 = path_probability(-1.0, tree, 1, c)
+        pi0 = path_probability(-1.0, tree, 0, c)
         expected = 1.0 / (1.0 + math.exp(-(math.log(4.0 / 4.0) + math.log(pi1) - math.log(pi0))))
         psi = update_psi(model, x_new)
         assert psi.psi[0] == pytest.approx(expected, rel=1e-12)
@@ -199,8 +207,9 @@ class TestFittedModel:
         # json round-trips repr floats exactly
         doc = json.loads(path.read_text())
         assert doc["variables"][0]["omega"] == model.omega[0]
-        for j in range(model.p):
-            assert loaded.counts[j].as_path_map() == model.counts[j].as_path_map()
+        assert np.array_equal(loaded.forest.count1, model.forest.count1)
+        assert np.array_equal(loaded.forest.count0, model.forest.count0)
+        assert np.array_equal(loaded.c, model.c)
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         x, y, model = training_model(seed=12, n=40, p=5)
@@ -228,6 +237,40 @@ class TestFittedModel:
         a = update_psi(model, model.transform_new(new))
         b = update_psi(loaded, loaded.transform_new(new))
         np.testing.assert_allclose(a.psi, b.psi, rtol=1e-9)
+
+    def test_round_trip_psi_is_bitwise(self, tmp_path):
+        x, y, model = training_model(seed=14, n=40, p=5, c=[1.0, 5.0, 10.0, 50.0, 100.0])
+        path = tmp_path / "model.json"
+        model.save(path)
+        loaded = FittedModel.load(path)
+        new = np.random.default_rng(2).normal(size=(20, 5))
+        assert np.array_equal(update_psi(loaded, new).psi, update_psi(model, new).psi)
+
+    def test_selection_state_persisted(self, tmp_path):
+        x, y, model = training_model(seed=15, max_iter=1, tol=1e-30)
+        assert not model.selection.converged
+        path = tmp_path / "model.json"
+        model.save(path)
+        loaded = FittedModel.load(path)
+        assert loaded.selection.iteration == model.selection.iteration == 1
+        assert loaded.selection.converged is False
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("format"),
+        lambda doc: doc.update(format=1),
+        lambda doc: doc["variables"][0]["leaf1"].__setitem__(0, -1),
+        lambda doc: doc["variables"][0]["leaf1"].__setitem__(0, 1.5),
+        lambda doc: doc["variables"][0]["leaf0"].append(0),
+        lambda doc: doc.update(n1=-5),
+        lambda doc: doc["variables"][1].pop("leaf0"),
+    ], ids=["no-format", "format-1", "negative", "non-integer", "wrong-length",
+            "sum-differs", "missing-key"])
+    def test_loader_rejects_malformed(self, edit):
+        _, _, model = training_model(seed=16, n=20, p=3)
+        doc = json.loads(json.dumps(model.to_json_dict()))
+        edit(doc)
+        with pytest.raises(InputError):
+            FittedModel.from_json_dict(doc)
 
     def test_fit_converges_and_selects_signal(self):
         x, y, model = training_model(seed=5, n=60, p=8, shift=2.5)

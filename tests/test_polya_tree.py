@@ -7,29 +7,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptda.cvb import fit_model
 from ptda.errors import DomainError, InputError
 from ptda.polya_tree import (
-    CellCounts,
+    MAX_FOREST_CELLS,
     CentringGaussian,
-    PolyaTreeSpec,
     TreeForest,
-    accumulate_counts,
     alpha,
     cell_boundaries,
-    cell_indices,
+    check_depth,
     default_depth,
+    leaf_indices,
     path_of,
     predictive_density,
 )
 from ptda.stats import normal_quantile
 
+from adapters import path_map, spec_of, tree_from_leaves, tree_of
 from oracles import integrate_predictive_density
 
 STD = CentringGaussian(0.0, 1.0)
 
 
-def spec_of(c=1.0, depth=3, g=STD):
-    return PolyaTreeSpec(g, c, depth)
+def empty_tree(depth=3, g=STD):
+    zeros = np.zeros(2 ** depth, dtype=int)
+    return tree_from_leaves(zeros, zeros, g)
+
+
+def density_at(x, tree, spec, group):
+    return predictive_density(x, tree, spec.c, group)
 
 
 class TestAlpha:
@@ -71,12 +77,14 @@ class TestCentring:
         assert g.sd == 1e-8
 
     def test_spec_validation(self):
+        x = np.random.default_rng(0).normal(size=(8, 2))
+        y = np.array([1, 0] * 4)
         with pytest.raises(DomainError):
-            PolyaTreeSpec(STD, 0.0, 3)
+            fit_model(x, y, 0.0)
         with pytest.raises(DomainError):
-            PolyaTreeSpec(STD, 101.0, 3)
+            fit_model(x, y, 101.0)
         with pytest.raises(DomainError):
-            PolyaTreeSpec(STD, 1.0, 0)
+            TreeForest.from_matrix(x, y, 0)
 
 
 class TestDefaultDepth:
@@ -85,6 +93,34 @@ class TestDefaultDepth:
         assert default_depth(2) == 1
         assert default_depth(1) == 1
         assert default_depth(1024) == 10
+
+
+class TestDepthValidation:
+    def test_none_means_default(self):
+        x = np.random.default_rng(1).normal(size=(100, 2))
+        forest = TreeForest.from_matrix(x, np.array([1, 0] * 50), None)
+        assert forest.depth == default_depth(100) == 6
+        assert forest.count1.shape == (2, 2 ** 7)
+
+    @pytest.mark.parametrize("depth", [0, -1, 2.0, None])
+    def test_non_positive_or_non_integer_rejected(self, depth):
+        with pytest.raises(DomainError):
+            check_depth(depth, 3)
+
+    @pytest.mark.parametrize("p", [1, 3, 5000])
+    def test_budget_cap(self, p):
+        # p * 2**(depth+1) may reach the cap but not exceed it
+        top = max(d for d in range(1, 64) if p * 2 ** (d + 1) <= MAX_FOREST_CELLS)
+        assert check_depth(top, p) == top
+        with pytest.raises(DomainError):
+            check_depth(top + 1, p)
+        with pytest.raises(DomainError):
+            check_depth(10 ** 9, p)
+
+    def test_oversized_depth_rejected_before_allocating(self):
+        x = np.random.default_rng(2).normal(size=(6, 3))
+        with pytest.raises(DomainError):
+            TreeForest.from_matrix(x, np.array([1, 0] * 3), 40)
 
 
 class TestCellBoundaries:
@@ -115,30 +151,30 @@ class TestCellBoundaries:
 class TestPathOf:
     def test_mean_goes_left(self):
         # CDF value 0.5 sits on the layer-1 boundary and belongs to the left cell
-        assert path_of(0.0, spec_of(depth=3))[0] == "0"
+        assert path_of(0.0, empty_tree(depth=3))[0] == "0"
 
     def test_far_right_tail(self):
-        assert path_of(50.0, spec_of(depth=5)) == "11111"
+        assert path_of(50.0, empty_tree(depth=5)) == "11111"
 
     def test_binary_expansion(self):
-        assert path_of(normal_quantile(0.3), spec_of(depth=2)) == "01"
+        assert path_of(normal_quantile(0.3), empty_tree(depth=2)) == "01"
 
     def test_non_finite_rejected(self):
         with pytest.raises(InputError):
-            path_of(math.nan, spec_of())
+            path_of(math.nan, empty_tree())
 
     @given(st.floats(-4.0, 4.0), st.integers(1, 8))
     @settings(max_examples=200)
     def test_path_cell_consistency(self, x, depth):
         # exact in CDF space; x-space membership gets one-ulp slack because
         # a point whose CDF value rounds onto a boundary goes to the left cell
-        spec = spec_of(depth=depth)
-        code = path_of(x, spec)
-        u = spec.centring.cdf(x)
+        tree = empty_tree(depth=depth)
+        code = path_of(x, tree)
+        u = STD.cdf(x)
         for level in range(1, depth + 1):
             k = int(code[:level], 2)
             assert k / 2 ** level <= u <= (k + 1) / 2 ** level
-            lo, hi = cell_boundaries(code[:level], spec.centring)
+            lo, hi = cell_boundaries(code[:level], STD)
             slack = 1e-9
             assert lo - slack < x <= hi + slack
 
@@ -147,25 +183,26 @@ class TestAccumulateCounts:
     def test_all_mass_one_branch(self):
         col = np.array([-2.0, -2.1, -1.9, -2.05])
         labels = np.array([1, 1, 0, 0])
-        cc = accumulate_counts(col, labels, spec_of(depth=2, g=CentringGaussian(5.0, 1.0)))
-        assert (cc.n1, cc.n0) == (2, 2)
-        assert cc.count("0") == (2, 2)
-        assert cc.count("1") == (0, 0)
-        assert cc.count("00") == (2, 2)
+        tree = tree_of(col, labels, 2, CentringGaussian(5.0, 1.0))
+        counts = path_map(tree)
+        assert (tree.n1, tree.n0) == (2, 2)
+        assert counts["0"] == (2, 2)
+        assert counts.get("1", (0, 0)) == (0, 0)
+        assert counts["00"] == (2, 2)
 
     def test_two_point_placement(self):
         col = np.array([normal_quantile(0.3), normal_quantile(0.8)])
-        cc = accumulate_counts(col, np.array([1, 0]), spec_of(depth=1))
-        assert cc.count("0") == (1, 0)
-        assert cc.count("1") == (0, 1)
+        counts = path_map(tree_of(col, np.array([1, 0]), 1, STD))
+        assert counts["0"] == (1, 0)
+        assert counts["1"] == (0, 1)
 
     def test_empty_column_rejected(self):
         with pytest.raises(InputError):
-            accumulate_counts(np.array([]), np.array([]), spec_of())
+            TreeForest.from_matrix(np.empty((0, 1)), np.array([]), 3)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(InputError):
-            accumulate_counts(np.array([1.0, 2.0]), np.array([1, 2]), spec_of())
+            TreeForest.from_matrix(np.array([[1.0], [2.0]]), np.array([1, 2]), 3)
 
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 40), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
@@ -173,10 +210,13 @@ class TestAccumulateCounts:
         rng = np.random.default_rng(seed)
         col = rng.normal(size=n)
         labels = rng.integers(0, 2, size=n)
-        spec = PolyaTreeSpec(CentringGaussian.from_sample(col), 1.0, depth)
-        cc = accumulate_counts(col, labels, spec)
-        cc.check_conservation()  # raises on violation
-        assert (cc.n1, cc.n0) == (int(labels.sum()), int(n - labels.sum()))
+        tree = tree_of(col, labels, depth)
+        for counts in (tree.count1[0], tree.count0[0]):
+            # every parent node i holds the sum of its children 2i and 2i + 1
+            parents = np.arange(1, 2 ** depth)
+            assert np.array_equal(counts[parents], counts[2 * parents] + counts[2 * parents + 1])
+            assert np.all(counts >= 0)
+        assert (tree.n1, tree.n0) == (int(labels.sum()), int(n - labels.sum()))
 
     def test_affine_equivariance_of_paths(self):
         rng = np.random.default_rng(42)
@@ -184,59 +224,56 @@ class TestAccumulateCounts:
         a, b = 3.0, 5.0
         g1 = CentringGaussian.from_sample(col)
         g2 = CentringGaussian.from_sample(a * col + b)
-        k1 = cell_indices(col, g1, 6)
-        k2 = cell_indices(a * col + b, g2, 6)
+        k1 = leaf_indices(g1.cdf(col), 6)
+        k2 = leaf_indices(g2.cdf(a * col + b), 6)
         assert np.array_equal(k1, k2)
 
     def test_path_map_round_trip(self):
         rng = np.random.default_rng(3)
         col = rng.normal(size=20)
         labels = rng.integers(0, 2, size=20)
-        spec = PolyaTreeSpec(CentringGaussian.from_sample(col), 1.0, 4)
-        cc = accumulate_counts(col, labels, spec)
-        back = CellCounts.from_path_map(cc.as_path_map(), 4)
-        assert back.as_path_map() == cc.as_path_map()
-        back.check_conservation()
+        tree = tree_of(col, labels, 4)
+        leaves = [[path_map(tree).get(format(k, "04b"), (0, 0))[i] for k in range(16)]
+                  for i in (0, 1)]  # (group 1, group 0)
+        back = tree_from_leaves(leaves[0], leaves[1], tree.centrings[0])
+        assert path_map(back) == path_map(tree)
+        assert np.array_equal(back.count1, tree.count1)
+        assert np.array_equal(back.count0, tree.count0)
 
 
 class TestPredictiveDensity:
     def test_prior_predictive_is_centring(self):
-        cc = CellCounts.from_path_map({"": (0, 0)}, 3)
-        spec = spec_of(depth=3)
+        tree = empty_tree(depth=3)
         for x in (-2.0, -0.3, 0.0, 1.7):
-            assert predictive_density(x, cc, spec, 1) == spec.centring.pdf(x)
+            assert predictive_density(x, tree, 1.0, 1) == STD.pdf(x)
 
     def test_single_point_depth_one(self):
         # one group-1 point in the left cell lifts it to (4/3) g(x)
-        cc = CellCounts.from_path_map({"": (1, 0), "0": (1, 0)}, 1)
-        spec = spec_of(depth=1)
+        tree = tree_from_leaves([1, 0], [0, 0], STD)
         x = -0.7
-        assert predictive_density(x, cc, spec, 1) == pytest.approx(
-            (4.0 / 3.0) * spec.centring.pdf(x), rel=1e-12)
+        assert predictive_density(x, tree, 1.0, 1) == pytest.approx(
+            (4.0 / 3.0) * STD.pdf(x), rel=1e-12)
         # other side is down-weighted to (2/3) g(x)
-        assert predictive_density(0.7, cc, spec, 1) == pytest.approx(
-            (2.0 / 3.0) * spec.centring.pdf(0.7), rel=1e-12)
+        assert predictive_density(0.7, tree, 1.0, 1) == pytest.approx(
+            (2.0 / 3.0) * STD.pdf(0.7), rel=1e-12)
 
     def test_large_c_pins_to_centring(self):
         rng = np.random.default_rng(8)
         col = rng.normal(size=32)
         labels = np.ones(32, dtype=int)
         g = CentringGaussian.from_sample(col)
-        dense = accumulate_counts(col, labels, PolyaTreeSpec(g, 100.0, 5))
-        spec = PolyaTreeSpec(g, 100.0, 5)
+        dense = tree_of(col, labels, 5, g)
         for x in (-1.0, 0.2):
-            ratio = predictive_density(x, dense, spec, 1) / g.pdf(x)
+            ratio = predictive_density(x, dense, 100.0, 1) / g.pdf(x)
             assert ratio == pytest.approx(1.0, abs=0.25)
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(11)
         col = rng.normal(size=40)
         labels = rng.integers(0, 2, size=40)
-        g = CentringGaussian.from_sample(col)
-        spec = PolyaTreeSpec(g, 1.0, 5)
-        cc = accumulate_counts(col, labels, spec)
+        tree = tree_of(col, labels, 5)
         for group in (0, 1):
-            mass = integrate_predictive_density(cc, spec, group, predictive_density)
+            mass = integrate_predictive_density(tree, spec_of(tree, 1.0), group, density_at)
             assert mass == pytest.approx(1.0, abs=1e-3)
 
 
@@ -249,20 +286,22 @@ class TestTreeForest:
             y = rng.integers(0, 2, size=30)
         forest = TreeForest.from_matrix(x, y, 4)
         for j in range(5):
-            g = CentringGaussian.from_sample(x[:, j])
-            cc = accumulate_counts(x[:, j], y, PolyaTreeSpec(g, 1.0, 4))
-            assert forest.var_counts(j).as_path_map() == cc.as_path_map()
+            tree = tree_of(x[:, j], y, 4, CentringGaussian.from_sample(x[:, j]))
+            assert path_map(forest, j) == path_map(tree)
+            assert path_map(forest.variable(j)) == path_map(tree)
 
     def test_new_point_keys_match_training_paths(self):
         rng = np.random.default_rng(22)
         x = rng.normal(size=(16, 3))
         y = np.array([1, 0] * 8)
         forest = TreeForest.from_matrix(x, y, 3)
-        keys = forest.new_point_keys(x)
-        for level in range(1, 4):
-            for j in range(3):
-                k = cell_indices(x[:, j], forest.centrings[j], 3)[:, level - 1]
-                assert np.array_equal(keys[level - 1][:, j] - (j << level), k)
+        leaves = forest.leaves(x)
+        for j in range(3):
+            k = leaf_indices(forest.centrings[j].cdf(x[:, j]), 3)
+            assert np.array_equal(leaves[:, j], k)
+            # the deepest-layer nodes 8..15 count exactly these training leaves
+            assert np.array_equal(forest.count1[j, 8:], np.bincount(k[y == 1], minlength=8))
+            assert np.array_equal(forest.count0[j, 8:], np.bincount(k[y == 0], minlength=8))
 
     def test_single_group_rejected(self):
         x = np.random.default_rng(0).normal(size=(8, 2))

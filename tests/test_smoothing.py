@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ptda.cvb import Hyperparameters, classify, fit_model, update_psi
@@ -80,6 +80,9 @@ class TestAssignBins:
     def test_rank_invariance(self, values):
         e = np.array(values)
         transformed = np.exp(3.0 * e) - 0.5  # strictly increasing map
+        # in doubles the map can round two close inputs onto one value, and
+        # a tie it created itself rightly changes the bins
+        assume(np.unique(transformed).size == e.size)
         assert assign_bins(e).tolist() == assign_bins(transformed).tolist()
 
     def test_permutation_consistency(self):
