@@ -31,6 +31,23 @@ from .smoothing import DEFAULT_LADDER, SmoothingReport, select_c
 CONFIG_ENV = "PTDA_CONFIG"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# what a config-file value may be, keyed by the declared type of its Config field
+_CONFIG_TYPES = {
+    "float": (_is_number, "a number"),
+    "int": (_is_int, "an integer"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "tuple": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+}
+
+
 @dataclass
 class Config:
     u: float = 1.5
@@ -42,7 +59,6 @@ class Config:
     ladder: tuple = DEFAULT_LADDER
     seed: int = 0
     threads: int = 0  # 0 means all available cores
-    paper_protocol: bool = False
 
     def hyper(self) -> Hyperparameters:
         return Hyperparameters(self.a_y, self.b_y, self.u)
@@ -61,10 +77,16 @@ def _load_config_file(path: str | None) -> dict:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
-    valid = {f.name for f in fields(Config)}
-    unknown = set(doc) - valid
+    if not isinstance(doc, dict):
+        raise InputError(f"config file {path} must hold a JSON object")
+    declared = {f.name: f.type for f in fields(Config)}
+    unknown = set(doc) - set(declared)
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
+    for name, value in doc.items():
+        accepts, expected = _CONFIG_TYPES[declared[name]]
+        if not accepts(value):
+            raise InputError(f"config key {name!r} must be {expected}, got {value!r}")
     return doc
 
 
@@ -76,8 +98,6 @@ def _config_from(args) -> Config:
             setattr(cfg, name, value)
     if getattr(args, "ladder", None):
         cfg.ladder = tuple(float(v) for v in args.ladder.split(","))
-    if getattr(args, "paper_protocol", False):
-        cfg.paper_protocol = True
     if cfg.u <= 1.0:
         raise InputError(f"u must exceed 1, got {cfg.u}")
     if cfg.tol <= 0 or cfg.max_iter < 1:
@@ -157,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="drop variables with median <= this")
     fit.add_argument("--variance-floor", dest="variance_floor", type=float,
                      help="drop variables with variance <= this")
-    fit.add_argument("--no-standardize", dest="no_standardize", action="store_true",
-                     help="fit on raw columns without standardizing")
     fit.add_argument("--out", required=True, help="model JSON path")
 
     pred = commands.add_parser("predict", help="class probabilities for new points")
@@ -171,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cv, data=True)
     cv.add_argument("--k", type=int, default=5, help="number of folds (default 5)")
     cv.add_argument("--ladder", help="comma-separated candidate values (default 1,5,10,50,100)")
-    cv.add_argument("--paper-protocol", dest="paper_protocol", action="store_true",
-                    help="standardize the whole dataset before splitting")
     cv.add_argument("--median-floor", dest="median_floor", type=float,
                     help="drop variables with median <= this")
     cv.add_argument("--variance-floor", dest="variance_floor", type=float,
@@ -254,16 +270,10 @@ def _resolve_c(args, cfg: Config, ds: Dataset):
 
 
 def _cmd_fit(args, cfg: Config) -> int:
-    ds = _load_dataset(args)
-    if args.no_standardize:
-        if args.median_floor is not None or args.variance_floor is not None:
-            raise InputError("the median/variance filters run inside the standardization path")
-    else:
-        ds = preprocess(ds, args.median_floor, args.variance_floor)
+    ds = preprocess(_load_dataset(args), args.median_floor, args.variance_floor)
     c, _ = _resolve_c(args, cfg, ds)
     model = fit_model(ds.matrix, ds.labels, c, hyper=cfg.hyper(), depth=cfg.depth,
-                      tol=cfg.tol, max_iter=cfg.max_iter, names=ds.names,
-                      standardization=ds.standardization)
+                      tol=cfg.tol, max_iter=cfg.max_iter, names=ds.names)
     if not model.selection.converged:
         raise InputError(f"the selection did not converge within --max-iter {cfg.max_iter} sweeps "
                          f"(--tol {cfg.tol}); raise --max-iter")
@@ -280,9 +290,12 @@ def _cmd_predict(args, cfg: Config) -> int:
     ds = _load_dataset(args, need_labels=False)
     if ds.p != model.p:
         raise InputError(f"model has {model.p} variables, data has {ds.p}")
+    for j, (expected, found) in enumerate(zip(model.names, ds.names)):
+        if expected != found:
+            raise InputError(f"variable {j + 1} of the data is {found!r}, the model's is {expected!r}")
     if not model.selection.converged:
         raise InputError("the model's selection did not converge; refit it with a larger --max-iter")
-    psi = update_psi(model, model.transform_new(ds.matrix))
+    psi = update_psi(model, ds.matrix)
     labels = classify(psi, args.threshold)
     write_predictions_csv(args.out, psi.psi, labels)
     if ds.labels is not None:
@@ -292,13 +305,10 @@ def _cmd_predict(args, cfg: Config) -> int:
 
 
 def _cmd_cv(args, cfg: Config) -> int:
-    ds = _load_dataset(args)
-    if args.median_floor is not None or args.variance_floor is not None:
-        ds = preprocess(ds, args.median_floor, args.variance_floor)
+    ds = preprocess(_load_dataset(args), args.median_floor, args.variance_floor)
     rows, summary = cross_validate(ds, args.k, hyper=cfg.hyper(), grid=cfg.ladder,
                                    depth=cfg.depth, tol=cfg.tol, max_iter=cfg.max_iter,
-                                   seed=cfg.seed, paper_protocol=cfg.paper_protocol,
-                                   threads=cfg.worker_count())
+                                   seed=cfg.seed, threads=cfg.worker_count())
     write_rows_csv(args.out, rows, include_timings=args.timings)
     if args.out_summary:
         write_summary_json(args.out_summary, summary)

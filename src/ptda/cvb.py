@@ -180,11 +180,10 @@ class FittedModel:
     """Selection state plus everything prediction needs.
 
     `forest` holds every variable's tree as dense heap-layout counts and
-    `c` the per-variable smoothing parameters, in the same coordinate
-    space as the training matrix the model was fitted on.
-    `standardization` maps incoming raw points into that space ((x - mean)
-    / sd per variable, None for identity): prediction inputs must pass
-    through `transform_new`.
+    `c` the per-variable smoothing parameters.  The model lives in the
+    units of the matrix it was fitted on: each tree's centring Gaussian
+    carries that variable's sample mean and sd, so new points are passed
+    in those same raw units.
     """
 
     hyper: Hyperparameters
@@ -192,7 +191,6 @@ class FittedModel:
     forest: TreeForest
     c: np.ndarray
     names: list
-    standardization: tuple | None = None
     log_bf: np.ndarray | None = None
 
     @property
@@ -215,31 +213,16 @@ class FittedModel:
     def n0(self) -> int:
         return self.forest.n0
 
-    def transform_new(self, points) -> np.ndarray:
-        x = np.asarray(points, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.p:
-            raise InputError(f"expected an (m, {self.p}) matrix, got shape {x.shape}")
-        if self.standardization is None:
-            return x
-        means, sds = self.standardization
-        return (x - means) / sds
-
     def to_json_dict(self) -> dict:
         width = 1 << self.depth
         leaf1 = self.forest.count1[:, width:].tolist()
         leaf0 = self.forest.count0[:, width:].tolist()
         variables = []
         for j, (name, g) in enumerate(zip(self.names, self.forest.centrings)):
-            if self.standardization is None:
-                mean, sd = g.mean, g.sd
-            else:
-                # fold the raw -> model transform into one raw-unit Gaussian
-                mu, s = self.standardization[0][j], self.standardization[1][j]
-                mean, sd = float(mu + s * g.mean), float(s * g.sd)
             variables.append({
                 "name": name,
-                "mean": mean,
-                "sd": sd,
+                "mean": g.mean,
+                "sd": g.sd,
                 "c": float(self.c[j]),
                 "omega": float(self.selection.omega[j]),
                 "leaf1": leaf1[j],
@@ -307,7 +290,7 @@ class FittedModel:
 
 
 def update_psi(model: FittedModel, newpoints) -> ClassProbabilities:
-    """Class probabilities for new points, already in the model's coordinate space.
+    """Class probabilities for new points, in the units the model was fitted in.
 
     Each point's log path probabilities are gathered from the model's
     dense forest, one node per layer and variable, and their group-1
@@ -335,14 +318,14 @@ def classify(psi: ClassProbabilities, threshold: float = 0.5) -> np.ndarray:
 
 def fit_model(matrix, labels, c, hyper: Hyperparameters | None = None,
               depth: int | None = None, tol: float = 1e-6, max_iter: int = 1000,
-              names=None, standardization=None) -> FittedModel:
+              names=None) -> FittedModel:
     """Fit the full model: trees, evidence, and selection state.
 
-    `c` is a scalar or per-variable vector of smoothing parameters in
-    (0, 100]; `depth` None means floor(log2 n).  `standardization` records
-    the raw -> matrix transform if the caller standardized the columns
-    (stored for prediction, not applied here).  The returned selection
-    state records whether the sweeps converged within `max_iter`.
+    The matrix is taken in raw units; each variable's centring Gaussian
+    is fitted from its own column, so no rescaling is needed.  `c` is a
+    scalar or per-variable vector of smoothing parameters in (0, 100];
+    `depth` None means floor(log2 n).  The returned selection state
+    records whether the sweeps converged within `max_iter`.
     """
     from .bnp_test import log_bayes_factors
 
@@ -356,4 +339,4 @@ def fit_model(matrix, labels, c, hyper: Hyperparameters | None = None,
     selection = update_omega(log_bf, hyper, tol=tol, max_iter=max_iter)
     if names is None:
         names = [f"V{j + 1}" for j in range(forest.p)]
-    return FittedModel(hyper, selection, forest, c_vec, list(names), standardization, log_bf)
+    return FittedModel(hyper, selection, forest, c_vec, list(names), log_bf)

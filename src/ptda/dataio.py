@@ -3,7 +3,9 @@
 CSV files are RFC-4180-style with a header row, UTF-8.  Labels must take
 exactly two distinct values; the mapping onto {0, 1} is recorded on the
 Dataset.  Preprocessing filters variables by median and variance floors
-and then standardizes each remaining column by its pooled sample moments.
+and keeps the surviving columns in their raw units: the model's only
+scale is each variable's centring Gaussian, fitted when the forest is
+built.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ __all__ = [
     "Dataset",
     "load_csv",
     "preprocess",
-    "standardize_columns",
-    "apply_standardization",
     "split_folds",
     "write_predictions_csv",
 ]
@@ -29,16 +29,11 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """Dense numeric matrix with optional binary labels.
-
-    `standardization` holds the per-variable (mean, sd) that was applied
-    to produce `matrix` from raw data; None means no transform applied.
-    """
+    """Dense numeric matrix in raw units with optional binary labels."""
 
     matrix: np.ndarray
     labels: np.ndarray | None
     names: list
-    standardization: tuple | None = None
     label_mapping: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -75,7 +70,6 @@ class Dataset:
             self.matrix[rows],
             None if self.labels is None else self.labels[rows],
             list(self.names),
-            self.standardization,
             dict(self.label_mapping),
         )
 
@@ -172,29 +166,18 @@ def load_csv(path, label_column: str | None = None, orientation: str = "samples-
     labels, mapping = (None, {})
     if label_column is not None:
         labels, mapping = _map_labels(list(raw_labels), positive_label)
-    return Dataset(matrix, labels, list(names), None, mapping)
-
-
-def standardize_columns(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z, means, sds) with sample sds floored away from zero."""
-    x = np.asarray(matrix, dtype=float)
-    means = x.mean(axis=0)
-    sds = x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.zeros(x.shape[1])
-    sds = np.where(np.isfinite(sds) & (sds > 0.0), sds, 1e-8)
-    return (x - means) / sds, means, sds
-
-
-def apply_standardization(matrix, means, sds) -> np.ndarray:
-    return (np.asarray(matrix, dtype=float) - means) / sds
+    return Dataset(matrix, labels, list(names), mapping)
 
 
 def preprocess(dataset: Dataset, median_floor: float | None = None,
                variance_floor: float | None = None) -> Dataset:
-    """Filter variables by median then variance, then standardize.
+    """Filter variables by median then variance; the kept columns stay raw.
 
     A variable is dropped when its median is <= `median_floor` or its
     sample variance is <= `variance_floor` (inclusive, matching the
-    filtering protocol this mirrors).
+    filtering protocol this mirrors).  No column is rescaled: up to float
+    rounding at cell boundaries, every fitted result is invariant to a
+    per-column affine map with positive slope.
     """
     x = dataset.matrix
     keep = np.ones(dataset.p, dtype=bool)
@@ -205,10 +188,8 @@ def preprocess(dataset: Dataset, median_floor: float | None = None,
         keep &= variances > variance_floor
     if not keep.any():
         raise InputError("preprocessing filtered out every variable")
-    kept = x[:, keep]
-    z, means, sds = standardize_columns(kept)
     names = [nm for nm, k in zip(dataset.names, keep) if k]
-    return Dataset(z, dataset.labels, names, (means, sds), dict(dataset.label_mapping))
+    return Dataset(x[:, keep], dataset.labels, names, dict(dataset.label_mapping))
 
 
 def split_folds(dataset: Dataset, k: int, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cvb import FittedModel, Hyperparameters, classify, fit_model, update_psi
-from .dataio import Dataset, apply_standardization, split_folds, standardize_columns
+from .dataio import Dataset, split_folds
 from .errors import InputError
 from .simgen import SimulationSpec, generate
 from .smoothing import select_c
@@ -72,16 +72,17 @@ def selection_confusion(selected, truth) -> tuple[int, int, int, int, float]:
 
 def _fit_and_score(train: Dataset, test: Dataset, truth, hyper, grid, depth,
                    tol, max_iter, select_threshold, seed) -> RunMetrics:
-    """One full rep: standardize, pick c, fit, classify the test set."""
+    """One full rep on raw columns: pick c, fit, classify the test set.
+
+    The centring Gaussians are fitted from the training columns, so the
+    test points are scored in the same raw units with no transform.
+    """
     start = time.perf_counter()
-    z_train, means, sds = standardize_columns(train.matrix)
-    report = select_c(z_train, train.labels, hyper=hyper, grid=grid, depth=depth,
+    report = select_c(train.matrix, train.labels, hyper=hyper, grid=grid, depth=depth,
                       tol=tol, max_iter=max_iter, seed=seed)
-    model = fit_model(z_train, train.labels, report.c, hyper=hyper, depth=depth,
-                      tol=tol, max_iter=max_iter, names=train.names,
-                      standardization=(means, sds))
-    z_test = apply_standardization(test.matrix, means, sds)
-    psi = update_psi(model, z_test)
+    model = fit_model(train.matrix, train.labels, report.c, hyper=hyper, depth=depth,
+                      tol=tol, max_iter=max_iter, names=train.names)
+    psi = update_psi(model, test.matrix)
     predicted = classify(psi)
     error = float(np.mean(predicted != test.labels))
     selected = model.omega >= select_threshold
@@ -159,18 +160,13 @@ def run_simulation_study(setting: int, reps: int, base_seed: int = 0,
 
 def cross_validate(dataset: Dataset, k: int, hyper: Hyperparameters | None = None,
                    grid=None, depth: int | None = None, tol: float = 1e-6,
-                   max_iter: int = 1000, seed: int = 0, paper_protocol: bool = False,
-                   threads: int = 1):
+                   max_iter: int = 1000, seed: int = 0, threads: int = 1):
     """Stratified k-fold CV with per-fold c selection; returns (rows, summary).
 
-    By default each fold standardizes with its own training moments; with
-    `paper_protocol` the whole dataset is standardized once up front.
+    Each fold fits on its raw training rows, whose moments alone set the
+    centring Gaussians, and scores its raw test rows.
     """
     hyper = hyper or Hyperparameters()
-    if paper_protocol:
-        z, means, sds = standardize_columns(dataset.matrix)
-        dataset = Dataset(z, dataset.labels, dataset.names, (means, sds),
-                          dict(dataset.label_mapping))
     folds = split_folds(dataset, k, seed)
 
     def one_fold(f: int):
@@ -178,9 +174,6 @@ def cross_validate(dataset: Dataset, k: int, hyper: Hyperparameters | None = Non
         start = time.perf_counter()
         x_train = dataset.matrix[train_idx]
         x_test = dataset.matrix[test_idx]
-        if not paper_protocol:
-            x_train, means, sds = standardize_columns(x_train)
-            x_test = apply_standardization(x_test, means, sds)
         y_train = dataset.labels[train_idx]
         y_test = dataset.labels[test_idx]
         report = select_c(x_train, y_train, hyper=hyper, grid=grid, depth=depth,
@@ -212,11 +205,10 @@ def scaling_probe(p_values=(250, 500, 1000, 2000), n: int = 100, setting: int = 
         spec = SimulationSpec(setting, n_train=n, n_test=1, p=p,
                               n_discriminative=min(50, p), seed=seed)
         train, _, _ = generate(spec)
-        z, _, _ = standardize_columns(train.matrix)
         best = math.inf
         for _ in range(repeats):
             start = time.perf_counter()
-            fit_model(z, train.labels, c)
+            fit_model(train.matrix, train.labels, c)
             best = min(best, time.perf_counter() - start)
         rows.append({"p": p, "n": n, "seconds": best})
     return rows

@@ -75,13 +75,23 @@ class SmoothingReport:
 
     @classmethod
     def load(cls, path) -> "SmoothingReport":
+        """Report from a JSON file written by `save`; anything malformed raises InputError."""
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls(
-            np.asarray(doc["v0"]), np.asarray(doc["v1"]), np.asarray(doc["expected"]),
-            np.asarray(doc["bins"], dtype=np.int64), tuple(doc["chosen_a"]),
-            float(doc["resubstitution_error"]),
-        )
+            try:
+                doc = json.load(fh)
+                v0, v1, expected = (np.asarray(doc[k], dtype=float) for k in ("v0", "v1", "expected"))
+                bins = np.asarray(doc["bins"])
+                chosen_a = np.asarray(doc["chosen_a"], dtype=float)
+                error = float(doc["resubstitution_error"])
+            except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+                raise InputError(f"malformed smoothing report {path}: {exc!r}") from exc
+        if bins.ndim != 1 or bins.dtype.kind != "i" or np.any((bins < 1) | (bins > 4)):
+            raise InputError(f"smoothing report {path}: bins must be integers in 1..4")
+        if chosen_a.ndim != 1 or not _is_monotone_tuple(tuple(chosen_a.tolist())):
+            raise InputError(f"smoothing report {path}: chosen_a must be a monotone 4-tuple in (0, 100]")
+        if any(a.shape != bins.shape for a in (v0, v1, expected)):
+            raise InputError(f"smoothing report {path}: v0, v1, expected and bins differ in length")
+        return cls(v0, v1, expected, bins.astype(np.int64), tuple(chosen_a.tolist()), error)
 
     def write_csv(self, path, names=None):
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -118,6 +128,11 @@ def assign_bins(expected) -> np.ndarray:
     order = np.sort(e)
     t1, t2, t3 = order[p // 4 - 1], order[p // 2 - 1], order[3 * p // 4 - 1]
     return np.where(e < t1, 1, np.where(e < t2, 2, np.where(e < t3, 3, 4))).astype(np.int64)
+
+
+def _is_monotone_tuple(t: tuple) -> bool:
+    """True for a non-decreasing 4-tuple of values in (0, 100]."""
+    return len(t) == 4 and all(0.0 < v <= 100.0 for v in t) and list(t) == sorted(t)
 
 
 def monotone_tuples(ladder) -> list[tuple]:
@@ -182,7 +197,7 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
         if not tuples:
             raise InputError("the candidate grid is empty")
         for t in tuples:
-            if len(t) != 4 or any(not (0.0 < v <= 100.0) for v in t) or list(t) != sorted(t):
+            if not _is_monotone_tuple(t):
                 raise DomainError(f"grid tuples must be monotone 4-tuples in (0, 100], got {t}")
         tuples.sort()
 

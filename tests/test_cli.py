@@ -45,9 +45,9 @@ class TestHelp:
     @pytest.mark.parametrize("command,flags", [
         ("simulate", ["--setting", "--n-train", "--n-test", "--p", "--n-disc", "--out-dir", "--seed"]),
         ("select-c", ["--data", "--label-column", "--ladder", "--out", "--u", "--tol"]),
-        ("fit", ["--c", "--c-report", "--median-floor", "--variance-floor", "--no-standardize", "--out"]),
+        ("fit", ["--c", "--c-report", "--median-floor", "--variance-floor", "--out"]),
         ("predict", ["--model", "--threshold", "--out"]),
-        ("cv", ["--k", "--paper-protocol", "--timings", "--out"]),
+        ("cv", ["--k", "--timings", "--out"]),
         ("bf", ["--c", "--value-column", "--group-column"]),
         ("density", ["--variable", "--grid-points", "--x-min", "--x-max"]),
         ("bench", ["--p-values", "--n", "--repeats", "--out"]),
@@ -61,6 +61,14 @@ class TestHelp:
             assert flag in text
         if command == "cv":
             assert "default 5" in text  # defaults are documented
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--data", "d.csv", "--label-column", "y", "--out", "m.json", "--no-standardize"],
+        ["cv", "--data", "d.csv", "--label-column", "y", "--out", "f.csv", "--paper-protocol"],
+    ], ids=["fit-no-standardize", "cv-paper-protocol"])
+    def test_removed_flags_exit_one(self, capsys, argv):
+        assert dispatch(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_flag_exits_one(self, capsys):
         code = dispatch(["simulate", "--setting", "1", "--no-such-flag", "--out-dir", "x"])
@@ -124,6 +132,22 @@ class TestFitPredictPipeline:
         assert code == 0
         refit = float(stdout.split("resubstitution error:")[1].strip())
         assert refit == pytest.approx(reported, abs=1e-12)
+
+    def test_predict_refuses_reordered_variables(self, tmp_path, capsys):
+        out = simulate_small(tmp_path, seed=67)
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--data", str(out / "train.csv"), "--label-column", "y",
+                    "--c", "1.0", "--out", str(model_path)]) == 0
+        rows = [line.split(",") for line in (out / "test.csv").read_text().splitlines()]
+        reordered = tmp_path / "reordered.csv"
+        reordered.write_text("".join(",".join(r[-2::-1] + r[-1:]) + "\n" for r in rows),
+                             encoding="utf-8")
+        pred_path = tmp_path / "pred.csv"
+        code, _, err = run(["predict", "--model", str(model_path), "--data", str(reordered),
+                            "--label-column", "y", "--out", str(pred_path)], capsys)
+        assert code == 1
+        assert "'V12'" in err and "'V1'" in err
+        assert not pred_path.exists()
 
     def test_fit_outputs_reproducible(self, tmp_path, capsys):
         out = simulate_small(tmp_path, seed=17)
@@ -247,10 +271,35 @@ class TestConfig:
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"nope": 1}), encoding="utf-8")
-        code = dispatch(["bench", "--config", str(cfg), "--p-values", "8",
-                         "--n", "8", "--out", str(tmp_path / "b.csv")])
+        for doc in ({"nope": 1}, {"paper_protocol": True}):
+            cfg.write_text(json.dumps(doc), encoding="utf-8")
+            code = dispatch(["bench", "--config", str(cfg), "--p-values", "8",
+                             "--n", "8", "--out", str(tmp_path / "b.csv")])
+            assert code == 1
+            assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"threads": "a"}, {"tol": "x"}, {"ladder": "1,5"}, {"max_iter": 2.5},
+        {"u": True}, {"seed": False}, {"depth": 2.0}, {"ladder": [1, "5"]}, [1],
+    ], ids=["threads-str", "tol-str", "ladder-str", "max-iter-float", "u-bool",
+            "seed-bool", "depth-float", "ladder-str-item", "not-an-object"])
+    def test_wrongly_typed_config_value_exits_one(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(["bench", "--config", str(cfg), "--p-values", "8",
+                            "--n", "8", "--out", str(tmp_path / "b.csv")], capsys)
         assert code == 1
+        assert "config" in err
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_well_typed_config_values_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u": 2, "tol": 1e-6, "max_iter": 50, "depth": None,
+                                   "ladder": [1, 5.0], "threads": 1, "seed": 3}),
+                       encoding="utf-8")
+        code = dispatch(["bench", "--config", str(cfg), "--p-values", "8",
+                         "--n", "8", "--repeats", "1", "--out", str(tmp_path / "b.csv")])
+        assert code == 0
 
 
 class TestExitCodes:
@@ -316,3 +365,56 @@ class TestDepthOption:
         assert code == 1
         assert "depth" in err
         assert peak < 10 * 2 ** 20  # a depth-40 forest would need 2**41 cells per variable
+
+
+def valid_report(p=12):
+    return {"chosen_a": [1.0, 5.0, 10.0, 50.0], "resubstitution_error": 0.1,
+            "v0": [0.5] * p, "v1": [0.5] * p, "expected": [0.5] * p,
+            "bins": [1, 2, 3, 4] * (p // 4)}
+
+
+def edited_report(edit):
+    doc = valid_report()
+    edit(doc)
+    return json.dumps(doc)
+
+
+class TestCReport:
+    def _fit(self, tmp_path, capsys, report_text):
+        out = simulate_small(tmp_path, seed=71)
+        report = tmp_path / "report.json"
+        report.write_text(report_text, encoding="utf-8")
+        model_path = tmp_path / "model.json"
+        code, _, err = run(["fit", "--data", str(out / "train.csv"), "--label-column", "y",
+                            "--c-report", str(report), "--out", str(model_path)], capsys)
+        return code, err, model_path
+
+    def test_valid_report_fits(self, tmp_path, capsys):
+        code, _, model_path = self._fit(tmp_path, capsys, json.dumps(valid_report()))
+        assert code == 0
+        c = [v["c"] for v in json.loads(model_path.read_text())["variables"]]
+        assert c == [1.0, 5.0, 10.0, 50.0] * 3
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        edited_report(lambda doc: doc.pop("bins")),
+        edited_report(lambda doc: doc.update(chosen_a=[1.0, 5.0])),
+        edited_report(lambda doc: doc["bins"].__setitem__(0, 0)),
+        edited_report(lambda doc: doc["bins"].__setitem__(0, 5)),
+        edited_report(lambda doc: doc["bins"].__setitem__(0, 1.5)),
+        edited_report(lambda doc: doc.update(chosen_a=[5.0, 1.0, 10.0, 50.0])),
+        edited_report(lambda doc: doc.update(chosen_a=[0.0, 5.0, 10.0, 50.0])),
+        edited_report(lambda doc: doc.update(chosen_a=[1.0, 5.0, 10.0, 101.0])),
+        edited_report(lambda doc: doc.update(chosen_a=[1.0, "a", 10.0, 50.0])),
+        edited_report(lambda doc: doc.update(chosen_a="1555")),
+        edited_report(lambda doc: doc.update(chosen_a=[[1.0, 5.0], [10.0, 50.0]] * 2)),
+        edited_report(lambda doc: doc["v0"].pop()),
+        edited_report(lambda doc: doc.update(expected=[0.5] * 13)),
+    ], ids=["unparsable", "missing-bins", "two-values", "bin-zero", "bin-five",
+            "bin-not-integer", "not-monotone", "a-zero", "a-above-100", "a-not-number",
+            "a-string", "a-nested", "short-v0", "long-expected"])
+    def test_malformed_report_exits_one_without_model(self, tmp_path, capsys, text):
+        code, err, model_path = self._fit(tmp_path, capsys, text)
+        assert code == 1
+        assert "smoothing report" in err
+        assert not model_path.exists()

@@ -218,25 +218,25 @@ class TestFittedModel:
         loaded = FittedModel.load(path)
         rng = np.random.default_rng(1)
         new = rng.normal(size=(12, 5))
-        a = update_psi(model, model.transform_new(new))
-        b = update_psi(loaded, loaded.transform_new(new))
+        a = update_psi(model, new)
+        b = update_psi(loaded, new)
         np.testing.assert_allclose(a.psi, b.psi, rtol=1e-12)
 
     def test_standardization_folded_into_saved_centring(self, tmp_path):
+        # the centring Gaussian is the model's only scale: it is saved as the
+        # raw columns' exact sample moments and nothing else rescales a point
         rng = np.random.default_rng(3)
         raw = rng.normal(loc=50.0, scale=9.0, size=(30, 2))
         y = np.array([1, 0] * 15)
-        means = raw.mean(axis=0)
-        sds = raw.std(axis=0, ddof=1)
-        z = (raw - means) / sds
-        model = fit_model(z, y, 1.0, standardization=(means, sds))
+        model = fit_model(raw, y, 1.0)
         path = tmp_path / "m.json"
         model.save(path)
+        saved = json.loads(path.read_text())["variables"]
+        assert [v["mean"] for v in saved] == raw.mean(axis=0).tolist()
+        assert [v["sd"] for v in saved] == raw.std(axis=0, ddof=1).tolist()
         loaded = FittedModel.load(path)
         new = rng.normal(loc=50.0, scale=9.0, size=(6, 2))
-        a = update_psi(model, model.transform_new(new))
-        b = update_psi(loaded, loaded.transform_new(new))
-        np.testing.assert_allclose(a.psi, b.psi, rtol=1e-9)
+        assert np.array_equal(update_psi(loaded, new).psi, update_psi(model, new).psi)
 
     def test_round_trip_psi_is_bitwise(self, tmp_path):
         x, y, model = training_model(seed=14, n=40, p=5, c=[1.0, 5.0, 10.0, 50.0, 100.0])

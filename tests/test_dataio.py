@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
+from ptda.cvb import fit_model, update_psi
 from ptda.dataio import (
     Dataset,
-    apply_standardization,
     load_csv,
     preprocess,
     split_folds,
-    standardize_columns,
     write_predictions_csv,
 )
 from ptda.errors import InputError
+from ptda.simgen import SimulationSpec, generate
 
 
 def write(tmp_path, name, text):
@@ -92,16 +92,14 @@ class TestPreprocess:
         out = preprocess(ds, median_floor=7.0)
         assert out.names == ["high"]
 
-    def test_no_floors_standardizes_only(self):
+    def test_no_floors_returns_raw_matrix(self):
         rng = np.random.default_rng(0)
         x = rng.normal(5.0, 3.0, size=(50, 4))
         ds = Dataset(x, np.array([0, 1] * 25), list("abcd"))
         out = preprocess(ds)
-        assert out.p == 4
-        assert np.all(np.abs(out.matrix.mean(axis=0)) < 1e-8)
-        assert np.all(np.abs(out.matrix.std(axis=0, ddof=1) - 1.0) < 1e-8)
-        means, sds = out.standardization
-        np.testing.assert_allclose(means, x.mean(axis=0))
+        assert np.array_equal(out.matrix, x)
+        assert out.names == list("abcd")
+        assert np.array_equal(out.labels, ds.labels)
 
     def test_everything_filtered_is_an_error(self):
         x = np.full((5, 2), 1.0)
@@ -118,19 +116,26 @@ class TestPreprocess:
         out = preprocess(ds, median_floor=7.0, variance_floor=0.1)
         assert out.p < 2000
         assert all(name not in out.names for name in (f"g{i}" for i in range(100)))
-        assert np.all(np.abs(out.matrix.mean(axis=0)) < 1e-8)
+        keep = [int(name[1:]) for name in out.names]
+        assert np.array_equal(out.matrix, x[:, keep])  # kept columns stay raw
 
 
-class TestStandardization:
-    def test_train_only_parameters_apply_to_test(self):
-        rng = np.random.default_rng(5)
-        train = rng.normal(10.0, 4.0, size=(40, 3))
-        test = rng.normal(10.0, 4.0, size=(10, 3))
-        z, means, sds = standardize_columns(train)
-        z_test = apply_standardization(test, means, sds)
-        # refitting on train alone reproduces the applied transform
-        np.testing.assert_allclose(z_test, (test - train.mean(axis=0)) / train.std(axis=0, ddof=1))
-        assert abs(z_test.mean()) > 1e-6  # test moments differ: no leakage
+class TestAffineInvariance:
+    def test_fit_ignores_per_column_affine_maps(self):
+        # fixed simulated data rather than generated examples, so no value
+        # is pushed onto a dyadic cell boundary by the test itself
+        train, test, _ = generate(SimulationSpec(2, n_train=60, n_test=40, p=8,
+                                                 n_discriminative=3, seed=31))
+        a = np.array([0.001, 0.5, 1.0, 3.0, 7.25, 40.0, 1e3, 2.5e5])
+        b = np.array([-1e4, -3.0, 0.0, 0.125, 12.0, 99.5, 5e3, -2e6])
+        c = [1.0, 5.0, 10.0, 50.0, 100.0, 1.0, 5.0, 10.0]
+        raw = fit_model(train.matrix, train.labels, c)
+        mapped = fit_model(a * train.matrix + b, train.labels, c)
+        assert np.array_equal(raw.forest.count1, mapped.forest.count1)
+        assert np.array_equal(raw.forest.count0, mapped.forest.count0)
+        assert np.array_equal(raw.omega, mapped.omega)
+        assert np.array_equal(update_psi(raw, test.matrix).psi,
+                              update_psi(mapped, a * test.matrix + b).psi)
 
 
 class TestSplitFolds:

@@ -135,11 +135,6 @@ class TestCrossValidate:
         with pytest.raises(InputError):
             cross_validate(ds, 5, grid=[(1.0, 1.0, 1.0, 1.0)])
 
-    def test_paper_protocol_runs(self):
-        ds = self._separable()
-        rows, _ = cross_validate(ds, 4, grid=[(1.0, 1.0, 1.0, 1.0)], paper_protocol=True)
-        assert len(rows) == 4
-
 
 class TestScalingProbe:
     def test_rejects_bad_p(self):
