@@ -1,7 +1,7 @@
 """Command-line interface.
 
 One executable, subcommand style: simulate, select-c, fit, predict, cv,
-bf, density, bench.  All outputs are machine-readable CSV/JSON, all
+bf, density.  All outputs are machine-readable CSV/JSON, all
 randomness flows from --seed, and exit codes are 0 (success), 1 (input
 error), 2 (internal error).  Defaults may be overridden by a JSON config
 file passed with --config or named by the PTDA_CONFIG environment
@@ -23,7 +23,7 @@ from .bnp_test import log_bayes_factor, log_bayes_factors
 from .cvb import FittedModel, Hyperparameters, classify, fit_model, update_psi
 from .dataio import Dataset, load_csv, preprocess, write_predictions_csv
 from .errors import ContractViolation, InputError, PtdaError
-from .evalharness import cross_validate, scaling_probe, write_rows_csv, write_summary_json
+from .evalharness import cross_validate, write_rows_csv, write_summary_json
 from .polya_tree import TreeForest, predictive_density
 from .simgen import SimulationSpec, generate
 from .smoothing import DEFAULT_LADDER, SmoothingReport, select_c
@@ -100,8 +100,10 @@ def _config_from(args) -> Config:
         cfg.ladder = tuple(float(v) for v in args.ladder.split(","))
     if cfg.u <= 1.0:
         raise InputError(f"u must exceed 1, got {cfg.u}")
-    if cfg.tol <= 0 or cfg.max_iter < 1:
-        raise InputError("tol must be positive and max-iter at least 1")
+    if not cfg.tol > 0:
+        raise InputError(f"--tol must be positive, got {cfg.tol}")
+    if cfg.max_iter < 1:
+        raise InputError(f"--max-iter must be at least 1, got {cfg.max_iter}")
     return cfg
 
 
@@ -214,15 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     dens.add_argument("--x-max", dest="x_max", type=float, help="grid upper end (default mean + 4 sd)")
     dens.add_argument("--out", required=True, help="density CSV path")
 
-    bench = commands.add_parser("bench", help="wall-time scaling probe of the fit")
-    bench.add_argument("--p-values", dest="p_values", default="250,500,1000,2000",
-                       help="comma-separated p grid (default 250,500,1000,2000)")
-    bench.add_argument("--n", type=int, default=100, help="training rows (default 100)")
-    bench.add_argument("--c", type=float, default=1.0, help="smoothing parameter (default 1)")
-    bench.add_argument("--repeats", type=int, default=3, help="timing repeats, best kept (default 3)")
-    bench.add_argument("--out", required=True, help="timing CSV path")
-    _add_common(bench)
-
     return parser
 
 
@@ -245,38 +238,46 @@ def _cmd_simulate(args, cfg: Config) -> int:
 
 def _cmd_select_c(args, cfg: Config) -> int:
     ds = _load_dataset(args)
-    report = select_c(ds.matrix, ds.labels, hyper=cfg.hyper(), grid=cfg.ladder,
-                      depth=cfg.depth, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed)
+    report, _ = select_c(ds.matrix, ds.labels, hyper=cfg.hyper(), grid=cfg.ladder,
+                         depth=cfg.depth, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed)
+    report.names = list(ds.names)
     report.save(args.out)
     if args.out_csv:
-        report.write_csv(args.out_csv, ds.names)
+        report.write_csv(args.out_csv)
     print(f"chosen a: {report.chosen_a}  resubstitution error: {report.resubstitution_error}")
     return 0
 
 
-def _resolve_c(args, cfg: Config, ds: Dataset):
+def _match_names(expected, found, owner: str):
+    """Refuse data whose variable names differ from `owner`'s, naming the first mismatch."""
+    for j, (want, got) in enumerate(zip(expected, found)):
+        if want != got:
+            raise InputError(f"variable {j + 1} of the data is {got!r}, the {owner}'s is {want!r}")
+
+
+def _resolve_c(args, cfg: Config, ds: Dataset) -> FittedModel:
+    """The model `fit` saves: at --c, at a --c-report's c, or at a c selected here."""
     if args.c is not None and args.c_report:
         raise InputError("pass either --c or --c-report, not both")
+    options = dict(hyper=cfg.hyper(), depth=cfg.depth, tol=cfg.tol, max_iter=cfg.max_iter)
     if args.c is not None:
-        return args.c, None
+        return fit_model(ds.matrix, ds.labels, args.c, **options)
     if args.c_report:
         report = SmoothingReport.load(args.c_report)
         if report.bins.size != ds.p:
             raise InputError(f"the report covers {report.bins.size} variables, the data has {ds.p}")
-        return report.c, report
-    report = select_c(ds.matrix, ds.labels, hyper=cfg.hyper(), grid=cfg.ladder,
-                      depth=cfg.depth, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed)
-    return report.c, report
+        _match_names(report.names, ds.names, "report")
+        return fit_model(ds.matrix, ds.labels, report.c, **options)
+    return select_c(ds.matrix, ds.labels, grid=cfg.ladder, seed=cfg.seed, **options)[1]
 
 
 def _cmd_fit(args, cfg: Config) -> int:
     ds = preprocess(_load_dataset(args), args.median_floor, args.variance_floor)
-    c, _ = _resolve_c(args, cfg, ds)
-    model = fit_model(ds.matrix, ds.labels, c, hyper=cfg.hyper(), depth=cfg.depth,
-                      tol=cfg.tol, max_iter=cfg.max_iter, names=ds.names)
+    model = _resolve_c(args, cfg, ds)
     if not model.selection.converged:
         raise InputError(f"the selection did not converge within --max-iter {cfg.max_iter} sweeps "
                          f"(--tol {cfg.tol}); raise --max-iter")
+    model.names = list(ds.names)
     model.save(args.out)
     psi = update_psi(model, ds.matrix)
     error = float(np.mean(classify(psi) != ds.labels))
@@ -290,9 +291,7 @@ def _cmd_predict(args, cfg: Config) -> int:
     ds = _load_dataset(args, need_labels=False)
     if ds.p != model.p:
         raise InputError(f"model has {model.p} variables, data has {ds.p}")
-    for j, (expected, found) in enumerate(zip(model.names, ds.names)):
-        if expected != found:
-            raise InputError(f"variable {j + 1} of the data is {found!r}, the model's is {expected!r}")
+    _match_names(model.names, ds.names, "model")
     if not model.selection.converged:
         raise InputError("the model's selection did not converge; refit it with a larger --max-iter")
     psi = update_psi(model, ds.matrix)
@@ -358,20 +357,6 @@ def _cmd_density(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_bench(args, cfg: Config) -> int:
-    p_values = tuple(int(v) for v in args.p_values.split(","))
-    if any(v < 1 for v in p_values):
-        raise InputError("p values must be positive")
-    rows = scaling_probe(p_values, n=args.n, seed=cfg.seed, c=args.c, repeats=args.repeats)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("p,n,seconds\n")
-        for row in rows:
-            fh.write(f"{row['p']},{row['n']},{row['seconds']!r}\n")
-    for row in rows:
-        print(f"p={row['p']}: {row['seconds']:.3f}s")
-    return 0
-
-
 _COMMANDS = {
     "simulate": _cmd_simulate,
     "select-c": _cmd_select_c,
@@ -380,7 +365,6 @@ _COMMANDS = {
     "cv": _cmd_cv,
     "bf": _cmd_bf,
     "density": _cmd_density,
-    "bench": _cmd_bench,
 }
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "update_omega",
     "update_psi",
     "path_probability",
+    "leaf_log_path_tables",
     "classify",
     "fit_model",
 ]
@@ -79,8 +81,8 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
     p = log_bf.size
     if p < 1:
         raise InputError("update_omega requires at least one variable")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     if omega0 is None:
         omega = np.full(p, 0.5)
     else:
@@ -126,30 +128,39 @@ def path_probability(x: float, tree: TreeForest, group: int, c: float) -> float:
     return math.exp((lp1 if group == 1 else lp0)[0, 0])
 
 
-def log_path_probability_matrix(forest: TreeForest, c, points) -> tuple[np.ndarray, np.ndarray]:
-    """(m, p) log path probabilities for both groups, vectorized over a forest.
+def leaf_log_path_tables(forest: TreeForest, c) -> tuple[np.ndarray, np.ndarray]:
+    """(p, 2**depth) log path probability of every deepest-layer cell, per group.
 
-    Each point's layer-l node is read straight out of the dense count
-    arrays at (1 << l) + (leaf >> (depth - l)).
+    One top-down walk over the heap: each layer adds log(alpha + child
+    count) - log(2 alpha + parent count) to its parent's sum.  `c` is a
+    scalar or one value per variable.
     """
     c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
+    tables = []
+    for counts in (forest.count1, forest.count0):
+        lp = np.zeros((forest.p, 1))
+        for level in range(1, forest.depth + 1):
+            a = (np.ones(forest.p) if level == 1 else c * ((level - 1) ** 2))[:, None]
+            lo = 1 << level
+            parent = np.repeat(counts[:, lo // 2:lo], 2, axis=1).astype(float)
+            lp = np.repeat(lp, 2, axis=1) + (np.log(a + counts[:, lo:2 * lo])
+                                             - np.log(2.0 * a + parent))
+        tables.append(lp)
+    return tables[0], tables[1]
+
+
+def _gather(table: np.ndarray, leaf: np.ndarray) -> np.ndarray:
+    """(m, p) entries table[j, leaf[i, j]] of a (p, 2**depth) per-leaf table."""
+    p, width = table.shape
+    return np.take(table, leaf + np.arange(p, dtype=np.int64) * width)
+
+
+def log_path_probability_matrix(forest: TreeForest, c, points) -> tuple[np.ndarray, np.ndarray]:
+    """(m, p) log path probabilities of each point, per group: its leaves
+    gathered from `leaf_log_path_tables`."""
     leaf = forest.leaves(points)
-    m = leaf.shape[0]
-    offset = np.arange(forest.p, dtype=np.int64) * forest.count1.shape[1]  # row starts, flat
-    lp1 = np.zeros((m, forest.p))
-    lp0 = np.zeros((m, forest.p))
-    parent1 = np.full((m, forest.p), float(forest.n1))
-    parent0 = np.full((m, forest.p), float(forest.n0))
-    for level in range(1, forest.depth + 1):
-        a = np.ones(forest.p) if level == 1 else c * ((level - 1) ** 2)
-        node = offset + (1 << level) + (leaf >> (forest.depth - level))
-        c1 = np.take(forest.count1, node)
-        c0 = np.take(forest.count0, node)
-        lp1 += np.log(a + c1) - np.log(2.0 * a + parent1)
-        lp0 += np.log(a + c0) - np.log(2.0 * a + parent0)
-        parent1 = c1.astype(float)
-        parent0 = c0.astype(float)
-    return lp1, lp0
+    lp1, lp0 = leaf_log_path_tables(forest, c)
+    return _gather(lp1, leaf), _gather(lp0, leaf)
 
 
 def _smoothing_vector(c, p: int) -> np.ndarray:
@@ -212,6 +223,20 @@ class FittedModel:
     @property
     def n0(self) -> int:
         return self.forest.n0
+
+    @cached_property
+    def leaf_log_odds(self) -> np.ndarray:
+        """(p, 2**depth) group-1 minus group-0 log path probability of every leaf;
+        built on first use and kept, so a model must not change once it has scored."""
+        lp1, lp0 = leaf_log_path_tables(self.forest, self.c)
+        return lp1 - lp0
+
+    def class_log_odds(self, leaf: np.ndarray) -> np.ndarray:
+        """Clamped group-1 log-odds of points at (m, p) leaves: the prior odds
+        plus the omega-weighted sum of each variable's leaf log-odds."""
+        prior = math.log(self.hyper.a_y + self.n1) - math.log(self.hyper.b_y + self.n0)
+        eta = prior + _gather(self.leaf_log_odds, leaf) @ self.selection.omega
+        return np.clip(eta, -ETA_CLAMP, ETA_CLAMP)
 
     def to_json_dict(self) -> dict:
         width = 1 << self.depth
@@ -292,19 +317,16 @@ class FittedModel:
 def update_psi(model: FittedModel, newpoints) -> ClassProbabilities:
     """Class probabilities for new points, in the units the model was fitted in.
 
-    Each point's log path probabilities are gathered from the model's
-    dense forest, one node per layer and variable, and their group-1
-    minus group-0 ratios are weighted by omega on top of the prior odds.
+    Locates each point's deepest-layer cell in every variable's tree and
+    gathers the model's per-leaf log-odds table there; `class_log_odds`
+    weights them by omega on top of the prior odds.
     """
     if not model.selection.converged:
         raise ContractViolation("update_psi requires a converged selection state")
     x = np.asarray(newpoints, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.p:
         raise InputError(f"expected an (m, {model.p}) matrix, got shape {x.shape}")
-    lp1, lp0 = log_path_probability_matrix(model.forest, model.c, x)
-    prior = math.log(model.hyper.a_y + model.n1) - math.log(model.hyper.b_y + model.n0)
-    eta = prior + (lp1 - lp0) @ model.selection.omega
-    eta = np.clip(eta, -ETA_CLAMP, ETA_CLAMP)
+    eta = model.class_log_odds(model.forest.leaves(x))
     return ClassProbabilities(_open_unit(expit(eta)))
 
 

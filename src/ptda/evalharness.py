@@ -1,5 +1,5 @@
-"""Experiment orchestration: repeated simulations, cross-validation,
-a Gaussian naive-Bayes foil, and wall-time scaling probes.
+"""Experiment orchestration: repeated simulations, cross-validation and
+a Gaussian naive-Bayes foil.
 
 Rows come out as plain dicts (one per rep/fold/method) so they can be
 dumped to tidy CSV; summaries aggregate means/medians and per-variable
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cvb import FittedModel, Hyperparameters, classify, fit_model, update_psi
+from .cvb import Hyperparameters, classify, update_psi
 from .dataio import Dataset, split_folds
 from .errors import InputError
 from .simgen import SimulationSpec, generate
@@ -30,7 +30,6 @@ __all__ = [
     "run_simulation_study",
     "cross_validate",
     "gaussian_nb_baseline",
-    "scaling_probe",
     "write_rows_csv",
     "write_summary_json",
 ]
@@ -70,24 +69,21 @@ def selection_confusion(selected, truth) -> tuple[int, int, int, int, float]:
     return tp, tn, fp, fn, accuracy
 
 
-def _fit_and_score(train: Dataset, test: Dataset, truth, hyper, grid, depth,
-                   tol, max_iter, select_threshold, seed) -> RunMetrics:
-    """One full rep on raw columns: pick c, fit, classify the test set.
+def _select_and_score(x_train, y_train, x_test, y_test, hyper, grid, depth,
+                      tol, max_iter, select_threshold, seed) -> RunMetrics:
+    """One rep or fold on raw columns: select c, which fits the model, then
+    classify the test points; the selection counts are left at 0.
 
     The centring Gaussians are fitted from the training columns, so the
     test points are scored in the same raw units with no transform.
     """
     start = time.perf_counter()
-    report = select_c(train.matrix, train.labels, hyper=hyper, grid=grid, depth=depth,
-                      tol=tol, max_iter=max_iter, seed=seed)
-    model = fit_model(train.matrix, train.labels, report.c, hyper=hyper, depth=depth,
-                      tol=tol, max_iter=max_iter, names=train.names)
-    psi = update_psi(model, test.matrix)
-    predicted = classify(psi)
-    error = float(np.mean(predicted != test.labels))
+    report, model = select_c(x_train, y_train, hyper=hyper, grid=grid, depth=depth,
+                             tol=tol, max_iter=max_iter, seed=seed)
+    predicted = classify(update_psi(model, x_test))
+    error = float(np.mean(predicted != y_test))
     selected = model.omega >= select_threshold
-    tp, tn, fp, fn, accuracy = selection_confusion(selected, truth)
-    return RunMetrics(error, accuracy, tp, tn, fp, fn, selected,
+    return RunMetrics(error, float("nan"), 0, 0, 0, 0, selected,
                       time.perf_counter() - start, model.selection.iteration,
                       model.selection.converged, report.chosen_a)
 
@@ -139,15 +135,14 @@ def run_simulation_study(setting: int, reps: int, base_seed: int = 0,
     def one_rep(r: int):
         spec = SimulationSpec(setting, n_train, n_test, p, n_discriminative, base_seed + r)
         train, test, truth = generate(spec)
-        metrics = _fit_and_score(train, test, truth, hyper, grid, depth,
-                                 tol, max_iter, select_threshold, spec.seed)
-        rows = [_metrics_row(metrics, rep=r, method="ptda")]
+        metrics = _select_and_score(train.matrix, train.labels, test.matrix, test.labels, hyper,
+                                    grid, depth, tol, max_iter, select_threshold, spec.seed)
+        methods = [("ptda", metrics)]
         if include_baseline:
-            base = gaussian_nb_baseline(train, test)
-            tp, tn, fp, fn, acc = selection_confusion(base.selected, truth)
-            base.tp, base.tn, base.fp, base.fn, base.selection_accuracy = tp, tn, fp, fn, acc
-            rows.append(_metrics_row(base, rep=r, method="gaussian_nb"))
-        return rows, metrics.selected
+            methods.append(("gaussian_nb", gaussian_nb_baseline(train, test)))
+        for _, m in methods:
+            m.tp, m.tn, m.fp, m.fn, m.selection_accuracy = selection_confusion(m.selected, truth)
+        return [_metrics_row(m, rep=r, method=name) for name, m in methods], metrics.selected
 
     results = _map_indexed(one_rep, range(reps), threads)
     rows = [row for rep_rows, _ in results for row in rep_rows]
@@ -171,47 +166,16 @@ def cross_validate(dataset: Dataset, k: int, hyper: Hyperparameters | None = Non
 
     def one_fold(f: int):
         train_idx, test_idx = folds[f]
-        start = time.perf_counter()
-        x_train = dataset.matrix[train_idx]
-        x_test = dataset.matrix[test_idx]
-        y_train = dataset.labels[train_idx]
-        y_test = dataset.labels[test_idx]
-        report = select_c(x_train, y_train, hyper=hyper, grid=grid, depth=depth,
-                          tol=tol, max_iter=max_iter, seed=seed)
-        model = fit_model(x_train, y_train, report.c, hyper=hyper, depth=depth,
-                          tol=tol, max_iter=max_iter, names=dataset.names)
-        predicted = classify(update_psi(model, x_test))
-        error = float(np.mean(predicted != y_test))
-        selected = model.omega >= 0.5
-        metrics = RunMetrics(error, float("nan"), 0, 0, 0, 0, selected,
-                             time.perf_counter() - start, model.selection.iteration,
-                             model.selection.converged, report.chosen_a)
-        return _metrics_row(metrics, rep=f, method="ptda"), selected
+        metrics = _select_and_score(dataset.matrix[train_idx], dataset.labels[train_idx],
+                                    dataset.matrix[test_idx], dataset.labels[test_idx],
+                                    hyper, grid, depth, tol, max_iter, 0.5, seed)
+        return _metrics_row(metrics, rep=f, method="ptda"), metrics.selected
 
     results = _map_indexed(one_fold, range(k), threads)
     rows = [row for row, _ in results]
     summary = _summarize(rows)
     summary["selection_rate"] = np.mean([sel for _, sel in results], axis=0).tolist()
     return rows, summary
-
-
-def scaling_probe(p_values=(250, 500, 1000, 2000), n: int = 100, setting: int = 1,
-                  seed: int = 0, c: float = 1.0, repeats: int = 3):
-    """Best-of-`repeats` wall time of a fixed-c fit at each p."""
-    rows = []
-    for p in p_values:
-        if p < 1:
-            raise InputError("p must be positive")
-        spec = SimulationSpec(setting, n_train=n, n_test=1, p=p,
-                              n_discriminative=min(50, p), seed=seed)
-        train, _, _ = generate(spec)
-        best = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fit_model(train.matrix, train.labels, c)
-            best = min(best, time.perf_counter() - start)
-        rows.append({"p": p, "n": n, "seconds": best})
-    return rows
 
 
 def _metrics_row(m: RunMetrics, rep: int, method: str) -> dict:

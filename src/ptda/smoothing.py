@@ -7,8 +7,9 @@ variables into quartile bins, and a grid of monotone bin-value tuples is
 searched for the one minimising resubstitution classification error.
 
 Counts are independent of the smoothing parameters, so the grid search
-reuses one forest and caches evidence and path probabilities per distinct
-ladder value.
+fits every candidate on one forest, locates the training points once,
+keeps evidence and per-leaf log-odds tables per distinct ladder value, and
+returns the winning candidate's model as the fitted one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bnp_test import log_bayes_factors
-from .cvb import ETA_CLAMP, Hyperparameters, log_path_probability_matrix, update_omega
+from .cvb import FittedModel, Hyperparameters, leaf_log_path_tables, update_omega
 from .errors import DomainError, InputError
 from .polya_tree import TreeForest
 from .rng import SUBSAMPLE_STREAM, substream
@@ -43,7 +44,7 @@ SHAPIRO_MAX_N = 5000
 
 @dataclass
 class SmoothingReport:
-    """Per-variable diagnostics and the chosen bin-value tuple."""
+    """Per-variable diagnostics, the chosen bin-value tuple and the variable names."""
 
     v0: np.ndarray
     v1: np.ndarray
@@ -51,6 +52,7 @@ class SmoothingReport:
     bins: np.ndarray
     chosen_a: tuple
     resubstitution_error: float
+    names: list
 
     @property
     def c(self) -> np.ndarray:
@@ -66,6 +68,7 @@ class SmoothingReport:
             "v1": self.v1.tolist(),
             "expected": self.expected.tolist(),
             "bins": self.bins.tolist(),
+            "names": list(self.names),
         }
 
     def save(self, path):
@@ -91,14 +94,18 @@ class SmoothingReport:
             raise InputError(f"smoothing report {path}: chosen_a must be a monotone 4-tuple in (0, 100]")
         if any(a.shape != bins.shape for a in (v0, v1, expected)):
             raise InputError(f"smoothing report {path}: v0, v1, expected and bins differ in length")
-        return cls(v0, v1, expected, bins.astype(np.int64), tuple(chosen_a.tolist()), error)
+        names = doc.get("names")
+        if not (isinstance(names, list) and len(names) == bins.size
+                and all(isinstance(v, str) for v in names) and len(set(names)) == len(names)):
+            raise InputError(f"smoothing report {path}: names must list the {bins.size} distinct "
+                             f"variable names; rerun select-c to write them")
+        return cls(v0, v1, expected, bins.astype(np.int64), tuple(chosen_a.tolist()), error, names)
 
-    def write_csv(self, path, names=None):
+    def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("variable,v0,v1,expected,bin,c\n")
             c = self.c
-            for j in range(self.v0.size):
-                name = names[j] if names is not None else f"V{j + 1}"
+            for j, name in enumerate(self.names):
                 fh.write(f"{name},{float(self.v0[j])!r},{float(self.v1[j])!r},"
                          f"{float(self.expected[j])!r},{int(self.bins[j])},{float(c[j])!r}\n")
 
@@ -172,19 +179,27 @@ def column_pvalues(matrix, labels, seed: int = 0) -> tuple[np.ndarray, np.ndarra
 
 def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
              depth: int | None = None, tol: float = 1e-6, max_iter: int = 1000,
-             threshold: float = 0.5, seed: int = 0) -> SmoothingReport:
+             threshold: float = 0.5, seed: int = 0) -> tuple[SmoothingReport, FittedModel]:
     """Grid search over bin-value tuples minimising resubstitution error.
 
     `grid` is either a ladder of candidate values (monotone 4-tuples are
-    enumerated) or an explicit iterable of 4-tuples.  Ties in error go to
+    enumerated) or an explicit iterable of 4-tuples.  Each candidate is
+    fitted on one shared forest and its training points are scored the
+    way `update_psi` scores new points.  Only candidates whose selection
+    converged within `max_iter` sweeps compete, and ties in error go to
     the lexicographically smallest tuple.
+
+    Returns (report, model): `model` is the winning candidate's fit, equal
+    to `fit_model(matrix, labels, report.c)` with the same hyperparameters,
+    depth, tol and max_iter, and both carry the names V1..Vp.  Raises
+    InputError when no candidate converged.
     """
     hyper = hyper or Hyperparameters()
     x = np.asarray(matrix, dtype=float)
     y = np.asarray(labels)
     if x.ndim != 2:
         raise InputError("matrix must be two-dimensional")
-    n, p = x.shape
+    p = x.shape[1]
     yb = np.asarray(y).astype(bool)
     if not (yb.any() and (~yb).any()):
         raise InputError("both groups must be non-empty")
@@ -206,40 +221,43 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     bins = assign_bins(expected)
 
     forest = TreeForest.from_matrix(x, y, depth)
-    prior = math.log(hyper.a_y + forest.n1) - math.log(hyper.b_y + forest.n0)
+    leaf = forest.leaves(x)
     y_int = yb.astype(np.int8)
+    names = [f"V{j + 1}" for j in range(p)]
+    # expit is monotone: psi >= threshold iff eta >= logit(threshold)
+    cut = math.log(threshold / (1.0 - threshold))
 
-    # per distinct ladder value: evidence vector and resubstitution log
-    # path probabilities (counts never change, only the alphas do)
-    bf_cache: dict[float, np.ndarray] = {}
-    lp_cache: dict[float, tuple] = {}
+    # per distinct ladder value: evidence vector and leaf log-odds table
+    # (counts never change, only the alphas do)
+    cache: dict[float, tuple] = {}
 
-    def caches_for(value: float):
-        if value not in bf_cache:
-            bf_cache[value] = log_bayes_factors(forest, value)
-            lp_cache[value] = log_path_probability_matrix(forest, value, x)
-        return bf_cache[value], lp_cache[value]
+    def tables_for(value: float):
+        if value not in cache:
+            lp1, lp0 = leaf_log_path_tables(forest, value)
+            cache[value] = (log_bayes_factors(forest, value), lp1 - lp0)
+        return cache[value]
 
-    best: tuple | None = None
+    best: tuple | None = None  # (candidate, model)
     best_error = math.inf
     for candidate in tuples:
         c_vals = np.asarray(candidate)[bins - 1]
         log_bf = np.empty(p)
-        lp1 = np.empty((n, p))
-        lp0 = np.empty((n, p))
+        odds = np.empty((p, 1 << forest.depth))
         for value in sorted(set(candidate)):
-            bf_v, (lp1_v, lp0_v) = caches_for(value)
+            bf_v, odds_v = tables_for(value)
             mask = c_vals == value
             log_bf[mask] = bf_v[mask]
-            lp1[:, mask] = lp1_v[:, mask]
-            lp0[:, mask] = lp0_v[:, mask]
+            odds[mask] = odds_v[mask]
         state = update_omega(log_bf, hyper, tol=tol, max_iter=max_iter)
-        eta = prior + (lp1 - lp0) @ state.omega
-        eta = np.clip(eta, -ETA_CLAMP, ETA_CLAMP)
-        # expit is monotone: psi >= threshold iff eta >= logit(threshold)
-        cut = math.log(threshold / (1.0 - threshold))
-        predicted = (eta >= cut).astype(np.int8)
+        if not state.converged:
+            continue
+        model = FittedModel(hyper, state, forest, c_vals, names, log_bf)
+        model.leaf_log_odds = odds  # the rows of this candidate's values, already built
+        predicted = (model.class_log_odds(leaf) >= cut).astype(np.int8)
         error = float(np.mean(predicted != y_int))
         if error < best_error:
-            best, best_error = candidate, error
-    return SmoothingReport(v0, v1, expected, bins, best, best_error)
+            best, best_error = (candidate, model), error
+    if best is None:
+        raise InputError(f"no smoothing candidate's selection converged within max_iter={max_iter} "
+                         f"sweeps (tol {tol}); raise max_iter")
+    return SmoothingReport(v0, v1, expected, bins, best[0], best_error, names), best[1]

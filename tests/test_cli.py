@@ -39,7 +39,7 @@ class TestHelp:
             build_parser().parse_args(["--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
-        for name in ("simulate", "select-c", "fit", "predict", "cv", "bf", "density", "bench"):
+        for name in ("simulate", "select-c", "fit", "predict", "cv", "bf", "density"):
             assert name in text
 
     @pytest.mark.parametrize("command,flags", [
@@ -50,7 +50,6 @@ class TestHelp:
         ("cv", ["--k", "--timings", "--out"]),
         ("bf", ["--c", "--value-column", "--group-column"]),
         ("density", ["--variable", "--grid-points", "--x-min", "--x-max"]),
-        ("bench", ["--p-values", "--n", "--repeats", "--out"]),
     ])
     def test_subcommand_help_enumerates_flags(self, capsys, command, flags):
         with pytest.raises(SystemExit) as exc:
@@ -69,6 +68,10 @@ class TestHelp:
     def test_removed_flags_exit_one(self, capsys, argv):
         assert dispatch(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_bench_subcommand_exits_one(self, capsys):
+        assert dispatch(["bench", "--out", "b.csv"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_unknown_flag_exits_one(self, capsys):
         code = dispatch(["simulate", "--setting", "1", "--no-such-flag", "--out-dir", "x"])
@@ -241,15 +244,10 @@ class TestCv:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestBench:
-    def test_writes_timings(self, tmp_path, capsys):
-        path = tmp_path / "bench.csv"
-        code, stdout, _ = run(["bench", "--p-values", "16,32", "--n", "16",
-                               "--repeats", "1", "--out", str(path)], capsys)
-        assert code == 0
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "p,n,seconds"
-        assert len(lines) == 3
+def simulate_tiny(cfg, out_dir):
+    """A quick command that parses every common option, config file included."""
+    return ["simulate", "--config", str(cfg), "--setting", "1", "--n-train", "8",
+            "--n-test", "4", "--p", "8", "--n-disc", "2", "--out-dir", str(out_dir)]
 
 
 class TestConfig:
@@ -273,8 +271,7 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         for doc in ({"nope": 1}, {"paper_protocol": True}):
             cfg.write_text(json.dumps(doc), encoding="utf-8")
-            code = dispatch(["bench", "--config", str(cfg), "--p-values", "8",
-                             "--n", "8", "--out", str(tmp_path / "b.csv")])
+            code = dispatch(simulate_tiny(cfg, tmp_path / "out"))
             assert code == 1
             assert "unknown config keys" in capsys.readouterr().err
 
@@ -286,19 +283,17 @@ class TestConfig:
     def test_wrongly_typed_config_value_exits_one(self, tmp_path, capsys, doc):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc), encoding="utf-8")
-        code, _, err = run(["bench", "--config", str(cfg), "--p-values", "8",
-                            "--n", "8", "--out", str(tmp_path / "b.csv")], capsys)
+        code, _, err = run(simulate_tiny(cfg, tmp_path / "out"), capsys)
         assert code == 1
         assert "config" in err
-        assert not (tmp_path / "b.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_well_typed_config_values_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"u": 2, "tol": 1e-6, "max_iter": 50, "depth": None,
                                    "ladder": [1, 5.0], "threads": 1, "seed": 3}),
                        encoding="utf-8")
-        code = dispatch(["bench", "--config", str(cfg), "--p-values", "8",
-                         "--n", "8", "--repeats", "1", "--out", str(tmp_path / "b.csv")])
+        code = dispatch(simulate_tiny(cfg, tmp_path / "out"))
         assert code == 0
 
 
@@ -321,6 +316,24 @@ class TestExitCodes:
         assert code == 1
         assert "--max-iter" in err
         assert not model_path.exists()
+
+    def test_nan_tol_exits_one_without_output(self, tmp_path, capsys):
+        out = simulate_small(tmp_path, seed=47)
+        model_path = tmp_path / "model.json"
+        code, _, err = run(["fit", "--data", str(out / "train.csv"), "--label-column", "y",
+                            "--c", "1.0", "--tol", "nan", "--out", str(model_path)], capsys)
+        assert code == 1
+        assert "--tol" in err
+        assert not model_path.exists()
+
+    def test_unconverged_grid_search_exits_one_without_output(self, tmp_path, capsys):
+        out = simulate_small(tmp_path, seed=47)
+        cv_path = tmp_path / "folds.csv"
+        code, _, err = run(["cv", "--data", str(out / "train.csv"), "--label-column", "y",
+                            "--k", "4", "--max-iter", "1", "--out", str(cv_path)], capsys)
+        assert code == 1
+        assert "max_iter" in err
+        assert not cv_path.exists()
 
     def test_unconverged_model_predict_exits_one(self, tmp_path, capsys):
         from ptda.cvb import fit_model
@@ -370,7 +383,7 @@ class TestDepthOption:
 def valid_report(p=12):
     return {"chosen_a": [1.0, 5.0, 10.0, 50.0], "resubstitution_error": 0.1,
             "v0": [0.5] * p, "v1": [0.5] * p, "expected": [0.5] * p,
-            "bins": [1, 2, 3, 4] * (p // 4)}
+            "bins": [1, 2, 3, 4] * (p // 4), "names": [f"V{j + 1}" for j in range(p)]}
 
 
 def edited_report(edit):
@@ -410,11 +423,39 @@ class TestCReport:
         edited_report(lambda doc: doc.update(chosen_a=[[1.0, 5.0], [10.0, 50.0]] * 2)),
         edited_report(lambda doc: doc["v0"].pop()),
         edited_report(lambda doc: doc.update(expected=[0.5] * 13)),
+        edited_report(lambda doc: doc["names"].pop()),
+        edited_report(lambda doc: doc["names"].__setitem__(1, "V1")),
+        edited_report(lambda doc: doc["names"].__setitem__(0, 1)),
+        edited_report(lambda doc: doc.update(names="V1")),
     ], ids=["unparsable", "missing-bins", "two-values", "bin-zero", "bin-five",
             "bin-not-integer", "not-monotone", "a-zero", "a-above-100", "a-not-number",
-            "a-string", "a-nested", "short-v0", "long-expected"])
+            "a-string", "a-nested", "short-v0", "long-expected", "short-names", "duplicate-names", "name-not-string", "names-string"])
     def test_malformed_report_exits_one_without_model(self, tmp_path, capsys, text):
         code, err, model_path = self._fit(tmp_path, capsys, text)
         assert code == 1
         assert "smoothing report" in err
+        assert not model_path.exists()
+
+    def test_report_without_names_asks_for_select_c(self, tmp_path, capsys):
+        code, err, model_path = self._fit(tmp_path, capsys,
+                                          edited_report(lambda doc: doc.pop("names")))
+        assert code == 1
+        assert "rerun select-c" in err
+        assert not model_path.exists()
+
+    def test_report_of_reordered_variables_refused(self, tmp_path, capsys):
+        out = simulate_small(tmp_path, seed=71)
+        report = tmp_path / "report.json"
+        assert run(["select-c", "--data", str(out / "train.csv"), "--label-column", "y",
+                    "--ladder", "1,5", "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["names"] == [f"V{j + 1}" for j in range(12)]
+        rows = [line.split(",") for line in (out / "train.csv").read_text().splitlines()]
+        reordered = tmp_path / "reordered.csv"
+        reordered.write_text("".join(",".join(r[-2::-1] + r[-1:]) + "\n" for r in rows),
+                             encoding="utf-8")
+        model_path = tmp_path / "model.json"
+        code, _, err = run(["fit", "--data", str(reordered), "--label-column", "y",
+                            "--c-report", str(report), "--out", str(model_path)], capsys)
+        assert code == 1
+        assert "'V12'" in err and "'V1'" in err
         assert not model_path.exists()

@@ -101,6 +101,8 @@ class TestUpdateOmega:
             update_omega(np.array([]), Hyperparameters())
         with pytest.raises(DomainError):
             update_omega(np.zeros(3), Hyperparameters(), tol=0.0)
+        with pytest.raises(DomainError):
+            update_omega(np.zeros(3), Hyperparameters(), tol=float("nan"))
 
 
 class TestPathProbability:

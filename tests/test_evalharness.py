@@ -9,7 +9,6 @@ from ptda.evalharness import (
     cross_validate,
     gaussian_nb_baseline,
     run_simulation_study,
-    scaling_probe,
     selection_confusion,
     write_rows_csv,
 )
@@ -96,6 +95,11 @@ class TestSimulationStudy:
         par, _ = run_simulation_study(1, reps=3, threads=3, **kwargs)
         assert strip_times(seq) == strip_times(par)
 
+    def test_no_converged_candidate_is_an_input_error(self):
+        with pytest.raises(InputError, match="max_iter"):
+            run_simulation_study(1, reps=1, n_train=24, n_test=10, p=12, n_discriminative=3,
+                                 max_iter=1)
+
     def test_selection_rates_in_unit_interval(self):
         _, summary = run_simulation_study(1, reps=2, n_train=24, n_test=10, p=12,
                                           n_discriminative=3, grid=[(1.0, 1.0, 1.0, 1.0)])
@@ -134,17 +138,6 @@ class TestCrossValidate:
         ds = self._separable(n=8)  # 4 per group
         with pytest.raises(InputError):
             cross_validate(ds, 5, grid=[(1.0, 1.0, 1.0, 1.0)])
-
-
-class TestScalingProbe:
-    def test_rejects_bad_p(self):
-        with pytest.raises(InputError):
-            scaling_probe((0,), n=16)
-
-    def test_rows_structure(self):
-        rows = scaling_probe((20, 40), n=16, repeats=1)
-        assert [r["p"] for r in rows] == [20, 40]
-        assert all(r["seconds"] > 0 for r in rows)
 
 
 class TestCsvOutput:

@@ -127,7 +127,7 @@ class TestColumnPvalues:
 class TestSelectC:
     def test_single_tuple_grid(self):
         x, y = two_group_data(seed=3)
-        report = select_c(x, y, grid=[(2.0, 2.0, 5.0, 10.0)])
+        report, _ = select_c(x, y, grid=[(2.0, 2.0, 5.0, 10.0)])
         assert report.chosen_a == (2.0, 2.0, 5.0, 10.0)
         assert report.v0.size == x.shape[1]
         assert set(report.bins.tolist()) <= {1, 2, 3, 4}
@@ -136,7 +136,7 @@ class TestSelectC:
     def test_tie_break_lexicographic(self):
         # strong signal: every tuple reaches zero resubstitution error
         x, y = two_group_data(seed=4, shift=8.0)
-        report = select_c(x, y, grid=[(5.0, 5.0, 5.0, 5.0), (1.0, 1.0, 1.0, 1.0)])
+        report, _ = select_c(x, y, grid=[(5.0, 5.0, 5.0, 5.0), (1.0, 1.0, 1.0, 1.0)])
         assert report.resubstitution_error == 0.0
         assert report.chosen_a == (1.0, 1.0, 1.0, 1.0)
 
@@ -152,7 +152,7 @@ class TestSelectC:
 
     def test_monotone_range_guaranteed(self):
         x, y = two_group_data(seed=5)
-        report = select_c(x, y, grid=(1.0, 10.0))
+        report, _ = select_c(x, y, grid=(1.0, 10.0))
         a = report.chosen_a
         assert list(a) == sorted(a)
         assert all(0.0 < v <= 100.0 for v in a)
@@ -162,7 +162,7 @@ class TestSelectC:
         # check the cached grid search returns the minimiser
         x, y = two_group_data(seed=6, n=30, p=5)
         ladder = (1.0, 10.0)
-        report = select_c(x, y, grid=ladder)
+        report, _ = select_c(x, y, grid=ladder)
         hyper = Hyperparameters()
         errors = {}
         for candidate in monotone_tuples(ladder):
@@ -177,7 +177,7 @@ class TestSelectC:
 
     def test_report_round_trip(self, tmp_path):
         x, y = two_group_data(seed=7)
-        report = select_c(x, y, grid=(1.0, 5.0))
+        report, _ = select_c(x, y, grid=(1.0, 5.0))
         path = tmp_path / "report.json"
         report.save(path)
         loaded = SmoothingReport.load(path)
