@@ -9,6 +9,8 @@ probability ratios.
 
 __version__ = "0.1.0"
 
+import logging
+
 from .bnp_test import log_bayes_factor, log_bayes_factors
 from .cvb import (
     ClassProbabilities,
@@ -34,6 +36,10 @@ from .polya_tree import (
 )
 from .simgen import SimulationSpec, generate, mixture_sample
 from .smoothing import SmoothingReport, assign_bins, expected_pvalue, select_c
+
+# warnings such as an unconverged selection go to the "ptda" logger, which
+# stays silent unless the application configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "__version__",

@@ -10,6 +10,7 @@ odds plus an omega-weighted sum of log path-probability ratios.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,6 +38,8 @@ ETA_CLAMP = 700.0
 MODEL_FORMAT = 2
 _OPEN_LO = 1e-300
 _OPEN_HI = float(np.nextafter(1.0, 0.0))
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,15 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
                  max_iter: int = 1000, omega0=None) -> SelectionState:
     """Sweep the penalised-evidence update to convergence.
 
-    Stops when the squared Euclidean distance between consecutive sweeps
-    is at most `tol`; the converged flag records whether that happened
-    within `max_iter` sweeps.
+    Each sweep is the paper's coordinate ascent, in variable order: omega_j
+    becomes expit(log BF_j + log(1 + S_-j) - log(p**u + p - 1 - S_-j)),
+    where S_-j is the sum of the other omegas (current values), with the
+    exponent clamped to +-ETA_CLAMP and the result clipped into (0, 1).
+    The loop is plain Python over floats, with `expit` and the clamps
+    written inline; `tests/oracles.py` keeps the sweep that calls them and
+    the two agree bit for bit.  Stops when the squared Euclidean distance
+    between consecutive sweeps is at most `tol`; the converged flag records
+    whether that happened within `max_iter` sweeps.
     """
     log_bf = np.asarray(log_bf, dtype=float)
     p = log_bf.size
@@ -93,18 +102,31 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
     bf = log_bf.tolist()
     om = omega.tolist()
     s = sum(om)
+    log, log1p, exp = math.log, math.log1p, math.exp
+    clamp, lo, hi = ETA_CLAMP, _OPEN_LO, _OPEN_HI
     for sweep in range(1, max_iter + 1):
         delta = 0.0
         for j in range(p):
-            s_minus = s - om[j]
+            old = om[j]
+            s_minus = s - old
             denom = base - s_minus
             if denom <= 0.0:
                 raise ContractViolation("penalty denominator is non-positive")
-            eta = bf[j] + math.log1p(s_minus) - math.log(denom)
-            eta = max(-ETA_CLAMP, min(ETA_CLAMP, eta))
-            w = expit(eta)
-            w = min(max(w, _OPEN_LO), _OPEN_HI)
-            d = w - om[j]
+            eta = bf[j] + log1p(s_minus) - log(denom)
+            if not eta < clamp:  # NaN too, as min(clamp, eta) gives
+                eta = clamp
+            elif eta < -clamp:
+                eta = -clamp
+            if eta >= 0.0:
+                w = 1.0 / (1.0 + exp(-eta))
+            else:
+                w = exp(eta)
+                w = w / (1.0 + w)
+            if w < lo:
+                w = lo
+            elif w > hi:
+                w = hi
+            d = w - old
             delta += d * d
             s += d
             om[j] = w
@@ -149,18 +171,12 @@ def leaf_log_path_tables(forest: TreeForest, c) -> tuple[np.ndarray, np.ndarray]
     return tables[0], tables[1]
 
 
-def _gather(table: np.ndarray, leaf: np.ndarray) -> np.ndarray:
-    """(m, p) entries table[j, leaf[i, j]] of a (p, 2**depth) per-leaf table."""
-    p, width = table.shape
-    return np.take(table, leaf + np.arange(p, dtype=np.int64) * width)
-
-
 def log_path_probability_matrix(forest: TreeForest, c, points) -> tuple[np.ndarray, np.ndarray]:
     """(m, p) log path probabilities of each point, per group: its leaves
     gathered from `leaf_log_path_tables`."""
-    leaf = forest.leaves(points)
+    flat = forest.flat_leaves(points)
     lp1, lp0 = leaf_log_path_tables(forest, c)
-    return _gather(lp1, leaf), _gather(lp0, leaf)
+    return np.take(lp1, flat), np.take(lp0, flat)
 
 
 def _smoothing_vector(c, p: int) -> np.ndarray:
@@ -231,11 +247,12 @@ class FittedModel:
         lp1, lp0 = leaf_log_path_tables(self.forest, self.c)
         return lp1 - lp0
 
-    def class_log_odds(self, leaf: np.ndarray) -> np.ndarray:
-        """Clamped group-1 log-odds of points at (m, p) leaves: the prior odds
-        plus the omega-weighted sum of each variable's leaf log-odds."""
+    def class_log_odds(self, flat: np.ndarray) -> np.ndarray:
+        """Clamped group-1 log-odds of points at (m, p) flat leaf indices
+        (`TreeForest.flat_leaves`): the prior odds plus the omega-weighted
+        sum of each variable's leaf log-odds."""
         prior = math.log(self.hyper.a_y + self.n1) - math.log(self.hyper.b_y + self.n0)
-        eta = prior + _gather(self.leaf_log_odds, leaf) @ self.selection.omega
+        eta = prior + np.take(self.leaf_log_odds, flat) @ self.selection.omega
         return np.clip(eta, -ETA_CLAMP, ETA_CLAMP)
 
     def to_json_dict(self) -> dict:
@@ -319,14 +336,15 @@ def update_psi(model: FittedModel, newpoints) -> ClassProbabilities:
 
     Locates each point's deepest-layer cell in every variable's tree and
     gathers the model's per-leaf log-odds table there; `class_log_odds`
-    weights them by omega on top of the prior odds.
+    weights them by omega on top of the prior odds.  A NaN or infinite
+    coordinate raises InputError.
     """
     if not model.selection.converged:
         raise ContractViolation("update_psi requires a converged selection state")
     x = np.asarray(newpoints, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.p:
         raise InputError(f"expected an (m, {model.p}) matrix, got shape {x.shape}")
-    eta = model.class_log_odds(model.forest.leaves(x))
+    eta = model.class_log_odds(model.forest.flat_leaves(x))
     return ClassProbabilities(_open_unit(expit(eta)))
 
 
@@ -347,7 +365,8 @@ def fit_model(matrix, labels, c, hyper: Hyperparameters | None = None,
     is fitted from its own column, so no rescaling is needed.  `c` is a
     scalar or per-variable vector of smoothing parameters in (0, 100];
     `depth` None means floor(log2 n).  The returned selection state
-    records whether the sweeps converged within `max_iter`.
+    records whether the sweeps converged within `max_iter`; when they did
+    not, a warning goes to the `ptda.cvb` logger.
     """
     from .bnp_test import log_bayes_factors
 
@@ -359,6 +378,9 @@ def fit_model(matrix, labels, c, hyper: Hyperparameters | None = None,
     forest = TreeForest.from_matrix(x, labels, depth)
     log_bf = log_bayes_factors(forest, c_vec)
     selection = update_omega(log_bf, hyper, tol=tol, max_iter=max_iter)
+    if not selection.converged:
+        _log.warning("fit_model: the selection did not converge within max_iter=%d sweeps "
+                     "(tol %g)", max_iter, tol)
     if names is None:
         names = [f"V{j + 1}" for j in range(forest.p)]
     return FittedModel(hyper, selection, forest, c_vec, list(names), log_bf)

@@ -141,17 +141,18 @@ def cell_boundaries(code: str, g: CentringGaussian) -> tuple[float, float]:
 def leaf_indices(u, depth: int) -> np.ndarray:
     """Deepest-layer cell index of each CDF value: its first `depth` binary digits.
 
-    The layer-l cell is the index shifted right by depth - l.  A value on
-    a dyadic boundary goes to the left cell.
+    That is ceil(u * 2**depth) - 1, floored at 0, so a value on a dyadic
+    boundary goes to the left cell.  Multiplying by a power of two only
+    moves the exponent, so u * 2**depth is exact and the one step gives
+    the digits that `depth` halvings of the interval would.  The layer-l
+    cell is the index shifted right by depth - l.
     """
-    t = np.array(u, dtype=float)
-    k = np.zeros(t.shape, dtype=np.int64)
-    for _ in range(depth):
-        t *= 2.0
-        d = t > 1.0
-        t -= d  # exact: t in (1, 2] stays representable after subtracting 1
-        k = 2 * k + d
-    return k
+    k = np.array(u, dtype=float)
+    k *= float(1 << depth)
+    np.ceil(k, out=k)
+    k -= 1.0
+    np.maximum(k, 0.0, out=k)
+    return k.astype(np.int64)
 
 
 def _sum_layers(leaf: np.ndarray) -> np.ndarray:
@@ -172,7 +173,8 @@ class TreeForest:
     `count1` / `count0` are (p, 2**(depth+1)) int64 arrays, one per group,
     laid out as described in the module docstring.  Counts are independent
     of the smoothing parameters, so one forest serves every candidate c.
-    A single variable is a forest with p = 1.
+    A single variable is a forest with p = 1.  `means` / `sds` hold the
+    centrings' parameters as (p,) arrays for locating points.
     """
 
     def __init__(self, centrings, count1: np.ndarray, count0: np.ndarray):
@@ -183,6 +185,8 @@ class TreeForest:
         self.depth = count1.shape[1].bit_length() - 2
         self.n1 = int(count1[0, 1])
         self.n0 = int(count0[0, 1])
+        self.means = np.array([g.mean for g in self.centrings])
+        self.sds = np.array([g.sd for g in self.centrings])
 
     @classmethod
     def from_leaves(cls, centrings, leaf1, leaf0) -> "TreeForest":
@@ -229,13 +233,19 @@ class TreeForest:
         return cls.from_leaves(centrings, leaf1, leaf0)
 
     def leaves(self, matrix) -> np.ndarray:
-        """(m, p) deepest-layer cell index of each point in each variable's tree."""
+        """(m, p) deepest-layer cell index of each point in each variable's tree;
+        the points must be finite."""
         x = np.asarray(matrix, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.p:
             raise InputError(f"expected points with {self.p} variables, got shape {x.shape}")
-        means = np.array([g.mean for g in self.centrings])
-        sds = np.array([g.sd for g in self.centrings])
-        return leaf_indices(normal_cdf((x - means) / sds), self.depth)
+        if not np.all(np.isfinite(x)):
+            raise InputError("points must be finite")
+        return leaf_indices(normal_cdf((x - self.means) / self.sds), self.depth)
+
+    def flat_leaves(self, matrix) -> np.ndarray:
+        """(m, p) index leaf + j * 2**depth of each point's deepest-layer cell
+        in a flattened (p, 2**depth) per-leaf table; `np.take` gathers with it."""
+        return self.leaves(matrix) + np.arange(self.p, dtype=np.int64) * (1 << self.depth)
 
     def variable(self, j: int) -> "TreeForest":
         """One-variable forest (a view) of variable j."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,8 @@ __all__ = [
 
 DEFAULT_LADDER = (1.0, 5.0, 10.0, 50.0, 100.0)
 SHAPIRO_MAX_N = 5000
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -191,8 +194,9 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
 
     Returns (report, model): `model` is the winning candidate's fit, equal
     to `fit_model(matrix, labels, report.c)` with the same hyperparameters,
-    depth, tol and max_iter, and both carry the names V1..Vp.  Raises
-    InputError when no candidate converged.
+    depth, tol and max_iter, and both carry the names V1..Vp.  Skipped
+    candidates are counted in a warning on the `ptda.smoothing` logger;
+    InputError is raised when no candidate converged.
     """
     hyper = hyper or Hyperparameters()
     x = np.asarray(matrix, dtype=float)
@@ -221,7 +225,7 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     bins = assign_bins(expected)
 
     forest = TreeForest.from_matrix(x, y, depth)
-    leaf = forest.leaves(x)
+    flat = forest.flat_leaves(x)
     y_int = yb.astype(np.int8)
     names = [f"V{j + 1}" for j in range(p)]
     # expit is monotone: psi >= threshold iff eta >= logit(threshold)
@@ -239,6 +243,7 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
 
     best: tuple | None = None  # (candidate, model)
     best_error = math.inf
+    skipped = 0
     for candidate in tuples:
         c_vals = np.asarray(candidate)[bins - 1]
         log_bf = np.empty(p)
@@ -250,13 +255,17 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
             odds[mask] = odds_v[mask]
         state = update_omega(log_bf, hyper, tol=tol, max_iter=max_iter)
         if not state.converged:
+            skipped += 1
             continue
         model = FittedModel(hyper, state, forest, c_vals, names, log_bf)
         model.leaf_log_odds = odds  # the rows of this candidate's values, already built
-        predicted = (model.class_log_odds(leaf) >= cut).astype(np.int8)
+        predicted = (model.class_log_odds(flat) >= cut).astype(np.int8)
         error = float(np.mean(predicted != y_int))
         if error < best_error:
             best, best_error = (candidate, model), error
+    if skipped:
+        _log.warning("select_c skipped %d of %d smoothing candidates whose selection did not "
+                     "converge within max_iter=%d sweeps", skipped, len(tuples), max_iter)
     if best is None:
         raise InputError(f"no smoothing candidate's selection converged within max_iter={max_iter} "
                          f"sweeps (tol {tol}); raise max_iter")

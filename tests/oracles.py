@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's own computational paths:
 dense enumeration instead of sparse iteration, math.lgamma instead of the
 vectorized log-gamma, Jacobi fixed-point iteration instead of sweeps, and
-brute-force double loops for distances.
+brute-force double loops for distances.  Two references keep the earlier,
+plainer forms of rewritten kernels: the digit-by-digit binary expansion
+of a CDF value and the omega sweep that calls expit and min/max.
 """
 
 from __future__ import annotations
@@ -77,16 +79,55 @@ def exact_log_bayes_factor_with_point(counts_map: dict, depth: int, c: float,
     return total
 
 
+def expit(z):
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
+
+
+def binary_expansion_leaves(u, depth: int) -> np.ndarray:
+    """First `depth` binary digits of each value in [0, 1], one halving at a
+    time; a digit is 1 only when the doubled value exceeds 1, so a dyadic
+    boundary goes left."""
+    t = np.array(u, dtype=float)
+    k = np.zeros(t.shape, dtype=np.int64)
+    for _ in range(depth):
+        t *= 2.0
+        d = t > 1.0
+        t -= d  # exact: t in (1, 2] stays representable after subtracting 1
+        k = 2 * k + d
+    return k
+
+
+def sweep_omega(log_bf, u: float, tol: float = 1e-6, max_iter: int = 1000,
+                omega0=None, clamp: float = 700.0, lo: float = 1e-300,
+                hi: float = float(np.nextafter(1.0, 0.0))) -> tuple[list, int, bool]:
+    """(omega, sweeps, converged) of in-order coordinate sweeps written with
+    expit and min/max; stops when the squared step is at most tol."""
+    bf = [float(v) for v in log_bf]
+    p = len(bf)
+    om = [0.5] * p if omega0 is None else [float(v) for v in omega0]
+    base = float(p) ** u + p - 1.0
+    s = sum(om)
+    for sweep in range(1, max_iter + 1):
+        delta = 0.0
+        for j in range(p):
+            s_minus = s - om[j]
+            eta = bf[j] + math.log1p(s_minus) - math.log(base - s_minus)
+            w = min(max(expit(max(-clamp, min(clamp, eta))), lo), hi)
+            d = w - om[j]
+            delta += d * d
+            s += d
+            om[j] = w
+        if delta <= tol:
+            return om, sweep, True
+    return om, max_iter, False
+
+
 def jacobi_omega(log_bf, p: int, u: float, omega0, tol: float = 1e-30,
                  max_iter: int = 1_000_000) -> list:
     """Fixed point of the penalised-evidence equations by Jacobi iteration."""
-
-    def expit(z):
-        if z >= 0:
-            return 1.0 / (1.0 + math.exp(-z))
-        ez = math.exp(z)
-        return ez / (1.0 + ez)
-
     om = list(omega0)
     for _ in range(max_iter):
         s = sum(om)

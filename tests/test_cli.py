@@ -152,6 +152,25 @@ class TestFitPredictPipeline:
         assert "'V12'" in err and "'V1'" in err
         assert not pred_path.exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_predict_refuses_non_finite_points(self, tmp_path, capsys, bad):
+        out = simulate_small(tmp_path, seed=71)
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--data", str(out / "train.csv"), "--label-column", "y",
+                    "--c", "1.0", "--out", str(model_path)]) == 0
+        lines = (out / "test.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[0] = cells[4] = bad
+        lines[2] = ",".join(cells)
+        query = tmp_path / "query.csv"
+        query.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        pred_path = tmp_path / "pred.csv"
+        code, _, err = run(["predict", "--model", str(model_path), "--data", str(query),
+                            "--label-column", "y", "--out", str(pred_path)], capsys)
+        assert code == 1
+        assert "finite" in err
+        assert not pred_path.exists()
+
     def test_fit_outputs_reproducible(self, tmp_path, capsys):
         out = simulate_small(tmp_path, seed=17)
         paths = []

@@ -1,13 +1,18 @@
 """Selection sweeps, class probabilities, and model round-trips."""
 
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ptda
 from ptda.cvb import (
     ClassProbabilities,
     FittedModel,
@@ -23,7 +28,7 @@ from ptda.errors import DomainError, InputError
 from ptda.polya_tree import CentringGaussian
 
 from adapters import tree_from_leaves
-from oracles import jacobi_omega
+from oracles import jacobi_omega, sweep_omega
 
 STD = CentringGaussian(0.0, 1.0)
 
@@ -105,6 +110,33 @@ class TestUpdateOmega:
             update_omega(np.zeros(3), Hyperparameters(), tol=float("nan"))
 
 
+class TestUpdateOmegaAgainstSweepOracle:
+    """The inlined sweep against the one written with expit and min/max: bitwise."""
+
+    @staticmethod
+    def assert_same(log_bf, hyper, **kwargs):
+        state = update_omega(log_bf, hyper, **kwargs)
+        omega, sweeps, converged = sweep_omega(log_bf, hyper.u, **kwargs)
+        assert np.array_equal(state.omega, np.array(omega))
+        assert (state.iteration, state.converged) == (sweeps, converged)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_evidence(self, seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 400))
+        scale = (0.5, 3.0, 30.0, 2000.0)[seed % 4]  # the last reaches past the 700 clamp
+        log_bf = rng.normal(scale=scale, size=p)
+        hyper = Hyperparameters(u=float(rng.uniform(1.05, 3.0)))
+        self.assert_same(log_bf, hyper)
+        self.assert_same(log_bf, hyper, tol=1e-30, max_iter=7)
+        self.assert_same(log_bf, hyper, omega0=rng.uniform(size=p))
+
+    def test_clamp_and_open_interval(self):
+        log_bf = np.array([701.0, -701.0, 1e6, -1e6, 700.0, -700.0, 0.0, 36.9, -745.0])
+        self.assert_same(log_bf, Hyperparameters())
+        self.assert_same(log_bf, Hyperparameters(), omega0=np.array([0.0, 1.0] * 4 + [0.5]))
+
+
 class TestPathProbability:
     def test_empty_counts_halving(self):
         tree = tree_from_leaves(np.zeros(8, dtype=int), np.zeros(8, dtype=int), STD)
@@ -182,6 +214,42 @@ class TestUpdatePsi:
         _, _, model = training_model()
         with pytest.raises(InputError):
             update_psi(model, np.zeros((2, model.p + 1)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_refused(self, bad):
+        x, _, model = training_model()
+        points = x[:3].copy()
+        points[1, 2] = bad
+        with pytest.raises(InputError):
+            update_psi(model, points)
+
+
+class TestConvergenceWarning:
+    def test_unconverged_fit_warns(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="ptda"):
+            _, _, model = training_model(max_iter=1, tol=1e-30)
+        assert not model.selection.converged
+        [record] = caplog.records
+        assert record.name == "ptda.cvb" and record.levelno == logging.WARNING
+        assert "max_iter=1" in record.getMessage()
+
+    def test_converged_fit_is_silent(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="ptda"):
+            _, _, model = training_model()
+        assert model.selection.converged
+        assert caplog.records == []
+
+    def test_silent_by_default(self):
+        # a fresh interpreter with no logging configuration prints nothing
+        script = ("import numpy as np\n"
+                  "from ptda.cvb import fit_model\n"
+                  "x = np.random.default_rng(0).normal(size=(20, 3))\n"
+                  "fit_model(x, np.array([1, 0] * 10), 1.0, max_iter=1, tol=1e-30)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ptda.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "" and done.stderr == ""
 
 
 class TestClassify:

@@ -24,7 +24,7 @@ from ptda.polya_tree import (
 from ptda.stats import normal_quantile
 
 from adapters import path_map, spec_of, tree_from_leaves, tree_of
-from oracles import integrate_predictive_density
+from oracles import binary_expansion_leaves, integrate_predictive_density
 
 STD = CentringGaussian(0.0, 1.0)
 
@@ -307,3 +307,70 @@ class TestTreeForest:
         x = np.random.default_rng(0).normal(size=(8, 2))
         with pytest.raises(InputError):
             TreeForest.from_matrix(x, np.ones(8, dtype=int), 3)
+
+
+class TestLeafIndicesAgainstBinaryExpansion:
+    """The one-step leaf (ceil of u * 2**depth) against the digit-by-digit loop."""
+
+    @staticmethod
+    def hard_values(depth, rng):
+        # dyadics one layer coarser, at and one finer than the leaves, 0, 1
+        # and subnormals, each with its neighbouring doubles
+        values = [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5 ** 1074 * 3]
+        for level in (depth - 1, depth, depth + 1):
+            if level < 1:
+                continue
+            k = np.unique(np.concatenate([
+                np.arange(min(2 ** level, 64) + 1),
+                2 ** level - np.arange(min(2 ** level, 64) + 1),
+                rng.integers(0, 2 ** level + 1, size=500),
+            ]))
+            values.extend((k / 2.0 ** level).tolist())
+        u = np.array(values)
+        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
+        return u[(u >= 0.0) & (u <= 1.0)]
+
+    @pytest.mark.parametrize("depth", [1, 6, 9, 25])
+    def test_dyadics_neighbours_and_extremes(self, depth):
+        u = self.hard_values(depth, np.random.default_rng(depth))
+        assert np.array_equal(leaf_indices(u, depth), binary_expansion_leaves(u, depth))
+
+    @pytest.mark.parametrize("depth", [1, 6, 9, 25])
+    def test_random_cdf_values(self, depth):
+        rng = np.random.default_rng(100 + depth)
+        u = np.concatenate([rng.uniform(size=5000), STD.cdf(rng.normal(scale=4.0, size=5000))])
+        assert np.array_equal(leaf_indices(u, depth), binary_expansion_leaves(u, depth))
+
+    def test_dyadic_boundary_goes_left(self):
+        assert leaf_indices(np.array([0.5, 0.25, 0.0, 1.0]), 2).tolist() == [1, 0, 0, 3]
+
+    def test_shape_kept(self):
+        assert leaf_indices(0.3, 3).shape == ()
+        assert leaf_indices(np.empty((0, 4)), 3).shape == (0, 4)
+        assert leaf_indices(np.full((2, 3), 0.7), 3).tolist() == [[5] * 3] * 2
+
+
+class TestLocatingPoints:
+    def forest(self):
+        rng = np.random.default_rng(23)
+        return TreeForest.from_matrix(rng.normal(size=(20, 3)), np.array([1, 0] * 10), 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_points_refused(self, bad):
+        x = np.zeros((2, 3))
+        x[1, 2] = bad
+        with pytest.raises(InputError):
+            self.forest().leaves(x)
+
+    def test_centring_arrays_built_once(self):
+        forest = self.forest()
+        assert forest.means.tolist() == [g.mean for g in forest.centrings]
+        assert forest.sds.tolist() == [g.sd for g in forest.centrings]
+
+    def test_flat_leaves_index_a_flattened_table(self):
+        forest = self.forest()
+        x = np.random.default_rng(24).normal(size=(7, 3))
+        leaves = forest.leaves(x)
+        table = np.arange(3 * 8).reshape(3, 8)
+        expected = [[table[j, leaves[i, j]] for j in range(3)] for i in range(7)]
+        assert np.take(table, forest.flat_leaves(x)).tolist() == expected

@@ -1,5 +1,6 @@
 """Smoothing-parameter selection: blending, binning, and the grid search."""
 
+import logging
 import math
 
 import numpy as np
@@ -189,3 +190,49 @@ class TestSelectC:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "variable,v0,v1,expected,bin,c"
         assert len(lines) == x.shape[1] + 1
+
+
+class TestSkippedCandidatesWarning:
+    GRID = (1.0, 10.0, 100.0)
+
+    def sweeps_per_candidate(self, monkeypatch, x, y):
+        import ptda.smoothing
+
+        sweeps = []
+        original = ptda.smoothing.update_omega
+
+        def recording(*args, **kwargs):
+            state = original(*args, **kwargs)
+            sweeps.append(state.iteration)
+            return state
+
+        monkeypatch.setattr(ptda.smoothing, "update_omega", recording)
+        select_c(x, y, grid=self.GRID)
+        monkeypatch.undo()
+        return sweeps
+
+    def test_warning_counts_skipped_candidates(self, monkeypatch, caplog):
+        x, y = two_group_data(seed=2)
+        sweeps = self.sweeps_per_candidate(monkeypatch, x, y)
+        cap = min(sweeps)
+        skipped = sum(s > cap for s in sweeps)
+        assert 0 < skipped < len(sweeps)
+        with caplog.at_level(logging.WARNING, logger="ptda"):
+            _, model = select_c(x, y, grid=self.GRID, max_iter=cap)
+        assert model.selection.converged
+        [record] = caplog.records
+        assert record.name == "ptda.smoothing"
+        assert f"skipped {skipped} of {len(sweeps)}" in record.getMessage()
+
+    def test_warning_precedes_refusal_when_none_converged(self, caplog):
+        x, y = two_group_data(seed=2)
+        with caplog.at_level(logging.WARNING, logger="ptda"), pytest.raises(InputError):
+            select_c(x, y, grid=self.GRID, max_iter=1, tol=1e-30)
+        [record] = caplog.records
+        assert "skipped 15 of 15" in record.getMessage()
+
+    def test_silent_when_all_converged(self, caplog):
+        x, y = two_group_data(seed=2)
+        with caplog.at_level(logging.DEBUG, logger="ptda"):
+            select_c(x, y, grid=self.GRID)
+        assert caplog.records == []

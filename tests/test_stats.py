@@ -84,6 +84,59 @@ class TestNormalQuantile:
             assert normal_quantile(q) == pytest.approx(-normal_quantile(1.0 - q), abs=1e-12)
 
 
+class TestNormalCdfArrays:
+    """The array path (fdlibm's erfc in numpy) against math.erfc and scipy."""
+
+    # glibc's erfc branch points in t = -z / sqrt 2 (the 1/0.35 cut is the
+    # double whose high word is 0x4006DB6D)
+    BRANCHES = (0.84375, 1.25, float(np.array(0x4006DB6D << 32, dtype=np.uint64).view(np.float64)),
+                6.0, 28.0)
+
+    @staticmethod
+    def reference(z):
+        return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
+
+    def check(self, z):
+        ours = normal_cdf(z)
+        ref = self.reference(z)
+        assert np.all(np.abs(ours - ref) <= 4 * np.spacing(ref))
+        special = pytest.importorskip("scipy.special")
+        assert np.all(np.abs(ours - special.ndtr(z)) <= 1e-15)
+
+    def test_branch_points_and_neighbours(self):
+        z = np.array([s * math.sqrt(2.0) * b for b in self.BRANCHES for s in (1.0, -1.0)])
+        for _ in range(3):
+            z = np.concatenate([z, np.nextafter(z, -np.inf), np.nextafter(z, np.inf)])
+        t = -z / math.sqrt(2.0)
+        for b in self.BRANCHES:  # both sides of every branch point are reached
+            assert np.any(np.abs(t) < b) and np.any(np.abs(t) >= b)
+        self.check(np.unique(z))
+
+    def test_tails_and_signed_zero(self):
+        z = np.array([38.0, -38.0, 40.0, -40.0, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324])
+        self.check(z)
+        assert normal_cdf(z)[4:6].tolist() == [1.0, 0.0]
+
+    def test_dense_sweep(self):
+        rng = np.random.default_rng(17)
+        self.check(np.concatenate([rng.normal(size=20000), rng.uniform(-42.0, 42.0, size=20000)]))
+
+    def test_nan_passes_through(self):
+        assert np.isnan(normal_cdf(np.array([0.1, np.nan]))[1])
+
+    def test_python_float_uses_math_erfc(self):
+        for z in (0.3, -2.0, 7.5):
+            assert normal_cdf(z) == 0.5 * math.erfc(-z / math.sqrt(2.0))
+        assert isinstance(normal_cdf(0.3), float)
+
+    @pytest.mark.parametrize("shape", [(), (0,), (0, 3), (2, 3), (17000,)])
+    def test_shape_kept(self, shape):
+        z = np.linspace(-3.0, 3.0, int(np.prod(shape))).reshape(shape)
+        out = normal_cdf(z)
+        assert isinstance(out, np.ndarray) and out.shape == shape
+        assert np.array_equal(out.ravel(), normal_cdf(z.ravel()))
+
+
 class TestExpit:
     def test_values(self):
         assert expit(0.0) == 0.5
