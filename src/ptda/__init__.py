@@ -19,22 +19,13 @@ from .cvb import (
     SelectionState,
     classify,
     fit_model,
-    path_probability,
     update_omega,
     update_psi,
 )
 from .dataio import Dataset, load_csv, preprocess, split_folds
 from .errors import ContractViolation, DomainError, InputError, PtdaError
-from .polya_tree import (
-    CentringGaussian,
-    TreeForest,
-    alpha,
-    cell_boundaries,
-    default_depth,
-    path_of,
-    predictive_density,
-)
-from .simgen import SimulationSpec, generate, mixture_sample
+from .polya_tree import TreeForest, default_depth, predictive_density
+from .simgen import SimulationSpec, generate
 from .smoothing import SmoothingReport, assign_bins, expected_pvalue, select_c
 
 # warnings such as an unconverged selection go to the "ptda" logger, which
@@ -43,7 +34,6 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "__version__",
-    "CentringGaussian",
     "ClassProbabilities",
     "ContractViolation",
     "Dataset",
@@ -56,9 +46,7 @@ __all__ = [
     "SimulationSpec",
     "SmoothingReport",
     "TreeForest",
-    "alpha",
     "assign_bins",
-    "cell_boundaries",
     "classify",
     "default_depth",
     "expected_pvalue",
@@ -67,9 +55,6 @@ __all__ = [
     "load_csv",
     "log_bayes_factor",
     "log_bayes_factors",
-    "mixture_sample",
-    "path_of",
-    "path_probability",
     "predictive_density",
     "preprocess",
     "select_c",

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .polya_tree import TreeForest
+from .polya_tree import TreeForest, alpha_for_layer
 from .stats import log_beta
 
 __all__ = ["log_bayes_factor", "log_bayes_factors"]
@@ -57,7 +57,7 @@ def log_bayes_factors(forest: TreeForest, c) -> np.ndarray:
         var = np.nonzero(live)[0]
         if var.size == 0:
             continue
-        a = np.ones(var.size) if level == 0 else c[var] * (level * level)
+        a = alpha_for_layer(level + 1, c[var])
         left, right = slice(2 * lo, 4 * lo, 2), slice(2 * lo + 1, 4 * lo, 2)
         terms = _node_terms(a, k1[:, left][live], k1[:, right][live],
                             k0[:, left][live], k0[:, right][live])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -236,14 +237,31 @@ def _cmd_simulate(args, cfg: Config) -> int:
     return 0
 
 
+def _write_outputs(*outputs):
+    """Write each (path, write) pair in order, skipping an unset path; if a
+    write fails, remove the files the earlier ones wrote, so a failed
+    command leaves none of its outputs behind."""
+    written = []
+    try:
+        for path, write in outputs:
+            if path:
+                write(path)
+                written.append(path)
+    except BaseException:
+        for path in written:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        raise
+
+
 def _cmd_select_c(args, cfg: Config) -> int:
     ds = _load_dataset(args)
     report, _ = select_c(ds.matrix, ds.labels, hyper=cfg.hyper(), grid=cfg.ladder,
                          depth=cfg.depth, tol=cfg.tol, max_iter=cfg.max_iter, seed=cfg.seed)
     report.names = list(ds.names)
-    report.save(args.out)
-    if args.out_csv:
-        report.write_csv(args.out_csv)
+    _write_outputs((args.out, report.save), (args.out_csv, report.write_csv))
     print(f"chosen a: {report.chosen_a}  resubstitution error: {report.resubstitution_error}")
     return 0
 
@@ -308,9 +326,8 @@ def _cmd_cv(args, cfg: Config) -> int:
     rows, summary = cross_validate(ds, args.k, hyper=cfg.hyper(), grid=cfg.ladder,
                                    depth=cfg.depth, tol=cfg.tol, max_iter=cfg.max_iter,
                                    seed=cfg.seed, threads=cfg.worker_count())
-    write_rows_csv(args.out, rows, include_timings=args.timings)
-    if args.out_summary:
-        write_summary_json(args.out_summary, summary)
+    _write_outputs((args.out, lambda path: write_rows_csv(path, rows, include_timings=args.timings)),
+                   (args.out_summary, lambda path: write_summary_json(path, summary)))
     errors = [r["classification_error"] for r in rows]
     print(f"cv mean classification error: {float(np.mean(errors))}")
     return 0
@@ -342,9 +359,11 @@ def _cmd_density(args, cfg: Config) -> int:
         raise InputError(f"variable {args.variable!r} not in the model")
     j = model.names.index(args.variable)
     tree, c = model.forest.variable(j), float(model.c[j])
-    g = tree.centrings[0]
-    lo = args.x_min if args.x_min is not None else g.mean - 4.0 * g.sd
-    hi = args.x_max if args.x_max is not None else g.mean + 4.0 * g.sd
+    mean, sd = float(tree.means[0]), float(tree.sds[0])
+    lo = args.x_min if args.x_min is not None else mean - 4.0 * sd
+    hi = args.x_max if args.x_max is not None else mean + 4.0 * sd
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"the grid ends must be finite, got x-min {lo!r} and x-max {hi!r}")
     if args.grid_points < 2 or hi <= lo:
         raise InputError("need at least 2 grid points and x-max > x-min")
     xs = np.linspace(lo, hi, args.grid_points)

@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError, InputError, PtdaError
-from .polya_tree import CentringGaussian, TreeForest
+from .errors import ContractViolation, DomainError, InputError
+from .polya_tree import TreeForest, alpha_for_layer
 from .stats import expit
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "FittedModel",
     "update_omega",
     "update_psi",
-    "path_probability",
     "leaf_log_path_tables",
     "classify",
     "fit_model",
@@ -135,21 +134,6 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
     return SelectionState(np.array(om), max_iter, False)
 
 
-def path_probability(x: float, tree: TreeForest, group: int, c: float) -> float:
-    """Probability that a point resembling x takes x's path in group `group`.
-
-    One-variable forest.  Product over layers of (alpha + child count) /
-    (2 alpha + parent count); equals 2**(-depth) when the tree holds no
-    observations.
-    """
-    if group not in (0, 1):
-        raise InputError("group must be 0 or 1")
-    if not math.isfinite(x):
-        raise InputError("path_probability requires finite x")
-    lp1, lp0 = log_path_probability_matrix(tree, c, [[x]])
-    return math.exp((lp1 if group == 1 else lp0)[0, 0])
-
-
 def leaf_log_path_tables(forest: TreeForest, c) -> tuple[np.ndarray, np.ndarray]:
     """(p, 2**depth) log path probability of every deepest-layer cell, per group.
 
@@ -162,7 +146,7 @@ def leaf_log_path_tables(forest: TreeForest, c) -> tuple[np.ndarray, np.ndarray]
     for counts in (forest.count1, forest.count0):
         lp = np.zeros((forest.p, 1))
         for level in range(1, forest.depth + 1):
-            a = (np.ones(forest.p) if level == 1 else c * ((level - 1) ** 2))[:, None]
+            a = alpha_for_layer(level, c)[:, None]
             lo = 1 << level
             parent = np.repeat(counts[:, lo // 2:lo], 2, axis=1).astype(float)
             lp = np.repeat(lp, 2, axis=1) + (np.log(a + counts[:, lo:2 * lo])
@@ -202,15 +186,25 @@ def _leaf_counts(rows, total: int, group: int) -> np.ndarray:
     return counts
 
 
+def _reals(records, key: str) -> np.ndarray:
+    """One number per variable record from a model file; strings, nulls and
+    booleans are refused, and `TreeForest.from_leaves` refuses a NaN or
+    infinite centring and an sd <= 0."""
+    values = np.array([r[key] for r in records])
+    if values.dtype.kind not in "if":
+        raise InputError(f"every variable's {key!r} must be a number")
+    return values.astype(float)
+
+
 @dataclass
 class FittedModel:
     """Selection state plus everything prediction needs.
 
     `forest` holds every variable's tree as dense heap-layout counts and
     `c` the per-variable smoothing parameters.  The model lives in the
-    units of the matrix it was fitted on: each tree's centring Gaussian
-    carries that variable's sample mean and sd, so new points are passed
-    in those same raw units.
+    units of the matrix it was fitted on: the forest's `means` and `sds`
+    arrays are the variables' sample means and sds, the centring Gaussians,
+    so new points are passed in those same raw units.
     """
 
     hyper: Hyperparameters
@@ -259,12 +253,13 @@ class FittedModel:
         width = 1 << self.depth
         leaf1 = self.forest.count1[:, width:].tolist()
         leaf0 = self.forest.count0[:, width:].tolist()
+        means, sds = self.forest.means.tolist(), self.forest.sds.tolist()
         variables = []
-        for j, (name, g) in enumerate(zip(self.names, self.forest.centrings)):
+        for j, name in enumerate(self.names):
             variables.append({
                 "name": name,
-                "mean": g.mean,
-                "sd": g.sd,
+                "mean": means[j],
+                "sd": sds[j],
                 "c": float(self.c[j]),
                 "omega": float(self.selection.omega[j]),
                 "leaf1": leaf1[j],
@@ -306,9 +301,8 @@ class FittedModel:
             records = doc["variables"]
             if not isinstance(records, list) or not records:
                 raise InputError("the model has no variables")
-            centrings = [CentringGaussian(r["mean"], r["sd"]) for r in records]
             forest = TreeForest.from_leaves(
-                centrings,
+                _reals(records, "mean"), _reals(records, "sd"),
                 _leaf_counts([r["leaf1"] for r in records], doc["n1"], 1),
                 _leaf_counts([r["leaf0"] for r in records], doc["n0"], 0))
             selection = SelectionState(np.array([r["omega"] for r in records], dtype=float),
@@ -316,9 +310,9 @@ class FittedModel:
             c = _smoothing_vector([r["c"] for r in records], len(records))
             return cls(Hyperparameters(**doc["hyperparameters"]), selection, forest,
                        c, [r["name"] for r in records])
-        except PtdaError:
+        except InputError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # DomainError is a ValueError
             raise InputError(f"malformed model file: {exc!r}") from exc
 
     @classmethod

@@ -5,6 +5,10 @@ Rows come out as plain dicts (one per rep/fold/method) so they can be
 dumped to tidy CSV; summaries aggregate means/medians and per-variable
 selection rates.  Reps and folds are independent and may run on a thread
 pool; results are assembled by index so thread count never changes them.
+The pool pays off where numpy's forest and table work, which releases the
+GIL, outweighs the Python omega sweep: on a 2-vCPU host, four setting-2
+reps at n=1000, p=1000 took 9.3-10.3 s on one thread and 6.6-7.4 s on
+two, while four setting-1 reps at n=100, p=3000 took 8.0-9.0 s either way.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Dyadic quantile-partition trees centred on Gaussians, stored as one dense forest.
 
 One tree per variable: layer l splits the real line into 2**l half-open
-cells (lower, upper] at the quantiles of the centring Gaussian, and a
-point's path through the tree is the binary expansion of its centring CDF
-value.  A value on a dyadic boundary belongs to the left cell, matching
-the (lower, upper] convention.
+cells (lower, upper] at the quantiles of the variable's centring Gaussian,
+held as its mean and sd, and a point's path through the tree is the
+binary expansion of its centring CDF value.  A value on a dyadic boundary
+belongs to the left cell, matching the (lower, upper] convention.
 
 The p trees of a dataset share one heap layout: each group holds a
 (p, 2**(depth+1)) int64 count array in which node 2**l + k is cell k of
@@ -12,33 +12,25 @@ layer l, the children of node i are 2i and 2i+1, node 1 is the root and
 node 0 is unused.  Every cell is stored, occupied or not, so a point's
 layer-l node is (1 << l) + (leaf >> (depth - l)) for its deepest-layer
 cell `leaf`, and count lookups are plain indexing.
-
-Path codes are strings of '0'/'1' digits; '0' means branching left.  The
-empty string is the root.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InputError
-from .stats import normal_cdf, normal_pdf, normal_quantile
+from .stats import normal_cdf, normal_pdf
 
 __all__ = [
     "SD_FLOOR",
     "MAX_FOREST_CELLS",
-    "CentringGaussian",
     "TreeForest",
     "default_depth",
     "check_depth",
-    "alpha",
     "alpha_for_layer",
-    "cell_boundaries",
     "leaf_indices",
-    "path_of",
     "predictive_density",
 ]
 
@@ -72,70 +64,17 @@ def check_depth(depth, p: int) -> int:
     return int(depth)
 
 
-@dataclass(frozen=True)
-class CentringGaussian:
-    """Gaussian whose quantiles define the partition; fitted from sample moments."""
+def alpha_for_layer(layer: int, c) -> np.ndarray:
+    """Beta parameter shared by every cell of `layer` >= 1, shaped like `c`.
 
-    mean: float
-    sd: float
-    degenerate: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.sd) and self.sd > 0.0):
-            raise DomainError(f"centring requires finite mean and sd > 0, got {self.mean!r}, {self.sd!r}")
-
-    @classmethod
-    def from_sample(cls, column) -> "CentringGaussian":
-        x = np.asarray(column, dtype=float)
-        if x.size < 1 or not np.all(np.isfinite(x)):
-            raise InputError("centring sample must be non-empty and finite")
-        m = float(x.mean())
-        s = float(x.std(ddof=1)) if x.size > 1 else 0.0
-        if s > 0.0 and math.isfinite(s):
-            return cls(m, s)
-        return cls(m, SD_FLOOR, degenerate=True)
-
-    def cdf(self, x):
-        return normal_cdf((x - self.mean) / self.sd)
-
-    def quantile(self, q: float) -> float:
-        return self.mean + self.sd * normal_quantile(q)
-
-    def pdf(self, x):
-        return normal_pdf((x - self.mean) / self.sd) / self.sd
-
-
-def alpha(code: str, c: float) -> float:
-    """Beta parameter attached to the cell at `code` (children share it).
-
-    Equals 1 for the two children of the root and c * l**2 when the parent
-    code has length l >= 1.
+    1 on layer 1 (the root's children) and c * (layer - 1)**2 below it;
+    `c` is a scalar or an array of per-variable smoothing parameters.
     """
-    if len(code) == 0:
+    if layer < 1:
         raise DomainError("the root carries no alpha parameter")
-    if c <= 0.0:
-        raise DomainError("alpha requires c > 0")
-    return alpha_for_layer(len(code), c)
-
-
-def alpha_for_layer(layer: int, c: float) -> float:
-    """Alpha shared by all cells at `layer` (parent length is layer - 1)."""
+    c = np.asarray(c, dtype=float)
     parent_len = layer - 1
-    return 1.0 if parent_len == 0 else c * parent_len * parent_len
-
-
-def cell_boundaries(code: str, g: CentringGaussian) -> tuple[float, float]:
-    """Half-open interval (lower, upper] of the cell at `code`; root covers R."""
-    level = len(code)
-    if level == 0:
-        return (-math.inf, math.inf)
-    if any(ch not in "01" for ch in code):
-        raise InputError(f"path code must be binary digits, got {code!r}")
-    k = int(code, 2)
-    scale = 1 << level
-    lower = -math.inf if k == 0 else g.quantile(k / scale)
-    upper = math.inf if k + 1 == scale else g.quantile((k + 1) / scale)
-    return (lower, upper)
+    return np.ones_like(c) if parent_len == 0 else c * (parent_len * parent_len)
 
 
 def leaf_indices(u, depth: int) -> np.ndarray:
@@ -173,36 +112,50 @@ class TreeForest:
     `count1` / `count0` are (p, 2**(depth+1)) int64 arrays, one per group,
     laid out as described in the module docstring.  Counts are independent
     of the smoothing parameters, so one forest serves every candidate c.
-    A single variable is a forest with p = 1.  `means` / `sds` hold the
-    centrings' parameters as (p,) arrays for locating points.
+    A single variable is a forest with p = 1.  Each tree's centring
+    Gaussian is its entry of the (p,) float arrays `means` and `sds`: they
+    locate points, and a model file stores them.
     """
 
-    def __init__(self, centrings, count1: np.ndarray, count0: np.ndarray):
-        self.centrings = list(centrings)
+    def __init__(self, means: np.ndarray, sds: np.ndarray, count1: np.ndarray, count0: np.ndarray):
+        self.means = means
+        self.sds = sds
         self.count1 = count1
         self.count0 = count0
         self.p = count1.shape[0]
         self.depth = count1.shape[1].bit_length() - 2
         self.n1 = int(count1[0, 1])
         self.n0 = int(count0[0, 1])
-        self.means = np.array([g.mean for g in self.centrings])
-        self.sds = np.array([g.sd for g in self.centrings])
 
     @classmethod
-    def from_leaves(cls, centrings, leaf1, leaf0) -> "TreeForest":
-        """Forest from per-variable (p, 2**depth) deepest-layer counts of each group."""
+    def from_leaves(cls, means, sds, leaf1, leaf0) -> "TreeForest":
+        """Forest from per-variable centring means and sds, each (p,), and the
+        (p, 2**depth) deepest-layer counts of each group.
+
+        A centring needs a finite mean and a finite sd > 0 (DomainError).
+        """
+        means = np.asarray(means, dtype=float)
+        sds = np.asarray(sds, dtype=float)
         leaf1 = np.asarray(leaf1, dtype=np.int64)
         leaf0 = np.asarray(leaf0, dtype=np.int64)
         p, width = leaf1.shape
         depth = width.bit_length() - 1
-        if leaf0.shape != leaf1.shape or width < 1 or width != 1 << depth or len(centrings) != p:
-            raise InputError("leaf counts must be (p, 2**depth) per group with one centring per variable")
+        if (leaf0.shape != leaf1.shape or width < 1 or width != 1 << depth
+                or means.shape != (p,) or sds.shape != (p,)):
+            raise InputError("leaf counts must be (p, 2**depth) per group with one mean and sd "
+                             "per variable")
+        if not np.all(np.isfinite(means) & np.isfinite(sds) & (sds > 0.0)):
+            raise DomainError("a centring requires a finite mean and a finite sd > 0")
         check_depth(depth, p)
-        return cls(centrings, _sum_layers(leaf1), _sum_layers(leaf0))
+        return cls(means, sds, _sum_layers(leaf1), _sum_layers(leaf0))
 
     @classmethod
     def from_matrix(cls, matrix, labels, depth: int | None = None) -> "TreeForest":
-        """Forest of an (n, p) matrix; depth None means default_depth(n)."""
+        """Forest of an (n, p) matrix; depth None means default_depth(n).
+
+        Each variable is centred on its column's mean and ddof-1 sd; a
+        zero or non-finite sd is replaced by SD_FLOOR.
+        """
         x = np.asarray(matrix, dtype=float)
         y = np.asarray(labels)
         if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -220,17 +173,12 @@ class TreeForest:
             raise InputError("the matrix must be finite")
         means = x.mean(axis=0)
         sds = x.std(axis=0, ddof=1)
-        degenerate = ~(np.isfinite(sds) & (sds > 0.0))
-        sds = np.where(degenerate, SD_FLOOR, sds)
-        centrings = [
-            CentringGaussian(float(m), float(s), bool(dg))
-            for m, s, dg in zip(means, sds, degenerate)
-        ]
+        sds = np.where(np.isfinite(sds) & (sds > 0.0), sds, SD_FLOOR)
         width = 1 << depth
         flat = leaf_indices(normal_cdf((x - means) / sds), depth) + np.arange(p, dtype=np.int64) * width
         leaf1 = np.bincount(flat[y].ravel(), minlength=p * width).reshape(p, width)
         leaf0 = np.bincount(flat[~y].ravel(), minlength=p * width).reshape(p, width)
-        return cls.from_leaves(centrings, leaf1, leaf0)
+        return cls.from_leaves(means, sds, leaf1, leaf0)
 
     def leaves(self, matrix) -> np.ndarray:
         """(m, p) deepest-layer cell index of each point in each variable's tree;
@@ -249,14 +197,8 @@ class TreeForest:
 
     def variable(self, j: int) -> "TreeForest":
         """One-variable forest (a view) of variable j."""
-        return TreeForest(self.centrings[j:j + 1], self.count1[j:j + 1], self.count0[j:j + 1])
-
-
-def path_of(x: float, tree: TreeForest) -> str:
-    """Depth-D path code of a point in a one-variable forest."""
-    if not math.isfinite(x):
-        raise InputError(f"path_of requires a finite value, got {x!r}")
-    return format(int(tree.leaves([[x]])[0, 0]), f"0{tree.depth}b")
+        sl = slice(j, j + 1)
+        return TreeForest(self.means[sl], self.sds[sl], self.count1[sl], self.count0[sl])
 
 
 def predictive_density(x: float, tree: TreeForest, c: float, group: int) -> float:
@@ -272,7 +214,8 @@ def predictive_density(x: float, tree: TreeForest, c: float, group: int) -> floa
         raise InputError("predictive_density requires finite x")
     counts = (tree.count1 if group == 1 else tree.count0)[0]
     leaf = int(tree.leaves([[x]])[0, 0])
-    value = float(tree.centrings[0].pdf(x))
+    mean, sd = float(tree.means[0]), float(tree.sds[0])
+    value = normal_pdf((x - mean) / sd) / sd
     parent = counts[1]
     for level in range(1, tree.depth + 1):
         child = counts[(1 << level) + (leaf >> (tree.depth - level))]

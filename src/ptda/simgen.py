@@ -27,7 +27,6 @@ __all__ = [
     "SimulationSpec",
     "SETTINGS",
     "NOISE_FAMILIES",
-    "mixture_sample",
     "generate",
 ]
 
@@ -143,11 +142,6 @@ class Mixture:
         second = sum(w * (comp.variance() + comp.mean() ** 2)
                      for w, comp in zip(self.weights, self.components))
         return second - m * m
-
-
-def mixture_sample(weights, components, rng) -> float:
-    """One draw from a finite mixture."""
-    return float(Mixture(tuple(weights), tuple(components)).sample(rng, 1)[0])
 
 
 _TRIMODAL = Mixture(

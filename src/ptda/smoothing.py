@@ -113,9 +113,14 @@ class SmoothingReport:
                          f"{float(self.expected[j])!r},{int(self.bins[j])},{float(c[j])!r}\n")
 
 
-def expected_pvalue(v0: float, v1: float, p: int, u: float) -> float:
-    """Prior-expected p-value: (v1 + p**u * v0) / (1 + p**u)."""
-    if not (0.0 <= v0 <= 1.0 and 0.0 <= v1 <= 1.0):
+def expected_pvalue(v0, v1, p: int, u: float) -> np.ndarray:
+    """Prior-expected p-values, (v1 + p**u * v0) / (1 + p**u) elementwise.
+
+    `v0` and `v1` are scalars or arrays of p-values in [0, 1].
+    """
+    v0 = np.asarray(v0, dtype=float)
+    v1 = np.asarray(v1, dtype=float)
+    if not (np.all((v0 >= 0.0) & (v0 <= 1.0)) and np.all((v1 >= 0.0) & (v1 <= 1.0))):
         raise DomainError("p-values must lie in [0, 1]")
     if p < 1 or not u > 1.0:
         raise DomainError("requires p >= 1 and u > 1")
@@ -221,7 +226,7 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
         tuples.sort()
 
     v0, v1 = column_pvalues(x, y, seed=seed)
-    expected = (v1 + float(p) ** hyper.u * v0) / (1.0 + float(p) ** hyper.u)
+    expected = expected_pvalue(v0, v1, p, hyper.u)
     bins = assign_bins(expected)
 
     forest = TreeForest.from_matrix(x, y, depth)

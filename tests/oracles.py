@@ -3,9 +3,11 @@
 Everything here deliberately avoids the package's own computational paths:
 dense enumeration instead of sparse iteration, math.lgamma instead of the
 vectorized log-gamma, Jacobi fixed-point iteration instead of sweeps, and
-brute-force double loops for distances.  Two references keep the earlier,
-plainer forms of rewritten kernels: the digit-by-digit binary expansion
-of a CDF value and the omega sweep that calls expit and min/max.
+brute-force double loops for distances.  Cell edges come from the scalar
+quantile function, not from the array CDF that locates points.  Two
+references keep the earlier, plainer forms of rewritten kernels: the
+digit-by-digit binary expansion of a CDF value and the omega sweep that
+calls expit and min/max.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ptda.stats import normal_quantile
 
 
 def lgamma(v):
@@ -155,23 +159,29 @@ def brute_force_ks_distance(a, b) -> float:
     return best
 
 
+def cell_bounds(mean: float, sd: float, level: int, k: int) -> tuple[float, float]:
+    """Half-open interval (lower, upper] of cell k of layer `level`: the
+    centring quantiles mean + sd * q(k / 2**level), with infinite ends."""
+    scale = 1 << level
+    lower = -math.inf if k == 0 else mean + sd * normal_quantile(k / scale)
+    upper = math.inf if k + 1 == scale else mean + sd * normal_quantile((k + 1) / scale)
+    return lower, upper
+
+
 def integrate_predictive_density(counts, spec, group, fn, tail_q=1e-9, points_per_cell=64) -> float:
     """Quadrature of a density over the deepest-layer cells.
 
     Simpson's rule inside each cell (the density is smooth there); the
     two infinite tails are clipped at extreme centring quantiles.
     """
-    from ptda.polya_tree import cell_boundaries
-
     depth = spec.depth
     total = 0.0
     for k in range(2 ** depth):
-        code = format(k, f"0{depth}b")
-        lo, hi = cell_boundaries(code, spec.centring)
+        lo, hi = cell_bounds(spec.mean, spec.sd, depth, k)
         if math.isinf(lo):
-            lo = spec.centring.quantile(tail_q)
+            lo = spec.mean + spec.sd * normal_quantile(tail_q)
         if math.isinf(hi):
-            hi = spec.centring.quantile(1.0 - tail_q)
+            hi = spec.mean + spec.sd * normal_quantile(1.0 - tail_q)
         if hi <= lo:
             continue
         xs = np.linspace(lo, hi, 2 * points_per_cell + 1)

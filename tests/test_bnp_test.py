@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from ptda.bnp_test import log_bayes_factor, log_bayes_factors
 from ptda.cvb import FittedModel, fit_model
 from ptda.errors import InputError
-from ptda.polya_tree import CentringGaussian, TreeForest, path_of
+from ptda.polya_tree import TreeForest
 
-from adapters import path_map, tree_from_leaves, tree_of
+from adapters import STD, path_code, path_map, tree_from_leaves, tree_of
 from oracles import dense_log_bayes_factor, exact_log_bayes_factor_with_point
-
-STD = CentringGaussian(0.0, 1.0)
 
 
 def random_case(seed, n_max=32, depth_max=5):
@@ -102,8 +100,7 @@ class TestSymmetries:
         v1 = log_bayes_factor(tree1, 2.0)
         v2 = log_bayes_factor(tree2, 2.0)
         assert v1 == pytest.approx(v2, abs=1e-9)
-        for x in col[:10]:
-            assert path_of(x, tree1) == path_of(3.0 * x + 5.0, tree2)
+        assert np.array_equal(tree1.leaves(col[:10, None]), tree2.leaves(moved[:10, None]))
 
 
 class TestStirlingDrop:
@@ -122,7 +119,7 @@ class TestStirlingDrop:
             for t in range(draws):
                 exact = exact_log_bayes_factor_with_point(
                     path_map(tree), depth, 1.0,
-                    path_of(float(rng.normal()), tree), t % 2)
+                    path_code(tree, float(rng.normal())), t % 2)
                 total += abs(exact - implemented)
                 count += 1
         return total / count
@@ -149,7 +146,8 @@ class TestBatch:
         forest = TreeForest.from_matrix(x, y, 5)
         batch = log_bayes_factors(forest, c)
         for j in range(7):
-            direct = log_bayes_factor(tree_of(x[:, j], y, 5, forest.centrings[j]), float(c[j]))
+            centring = (forest.means[j], forest.sds[j])
+            direct = log_bayes_factor(tree_of(x[:, j], y, 5, centring), float(c[j]))
             assert batch[j] == pytest.approx(direct, abs=1e-10)
 
     @given(st.integers(0, 10_000))

@@ -97,6 +97,18 @@ class TestSimulate:
         assert code == 1
 
 
+class TestSelectC:
+    def test_failed_csv_leaves_no_report(self, tmp_path, capsys):
+        out = simulate_small(tmp_path, seed=13)
+        report = tmp_path / "report.json"
+        code, _, err = run(["select-c", "--data", str(out / "train.csv"), "--label-column", "y",
+                            "--ladder", "1", "--out", str(report),
+                            "--out-csv", str(tmp_path / "missing-dir" / "report.csv")], capsys)
+        assert code == 1
+        assert "report.csv" in err
+        assert not report.exists()
+
+
 class TestFitPredictPipeline:
     def test_round_trip(self, tmp_path, capsys):
         out = simulate_small(tmp_path, seed=11)
@@ -236,6 +248,22 @@ class TestDensity:
                          "--out", str(tmp_path / "d.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("bounds", [
+        ["--x-min", "nan"], ["--x-min=-inf"], ["--x-max", "inf"], ["--x-max", "nan"],
+        ["--x-min", "-1", "--x-max", "inf"],
+    ], ids=["min-nan", "min-minus-inf", "max-inf", "max-nan", "finite-min-inf-max"])
+    def test_non_finite_grid_end_exits_one_without_output(self, tmp_path, capsys, bounds):
+        out = simulate_small(tmp_path, seed=29)
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--data", str(out / "train.csv"), "--label-column", "y",
+                    "--c", "1.0", "--out", str(model_path)]) == 0
+        grid_path = tmp_path / "d.csv"
+        code, _, err = run(["density", "--model", str(model_path), "--variable", "V1",
+                            *bounds, "--out", str(grid_path)], capsys)
+        assert code == 1
+        assert "finite" in err
+        assert not grid_path.exists()
+
 
 class TestCv:
     def test_fold_metrics_csv(self, tmp_path, capsys):
@@ -251,6 +279,17 @@ class TestCv:
         assert "wall_time" not in lines[0]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert "ptda" in summary["methods"]
+
+    def test_failed_summary_leaves_no_rows(self, tmp_path, capsys):
+        out = simulate_small(tmp_path, seed=31)
+        cv_path = tmp_path / "folds.csv"
+        code, _, err = run([
+            "cv", "--data", str(out / "train.csv"), "--label-column", "y",
+            "--k", "4", "--ladder", "1", "--seed", "1", "--out", str(cv_path),
+            "--out-summary", str(tmp_path / "missing-dir" / "summary.json")], capsys)
+        assert code == 1
+        assert "summary.json" in err
+        assert not cv_path.exists()
 
     def test_reruns_byte_identical(self, tmp_path):
         out = simulate_small(tmp_path, seed=37)

@@ -20,17 +20,13 @@ from ptda.cvb import (
     classify,
     fit_model,
     log_path_probability_matrix,
-    path_probability,
     update_omega,
     update_psi,
 )
 from ptda.errors import DomainError, InputError
-from ptda.polya_tree import CentringGaussian
 
 from adapters import tree_from_leaves
 from oracles import jacobi_omega, sweep_omega
-
-STD = CentringGaussian(0.0, 1.0)
 
 
 def training_model(seed=0, n=40, p=6, c=1.0, shift=1.5, **kwargs):
@@ -137,18 +133,24 @@ class TestUpdateOmegaAgainstSweepOracle:
         self.assert_same(log_bf, Hyperparameters(), omega0=np.array([0.0, 1.0] * 4 + [0.5]))
 
 
+def path_probability(x, tree, group, c):
+    """Probability that a point resembling x takes x's path in a one-variable forest."""
+    lp1, lp0 = log_path_probability_matrix(tree, c, [[x]])
+    return math.exp((lp1 if group == 1 else lp0)[0, 0])
+
+
 class TestPathProbability:
     def test_empty_counts_halving(self):
-        tree = tree_from_leaves(np.zeros(8, dtype=int), np.zeros(8, dtype=int), STD)
+        tree = tree_from_leaves(np.zeros(8, dtype=int), np.zeros(8, dtype=int))
         assert path_probability(0.4, tree, 1, 1.0) == pytest.approx(0.125, rel=1e-12)
 
     def test_single_shared_point(self):
-        tree = tree_from_leaves([1, 0], [0, 0], STD)
+        tree = tree_from_leaves([1, 0], [0, 0])
         # alpha at layer 1 is 1 regardless of c
         assert path_probability(-0.5, tree, 1, 7.0) == pytest.approx(2.0 / 3.0, rel=1e-12)
 
     def test_single_opposite_point(self):
-        tree = tree_from_leaves([0, 1], [0, 0], STD)
+        tree = tree_from_leaves([0, 1], [0, 0])
         assert path_probability(-0.5, tree, 1, 7.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_batch_matches_scalar(self):
@@ -333,8 +335,12 @@ class TestFittedModel:
         lambda doc: doc["variables"][0]["leaf0"].append(0),
         lambda doc: doc.update(n1=-5),
         lambda doc: doc["variables"][1].pop("leaf0"),
+        lambda doc: doc["variables"][0].update(mean="0.5"),
+        lambda doc: doc["variables"][1].update(sd=None),
+        lambda doc: doc["variables"][2].update(sd=0.0),
+        lambda doc: doc["variables"][0].update(sd=math.nan),
     ], ids=["no-format", "format-1", "negative", "non-integer", "wrong-length",
-            "sum-differs", "missing-key"])
+            "sum-differs", "missing-key", "mean-string", "sd-null", "sd-zero", "sd-nan"])
     def test_loader_rejects_malformed(self, edit):
         _, _, model = training_model(seed=16, n=20, p=3)
         doc = json.loads(json.dumps(model.to_json_dict()))

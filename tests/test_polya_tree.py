@@ -11,27 +11,27 @@ from ptda.cvb import fit_model
 from ptda.errors import DomainError, InputError
 from ptda.polya_tree import (
     MAX_FOREST_CELLS,
-    CentringGaussian,
+    SD_FLOOR,
     TreeForest,
-    alpha,
-    cell_boundaries,
+    alpha_for_layer,
     check_depth,
     default_depth,
     leaf_indices,
-    path_of,
     predictive_density,
 )
-from ptda.stats import normal_quantile
+from ptda.stats import normal_cdf, normal_pdf, normal_quantile
 
-from adapters import path_map, spec_of, tree_from_leaves, tree_of
-from oracles import binary_expansion_leaves, integrate_predictive_density
-
-STD = CentringGaussian(0.0, 1.0)
+from adapters import STD, path_map, sample_centring, spec_of, tree_from_leaves, tree_of
+from oracles import binary_expansion_leaves, cell_bounds, integrate_predictive_density
 
 
-def empty_tree(depth=3, g=STD):
+def empty_tree(depth=3, centring=STD):
     zeros = np.zeros(2 ** depth, dtype=int)
-    return tree_from_leaves(zeros, zeros, g)
+    return tree_from_leaves(zeros, zeros, centring)
+
+
+def leaf_of(x, tree):
+    return int(tree.leaves([[x]])[0, 0])
 
 
 def density_at(x, tree, spec, group):
@@ -41,40 +41,49 @@ def density_at(x, tree, spec, group):
 class TestAlpha:
     def test_root_children_are_one(self):
         for c in (0.1, 1.0, 7.5, 100.0):
-            assert alpha("0", c) == 1.0
-            assert alpha("1", c) == 1.0
+            assert alpha_for_layer(1, c) == 1.0
+        assert alpha_for_layer(1, np.array([0.1, 7.5])).tolist() == [1.0, 1.0]
 
     def test_quadratic_in_parent_length(self):
-        assert alpha("011", 2.0) == 8.0  # parent length 2
-        assert alpha("01", 1.0) == 1.0   # parent length 1, c = 1
+        assert alpha_for_layer(3, 2.0) == 8.0  # parent length 2
+        assert alpha_for_layer(2, 1.0) == 1.0  # parent length 1, c = 1
 
     def test_children_share_alpha(self):
-        for code in ("0", "10", "110"):
-            assert alpha(code + "0", 3.3) == alpha(code + "1", 3.3)
+        # one value per variable, the shape of c; every cell of a layer shares it
+        c = np.array([[0.3, 1.0], [7.7, 100.0]])
+        for layer in (1, 2, 4):
+            a = alpha_for_layer(layer, c)
+            assert a.shape == c.shape
+            assert np.array_equal(a, np.ones_like(c) if layer == 1 else c * (layer - 1) ** 2)
+        assert alpha_for_layer(3, 2.5).shape == ()
 
     def test_root_has_no_alpha(self):
         with pytest.raises(DomainError):
-            alpha("", 1.0)
+            alpha_for_layer(0, 1.0)
 
 
 class TestCentring:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            CentringGaussian(0.0, 0.0)
-        with pytest.raises(DomainError):
-            CentringGaussian(0.0, -1.0)
+        zeros = np.zeros((1, 2), dtype=int)
+        for mean, sd in ((0.0, 0.0), (0.0, -1.0), (math.nan, 1.0), (0.0, math.inf)):
+            with pytest.raises(DomainError):
+                TreeForest.from_leaves([mean], [sd], zeros, zeros)
+        with pytest.raises(InputError):
+            TreeForest.from_leaves([0.0, 1.0], [1.0, 1.0], zeros, zeros)
 
     def test_from_sample_moments(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        g = CentringGaussian.from_sample(x)
-        assert g.mean == pytest.approx(2.5)
-        assert g.sd == pytest.approx(float(np.std(x, ddof=1)))
-        assert not g.degenerate
+        x = np.array([[1.0, 5.0], [2.0, 5.5], [3.0, 4.0], [4.0, 6.0]])
+        forest = TreeForest.from_matrix(x, np.array([1, 0, 1, 0]), 1)
+        assert forest.means.tolist() == x.mean(axis=0).tolist()
+        assert forest.means[0] == pytest.approx(2.5)
+        assert forest.sds.tolist() == x.std(axis=0, ddof=1).tolist()
 
     def test_degenerate_column_floored(self):
-        g = CentringGaussian.from_sample(np.full(10, 3.0))
-        assert g.degenerate
-        assert g.sd == 1e-8
+        x = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
+        forest = TreeForest.from_matrix(x, np.array([1, 0] * 5), 2)
+        assert forest.sds[0] == SD_FLOOR == 1e-8
+        assert forest.means[0] == 3.0
+        assert sample_centring(x[:, 0]) == (3.0, SD_FLOOR)
 
     def test_spec_validation(self):
         x = np.random.default_rng(0).normal(size=(8, 2))
@@ -124,57 +133,75 @@ class TestDepthValidation:
 
 
 class TestCellBoundaries:
+    """Leaf k holds the points in (q(k / 2**D), q((k + 1) / 2**D)] of the centring."""
+
     def test_first_layer(self):
-        assert cell_boundaries("0", STD) == (-math.inf, 0.0)
-        lo, hi = cell_boundaries("1", STD)
-        assert lo == 0.0 and hi == math.inf
+        tree = empty_tree(depth=1)
+        assert [leaf_of(x, tree) for x in (-1e300, -1.0, -5e-324, 0.0)] == [0] * 4
+        # the smallest doubles above 0 have CDF value 0.5 and stay left
+        assert [leaf_of(x, tree) for x in (1e-15, 1.0, 1e300)] == [1] * 3
+        assert cell_bounds(0.0, 1.0, 1, 0) == (-math.inf, 0.0)
+        assert cell_bounds(0.0, 1.0, 1, 1) == (0.0, math.inf)
 
     def test_quarter_cell(self):
-        lo, hi = cell_boundaries("01", STD)
+        tree = empty_tree(depth=2)
+        lo, hi = cell_bounds(0.0, 1.0, 2, 1)
         assert lo == pytest.approx(-0.6744897501960817, abs=1e-9)
         assert hi == 0.0
+        assert leaf_of(0.0, tree) == 1
+        assert leaf_of(lo + 1e-9, tree) == 1
+        assert leaf_of(lo - 1e-9, tree) == 0
+        assert leaf_of(1e-15, tree) == 2
 
     def test_root_covers_line(self):
-        assert cell_boundaries("", STD) == (-math.inf, math.inf)
+        # every finite point falls in one of the 2**depth leaves
+        tree = empty_tree(depth=4)
+        x = np.array([[-1e308], [-40.0], [-1e-300], [0.0], [3.0], [40.0], [1e308]])
+        leaves = tree.leaves(x)[:, 0]
+        assert leaves.tolist() == [0, 0, 7, 7, 15, 15, 15]
 
     def test_layer_cells_tile_the_line(self):
+        # along a sorted grid the leaves never decrease, and every leaf is
+        # reached: the cells are contiguous, disjoint and cover the line
         for level in (1, 2, 3, 4):
-            prev_upper = -math.inf
-            for k in range(2 ** level):
-                lo, hi = cell_boundaries(format(k, f"0{level}b"), STD)
-                assert lo == prev_upper  # contiguous, disjoint half-open cells
-                assert hi > lo
-                prev_upper = hi
-            assert prev_upper == math.inf
+            tree = empty_tree(depth=level, centring=(5.0, 2.0))
+            uppers = [cell_bounds(5.0, 2.0, level, k)[1] for k in range(2 ** level)]
+            assert all(b > a for a, b in zip(uppers, uppers[1:])) and uppers[-1] == math.inf
+            x = np.linspace(-5.0, 15.0, 4001)
+            leaves = tree.leaves(x[:, None])[:, 0]
+            assert np.all(np.diff(leaves) >= 0)
+            assert set(leaves.tolist()) == set(range(2 ** level))
 
 
 class TestPathOf:
+    """A point's leaf read as its path: the binary digits of its centring CDF value."""
+
     def test_mean_goes_left(self):
         # CDF value 0.5 sits on the layer-1 boundary and belongs to the left cell
-        assert path_of(0.0, empty_tree(depth=3))[0] == "0"
+        assert leaf_of(0.0, empty_tree(depth=3)) >> 2 == 0
 
     def test_far_right_tail(self):
-        assert path_of(50.0, empty_tree(depth=5)) == "11111"
+        assert leaf_of(50.0, empty_tree(depth=5)) == 0b11111
 
     def test_binary_expansion(self):
-        assert path_of(normal_quantile(0.3), empty_tree(depth=2)) == "01"
+        assert leaf_of(normal_quantile(0.3), empty_tree(depth=2)) == 0b01
 
     def test_non_finite_rejected(self):
-        with pytest.raises(InputError):
-            path_of(math.nan, empty_tree())
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError):
+                empty_tree().leaves([[bad]])
 
     @given(st.floats(-4.0, 4.0), st.integers(1, 8))
     @settings(max_examples=200)
     def test_path_cell_consistency(self, x, depth):
         # exact in CDF space; x-space membership gets one-ulp slack because
         # a point whose CDF value rounds onto a boundary goes to the left cell
-        tree = empty_tree(depth=depth)
-        code = path_of(x, tree)
-        u = STD.cdf(x)
+        leaf = leaf_of(x, empty_tree(depth=depth))
+        u = normal_cdf(x)
         for level in range(1, depth + 1):
-            k = int(code[:level], 2)
+            k = leaf >> (depth - level)
             assert k / 2 ** level <= u <= (k + 1) / 2 ** level
-            lo, hi = cell_boundaries(code[:level], STD)
+            lo, hi = cell_bounds(0.0, 1.0, level, k)
             slack = 1e-9
             assert lo - slack < x <= hi + slack
 
@@ -183,7 +210,7 @@ class TestAccumulateCounts:
     def test_all_mass_one_branch(self):
         col = np.array([-2.0, -2.1, -1.9, -2.05])
         labels = np.array([1, 1, 0, 0])
-        tree = tree_of(col, labels, 2, CentringGaussian(5.0, 1.0))
+        tree = tree_of(col, labels, 2, (5.0, 1.0))
         counts = path_map(tree)
         assert (tree.n1, tree.n0) == (2, 2)
         assert counts["0"] == (2, 2)
@@ -222,10 +249,9 @@ class TestAccumulateCounts:
         rng = np.random.default_rng(42)
         col = rng.normal(size=64)
         a, b = 3.0, 5.0
-        g1 = CentringGaussian.from_sample(col)
-        g2 = CentringGaussian.from_sample(a * col + b)
-        k1 = leaf_indices(g1.cdf(col), 6)
-        k2 = leaf_indices(g2.cdf(a * col + b), 6)
+        labels = np.ones(64, dtype=int)
+        k1 = tree_of(col, labels, 6).leaves(col[:, None])
+        k2 = tree_of(a * col + b, labels, 6).leaves((a * col + b)[:, None])
         assert np.array_equal(k1, k2)
 
     def test_path_map_round_trip(self):
@@ -235,7 +261,7 @@ class TestAccumulateCounts:
         tree = tree_of(col, labels, 4)
         leaves = [[path_map(tree).get(format(k, "04b"), (0, 0))[i] for k in range(16)]
                   for i in (0, 1)]  # (group 1, group 0)
-        back = tree_from_leaves(leaves[0], leaves[1], tree.centrings[0])
+        back = tree_from_leaves(leaves[0], leaves[1], (tree.means[0], tree.sds[0]))
         assert path_map(back) == path_map(tree)
         assert np.array_equal(back.count1, tree.count1)
         assert np.array_equal(back.count0, tree.count0)
@@ -245,26 +271,26 @@ class TestPredictiveDensity:
     def test_prior_predictive_is_centring(self):
         tree = empty_tree(depth=3)
         for x in (-2.0, -0.3, 0.0, 1.7):
-            assert predictive_density(x, tree, 1.0, 1) == STD.pdf(x)
+            assert predictive_density(x, tree, 1.0, 1) == normal_pdf(x)
 
     def test_single_point_depth_one(self):
         # one group-1 point in the left cell lifts it to (4/3) g(x)
         tree = tree_from_leaves([1, 0], [0, 0], STD)
         x = -0.7
         assert predictive_density(x, tree, 1.0, 1) == pytest.approx(
-            (4.0 / 3.0) * STD.pdf(x), rel=1e-12)
+            (4.0 / 3.0) * normal_pdf(x), rel=1e-12)
         # other side is down-weighted to (2/3) g(x)
         assert predictive_density(0.7, tree, 1.0, 1) == pytest.approx(
-            (2.0 / 3.0) * STD.pdf(0.7), rel=1e-12)
+            (2.0 / 3.0) * normal_pdf(0.7), rel=1e-12)
 
     def test_large_c_pins_to_centring(self):
         rng = np.random.default_rng(8)
         col = rng.normal(size=32)
         labels = np.ones(32, dtype=int)
-        g = CentringGaussian.from_sample(col)
-        dense = tree_of(col, labels, 5, g)
+        mean, sd = sample_centring(col)
+        dense = tree_of(col, labels, 5, (mean, sd))
         for x in (-1.0, 0.2):
-            ratio = predictive_density(x, dense, 100.0, 1) / g.pdf(x)
+            ratio = predictive_density(x, dense, 100.0, 1) / (normal_pdf((x - mean) / sd) / sd)
             assert ratio == pytest.approx(1.0, abs=0.25)
 
     def test_integrates_to_one(self):
@@ -286,7 +312,7 @@ class TestTreeForest:
             y = rng.integers(0, 2, size=30)
         forest = TreeForest.from_matrix(x, y, 4)
         for j in range(5):
-            tree = tree_of(x[:, j], y, 4, CentringGaussian.from_sample(x[:, j]))
+            tree = tree_of(x[:, j], y, 4, sample_centring(x[:, j]))
             assert path_map(forest, j) == path_map(tree)
             assert path_map(forest.variable(j)) == path_map(tree)
 
@@ -297,7 +323,7 @@ class TestTreeForest:
         forest = TreeForest.from_matrix(x, y, 3)
         leaves = forest.leaves(x)
         for j in range(3):
-            k = leaf_indices(forest.centrings[j].cdf(x[:, j]), 3)
+            k = leaf_indices(normal_cdf((x[:, j] - forest.means[j]) / forest.sds[j]), 3)
             assert np.array_equal(leaves[:, j], k)
             # the deepest-layer nodes 8..15 count exactly these training leaves
             assert np.array_equal(forest.count1[j, 8:], np.bincount(k[y == 1], minlength=8))
@@ -338,7 +364,7 @@ class TestLeafIndicesAgainstBinaryExpansion:
     @pytest.mark.parametrize("depth", [1, 6, 9, 25])
     def test_random_cdf_values(self, depth):
         rng = np.random.default_rng(100 + depth)
-        u = np.concatenate([rng.uniform(size=5000), STD.cdf(rng.normal(scale=4.0, size=5000))])
+        u = np.concatenate([rng.uniform(size=5000), normal_cdf(rng.normal(scale=4.0, size=5000))])
         assert np.array_equal(leaf_indices(u, depth), binary_expansion_leaves(u, depth))
 
     def test_dyadic_boundary_goes_left(self):
@@ -361,11 +387,6 @@ class TestLocatingPoints:
         x[1, 2] = bad
         with pytest.raises(InputError):
             self.forest().leaves(x)
-
-    def test_centring_arrays_built_once(self):
-        forest = self.forest()
-        assert forest.means.tolist() == [g.mean for g in forest.centrings]
-        assert forest.sds.tolist() == [g.sd for g in forest.centrings]
 
     def test_flat_leaves_index_a_flattened_table(self):
         forest = self.forest()

@@ -14,7 +14,6 @@ from ptda.simgen import (
     Normal,
     SimulationSpec,
     generate,
-    mixture_sample,
 )
 from ptda.stats import ks_two_sample
 
@@ -102,13 +101,13 @@ class TestDistributions:
 class TestMixtureSample:
     def test_weight_validation(self):
         with pytest.raises(DomainError):
-            mixture_sample((0.5, 0.6), (Normal(0, 1), Normal(1, 1)), substream(0, 0))
+            Mixture((0.5, 0.6), (Normal(0, 1), Normal(1, 1))).sample(substream(0, 0), 1)
         with pytest.raises(DomainError):
             Mixture((-0.5, 1.5), (Normal(0, 1), Normal(1, 1)))
 
     def test_single_component_passthrough(self):
         rng = substream(3, 0)
-        value = mixture_sample((1.0,), (Normal(5.0, 1e-12),), rng)
+        [value] = Mixture((1.0,), (Normal(5.0, 1e-12),)).sample(rng, 1)
         assert value == pytest.approx(5.0, abs=1e-9)
 
     def test_symmetric_spikes_average_to_zero(self):

@@ -58,6 +58,26 @@ class TestExpectedPvalue:
             expected_pvalue(-0.1, 0.5, 10, 1.5)
         with pytest.raises(DomainError):
             expected_pvalue(0.5, 0.5, 10, 1.0)
+        with pytest.raises(DomainError):
+            expected_pvalue(0.5, 0.5, 0, 1.5)
+        for bad in (1.5, -0.1, math.nan):
+            with pytest.raises(DomainError):
+                expected_pvalue(np.array([0.5, bad]), np.full(2, 0.5), 10, 1.5)
+            with pytest.raises(DomainError):
+                expected_pvalue(np.full(2, 0.5), np.array([bad, 0.5]), 10, 1.5)
+
+    def test_arrays_elementwise(self):
+        v0 = np.array([0.0, 0.2, 0.9, 1.0, 0.5])
+        v1 = np.array([1.0, 0.5, 0.01, 0.0, 0.5])
+        got = expected_pvalue(v0, v1, 100, 2.0)
+        assert got.shape == (5,)
+        assert got.tolist() == [expected_pvalue(a, b, 100, 2.0) for a, b in zip(v0, v1)]
+
+    def test_select_c_reports_the_formula(self):
+        x, y = two_group_data(seed=3)
+        report, _ = select_c(x, y, grid=[1.0], hyper=Hyperparameters(u=2.0))
+        v0, v1 = column_pvalues(x, y)
+        assert np.array_equal(report.expected, expected_pvalue(v0, v1, x.shape[1], 2.0))
 
 
 class TestAssignBins:

@@ -1,10 +1,13 @@
-"""The benchmark's layer tracer must name functions that exist in the package."""
+"""The benchmark's layer tracer and the package's exports must name things that exist."""
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import pytest
+
+import ptda
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -29,3 +32,12 @@ def test_traced_layer_resolves(layer):
         assert attr in vars(owner), f"{home_name}.{target} does not exist"
     else:
         assert callable(getattr(home, attr, None)), f"{home_name}.{attr} does not exist"
+
+
+@pytest.mark.parametrize("module", ["ptda"] + sorted(
+    f"ptda.{info.name}" for info in pkgutil.iter_modules(ptda.__path__)))
+def test_exported_names_resolve(module):
+    # a stale __all__ entry breaks `from module import *` only when someone runs it
+    home = importlib.import_module(module)
+    missing = [name for name in getattr(home, "__all__", ()) if not hasattr(home, name)]
+    assert missing == [], f"{module}.__all__ names missing attributes: {missing}"
