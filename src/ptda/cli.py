@@ -91,6 +91,13 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
+def _ladder_value(entry: str) -> float:
+    try:
+        return float(entry)
+    except ValueError:
+        raise InputError(f"--ladder entry {entry!r} is not a number") from None
+
+
 def _config_from(args) -> Config:
     cfg = Config(**_load_config_file(getattr(args, "config", None)))
     for name in ("u", "a_y", "b_y", "tol", "max_iter", "depth", "seed", "threads"):
@@ -98,7 +105,7 @@ def _config_from(args) -> Config:
         if value is not None:
             setattr(cfg, name, value)
     if getattr(args, "ladder", None):
-        cfg.ladder = tuple(float(v) for v in args.ladder.split(","))
+        cfg.ladder = tuple(_ladder_value(v) for v in args.ladder.split(","))
     if cfg.u <= 1.0:
         raise InputError(f"u must exceed 1, got {cfg.u}")
     if not cfg.tol > 0:

@@ -29,6 +29,7 @@ __all__ = [
     "update_omega",
     "update_psi",
     "leaf_log_path_tables",
+    "prior_log_odds",
     "classify",
     "fit_model",
 ]
@@ -138,19 +139,22 @@ def leaf_log_path_tables(forest: TreeForest, c) -> tuple[np.ndarray, np.ndarray]
     """(p, 2**depth) log path probability of every deepest-layer cell, per group.
 
     One top-down walk over the heap: each layer adds log(alpha + child
-    count) - log(2 alpha + parent count) to its parent's sum.  `c` is a
-    scalar or one value per variable.
+    count) - log(2 alpha + parent count) to its parent's sum, the parent
+    terms broadcast over the two children by reshape.  `c` is a scalar or
+    one value per variable.
     """
     c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
+    p = forest.p
     tables = []
     for counts in (forest.count1, forest.count0):
-        lp = np.zeros((forest.p, 1))
+        lp = np.zeros((p, 1))
         for level in range(1, forest.depth + 1):
             a = alpha_for_layer(level, c)[:, None]
             lo = 1 << level
-            parent = np.repeat(counts[:, lo // 2:lo], 2, axis=1).astype(float)
-            lp = np.repeat(lp, 2, axis=1) + (np.log(a + counts[:, lo:2 * lo])
-                                             - np.log(2.0 * a + parent))
+            step = np.log(a + counts[:, lo:2 * lo]).reshape(p, lo // 2, 2)
+            step -= np.log(2.0 * a + counts[:, lo // 2:lo])[:, :, None]
+            step += lp[:, :, None]  # lp + (child - parent), each parent's sum on both children
+            lp = step.reshape(p, lo)
         tables.append(lp)
     return tables[0], tables[1]
 
@@ -161,6 +165,11 @@ def log_path_probability_matrix(forest: TreeForest, c, points) -> tuple[np.ndarr
     flat = forest.flat_leaves(points)
     lp1, lp0 = leaf_log_path_tables(forest, c)
     return np.take(lp1, flat), np.take(lp0, flat)
+
+
+def prior_log_odds(hyper: Hyperparameters, forest: TreeForest) -> float:
+    """Posterior-mean group-1 log-odds before any variable is seen."""
+    return math.log(hyper.a_y + forest.n1) - math.log(hyper.b_y + forest.n0)
 
 
 def _smoothing_vector(c, p: int) -> np.ndarray:
@@ -245,7 +254,7 @@ class FittedModel:
         """Clamped group-1 log-odds of points at (m, p) flat leaf indices
         (`TreeForest.flat_leaves`): the prior odds plus the omega-weighted
         sum of each variable's leaf log-odds."""
-        prior = math.log(self.hyper.a_y + self.n1) - math.log(self.hyper.b_y + self.n0)
+        prior = prior_log_odds(self.hyper, self.forest)
         eta = prior + np.take(self.leaf_log_odds, flat) @ self.selection.omega
         return np.clip(eta, -ETA_CLAMP, ETA_CLAMP)
 

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, InputError
-from .stats import normal_cdf, normal_pdf
+from .stats import normal_cdf, normal_pdf, square_safe_shift
 
 __all__ = [
     "SD_FLOOR",
@@ -153,8 +153,9 @@ class TreeForest:
     def from_matrix(cls, matrix, labels, depth: int | None = None) -> "TreeForest":
         """Forest of an (n, p) matrix; depth None means default_depth(n).
 
-        Each variable is centred on its column's mean and ddof-1 sd; a
-        zero or non-finite sd is replaced by SD_FLOOR.
+        Each variable is centred on its column's mean and ddof-1 sd, computed
+        at any finite magnitude; a zero sd, or one beyond the float range,
+        is replaced by SD_FLOOR.
         """
         x = np.asarray(matrix, dtype=float)
         y = np.asarray(labels)
@@ -171,8 +172,17 @@ class TreeForest:
         depth = check_depth(default_depth(n) if depth is None else depth, p)
         if not np.all(np.isfinite(x)):
             raise InputError("the matrix must be finite")
-        means = x.mean(axis=0)
-        sds = x.std(axis=0, ddof=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            means = x.mean(axis=0)
+            sds = x.std(axis=0, ddof=1)
+        # a column whose squares leave the double range is redone at a
+        # moderate magnitude, an exact power-of-two scaling
+        shift = square_safe_shift(x, axis=0)
+        big = np.flatnonzero(shift)
+        if big.size:
+            moderate = np.ldexp(x[:, big], -shift[big])
+            means[big] = np.ldexp(moderate.mean(axis=0), shift[big])
+            sds[big] = np.ldexp(moderate.std(axis=0, ddof=1), shift[big])
         sds = np.where(np.isfinite(sds) & (sds > 0.0), sds, SD_FLOOR)
         width = 1 << depth
         flat = leaf_indices(normal_cdf((x - means) / sds), depth) + np.arange(p, dtype=np.int64) * width

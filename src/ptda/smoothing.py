@@ -7,9 +7,13 @@ variables into quartile bins, and a grid of monotone bin-value tuples is
 searched for the one minimising resubstitution classification error.
 
 Counts are independent of the smoothing parameters, so the grid search
-fits every candidate on one forest, locates the training points once,
-keeps evidence and per-leaf log-odds tables per distinct ladder value, and
-returns the winning candidate's model as the fitted one.
+fits every candidate on one forest, locates the training points once and
+keeps evidence and per-leaf log-odds tables per distinct ladder value.  It
+runs in two phases over the distinct per-variable c vectors: first one
+omega selection per vector, then the resubstitution log-odds of every
+converged vector together, one gather per (bin, ladder value) and one
+matrix product against the omega columns that use it.  The winning
+candidate's model is returned as the fitted one.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bnp_test import log_bayes_factors
-from .cvb import FittedModel, Hyperparameters, leaf_log_path_tables, update_omega
+from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, SelectionState, leaf_log_path_tables,
+                  prior_log_odds, update_omega)
 from .errors import DomainError, InputError
 from .polya_tree import TreeForest
 from .rng import SUBSAMPLE_STREAM, substream
@@ -185,6 +190,35 @@ def column_pvalues(matrix, labels, seed: int = 0) -> tuple[np.ndarray, np.ndarra
     return v0, v1
 
 
+def _by_bin(by_value: dict, vector: tuple, columns: list, out: np.ndarray) -> np.ndarray:
+    """Fill `out`'s rows from per-value arrays: the rows of columns[i] from by_value[vector[i]]."""
+    for value, cols in zip(vector, columns):
+        out[cols] = by_value[value][cols]
+    return out
+
+
+def _resubstitution_log_odds(flat: np.ndarray, odds: dict, omega: np.ndarray, vectors: list,
+                             columns: list) -> np.ndarray:
+    """(n, K) omega-weighted sums of the training points' leaf log-odds, one
+    column per candidate c vector.
+
+    `flat` holds the points' (n, p) flat leaf indices, `odds` one (p,
+    2**depth) leaf log-odds table per ladder value, `omega` the (K, p)
+    selection probabilities, and vectors[k][i] candidate k's value on the
+    variables columns[i].  For each bin and value the points' leaf log-odds
+    on the bin's variables are gathered once and multiplied against the
+    omega columns of every candidate that gives the bin that value.
+    """
+    eta = np.zeros((flat.shape[0], len(vectors)))
+    for i, cols in enumerate(columns):
+        index = flat[:, cols]
+        for value, table in odds.items():
+            ks = [k for k, vector in enumerate(vectors) if vector[i] == value]
+            if ks:
+                eta[:, ks] += np.take(table, index) @ omega[np.ix_(ks, cols)].T
+    return eta
+
+
 def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
              depth: int | None = None, tol: float = 1e-6, max_iter: int = 1000,
              threshold: float = 0.5, seed: int = 0) -> tuple[SmoothingReport, FittedModel]:
@@ -197,11 +231,22 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     converged within `max_iter` sweeps compete, and ties in error go to
     the lexicographically smallest tuple.
 
+    The search runs in two phases over the distinct per-variable c vectors
+    the tuples give (tuples that differ only on an empty bin, or repeat a
+    ladder value, give one vector).  Phase 1 runs `update_omega` once per
+    vector on evidence assembled by bin from one log BF vector per ladder
+    value, and keeps only the omegas, sweep counts and converged flags.
+    Phase 2 scores every converged vector at once: per (bin, value) the
+    training points' leaf log-odds are gathered once and multiplied
+    against all the omega columns that use them.  The summation order
+    differs from `update_psi`'s one matvec, so a score may differ from it
+    in the last bits.
+
     Returns (report, model): `model` is the winning candidate's fit, equal
     to `fit_model(matrix, labels, report.c)` with the same hyperparameters,
     depth, tol and max_iter, and both carry the names V1..Vp.  Skipped
-    candidates are counted in a warning on the `ptda.smoothing` logger;
-    InputError is raised when no candidate converged.
+    candidate tuples are counted in a warning on the `ptda.smoothing`
+    logger; InputError is raised when no candidate converged.
     """
     hyper = hyper or Hyperparameters()
     x = np.asarray(matrix, dtype=float)
@@ -231,47 +276,64 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
 
     forest = TreeForest.from_matrix(x, y, depth)
     flat = forest.flat_leaves(x)
-    y_int = yb.astype(np.int8)
     names = [f"V{j + 1}" for j in range(p)]
-    # expit is monotone: psi >= threshold iff eta >= logit(threshold)
-    cut = math.log(threshold / (1.0 - threshold))
+    # the winner's arrays, allocated before the scoring arrays: allocated
+    # after them, they raised the peak RSS of a rep at n=100, p=5000 (the
+    # test-set scoring that follows) by 10-20 MB
+    leaf_log_odds = np.empty((p, 1 << forest.depth))
+    winner_bf, winner_omega = np.empty(p), np.empty(p)
 
-    # per distinct ladder value: evidence vector and leaf log-odds table
-    # (counts never change, only the alphas do)
-    cache: dict[float, tuple] = {}
+    # a tuple's c vector is its values on the occupied bins
+    occupied = np.unique(bins)
+    columns = [np.flatnonzero(bins == b) for b in occupied]
+    keys = [tuple(t[b - 1] for b in occupied) for t in tuples]
+    vectors = list(dict.fromkeys(keys))
+    slot = {vector: k for k, vector in enumerate(vectors)}
 
-    def tables_for(value: float):
-        if value not in cache:
-            lp1, lp0 = leaf_log_path_tables(forest, value)
-            cache[value] = (log_bayes_factors(forest, value), lp1 - lp0)
-        return cache[value]
+    # phase 1: one selection per distinct vector (counts never change, only
+    # the alphas do, so the evidence is one log BF vector per ladder value)
+    log_bf = {v: log_bayes_factors(forest, v) for v in sorted(set().union(*vectors))}
+    omega = np.empty((len(vectors), p))
+    sweeps = np.empty(len(vectors), dtype=np.int64)
+    converged = np.empty(len(vectors), dtype=bool)
+    for k, vector in enumerate(vectors):
+        state = update_omega(_by_bin(log_bf, vector, columns, np.empty(p)), hyper,
+                             tol=tol, max_iter=max_iter)
+        omega[k], sweeps[k], converged[k] = state.omega, state.iteration, state.converged
 
-    best: tuple | None = None  # (candidate, model)
+    # phase 2: resubstitution error of every converged vector
+    live = np.flatnonzero(converged)
+    odds = {}
+    for v in sorted(set().union(*(vectors[k] for k in live))):
+        lp1, lp0 = leaf_log_path_tables(forest, v)
+        odds[v] = lp1 - lp0
+    errors = np.full(len(vectors), math.inf)
+    if live.size:
+        eta = _resubstitution_log_odds(flat, odds, omega[live], [vectors[k] for k in live], columns)
+        eta = np.clip(prior_log_odds(hyper, forest) + eta, -ETA_CLAMP, ETA_CLAMP)
+        # expit is monotone: psi >= threshold iff eta >= logit(threshold)
+        cut = math.log(threshold / (1.0 - threshold))
+        errors[live] = np.mean((eta >= cut) != yb[:, None], axis=0)
+
+    best: tuple | None = None  # (candidate, its vector's slot)
     best_error = math.inf
     skipped = 0
-    for candidate in tuples:
-        c_vals = np.asarray(candidate)[bins - 1]
-        log_bf = np.empty(p)
-        odds = np.empty((p, 1 << forest.depth))
-        for value in sorted(set(candidate)):
-            bf_v, odds_v = tables_for(value)
-            mask = c_vals == value
-            log_bf[mask] = bf_v[mask]
-            odds[mask] = odds_v[mask]
-        state = update_omega(log_bf, hyper, tol=tol, max_iter=max_iter)
-        if not state.converged:
+    for candidate, key in zip(tuples, keys):
+        k = slot[key]
+        if not converged[k]:
             skipped += 1
-            continue
-        model = FittedModel(hyper, state, forest, c_vals, names, log_bf)
-        model.leaf_log_odds = odds  # the rows of this candidate's values, already built
-        predicted = (model.class_log_odds(flat) >= cut).astype(np.int8)
-        error = float(np.mean(predicted != y_int))
-        if error < best_error:
-            best, best_error = (candidate, model), error
+        elif errors[k] < best_error:
+            best, best_error = (candidate, k), float(errors[k])
     if skipped:
         _log.warning("select_c skipped %d of %d smoothing candidates whose selection did not "
                      "converge within max_iter=%d sweeps", skipped, len(tuples), max_iter)
     if best is None:
         raise InputError(f"no smoothing candidate's selection converged within max_iter={max_iter} "
                          f"sweeps (tol {tol}); raise max_iter")
-    return SmoothingReport(v0, v1, expected, bins, best[0], best_error, names), best[1]
+    candidate, k = best
+    np.copyto(winner_omega, omega[k])
+    selection = SelectionState(winner_omega, int(sweeps[k]), True)
+    model = FittedModel(hyper, selection, forest, np.asarray(candidate)[bins - 1], names,
+                        _by_bin(log_bf, vectors[k], columns, winner_bf))
+    model.leaf_log_odds = _by_bin(odds, vectors[k], columns, leaf_log_odds)
+    return SmoothingReport(v0, v1, expected, bins, candidate, best_error, names), model

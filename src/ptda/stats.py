@@ -32,6 +32,7 @@ __all__ = [
     "expit",
     "shapiro_wilk",
     "ks_two_sample",
+    "square_safe_shift",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -75,6 +76,19 @@ def _log_gamma_positive(x: np.ndarray) -> np.ndarray:
         series = series + _LANCZOS_COEF[k] / (x + (k - 1.0))
     t = x + _LANCZOS_G - 0.5
     return _LN_SQRT_2PI + (x - 0.5) * np.log(t) - t + np.log(series)
+
+
+def square_safe_shift(values, axis=None):
+    """Power-of-two exponent s that brings max |values| into [2**-257, 2**256).
+
+    ldexp(values, -s) is exact, and squares of values of that size, and
+    sums of millions of them, are finite normal doubles.  s is 0 for values
+    already in that range, so ordinary data is left exactly as it is.
+    `axis` gives one exponent per slice, as `np.max` would.
+    """
+    top = np.maximum(np.max(values, axis=axis), -np.min(values, axis=axis))  # max |values|
+    exponent = np.frexp(top)[1]
+    return exponent - np.clip(exponent, -256, 256)
 
 
 def log_gamma(x):
@@ -363,6 +377,7 @@ def shapiro_wilk(sample) -> TestResult:
         raise InputError("shapiro_wilk requires finite values")
     if x[-1] - x[0] <= 0.0:
         raise DomainError("shapiro_wilk is undefined for a constant sample")
+    x = np.ldexp(x, -square_safe_shift(x))  # W is scale-free
 
     # expected normal order statistics (Blom scores) and the weight vector
     m = _blom_scores(n)

@@ -15,9 +15,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from ptda.polya_tree import SD_FLOOR, TreeForest, leaf_indices
+from ptda.simgen import SimulationSpec, generate
 from ptda.stats import normal_cdf
 
 STD = (0.0, 1.0)
+LADDER = (1.0, 5.0, 10.0, 50.0, 100.0)
+
+
+def simulated_forest(setting: int, n: int = 300, p: int = 40, seed: int = 5) -> TreeForest:
+    """Forest of a benchmark-setting training set at its default depth."""
+    train, _, _ = generate(SimulationSpec(setting, n, 10, p, 8, seed))
+    return TreeForest.from_matrix(train.matrix, train.labels)
 
 
 def sample_centring(column) -> tuple[float, float]:

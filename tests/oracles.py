@@ -7,7 +7,10 @@ brute-force double loops for distances.  Cell edges come from the scalar
 quantile function, not from the array CDF that locates points.  Two
 references keep the earlier, plainer forms of rewritten kernels: the
 digit-by-digit binary expansion of a CDF value and the omega sweep that
-calls expit and min/max.
+calls expit and min/max.  Two more keep the direct forms of the forest
+kernels: the log-Bayes-factor layer walk calling `log_beta` on every live
+node, which now gathers from count-indexed tables, and the leaf log-path
+walk repeating each parent, which now broadcasts it by reshape.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import math
 
 import numpy as np
 
-from ptda.stats import normal_quantile
+from ptda.polya_tree import alpha_for_layer
+from ptda.stats import log_beta, normal_quantile
 
 
 def lgamma(v):
@@ -81,6 +85,44 @@ def exact_log_bayes_factor_with_point(counts_map: dict, depth: int, c: float,
                 - lbeta(a, a)
             )
     return total
+
+
+def direct_log_bayes_factors(forest, c) -> np.ndarray:
+    """Per-variable ln BF with `log_beta` evaluated on every live node's counts."""
+    c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
+    k1, k0 = forest.count1, forest.count0
+    out = np.zeros(forest.p)
+    for level in range(forest.depth):
+        lo = 1 << level
+        live = (k1[:, lo:2 * lo] > 0) & (k0[:, lo:2 * lo] > 0)
+        var = np.nonzero(live)[0]
+        if var.size == 0:
+            continue
+        a = alpha_for_layer(level + 1, c[var])
+        left, right = slice(2 * lo, 4 * lo, 2), slice(2 * lo + 1, 4 * lo, 2)
+        c1l, c1r = k1[:, left][live], k1[:, right][live]
+        c0l, c0r = k0[:, left][live], k0[:, right][live]
+        terms = (log_beta(a + c1l, a + c1r) + log_beta(a + c0l, a + c0r)
+                 - log_beta(a + (c1l + c0l), a + (c1r + c0r)) - log_beta(a, a))
+        out += np.bincount(var, weights=terms, minlength=forest.p)
+    return out
+
+
+def direct_leaf_log_path_tables(forest, c) -> tuple[np.ndarray, np.ndarray]:
+    """(p, 2**depth) leaf log path probabilities per group, one log per cell
+    and the parent sums repeated over their children."""
+    c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
+    tables = []
+    for counts in (forest.count1, forest.count0):
+        lp = np.zeros((forest.p, 1))
+        for level in range(1, forest.depth + 1):
+            a = alpha_for_layer(level, c)[:, None]
+            lo = 1 << level
+            parent = np.repeat(counts[:, lo // 2:lo], 2, axis=1).astype(float)
+            lp = np.repeat(lp, 2, axis=1) + (np.log(a + counts[:, lo:2 * lo])
+                                             - np.log(2.0 * a + parent))
+        tables.append(lp)
+    return tables[0], tables[1]
 
 
 def expit(z):

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptda.bnp_test import log_bayes_factor, log_bayes_factors
+from ptda.bnp_test import _count_table, log_bayes_factor, log_bayes_factors
 from ptda.cvb import FittedModel, fit_model
 from ptda.errors import InputError
 from ptda.polya_tree import TreeForest
 
-from adapters import STD, path_code, path_map, tree_from_leaves, tree_of
-from oracles import dense_log_bayes_factor, exact_log_bayes_factor_with_point
+from adapters import LADDER, STD, path_code, path_map, simulated_forest, tree_from_leaves, tree_of
+from oracles import dense_log_bayes_factor, direct_log_bayes_factors, exact_log_bayes_factor_with_point
 
 
 def random_case(seed, n_max=32, depth_max=5):
@@ -162,3 +162,42 @@ class TestBatch:
         f2 = TreeForest.from_matrix(x, 1 - y, 4)
         np.testing.assert_allclose(log_bayes_factors(f1, 1.0),
                                    log_bayes_factors(f2, 1.0), atol=1e-12)
+
+
+class TestCountTables:
+    """The log-gamma values come from count-indexed tables; the per-node
+    `log_beta` evaluation kept in the oracles is the reference."""
+
+    def test_read_entries_hold_the_kernel_value(self):
+        # the lookups repeat some entries and leave others unread
+        shift = np.array([0.3, 2.0, 7.7])
+        width = 9
+        rng = np.random.default_rng(4)
+        lookups = [rng.integers(0, shift.size * width, size=20) for _ in range(2)]
+        table = _count_table(np.log, shift, width, lookups)
+        assert table.shape == (shift.size * width,)
+        for ix in lookups:
+            rows, k = np.divmod(ix, width)
+            assert np.array_equal(table[ix], np.log(shift[rows] + k))
+
+    @pytest.mark.parametrize("setting", [1, 2])
+    def test_ladder_values_bit_identical(self, setting):
+        forest = simulated_forest(setting)
+        mixed = np.random.default_rng(0).choice(LADDER, size=forest.p)
+        for c in LADDER + (mixed,):
+            assert np.array_equal(log_bayes_factors(forest, c), direct_log_bayes_factors(forest, c))
+
+    @pytest.mark.parametrize("kind", ["0.3", "7.7", "p distinct"])
+    def test_non_integer_alpha_against_lgamma(self, kind):
+        # 2a + (k1 + k2) does not round like (a + k1) + (a + k2) when a is not
+        # an integer, so the tables move the last bits, never farther from
+        # math.lgamma than the direct evaluation is
+        forest = simulated_forest(2)
+        c = (np.random.default_rng(1).uniform(0.2, 100.0, size=forest.p) if kind == "p distinct"
+             else np.full(forest.p, float(kind)))
+        ours = log_bayes_factors(forest, c)
+        direct = direct_log_bayes_factors(forest, c)
+        oracle = np.array([dense_log_bayes_factor(path_map(forest, j), forest.depth, float(c[j]))
+                           for j in range(forest.p)])
+        assert np.max(np.abs(ours - direct)) <= 1e-11
+        assert np.all(np.abs(ours - oracle) <= np.abs(direct - oracle) + 1e-11)

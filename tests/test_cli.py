@@ -409,6 +409,38 @@ class TestExitCodes:
         assert not pred_path.exists()
 
 
+class TestLadderOption:
+    @pytest.mark.parametrize("ladder", ["1,x", "1,,5"])
+    @pytest.mark.parametrize("command", ["select-c", "fit", "cv"])
+    def test_non_numeric_entry_exits_one_without_output(self, tmp_path, capsys, command, ladder):
+        out = simulate_small(tmp_path, seed=67)
+        out_path = tmp_path / "out"
+        code, _, err = run([command, "--data", str(out / "train.csv"), "--label-column", "y",
+                            "--ladder", ladder, "--out", str(out_path)], capsys)
+        assert code == 1
+        bad = ladder.split(",")[1]
+        assert f"--ladder entry {bad!r}" in err
+        assert not out_path.exists()
+
+
+class TestLargeMagnitudeColumn:
+    def test_select_c_accepts_a_column_near_1e200(self, tmp_path, capsys):
+        rng = np.random.default_rng(71)
+        x = rng.normal(size=(40, 3))
+        x[:, 1] *= 1e200
+        y = np.array([1, 0] * 20)
+        data = tmp_path / "big.csv"
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write("a,b,c,y\n")
+            for row, label in zip(x, y):
+                fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+        report = tmp_path / "report.json"
+        code, _, err = run(["select-c", "--data", str(data), "--label-column", "y",
+                            "--out", str(report)], capsys)
+        assert code == 0, err
+        assert report.exists()
+
+
 class TestDepthOption:
     @pytest.mark.parametrize("command", ["bf", "fit"])
     def test_depth_zero_exits_one(self, tmp_path, capsys, command):

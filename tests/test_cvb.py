@@ -19,14 +19,15 @@ from ptda.cvb import (
     Hyperparameters,
     classify,
     fit_model,
+    leaf_log_path_tables,
     log_path_probability_matrix,
     update_omega,
     update_psi,
 )
 from ptda.errors import DomainError, InputError
 
-from adapters import tree_from_leaves
-from oracles import jacobi_omega, sweep_omega
+from adapters import LADDER, simulated_forest, tree_from_leaves
+from oracles import direct_leaf_log_path_tables, jacobi_omega, sweep_omega
 
 
 def training_model(seed=0, n=40, p=6, c=1.0, shift=1.5, **kwargs):
@@ -173,6 +174,19 @@ class TestPathProbability:
                         parent = child
                     assert math.exp(lp[r, j]) == pytest.approx(prob, rel=1e-10)
                     assert path_probability(new[r, j], tree, group, c) == pytest.approx(prob, rel=1e-10)
+
+
+class TestLeafLogPathTables:
+    @pytest.mark.parametrize("setting", [1, 2])
+    def test_bit_identical_to_the_direct_walk(self, setting):
+        # the parent terms are broadcast by reshape instead of repeated, in
+        # the direct walk's association, so at any c
+        forest = simulated_forest(setting)
+        rng = np.random.default_rng(2)
+        for c in LADDER + (0.3, 7.7, rng.choice(LADDER, size=forest.p),
+                           rng.uniform(0.2, 100.0, size=forest.p)):
+            ours, ref = leaf_log_path_tables(forest, c), direct_leaf_log_path_tables(forest, c)
+            assert np.array_equal(ours[0], ref[0]) and np.array_equal(ours[1], ref[1])
 
 
 class TestUpdatePsi:

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ptda.cvb import Hyperparameters, classify, fit_model, update_psi
+import ptda.smoothing
+from ptda.cvb import Hyperparameters, classify, fit_model, leaf_log_path_tables, update_psi
 from ptda.errors import DomainError, InputError
+from ptda.polya_tree import TreeForest
 from ptda.smoothing import (
     DEFAULT_LADDER,
     SmoothingReport,
@@ -138,6 +140,20 @@ class TestColumnPvalues:
         assert np.all((0.0 <= v0) & (v0 <= 1.0))
         assert np.all((0.0 <= v1) & (v1 <= 1.0))
 
+    @pytest.mark.parametrize("factor", [1e200, 1e-200])
+    def test_extreme_magnitude_scores_like_the_unscaled_column(self, factor):
+        # Shapiro-Wilk W and the centring sd square the values, which would
+        # overflow near 1e200 and underflow near 1e-200; both are scale-free
+        x, y = two_group_data(seed=3)
+        scaled = x.copy()
+        scaled[:, 2] *= factor
+        v0, v1 = column_pvalues(x, y)
+        s0, s1 = column_pvalues(scaled, y)
+        leaves = TreeForest.from_matrix(x, y).leaves(x)
+        assert np.array_equal(TreeForest.from_matrix(scaled, y).leaves(scaled), leaves)
+        assert np.array_equal(s1, v1)
+        np.testing.assert_allclose(s0, v0, rtol=0, atol=1e-12)
+
     def test_signal_column_has_small_v1(self):
         x, y = two_group_data(seed=2, shift=3.0)
         _, v1 = column_pvalues(x, y)
@@ -215,25 +231,17 @@ class TestSelectC:
 class TestSkippedCandidatesWarning:
     GRID = (1.0, 10.0, 100.0)
 
-    def sweeps_per_candidate(self, monkeypatch, x, y):
-        import ptda.smoothing
+    def sweeps_per_candidate(self, x, y):
+        # one independent fit per tuple: select_c runs one selection per
+        # distinct c vector, and at p = 6 bin 1 is empty, so several tuples
+        # share a vector, yet the warning counts tuples
+        report, _ = select_c(x, y, grid=self.GRID)
+        return [fit_model(x, y, np.asarray(t)[report.bins - 1]).selection.iteration
+                for t in monotone_tuples(self.GRID)]
 
-        sweeps = []
-        original = ptda.smoothing.update_omega
-
-        def recording(*args, **kwargs):
-            state = original(*args, **kwargs)
-            sweeps.append(state.iteration)
-            return state
-
-        monkeypatch.setattr(ptda.smoothing, "update_omega", recording)
-        select_c(x, y, grid=self.GRID)
-        monkeypatch.undo()
-        return sweeps
-
-    def test_warning_counts_skipped_candidates(self, monkeypatch, caplog):
+    def test_warning_counts_skipped_candidates(self, caplog):
         x, y = two_group_data(seed=2)
-        sweeps = self.sweeps_per_candidate(monkeypatch, x, y)
+        sweeps = self.sweeps_per_candidate(x, y)
         cap = min(sweeps)
         skipped = sum(s > cap for s in sweeps)
         assert 0 < skipped < len(sweeps)
@@ -256,3 +264,82 @@ class TestSkippedCandidatesWarning:
         with caplog.at_level(logging.DEBUG, logger="ptda"):
             select_c(x, y, grid=self.GRID)
         assert caplog.records == []
+
+
+def per_candidate_choice(x, y, tuples, bins, max_iter=1000):
+    """(chosen tuple, its error) of a search that fits each tuple on its own
+    and scores it with `class_log_odds`'s one gather and matvec."""
+    best, best_error = None, math.inf
+    for t in sorted(tuples):
+        model = fit_model(x, y, np.asarray(t)[bins - 1], max_iter=max_iter)
+        if not model.selection.converged:
+            continue
+        eta = model.class_log_odds(model.forest.flat_leaves(x))
+        error = float(np.mean((eta >= 0.0) != y))  # threshold 0.5
+        if error < best_error:
+            best, best_error = t, error
+    return best, best_error
+
+
+class TestTwoPhaseScores:
+    # (data, ladder, max_iter): bin 1 empty at p = 6 and only bin 4 at p = 3;
+    # a repeated ladder value repeats tuples; a low max_iter skips candidates
+    CASES = {
+        "p=3": (dict(seed=8, p=3), (1.0, 10.0, 100.0), 1000),
+        "repeated value": (dict(seed=9, p=12), (1.0, 5.0, 5.0, 50.0), 1000),
+        "skipped": (dict(seed=2), (1.0, 10.0, 100.0), 4),
+    }
+
+    def run(self, monkeypatch, case):
+        data, ladder, max_iter = self.CASES[case]
+        x, y = two_group_data(**data)
+        calls = []
+        scored = {}
+        count_omega, score = ptda.smoothing.update_omega, ptda.smoothing._resubstitution_log_odds
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return count_omega(*args, **kwargs)
+
+        def keeping(flat, odds, omega, vectors, columns):
+            scored.update(omega=omega, vectors=vectors, columns=columns,
+                          eta=score(flat, odds, omega, vectors, columns))
+            return scored["eta"]
+
+        monkeypatch.setattr(ptda.smoothing, "update_omega", counting)
+        monkeypatch.setattr(ptda.smoothing, "_resubstitution_log_odds", keeping)
+        report, model = select_c(x, y, grid=ladder, max_iter=max_iter)
+        monkeypatch.undo()
+        return x, y, monotone_tuples(ladder), max_iter, report, model, len(calls), scored
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_one_selection_per_distinct_c_vector(self, monkeypatch, case):
+        x, y, tuples, _, report, _, calls, _ = self.run(monkeypatch, case)
+        distinct = {tuple(np.asarray(t)[report.bins - 1].tolist()) for t in tuples}
+        assert calls == len(distinct) < len(tuples)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_scores_match_one_gather_per_candidate(self, monkeypatch, case):
+        x, y, _, _, report, model, _, scored = self.run(monkeypatch, case)
+        flat = model.forest.flat_leaves(x)
+        for k, vector in enumerate(scored["vectors"]):
+            c = np.empty(x.shape[1])
+            for value, cols in zip(vector, scored["columns"]):
+                c[cols] = value
+            lp1, lp0 = leaf_log_path_tables(model.forest, c)
+            terms = np.take(lp1 - lp0, flat)
+            ref = terms @ scored["omega"][k]
+            bound = 1e-12 * (np.abs(terms) @ scored["omega"][k])
+            assert np.all(np.abs(scored["eta"][:, k] - ref) <= bound)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_choice_matches_the_per_candidate_search(self, monkeypatch, case):
+        x, y, tuples, max_iter, report, model, _, _ = self.run(monkeypatch, case)
+        chosen, error = per_candidate_choice(x, y, tuples, report.bins, max_iter)
+        assert report.chosen_a == chosen
+        assert report.resubstitution_error == error
+        refit = fit_model(x, y, report.c, max_iter=max_iter)
+        assert np.array_equal(model.omega, refit.omega)
+        assert np.array_equal(model.log_bf, refit.log_bf)
+        assert np.array_equal(model.leaf_log_odds, refit.leaf_log_odds)
+        assert model.selection.iteration == refit.selection.iteration
