@@ -3,9 +3,15 @@
 One executable, subcommand style: simulate, select-c, fit, predict, cv,
 bf, density.  All outputs are machine-readable CSV/JSON, all
 randomness flows from --seed, and exit codes are 0 (success), 1 (input
-error), 2 (internal error).  Defaults may be overridden by a JSON config
-file passed with --config or named by the PTDA_CONFIG environment
-variable.
+error), 2 (internal error).
+
+Each subcommand accepts only the flags its handler reads.  Defaults may
+be overridden by a JSON config file passed with --config or named by the
+PTDA_CONFIG environment variable.  The file is shared: one file serves
+every command, every key in it is checked on every command that takes
+--config, and each command reads only its own keys (`simulate` the seed,
+`bf` the depth, and so on).  `predict` and `density` read no config
+value and so load no config file.
 """
 
 from __future__ import annotations
@@ -98,9 +104,26 @@ def _ladder_value(entry: str) -> float:
         raise InputError(f"--ladder entry {entry!r} is not a number") from None
 
 
+# the Config fields a subcommand may set by flag: flag name and argparse options
+_CONFIG_FLAGS = {
+    "seed": ("--seed", dict(type=int, help="random seed (default 0)")),
+    "u": ("--u", dict(type=float, help="complexity-prior exponent, > 1 (default 1.5)")),
+    "a_y": ("--a-y", dict(type=float, help="beta prior a on the group-1 proportion (default 1)")),
+    "b_y": ("--b-y", dict(type=float, help="beta prior b on the group-1 proportion (default 1)")),
+    "tol": ("--tol", dict(type=float, help="selection convergence tolerance (default 1e-6)")),
+    "max_iter": ("--max-iter", dict(type=int, help="maximum selection sweeps (default 1000)")),
+    "depth": ("--depth", dict(type=int, help="tree truncation depth (default floor(log2 n))")),
+    "threads": ("--threads", dict(type=int, help="worker thread cap, 0 for all cores (default 0)")),
+}
+
+# what selecting c and fitting read: the seed (Shapiro-Wilk subsampling),
+# the hyperparameters, the sweep controls and the depth
+_FIT_SETTINGS = ("seed", "u", "a_y", "b_y", "tol", "max_iter", "depth")
+
+
 def _config_from(args) -> Config:
-    cfg = Config(**_load_config_file(getattr(args, "config", None)))
-    for name in ("u", "a_y", "b_y", "tol", "max_iter", "depth", "seed", "threads"):
+    cfg = Config(**_load_config_file(args.config))
+    for name in _CONFIG_FLAGS:
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
@@ -112,35 +135,33 @@ def _config_from(args) -> Config:
         raise InputError(f"--tol must be positive, got {cfg.tol}")
     if cfg.max_iter < 1:
         raise InputError(f"--max-iter must be at least 1, got {cfg.max_iter}")
+    if cfg.threads < 0:
+        raise InputError(f"--threads must be 0 (all cores) or positive, got {cfg.threads}")
     return cfg
 
 
-def _add_common(sub, data: bool = False):
+def _add_config(sub, *names):
+    """--config plus a flag for each named Config field."""
     sub.add_argument("--config", help="JSON config file (default: $PTDA_CONFIG)")
-    sub.add_argument("--seed", type=int, help="random seed (default 0)")
-    sub.add_argument("--u", type=float, help="complexity-prior exponent, > 1 (default 1.5)")
-    sub.add_argument("--a-y", dest="a_y", type=float, help="beta prior a on the group-1 proportion (default 1)")
-    sub.add_argument("--b-y", dest="b_y", type=float, help="beta prior b on the group-1 proportion (default 1)")
-    sub.add_argument("--tol", type=float, help="selection convergence tolerance (default 1e-6)")
-    sub.add_argument("--max-iter", dest="max_iter", type=int, help="maximum selection sweeps (default 1000)")
-    sub.add_argument("--depth", type=int, help="tree truncation depth (default floor(log2 n))")
-    sub.add_argument("--threads", type=int, help="worker thread cap (default: all cores)")
-    if data:
-        sub.add_argument("--data", required=True, help="input CSV path")
-        sub.add_argument("--label-column", dest="label_column", help="name of the label column")
-        sub.add_argument("--positive-label", dest="positive_label", help="label value mapped to group 1")
-        sub.add_argument("--orientation", default="samples-in-rows",
-                         choices=["samples-in-rows", "variables-in-rows"],
-                         help="CSV layout (default samples-in-rows)")
+    for name in names:
+        flag, options = _CONFIG_FLAGS[name]
+        sub.add_argument(flag, dest=name, **options)
+
+
+def _add_data(sub):
+    sub.add_argument("--data", required=True, help="input CSV path")
+    sub.add_argument("--label-column", dest="label_column", help="name of the label column")
+    sub.add_argument("--positive-label", dest="positive_label", help="label value mapped to group 1")
+    sub.add_argument("--orientation", default="samples-in-rows",
+                     choices=["samples-in-rows", "variables-in-rows"],
+                     help="CSV layout (default samples-in-rows)")
 
 
 def _load_dataset(args, need_labels: bool = True) -> Dataset:
-    label_column = getattr(args, "label_column", None)
-    if need_labels and label_column is None:
+    if need_labels and args.label_column is None:
         raise InputError("--label-column is required here")
-    ds = load_csv(args.data, label_column=label_column,
-                  orientation=getattr(args, "orientation", "samples-in-rows"),
-                  positive_label=getattr(args, "positive_label", None))
+    ds = load_csv(args.data, label_column=args.label_column, orientation=args.orientation,
+                  positive_label=args.positive_label)
     if ds.label_mapping:
         print(f"label mapping: {ds.label_mapping}", file=sys.stderr)
     return ds
@@ -170,16 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n-disc", dest="n_disc", type=int, default=50,
                      help="number of discriminative variables (default 50)")
     sim.add_argument("--out-dir", dest="out_dir", required=True, help="output directory")
-    _add_common(sim)
+    _add_config(sim, "seed")
 
     sel = commands.add_parser("select-c", help="choose smoothing parameters and write the report")
-    _add_common(sel, data=True)
+    _add_config(sel, *_FIT_SETTINGS)
+    _add_data(sel)
     sel.add_argument("--ladder", help="comma-separated candidate values (default 1,5,10,50,100)")
     sel.add_argument("--out", required=True, help="report JSON path")
     sel.add_argument("--out-csv", dest="out_csv", help="optional per-variable CSV path")
 
     fit = commands.add_parser("fit", help="fit the model and write model JSON")
-    _add_common(fit, data=True)
+    _add_config(fit, *_FIT_SETTINGS)
+    _add_data(fit)
     fit.add_argument("--c", type=float, help="single smoothing parameter for every variable")
     fit.add_argument("--c-report", dest="c_report", help="smoothing report JSON from select-c")
     fit.add_argument("--ladder", help="comma-separated candidate values if selecting c here")
@@ -191,12 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pred = commands.add_parser("predict", help="class probabilities for new points")
     pred.add_argument("--model", required=True, help="model JSON from fit")
-    _add_common(pred, data=True)
+    _add_data(pred)
     pred.add_argument("--threshold", type=float, default=0.5, help="label threshold (default 0.5)")
     pred.add_argument("--out", required=True, help="predictions CSV path")
 
     cv = commands.add_parser("cv", help="stratified k-fold cross-validation")
-    _add_common(cv, data=True)
+    _add_config(cv, *_FIT_SETTINGS, "threads")
+    _add_data(cv)
     cv.add_argument("--k", type=int, default=5, help="number of folds (default 5)")
     cv.add_argument("--ladder", help="comma-separated candidate values (default 1,5,10,50,100)")
     cv.add_argument("--median-floor", dest="median_floor", type=float,
@@ -208,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--out-summary", dest="out_summary", help="optional summary JSON path")
 
     bf = commands.add_parser("bf", help="per-variable two-sample log Bayes factors")
-    _add_common(bf, data=True)
+    _add_config(bf, "depth")
+    _add_data(bf)
     bf.add_argument("--c", type=float, default=1.0, help="smoothing parameter (default 1)")
     bf.add_argument("--value-column", dest="value_column",
                     help="two-column mode: the value column name")
@@ -311,7 +336,7 @@ def _cmd_fit(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_predict(args, cfg: Config) -> int:
+def _cmd_predict(args, _) -> int:
     model = FittedModel.load(args.model)
     ds = _load_dataset(args, need_labels=False)
     if ds.p != model.p:
@@ -345,7 +370,7 @@ def _cmd_bf(args, cfg: Config) -> int:
         raise InputError("two-column mode needs both --value-column and --group-column")
     if args.value_column is not None:
         ds = load_csv(args.data, label_column=args.group_column,
-                      positive_label=getattr(args, "positive_label", None))
+                      positive_label=args.positive_label)
         if args.value_column not in ds.names:
             raise InputError(f"value column {args.value_column!r} not in header")
         column = ds.matrix[:, ds.names.index(args.value_column)]
@@ -360,7 +385,7 @@ def _cmd_bf(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_density(args, cfg: Config) -> int:
+def _cmd_density(args, _) -> int:
     model = FittedModel.load(args.model)
     if args.variable not in model.names:
         raise InputError(f"variable {args.variable!r} not in the model")
@@ -398,7 +423,7 @@ def dispatch(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from(args)
+        cfg = _config_from(args) if "config" in args else None  # predict, density: no Config
         return _COMMANDS[args.command](args, cfg)
     except ContractViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -197,12 +197,14 @@ def _leaf_counts(rows, total: int, group: int) -> np.ndarray:
 
 def _reals(records, key: str) -> np.ndarray:
     """One number per variable record from a model file; strings, nulls and
-    booleans are refused, and `TreeForest.from_leaves` refuses a NaN or
-    infinite centring and an sd <= 0."""
-    values = np.array([r[key] for r in records])
-    if values.dtype.kind not in "if":
+    booleans are refused.  The range is the caller's check: `TreeForest.from_leaves`
+    refuses a NaN or infinite centring and an sd <= 0."""
+    values = [r[key] for r in records]
+    # exact types, per value: bool subclasses int, and numpy casts a boolean
+    # mixed with floats to 1.0 or 0.0
+    if not all(type(v) in (int, float) for v in values):
         raise InputError(f"every variable's {key!r} must be a number")
-    return values.astype(float)
+    return np.array(values, dtype=float)
 
 
 @dataclass
@@ -221,7 +223,6 @@ class FittedModel:
     forest: TreeForest
     c: np.ndarray
     names: list
-    log_bf: np.ndarray | None = None
 
     @property
     def omega(self) -> np.ndarray:
@@ -302,7 +303,9 @@ class FittedModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FittedModel":
-        """Model from a format-2 document; anything malformed raises InputError."""
+        """Model from a format-2 document; anything malformed raises InputError,
+        including an omega that is not a number in [0, 1] and names that are
+        not distinct strings."""
         found = doc.get("format") if isinstance(doc, dict) else None
         if found != MODEL_FORMAT:
             raise InputError(f"unsupported model format {found!r}; refit to write format {MODEL_FORMAT}")
@@ -314,11 +317,15 @@ class FittedModel:
                 _reals(records, "mean"), _reals(records, "sd"),
                 _leaf_counts([r["leaf1"] for r in records], doc["n1"], 1),
                 _leaf_counts([r["leaf0"] for r in records], doc["n0"], 0))
-            selection = SelectionState(np.array([r["omega"] for r in records], dtype=float),
-                                       int(doc["iteration"]), doc["converged"] is True)
-            c = _smoothing_vector([r["c"] for r in records], len(records))
-            return cls(Hyperparameters(**doc["hyperparameters"]), selection, forest,
-                       c, [r["name"] for r in records])
+            omega = _reals(records, "omega")
+            if not np.all((omega >= 0.0) & (omega <= 1.0)):  # NaN fails both
+                raise InputError("every variable's 'omega' must lie in [0, 1]")
+            names = [r["name"] for r in records]
+            if not (all(isinstance(v, str) for v in names) and len(set(names)) == len(names)):
+                raise InputError("the variables' names must be distinct strings")
+            selection = SelectionState(omega, int(doc["iteration"]), doc["converged"] is True)
+            c = _smoothing_vector(_reals(records, "c"), len(records))
+            return cls(Hyperparameters(**doc["hyperparameters"]), selection, forest, c, names)
         except InputError:
             raise
         except (KeyError, TypeError, ValueError) as exc:  # DomainError is a ValueError
@@ -379,11 +386,10 @@ def fit_model(matrix, labels, c, hyper: Hyperparameters | None = None,
         raise InputError("matrix must be two-dimensional")
     c_vec = _smoothing_vector(c, x.shape[1])
     forest = TreeForest.from_matrix(x, labels, depth)
-    log_bf = log_bayes_factors(forest, c_vec)
-    selection = update_omega(log_bf, hyper, tol=tol, max_iter=max_iter)
+    selection = update_omega(log_bayes_factors(forest, c_vec), hyper, tol=tol, max_iter=max_iter)
     if not selection.converged:
         _log.warning("fit_model: the selection did not converge within max_iter=%d sweeps "
                      "(tol %g)", max_iter, tol)
     if names is None:
         names = [f"V{j + 1}" for j in range(forest.p)]
-    return FittedModel(hyper, selection, forest, c_vec, list(names), log_bf)
+    return FittedModel(hyper, selection, forest, c_vec, list(names))

@@ -57,22 +57,6 @@ class Dataset:
     def p(self) -> int:
         return self.matrix.shape[1]
 
-    def group_sizes(self) -> tuple[int, int]:
-        """(n1, n0)."""
-        if self.labels is None:
-            raise InputError("dataset has no labels")
-        n1 = int(np.sum(self.labels == 1))
-        return n1, self.labels.size - n1
-
-    def subset(self, rows) -> "Dataset":
-        rows = np.asarray(rows)
-        return Dataset(
-            self.matrix[rows],
-            None if self.labels is None else self.labels[rows],
-            list(self.names),
-            dict(self.label_mapping),
-        )
-
 
 def _map_labels(raw: list, positive_label: str | None) -> tuple[np.ndarray, dict]:
     values = sorted(set(raw))

@@ -18,7 +18,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,9 +55,6 @@ class RunMetrics:
     converged: bool = True
     chosen_a: tuple | None = None
 
-    def counts_total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
 
 def selection_confusion(selected, truth) -> tuple[int, int, int, int, float]:
     """(tp, tn, fp, fn, accuracy) of a selection indicator against the truth."""
@@ -74,9 +71,10 @@ def selection_confusion(selected, truth) -> tuple[int, int, int, int, float]:
 
 
 def _select_and_score(x_train, y_train, x_test, y_test, hyper, grid, depth,
-                      tol, max_iter, select_threshold, seed) -> RunMetrics:
+                      tol, max_iter, seed) -> RunMetrics:
     """One rep or fold on raw columns: select c, which fits the model, then
-    classify the test points; the selection counts are left at 0.
+    classify the test points; a variable counts as selected when its omega
+    is at least 0.5, and the selection counts are left at 0.
 
     The centring Gaussians are fitted from the training columns, so the
     test points are scored in the same raw units with no transform.
@@ -86,7 +84,7 @@ def _select_and_score(x_train, y_train, x_test, y_test, hyper, grid, depth,
                              tol=tol, max_iter=max_iter, seed=seed)
     predicted = classify(update_psi(model, x_test))
     error = float(np.mean(predicted != y_test))
-    selected = model.omega >= select_threshold
+    selected = model.omega >= 0.5
     return RunMetrics(error, float("nan"), 0, 0, 0, 0, selected,
                       time.perf_counter() - start, model.selection.iteration,
                       model.selection.converged, report.chosen_a)
@@ -127,12 +125,14 @@ def run_simulation_study(setting: int, reps: int, base_seed: int = 0,
                          n_discriminative: int = 50,
                          hyper: Hyperparameters | None = None, grid=None,
                          depth: int | None = None, tol: float = 1e-6,
-                         max_iter: int = 1000, select_threshold: float = 0.5,
-                         include_baseline: bool = True, threads: int = 1):
+                         max_iter: int = 1000, include_baseline: bool = True,
+                         threads: int = 1):
     """Repeat generate/select/fit/score; returns (rows, summary).
 
-    Rep r uses seed base_seed + r.  Baseline metrics are computed on the
-    same datasets.  Zero reps yields an empty table.
+    Rep r uses seed base_seed + r.  A variable counts as selected when its
+    omega is at least the fixed 0.5; the selection counts and rates are
+    taken against the truth at that cut.  Baseline metrics are computed on
+    the same datasets.  Zero reps yields an empty table.
     """
     hyper = hyper or Hyperparameters()
 
@@ -140,7 +140,7 @@ def run_simulation_study(setting: int, reps: int, base_seed: int = 0,
         spec = SimulationSpec(setting, n_train, n_test, p, n_discriminative, base_seed + r)
         train, test, truth = generate(spec)
         metrics = _select_and_score(train.matrix, train.labels, test.matrix, test.labels, hyper,
-                                    grid, depth, tol, max_iter, select_threshold, spec.seed)
+                                    grid, depth, tol, max_iter, spec.seed)
         methods = [("ptda", metrics)]
         if include_baseline:
             methods.append(("gaussian_nb", gaussian_nb_baseline(train, test)))
@@ -172,7 +172,7 @@ def cross_validate(dataset: Dataset, k: int, hyper: Hyperparameters | None = Non
         train_idx, test_idx = folds[f]
         metrics = _select_and_score(dataset.matrix[train_idx], dataset.labels[train_idx],
                                     dataset.matrix[test_idx], dataset.labels[test_idx],
-                                    hyper, grid, depth, tol, max_iter, 0.5, seed)
+                                    hyper, grid, depth, tol, max_iter, seed)
         return _metrics_row(metrics, rep=f, method="ptda"), metrics.selected
 
     results = _map_indexed(one_fold, range(k), threads)

@@ -187,8 +187,10 @@ class SimulationSpec:
     def __post_init__(self):
         if self.setting not in SETTINGS:
             raise InputError(f"unknown simulation setting {self.setting!r}")
-        if self.n_discriminative > self.p:
-            raise InputError("n_discriminative cannot exceed p")
+        if self.p < 1:
+            raise InputError(f"p must be at least 1, got {self.p}")
+        if not 0 <= self.n_discriminative <= self.p:
+            raise InputError(f"n_discriminative must lie in 0..p={self.p}, got {self.n_discriminative}")
         if self.n_train < 4 or self.n_test < 1:
             raise InputError("n_train must be >= 4 and n_test >= 1")
 

@@ -221,15 +221,16 @@ def _resubstitution_log_odds(flat: np.ndarray, odds: dict, omega: np.ndarray, ve
 
 def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
              depth: int | None = None, tol: float = 1e-6, max_iter: int = 1000,
-             threshold: float = 0.5, seed: int = 0) -> tuple[SmoothingReport, FittedModel]:
+             seed: int = 0) -> tuple[SmoothingReport, FittedModel]:
     """Grid search over bin-value tuples minimising resubstitution error.
 
     `grid` is either a ladder of candidate values (monotone 4-tuples are
     enumerated) or an explicit iterable of 4-tuples.  Each candidate is
     fitted on one shared forest and its training points are scored the
-    way `update_psi` scores new points.  Only candidates whose selection
-    converged within `max_iter` sweeps compete, and ties in error go to
-    the lexicographically smallest tuple.
+    way `update_psi` scores new points, and labelled at the fixed
+    threshold psi >= 0.5 that `classify` applies by default.  Only
+    candidates whose selection converged within `max_iter` sweeps
+    compete, and ties in error go to the lexicographically smallest tuple.
 
     The search runs in two phases over the distinct per-variable c vectors
     the tuples give (tuples that differ only on an empty bin, or repeat a
@@ -240,7 +241,9 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     training points' leaf log-odds are gathered once and multiplied
     against all the omega columns that use them.  The summation order
     differs from `update_psi`'s one matvec, so a score may differ from it
-    in the last bits.
+    in the last bits.  The per-value log BF vectors, the (K, p) omega
+    matrix and the per-vector errors stay local to the search; only the
+    winner's fit is returned.
 
     Returns (report, model): `model` is the winning candidate's fit, equal
     to `fit_model(matrix, labels, report.c)` with the same hyperparameters,
@@ -281,7 +284,7 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     # after them, they raised the peak RSS of a rep at n=100, p=5000 (the
     # test-set scoring that follows) by 10-20 MB
     leaf_log_odds = np.empty((p, 1 << forest.depth))
-    winner_bf, winner_omega = np.empty(p), np.empty(p)
+    winner_omega = np.empty(p)
 
     # a tuple's c vector is its values on the occupied bins
     occupied = np.unique(bins)
@@ -311,9 +314,8 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     if live.size:
         eta = _resubstitution_log_odds(flat, odds, omega[live], [vectors[k] for k in live], columns)
         eta = np.clip(prior_log_odds(hyper, forest) + eta, -ETA_CLAMP, ETA_CLAMP)
-        # expit is monotone: psi >= threshold iff eta >= logit(threshold)
-        cut = math.log(threshold / (1.0 - threshold))
-        errors[live] = np.mean((eta >= cut) != yb[:, None], axis=0)
+        # expit is monotone: psi >= 0.5 iff eta >= logit(0.5) = 0
+        errors[live] = np.mean((eta >= 0.0) != yb[:, None], axis=0)
 
     best: tuple | None = None  # (candidate, its vector's slot)
     best_error = math.inf
@@ -333,7 +335,6 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     candidate, k = best
     np.copyto(winner_omega, omega[k])
     selection = SelectionState(winner_omega, int(sweeps[k]), True)
-    model = FittedModel(hyper, selection, forest, np.asarray(candidate)[bins - 1], names,
-                        _by_bin(log_bf, vectors[k], columns, winner_bf))
+    model = FittedModel(hyper, selection, forest, np.asarray(candidate)[bins - 1], names)
     model.leaf_log_odds = _by_bin(odds, vectors[k], columns, leaf_log_odds)
     return SmoothingReport(v0, v1, expected, bins, candidate, best_error, names), model

@@ -1,7 +1,7 @@
 """Independent oracle implementations the tests check the package against.
 
 Everything here deliberately avoids the package's own computational paths:
-dense enumeration instead of sparse iteration, math.lgamma instead of the
+enumeration of every cell of a tree, math.lgamma instead of the
 vectorized log-gamma, Jacobi fixed-point iteration instead of sweeps, and
 brute-force double loops for distances.  Cell edges come from the scalar
 quantile function, not from the array CDF that locates points.  Two

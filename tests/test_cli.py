@@ -33,6 +33,30 @@ def simulate_small(tmp_path, seed=7, setting=1):
     return out
 
 
+FIT_FLAGS = "--seed --u --a-y --b-y --tol --max-iter --depth"
+DATA_FLAGS = "--data --label-column --positive-label --orientation"
+
+# each subcommand's flags, in registration order: only the settings its handler reads
+FLAGS = {
+    "simulate": "--setting --n-train --n-test --p --n-disc --out-dir --config --seed",
+    "select-c": f"--config {FIT_FLAGS} {DATA_FLAGS} --ladder --out --out-csv",
+    "fit": f"--config {FIT_FLAGS} {DATA_FLAGS} --c --c-report --ladder --median-floor "
+           "--variance-floor --out",
+    "predict": f"--model {DATA_FLAGS} --threshold --out",
+    "cv": f"--config {FIT_FLAGS} --threads {DATA_FLAGS} --k --ladder --median-floor "
+          "--variance-floor --timings --out --out-summary",
+    "bf": f"--config --depth {DATA_FLAGS} --c --value-column --group-column",
+    "density": "--model --variable --grid-points --x-min --x-max --out",
+}
+
+
+def subcommand_flags(command):
+    """The option strings a subcommand registers, in order, without --help."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    return [flag for action in commands.choices[command]._actions
+            for flag in action.option_strings if flag not in ("-h", "--help")]
+
+
 class TestHelp:
     def test_top_level_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -61,13 +85,25 @@ class TestHelp:
         if command == "cv":
             assert "default 5" in text  # defaults are documented
 
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_subcommand_takes_exactly_the_flags_it_reads(self, command):
+        assert subcommand_flags(command) == FLAGS[command].split()
+
     @pytest.mark.parametrize("argv", [
         ["fit", "--data", "d.csv", "--label-column", "y", "--out", "m.json", "--no-standardize"],
         ["cv", "--data", "d.csv", "--label-column", "y", "--out", "f.csv", "--paper-protocol"],
-    ], ids=["fit-no-standardize", "cv-paper-protocol"])
-    def test_removed_flags_exit_one(self, capsys, argv):
+        ["predict", "--model", "m.json", "--data", "d.csv", "--out", "p.csv", "--seed", "9"],
+        ["bf", "--data", "d.csv", "--label-column", "y", "--u", "7"],
+        ["simulate", "--setting", "1", "--out-dir", "sim", "--tol", "1e-3"],
+        ["select-c", "--data", "d.csv", "--label-column", "y", "--out", "r.json",
+         "--threads", "2"],
+    ], ids=["fit-no-standardize", "cv-paper-protocol", "predict-seed", "bf-u", "simulate-tol",
+            "select-c-threads"])
+    def test_removed_flags_exit_one(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
         assert dispatch(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_removed_bench_subcommand_exits_one(self, capsys):
         assert dispatch(["bench", "--out", "b.csv"]) == 1
@@ -95,6 +131,15 @@ class TestSimulate:
     def test_bad_setting_exits_one(self, tmp_path, capsys):
         code = dispatch(["simulate", "--setting", "9", "--out-dir", str(tmp_path / "x")])
         assert code == 1
+
+    @pytest.mark.parametrize("bad", [["--n-disc", "-1"], ["--p", "0", "--n-disc", "0"]],
+                             ids=["n-disc-negative", "p-zero"])
+    def test_bad_counts_exit_one_without_files(self, tmp_path, capsys, bad):
+        code, _, err = run(["simulate", "--setting", "1", *bad, "--out-dir", str(tmp_path / "x")],
+                           capsys)
+        assert code == 1
+        assert "must" in err
+        assert not (tmp_path / "x").exists()
 
 
 class TestSelectC:
@@ -181,6 +226,23 @@ class TestFitPredictPipeline:
                             "--label-column", "y", "--out", str(pred_path)], capsys)
         assert code == 1
         assert "finite" in err
+        assert not pred_path.exists()
+
+    @pytest.mark.parametrize("omega", [float("nan"), float("inf"), 5.0, -2.0])
+    def test_predict_refuses_model_with_bad_omega(self, tmp_path, capsys, omega):
+        out = simulate_small(tmp_path, seed=73)
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--data", str(out / "train.csv"), "--label-column", "y",
+                    "--c", "1.0", "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        doc["variables"][3]["omega"] = omega
+        # json writes NaN and Infinity, and json.load reads them back
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        pred_path = tmp_path / "pred.csv"
+        code, _, err = run(["predict", "--model", str(model_path), "--data", str(out / "test.csv"),
+                            "--label-column", "y", "--out", str(pred_path)], capsys)
+        assert code == 1
+        assert "omega" in err
         assert not pred_path.exists()
 
     def test_fit_outputs_reproducible(self, tmp_path, capsys):
@@ -291,6 +353,16 @@ class TestCv:
         assert "summary.json" in err
         assert not cv_path.exists()
 
+    @pytest.mark.parametrize("threads", ["-1", "-3"])
+    def test_negative_threads_exits_one_without_output(self, tmp_path, capsys, threads):
+        out = simulate_small(tmp_path, seed=37)
+        cv_path = tmp_path / "folds.csv"
+        code, _, err = run(["cv", "--data", str(out / "train.csv"), "--label-column", "y",
+                            "--threads", threads, "--out", str(cv_path)], capsys)
+        assert code == 1
+        assert "--threads" in err
+        assert not cv_path.exists()
+
     def test_reruns_byte_identical(self, tmp_path):
         out = simulate_small(tmp_path, seed=37)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -345,6 +417,27 @@ class TestConfig:
         assert code == 1
         assert "config" in err
         assert not (tmp_path / "out").exists()
+
+    def test_negative_threads_config_value_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threads": -3}), encoding="utf-8")
+        code, _, err = run(simulate_tiny(cfg, tmp_path / "out"), capsys)
+        assert code == 1
+        assert "--threads" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_predict_and_density_load_no_config(self, tmp_path, capsys, monkeypatch):
+        out = simulate_small(tmp_path, seed=41)
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--data", str(out / "train.csv"), "--label-column", "y",
+                    "--c", "1.0", "--out", str(model_path)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nope": 1}), encoding="utf-8")
+        monkeypatch.setenv("PTDA_CONFIG", str(cfg))
+        assert run(["predict", "--model", str(model_path), "--data", str(out / "test.csv"),
+                    "--label-column", "y", "--out", str(tmp_path / "p.csv")]) == 0
+        assert run(["density", "--model", str(model_path), "--variable", "V1",
+                    "--out", str(tmp_path / "d.csv")]) == 0
 
     def test_well_typed_config_values_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

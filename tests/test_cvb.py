@@ -350,17 +350,37 @@ class TestFittedModel:
         lambda doc: doc.update(n1=-5),
         lambda doc: doc["variables"][1].pop("leaf0"),
         lambda doc: doc["variables"][0].update(mean="0.5"),
+        lambda doc: doc["variables"][1].update(mean=True),
         lambda doc: doc["variables"][1].update(sd=None),
         lambda doc: doc["variables"][2].update(sd=0.0),
         lambda doc: doc["variables"][0].update(sd=math.nan),
+        lambda doc: doc["variables"][0].update(c="1.0"),
+        lambda doc: doc["variables"][1].update(c=True),
+        lambda doc: doc["variables"][0].update(omega=math.nan),
+        lambda doc: doc["variables"][1].update(omega=math.inf),
+        lambda doc: doc["variables"][1].update(omega=5.0),
+        lambda doc: doc["variables"][2].update(omega=-2.0),
+        lambda doc: doc["variables"][0].update(omega="0.5"),
+        lambda doc: doc["variables"][0].update(omega=True),
+        lambda doc: doc["variables"][2].update(name=doc["variables"][0]["name"]),
+        lambda doc: doc["variables"][1].update(name=7),
+        lambda doc: doc["variables"][1].update(name=None),
     ], ids=["no-format", "format-1", "negative", "non-integer", "wrong-length",
-            "sum-differs", "missing-key", "mean-string", "sd-null", "sd-zero", "sd-nan"])
+            "sum-differs", "missing-key", "mean-string", "mean-bool", "sd-null", "sd-zero", "sd-nan",
+            "c-string", "c-bool", "omega-nan", "omega-inf", "omega-above-1", "omega-negative", "omega-string",
+            "omega-bool", "duplicate-names", "name-int", "name-null"])
     def test_loader_rejects_malformed(self, edit):
         _, _, model = training_model(seed=16, n=20, p=3)
         doc = json.loads(json.dumps(model.to_json_dict()))
         edit(doc)
         with pytest.raises(InputError):
             FittedModel.from_json_dict(doc)
+
+    def test_loader_accepts_omega_at_the_ends(self):
+        _, _, model = training_model(seed=16, n=20, p=3)
+        doc = json.loads(json.dumps(model.to_json_dict()))
+        doc["variables"][0]["omega"], doc["variables"][1]["omega"] = 0, 1.0
+        assert FittedModel.from_json_dict(doc).omega.tolist()[:2] == [0.0, 1.0]
 
     def test_fit_converges_and_selects_signal(self):
         x, y, model = training_model(seed=5, n=60, p=8, shift=2.5)

@@ -3,6 +3,7 @@ must reproduce them bit for bit."""
 
 import numpy as np
 
+from ptda.bnp_test import log_bayes_factors
 from ptda.cvb import fit_model, update_psi
 from ptda.evalharness import run_simulation_study
 from ptda.polya_tree import TreeForest
@@ -93,7 +94,8 @@ class TestOneFitPerRep:
         report, model = select_c(train.matrix, train.labels, grid=(1.0, 5.0, 50.0), seed=5)
         refit = fit_model(train.matrix, train.labels, report.c)
         assert np.array_equal(model.c, refit.c)
-        assert np.array_equal(model.log_bf, refit.log_bf)
+        assert np.array_equal(log_bayes_factors(model.forest, model.c),
+                              log_bayes_factors(refit.forest, refit.c))
         assert np.array_equal(model.omega, refit.omega)
         assert np.array_equal(model.forest.count1, refit.forest.count1)
         assert np.array_equal(model.forest.count0, refit.forest.count0)

@@ -27,6 +27,11 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             SimulationSpec(1, p=10, n_discriminative=20)
 
+    @pytest.mark.parametrize("p,n_discriminative", [(10, -1), (0, 0)])
+    def test_negative_counts_refused(self, p, n_discriminative):
+        with pytest.raises(InputError):
+            SimulationSpec(1, 10, 5, p, n_discriminative, 3)
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ptda.smoothing
+from ptda.bnp_test import log_bayes_factors
 from ptda.cvb import Hyperparameters, classify, fit_model, leaf_log_path_tables, update_psi
 from ptda.errors import DomainError, InputError
 from ptda.polya_tree import TreeForest
@@ -340,6 +341,7 @@ class TestTwoPhaseScores:
         assert report.resubstitution_error == error
         refit = fit_model(x, y, report.c, max_iter=max_iter)
         assert np.array_equal(model.omega, refit.omega)
-        assert np.array_equal(model.log_bf, refit.log_bf)
+        assert np.array_equal(log_bayes_factors(model.forest, model.c),
+                              log_bayes_factors(refit.forest, refit.c))
         assert np.array_equal(model.leaf_log_odds, refit.leaf_log_odds)
         assert model.selection.iteration == refit.selection.iteration

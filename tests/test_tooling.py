@@ -1,13 +1,17 @@
-"""The benchmark's layer tracer and the package's exports must name things that exist."""
+"""The benchmark's layer tracer, its calls into the package and the package's
+exports must name things that exist."""
 
 import importlib
 import importlib.util
+import inspect
 import pkgutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import ptda
+from ptda import cvb, dataio, evalharness, simgen
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -41,3 +45,30 @@ def test_exported_names_resolve(module):
     home = importlib.import_module(module)
     missing = [name for name in getattr(home, "__all__", ()) if not hasattr(home, name)]
     assert missing == [], f"{module}.__all__ names missing attributes: {missing}"
+
+
+# the calls perfbench/run.py makes, bound against the live signatures with
+# placeholder values: a renamed or deleted parameter fails here, before a
+# benchmark run meets it
+BENCHMARK_CALLS = [
+    (evalharness.run_simulation_study, (), dict(reps=1, base_seed=0, setting=1, n_train=100,
+                                                 n_test=1000, p=200, grid=[(1.0,) * 4])),
+    (cvb.fit_model, ("x", "y", 1.0), dict(names=["V1"])),
+    (dataio.load_csv, ("train.csv",), dict(label_column="y")),
+    (simgen.SimulationSpec, (1,), dict(n_train=100, n_test=300, p=5000, n_discriminative=50,
+                                        seed=900)),
+    (simgen.generate, ("spec",), {}),
+    (cvb.FittedModel.save, ("model", "model.json"), {}),
+    (cvb.FittedModel.load, ("model.json",), {}),
+    (cvb.update_psi, ("model", "points"), {}),
+]
+
+
+@pytest.mark.parametrize("call", BENCHMARK_CALLS, ids=lambda call: call[0].__qualname__)
+def test_benchmark_call_binds(call):
+    fn, args, kwargs = call
+    inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_benchmark_reads_psi():
+    assert "psi" in {f.name for f in fields(cvb.ClassProbabilities)}
