@@ -304,8 +304,9 @@ class FittedModel:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FittedModel":
         """Model from a format-2 document; anything malformed raises InputError,
-        including an omega that is not a number in [0, 1] and names that are
-        not distinct strings."""
+        including an omega that is not a number in [0, 1], names that are
+        not distinct strings, an 'iteration' that is not a non-negative
+        integer and a 'converged' that is not a boolean."""
         found = doc.get("format") if isinstance(doc, dict) else None
         if found != MODEL_FORMAT:
             raise InputError(f"unsupported model format {found!r}; refit to write format {MODEL_FORMAT}")
@@ -323,7 +324,12 @@ class FittedModel:
             names = [r["name"] for r in records]
             if not (all(isinstance(v, str) for v in names) and len(set(names)) == len(names)):
                 raise InputError("the variables' names must be distinct strings")
-            selection = SelectionState(omega, int(doc["iteration"]), doc["converged"] is True)
+            iteration, converged = doc["iteration"], doc["converged"]
+            if isinstance(iteration, bool) or not isinstance(iteration, int) or iteration < 0:
+                raise InputError("'iteration' must be a non-negative integer")
+            if not isinstance(converged, bool):
+                raise InputError("'converged' must be true or false")
+            selection = SelectionState(omega, iteration, converged)
             c = _smoothing_vector(_reals(records, "c"), len(records))
             return cls(Hyperparameters(**doc["hyperparameters"]), selection, forest, c, names)
         except InputError:

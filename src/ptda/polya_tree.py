@@ -16,6 +16,7 @@ cell `leaf`, and count lookups are plain indexing.
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "SD_FLOOR",
     "MAX_FOREST_CELLS",
     "TreeForest",
+    "training_data",
     "default_depth",
     "check_depth",
     "alpha_for_layer",
@@ -37,6 +39,8 @@ __all__ = [
 # replaces a zero sample standard deviation; keeps a constant column inert
 # (every point takes the same path) instead of dividing by zero
 SD_FLOOR = 1e-8
+
+_log = logging.getLogger(__name__)
 
 MAX_FOREST_CELLS = 1 << 26
 """Upper bound on p * 2**(depth+1), the nodes of one group's count array.
@@ -92,6 +96,30 @@ def leaf_indices(u, depth: int) -> np.ndarray:
     k -= 1.0
     np.maximum(k, 0.0, out=k)
     return k.astype(np.int64)
+
+
+def training_data(matrix, labels) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y): the (n, p) float matrix and boolean labels of a training set.
+
+    Raises InputError unless there is one label per row, every label is 0
+    or 1, both groups are non-empty, there is at least one variable and
+    every value is finite.
+    """
+    x = np.asarray(matrix, dtype=float)
+    y = np.asarray(labels)
+    if x.ndim != 2 or y.shape != (x.shape[0],):
+        raise InputError("matrix must be (n, p) with one label per row")
+    if x.shape[1] < 1:
+        raise InputError("the matrix has no variables")
+    if not np.all((y == 0) | (y == 1)):
+        raise InputError("labels must be 0 or 1")
+    y = y.astype(bool)
+    if not (y.any() and (~y).any()):
+        raise InputError("fitting requires both groups non-empty")
+    # min and max propagate NaN, and they need no n x p temporary
+    if not (math.isfinite(x.min()) and math.isfinite(x.max())):
+        raise InputError("the matrix must be finite")
+    return x, y
 
 
 def _sum_layers(leaf: np.ndarray) -> np.ndarray:
@@ -155,23 +183,13 @@ class TreeForest:
 
         Each variable is centred on its column's mean and ddof-1 sd, computed
         at any finite magnitude; a zero sd, or one beyond the float range,
-        is replaced by SD_FLOOR.
+        is replaced by SD_FLOOR, and the count of such columns is reported
+        at DEBUG on the `ptda.polya_tree` logger.  The data must pass
+        `training_data`.
         """
-        x = np.asarray(matrix, dtype=float)
-        y = np.asarray(labels)
-        if x.ndim != 2 or y.shape != (x.shape[0],):
-            raise InputError("matrix must be (n, p) with one label per row")
+        x, y = training_data(matrix, labels)
         n, p = x.shape
-        if p < 1:
-            raise InputError("the matrix has no variables")
-        if not np.all((y == 0) | (y == 1)):
-            raise InputError("labels must be 0 or 1")
-        y = y.astype(bool)
-        if n < 2 or not (y.any() and (~y).any()):
-            raise InputError("fitting requires both groups non-empty")
         depth = check_depth(default_depth(n) if depth is None else depth, p)
-        if not np.all(np.isfinite(x)):
-            raise InputError("the matrix must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
             means = x.mean(axis=0)
             sds = x.std(axis=0, ddof=1)
@@ -183,7 +201,11 @@ class TreeForest:
             moderate = np.ldexp(x[:, big], -shift[big])
             means[big] = np.ldexp(moderate.mean(axis=0), shift[big])
             sds[big] = np.ldexp(moderate.std(axis=0, ddof=1), shift[big])
-        sds = np.where(np.isfinite(sds) & (sds > 0.0), sds, SD_FLOOR)
+        floored = ~(np.isfinite(sds) & (sds > 0.0))
+        if floored.any():
+            _log.debug("TreeForest.from_matrix: %d of %d columns have a zero or non-finite sd "
+                       "and are centred with SD_FLOOR = %g", np.count_nonzero(floored), p, SD_FLOOR)
+            sds = np.where(floored, SD_FLOOR, sds)
         width = 1 << depth
         flat = leaf_indices(normal_cdf((x - means) / sds), depth) + np.arange(p, dtype=np.int64) * width
         leaf1 = np.bincount(flat[y].ravel(), minlength=p * width).reshape(p, width)

@@ -2,9 +2,11 @@
 
 Each variable gets two p-values: goodness of fit of the pooled column to
 its Gaussian centring (Shapiro-Wilk) and distance between the two group
-samples (Kolmogorov-Smirnov).  Their prior-weighted blend ranks the
-variables into quartile bins, and a grid of monotone bin-value tuples is
-searched for the one minimising resubstitution classification error.
+samples (Kolmogorov-Smirnov).  Both come from the column kernels of
+`stats`, run on blocks of columns: one argsort per block serves both
+tests.  Their prior-weighted blend ranks the variables into quartile bins,
+and a grid of monotone bin-value tuples is searched for the one minimising
+resubstitution classification error.
 
 Counts are independent of the smoothing parameters, so the grid search
 fits every candidate on one forest, locates the training points once and
@@ -30,9 +32,9 @@ from .bnp_test import log_bayes_factors
 from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, SelectionState, leaf_log_path_tables,
                   prior_log_odds, update_omega)
 from .errors import DomainError, InputError
-from .polya_tree import TreeForest
+from .polya_tree import TreeForest, training_data
 from .rng import SUBSAMPLE_STREAM, substream
-from .stats import ks_two_sample, shapiro_wilk
+from .stats import ks_two_sample_sorted, shapiro_wilk_sorted
 
 __all__ = [
     "DEFAULT_LADDER",
@@ -46,6 +48,9 @@ __all__ = [
 
 DEFAULT_LADDER = (1.0, 5.0, 10.0, 50.0, 100.0)
 SHAPIRO_MAX_N = 5000
+# values per column block in column_pvalues: each (columns, n) temporary of
+# a block takes about 0.5 MiB
+_BLOCK_VALUES = 1 << 16
 
 _log = logging.getLogger(__name__)
 
@@ -168,25 +173,50 @@ def monotone_tuples(ladder) -> list[tuple]:
 def column_pvalues(matrix, labels, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """(v0, v1): per-column normality and two-sample p-values.
 
-    Columns longer than the Shapiro-Wilk validity range are subsampled
-    deterministically; a constant column scores v0 = 0.
+    v0 is the Shapiro-Wilk p-value of the pooled column and v1 the
+    Kolmogorov-Smirnov p-value between the label-1 and label-0 rows.  The
+    columns are scored in blocks of about _BLOCK_VALUES values: each block
+    is transposed to (columns, n), argsorted once along its rows, and that
+    one order gives both the sorted values for `shapiro_wilk_sorted` and
+    the group masks for `ks_two_sample_sorted`.  With n > SHAPIRO_MAX_N,
+    Shapiro-Wilk runs on one deterministic subsample of SHAPIRO_MAX_N rows
+    (the SUBSAMPLE_STREAM substream of `seed`), sorted per block.  A
+    constant column, and every column when n < 3, scores v0 = 0.  A
+    non-finite value, or an empty group, raises InputError.  Subsampling and
+    the count of constant columns are reported at DEBUG on the
+    `ptda.smoothing` logger.
     """
     x = np.asarray(matrix, dtype=float)
     y = np.asarray(labels).astype(bool)
     n, p = x.shape
-    v0 = np.empty(p)
+    if not (y.any() and (~y).any()):
+        raise InputError("both groups must be non-empty")
+    v0 = np.zeros(p)
     v1 = np.empty(p)
     sub = None
     if n > SHAPIRO_MAX_N:
         sub = substream(seed, SUBSAMPLE_STREAM).choice(n, size=SHAPIRO_MAX_N, replace=False)
         sub.sort()
-    for j in range(p):
-        col = x[:, j]
-        try:
-            v0[j] = shapiro_wilk(col if sub is None else col[sub]).p_value
-        except DomainError:
-            v0[j] = 0.0
-        v1[j] = ks_two_sample(col[y], col[~y]).p_value
+        _log.debug("column_pvalues: Shapiro-Wilk on a subsample of %d of the %d rows (seed %d)",
+                   SHAPIRO_MAX_N, n, seed)
+    constant = 0
+    step = max(1, _BLOCK_VALUES // n)
+    for start in range(0, p, step):
+        cols = slice(start, start + step)
+        block = np.ascontiguousarray(x[:, cols].T)
+        if not np.all(np.isfinite(block)):
+            raise InputError("the matrix must be finite")
+        order = block.argsort(axis=1)
+        ordered = np.take_along_axis(block, order, axis=1)
+        in1 = y[order]
+        del order  # one block-sized temporary fewer while the tests run
+        v1[cols] = ks_two_sample_sorted(ordered, in1)[1]
+        if n >= 3:
+            w_stat, v0[cols] = shapiro_wilk_sorted(
+                ordered if sub is None else np.sort(block[:, sub], axis=1))
+            constant += int(np.count_nonzero(np.isnan(w_stat)))
+    if constant:
+        _log.debug("column_pvalues: %d of %d columns are constant and score v0 = 0", constant, p)
     return v0, v1
 
 
@@ -249,17 +279,13 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     to `fit_model(matrix, labels, report.c)` with the same hyperparameters,
     depth, tol and max_iter, and both carry the names V1..Vp.  Skipped
     candidate tuples are counted in a warning on the `ptda.smoothing`
-    logger; InputError is raised when no candidate converged.
+    logger; InputError is raised when no candidate converged.  Data that
+    fail `training_data` (labels other than 0 and 1, a non-finite value)
+    raise InputError before any p-value is computed.
     """
     hyper = hyper or Hyperparameters()
-    x = np.asarray(matrix, dtype=float)
-    y = np.asarray(labels)
-    if x.ndim != 2:
-        raise InputError("matrix must be two-dimensional")
+    x, yb = training_data(matrix, labels)
     p = x.shape[1]
-    yb = np.asarray(y).astype(bool)
-    if not (yb.any() and (~yb).any()):
-        raise InputError("both groups must be non-empty")
     if grid is None:
         tuples = monotone_tuples(DEFAULT_LADDER)
     elif all(np.isscalar(v) or isinstance(v, float) for v in grid):
@@ -273,11 +299,11 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
                 raise DomainError(f"grid tuples must be monotone 4-tuples in (0, 100], got {t}")
         tuples.sort()
 
-    v0, v1 = column_pvalues(x, y, seed=seed)
+    v0, v1 = column_pvalues(x, yb, seed=seed)
     expected = expected_pvalue(v0, v1, p, hyper.u)
     bins = assign_bins(expected)
 
-    forest = TreeForest.from_matrix(x, y, depth)
+    forest = TreeForest.from_matrix(x, yb, depth)
     flat = forest.flat_leaves(x)
     names = [f"V{j + 1}" for j in range(p)]
     # the winner's arrays, allocated before the scoring arrays: allocated

@@ -11,7 +11,12 @@ The normal CDF of an array runs on a numpy port of fdlibm's erfc (the
 Sun Microsystems s_erf.c that glibc's erfc is derived from), so that
 locating millions of points costs no Python per value.  It agrees with
 `math.erfc` to within 4 ulp; Python numbers still go through `math.erfc`.
-"""
+
+Both tests are column kernels: `shapiro_wilk_sorted` and
+`ks_two_sample_sorted` score a block of equal-length samples, one per row
+of a (b, n) array sorted along each row, so that one sort serves both
+tests and the per-sample work is a few whole-array operations.
+`shapiro_wilk` and `ks_two_sample` score a single sample as a one-row block."""
 
 from __future__ import annotations
 
@@ -31,7 +36,9 @@ __all__ = [
     "normal_quantile",
     "expit",
     "shapiro_wilk",
+    "shapiro_wilk_sorted",
     "ks_two_sample",
+    "ks_two_sample_sorted",
     "square_safe_shift",
 ]
 
@@ -350,37 +357,19 @@ def _polyval(coefs, x):
     return acc
 
 
-_BLOM_CACHE: dict[int, np.ndarray] = {}
+_WEIGHT_CACHE: dict[int, np.ndarray] = {}
 
 
-def _blom_scores(n: int) -> np.ndarray:
-    """Expected normal order statistics, cached per sample size."""
-    m = _BLOM_CACHE.get(n)
-    if m is None:
-        m = np.array([normal_quantile((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
-        _BLOM_CACHE[n] = m
-    return m
+def _royston_weights(n: int) -> np.ndarray:
+    """Royston's Shapiro-Wilk weight vector for samples of size n, cached per n.
 
-
-def shapiro_wilk(sample) -> TestResult:
-    """Shapiro-Wilk W test of normality.
-
-    Returns the W statistic and its upper-tail p-value.  Requires
-    3 <= n <= 5000 and a non-constant sample; a constant sample raises
-    DomainError (callers that rank p-values map it to 0).
+    Normalised expected normal order statistics (Blom scores), with the
+    outer one or two pairs replaced by Royston's polynomial approximations.
     """
-    x = np.sort(np.asarray(sample, dtype=float))
-    n = x.size
-    if n < 3 or n > 5000:
-        raise DomainError(f"shapiro_wilk requires 3 <= n <= 5000, got n={n}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("shapiro_wilk requires finite values")
-    if x[-1] - x[0] <= 0.0:
-        raise DomainError("shapiro_wilk is undefined for a constant sample")
-    x = np.ldexp(x, -square_safe_shift(x))  # W is scale-free
-
-    # expected normal order statistics (Blom scores) and the weight vector
-    m = _blom_scores(n)
+    w_vec = _WEIGHT_CACHE.get(n)
+    if w_vec is not None:
+        return w_vec
+    m = np.array([normal_quantile((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
     ss_m = float(np.dot(m, m))
     rsn = 1.0 / math.sqrt(n)
     w_vec = m / math.sqrt(ss_m)
@@ -396,31 +385,77 @@ def shapiro_wilk(sample) -> TestResult:
             phi = (ss_m - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * a_n ** 2)
             w_vec = m / math.sqrt(phi)
         w_vec[-1], w_vec[0] = a_n, -a_n
+    _WEIGHT_CACHE[n] = w_vec
+    return w_vec
 
-    xc = x - x.mean()
-    w_stat = float(np.dot(w_vec, x)) ** 2 / float(np.dot(xc, xc))
-    w_stat = min(w_stat, 1.0)
 
-    if n == 3:
-        p = (6.0 / math.pi) * (math.asin(math.sqrt(w_stat)) - math.asin(math.sqrt(0.75)))
-        return TestResult(w_stat, min(max(p, 0.0), 1.0))
+def _shapiro_pvalue(w_stat: np.ndarray, n: int) -> np.ndarray:
+    """Royston's upper-tail p-value of each W statistic of a size-n sample."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if n == 3:
+            p = (6.0 / math.pi) * (np.arcsin(np.sqrt(w_stat)) - math.asin(math.sqrt(0.75)))
+        elif n <= 11:
+            arg = _polyval(_SW_G, float(n)) - np.log(1.0 - w_stat)
+            y = -np.log(arg)
+            mu = _polyval(_SW_C3, float(n))
+            sigma = math.exp(_polyval(_SW_C4, float(n)))
+            p = np.where(arg > 0.0, 1.0 - normal_cdf((y - mu) / sigma), 0.0)
+        else:
+            ln_n = math.log(float(n))
+            y = np.log(1.0 - w_stat)
+            mu = _polyval(_SW_C5, ln_n)
+            sigma = math.exp(_polyval(_SW_C6, ln_n))
+            p = 1.0 - normal_cdf((y - mu) / sigma)
+    return np.clip(p, 0.0, 1.0)
 
-    if n <= 11:
-        gamma = _polyval(_SW_G, float(n))
-        arg = gamma - math.log(1.0 - w_stat)
-        if arg <= 0.0:
-            return TestResult(w_stat, 0.0)
-        y = -math.log(arg)
-        mu = _polyval(_SW_C3, float(n))
-        sigma = math.exp(_polyval(_SW_C4, float(n)))
-    else:
-        ln_n = math.log(float(n))
-        y = math.log(1.0 - w_stat)
-        mu = _polyval(_SW_C5, ln_n)
-        sigma = math.exp(_polyval(_SW_C6, ln_n))
 
-    p = 1.0 - normal_cdf((y - mu) / sigma)
-    return TestResult(w_stat, min(max(p, 0.0), 1.0))
+def shapiro_wilk_sorted(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(W, p) of each row of a (b, n) array holding b samples sorted ascending.
+
+    The rows share one Royston weight vector, so every W comes from one
+    matrix-vector product, and the AS R94 p-value transform runs on all of
+    them at once.  Rows must be finite, and 3 <= n <= 5000.  A constant
+    row gets W = NaN and p = 0.  A row whose max |x| lies outside
+    [2**-257, 2**256) is first scaled by a power of two (`square_safe_shift`);
+    W is scale-free, and the squares then stay finite.
+    """
+    s = np.asarray(rows, dtype=float)
+    n = s.shape[1]
+    constant = s[:, -1] - s[:, 0] <= 0.0
+    shift = square_safe_shift(s[:, [0, -1]], axis=1)
+    big = np.flatnonzero(shift)
+    if big.size:
+        s = s.copy()
+        s[big] = np.ldexp(s[big], -shift[big, None])
+    # the weights sum to zero, so centring first leaves the numerator as it
+    # is but keeps a large common offset from cancelling in it
+    xc = s - s.mean(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_stat = np.minimum((xc @ _royston_weights(n)) ** 2 / np.einsum("ij,ij->i", xc, xc), 1.0)
+    w_stat[constant] = np.nan
+    p = _shapiro_pvalue(w_stat, n)
+    p[constant] = 0.0
+    return w_stat, p
+
+
+def shapiro_wilk(sample) -> TestResult:
+    """Shapiro-Wilk W test of normality.
+
+    Returns the W statistic and its upper-tail p-value.  Requires
+    3 <= n <= 5000 and a non-constant sample; a constant sample raises
+    DomainError (callers that rank p-values map it to 0).  The sample is
+    scored as a one-row block of `shapiro_wilk_sorted`.
+    """
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = x.size
+    if n < 3 or n > 5000:
+        raise DomainError(f"shapiro_wilk requires 3 <= n <= 5000, got n={n}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("shapiro_wilk requires finite values")
+    if x[-1] - x[0] <= 0.0:
+        raise DomainError("shapiro_wilk is undefined for a constant sample")
+    w_stat, p = shapiro_wilk_sorted(x[None, :])
+    return TestResult(float(w_stat[0]), float(p[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +487,44 @@ def _kolmogorov_sf(lam: float) -> float:
     return min(max(2.0 * total, 0.0), 1.0)
 
 
+def ks_two_sample_sorted(rows, in_a) -> tuple[np.ndarray, np.ndarray]:
+    """(D, p) of each row of a (b, n) array holding b pooled samples sorted ascending.
+
+    `in_a` is the (b, n) boolean mask of the first sample's members in each
+    row's sorted order; both samples must be non-empty in every row.  With
+    c_a and c_b the integer counts of each sample's members up to a
+    position, the empirical CDFs differ there by c_a/n_a - c_b/n_b, and D
+    is the largest |difference| at the last of each run of tied values.
+    The p-value is the asymptotic one at effective size n_a n_b / n, one
+    `_kolmogorov_sf` call per distinct argument.
+    """
+    s = np.asarray(rows, dtype=float)
+    c_a = np.cumsum(in_a, axis=1)
+    n_a = c_a[:, -1:].copy()
+    n = s.shape[1]
+    n_b = n - n_a
+    gap = c_a / n_a
+    np.subtract(np.arange(1, n + 1), c_a, out=c_a)  # now c_b
+    gap -= c_a / n_b
+    np.abs(gap, out=gap)
+    gap[:, :-1][s[:, 1:] == s[:, :-1]] = 0.0  # a tied value's CDFs step at its last copy
+    d = gap.max(axis=1)
+    lam, inverse = np.unique(np.sqrt(n_a[:, 0] * n_b[:, 0] / n) * d, return_inverse=True)
+    return d, np.array([_kolmogorov_sf(v) for v in lam.tolist()])[inverse]
+
+
 def ks_two_sample(a, b) -> TestResult:
     """Two-sample Kolmogorov-Smirnov test.
 
     D is the exact sup-distance between the two empirical CDFs; the
     p-value is the asymptotic one at effective size n_a n_b / (n_a + n_b).
+    The pair is scored as a one-row block of `ks_two_sample_sorted`.
     """
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
     if a.size == 0 or b.size == 0:
         raise InputError("ks_two_sample requires two non-empty samples")
     pooled = np.concatenate([a, b])
-    fa = np.searchsorted(a, pooled, side="right") / a.size
-    fb = np.searchsorted(b, pooled, side="right") / b.size
-    d = float(np.max(np.abs(fa - fb)))
-    n_eff = a.size * b.size / (a.size + b.size)
-    return TestResult(d, _kolmogorov_sf(math.sqrt(n_eff) * d))
+    order = np.argsort(pooled)
+    d, p = ks_two_sample_sorted(pooled[order][None, :], (order < a.size)[None, :])
+    return TestResult(float(d[0]), float(p[0]))

@@ -10,7 +10,11 @@ digit-by-digit binary expansion of a CDF value and the omega sweep that
 calls expit and min/max.  Two more keep the direct forms of the forest
 kernels: the log-Bayes-factor layer walk calling `log_beta` on every live
 node, which now gathers from count-indexed tables, and the leaf log-path
-walk repeating each parent, which now broadcasts it by reshape.
+walk repeating each parent, which now broadcasts it by reshape.  The
+Shapiro-Wilk and Kolmogorov-Smirnov references score one sample at a time,
+the way the package did before its column kernels: W from `np.dot` and
+the p-value through `math.erfc`, and D from `searchsorted` on each sorted
+sample.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import math
 import numpy as np
 
 from ptda.polya_tree import alpha_for_layer
-from ptda.stats import log_beta, normal_quantile
+from ptda.errors import DomainError
+from ptda.stats import _kolmogorov_sf, log_beta, normal_quantile, square_safe_shift
 
 
 def lgamma(v):
@@ -231,3 +236,92 @@ def integrate_predictive_density(counts, spec, group, fn, tail_q=1e-9, points_pe
         h = (hi - lo) / (2 * points_per_cell)
         total += h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
     return total
+
+
+# Royston (1995) polynomial coefficients, highest degree first
+_SW_C1 = (-2.706056, 4.434685, -2.071190, -0.147981, 0.221157, 0.0)
+_SW_C2 = (-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0)
+_SW_C3 = (-0.0006714, 0.025054, -0.39978, 0.5440)
+_SW_C4 = (-0.0020322, 0.062767, -0.77857, 1.3822)
+_SW_C5 = (0.0038915, -0.083751, -0.31082, -1.5861)
+_SW_C6 = (0.0030302, -0.082676, -0.4803)
+_SW_G = (0.459, -2.273)
+
+
+def _polyval(coefs, x):
+    acc = 0.0
+    for c in coefs:
+        acc = acc * x + c
+    return acc
+
+
+def shapiro_wilk(sample) -> tuple[float, float]:
+    """(W, p) of one finite sample, 3 <= n <= 5000; a constant sample raises DomainError."""
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = x.size
+    if n < 3 or x[-1] - x[0] <= 0.0:
+        raise DomainError("shapiro_wilk needs n >= 3 and a non-constant sample")
+    x = np.ldexp(x, -square_safe_shift(x))
+    m = np.array([normal_quantile((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
+    ss_m = float(np.dot(m, m))
+    rsn = 1.0 / math.sqrt(n)
+    w_vec = m / math.sqrt(ss_m)
+    if n > 3:
+        a_n = w_vec[-1] + _polyval(_SW_C1, rsn)
+        if n > 5:
+            a_n1 = w_vec[-2] + _polyval(_SW_C2, rsn)
+            phi = (ss_m - 2.0 * m[-1] ** 2 - 2.0 * m[-2] ** 2) / \
+                  (1.0 - 2.0 * a_n ** 2 - 2.0 * a_n1 ** 2)
+            w_vec = m / math.sqrt(phi)
+            w_vec[-2], w_vec[1] = a_n1, -a_n1
+        else:
+            phi = (ss_m - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * a_n ** 2)
+            w_vec = m / math.sqrt(phi)
+        w_vec[-1], w_vec[0] = a_n, -a_n
+    xc = x - x.mean()
+    w_stat = min(float(np.dot(w_vec, x)) ** 2 / float(np.dot(xc, xc)), 1.0)
+    if n == 3:
+        p = (6.0 / math.pi) * (math.asin(math.sqrt(w_stat)) - math.asin(math.sqrt(0.75)))
+        return w_stat, min(max(p, 0.0), 1.0)
+    if n <= 11:
+        arg = _polyval(_SW_G, float(n)) - math.log(1.0 - w_stat)
+        if arg <= 0.0:
+            return w_stat, 0.0
+        y = -math.log(arg)
+        mu = _polyval(_SW_C3, float(n))
+        sigma = math.exp(_polyval(_SW_C4, float(n)))
+    else:
+        ln_n = math.log(float(n))
+        y = math.log(1.0 - w_stat)
+        mu = _polyval(_SW_C5, ln_n)
+        sigma = math.exp(_polyval(_SW_C6, ln_n))
+    p = 1.0 - 0.5 * math.erfc(-((y - mu) / sigma) / math.sqrt(2.0))  # 1 - Phi
+    return w_stat, min(max(p, 0.0), 1.0)
+
+
+def ks_two_sample(a, b) -> tuple[float, float]:
+    """(D, p) with each empirical CDF evaluated at every pooled point by `searchsorted`."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    pooled = np.concatenate([a, b])
+    fa = np.searchsorted(a, pooled, side="right") / a.size
+    fb = np.searchsorted(b, pooled, side="right") / b.size
+    d = float(np.max(np.abs(fa - fb)))
+    n_eff = a.size * b.size / (a.size + b.size)
+    return d, _kolmogorov_sf(math.sqrt(n_eff) * d)
+
+
+def column_pvalues(matrix, labels, rows=None) -> tuple[np.ndarray, np.ndarray]:
+    """(v0, v1) one column at a time; Shapiro-Wilk on `rows` only when given,
+    and v0 = 0 where it raises DomainError (a constant column, n < 3)."""
+    x = np.asarray(matrix, dtype=float)
+    y = np.asarray(labels).astype(bool)
+    v0, v1 = np.empty(x.shape[1]), np.empty(x.shape[1])
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        try:
+            v0[j] = shapiro_wilk(col if rows is None else col[rows])[1]
+        except DomainError:
+            v0[j] = 0.0
+        v1[j] = ks_two_sample(col[y], col[~y])[1]
+    return v0, v1

@@ -154,6 +154,26 @@ class TestSelectC:
         assert not report.exists()
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "label 2"])
+    def test_bad_data_exits_one_without_report(self, tmp_path, capsys, cell):
+        out = simulate_small(tmp_path, seed=13)
+        lines = (out / "train.csv").read_text().splitlines()
+        fields = lines[3].split(",")
+        if cell == "label 2":
+            fields[-1] = "2"
+        else:
+            fields[1] = cell
+        lines[3] = ",".join(fields)
+        data = tmp_path / "bad.csv"
+        data.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "report.json"
+        code, _, err = run(["select-c", "--data", str(data), "--label-column", "y",
+                            "--ladder", "1", "--out", str(report)], capsys)
+        assert code == 1
+        assert ("two distinct values" if cell == "label 2" else "the matrix must be finite") in err
+        assert not report.exists()
+
+
 class TestFitPredictPipeline:
     def test_round_trip(self, tmp_path, capsys):
         out = simulate_small(tmp_path, seed=11)

@@ -365,10 +365,19 @@ class TestFittedModel:
         lambda doc: doc["variables"][2].update(name=doc["variables"][0]["name"]),
         lambda doc: doc["variables"][1].update(name=7),
         lambda doc: doc["variables"][1].update(name=None),
+        lambda doc: doc.update(iteration="7"),
+        lambda doc: doc.update(iteration=7.9),
+        lambda doc: doc.update(iteration=True),
+        lambda doc: doc.update(iteration=-3),
+        lambda doc: doc.update(converged="yes"),
+        lambda doc: doc.update(converged=1),
+        lambda doc: doc.update(converged=None),
     ], ids=["no-format", "format-1", "negative", "non-integer", "wrong-length",
             "sum-differs", "missing-key", "mean-string", "mean-bool", "sd-null", "sd-zero", "sd-nan",
             "c-string", "c-bool", "omega-nan", "omega-inf", "omega-above-1", "omega-negative", "omega-string",
-            "omega-bool", "duplicate-names", "name-int", "name-null"])
+            "omega-bool", "duplicate-names", "name-int", "name-null", "iteration-string",
+            "iteration-float", "iteration-bool", "iteration-negative", "converged-string",
+            "converged-int", "converged-null"])
     def test_loader_rejects_malformed(self, edit):
         _, _, model = training_model(seed=16, n=20, p=3)
         doc = json.loads(json.dumps(model.to_json_dict()))

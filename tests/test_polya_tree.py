@@ -1,5 +1,6 @@
 """Tree structure: partitions, paths, counts, and the predictive density."""
 
+import logging
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from ptda.polya_tree import (
     default_depth,
     leaf_indices,
     predictive_density,
+    training_data,
 )
 from ptda.stats import normal_cdf, normal_pdf, normal_quantile
 
@@ -84,6 +86,31 @@ class TestCentring:
         assert forest.sds[0] == SD_FLOOR == 1e-8
         assert forest.means[0] == 3.0
         assert sample_centring(x[:, 0]) == (3.0, SD_FLOOR)
+
+    def test_floored_columns_reported_at_debug(self, caplog):
+        x = np.column_stack([np.full(10, 3.0), np.arange(10.0), np.zeros(10)])
+        y = np.array([1, 0] * 5)
+        quiet = TreeForest.from_matrix(x, y, 2)
+        assert caplog.records == []  # the ptda logger is silent by default
+        with caplog.at_level(logging.DEBUG, logger="ptda"):
+            loud = TreeForest.from_matrix(x, y, 2)
+        [record] = caplog.records
+        assert record.name == "ptda.polya_tree" and record.levelno == logging.DEBUG
+        assert "2 of 3 columns" in record.getMessage()
+        for name in ("means", "sds", "count1", "count0"):
+            assert getattr(loud, name).tobytes() == getattr(quiet, name).tobytes()
+
+    def test_training_data_refusals(self):
+        x = np.zeros((4, 2))
+        for labels, message in (([1, 0, 1], "one label per row"), ([1, 0, 2, 0], "0 or 1"),
+                                ([1, 1, 1, 1], "both groups")):
+            with pytest.raises(InputError, match=message):
+                training_data(x, np.array(labels))
+        x[1, 1] = math.nan
+        with pytest.raises(InputError, match="finite"):
+            training_data(x, np.array([1, 0, 1, 0]))
+        with pytest.raises(InputError, match="no variables"):
+            training_data(np.zeros((4, 0)), np.array([1, 0, 1, 0]))
 
     def test_spec_validation(self):
         x = np.random.default_rng(0).normal(size=(8, 2))

@@ -1,5 +1,6 @@
 """Smoothing-parameter selection: blending, binning, and the grid search."""
 
+import json
 import logging
 import math
 
@@ -13,8 +14,10 @@ from ptda.bnp_test import log_bayes_factors
 from ptda.cvb import Hyperparameters, classify, fit_model, leaf_log_path_tables, update_psi
 from ptda.errors import DomainError, InputError
 from ptda.polya_tree import TreeForest
+from ptda.rng import SUBSAMPLE_STREAM, substream
 from ptda.smoothing import (
     DEFAULT_LADDER,
+    SHAPIRO_MAX_N,
     SmoothingReport,
     assign_bins,
     column_pvalues,
@@ -22,6 +25,16 @@ from ptda.smoothing import (
     monotone_tuples,
     select_c,
 )
+from ptda.stats import ks_two_sample_sorted
+
+import oracles
+from oracles import brute_force_ks_distance
+
+# v0 of the column kernels against the per-column oracle: the weight
+# matvec and the sum of squares run in another order, and the array CDF is
+# within 4 ulp of math.erfc; the largest difference seen at the benchmark
+# shapes was 1.3e-12
+V0_TOL = 1e-11
 
 
 def two_group_data(seed=0, n=40, p=6, shift=2.0):
@@ -132,14 +145,86 @@ class TestMonotoneTuples:
             monotone_tuples([1.0, 200.0])
 
 
+def assert_matches_oracle(x, y, v0, v1, rows=None):
+    """v1 bit for bit and v0 within V0_TOL of the per-column oracle."""
+    r0, r1 = oracles.column_pvalues(x, y, rows)
+    assert np.array_equal(v1, r1)
+    np.testing.assert_allclose(v0, r0, rtol=0, atol=V0_TOL)
+
+
 class TestColumnPvalues:
-    def test_constant_column_scores_zero(self):
+    def test_constant_column_scores_zero(self, caplog):
         x, y = two_group_data(seed=1)
         x[:, 3] = 2.0
-        v0, v1 = column_pvalues(x, y)
-        assert v0[3] == 0.0
+        x[:, 5] = -0.1
+        with caplog.at_level(logging.DEBUG, logger="ptda"):
+            v0, v1 = column_pvalues(x, y)
+        assert v0[3] == v0[5] == 0.0
         assert np.all((0.0 <= v0) & (v0 <= 1.0))
         assert np.all((0.0 <= v1) & (v1 <= 1.0))
+        assert_matches_oracle(x, y, v0, v1)
+        [record] = caplog.records
+        assert record.name == "ptda.smoothing" and record.levelno == logging.DEBUG
+        assert "2 of 6 columns are constant" in record.getMessage()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 11, 12, 40])
+    def test_matches_the_per_column_oracle(self, n):
+        # n = 3 and 4..11 take their own p-value branches; n = 2 scores v0 = 0
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 7))
+        x[:, 1] = rng.exponential(size=n)
+        x[:, 2] = rng.standard_cauchy(size=n)
+        x[:, 3] = np.arange(n, dtype=float)
+        y = np.arange(n) % 2
+        v0, v1 = column_pvalues(x, y)
+        assert_matches_oracle(x, y, v0, v1)
+        assert np.all(v0 == 0.0) == (n == 2)
+
+    def test_ties_are_scored_at_the_last_tied_value(self):
+        rng = np.random.default_rng(21)
+        x = np.round(2.0 * rng.normal(size=(30, 6))) / 2.0  # a coarse grid: many ties
+        x[:, 5] = np.repeat([0.0, 1.0, 2.0], 10)
+        y = np.array([1, 0] * 15)
+        v0, v1 = column_pvalues(x, y)
+        assert_matches_oracle(x, y, v0, v1)
+        rows = x.T.copy()
+        order = rows.argsort(axis=1)
+        d, _ = ks_two_sample_sorted(np.take_along_axis(rows, order, axis=1), y.astype(bool)[order])
+        for j in range(x.shape[1]):
+            assert d[j] == brute_force_ks_distance(x[y == 1, j], x[y == 0, j])
+
+    def test_tie_order_does_not_move_d(self):
+        # at the tied 1s, F_a = 1 and F_b = 1/3 whichever copy sorts first;
+        # an earlier copy would read F_a = 1 against F_b = 0 in the first row
+        rows = np.array([[1.0, 1.0, 1.0, 1.0, 2.0, 3.0]] * 2)
+        in_a = np.array([[1, 1, 1, 0, 0, 0], [0, 1, 1, 1, 0, 0]], dtype=bool)
+        d, p = ks_two_sample_sorted(rows, in_a)
+        assert d.tolist() == [3 / 3 - 1 / 3] * 2
+        assert p[0] == p[1]
+
+    @given(st.integers(2, 45), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["normal", "ties", "skewed"]))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_the_oracle(self, n, p, seed, kind):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, p))
+        if kind == "ties":
+            x = np.round(x)
+        elif kind == "skewed":
+            x = np.exp(2.0 * x)
+        y = rng.permutation(np.arange(n) % 2)
+        v0, v1 = column_pvalues(x, y)
+        assert_matches_oracle(x, y, v0, v1)
+
+    def test_common_offset_leaves_v0(self):
+        # dyadic values, so the offset copy is exact; the per-column oracle's
+        # uncentred weight sum loses about 1e-6 of v0 to cancellation here
+        x, y = two_group_data(seed=5)
+        x = np.round(x * 1024.0) / 1024.0
+        v0, v1 = column_pvalues(x, y)
+        s0, s1 = column_pvalues(x + 2.0 ** 30, y)
+        assert np.array_equal(s1, v1)
+        np.testing.assert_allclose(s0, v0, rtol=0, atol=V0_TOL)
 
     @pytest.mark.parametrize("factor", [1e200, 1e-200])
     def test_extreme_magnitude_scores_like_the_unscaled_column(self, factor):
@@ -154,12 +239,46 @@ class TestColumnPvalues:
         assert np.array_equal(TreeForest.from_matrix(scaled, y).leaves(scaled), leaves)
         assert np.array_equal(s1, v1)
         np.testing.assert_allclose(s0, v0, rtol=0, atol=1e-12)
+        assert_matches_oracle(scaled, y, s0, s1)
 
     def test_signal_column_has_small_v1(self):
         x, y = two_group_data(seed=2, shift=3.0)
         _, v1 = column_pvalues(x, y)
         assert v1[0] < 0.01
         assert np.median(v1[2:]) > 0.05
+
+    def test_blocks_cover_every_column(self, monkeypatch):
+        # blocks of two columns at n = 40: the last block is a single column
+        monkeypatch.setattr(ptda.smoothing, "_BLOCK_VALUES", 80)
+        x, y = two_group_data(seed=4, p=7)
+        v0, v1 = column_pvalues(x, y)
+        assert_matches_oracle(x, y, v0, v1)
+
+    def test_subsampled_shapiro_uses_the_subsample_stream(self, caplog):
+        n = SHAPIRO_MAX_N + 1
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(n, 3))
+        x[:, 1] = rng.exponential(size=n)
+        x[:, 2] = rng.uniform(size=n)
+        y = np.arange(n) % 2
+        rows = np.sort(substream(5, SUBSAMPLE_STREAM).choice(n, size=SHAPIRO_MAX_N, replace=False))
+        with caplog.at_level(logging.DEBUG, logger="ptda"):
+            v0, v1 = column_pvalues(x, y, seed=5)
+        [record] = caplog.records
+        assert record.name == "ptda.smoothing" and record.levelno == logging.DEBUG
+        assert f"subsample of {SHAPIRO_MAX_N} of the {n} rows" in record.getMessage()
+        assert_matches_oracle(x, y, v0, v1, rows)
+        again = column_pvalues(x, y, seed=5)
+        assert np.array_equal(again[0], v0) and np.array_equal(again[1], v1)
+        other = column_pvalues(x, y, seed=6)
+        assert np.array_equal(other[1], v1) and not np.array_equal(other[0], v0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_refused(self, bad):
+        x, y = two_group_data(seed=1)
+        x[7, 4] = bad
+        with pytest.raises(InputError, match="finite"):
+            column_pvalues(x, y)
 
 
 class TestSelectC:
@@ -212,6 +331,32 @@ class TestSelectC:
         assert all(errors[report.chosen_a] <= e for e in errors.values())
         winners = sorted(t for t, e in errors.items() if e == errors[report.chosen_a])
         assert report.chosen_a == winners[0]
+
+    @pytest.mark.parametrize("bad,message", [("labels 0 and 2", "labels must be 0 or 1"),
+                                             ("nan", "the matrix must be finite"),
+                                             ("inf", "the matrix must be finite")])
+    def test_bad_data_refused_before_the_pvalue_pass(self, monkeypatch, bad, message):
+        x, y = two_group_data(seed=3)
+        if bad == "labels 0 and 2":
+            y = 2 * y
+        else:
+            x[4, 2] = float(bad)
+        calls = []
+        monkeypatch.setattr(ptda.smoothing, "column_pvalues", lambda *a, **k: calls.append(a))
+        with pytest.raises(InputError, match=message):
+            select_c(x, y, grid=[1.0])
+        assert calls == []
+
+    def test_debug_reports_leave_outputs_unchanged(self, caplog):
+        x, y = two_group_data(seed=1)
+        x[:, 3] = 2.0
+        quiet_report, quiet_model = select_c(x, y, grid=(1.0, 5.0))
+        assert caplog.records == []  # the ptda logger is silent by default
+        with caplog.at_level(logging.DEBUG, logger="ptda"):
+            loud_report, loud_model = select_c(x, y, grid=(1.0, 5.0))
+        assert [r.name for r in caplog.records] == ["ptda.smoothing", "ptda.polya_tree"]
+        for quiet, loud in ((quiet_report, loud_report), (quiet_model, loud_model)):
+            assert json.dumps(loud.to_json_dict()) == json.dumps(quiet.to_json_dict())
 
     def test_report_round_trip(self, tmp_path):
         x, y = two_group_data(seed=7)
