@@ -3,7 +3,7 @@
 One executable, subcommand style: simulate, select-c, fit, predict, cv,
 bf, density.  All outputs are machine-readable CSV/JSON, all
 randomness flows from --seed, and exit codes are 0 (success), 1 (input
-error), 2 (internal error).
+error, including a size too large to allocate), 2 (internal error).
 
 Each subcommand accepts only the flags its handler reads.  Defaults may
 be overridden by a JSON config file passed with --config or named by the
@@ -431,7 +431,7 @@ def dispatch(argv=None) -> int:
     except PtdaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # a file or a size the user named
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary

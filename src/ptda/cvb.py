@@ -73,8 +73,8 @@ def _open_unit(values):
 
 
 def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
-                 max_iter: int = 1000, omega0=None) -> SelectionState:
-    """Sweep the penalised-evidence update to convergence.
+                 max_iter: int = 1000) -> SelectionState:
+    """Sweep the penalised-evidence update to convergence from omega = 0.5.
 
     Each sweep is the paper's coordinate ascent, in variable order: omega_j
     becomes expit(log BF_j + log(1 + S_-j) - log(p**u + p - 1 - S_-j)),
@@ -92,15 +92,9 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
         raise InputError("update_omega requires at least one variable")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
-    if omega0 is None:
-        omega = np.full(p, 0.5)
-    else:
-        omega = np.asarray(omega0, dtype=float).copy()
-        if omega.shape != (p,) or np.any(omega < 0.0) or np.any(omega > 1.0):
-            raise InputError("omega0 must be a length-p vector in [0, 1]")
     base = float(p) ** hyper.u + p - 1.0
     bf = log_bf.tolist()
-    om = omega.tolist()
+    om = [0.5] * p
     s = sum(om)
     log, log1p, exp = math.log, math.log1p, math.exp
     clamp, lo, hi = ETA_CLAMP, _OPEN_LO, _OPEN_HI
@@ -195,16 +189,29 @@ def _leaf_counts(rows, total: int, group: int) -> np.ndarray:
     return counts
 
 
+def json_numbers(values, dtype, what: str) -> np.ndarray:
+    """A JSON list of numbers as a `dtype` (float or np.int64) array;
+    anything else raises InputError naming `what`.
+
+    Types are checked exactly, per value: strings, nulls and booleans are
+    refused (bool subclasses int, and numpy casts a boolean mixed with
+    floats to 1.0 or 0.0), and so is a float where integers are asked for.
+    The range is the caller's check.
+    """
+    kinds, noun = ((int,), "an integer") if dtype is np.int64 else ((int, float), "a number")
+    if not (isinstance(values, list) and all(type(v) in kinds for v in values)):
+        raise InputError(f"{what} must be {noun}")
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        raise InputError(f"{what} is out of range") from None
+
+
 def _reals(records, key: str) -> np.ndarray:
-    """One number per variable record from a model file; strings, nulls and
-    booleans are refused.  The range is the caller's check: `TreeForest.from_leaves`
-    refuses a NaN or infinite centring and an sd <= 0."""
-    values = [r[key] for r in records]
-    # exact types, per value: bool subclasses int, and numpy casts a boolean
-    # mixed with floats to 1.0 or 0.0
-    if not all(type(v) in (int, float) for v in values):
-        raise InputError(f"every variable's {key!r} must be a number")
-    return np.array(values, dtype=float)
+    """One number per variable record from a model file.  The range is the
+    caller's check: `TreeForest.from_leaves` refuses a NaN or infinite
+    centring and an sd <= 0."""
+    return json_numbers([r[key] for r in records], float, f"every variable's {key!r}")
 
 
 @dataclass
@@ -232,18 +239,6 @@ class FittedModel:
     def p(self) -> int:
         return self.forest.p
 
-    @property
-    def depth(self) -> int:
-        return self.forest.depth
-
-    @property
-    def n1(self) -> int:
-        return self.forest.n1
-
-    @property
-    def n0(self) -> int:
-        return self.forest.n0
-
     @cached_property
     def leaf_log_odds(self) -> np.ndarray:
         """(p, 2**depth) group-1 minus group-0 log path probability of every leaf;
@@ -260,7 +255,7 @@ class FittedModel:
         return np.clip(eta, -ETA_CLAMP, ETA_CLAMP)
 
     def to_json_dict(self) -> dict:
-        width = 1 << self.depth
+        width = 1 << self.forest.depth
         leaf1 = self.forest.count1[:, width:].tolist()
         leaf0 = self.forest.count0[:, width:].tolist()
         means, sds = self.forest.means.tolist(), self.forest.sds.tolist()
@@ -278,8 +273,8 @@ class FittedModel:
         return {
             "format": MODEL_FORMAT,
             "hyperparameters": {"a_y": self.hyper.a_y, "b_y": self.hyper.b_y, "u": self.hyper.u},
-            "n1": self.n1,
-            "n0": self.n0,
+            "n1": self.forest.n1,
+            "n0": self.forest.n0,
             "iteration": self.selection.iteration,
             "converged": self.selection.converged,
             "variables": variables,

@@ -70,18 +70,17 @@ def selection_confusion(selected, truth) -> tuple[int, int, int, int, float]:
     return tp, tn, fp, fn, accuracy
 
 
-def _select_and_score(x_train, y_train, x_test, y_test, hyper, grid, depth,
-                      tol, max_iter, seed) -> RunMetrics:
-    """One rep or fold on raw columns: select c, which fits the model, then
-    classify the test points; a variable counts as selected when its omega
-    is at least 0.5, and the selection counts are left at 0.
+def _select_and_score(x_train, y_train, x_test, y_test, seed, **options) -> RunMetrics:
+    """One rep or fold on raw columns: select c (`select_c` with `options`),
+    which fits the model, then classify the test points; a variable counts
+    as selected when its omega is at least 0.5, and the selection counts
+    are left at 0.
 
     The centring Gaussians are fitted from the training columns, so the
     test points are scored in the same raw units with no transform.
     """
     start = time.perf_counter()
-    report, model = select_c(x_train, y_train, hyper=hyper, grid=grid, depth=depth,
-                             tol=tol, max_iter=max_iter, seed=seed)
+    report, model = select_c(x_train, y_train, seed=seed, **options)
     predicted = classify(update_psi(model, x_test))
     error = float(np.mean(predicted != y_test))
     selected = model.omega >= 0.5
@@ -122,28 +121,24 @@ def gaussian_nb_baseline(train: Dataset, test: Dataset) -> RunMetrics:
 
 def run_simulation_study(setting: int, reps: int, base_seed: int = 0,
                          n_train: int = 100, n_test: int = 1000, p: int = 500,
-                         n_discriminative: int = 50,
-                         hyper: Hyperparameters | None = None, grid=None,
-                         depth: int | None = None, tol: float = 1e-6,
-                         max_iter: int = 1000, include_baseline: bool = True,
-                         threads: int = 1):
+                         n_discriminative: int = 50, grid=None, threads: int = 1):
     """Repeat generate/select/fit/score; returns (rows, summary).
 
-    Rep r uses seed base_seed + r.  A variable counts as selected when its
-    omega is at least the fixed 0.5; the selection counts and rates are
-    taken against the truth at that cut.  Baseline metrics are computed on
-    the same datasets.  Zero reps yields an empty table.
+    Rep r uses seed base_seed + r.  Each rep selects c over `grid` (None
+    means the default ladder) with the default hyperparameters, depth and
+    sweep controls, and scores the Gaussian naive-Bayes baseline on the same
+    datasets.  A variable counts as selected when its omega is at least the
+    fixed 0.5; the selection counts and rates are taken against the truth
+    at that cut.  Reps may run on `threads` worker threads.  Zero reps
+    yields an empty table.
     """
-    hyper = hyper or Hyperparameters()
 
     def one_rep(r: int):
         spec = SimulationSpec(setting, n_train, n_test, p, n_discriminative, base_seed + r)
         train, test, truth = generate(spec)
-        metrics = _select_and_score(train.matrix, train.labels, test.matrix, test.labels, hyper,
-                                    grid, depth, tol, max_iter, spec.seed)
-        methods = [("ptda", metrics)]
-        if include_baseline:
-            methods.append(("gaussian_nb", gaussian_nb_baseline(train, test)))
+        metrics = _select_and_score(train.matrix, train.labels, test.matrix, test.labels,
+                                    spec.seed, grid=grid)
+        methods = [("ptda", metrics), ("gaussian_nb", gaussian_nb_baseline(train, test))]
         for _, m in methods:
             m.tp, m.tn, m.fp, m.fn, m.selection_accuracy = selection_confusion(m.selected, truth)
         return [_metrics_row(m, rep=r, method=name) for name, m in methods], metrics.selected
@@ -165,14 +160,14 @@ def cross_validate(dataset: Dataset, k: int, hyper: Hyperparameters | None = Non
     Each fold fits on its raw training rows, whose moments alone set the
     centring Gaussians, and scores its raw test rows.
     """
-    hyper = hyper or Hyperparameters()
     folds = split_folds(dataset, k, seed)
 
     def one_fold(f: int):
         train_idx, test_idx = folds[f]
         metrics = _select_and_score(dataset.matrix[train_idx], dataset.labels[train_idx],
-                                    dataset.matrix[test_idx], dataset.labels[test_idx],
-                                    hyper, grid, depth, tol, max_iter, seed)
+                                    dataset.matrix[test_idx], dataset.labels[test_idx], seed,
+                                    hyper=hyper, grid=grid, depth=depth, tol=tol,
+                                    max_iter=max_iter)
         return _metrics_row(metrics, rep=f, method="ptda"), metrics.selected
 
     results = _map_indexed(one_fold, range(k), threads)

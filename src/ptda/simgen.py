@@ -8,7 +8,6 @@ rejection of draws that leave a group below two members.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +38,6 @@ class Normal:
     def sample(self, rng, size):
         return rng.normal(self.mu, self.sigma, size)
 
-    def mean(self):
-        return self.mu
-
-    def variance(self):
-        return self.sigma ** 2
-
 
 @dataclass(frozen=True)
 class Cauchy:
@@ -54,12 +47,6 @@ class Cauchy:
     def sample(self, rng, size):
         return self.loc + self.scale * rng.standard_cauchy(size)
 
-    def mean(self):
-        raise DomainError("a Cauchy distribution has no mean")
-
-    def variance(self):
-        raise DomainError("a Cauchy distribution has no variance")
-
 
 @dataclass(frozen=True)
 class StudentT:
@@ -67,16 +54,6 @@ class StudentT:
 
     def sample(self, rng, size):
         return rng.standard_t(self.df, size)
-
-    def mean(self):
-        if self.df <= 1:
-            raise DomainError("t mean undefined for df <= 1")
-        return 0.0
-
-    def variance(self):
-        if self.df <= 2:
-            raise DomainError("t variance undefined for df <= 2")
-        return self.df / (self.df - 2.0)
 
 
 @dataclass(frozen=True)
@@ -89,12 +66,6 @@ class Gamma:
     def sample(self, rng, size):
         return rng.gamma(self.shape, 1.0 / self.rate, size)
 
-    def mean(self):
-        return self.shape / self.rate
-
-    def variance(self):
-        return self.shape / self.rate ** 2
-
 
 @dataclass(frozen=True)
 class Exponential:
@@ -102,12 +73,6 @@ class Exponential:
 
     def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
-
-    def mean(self):
-        return 1.0 / self.rate
-
-    def variance(self):
-        return 1.0 / self.rate ** 2
 
 
 @dataclass(frozen=True)
@@ -133,15 +98,6 @@ class Mixture:
             if count:
                 out[mask] = comp.sample(rng, count)
         return out
-
-    def mean(self):
-        return sum(w * comp.mean() for w, comp in zip(self.weights, self.components))
-
-    def variance(self):
-        m = self.mean()
-        second = sum(w * (comp.variance() + comp.mean() ** 2)
-                     for w, comp in zip(self.weights, self.components))
-        return second - m * m
 
 
 _TRIMODAL = Mixture(

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bnp_test import log_bayes_factors
-from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, SelectionState, leaf_log_path_tables,
-                  prior_log_odds, update_omega)
+from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, SelectionState, json_numbers,
+                  leaf_log_path_tables, prior_log_odds, update_omega)
 from .errors import DomainError, InputError
 from .polya_tree import TreeForest, training_data
 from .rng import SUBSAMPLE_STREAM, substream
@@ -91,28 +91,36 @@ class SmoothingReport:
 
     @classmethod
     def load(cls, path) -> "SmoothingReport":
-        """Report from a JSON file written by `save`; anything malformed raises InputError."""
+        """Report from a JSON file written by `save`; anything malformed raises
+        InputError.  Numbers are checked by exact type, as in model files
+        (`cvb.json_numbers`): v0, v1, expected and the error must be numbers
+        in [0, 1], the bins integers in 1..4."""
         with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-                v0, v1, expected = (np.asarray(doc[k], dtype=float) for k in ("v0", "v1", "expected"))
-                bins = np.asarray(doc["bins"])
-                chosen_a = np.asarray(doc["chosen_a"], dtype=float)
-                error = float(doc["resubstitution_error"])
+                v0, v1, expected = (
+                    json_numbers(doc[k], float, f"smoothing report {path}: every {k!r} value")
+                    for k in ("v0", "v1", "expected"))
+                [error] = json_numbers([doc["resubstitution_error"]], float,
+                                       f"smoothing report {path}: resubstitution_error")
+                bins = json_numbers(doc["bins"], np.int64, f"smoothing report {path}: every bin")
+                chosen_a = json_numbers(doc["chosen_a"], float, f"smoothing report {path}: chosen_a")
             except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
                 raise InputError(f"malformed smoothing report {path}: {exc!r}") from exc
-        if bins.ndim != 1 or bins.dtype.kind != "i" or np.any((bins < 1) | (bins > 4)):
+        if np.any((bins < 1) | (bins > 4)):
             raise InputError(f"smoothing report {path}: bins must be integers in 1..4")
-        if chosen_a.ndim != 1 or not _is_monotone_tuple(tuple(chosen_a.tolist())):
+        if not _is_monotone_tuple(tuple(chosen_a.tolist())):
             raise InputError(f"smoothing report {path}: chosen_a must be a monotone 4-tuple in (0, 100]")
         if any(a.shape != bins.shape for a in (v0, v1, expected)):
             raise InputError(f"smoothing report {path}: v0, v1, expected and bins differ in length")
+        if not all(np.all((a >= 0.0) & (a <= 1.0)) for a in (v0, v1, expected, error)):  # NaN fails
+            raise InputError(f"smoothing report {path}: p-values and the error must lie in [0, 1]")
         names = doc.get("names")
         if not (isinstance(names, list) and len(names) == bins.size
                 and all(isinstance(v, str) for v in names) and len(set(names)) == len(names)):
             raise InputError(f"smoothing report {path}: names must list the {bins.size} distinct "
                              f"variable names; rerun select-c to write them")
-        return cls(v0, v1, expected, bins.astype(np.int64), tuple(chosen_a.tolist()), error, names)
+        return cls(v0, v1, expected, bins, tuple(chosen_a.tolist()), float(error), names)
 
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:

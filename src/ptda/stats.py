@@ -2,7 +2,7 @@
 
 Everything the model needs from "a stats library" lives here so the
 package carries no dependency beyond numpy: log-gamma/log-beta, the
-standard normal CDF/quantile pair, a stable expit, the Shapiro-Wilk
+standard normal CDF/quantile pair, a stable expit of arrays, the Shapiro-Wilk
 normality test (Royston's AS R94 recipe) and the two-sample
 Kolmogorov-Smirnov test with the asymptotic p-value.  Accuracy fixtures
 for all of them are recorded in the test suite.
@@ -15,29 +15,25 @@ locating millions of points costs no Python per value.  It agrees with
 Both tests are column kernels: `shapiro_wilk_sorted` and
 `ks_two_sample_sorted` score a block of equal-length samples, one per row
 of a (b, n) array sorted along each row, so that one sort serves both
-tests and the per-sample work is a few whole-array operations.
-`shapiro_wilk` and `ks_two_sample` score a single sample as a one-row block."""
+tests and the per-sample work is a few whole-array operations.  A single
+sample is a one-row block."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError
+from .errors import DomainError
 
 __all__ = [
-    "TestResult",
     "log_gamma",
     "log_beta",
     "normal_cdf",
     "normal_pdf",
     "normal_quantile",
     "expit",
-    "shapiro_wilk",
     "shapiro_wilk_sorted",
-    "ks_two_sample",
     "ks_two_sample_sorted",
     "square_safe_shift",
 ]
@@ -45,12 +41,6 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class TestResult:
-    statistic: float
-    p_value: float
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +261,8 @@ def normal_cdf(z):
     return out.reshape(z.shape)
 
 
-def normal_pdf(z):
-    """Standard normal density."""
-    if isinstance(z, np.ndarray):
-        return np.exp(-0.5 * z * z) / _SQRT_2PI
+def normal_pdf(z: float) -> float:
+    """Standard normal density at a number."""
     z = float(z)
     return math.exp(-0.5 * z * z) / _SQRT_2PI
 
@@ -320,20 +308,14 @@ def normal_quantile(q: float) -> float:
     return x
 
 
-def expit(z):
-    """Logistic function 1 / (1 + exp(-z)), stable for large |z|."""
-    if isinstance(z, np.ndarray):
-        out = np.empty(z.shape, dtype=float)
-        pos = z >= 0.0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-    z = float(z)
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
+def expit(z: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-z)) of an array, stable for large |z|."""
+    out = np.empty(z.shape, dtype=float)
+    pos = z >= 0.0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -438,26 +420,6 @@ def shapiro_wilk_sorted(rows) -> tuple[np.ndarray, np.ndarray]:
     return w_stat, p
 
 
-def shapiro_wilk(sample) -> TestResult:
-    """Shapiro-Wilk W test of normality.
-
-    Returns the W statistic and its upper-tail p-value.  Requires
-    3 <= n <= 5000 and a non-constant sample; a constant sample raises
-    DomainError (callers that rank p-values map it to 0).  The sample is
-    scored as a one-row block of `shapiro_wilk_sorted`.
-    """
-    x = np.sort(np.asarray(sample, dtype=float))
-    n = x.size
-    if n < 3 or n > 5000:
-        raise DomainError(f"shapiro_wilk requires 3 <= n <= 5000, got n={n}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("shapiro_wilk requires finite values")
-    if x[-1] - x[0] <= 0.0:
-        raise DomainError("shapiro_wilk is undefined for a constant sample")
-    w_stat, p = shapiro_wilk_sorted(x[None, :])
-    return TestResult(float(w_stat[0]), float(p[0]))
-
-
 # ---------------------------------------------------------------------------
 # two-sample Kolmogorov-Smirnov
 # ---------------------------------------------------------------------------
@@ -511,20 +473,3 @@ def ks_two_sample_sorted(rows, in_a) -> tuple[np.ndarray, np.ndarray]:
     d = gap.max(axis=1)
     lam, inverse = np.unique(np.sqrt(n_a[:, 0] * n_b[:, 0] / n) * d, return_inverse=True)
     return d, np.array([_kolmogorov_sf(v) for v in lam.tolist()])[inverse]
-
-
-def ks_two_sample(a, b) -> TestResult:
-    """Two-sample Kolmogorov-Smirnov test.
-
-    D is the exact sup-distance between the two empirical CDFs; the
-    p-value is the asymptotic one at effective size n_a n_b / (n_a + n_b).
-    The pair is scored as a one-row block of `ks_two_sample_sorted`.
-    """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size == 0 or b.size == 0:
-        raise InputError("ks_two_sample requires two non-empty samples")
-    pooled = np.concatenate([a, b])
-    order = np.argsort(pooled)
-    d, p = ks_two_sample_sorted(pooled[order][None, :], (order < a.size)[None, :])
-    return TestResult(float(d[0]), float(p[0]))

@@ -152,13 +152,14 @@ def binary_expansion_leaves(u, depth: int) -> np.ndarray:
 
 
 def sweep_omega(log_bf, u: float, tol: float = 1e-6, max_iter: int = 1000,
-                omega0=None, clamp: float = 700.0, lo: float = 1e-300,
+                clamp: float = 700.0, lo: float = 1e-300,
                 hi: float = float(np.nextafter(1.0, 0.0))) -> tuple[list, int, bool]:
-    """(omega, sweeps, converged) of in-order coordinate sweeps written with
-    expit and min/max; stops when the squared step is at most tol."""
+    """(omega, sweeps, converged) of in-order coordinate sweeps from omega =
+    0.5, written with expit and min/max; stops when the squared step is at
+    most tol."""
     bf = [float(v) for v in log_bf]
     p = len(bf)
-    om = [0.5] * p if omega0 is None else [float(v) for v in omega0]
+    om = [0.5] * p
     base = float(p) ** u + p - 1.0
     s = sum(om)
     for sweep in range(1, max_iter + 1):

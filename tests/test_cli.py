@@ -478,6 +478,23 @@ class TestExitCodes:
         assert code == 2
         assert "internal error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--setting", "1", "--p", "1000000000000", "--out-dir", "{tmp}/sim"],
+        ["density", "--model", "{tmp}/model.json", "--variable", "V1",
+         "--grid-points", "1000000000000", "--out", "{tmp}/density.csv"],
+    ], ids=["simulate", "density"])
+    def test_memory_error_exits_one_without_output(self, tmp_path, monkeypatch, capsys, argv):
+        # a size the user asked for that cannot be allocated is an input error;
+        # the handler raises as numpy does, without allocating
+        def unallocatable(args, cfg):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setitem(ptda.cli._COMMANDS, argv[0], unallocatable)
+        code, _, err = run([a.format(tmp=tmp_path) for a in argv], capsys)
+        assert code == 1
+        assert "error: Unable to allocate" in err and "internal error" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unconverged_fit_exits_one_without_output(self, tmp_path, capsys):
         out = simulate_small(tmp_path, seed=47)
         model_path = tmp_path / "model.json"
@@ -630,9 +647,18 @@ class TestCReport:
         edited_report(lambda doc: doc["names"].__setitem__(1, "V1")),
         edited_report(lambda doc: doc["names"].__setitem__(0, 1)),
         edited_report(lambda doc: doc.update(names="V1")),
+        edited_report(lambda doc: doc["bins"].__setitem__(0, True)),
+        edited_report(lambda doc: doc["chosen_a"].__setitem__(0, True)),
+        edited_report(lambda doc: doc["chosen_a"].__setitem__(1, "5")),
+        edited_report(lambda doc: doc.update(resubstitution_error="0.25")),
+        edited_report(lambda doc: doc["v0"].__setitem__(0, float("nan"))),
+        edited_report(lambda doc: doc["v1"].__setitem__(0, -0.5)),
+        edited_report(lambda doc: doc["v0"].__setitem__(0, 10 ** 400)),
     ], ids=["unparsable", "missing-bins", "two-values", "bin-zero", "bin-five",
             "bin-not-integer", "not-monotone", "a-zero", "a-above-100", "a-not-number",
-            "a-string", "a-nested", "short-v0", "long-expected", "short-names", "duplicate-names", "name-not-string", "names-string"])
+            "a-string", "a-nested", "short-v0", "long-expected", "short-names", "duplicate-names",
+            "name-not-string", "names-string", "bin-true", "a-true", "a-numeric-string",
+            "error-numeric-string", "v0-nan", "v1-negative", "v0-huge-integer"])
     def test_malformed_report_exits_one_without_model(self, tmp_path, capsys, text):
         code, err, model_path = self._fit(tmp_path, capsys, text)
         assert code == 1

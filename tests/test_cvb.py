@@ -49,11 +49,11 @@ class TestHyperparameters:
 
 class TestUpdateOmega:
     def test_zero_evidence_first_sweep(self):
-        state = update_omega(np.zeros(4), Hyperparameters(u=2.0), tol=1e-30,
-                             max_iter=1, omega0=np.zeros(4))
-        assert state.omega[0] == pytest.approx(0.05, abs=1e-15)
+        # with zero evidence each update is (1 + S_-j) / (p**u + p), here / 20
+        state = update_omega(np.zeros(4), Hyperparameters(u=2.0), tol=1e-30, max_iter=1)
+        assert state.omega[0] == pytest.approx(2.5 / 20.0, abs=1e-15)
         # later coordinates see the updated earlier ones within the sweep
-        assert state.omega[1] == pytest.approx(1.05 / 20.0, abs=1e-12)
+        assert state.omega[1] == pytest.approx(2.125 / 20.0, abs=1e-15)
 
     def test_huge_evidence_saturates_open(self):
         state = update_omega(np.array([1e6]), Hyperparameters())
@@ -63,7 +63,7 @@ class TestUpdateOmega:
     def test_matches_independent_fixed_point(self):
         # frozen from a Jacobi iteration and a root finder agreeing to 1e-16
         state = update_omega(np.array([2.0, -2.0]), Hyperparameters(u=1.5),
-                             tol=1e-28, max_iter=10000, omega0=np.array([0.5, 0.5]))
+                             tol=1e-28, max_iter=10000)
         assert state.converged
         assert state.omega[0] == pytest.approx(0.6770553230012388, abs=1e-8)
         assert state.omega[1] == pytest.approx(0.0671823997359901, abs=1e-8)
@@ -81,17 +81,13 @@ class TestUpdateOmega:
     @given(st.floats(-5.0, 5.0), st.floats(0.1, 3.0))
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_evidence(self, bf, bump):
-        base = update_omega(np.array([bf, 0.3]), Hyperparameters(), max_iter=1,
-                            omega0=np.array([0.5, 0.5]))
-        more = update_omega(np.array([bf + bump, 0.3]), Hyperparameters(), max_iter=1,
-                            omega0=np.array([0.5, 0.5]))
+        base = update_omega(np.array([bf, 0.3]), Hyperparameters(), max_iter=1)
+        more = update_omega(np.array([bf + bump, 0.3]), Hyperparameters(), max_iter=1)
         assert more.omega[0] > base.omega[0]
 
     def test_penalty_decreasing_in_u(self):
-        low = update_omega(np.full(5, 1.0), Hyperparameters(u=1.2), max_iter=1,
-                           omega0=np.full(5, 0.5))
-        high = update_omega(np.full(5, 1.0), Hyperparameters(u=3.0), max_iter=1,
-                            omega0=np.full(5, 0.5))
+        low = update_omega(np.full(5, 1.0), Hyperparameters(u=1.2), max_iter=1)
+        high = update_omega(np.full(5, 1.0), Hyperparameters(u=3.0), max_iter=1)
         assert np.all(high.omega < low.omega)
 
     def test_open_interval_invariant(self):
@@ -126,12 +122,12 @@ class TestUpdateOmegaAgainstSweepOracle:
         hyper = Hyperparameters(u=float(rng.uniform(1.05, 3.0)))
         self.assert_same(log_bf, hyper)
         self.assert_same(log_bf, hyper, tol=1e-30, max_iter=7)
-        self.assert_same(log_bf, hyper, omega0=rng.uniform(size=p))
+        self.assert_same(log_bf, hyper, tol=1e-12)
 
     def test_clamp_and_open_interval(self):
         log_bf = np.array([701.0, -701.0, 1e6, -1e6, 700.0, -700.0, 0.0, 36.9, -745.0])
         self.assert_same(log_bf, Hyperparameters())
-        self.assert_same(log_bf, Hyperparameters(), omega0=np.array([0.0, 1.0] * 4 + [0.5]))
+        self.assert_same(log_bf, Hyperparameters(), tol=1e-30, max_iter=3)
 
 
 def path_probability(x, tree, group, c):
@@ -372,12 +368,13 @@ class TestFittedModel:
         lambda doc: doc.update(converged="yes"),
         lambda doc: doc.update(converged=1),
         lambda doc: doc.update(converged=None),
+        lambda doc: doc["variables"][0].update(mean=10 ** 400),
     ], ids=["no-format", "format-1", "negative", "non-integer", "wrong-length",
             "sum-differs", "missing-key", "mean-string", "mean-bool", "sd-null", "sd-zero", "sd-nan",
             "c-string", "c-bool", "omega-nan", "omega-inf", "omega-above-1", "omega-negative", "omega-string",
             "omega-bool", "duplicate-names", "name-int", "name-null", "iteration-string",
             "iteration-float", "iteration-bool", "iteration-negative", "converged-string",
-            "converged-int", "converged-null"])
+            "converged-int", "converged-null", "mean-huge-integer"])
     def test_loader_rejects_malformed(self, edit):
         _, _, model = training_model(seed=16, n=20, p=3)
         doc = json.loads(json.dumps(model.to_json_dict()))

@@ -1,8 +1,11 @@
 """Harness behavior: metrics arithmetic, determinism, baseline, CV."""
 
+import functools
+
 import numpy as np
 import pytest
 
+import ptda.evalharness
 from ptda.dataio import Dataset
 from ptda.errors import InputError
 from ptda.evalharness import (
@@ -12,6 +15,7 @@ from ptda.evalharness import (
     selection_confusion,
     write_rows_csv,
 )
+from ptda.smoothing import select_c
 
 
 def strip_times(rows):
@@ -95,10 +99,11 @@ class TestSimulationStudy:
         par, _ = run_simulation_study(1, reps=3, threads=3, **kwargs)
         assert strip_times(seq) == strip_times(par)
 
-    def test_no_converged_candidate_is_an_input_error(self):
+    def test_no_converged_candidate_is_an_input_error(self, monkeypatch):
+        # a rep's selection that cannot converge surfaces as select_c's InputError
+        monkeypatch.setattr(ptda.evalharness, "select_c", functools.partial(select_c, max_iter=1))
         with pytest.raises(InputError, match="max_iter"):
-            run_simulation_study(1, reps=1, n_train=24, n_test=10, p=12, n_discriminative=3,
-                                 max_iter=1)
+            run_simulation_study(1, reps=1, n_train=24, n_test=10, p=12, n_discriminative=3)
 
     def test_selection_rates_in_unit_interval(self):
         _, summary = run_simulation_study(1, reps=2, n_train=24, n_test=10, p=12,

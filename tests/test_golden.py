@@ -86,7 +86,7 @@ class TestOneFitPerRep:
 
         monkeypatch.setattr(TreeForest, "from_matrix", classmethod(counted))
         run_simulation_study(2, reps=1, n_train=30, n_test=10, p=8, n_discriminative=2,
-                             grid=(1.0, 10.0), include_baseline=False)
+                             grid=(1.0, 10.0))
         assert len(calls) == 1
 
     def test_selected_model_equals_refit(self):

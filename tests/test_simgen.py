@@ -8,14 +8,14 @@ from ptda.rng import substream
 from ptda.simgen import (
     NOISE_FAMILIES,
     SETTINGS,
-    Cauchy,
     Exponential,
     Mixture,
     Normal,
     SimulationSpec,
     generate,
 )
-from ptda.stats import ks_two_sample
+
+import oracles
 
 
 class TestSpecValidation:
@@ -81,13 +81,13 @@ class TestDistributions:
         assert g1.mean() == pytest.approx(1 / 6, abs=3 * (1 / 6) / np.sqrt(g1.size))
 
     def test_trimodal_mixture_moments(self):
-        # analytic variance composed from component moments
+        # 9/20 N(-6/5, (3/5)^2) + 9/20 N(6/5, (3/5)^2) + 1/10 N(0, 1/4^2): mean 0,
+        # variance 9/10 (9/25 + 36/25) + 1/10 (1/16)
         mix = SETTINGS[1][0]
-        assert mix.mean() == pytest.approx(0.0, abs=1e-15)
-        analytic = mix.variance()
         rng = substream(123, 0)
         draws = mix.sample(rng, 1_000_000)
-        assert draws.var() == pytest.approx(analytic, rel=0.01)
+        assert abs(draws.mean()) < 3.0 * np.sqrt(1.62625 / draws.size)
+        assert draws.var() == pytest.approx(1.62625, rel=0.01)
 
     def test_noise_family_split_even(self):
         spec = SimulationSpec(1)  # p=500, 450 noise over 9 families
@@ -100,7 +100,7 @@ class TestDistributions:
         for i, dist in enumerate(NOISE_FAMILIES):
             a = dist.sample(substream(1000 + i, 0), 600)
             b = dist.sample(substream(2000 + i, 0), 600)
-            assert ks_two_sample(a, b).p_value > 0.01
+            assert oracles.ks_two_sample(a, b)[1] > 0.01
 
 
 class TestMixtureSample:
@@ -119,14 +119,9 @@ class TestMixtureSample:
         mix = Mixture((0.5, 0.5), (Normal(-1.0, 1e-9), Normal(1.0, 1e-9)))
         draws = mix.sample(substream(9, 0), 40_000)
         assert abs(draws.mean()) < 0.02
-        assert mix.mean() == 0.0
-
-    def test_cauchy_moments_undefined(self):
-        with pytest.raises(DomainError):
-            Cauchy(0.0, 2.0).mean()
-        with pytest.raises(DomainError):
-            Mixture((0.5, 0.5), (Cauchy(0, 1), Normal(0, 1))).variance()
 
     def test_exponential_moments(self):
-        assert Exponential(4.0).mean() == 0.25
-        assert Exponential(4.0).variance() == 0.0625
+        # rate 4: mean 1/4, variance 1/16
+        draws = Exponential(4.0).sample(substream(10, 0), 200_000)
+        assert draws.mean() == pytest.approx(0.25, abs=3.0 * 0.25 / np.sqrt(draws.size))
+        assert draws.var() == pytest.approx(0.0625, rel=0.02)

@@ -374,6 +374,48 @@ class TestSelectC:
         assert len(lines) == x.shape[1] + 1
 
 
+class TestReportLoad:
+    """`SmoothingReport.load` checks numbers by exact type, as the model loader does."""
+
+    @staticmethod
+    def load(tmp_path, edit=None):
+        doc = {"chosen_a": [1.0, 5.0, 10.0, 50.0], "resubstitution_error": 0.25,
+               "v0": [0.5, 0.1, 0.0, 1.0], "v1": [0.5, 0.2, 1.0, 0.0], "expected": [0.5] * 4,
+               "bins": [1, 2, 3, 4], "names": ["V1", "V2", "V3", "V4"]}
+        if edit is not None:
+            edit(doc)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return SmoothingReport.load(path)
+
+    def test_valid_document_loads(self, tmp_path):
+        report = self.load(tmp_path)
+        assert report.c.tolist() == [1.0, 5.0, 10.0, 50.0]
+        assert report.bins.dtype == np.int64
+        assert report.resubstitution_error == 0.25 and type(report.resubstitution_error) is float
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["bins"].__setitem__(0, True),
+        lambda doc: doc["chosen_a"].__setitem__(0, True),
+        lambda doc: doc["chosen_a"].__setitem__(1, "5"),
+        lambda doc: doc["bins"].__setitem__(1, "2"),
+        lambda doc: doc.update(resubstitution_error="0.25"),
+        lambda doc: doc.update(resubstitution_error=True),
+        lambda doc: doc.update(resubstitution_error=math.nan),
+        lambda doc: doc["v0"].__setitem__(0, math.nan),
+        lambda doc: doc["v1"].__setitem__(2, -0.1),
+        lambda doc: doc["expected"].__setitem__(3, 1.5),
+        lambda doc: doc["v0"].__setitem__(0, None),
+        lambda doc: doc["v0"].__setitem__(0, 10 ** 400),
+        lambda doc: doc.update(v1="0.5"),
+    ], ids=["bin-true", "a-true", "a-numeric-string", "bin-numeric-string", "error-numeric-string",
+            "error-true", "error-nan", "v0-nan", "v1-negative", "expected-above-1", "v0-null",
+            "v0-huge-integer", "v1-string"])
+    def test_malformed_numbers_refused(self, tmp_path, edit):
+        with pytest.raises(InputError, match="smoothing report"):
+            self.load(tmp_path, edit)
+
+
 class TestSkippedCandidatesWarning:
     GRID = (1.0, 10.0, 100.0)
 

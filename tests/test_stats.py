@@ -14,17 +14,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptda.errors import DomainError, InputError
+from ptda.smoothing import column_pvalues
 from ptda.stats import (
     expit,
-    ks_two_sample,
+    ks_two_sample_sorted,
     log_beta,
     log_gamma,
     normal_cdf,
     normal_quantile,
-    shapiro_wilk,
+    shapiro_wilk_sorted,
 )
 
 from oracles import brute_force_ks_distance
+
+
+def sw_row(sample):
+    """(W, p) of one sample, scored as a one-row block of the kernel."""
+    w_stat, p = shapiro_wilk_sorted(np.sort(np.asarray(sample, dtype=float))[None])
+    return float(w_stat[0]), float(p[0])
+
+
+def ks_row(a, b):
+    """(D, p) of two samples, scored as one pooled row of the kernel."""
+    pooled = np.concatenate([np.asarray(a, dtype=float), np.asarray(b, dtype=float)])
+    order = np.argsort(pooled)
+    d, p = ks_two_sample_sorted(pooled[order][None], (order < len(a))[None])
+    return float(d[0]), float(p[0])
 
 
 class TestLogGamma:
@@ -139,80 +154,78 @@ class TestNormalCdfArrays:
 
 class TestExpit:
     def test_values(self):
-        assert expit(0.0) == 0.5
-        assert expit(710.0) == 1.0  # saturates without overflow
-        assert expit(-710.0) == pytest.approx(0.0, abs=1e-300)
-        assert expit(np.array([0.0, 100.0]))[0] == 0.5
+        out = expit(np.array([0.0, 710.0, -710.0, 100.0]))
+        assert out[0] == 0.5
+        assert out[1] == 1.0  # saturates without overflow
+        assert out[2] == pytest.approx(0.0, abs=1e-300)
+        assert out.shape == (4,)
 
     @given(st.floats(-500.0, 500.0))
     def test_reflection(self, z):
-        assert abs(expit(-z) - (1.0 - expit(z))) <= 1e-15
+        pair = expit(np.array([-z, z]))
+        assert abs(pair[0] - (1.0 - pair[1])) <= 1e-15
 
 
 class TestShapiroWilk:
     # fixtures recorded from scipy.stats.shapiro
     def test_equally_spaced_five(self):
-        r = shapiro_wilk([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert r.statistic == pytest.approx(0.986762155211559, abs=1e-4)
-        assert r.p_value == pytest.approx(0.9671739349728582, abs=1e-4)
+        w_stat, p = sw_row([1.0, 2.0, 3.0, 4.0, 5.0])
+        assert w_stat == pytest.approx(0.986762155211559, abs=1e-4)
+        assert p == pytest.approx(0.9671739349728582, abs=1e-4)
 
     def test_three_point_exact(self):
-        r = shapiro_wilk([1.0, 2.0, 4.0])
-        assert r.statistic == pytest.approx(0.9642857142857142, abs=1e-10)
-        assert r.p_value == pytest.approx(0.6368868450289689, abs=1e-6)
+        w_stat, p = sw_row([1.0, 2.0, 4.0])
+        assert w_stat == pytest.approx(0.9642857142857142, abs=1e-10)
+        assert p == pytest.approx(0.6368868450289689, abs=1e-6)
 
     def test_skewed_sample(self):
         x = [0.139, 0.157, 0.175, 0.256, 0.344, 0.413, 0.503, 0.577, 0.614, 0.655,
              0.954, 1.392, 1.557, 1.648, 1.690, 1.994, 2.174, 2.206, 3.245, 3.510,
              3.571, 4.354, 4.980, 6.084, 8.351]
-        r = shapiro_wilk(x)
-        assert r.statistic == pytest.approx(0.8346662753381485, abs=1e-4)
-        assert r.p_value == pytest.approx(0.0009134904825887374, abs=1e-4)
+        w_stat, p = sw_row(x)
+        assert w_stat == pytest.approx(0.8346662753381485, abs=1e-4)
+        assert p == pytest.approx(0.0009134904825887374, abs=1e-4)
 
     def test_normal_sample_n12(self):
         x = [0.483983, -0.053693, 0.466786, 0.202275, -0.688645, -1.477785,
              1.19257, -0.148911, -1.615774, -1.209327, 0.149468, 0.57923]
-        r = shapiro_wilk(x)
-        assert r.statistic == pytest.approx(0.9324446302306686, abs=1e-4)
-        assert r.p_value == pytest.approx(0.40674575045894407, abs=1e-4)
+        w_stat, p = sw_row(x)
+        assert w_stat == pytest.approx(0.9324446302306686, abs=1e-4)
+        assert p == pytest.approx(0.40674575045894407, abs=1e-4)
 
-    def test_preconditions(self):
-        with pytest.raises(DomainError):
-            shapiro_wilk([1.0, 2.0])
-        with pytest.raises(DomainError):
-            shapiro_wilk([3.0] * 10)
-        with pytest.raises(DomainError):
-            shapiro_wilk(np.zeros(5001))
+    def test_constant_row_scores_nan_and_zero(self):
+        # a constant sample has no W, and its p-value ranks it least normal
+        rows = np.array([[3.0] * 10, np.arange(10.0), [-1.0] * 10])
+        w_stat, p = shapiro_wilk_sorted(rows)
+        assert np.isnan(w_stat[[0, 2]]).all() and p[[0, 2]].tolist() == [0.0, 0.0]
+        assert (w_stat[1], p[1]) == pytest.approx(sw_row(np.arange(10.0)), abs=1e-14)
 
     def test_location_scale_invariance(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=40)
-        base = shapiro_wilk(x)
-        moved = shapiro_wilk(2.5 * x + 7.0)
-        assert moved.statistic == pytest.approx(base.statistic, abs=1e-10)
+        base, _ = sw_row(x)
+        moved, _ = sw_row(2.5 * x + 7.0)
+        assert moved == pytest.approx(base, abs=1e-10)
 
     def test_cauchy_rejection_rate(self):
         # statistical fixture: heavy tails must be flagged nearly always
         rng = np.random.default_rng(7)
-        hits = sum(shapiro_wilk(rng.standard_cauchy(100)).p_value < 0.01 for _ in range(200))
+        hits = sum(sw_row(rng.standard_cauchy(100))[1] < 0.01 for _ in range(200))
         assert hits >= 198
 
 
 class TestKsTwoSample:
     def test_identical(self):
-        r = ks_two_sample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        assert r.statistic == 0.0
-        assert r.p_value == 1.0
+        assert ks_row([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == (0.0, 1.0)
 
     def test_disjoint(self):
-        r = ks_two_sample([0.0, 0.1, 0.2], [5.0, 6.0])
-        assert r.statistic == 1.0
+        assert ks_row([0.0, 0.1, 0.2], [5.0, 6.0])[0] == 1.0
 
     def test_small_fixture(self):
         # reference p from the asymptotic Kolmogorov series (scipy.special.kolmogorov)
-        r = ks_two_sample([1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0])
-        assert r.statistic == pytest.approx(0.25, abs=1e-12)
-        assert r.p_value == pytest.approx(0.9996332921577278, abs=1e-4)
+        d, p = ks_row([1.0, 2.0, 3.0, 4.0], [2.0, 3.0, 4.0, 5.0])
+        assert d == pytest.approx(0.25, abs=1e-12)
+        assert p == pytest.approx(0.9996332921577278, abs=1e-4)
 
     def test_gaussian_fixture(self):
         rng = np.random.default_rng(20240817)
@@ -220,13 +233,14 @@ class TestKsTwoSample:
         rng.normal(size=50)
         a = np.round(rng.normal(size=30), 6)
         b = np.round(rng.normal(loc=0.5, size=40), 6)
-        r = ks_two_sample(a, b)
-        assert r.statistic == pytest.approx(0.19166666666666665, abs=1e-12)
-        assert r.p_value == pytest.approx(0.5546299561090957, abs=1e-4)
+        d, p = ks_row(a, b)
+        assert d == pytest.approx(0.19166666666666665, abs=1e-12)
+        assert p == pytest.approx(0.5546299561090957, abs=1e-4)
 
     def test_empty_errors(self):
-        with pytest.raises(InputError):
-            ks_two_sample([], [1.0])
+        # the kernel needs both samples in every row; column_pvalues refuses an empty group
+        with pytest.raises(InputError, match="both groups"):
+            column_pvalues(np.arange(8.0).reshape(4, 2), np.ones(4, dtype=np.int8))
 
     @given(
         st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=12),
@@ -234,7 +248,7 @@ class TestKsTwoSample:
     )
     @settings(max_examples=150)
     def test_matches_brute_force(self, a, b):
-        assert ks_two_sample(a, b).statistic == pytest.approx(
+        assert ks_row(a, b)[0] == pytest.approx(
             brute_force_ks_distance(a, b), abs=1e-12)
 
     def test_null_pvalues_roughly_uniform(self):
@@ -244,7 +258,7 @@ class TestKsTwoSample:
         # the distance at this replicate count.
         rng = np.random.default_rng(99)
         pvals = np.sort([
-            ks_two_sample(rng.normal(size=1000), rng.normal(size=1033)).p_value
+            ks_row(rng.normal(size=1000), rng.normal(size=1033))[1]
             for _ in range(1000)
         ])
         grid = (np.arange(1, 1001)) / 1000.0
@@ -261,10 +275,10 @@ class TestAgainstScipyWideRange:
         rng = np.random.default_rng(1234)
         for n in (4, 6, 11, 12, 30, 100, 700):
             x = rng.normal(size=n)
-            ours = shapiro_wilk(x)
+            w_stat, p = shapiro_wilk_sorted(np.sort(x)[None])
             ref = scipy_stats.shapiro(x)
-            assert ours.statistic == pytest.approx(ref.statistic, abs=1e-6)
-            assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-4)
+            assert w_stat[0] == pytest.approx(ref.statistic, abs=1e-6)
+            assert p[0] == pytest.approx(ref.pvalue, abs=1e-4)
 
     def test_kolmogorov_series(self):
         special = pytest.importorskip("scipy.special")

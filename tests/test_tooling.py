@@ -1,6 +1,8 @@
 """The benchmark's layer tracer, its calls into the package and the package's
-exports must name things that exist."""
+exports must name things that exist, and the package must define no
+function that only tests reach."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -13,7 +15,14 @@ import pytest
 import ptda
 from ptda import cvb, dataio, evalharness, simgen
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+SRC = ROOT / "src" / "ptda"
+
+# functions that no program code references and that stay, with the reason
+UNREFERENCED = {
+    "stats.log_beta": "tests/oracles.py builds its reference log Bayes factors from it",
+}
 
 
 def _layers():
@@ -72,3 +81,46 @@ def test_benchmark_call_binds(call):
 
 def test_benchmark_reads_psi():
     assert "psi" in {f.name for f in fields(cvb.ClassProbabilities)}
+
+
+def _identifiers(path) -> set:
+    """Every name and attribute that appears in a Python file's code."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _defined_functions():
+    """module.name of every function and method in the package, dunders aside."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__")
+                                                          and node.name.endswith("__")):
+                yield f"{path.stem}.{node.name}"
+
+
+def _entry_points() -> set:
+    """Function names of the console scripts in pyproject.toml's [project.scripts]
+    (read by hand: tomllib is Python 3.11+, and the package supports 3.10)."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return {line.rpartition(":")[2].strip().strip('"') for line in section.splitlines() if "=" in line}
+
+
+def test_every_function_is_referenced():
+    # a function only tests reach is code the pipeline does not use.  A
+    # reference is a name or attribute in src/ or perfbench/ code (imports
+    # and __all__ strings do not count), a LAYERS target, or a console-script
+    # entry point.  Names are matched without their owner, so a method that
+    # shares a name with another one in use passes
+    referenced = set().union(*map(_identifiers, [*SRC.glob("*.py"),
+                                                 *(ROOT / "perfbench").glob("*.py")]))
+    referenced |= {target.rpartition(".")[2] for _, target, *_ in _layers()}
+    referenced |= _entry_points()
+    defined = set(_defined_functions())
+    unreferenced = sorted(f for f in defined if f.rpartition(".")[2] not in referenced)
+    assert unreferenced == sorted(UNREFERENCED), "unreferenced functions differ from the allowlist"
