@@ -5,6 +5,10 @@ bf, density.  All outputs are machine-readable CSV/JSON, all
 randomness flows from --seed, and exit codes are 0 (success), 1 (input
 error, including a size too large to allocate), 2 (internal error).
 
+Every command computes all of its outputs before it writes any, and on
+failure it leaves none of them behind.  Files are written only by
+`dataio.write_csv` and `write_json`; CSV fields are quoted where needed.
+
 Each subcommand accepts only the flags its handler reads.  Defaults may
 be overridden by a JSON config file passed with --config or named by the
 PTDA_CONFIG environment variable.  The file is shared: one file serves
@@ -17,7 +21,6 @@ value and so load no config file.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -27,32 +30,15 @@ import numpy as np
 
 from . import __version__
 from .bnp_test import log_bayes_factor, log_bayes_factors
-from .cvb import FittedModel, Hyperparameters, classify, fit_model, update_psi
-from .dataio import Dataset, load_csv, preprocess, write_predictions_csv
+from .cvb import FittedModel, Hyperparameters, classify, fit_model, json_numbers, update_psi
+from .dataio import Dataset, load_csv, preprocess, read_json, write_csv, write_json
 from .errors import ContractViolation, InputError, PtdaError
-from .evalharness import cross_validate, write_rows_csv, write_summary_json
+from .evalharness import cross_validate, write_rows_csv
 from .polya_tree import TreeForest, predictive_density
 from .simgen import SimulationSpec, generate
 from .smoothing import DEFAULT_LADDER, SmoothingReport, select_c
 
 CONFIG_ENV = "PTDA_CONFIG"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-# what a config-file value may be, keyed by the declared type of its Config field
-_CONFIG_TYPES = {
-    "float": (_is_number, "a number"),
-    "int": (_is_int, "an integer"),
-    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "tuple": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
-}
 
 
 @dataclass
@@ -79,21 +65,19 @@ def _load_config_file(path: str | None) -> dict:
         path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from exc
+    doc = read_json(path, "config file")
     if not isinstance(doc, dict):
         raise InputError(f"config file {path} must hold a JSON object")
     declared = {f.name: f.type for f in fields(Config)}
     unknown = set(doc) - set(declared)
     if unknown:
         raise InputError(f"unknown config keys: {sorted(unknown)}")
-    for name, value in doc.items():
-        accepts, expected = _CONFIG_TYPES[declared[name]]
-        if not accepts(value):
-            raise InputError(f"config key {name!r} must be {expected}, got {value!r}")
+    for name, value in doc.items():  # each declared type is float, int, int | None or tuple
+        if declared[name] == "tuple":
+            json_numbers(value, float, f"every entry of config key {name!r}")
+        elif not (value is None and declared[name] == "int | None"):
+            json_numbers([value], int if declared[name].startswith("int") else float,
+                         f"config key {name!r}")
     return doc
 
 
@@ -256,28 +240,24 @@ def _cmd_simulate(args, cfg: Config) -> int:
     spec = SimulationSpec(args.setting, args.n_train, args.n_test, args.p, args.n_disc, cfg.seed)
     train, test, truth = generate(spec)
     os.makedirs(args.out_dir, exist_ok=True)
-    for tag, ds in (("train", train), ("test", test)):
-        path = os.path.join(args.out_dir, f"{tag}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(ds.names + ["y"]) + "\n")
-            for row, label in zip(ds.matrix, ds.labels):
-                fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
-    with open(os.path.join(args.out_dir, "truth.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("variable,discriminative\n")
-        for name, flag in zip(train.names, truth):
-            fh.write(f"{name},{int(flag)}\n")
+    _write_outputs(
+        *((os.path.join(args.out_dir, f"{tag}.csv"), write_csv, ds.names + ["y"],
+           (row.tolist() + [label] for row, label in zip(ds.matrix, ds.labels.tolist())))
+          for tag, ds in (("train", train), ("test", test))),
+        (os.path.join(args.out_dir, "truth.csv"), write_csv, ["variable", "discriminative"],
+         zip(train.names, truth.astype(int).tolist())))
     return 0
 
 
 def _write_outputs(*outputs):
-    """Write each (path, write) pair in order, skipping an unset path; if a
-    write fails, remove the files the earlier ones wrote, so a failed
-    command leaves none of its outputs behind."""
+    """Write each (path, write, *args) as write(path, *args), in order, skipping an
+    unset path; if one fails, remove the files the earlier ones wrote, so a
+    failed command leaves none of its outputs behind."""
     written = []
     try:
-        for path, write in outputs:
+        for path, write, *rest in outputs:
             if path:
-                write(path)
+                write(path, *rest)
                 written.append(path)
     except BaseException:
         for path in written:
@@ -328,9 +308,8 @@ def _cmd_fit(args, cfg: Config) -> int:
         raise InputError(f"the selection did not converge within --max-iter {cfg.max_iter} sweeps "
                          f"(--tol {cfg.tol}); raise --max-iter")
     model.names = list(ds.names)
+    error = float(np.mean(classify(update_psi(model, ds.matrix)) != ds.labels))
     model.save(args.out)
-    psi = update_psi(model, ds.matrix)
-    error = float(np.mean(classify(psi) != ds.labels))
     print(f"fitted p={ds.p} n={ds.n}  sweeps={model.selection.iteration} "
           f"converged={model.selection.converged}  resubstitution error: {error}")
     return 0
@@ -346,7 +325,8 @@ def _cmd_predict(args, _) -> int:
         raise InputError("the model's selection did not converge; refit it with a larger --max-iter")
     psi = update_psi(model, ds.matrix)
     labels = classify(psi, args.threshold)
-    write_predictions_csv(args.out, psi.psi, labels)
+    write_csv(args.out, ["row", "psi", "label"],
+              zip(range(labels.size), psi.psi.tolist(), labels.tolist()))
     if ds.labels is not None:
         error = float(np.mean(labels != ds.labels))
         print(f"classification error: {error}")
@@ -358,8 +338,8 @@ def _cmd_cv(args, cfg: Config) -> int:
     rows, summary = cross_validate(ds, args.k, hyper=cfg.hyper(), grid=cfg.ladder,
                                    depth=cfg.depth, tol=cfg.tol, max_iter=cfg.max_iter,
                                    seed=cfg.seed, threads=cfg.worker_count())
-    _write_outputs((args.out, lambda path: write_rows_csv(path, rows, include_timings=args.timings)),
-                   (args.out_summary, lambda path: write_summary_json(path, summary)))
+    _write_outputs((args.out, write_rows_csv, rows, args.timings),
+                   (args.out_summary, write_json, summary))
     errors = [r["classification_error"] for r in rows]
     print(f"cv mean classification error: {float(np.mean(errors))}")
     return 0
@@ -394,17 +374,13 @@ def _cmd_density(args, _) -> int:
     mean, sd = float(tree.means[0]), float(tree.sds[0])
     lo = args.x_min if args.x_min is not None else mean - 4.0 * sd
     hi = args.x_max if args.x_max is not None else mean + 4.0 * sd
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InputError(f"the grid ends must be finite, got x-min {lo!r} and x-max {hi!r}")
+    if not math.isfinite(hi - lo):  # NaN or inf at an end, or a span past the float range
+        raise InputError(f"the grid ends and their span must be finite, got x-min {lo!r}, x-max {hi!r}")
     if args.grid_points < 2 or hi <= lo:
         raise InputError("need at least 2 grid points and x-max > x-min")
-    xs = np.linspace(lo, hi, args.grid_points)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,density_group1,density_group0\n")
-        for x in xs:
-            f1 = predictive_density(float(x), tree, c, 1)
-            f0 = predictive_density(float(x), tree, c, 0)
-            fh.write(f"{float(x)!r},{f1!r},{f0!r}\n")
+    rows = [(x, predictive_density(x, tree, c, 1), predictive_density(x, tree, c, 0))
+            for x in np.linspace(lo, hi, args.grid_points).tolist()]
+    _write_outputs((args.out, write_csv, ["x", "density_group1", "density_group0"], rows))
     return 0
 
 
@@ -431,7 +407,7 @@ def dispatch(argv=None) -> int:
     except PtdaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, MemoryError) as exc:  # a file or a size the user named
+    except (OSError, UnicodeDecodeError, MemoryError) as exc:  # a file or a size the user named
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary

@@ -9,7 +9,6 @@ odds plus an omega-weighted sum of log path-probability ratios.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .dataio import read_json, write_json
 from .errors import ContractViolation, DomainError, InputError
 from .polya_tree import TreeForest, alpha_for_layer
 from .stats import expit
@@ -176,12 +176,10 @@ def _smoothing_vector(c, p: int) -> np.ndarray:
 
 def _leaf_counts(rows, total: int, group: int) -> np.ndarray:
     """Validated (p, 2**depth) leaf counts of one group from a model file."""
-    width = len(rows[0]) if isinstance(rows[0], list) else -1
-    if any(not isinstance(r, list) or len(r) != width for r in rows):
+    [total] = json_numbers([total], int, f"'n{group}'")
+    if len({len(json_numbers(r, int, f"every group-{group} leaf count")) for r in rows}) != 1:
         raise InputError(f"group-{group} leaf counts must be lists of one length")
-    counts = np.array(rows)
-    if counts.dtype.kind != "i":
-        raise InputError(f"group-{group} leaf counts must be integers")
+    counts = np.array(rows, dtype=np.int64)
     if np.any(counts < 0):
         raise InputError(f"group-{group} leaf counts must be non-negative")
     if np.any(counts.sum(axis=1) != total):
@@ -189,29 +187,25 @@ def _leaf_counts(rows, total: int, group: int) -> np.ndarray:
     return counts
 
 
-def json_numbers(values, dtype, what: str) -> np.ndarray:
-    """A JSON list of numbers as a `dtype` (float or np.int64) array;
-    anything else raises InputError naming `what`.
-
-    Types are checked exactly, per value: strings, nulls and booleans are
-    refused (bool subclasses int, and numpy casts a boolean mixed with
-    floats to 1.0 or 0.0), and so is a float where integers are asked for.
-    The range is the caller's check.
-    """
-    kinds, noun = ((int,), "an integer") if dtype is np.int64 else ((int, float), "a number")
-    if not (isinstance(values, list) and all(type(v) in kinds for v in values)):
+def json_numbers(values, kind, what: str) -> list:
+    """`values` if it is a JSON list of numbers of `kind` (int: integers;
+    float: any number), else InputError naming `what`.  Exact types are
+    checked in one pass over the distinct ones: a bool (an int subclass), a
+    string or a null is refused, and so is a float where integers are asked
+    for.  Nothing is converted: the range, and the OverflowError of a huge
+    integer put in an array, are the caller's check."""
+    types, noun = ({int}, "an integer") if kind is int else ({int, float}, "a number")
+    if not (isinstance(values, list) and set(map(type, values)) <= types):
         raise InputError(f"{what} must be {noun}")
-    try:
-        return np.array(values, dtype=dtype)
-    except OverflowError:
-        raise InputError(f"{what} is out of range") from None
+    return values
 
 
 def _reals(records, key: str) -> np.ndarray:
     """One number per variable record from a model file.  The range is the
     caller's check: `TreeForest.from_leaves` refuses a NaN or infinite
     centring and an sd <= 0."""
-    return json_numbers([r[key] for r in records], float, f"every variable's {key!r}")
+    return np.array(json_numbers([r[key] for r in records], float, f"every variable's {key!r}"),
+                    dtype=float)
 
 
 @dataclass
@@ -292,16 +286,14 @@ class FittedModel:
         counts against n1 and n0 and sums them back up into the internal
         nodes; format-1 files (path-code count maps) are refused.
         """
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FittedModel":
         """Model from a format-2 document; anything malformed raises InputError,
-        including an omega that is not a number in [0, 1], names that are
-        not distinct strings, an 'iteration' that is not a non-negative
-        integer and a 'converged' that is not a boolean."""
+        including a number of the wrong JSON type (`json_numbers`), an omega
+        outside [0, 1], names that are not distinct strings, a negative
+        'iteration' and a 'converged' that is not a boolean."""
         found = doc.get("format") if isinstance(doc, dict) else None
         if found != MODEL_FORMAT:
             raise InputError(f"unsupported model format {found!r}; refit to write format {MODEL_FORMAT}")
@@ -319,27 +311,24 @@ class FittedModel:
             names = [r["name"] for r in records]
             if not (all(isinstance(v, str) for v in names) and len(set(names)) == len(names)):
                 raise InputError("the variables' names must be distinct strings")
-            iteration, converged = doc["iteration"], doc["converged"]
-            if isinstance(iteration, bool) or not isinstance(iteration, int) or iteration < 0:
+            [iteration] = json_numbers([doc["iteration"]], int, "'iteration'")
+            if iteration < 0:
                 raise InputError("'iteration' must be a non-negative integer")
-            if not isinstance(converged, bool):
+            if not isinstance(doc["converged"], bool):
                 raise InputError("'converged' must be true or false")
-            selection = SelectionState(omega, iteration, converged)
+            selection = SelectionState(omega, iteration, doc["converged"])
             c = _smoothing_vector(_reals(records, "c"), len(records))
-            return cls(Hyperparameters(**doc["hyperparameters"]), selection, forest, c, names)
+            hyper = Hyperparameters(**doc["hyperparameters"])
+            json_numbers([hyper.a_y, hyper.b_y, hyper.u], float, "every hyperparameter")
+            return cls(hyper, selection, forest, c, names)
         except InputError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:  # DomainError is a ValueError
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # DomainError is a ValueError
             raise InputError(f"malformed model file: {exc!r}") from exc
 
     @classmethod
     def load(cls, path) -> "FittedModel":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"cannot parse model file {path}: {exc}") from exc
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(read_json(path, "model file"))
 
 
 def update_psi(model: FittedModel, newpoints) -> ClassProbabilities:
@@ -363,8 +352,7 @@ def classify(psi: ClassProbabilities, threshold: float = 0.5) -> np.ndarray:
     """Hard labels from class probabilities; a tie at the threshold goes to group 1."""
     if not 0.0 < threshold < 1.0:
         raise InputError(f"threshold must lie in (0, 1), got {threshold!r}")
-    values = psi.psi if isinstance(psi, ClassProbabilities) else np.asarray(psi, dtype=float)
-    return (values >= threshold).astype(np.int8)
+    return (psi.psi >= threshold).astype(np.int8)
 
 
 def fit_model(matrix, labels, c, hyper: Hyperparameters | None = None,

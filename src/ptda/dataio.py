@@ -1,4 +1,4 @@
-"""Dataset ingestion, preprocessing, and fold plumbing.
+"""Dataset ingestion, preprocessing, fold plumbing and the two output writers.
 
 CSV files are RFC-4180-style with a header row, UTF-8.  Labels must take
 exactly two distinct values; the mapping onto {0, 1} is recorded on the
@@ -11,6 +11,7 @@ built.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +23,10 @@ __all__ = [
     "Dataset",
     "load_csv",
     "preprocess",
+    "read_json",
     "split_folds",
-    "write_predictions_csv",
+    "write_csv",
+    "write_json",
 ]
 
 
@@ -205,12 +208,29 @@ def split_folds(dataset: Dataset, k: int, seed: int = 0) -> list[tuple[np.ndarra
     return out
 
 
-def write_predictions_csv(path, psi, labels=None):
-    """Emit (row id, psi, label) rows; labels default to the 0.5 threshold."""
-    psi = np.asarray(psi, dtype=float)
-    if labels is None:
-        labels = (psi >= 0.5).astype(int)
+def write_csv(path, header, rows):
+    """Write a header row, unless it is empty, and then `rows` as CSV lines.
+    A field holding a comma, a quote or a line break is quoted, and a float
+    is written as its repr.  This and `write_json` are the only file writers."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("row,psi,label\n")
-        for i, (value, lab) in enumerate(zip(psi, labels)):
-            fh.write(f"{i},{float(value)!r},{int(lab)}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        if header:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at `path`; one that is not UTF-8 JSON
+    raises InputError naming `what`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise InputError(f"cannot parse {what} {path}: {exc}") from exc
+
+
+def write_json(path, doc):
+    """Write `doc` as JSON indented by one space, keys in its own order, and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")

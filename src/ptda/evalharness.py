@@ -13,8 +13,6 @@ two, while four setting-1 reps at n=100, p=3000 took 8.0-9.0 s either way.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cvb import Hyperparameters, classify, update_psi
-from .dataio import Dataset, split_folds
+from .dataio import Dataset, split_folds, write_csv
 from .errors import InputError
 from .simgen import SimulationSpec, generate
 from .smoothing import select_c
@@ -35,7 +33,6 @@ __all__ = [
     "cross_validate",
     "gaussian_nb_baseline",
     "write_rows_csv",
-    "write_summary_json",
 ]
 
 VARIANCE_FLOOR = 1e-8
@@ -196,6 +193,7 @@ def _metrics_row(m: RunMetrics, rep: int, method: str) -> dict:
 
 
 def _summarize(rows) -> dict:
+    # every dict's keys in sorted order: the summary JSON is written in dict order
     summary: dict = {"methods": {}}
     for method in sorted({r["method"] for r in rows}):
         sub = [r for r in rows if r["method"] == method]
@@ -203,11 +201,11 @@ def _summarize(rows) -> dict:
         accs = np.array([r["selection_accuracy"] for r in sub])
         accs = accs[~np.isnan(accs)]
         summary["methods"][method] = {
-            "reps": len(sub),
             "mean_classification_error": float(errors.mean()),
-            "median_classification_error": float(np.median(errors)),
             "mean_selection_accuracy": float(accs.mean()) if accs.size else float("nan"),
+            "median_classification_error": float(np.median(errors)),
             "median_selection_accuracy": float(np.median(accs)) if accs.size else float("nan"),
+            "reps": len(sub),
         }
     return summary
 
@@ -222,20 +220,6 @@ def _map_indexed(fn, indices, threads: int):
 
 def write_rows_csv(path, rows, include_timings: bool = False):
     """Tidy CSV, one row per rep/fold/method; timings only on request so
-    outputs stay byte-reproducible."""
-    if not rows:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("")
-        return
-    fields = [k for k in rows[0].keys() if include_timings or k != "wall_time"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore", lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in fields})
-
-
-def write_summary_json(path, summary: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    outputs stay byte-reproducible.  No rows write an empty file."""
+    fields = [k for k in (rows[0] if rows else ()) if include_timings or k != "wall_time"]
+    write_csv(path, fields, ([row[k] for k in fields] for row in rows))

@@ -21,13 +21,13 @@ candidate's model is returned as the fitted one.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataio
 from .bnp_test import log_bayes_factors
 from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, SelectionState, json_numbers,
                   leaf_log_path_tables, prior_log_odds, update_omega)
@@ -85,9 +85,7 @@ class SmoothingReport:
         }
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
+        dataio.write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "SmoothingReport":
@@ -95,18 +93,18 @@ class SmoothingReport:
         InputError.  Numbers are checked by exact type, as in model files
         (`cvb.json_numbers`): v0, v1, expected and the error must be numbers
         in [0, 1], the bins integers in 1..4."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-                v0, v1, expected = (
-                    json_numbers(doc[k], float, f"smoothing report {path}: every {k!r} value")
-                    for k in ("v0", "v1", "expected"))
-                [error] = json_numbers([doc["resubstitution_error"]], float,
-                                       f"smoothing report {path}: resubstitution_error")
-                bins = json_numbers(doc["bins"], np.int64, f"smoothing report {path}: every bin")
-                chosen_a = json_numbers(doc["chosen_a"], float, f"smoothing report {path}: chosen_a")
-            except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-                raise InputError(f"malformed smoothing report {path}: {exc!r}") from exc
+        doc = dataio.read_json(path, "smoothing report")
+        try:
+            v0, v1, expected, chosen_a = (
+                np.array(json_numbers(doc[k], float, f"smoothing report {path}: every {k!r} value"),
+                         dtype=float)
+                for k in ("v0", "v1", "expected", "chosen_a"))
+            [error] = json_numbers([doc["resubstitution_error"]], float,
+                                   f"smoothing report {path}: resubstitution_error")
+            bins = np.array(json_numbers(doc["bins"], int, f"smoothing report {path}: every bin"),
+                            dtype=np.int64)
+        except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: a huge integer
+            raise InputError(f"malformed smoothing report {path}: {exc!r}") from exc
         if np.any((bins < 1) | (bins > 4)):
             raise InputError(f"smoothing report {path}: bins must be integers in 1..4")
         if not _is_monotone_tuple(tuple(chosen_a.tolist())):
@@ -123,12 +121,9 @@ class SmoothingReport:
         return cls(v0, v1, expected, bins, tuple(chosen_a.tolist()), float(error), names)
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("variable,v0,v1,expected,bin,c\n")
-            c = self.c
-            for j, name in enumerate(self.names):
-                fh.write(f"{name},{float(self.v0[j])!r},{float(self.v1[j])!r},"
-                         f"{float(self.expected[j])!r},{int(self.bins[j])},{float(c[j])!r}\n")
+        columns = (self.v0, self.v1, self.expected, self.bins, self.c)
+        dataio.write_csv(path, ["variable", "v0", "v1", "expected", "bin", "c"],
+                         zip(self.names, *(a.tolist() for a in columns)))
 
 
 def expected_pvalue(v0, v1, p: int, u: float) -> np.ndarray:

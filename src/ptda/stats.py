@@ -343,10 +343,13 @@ _WEIGHT_CACHE: dict[int, np.ndarray] = {}
 
 
 def _royston_weights(n: int) -> np.ndarray:
-    """Royston's Shapiro-Wilk weight vector for samples of size n, cached per n.
+    """Royston's Shapiro-Wilk weight vector for samples of size n >= 3, cached per n.
 
     Normalised expected normal order statistics (Blom scores), with the
-    outer one or two pairs replaced by Royston's polynomial approximations.
+    outer one or two pairs replaced by Royston's polynomial approximations,
+    and at n = 3 AS R94's sqrt(1/2).  As in AS R94, the lower half is the
+    negated upper half: exactly antisymmetric weights give W = 1 on equally
+    spaced points, where the n = 3 p-value turns one ulp of W into ~3e-8.
     """
     w_vec = _WEIGHT_CACHE.get(n)
     if w_vec is not None:
@@ -355,18 +358,21 @@ def _royston_weights(n: int) -> np.ndarray:
     ss_m = float(np.dot(m, m))
     rsn = 1.0 / math.sqrt(n)
     w_vec = m / math.sqrt(ss_m)
-    if n > 3:
+    if n == 3:
+        w_vec[-1] = math.sqrt(0.5)
+    else:
         a_n = w_vec[-1] + _polyval(_SW_C1, rsn)
         if n > 5:
             a_n1 = w_vec[-2] + _polyval(_SW_C2, rsn)
             phi = (ss_m - 2.0 * m[-1] ** 2 - 2.0 * m[-2] ** 2) / \
                   (1.0 - 2.0 * a_n ** 2 - 2.0 * a_n1 ** 2)
             w_vec = m / math.sqrt(phi)
-            w_vec[-2], w_vec[1] = a_n1, -a_n1
+            w_vec[-2] = a_n1
         else:
             phi = (ss_m - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * a_n ** 2)
             w_vec = m / math.sqrt(phi)
-        w_vec[-1], w_vec[0] = a_n, -a_n
+        w_vec[-1] = a_n
+    w_vec[:n // 2] = -w_vec[::-1][:n // 2]
     _WEIGHT_CACHE[n] = w_vec
     return w_vec
 

@@ -279,6 +279,8 @@ def shapiro_wilk(sample) -> tuple[float, float]:
             phi = (ss_m - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * a_n ** 2)
             w_vec = m / math.sqrt(phi)
         w_vec[-1], w_vec[0] = a_n, -a_n
+    else:  # AS R94's n = 3 coefficient; the Blom scores' ends differ from it by an ulp
+        w_vec[-1], w_vec[0] = math.sqrt(0.5), -math.sqrt(0.5)
     xc = x - x.mean()
     w_stat = min(float(np.dot(w_vec, x)) ** 2 / float(np.dot(xc, xc)), 1.0)
     if n == 3:

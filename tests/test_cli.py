@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: pipelines, determinism, exit codes, help text."""
 
+import csv
 import json
 import os
 
@@ -153,6 +154,21 @@ class TestSelectC:
         assert "report.csv" in err
         assert not report.exists()
 
+
+    def test_csv_quotes_a_name_holding_a_comma(self, tmp_path, capsys):
+        out = simulate_small(tmp_path, seed=13)
+        lines = (out / "train.csv").read_text().splitlines()
+        data = tmp_path / "comma.csv"
+        data.write_text("\n".join(['"a,b"' + lines[0][len("V1"):], *lines[1:]]) + "\n")
+        report_csv = tmp_path / "report.csv"
+        code, _, err = run(["select-c", "--data", str(data), "--label-column", "y", "--ladder", "1",
+                            "--out", str(tmp_path / "report.json"), "--out-csv", str(report_csv)],
+                           capsys)
+        assert code == 0, err
+        with open(report_csv, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {6}
+        assert rows[1][0] == "a,b"
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "label 2"])
     def test_bad_data_exits_one_without_report(self, tmp_path, capsys, cell):
@@ -332,8 +348,9 @@ class TestDensity:
 
     @pytest.mark.parametrize("bounds", [
         ["--x-min", "nan"], ["--x-min=-inf"], ["--x-max", "inf"], ["--x-max", "nan"],
-        ["--x-min", "-1", "--x-max", "inf"],
-    ], ids=["min-nan", "min-minus-inf", "max-inf", "max-nan", "finite-min-inf-max"])
+        ["--x-min", "-1", "--x-max", "inf"], ["--x-min=-1e308", "--x-max=1e308"],
+    ], ids=["min-nan", "min-minus-inf", "max-inf", "max-nan", "finite-min-inf-max",
+            "span-overflows"])
     def test_non_finite_grid_end_exits_one_without_output(self, tmp_path, capsys, bounds):
         out = simulate_small(tmp_path, seed=29)
         model_path = tmp_path / "model.json"
@@ -392,6 +409,43 @@ class TestCv:
                 "--k", "4", "--ladder", "1", "--seed", "1", "--threads", threads,
                 "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestNoPartialOutput:
+    @staticmethod
+    def _argv(command, tmp_path):
+        """`command`'s argv, its inputs under tmp_path and its outputs under
+        tmp_path/out, where the last output's path is a directory."""
+        data = simulate_small(tmp_path, seed=73)
+        model = tmp_path / "model.json"
+        assert dispatch(["fit", "--data", str(data / "train.csv"), "--label-column", "y",
+                         "--c", "1.0", "--out", str(model)]) == 0
+        out = tmp_path / "out"
+        train = ["--data", str(data / "train.csv"), "--label-column", "y"]
+        argv, last = {
+            "simulate": (["simulate", "--setting", "1", "--n-train", "8", "--n-test", "4", "--p", "8",
+                          "--n-disc", "2", "--out-dir", str(out)], "truth.csv"),
+            "select-c": (["select-c", *train, "--ladder", "1", "--out", str(out / "report.json"),
+                          "--out-csv", str(out / "report.csv")], "report.csv"),
+            "fit": (["fit", *train, "--c", "1.0", "--out", str(out / "model.json")], "model.json"),
+            "predict": (["predict", "--model", str(model), "--data", str(data / "test.csv"),
+                         "--out", str(out / "pred.csv")], "pred.csv"),
+            "cv": (["cv", *train, "--k", "4", "--ladder", "1", "--out", str(out / "folds.csv"),
+                    "--out-summary", str(out / "summary.json")], "summary.json"),
+            "density": (["density", "--model", str(model), "--variable", "V1",
+                         "--out", str(out / "density.csv")], "density.csv"),
+        }[command]
+        (out / last).mkdir(parents=True)
+        return argv, out
+
+    @pytest.mark.parametrize("command", ["simulate", "select-c", "fit", "predict", "cv", "density"])
+    def test_failed_last_output_leaves_the_directory_unchanged(self, tmp_path, capsys, command):
+        argv, out = self._argv(command, tmp_path)
+        before = sorted(out.rglob("*"))
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "error" in err and "internal error" not in err
+        assert sorted(out.rglob("*")) == before
 
 
 def simulate_tiny(cfg, out_dir):
@@ -467,6 +521,14 @@ class TestConfig:
         code = dispatch(simulate_tiny(cfg, tmp_path / "out"))
         assert code == 0
 
+    def test_seed_beyond_int64_accepted(self, tmp_path, capsys):
+        # a seed is any integer, from the config file or --seed: the random
+        # streams take it modulo 2**64, so it is never converted to int64
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 2 ** 64 + 5}), encoding="utf-8")
+        assert dispatch(simulate_tiny(cfg, tmp_path / "a")) == 0
+        assert dispatch([*simulate_tiny(cfg, tmp_path / "b"), "--seed", str(2 ** 63)]) == 0
+
 
 class TestExitCodes:
     def test_contract_violation_exits_two(self, tmp_path, monkeypatch, capsys):
@@ -494,6 +556,24 @@ class TestExitCodes:
         assert code == 1
         assert "error: Unable to allocate" in err and "internal error" not in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["config", "model", "report", "data"])
+    def test_non_utf8_input_exits_one(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe{")
+        train = simulate_small(tmp_path, seed=79) / "train.csv"
+        argv = {
+            "config": simulate_tiny(bad, tmp_path / "sim"),
+            "model": ["density", "--model", str(bad), "--variable", "V1",
+                      "--out", str(tmp_path / "d.csv")],
+            "report": ["fit", "--data", str(train), "--label-column", "y", "--c-report", str(bad),
+                       "--out", str(tmp_path / "m.json")],
+            "data": ["bf", "--data", str(bad), "--label-column", "y"],
+        }[kind]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "error" in err and "internal error" not in err
+        assert not any((tmp_path / name).exists() for name in ("sim", "d.csv", "m.json"))
 
     def test_unconverged_fit_exits_one_without_output(self, tmp_path, capsys):
         out = simulate_small(tmp_path, seed=47)

@@ -369,12 +369,17 @@ class TestFittedModel:
         lambda doc: doc.update(converged=1),
         lambda doc: doc.update(converged=None),
         lambda doc: doc["variables"][0].update(mean=10 ** 400),
+        lambda doc: (lambda row: row.__setitem__(row.index(1), True))(doc["variables"][0]["leaf1"]),
+        lambda doc: doc["variables"][0]["leaf0"].__setitem__(0, 2 ** 64),
+        lambda doc: doc.update(n1=float(doc["n1"])),
+        lambda doc: doc["hyperparameters"].update(a_y=True),
     ], ids=["no-format", "format-1", "negative", "non-integer", "wrong-length",
             "sum-differs", "missing-key", "mean-string", "mean-bool", "sd-null", "sd-zero", "sd-nan",
             "c-string", "c-bool", "omega-nan", "omega-inf", "omega-above-1", "omega-negative", "omega-string",
             "omega-bool", "duplicate-names", "name-int", "name-null", "iteration-string",
             "iteration-float", "iteration-bool", "iteration-negative", "converged-string",
-            "converged-int", "converged-null", "mean-huge-integer"])
+            "converged-int", "converged-null", "mean-huge-integer", "leaf-count-true",
+            "leaf-count-huge-integer", "n1-float", "a_y-bool"])
     def test_loader_rejects_malformed(self, edit):
         _, _, model = training_model(seed=16, n=20, p=3)
         doc = json.loads(json.dumps(model.to_json_dict()))

@@ -9,7 +9,7 @@ from ptda.dataio import (
     load_csv,
     preprocess,
     split_folds,
-    write_predictions_csv,
+    write_csv,
 )
 from ptda.errors import InputError
 from ptda.simgen import SimulationSpec, generate
@@ -183,7 +183,7 @@ class TestSplitFolds:
 class TestPredictionsCsv:
     def test_format(self, tmp_path):
         path = tmp_path / "pred.csv"
-        write_predictions_csv(path, np.array([0.2, 0.8]))
+        write_csv(path, ["row", "psi", "label"], zip(range(2), [0.2, 0.8], [0, 1]))
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "row,psi,label"
         assert lines[1] == "0,0.2,0"

@@ -216,6 +216,15 @@ class TestColumnPvalues:
         v0, v1 = column_pvalues(x, y)
         assert_matches_oracle(x, y, v0, v1)
 
+    def test_equally_spaced_three_scores_one(self):
+        # W = 1 exactly: the n = 3 p-value turns one ulp of W below 1 into
+        # ~3e-8, which weights that are not exactly antisymmetric produced here
+        x = np.array([[-0.0], [-1.0], [-2.0]])
+        y = np.array([1, 0, 1])
+        v0, v1 = column_pvalues(x, y)
+        assert v0.tolist() == [1.0]
+        assert_matches_oracle(x, y, v0, v1)
+
     def test_common_offset_leaves_v0(self):
         # dyadic values, so the offset copy is exact; the per-column oracle's
         # uncentred weight sum loses about 1e-6 of v0 to cancellation here

@@ -124,3 +124,39 @@ def test_every_function_is_referenced():
     defined = set(_defined_functions())
     unreferenced = sorted(f for f in defined if f.rpartition(".")[2] not in referenced)
     assert unreferenced == sorted(UNREFERENCED), "unreferenced functions differ from the allowlist"
+
+
+def _calls(node, owner="<module>"):
+    """(innermost enclosing function, call) of every call under an AST node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield owner, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from _calls(child, inner)
+
+
+def _file_write(call):
+    """"open" for a call that opens a file for writing, "json.dump" for
+    `json.dump`, else None.  An `open` mode that is not a string literal
+    counts as a write."""
+    target = ast.unparse(call.func)
+    if target == "open" or target.endswith(".open"):
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+        reads = isinstance(mode, ast.Constant) and isinstance(mode.value, str) \
+            and not set(mode.value) & set("wax+")
+        return None if reads else "open"
+    if target.endswith((".write_text", ".write_bytes")):
+        return "open"
+    return "json.dump" if target == "json.dump" else None
+
+
+def test_only_the_two_writers_write_files():
+    # one boundary: every output goes through dataio.write_csv or write_json,
+    # so quoting, float formatting and the trailing newline are decided once
+    writes = {(f"{path.stem}.{owner}", kind)
+              for path in sorted(SRC.glob("*.py"))
+              for owner, call in _calls(ast.parse(path.read_text(encoding="utf-8")))
+              if (kind := _file_write(call))}
+    assert writes == {("dataio.write_csv", "open"), ("dataio.write_json", "open"),
+                      ("dataio.write_json", "json.dump")}
