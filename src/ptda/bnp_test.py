@@ -13,11 +13,11 @@ Every count is an integer and every node of a layer shares one alpha per
 smoothing value, so a layer's log-gamma values come from count-indexed
 tables: for each distinct alpha a, lg(a + k) and lg(2a + k) for k up to
 the largest parent count scored there.  A contrast's log-beta terms
-gather from them in `stats.log_beta`'s order, lg x + lg y - lg(x + y),
-and log B(a, a) is one constant per alpha.  For an alpha with an integer
+gather from them in log-beta order, lg x + lg y - lg(x + y), and
+log B(a, a) is one constant per alpha.  For an alpha with an integer
 value, 2a + (k1 + k2) is exactly (a + k1) + (a + k2), so the result is
-bit-identical to evaluating `log_beta` per node; otherwise the two round
-differently in the last bits.
+bit-identical to evaluating that log-beta per node with `log_gamma`;
+otherwise the two round differently in the last bits.
 """
 
 from __future__ import annotations
@@ -58,12 +58,12 @@ def log_bayes_factor(tree: TreeForest, c: float) -> float:
 def log_bayes_factors(forest: TreeForest, c) -> np.ndarray:
     """Per-variable ln BF across a whole forest, vectorized.
 
-    `c` is a scalar or a length-p vector of smoothing parameters.  Terms
-    are summed per variable in (variable, cell) order.
+    `c` is a scalar or a length-p vector of finite positive smoothing
+    parameters.  Terms are summed per variable in (variable, cell) order.
     """
     c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
-    if np.any(c <= 0.0):
-        raise InputError("smoothing parameters must be positive")
+    if not np.all(np.isfinite(c) & (c > 0.0)):
+        raise InputError("smoothing parameters must be finite and positive")
     k1, k0 = forest.count1, forest.count0
     out = np.zeros(forest.p)
     for level in range(forest.depth):  # parent layers

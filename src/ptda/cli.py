@@ -349,10 +349,13 @@ def _cmd_bf(args, cfg: Config) -> int:
     if (args.value_column is None) != (args.group_column is None):
         raise InputError("two-column mode needs both --value-column and --group-column")
     if args.value_column is not None:
-        ds = load_csv(args.data, label_column=args.group_column,
+        if args.label_column is not None:
+            raise InputError("two-column mode takes its groups from --group-column; "
+                             "drop --label-column")
+        ds = load_csv(args.data, label_column=args.group_column, orientation=args.orientation,
                       positive_label=args.positive_label)
         if args.value_column not in ds.names:
-            raise InputError(f"value column {args.value_column!r} not in header")
+            raise InputError(f"value column {args.value_column!r} not in the data")
         column = ds.matrix[:, ds.names.index(args.value_column)]
         tree = TreeForest.from_matrix(column[:, None], ds.labels, cfg.depth)
         print(f"{args.value_column},{log_bayes_factor(tree, args.c)!r}")

@@ -3,12 +3,14 @@ a Gaussian naive-Bayes foil.
 
 Rows come out as plain dicts (one per rep/fold/method) so they can be
 dumped to tidy CSV; summaries aggregate means/medians and per-variable
-selection rates.  Reps and folds are independent and may run on a thread
-pool; results are assembled by index so thread count never changes them.
-The pool pays off where numpy's forest and table work, which releases the
-GIL, outweighs the Python omega sweep: on a 2-vCPU host, four setting-2
-reps at n=1000, p=1000 took 9.3-10.3 s on one thread and 6.6-7.4 s on
-two, while four setting-1 reps at n=100, p=3000 took 8.0-9.0 s either way.
+selection rates.  Cross-validation folds are independent and may run on
+a thread pool; results are assembled by index so the thread count never
+changes them.  The pool pays off where numpy's forest and table work,
+which releases the GIL, outweighs the Python omega sweep: on a 2-vCPU
+host, four setting-2 simulation reps at n=1000, p=1000 on such a pool
+took 9.3-10.3 s on one thread and 6.6-7.4 s on two, while four setting-1
+reps at n=100, p=3000 took 8.0-9.0 s either way.  Simulation reps run in
+turn.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def gaussian_nb_baseline(train: Dataset, test: Dataset) -> RunMetrics:
 
 def run_simulation_study(setting: int, reps: int, base_seed: int = 0,
                          n_train: int = 100, n_test: int = 1000, p: int = 500,
-                         n_discriminative: int = 50, grid=None, threads: int = 1):
+                         n_discriminative: int = 50, grid=None):
     """Repeat generate/select/fit/score; returns (rows, summary).
 
     Rep r uses seed base_seed + r.  Each rep selects c over `grid` (None
@@ -126,8 +128,7 @@ def run_simulation_study(setting: int, reps: int, base_seed: int = 0,
     sweep controls, and scores the Gaussian naive-Bayes baseline on the same
     datasets.  A variable counts as selected when its omega is at least the
     fixed 0.5; the selection counts and rates are taken against the truth
-    at that cut.  Reps may run on `threads` worker threads.  Zero reps
-    yields an empty table.
+    at that cut.  Zero reps yields an empty table.
     """
 
     def one_rep(r: int):
@@ -140,7 +141,7 @@ def run_simulation_study(setting: int, reps: int, base_seed: int = 0,
             m.tp, m.tn, m.fp, m.fn, m.selection_accuracy = selection_confusion(m.selected, truth)
         return [_metrics_row(m, rep=r, method=name) for name, m in methods], metrics.selected
 
-    results = _map_indexed(one_rep, range(reps), threads)
+    results = [one_rep(r) for r in range(reps)]
     rows = [row for rep_rows, _ in results for row in rep_rows]
     summary = _summarize(rows)
     if results:

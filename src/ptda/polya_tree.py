@@ -244,6 +244,8 @@ def predictive_density(x: float, tree: TreeForest, c: float, group: int) -> floa
         raise InputError("group must be 0 or 1")
     if not math.isfinite(x):
         raise InputError("predictive_density requires finite x")
+    if not (math.isfinite(c) and c > 0.0):
+        raise InputError("predictive_density requires a finite positive c")
     counts = (tree.count1 if group == 1 else tree.count0)[0]
     leaf = int(tree.leaves([[x]])[0, 0])
     mean, sd = float(tree.means[0]), float(tree.sds[0])

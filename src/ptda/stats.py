@@ -1,16 +1,18 @@
 """Self-contained statistical kernels.
 
-Everything the model needs from "a stats library" lives here so the
-package carries no dependency beyond numpy: log-gamma/log-beta, the
-standard normal CDF/quantile pair, a stable expit of arrays, the Shapiro-Wilk
+The statistics the model needs and numpy and the standard library lack,
+so the package carries no dependency beyond numpy: log-gamma, the
+standard normal CDF, a stable expit of arrays, the Shapiro-Wilk
 normality test (Royston's AS R94 recipe) and the two-sample
 Kolmogorov-Smirnov test with the asymptotic p-value.  Accuracy fixtures
 for all of them are recorded in the test suite.
 
-The normal CDF of an array runs on a numpy port of fdlibm's erfc (the
-Sun Microsystems s_erf.c that glibc's erfc is derived from), so that
-locating millions of points costs no Python per value.  It agrees with
-`math.erfc` to within 4 ulp; Python numbers still go through `math.erfc`.
+The normal CDF runs on a numpy port of fdlibm's erfc (the Sun
+Microsystems s_erf.c that glibc's erfc is derived from), so that locating
+millions of points costs no Python per value.  It agrees with glibc's
+own erfc to within 4 ulp.  The normal quantile behind the Shapiro-Wilk
+weights is the standard library's `statistics.NormalDist().inv_cdf`
+(Wichura's AS 241).
 
 Both tests are column kernels: `shapiro_wilk_sorted` and
 `ks_two_sample_sorted` score a block of equal-length samples, one per row
@@ -21,6 +23,7 @@ sample is a one-row block."""
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
@@ -28,10 +31,8 @@ from .errors import DomainError
 
 __all__ = [
     "log_gamma",
-    "log_beta",
     "normal_cdf",
     "normal_pdf",
-    "normal_quantile",
     "expit",
     "shapiro_wilk_sorted",
     "ks_two_sample_sorted",
@@ -44,7 +45,7 @@ _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
-# log-gamma / log-beta
+# log-gamma
 # ---------------------------------------------------------------------------
 
 # Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy is about
@@ -113,13 +114,8 @@ def log_gamma(x):
     return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
 
-def log_beta(a, b):
-    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b), for a, b > 0."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(np.asarray(a) + np.asarray(b))
-
-
 # ---------------------------------------------------------------------------
-# standard normal CDF / quantile
+# standard normal CDF
 # ---------------------------------------------------------------------------
 
 # erfc for arrays: fdlibm's s_erf.c (Sun Microsystems, 1993), the source of
@@ -242,17 +238,16 @@ def _erfc_block(x: np.ndarray, out: np.ndarray) -> None:
 def normal_cdf(z):
     """Standard normal CDF, Phi(z) = erfc(-z / sqrt 2) / 2.
 
-    A Python number goes through `math.erfc`.  An array goes through a
-    numpy port of fdlibm's erfc (the rational approximation glibc's erfc
-    derives from), block by block, and comes back with the input's shape.
-    Where |z| / sqrt 2 < 1.25 the port repeats glibc's arithmetic exactly;
-    beyond that it calls numpy's exp where glibc calls its own, and stays
-    within 4 ulp of `math.erfc` (largest relative difference 6.2e-16 in a
-    sweep of 4M values).
+    Any array-like goes through a numpy port of fdlibm's erfc (the
+    rational approximation glibc's erfc derives from), block by block, and
+    comes back as an ndarray of its shape, 0-d for a number.  Where
+    |z| / sqrt 2 < 1.25 the port repeats glibc's arithmetic exactly; beyond
+    that it calls numpy's exp where glibc calls its own, and stays within
+    4 ulp of glibc's erfc (largest relative difference 6.2e-16 in a sweep
+    of 4M values).
     """
-    if not isinstance(z, np.ndarray):
-        return 0.5 * math.erfc(-float(z) / _SQRT2)
-    flat = np.asarray(z, dtype=float).ravel()
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
     out = np.empty_like(flat)
     for start in range(0, flat.size, _ERFC_BLOCK):
         block = out[start:start + _ERFC_BLOCK]
@@ -265,47 +260,6 @@ def normal_pdf(z: float) -> float:
     """Standard normal density at a number."""
     z = float(z)
     return math.exp(-0.5 * z * z) / _SQRT_2PI
-
-
-# Acklam's rational approximation for the inverse normal CDF; one Newton
-# step against the exact CDF below pushes the absolute error from ~1e-9
-# to machine precision.
-_ACK_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-          1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_ACK_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-          6.680131188771972e01, -1.328068155288572e01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-          -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-          3.754408661907416e00)
-_ACK_LOW = 0.02425
-
-
-def normal_quantile(q: float) -> float:
-    """Inverse standard normal CDF for q in (0, 1)."""
-    q = float(q)
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"normal_quantile requires q in (0, 1), got {q!r}")
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    if q < _ACK_LOW:
-        r = math.sqrt(-2.0 * math.log(q))
-        x = (((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]) / \
-            ((((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0)
-    elif q <= 1.0 - _ACK_LOW:
-        r = q - 0.5
-        s = r * r
-        x = (((((a[0] * s + a[1]) * s + a[2]) * s + a[3]) * s + a[4]) * s + a[5]) * r / \
-            (((((b[0] * s + b[1]) * s + b[2]) * s + b[3]) * s + b[4]) * s + 1.0)
-    else:
-        r = math.sqrt(-2.0 * math.log(1.0 - q))
-        x = -(((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]) / \
-            ((((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0)
-    # Newton polish; skipped in the extreme tails where exp(x^2/2) overflows
-    # and the raw approximation is already adequate in absolute terms.
-    if abs(x) < 37.0:
-        err = normal_cdf(x) - q
-        x -= err * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x
 
 
 def expit(z: np.ndarray) -> np.ndarray:
@@ -331,14 +285,7 @@ _SW_C5 = (0.0038915, -0.083751, -0.31082, -1.5861)
 _SW_C6 = (0.0030302, -0.082676, -0.4803)
 _SW_G = (0.459, -2.273)
 
-
-def _polyval(coefs, x):
-    acc = 0.0
-    for c in coefs:
-        acc = acc * x + c
-    return acc
-
-
+_STD_NORMAL = NormalDist()  # its inv_cdf gives the Blom scores
 _WEIGHT_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -354,16 +301,16 @@ def _royston_weights(n: int) -> np.ndarray:
     w_vec = _WEIGHT_CACHE.get(n)
     if w_vec is not None:
         return w_vec
-    m = np.array([normal_quantile((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
+    m = np.array([_STD_NORMAL.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
     ss_m = float(np.dot(m, m))
     rsn = 1.0 / math.sqrt(n)
     w_vec = m / math.sqrt(ss_m)
     if n == 3:
         w_vec[-1] = math.sqrt(0.5)
     else:
-        a_n = w_vec[-1] + _polyval(_SW_C1, rsn)
+        a_n = w_vec[-1] + np.polyval(_SW_C1, rsn)
         if n > 5:
-            a_n1 = w_vec[-2] + _polyval(_SW_C2, rsn)
+            a_n1 = w_vec[-2] + np.polyval(_SW_C2, rsn)
             phi = (ss_m - 2.0 * m[-1] ** 2 - 2.0 * m[-2] ** 2) / \
                   (1.0 - 2.0 * a_n ** 2 - 2.0 * a_n1 ** 2)
             w_vec = m / math.sqrt(phi)
@@ -383,16 +330,16 @@ def _shapiro_pvalue(w_stat: np.ndarray, n: int) -> np.ndarray:
         if n == 3:
             p = (6.0 / math.pi) * (np.arcsin(np.sqrt(w_stat)) - math.asin(math.sqrt(0.75)))
         elif n <= 11:
-            arg = _polyval(_SW_G, float(n)) - np.log(1.0 - w_stat)
+            arg = np.polyval(_SW_G, float(n)) - np.log(1.0 - w_stat)
             y = -np.log(arg)
-            mu = _polyval(_SW_C3, float(n))
-            sigma = math.exp(_polyval(_SW_C4, float(n)))
+            mu = np.polyval(_SW_C3, float(n))
+            sigma = math.exp(np.polyval(_SW_C4, float(n)))
             p = np.where(arg > 0.0, 1.0 - normal_cdf((y - mu) / sigma), 0.0)
         else:
             ln_n = math.log(float(n))
             y = np.log(1.0 - w_stat)
-            mu = _polyval(_SW_C5, ln_n)
-            sigma = math.exp(_polyval(_SW_C6, ln_n))
+            mu = np.polyval(_SW_C5, ln_n)
+            sigma = math.exp(np.polyval(_SW_C6, ln_n))
             p = 1.0 - normal_cdf((y - mu) / sigma)
     return np.clip(p, 0.0, 1.0)
 

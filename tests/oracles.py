@@ -3,29 +3,36 @@
 Everything here deliberately avoids the package's own computational paths:
 enumeration of every cell of a tree, math.lgamma instead of the
 vectorized log-gamma, Jacobi fixed-point iteration instead of sweeps, and
-brute-force double loops for distances.  Cell edges come from the scalar
-quantile function, not from the array CDF that locates points.  Two
-references keep the earlier, plainer forms of rewritten kernels: the
-digit-by-digit binary expansion of a CDF value and the omega sweep that
-calls expit and min/max.  Two more keep the direct forms of the forest
-kernels: the log-Bayes-factor layer walk calling `log_beta` on every live
-node, which now gathers from count-indexed tables, and the leaf log-path
-walk repeating each parent, which now broadcasts it by reshape.  The
-Shapiro-Wilk and Kolmogorov-Smirnov references score one sample at a time,
-the way the package did before its column kernels: W from `np.dot` and
-the p-value through `math.erfc`, and D from `searchsorted` on each sorted
-sample.
+brute-force double loops for distances.  Normal quantiles (cell edges and
+Blom scores) come from the standard library's `NormalDist().inv_cdf`, not
+from the array CDF that locates points.  Two references keep the earlier,
+plainer forms of rewritten kernels: the digit-by-digit binary expansion
+of a CDF value and the omega sweep that calls expit and min/max.  Two more
+keep the direct forms of the forest kernels: the log-Bayes-factor layer
+walk calling `log_beta` on every live node, which now gathers from
+count-indexed tables, and the leaf log-path walk repeating each parent,
+which now broadcasts it by reshape.  The Shapiro-Wilk and
+Kolmogorov-Smirnov references score one sample at a time, the way the
+package did before its column kernels: W from `np.dot` and the p-value
+through `math.erfc`, and D from `searchsorted` on each sorted sample.
+
+The package names imported here are the allowlist in
+tests/test_tooling.py, each with the reason it is not a kernel an oracle
+checks.
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
 from ptda.polya_tree import alpha_for_layer
 from ptda.errors import DomainError
-from ptda.stats import _kolmogorov_sf, log_beta, normal_quantile, square_safe_shift
+from ptda.stats import _kolmogorov_sf, log_gamma, square_safe_shift
+
+normal_quantile = NormalDist().inv_cdf
 
 
 def lgamma(v):
@@ -34,6 +41,13 @@ def lgamma(v):
 
 def lbeta(a, b):
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def log_beta(a, b):
+    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b), for a, b > 0, from
+    the package's `log_gamma`, so that at integer alpha it is bit-identical to
+    the count tables of `bnp_test.log_bayes_factors`."""
+    return log_gamma(a) + log_gamma(b) - log_gamma(np.asarray(a) + np.asarray(b))
 
 
 def dense_log_bayes_factor(counts_map: dict, depth: int, c: float) -> float:

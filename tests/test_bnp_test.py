@@ -56,6 +56,18 @@ class TestFixtures:
         with pytest.raises(InputError):
             FittedModel.from_json_dict(doc)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -1.0,
+                                   [1.0, math.nan], [math.inf, 1.0]],
+                             ids=["nan", "inf", "-inf", "zero", "negative",
+                                  "vector-nan", "vector-inf"])
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_non_finite_or_non_positive_c_rejected(self, c, depth):
+        # at depth 1 the one scored layer has alpha 1, so c never reaches log_gamma's own check
+        rng = np.random.default_rng(3)
+        forest = TreeForest.from_matrix(rng.normal(size=(16, 2)), np.array([1, 0] * 8), depth)
+        with pytest.raises(InputError, match="finite and positive"):
+            log_bayes_factors(forest, c)
+
 
 class TestAgainstDenseOracle:
     @pytest.mark.parametrize("seed", range(40))

@@ -319,6 +319,53 @@ class TestBf:
         assert len(lines) == 12
         assert lines[0].startswith("V1,")
 
+    @staticmethod
+    def _pairs(tmp_path):
+        """Two-column files of one sample, samples in rows and variables in rows."""
+        rng = np.random.default_rng(6)
+        values = [repr(float(v)) for v in np.round(rng.normal(size=12), 6)]
+        groups = [str(i % 2) for i in range(12)]
+        by_rows = tmp_path / "pairs.csv"
+        by_rows.write_text("\n".join(["v,g", *map(",".join, zip(values, groups))]) + "\n",
+                           encoding="utf-8")
+        by_columns = tmp_path / "pairs-t.csv"
+        ids = [f"s{i}" for i in range(12)]
+        by_columns.write_text("\n".join(",".join(row) for row in (
+            ["id", *ids], ["v", *values], ["g", *groups])) + "\n", encoding="utf-8")
+        return by_rows, by_columns
+
+    def test_two_column_mode_reads_variables_in_rows(self, tmp_path, capsys):
+        by_rows, by_columns = self._pairs(tmp_path)
+        two_column = ["bf", "--value-column", "v", "--group-column", "g", "--depth", "3"]
+        code, expected, _ = run([*two_column, "--data", str(by_rows)], capsys)
+        assert code == 0
+        code, stdout, _ = run([*two_column, "--data", str(by_columns),
+                               "--orientation", "variables-in-rows"], capsys)
+        assert code == 0
+        assert stdout == expected
+
+    def test_label_column_in_two_column_mode_exits_one(self, tmp_path, capsys):
+        by_rows, _ = self._pairs(tmp_path)
+        code, stdout, err = run(["bf", "--data", str(by_rows), "--value-column", "v",
+                                 "--group-column", "g", "--label-column", "g"], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert "--label-column" in err
+
+    @pytest.mark.parametrize("c", ["nan", "inf", "-inf", "0", "-2"])
+    @pytest.mark.parametrize("depth", [["--depth", "1"], []], ids=["depth-1", "default-depth"])
+    @pytest.mark.parametrize("two_column", [False, True], ids=["matrix", "two-column"])
+    def test_non_finite_or_non_positive_c_exits_one(self, tmp_path, capsys, c, depth,
+                                                    two_column):
+        by_rows, _ = self._pairs(tmp_path)
+        mode = ["--value-column", "v", "--group-column", "g"] if two_column else \
+            ["--label-column", "g"]
+        code, stdout, err = run(["bf", "--data", str(by_rows), *mode, f"--c={c}", *depth],
+                                capsys)
+        assert code == 1
+        assert stdout == ""
+        assert "finite and positive" in err
+
 
 class TestDensity:
     def test_grid_output(self, tmp_path, capsys):

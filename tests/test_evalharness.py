@@ -15,6 +15,7 @@ from ptda.evalharness import (
     selection_confusion,
     write_rows_csv,
 )
+from ptda.simgen import SimulationSpec, generate
 from ptda.smoothing import select_c
 
 
@@ -93,11 +94,14 @@ class TestSimulationStudy:
                 assert row["converged"]
 
     def test_thread_count_does_not_change_results(self):
-        kwargs = dict(n_train=24, n_test=30, p=15, n_discriminative=3,
-                      grid=[(1.0, 1.0, 1.0, 1.0)], base_seed=2)
-        seq, _ = run_simulation_study(1, reps=3, threads=1, **kwargs)
-        par, _ = run_simulation_study(1, reps=3, threads=3, **kwargs)
-        assert strip_times(seq) == strip_times(par)
+        # the thread pool serves cross_validate's folds; simulation reps run in turn
+        train, _, _ = generate(SimulationSpec(1, n_train=36, n_test=10, p=15,
+                                              n_discriminative=3, seed=2))
+        seq, seq_summary = cross_validate(train, 3, grid=[(1.0, 1.0, 1.0, 1.0)], threads=1)
+        par, par_summary = cross_validate(train, 3, grid=[(1.0, 1.0, 1.0, 1.0)], threads=3)
+        # compared by repr: a CV row's selection accuracy is NaN, which equals nothing
+        assert repr(strip_times(seq)) == repr(strip_times(par))
+        assert repr(seq_summary) == repr(par_summary)
 
     def test_no_converged_candidate_is_an_input_error(self, monkeypatch):
         # a rep's selection that cannot converge surfaces as select_c's InputError

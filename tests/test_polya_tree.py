@@ -2,6 +2,7 @@
 
 import logging
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from ptda.polya_tree import (
     predictive_density,
     training_data,
 )
-from ptda.stats import normal_cdf, normal_pdf, normal_quantile
+from ptda.stats import normal_cdf, normal_pdf
 
 from adapters import STD, path_map, sample_centring, spec_of, tree_from_leaves, tree_of
 from oracles import binary_expansion_leaves, cell_bounds, integrate_predictive_density
@@ -211,7 +212,7 @@ class TestPathOf:
         assert leaf_of(50.0, empty_tree(depth=5)) == 0b11111
 
     def test_binary_expansion(self):
-        assert leaf_of(normal_quantile(0.3), empty_tree(depth=2)) == 0b01
+        assert leaf_of(NormalDist().inv_cdf(0.3), empty_tree(depth=2)) == 0b01
 
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
@@ -245,7 +246,7 @@ class TestAccumulateCounts:
         assert counts["00"] == (2, 2)
 
     def test_two_point_placement(self):
-        col = np.array([normal_quantile(0.3), normal_quantile(0.8)])
+        col = np.array([NormalDist().inv_cdf(0.3), NormalDist().inv_cdf(0.8)])
         counts = path_map(tree_of(col, np.array([1, 0]), 1, STD))
         assert counts["0"] == (1, 0)
         assert counts["1"] == (0, 1)
@@ -295,6 +296,12 @@ class TestAccumulateCounts:
 
 
 class TestPredictiveDensity:
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_c_rejected(self, c):
+        tree = tree_from_leaves([1, 0], [0, 1], STD)
+        with pytest.raises(InputError, match="finite positive c"):
+            predictive_density(0.5, tree, c, 1)
+
     def test_prior_predictive_is_centring(self):
         tree = empty_tree(depth=3)
         for x in (-2.0, -0.3, 0.0, 1.7):

@@ -1,12 +1,13 @@
 """Kernel accuracy against recorded reference values and identities.
 
 Reference fixtures were computed once with scipy (scipy.stats.shapiro,
-scipy.special.kolmogorov/ndtri) and frozen here; scipy itself is only
+scipy.special.kolmogorov) and frozen here; scipy itself is only
 imported for the wide-range cross-checks so the recorded numbers stay
 the contract.
 """
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -18,14 +19,12 @@ from ptda.smoothing import column_pvalues
 from ptda.stats import (
     expit,
     ks_two_sample_sorted,
-    log_beta,
     log_gamma,
     normal_cdf,
-    normal_quantile,
     shapiro_wilk_sorted,
 )
 
-from oracles import brute_force_ks_distance
+from oracles import brute_force_ks_distance, log_beta
 
 
 def sw_row(sample):
@@ -63,6 +62,8 @@ class TestLogGamma:
 
 
 class TestLogBeta:
+    """The oracles' log-beta, which the direct log-Bayes-factor reference sums."""
+
     def test_fixtures(self):
         assert log_beta(1.0, 1.0) == pytest.approx(0.0, abs=1e-13)
         assert log_beta(3.0, 3.0) == pytest.approx(math.log(1.0 / 30.0), rel=1e-12)
@@ -77,30 +78,8 @@ class TestLogBeta:
         assert log_beta(a, b) == pytest.approx(log_beta(b, a), rel=1e-12, abs=1e-12)
 
 
-class TestNormalQuantile:
-    def test_fixtures(self):
-        assert normal_quantile(0.5) == 0.0
-        assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-9)
-        assert normal_quantile(0.25) == pytest.approx(-0.6744897501960817, abs=1e-9)
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(DomainError):
-                normal_quantile(bad)
-
-    @given(st.floats(1e-12, 1.0 - 1e-12))
-    @settings(max_examples=300)
-    def test_round_trip(self, q):
-        z = normal_quantile(q)
-        assert abs(normal_cdf(z) - q) <= 1e-10
-
-    def test_symmetry(self):
-        for q in (0.01, 0.2, 0.4):
-            assert normal_quantile(q) == pytest.approx(-normal_quantile(1.0 - q), abs=1e-12)
-
-
 class TestNormalCdfArrays:
-    """The array path (fdlibm's erfc in numpy) against math.erfc and scipy."""
+    """fdlibm's erfc in numpy against math.erfc and scipy."""
 
     # glibc's erfc branch points in t = -z / sqrt 2 (the 1/0.35 cut is the
     # double whose high word is 0x4006DB6D)
@@ -139,10 +118,20 @@ class TestNormalCdfArrays:
     def test_nan_passes_through(self):
         assert np.isnan(normal_cdf(np.array([0.1, np.nan]))[1])
 
-    def test_python_float_uses_math_erfc(self):
-        for z in (0.3, -2.0, 7.5):
-            assert normal_cdf(z) == 0.5 * math.erfc(-z / math.sqrt(2.0))
-        assert isinstance(normal_cdf(0.3), float)
+    def test_number_and_list_take_the_array_path(self):
+        z = [0.3, -2.0, 7.5]
+        out = normal_cdf(z)
+        assert isinstance(out, np.ndarray) and out.shape == (3,)
+        for v, ref in zip(z, out.tolist()):
+            number = normal_cdf(v)
+            assert isinstance(number, np.ndarray) and number.shape == ()
+            assert float(number) == ref
+        self.check(np.array(z))
+
+    @given(st.floats(1e-12, 1.0 - 1e-12))
+    @settings(max_examples=300)
+    def test_inverts_the_stdlib_quantile(self, q):
+        assert abs(float(normal_cdf(NormalDist().inv_cdf(q))) - q) <= 1e-10
 
     @pytest.mark.parametrize("shape", [(), (0,), (0, 3), (2, 3), (17000,)])
     def test_shape_kept(self, shape):

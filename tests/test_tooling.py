@@ -1,6 +1,7 @@
 """The benchmark's layer tracer, its calls into the package and the package's
-exports must name things that exist, and the package must define no
-function that only tests reach."""
+exports must name things that exist, the package must define no function
+that only tests reach, and the oracles may import from the package only
+names that are not the kernels they check."""
 
 import ast
 import importlib
@@ -18,10 +19,28 @@ from ptda import cvb, dataio, evalharness, simgen
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 SRC = ROOT / "src" / "ptda"
+ORACLES = ROOT / "tests" / "oracles.py"
 
 # functions that no program code references and that stay, with the reason
-UNREFERENCED = {
-    "stats.log_beta": "tests/oracles.py builds its reference log Bayes factors from it",
+UNREFERENCED: dict = {}
+
+# the package names tests/oracles.py imports, each with the reason it is not
+# a kernel that an oracle checks
+ORACLE_IMPORTS = {
+    "ptda.errors.DomainError": "the exception the Shapiro-Wilk reference raises for a "
+                               "constant sample, a type and no computation",
+    "ptda.polya_tree.alpha_for_layer": "the prior's definition (1 on layer 1, c (layer - 1)**2 "
+                                       "below), which the references must share to score "
+                                       "the same model",
+    "ptda.stats.log_gamma": "the direct log-Bayes-factor reference must be bit-identical to "
+                            "the count tables at integer alpha, so it evaluates the same "
+                            "log-gamma; test_stats checks log_gamma against math.lgamma",
+    "ptda.stats._kolmogorov_sf": "the KS reference differs in how it finds D; the survival "
+                                 "function is checked against scipy.special.kolmogorov "
+                                 "in test_stats",
+    "ptda.stats.square_safe_shift": "an exact power-of-two rescaling that leaves W unchanged; "
+                                    "the Shapiro-Wilk reference needs it to score the same "
+                                    "extreme samples",
 }
 
 
@@ -124,6 +143,17 @@ def test_every_function_is_referenced():
     defined = set(_defined_functions())
     unreferenced = sorted(f for f in defined if f.rpartition(".")[2] not in referenced)
     assert unreferenced == sorted(UNREFERENCED), "unreferenced functions differ from the allowlist"
+
+
+def test_oracles_import_only_allowed_package_names():
+    # an oracle that imports the kernel it checks agrees with it by construction
+    imported = set()
+    for node in ast.walk(ast.parse(ORACLES.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ptda":
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names if alias.name.split(".")[0] == "ptda"}
+    assert imported == set(ORACLE_IMPORTS), "the oracles' package imports differ from the allowlist"
 
 
 def _calls(node, owner="<module>"):
