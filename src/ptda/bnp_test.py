@@ -4,68 +4,70 @@ Evidence that a variable's two group-conditional distributions differ:
 a sum of log-beta contrasts over tree nodes, truncated at the layer above
 the tree depth.  Each parent layer is a contiguous block of the dense
 heap-layout forest, and its children are the even and odd nodes of the
-next block, so a layer is scored with strided slices.  Only nodes that
-both groups occupy are scored: a node with zero total count, or with
-observations from a single group, contributes exactly zero, which is what
-makes the truncated sum equal the infinite one.
+next block.  Only nodes that both groups occupy are scored: a node with
+zero total count, or with observations from a single group, contributes
+exactly zero, which is what makes the truncated sum equal the infinite one.
 
-Every count is an integer and every node of a layer shares one alpha per
-smoothing value, so a layer's log-gamma values come from count-indexed
-tables: for each distinct alpha a, lg(a + k) and lg(2a + k) for k up to
-the largest parent count scored there.  A contrast's log-beta terms
-gather from them in log-beta order, lg x + lg y - lg(x + y), and
-log B(a, a) is one constant per alpha.  For an alpha with an integer
-value, 2a + (k1 + k2) is exactly (a + k1) + (a + k2), so the result is
-bit-identical to evaluating that log-beta per node with `log_gamma`;
-otherwise the two round differently in the last bits.
+The counts never depend on the smoothing parameters c; only each layer's
+alpha does.  `evidence_plan` therefore gathers, once per forest and per
+parent layer, the live nodes' variables and their four child counts (c1l,
+c1r, c0l, c0r), deduplicated into count patterns.  A pattern's key packs
+each group's (left, right) pair below (n_g + 1)**2 and the two pairs into
+one int64; when that product would overflow (n above about 110,000), it
+packs the two pairs' ranks instead, below (live nodes)**2 < 2**52, so any
+n is keyed exactly.  `log_bayes_factors` scores a layer at any c from the
+plan and adds it with one `bincount` in (variable, cell) order.  With one
+alpha on the layer, as for a scalar c, there is one term per pattern and
+one gather of the terms onto the nodes; with several, one term per node.
+The log-gamma values come from count-indexed tables, evaluated once per
+distinct (alpha, count) that a term reads.
+
+A contrast's log-beta terms keep one form, lg(a + x) + lg(a + y) -
+lg(2a + (x + y)), and log B(a, a) is lg(a) + lg(a) - lg(2a).  For an
+alpha with an integer value, 2a + (x + y) is exactly (a + x) + (a + y),
+so the result is bit-identical to evaluating that log-beta per node with
+`log_gamma`; otherwise the two round differently in the last bits.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import InputError
-from .polya_tree import TreeForest, alpha_for_layer
+from .polya_tree import TreeForest, alpha_for_layer, check_smoothing
 from .stats import log_gamma
 
-__all__ = ["log_bayes_factor", "log_bayes_factors"]
+__all__ = ["EvidencePlan", "evidence_plan", "log_bayes_factor", "log_bayes_factors"]
 
 
-def _count_table(fn, shift: np.ndarray, width: int, lookups) -> np.ndarray:
-    """Flat table holding fn(shift[r] + k) at index r * width + k, k < width.
+class _Layer(NamedTuple):
+    """The c-independent part of one parent layer's scoring."""
 
-    `lookups` are the index arrays that will be read; only the entries
-    they read are evaluated and the rest stay unset, so rows for many
-    distinct alphas cost no more than the nodes they serve.
-    """
-    need = np.zeros(shift.size * width, dtype=bool)
-    for ix in lookups:
-        need[ix] = True
-    at = np.flatnonzero(need)
-    r, k = np.divmod(at, width)
-    table = np.empty(need.size)
-    table[at] = fn(shift[r] + k)
-    return table
+    level: int           # parent layer; its children carry alpha_for_layer(level + 1, c)
+    var: np.ndarray      # (L,) variable of each live node, in (variable, cell) order
+    pattern: np.ndarray  # (L,) each live node's count pattern
+    single: np.ndarray   # (6, P) c1l, c1r, c0l, c0r, n_left, n_right of each pattern
+    double: np.ndarray   # (3, P) c1l + c1r, c0l + c0r, n_left + n_right of each pattern
 
 
-def log_bayes_factor(tree: TreeForest, c: float) -> float:
-    """ln BF of a one-variable forest; exactly zero when either group is empty."""
-    if tree.p != 1:
-        raise InputError(f"log_bayes_factor takes a one-variable forest, got p={tree.p}")
-    return float(log_bayes_factors(tree, c)[0])
+class EvidencePlan(NamedTuple):
+    """A forest's variable count `p` and the scoring `layers` of `evidence_plan`."""
+
+    p: int
+    layers: list
 
 
-def log_bayes_factors(forest: TreeForest, c) -> np.ndarray:
-    """Per-variable ln BF across a whole forest, vectorized.
+def _ranks(key: np.ndarray) -> tuple[int, np.ndarray]:
+    """(number of distinct values, each value's rank among them)."""
+    values, rank = np.unique(key, return_inverse=True)
+    return values.size, rank
 
-    `c` is a scalar or a length-p vector of finite positive smoothing
-    parameters.  Terms are summed per variable in (variable, cell) order.
-    """
-    c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
-    if not np.all(np.isfinite(c) & (c > 0.0)):
-        raise InputError("smoothing parameters must be finite and positive")
+
+def _plan_layers(forest: TreeForest):
+    """The forest's scoring layers, one at a time, in layer order."""
     k1, k0 = forest.count1, forest.count0
-    out = np.zeros(forest.p)
     for level in range(forest.depth):  # parent layers
         lo = 1 << level
         live = (k1[:, lo:2 * lo] > 0) & (k0[:, lo:2 * lo] > 0)
@@ -75,22 +77,71 @@ def log_bayes_factors(forest: TreeForest, c) -> np.ndarray:
         left, right = slice(2 * lo, 4 * lo, 2), slice(2 * lo + 1, 4 * lo, 2)
         c1l, c1r = k1[:, left][live], k1[:, right][live]
         c0l, c0r = k0[:, left][live], k0[:, right][live]
+        # each group's (left, right) pair packs below (n_g + 1)**2, and the
+        # two pairs into one int64 while the product fits (n up to ~110,000);
+        # past that, the two pair ranks do, below (live nodes)**2 < 2**52
+        base1, base0 = forest.n1 + 1, forest.n0 + 1
+        key1, key0, span = c1l * base1 + c1r, c0l * base0 + c0r, base0 * base0
+        if base1 * base1 * span >= 1 << 63:
+            (_, key1), (span, key0) = _ranks(key1), _ranks(key0)
+        patterns, pattern = _ranks(key1 * span + key0)
+        first = np.empty(patterns, dtype=np.int64)
+        first[pattern] = np.arange(var.size)  # a node of each pattern
+        c1l, c1r, c0l, c0r = c1l[first], c1r[first], c0l[first], c0r[first]
         n_left, n_right = c1l + c0l, c1r + c0r
-        # lg(a + k) and lg(2a + k) tables, one row per distinct alpha of the
-        # layer and k up to the largest parent count scored; each contrast
-        # reads lg(a + kx), lg(a + ky) and lg(2a + kx + ky), and log B(a, a)
-        # is one constant per row, read at k = 0
-        alphas, row = np.unique(alpha_for_layer(level + 1, c), return_inverse=True)
-        width = int((n_left + n_right).max()) + 1
-        base = row[var] * width
-        pairs = ((c1l, c1r), (c0l, c0r), (n_left, n_right))
-        single = [(base + kx, base + ky) for kx, ky in pairs]
-        double = [base + (kx + ky) for kx, ky in pairs]
-        rows = np.arange(alphas.size) * width
-        lg_a = _count_table(log_gamma, alphas, width, [i for ij in single for i in ij] + [rows])
-        lg_2a = _count_table(log_gamma, 2.0 * alphas, width, double + [rows])
-        lb1, lb2, lb3 = (lg_a[i] + lg_a[j] - lg_2a[ij] for (i, j), ij in zip(single, double))
-        beta_aa = lg_a[rows] + lg_a[rows] - lg_2a[rows]
-        terms = lb1 + lb2 - lb3 - beta_aa[row[var]]
-        out += np.bincount(var, weights=terms, minlength=forest.p)
+        yield _Layer(level, var, pattern, np.stack((c1l, c1r, c0l, c0r, n_left, n_right)),
+                     np.stack((c1l + c1r, c0l + c0r, n_left + n_right)))
+
+
+def evidence_plan(forest: TreeForest) -> EvidencePlan:
+    """The c-independent part of `log_bayes_factors` for one forest."""
+    return EvidencePlan(forest.p, list(_plan_layers(forest)))
+
+
+def _log_gamma_table(shift: np.ndarray, row, k: np.ndarray) -> np.ndarray:
+    """log_gamma(shift[row] + k) for integer counts k >= 0, evaluated once per
+    distinct (row, k) of a count-indexed table; `row` broadcasts against k."""
+    width = int(k.max()) + 1
+    index = row * width + k
+    need = np.zeros(shift.size * width, dtype=bool)
+    need[index] = True
+    at = np.flatnonzero(need)
+    r, count = np.divmod(at, width)
+    table = np.empty(need.size)
+    table[at] = log_gamma(shift[r] + count)
+    return np.take(table, index)
+
+
+def log_bayes_factor(tree: TreeForest, c: float) -> float:
+    """ln BF of a one-variable forest; exactly zero when either group is empty."""
+    if tree.p != 1:
+        raise InputError(f"log_bayes_factor takes a one-variable forest, got p={tree.p}")
+    return float(log_bayes_factors(tree, c)[0])
+
+
+def log_bayes_factors(source: TreeForest | EvidencePlan, c) -> np.ndarray:
+    """Per-variable ln BF of a forest, or of the `evidence_plan` of one.
+
+    `c` is a scalar or a length-p vector of smoothing parameters, each in
+    (0, C_MAX] (`check_smoothing`).  Terms are summed per variable in
+    (variable, cell) order.  A forest is planned one layer at a time, so
+    only one layer's plan is held.
+    """
+    p = source.p
+    c = check_smoothing(c, p)
+    out = np.zeros(p)
+    for layer in source.layers if isinstance(source, EvidencePlan) else _plan_layers(source):
+        alphas, row = np.unique(alpha_for_layer(layer.level + 1, c), return_inverse=True)
+        single, double = layer.single, layer.double
+        if alphas.size == 1:  # one term per count pattern
+            at, row = layer.pattern, 0
+        else:  # one term per live node
+            at, row = slice(None), row[layer.var]
+            single, double = (np.take(k, layer.pattern, axis=1) for k in (single, double))
+        lg_a = _log_gamma_table(alphas, row, single)
+        lg_2a = _log_gamma_table(2.0 * alphas, row, double)
+        lb1, lb2, lb3 = lg_a[0::2] + lg_a[1::2] - lg_2a
+        beta_aa = log_gamma(alphas) + log_gamma(alphas) - log_gamma(2.0 * alphas)
+        terms = lb1 + lb2 - lb3 - beta_aa[row]
+        out += np.bincount(layer.var, weights=terms[at], minlength=p)
     return out

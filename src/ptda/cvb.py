@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import read_json, write_json
 from .errors import ContractViolation, DomainError, InputError
-from .polya_tree import TreeForest, alpha_for_layer
+from .polya_tree import TreeForest, alpha_for_layer, check_smoothing
 from .stats import expit
 
 __all__ = [
@@ -166,14 +166,6 @@ def prior_log_odds(hyper: Hyperparameters, forest: TreeForest) -> float:
     return math.log(hyper.a_y + forest.n1) - math.log(hyper.b_y + forest.n0)
 
 
-def _smoothing_vector(c, p: int) -> np.ndarray:
-    """Per-variable smoothing parameters, each in (0, 100]."""
-    c = np.broadcast_to(np.asarray(c, dtype=float), (p,))
-    if not np.all((c > 0.0) & (c <= 100.0)):
-        raise DomainError("smoothing parameters must lie in (0, 100]")
-    return c
-
-
 def _leaf_counts(rows, total: int, group: int) -> np.ndarray:
     """Validated (p, 2**depth) leaf counts of one group from a model file."""
     [total] = json_numbers([total], int, f"'n{group}'")
@@ -238,7 +230,7 @@ class FittedModel:
         """(p, 2**depth) group-1 minus group-0 log path probability of every leaf;
         built on first use and kept, so a model must not change once it has scored."""
         lp1, lp0 = leaf_log_path_tables(self.forest, self.c)
-        return lp1 - lp0
+        return np.subtract(lp1, lp0, out=lp1)
 
     def class_log_odds(self, flat: np.ndarray) -> np.ndarray:
         """Clamped group-1 log-odds of points at (m, p) flat leaf indices
@@ -317,7 +309,7 @@ class FittedModel:
             if not isinstance(doc["converged"], bool):
                 raise InputError("'converged' must be true or false")
             selection = SelectionState(omega, iteration, doc["converged"])
-            c = _smoothing_vector(_reals(records, "c"), len(records))
+            c = check_smoothing(_reals(records, "c"), len(records))
             hyper = Hyperparameters(**doc["hyperparameters"])
             json_numbers([hyper.a_y, hyper.b_y, hyper.u], float, "every hyperparameter")
             return cls(hyper, selection, forest, c, names)
@@ -373,7 +365,7 @@ def fit_model(matrix, labels, c, hyper: Hyperparameters | None = None,
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2:
         raise InputError("matrix must be two-dimensional")
-    c_vec = _smoothing_vector(c, x.shape[1])
+    c_vec = check_smoothing(c, x.shape[1])
     forest = TreeForest.from_matrix(x, labels, depth)
     selection = update_omega(log_bayes_factors(forest, c_vec), hyper, tol=tol, max_iter=max_iter)
     if not selection.converged:

@@ -31,6 +31,8 @@ __all__ = [
     "training_data",
     "default_depth",
     "check_depth",
+    "C_MAX",
+    "check_smoothing",
     "alpha_for_layer",
     "leaf_indices",
     "predictive_density",
@@ -66,6 +68,19 @@ def check_depth(depth, p: int) -> int:
         raise DomainError(f"depth {depth} with {p} variables exceeds the forest budget of "
                           f"{MAX_FOREST_CELLS} cells per group")
     return int(depth)
+
+
+C_MAX = 100.0
+"""Largest smoothing parameter: every c lies in (0, C_MAX]."""
+
+
+def check_smoothing(c, p: int) -> np.ndarray:
+    """`c`, a scalar or one value per variable, as a (p,) float array; each
+    value must lie in (0, C_MAX] (DomainError, which a NaN fails too)."""
+    c = np.broadcast_to(np.asarray(c, dtype=float), (p,))
+    if not np.all((c > 0.0) & (c <= C_MAX)):
+        raise DomainError(f"smoothing parameters must be finite and positive, in (0, {C_MAX:g}]")
+    return c
 
 
 def alpha_for_layer(layer: int, c) -> np.ndarray:
@@ -178,14 +193,18 @@ class TreeForest:
         return cls(means, sds, _sum_layers(leaf1), _sum_layers(leaf0))
 
     @classmethod
-    def from_matrix(cls, matrix, labels, depth: int | None = None) -> "TreeForest":
+    def from_matrix(cls, matrix, labels, depth: int | None = None, *,
+                    _flat_out: np.ndarray | None = None) -> "TreeForest":
         """Forest of an (n, p) matrix; depth None means default_depth(n).
 
         Each variable is centred on its column's mean and ddof-1 sd, computed
         at any finite magnitude; a zero sd, or one beyond the float range,
         is replaced by SD_FLOOR, and the count of such columns is reported
         at DEBUG on the `ptda.polya_tree` logger.  The data must pass
-        `training_data`.
+        `training_data`.  `_flat_out`, an (n, p) int64 array, receives the
+        training points' flat leaf indices, the ones `flat_leaves(matrix)`
+        gives: a caller that scores the training points (`smoothing.select_c`)
+        locates them once, and the forest does not carry them.
         """
         x, y = training_data(matrix, labels)
         n, p = x.shape
@@ -207,7 +226,8 @@ class TreeForest:
                        "and are centred with SD_FLOOR = %g", np.count_nonzero(floored), p, SD_FLOOR)
             sds = np.where(floored, SD_FLOOR, sds)
         width = 1 << depth
-        flat = leaf_indices(normal_cdf((x - means) / sds), depth) + np.arange(p, dtype=np.int64) * width
+        flat = np.add(leaf_indices(normal_cdf((x - means) / sds), depth),
+                      np.arange(p, dtype=np.int64) * width, out=_flat_out)
         leaf1 = np.bincount(flat[y].ravel(), minlength=p * width).reshape(p, width)
         leaf0 = np.bincount(flat[~y].ravel(), minlength=p * width).reshape(p, width)
         return cls.from_leaves(means, sds, leaf1, leaf0)

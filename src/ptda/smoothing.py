@@ -9,13 +9,15 @@ and a grid of monotone bin-value tuples is searched for the one minimising
 resubstitution classification error.
 
 Counts are independent of the smoothing parameters, so the grid search
-fits every candidate on one forest, locates the training points once and
-keeps evidence and per-leaf log-odds tables per distinct ladder value.  It
-runs in two phases over the distinct per-variable c vectors: first one
-omega selection per vector, then the resubstitution log-odds of every
-converged vector together, one gather per (bin, ladder value) and one
-matrix product against the omega columns that use it.  The winning
-candidate's model is returned as the fitted one.
+fits every candidate on one forest.  The forest build locates each
+training point once and hands its leaf index on to the resubstitution
+scores, and one evidence plan of that forest (`bnp_test.evidence_plan`)
+gives the log Bayes factors of every ladder value.  The search runs in two
+phases over the distinct per-variable c vectors: first one omega
+selection per vector, then the resubstitution log-odds of every converged
+vector together, one gather per (bin, ladder value) from per-value leaf
+log-odds tables and one matrix product against the omega columns that use
+it.  The winning candidate's model is returned as the fitted one.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataio
-from .bnp_test import log_bayes_factors
+from .bnp_test import evidence_plan, log_bayes_factors
 from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, SelectionState, json_numbers,
                   leaf_log_path_tables, prior_log_odds, update_omega)
 from .errors import DomainError, InputError
-from .polya_tree import TreeForest, training_data
+from .polya_tree import TreeForest, check_smoothing, training_data
 from .rng import SUBSAMPLE_STREAM, substream
 from .stats import ks_two_sample_sorted, shapiro_wilk_sorted
 
@@ -159,8 +161,14 @@ def assign_bins(expected) -> np.ndarray:
 
 
 def _is_monotone_tuple(t: tuple) -> bool:
-    """True for a non-decreasing 4-tuple of values in (0, 100]."""
-    return len(t) == 4 and all(0.0 < v <= 100.0 for v in t) and list(t) == sorted(t)
+    """True for a non-decreasing 4-tuple of smoothing parameters (`check_smoothing`)."""
+    if len(t) != 4 or list(t) != sorted(t):
+        return False
+    try:
+        check_smoothing(t, 4)
+    except DomainError:
+        return False
+    return True
 
 
 def monotone_tuples(ladder) -> list[tuple]:
@@ -168,8 +176,7 @@ def monotone_tuples(ladder) -> list[tuple]:
     values = sorted(float(v) for v in ladder)
     if not values:
         raise InputError("the candidate ladder is empty")
-    if any(not (0.0 < v <= 100.0) for v in values):
-        raise DomainError("ladder values must lie in (0, 100]")
+    check_smoothing(values, len(values))
     return list(itertools.combinations_with_replacement(values, 4))
 
 
@@ -265,16 +272,21 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     candidates whose selection converged within `max_iter` sweeps
     compete, and ties in error go to the lexicographically smallest tuple.
 
-    The search runs in two phases over the distinct per-variable c vectors
-    the tuples give (tuples that differ only on an empty bin, or repeat a
-    ladder value, give one vector).  Phase 1 runs `update_omega` once per
-    vector on evidence assembled by bin from one log BF vector per ladder
-    value, and keeps only the omegas, sweep counts and converged flags.
-    Phase 2 scores every converged vector at once: per (bin, value) the
-    training points' leaf log-odds are gathered once and multiplied
-    against all the omega columns that use them.  The summation order
-    differs from `update_psi`'s one matvec, so a score may differ from it
-    in the last bits.  The per-value log BF vectors, the (K, p) omega
+    The forest is built once, and its build writes the training points'
+    flat leaf indices, which phase 2 gathers with; the points are not
+    located again.  The search runs in two phases over the distinct
+    per-variable c vectors the tuples give (tuples that differ only on an
+    empty bin, or repeat a ladder value, give one vector).  Phase 1 scores
+    the log BF of each distinct ladder value once, from one evidence plan of
+    the forest that is dropped before phase 2 allocates its tables, then
+    runs `update_omega` once per vector on evidence assembled by bin from
+    those vectors, and keeps only the omegas, sweep counts and converged
+    flags.  Phase 2 builds one leaf log-odds table per ladder value that a
+    converged vector uses and scores every converged vector at once: per
+    (bin, value) the training points' leaf log-odds are gathered once and
+    multiplied against all the omega columns that use them.  The summation
+    order differs from `update_psi`'s one matvec, so a score may differ
+    from it in the last bits.  The per-value log BF vectors, the (K, p) omega
     matrix and the per-vector errors stay local to the search; only the
     winner's fit is returned.
 
@@ -306,8 +318,8 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     expected = expected_pvalue(v0, v1, p, hyper.u)
     bins = assign_bins(expected)
 
-    forest = TreeForest.from_matrix(x, yb, depth)
-    flat = forest.flat_leaves(x)
+    flat = np.empty(x.shape, dtype=np.int64)
+    forest = TreeForest.from_matrix(x, yb, depth, _flat_out=flat)
     names = [f"V{j + 1}" for j in range(p)]
     # the winner's arrays, allocated before the scoring arrays: allocated
     # after them, they raised the peak RSS of a rep at n=100, p=5000 (the
@@ -323,8 +335,11 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     slot = {vector: k for k, vector in enumerate(vectors)}
 
     # phase 1: one selection per distinct vector (counts never change, only
-    # the alphas do, so the evidence is one log BF vector per ladder value)
-    log_bf = {v: log_bayes_factors(forest, v) for v in sorted(set().union(*vectors))}
+    # the alphas do, so the evidence is one log BF vector per ladder value,
+    # all scored from one plan, which goes before phase 2 allocates)
+    plan = evidence_plan(forest)
+    log_bf = {v: log_bayes_factors(plan, v) for v in sorted(set().union(*vectors))}
+    del plan
     omega = np.empty((len(vectors), p))
     sweeps = np.empty(len(vectors), dtype=np.int64)
     converged = np.empty(len(vectors), dtype=bool)
@@ -338,7 +353,7 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     odds = {}
     for v in sorted(set().union(*(vectors[k] for k in live))):
         lp1, lp0 = leaf_log_path_tables(forest, v)
-        odds[v] = lp1 - lp0
+        odds[v] = np.subtract(lp1, lp0, out=lp1)
     errors = np.full(len(vectors), math.inf)
     if live.size:
         eta = _resubstitution_log_odds(flat, odds, omega[live], [vectors[k] for k in live], columns)

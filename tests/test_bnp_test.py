@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptda.bnp_test import _count_table, log_bayes_factor, log_bayes_factors
+from ptda.bnp_test import evidence_plan, log_bayes_factor, log_bayes_factors
 from ptda.cvb import FittedModel, fit_model
-from ptda.errors import InputError
+from ptda.errors import DomainError, InputError
 from ptda.polya_tree import TreeForest
 
 from adapters import LADDER, STD, path_code, path_map, simulated_forest, tree_from_leaves, tree_of
@@ -65,8 +65,18 @@ class TestFixtures:
         # at depth 1 the one scored layer has alpha 1, so c never reaches log_gamma's own check
         rng = np.random.default_rng(3)
         forest = TreeForest.from_matrix(rng.normal(size=(16, 2)), np.array([1, 0] * 8), depth)
-        with pytest.raises(InputError, match="finite and positive"):
+        with pytest.raises(DomainError, match="finite and positive"):
             log_bayes_factors(forest, c)
+
+    @pytest.mark.parametrize("c", [200.0, np.nextafter(100.0, 101.0), [1.0, 100.5]],
+                             ids=["200", "just-above-100", "vector"])
+    def test_c_above_the_fit_range_rejected(self, c):
+        # the evidence takes the c that fit, select-c and model files take
+        rng = np.random.default_rng(3)
+        forest = TreeForest.from_matrix(rng.normal(size=(16, 2)), np.array([1, 0] * 8), 3)
+        with pytest.raises(DomainError, match=r"\(0, 100\]"):
+            log_bayes_factors(forest, c)
+        assert np.all(np.isfinite(log_bayes_factors(forest, 100.0)))
 
 
 class TestAgainstDenseOracle:
@@ -177,20 +187,9 @@ class TestBatch:
 
 
 class TestCountTables:
-    """The log-gamma values come from count-indexed tables; the per-node
-    `log_beta` evaluation kept in the oracles is the reference."""
-
-    def test_read_entries_hold_the_kernel_value(self):
-        # the lookups repeat some entries and leave others unread
-        shift = np.array([0.3, 2.0, 7.7])
-        width = 9
-        rng = np.random.default_rng(4)
-        lookups = [rng.integers(0, shift.size * width, size=20) for _ in range(2)]
-        table = _count_table(np.log, shift, width, lookups)
-        assert table.shape == (shift.size * width,)
-        for ix in lookups:
-            rows, k = np.divmod(ix, width)
-            assert np.array_equal(table[ix], np.log(shift[rows] + k))
+    """The log-gamma values are taken once per distinct (alpha, count
+    pattern) of the evidence plan; the per-node `log_beta` evaluation kept
+    in the oracles is the reference."""
 
     @pytest.mark.parametrize("setting", [1, 2])
     def test_ladder_values_bit_identical(self, setting):
@@ -213,3 +212,47 @@ class TestCountTables:
                            for j in range(forest.p)])
         assert np.max(np.abs(ours - direct)) <= 1e-11
         assert np.all(np.abs(ours - oracle) <= np.abs(direct - oracle) + 1e-11)
+
+
+# smoothing values with at most three fractional bits: alpha = c (l - 1)**2
+# and every a + k and 2a + k are exact, so the plan's 2a + (x + y) and the
+# oracle's (a + x) + (a + y) are the same double even when alpha is not an
+# integer
+dyadic_c = st.integers(1, 800).map(lambda m: m / 8.0)
+
+
+class TestEvidencePlan:
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 5), p=st.integers(1, 6),
+           c=st.one_of(dyadic_c, st.lists(dyadic_c, min_size=6, max_size=6, unique=True)))
+    @settings(max_examples=60, deadline=None)
+    def test_plan_equals_the_direct_walk_bit_for_bit(self, seed, depth, p, c):
+        # scalar c, and p distinct per-variable values; integer and
+        # non-integer alphas both occur
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 80))
+        y = np.arange(n) % 2
+        forest = TreeForest.from_matrix(rng.standard_t(3, size=(n, p)), y, depth)
+        c = c if np.isscalar(c) else np.asarray(c[:p])
+        plan = evidence_plan(forest)
+        assert np.array_equal(log_bayes_factors(plan, c), direct_log_bayes_factors(forest, c))
+        assert np.array_equal(log_bayes_factors(forest, c), log_bayes_factors(plan, c))
+
+    @pytest.mark.parametrize("leaf1, leaf0", [
+        ([20000, 7000, 3, 0, 1, 2500, 0, 9], [1, 15000, 8000, 2, 0, 4000, 1200, 77]),
+        ([40000, 7000, 3, 0, 1, 2500, 0, 9000], [1, 30000, 8000, 2, 0, 4000, 14000, 77]),
+    ], ids=["pair keys", "pair ranks"])
+    def test_counts_past_the_four_count_packing(self, leaf1, leaf0):
+        # n1 + n0 >= 55,109: four counts packed with base n + 1 would
+        # overflow int64.  The plan packs each group's (left, right) pair and
+        # then the two pair keys, or past ~110,000 points the two pair ranks
+        forest = TreeForest.from_leaves([0.0, 0.0], [1.0, 1.0], [leaf1, leaf1[::-1]],
+                                        [leaf0, leaf0[::-1]])
+        assert forest.n1 + forest.n0 >= 55_109
+        for c in (1.0, 2.5, [1.0, 50.0]):
+            ours = log_bayes_factors(forest, c)
+            assert np.array_equal(ours, direct_log_bayes_factors(forest, c))
+            cs = np.broadcast_to(c, (2,))
+            oracle = [dense_log_bayes_factor(path_map(forest, j), 3, float(cs[j])) for j in range(2)]
+            # log-gamma terms of magnitude ~1e5, where math.lgamma and
+            # log_gamma differ by a few ulp, sum to an evidence of ~2e4
+            assert ours == pytest.approx(oracle, rel=1e-12)

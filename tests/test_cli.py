@@ -366,6 +366,21 @@ class TestBf:
         assert stdout == ""
         assert "finite and positive" in err
 
+    @pytest.mark.parametrize("c, code", [("200", 1), ("100", 0)])
+    @pytest.mark.parametrize("two_column", [False, True], ids=["matrix", "two-column"])
+    def test_c_takes_the_range_fit_takes(self, tmp_path, capsys, c, code, two_column):
+        # fit --c 200 exits 1, and so does bf; 100 is the largest c either takes
+        by_rows, _ = self._pairs(tmp_path)
+        mode = ["--value-column", "v", "--group-column", "g"] if two_column else \
+            ["--label-column", "g"]
+        got, stdout, err = run(["bf", "--data", str(by_rows), *mode, "--c", c], capsys)
+        assert got == code
+        if code:
+            assert stdout == ""
+            assert "(0, 100]" in err
+        else:
+            assert len(stdout.strip().splitlines()) == 1
+
 
 class TestDensity:
     def test_grid_output(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ptda.polya_tree
 import ptda.smoothing
 from ptda.bnp_test import log_bayes_factors
 from ptda.cvb import Hyperparameters, classify, fit_model, leaf_log_path_tables, update_psi
@@ -381,6 +382,40 @@ class TestSelectC:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "variable,v0,v1,expected,bin,c"
         assert len(lines) == x.shape[1] + 1
+
+
+class TestOnePassPerForest:
+    def test_training_points_located_once(self, monkeypatch):
+        # the forest build's leaf index is the one the resubstitution
+        # scores gather with; locating the points again would double this
+        x, y = two_group_data(seed=12, n=30, p=7)
+        located = []
+        cdf = ptda.polya_tree.normal_cdf
+
+        def counting(z):
+            located.append(np.size(z))
+            return cdf(z)
+
+        monkeypatch.setattr(ptda.polya_tree, "normal_cdf", counting)
+        select_c(x, y, grid=(1.0, 10.0))
+        assert sum(located) == x.size
+
+    @pytest.mark.parametrize("grid", [DEFAULT_LADDER, (1.0, 5.0, 5.0, 50.0),
+                                      [(1.0, 1.0, 10.0, 10.0), (1.0, 10.0, 10.0, 10.0)]],
+                             ids=["default", "repeated value", "tuples"])
+    def test_one_evidence_call_per_ladder_value(self, monkeypatch, grid):
+        x, y = two_group_data(seed=13, p=8)
+        values = []
+        score = ptda.smoothing.log_bayes_factors
+
+        def counting(source, c):
+            values.append(c)
+            return score(source, c)
+
+        monkeypatch.setattr(ptda.smoothing, "log_bayes_factors", counting)
+        select_c(x, y, grid=grid)
+        distinct = set(grid) if np.isscalar(grid[0]) else set().union(*grid)
+        assert sorted(values) == sorted(distinct)
 
 
 class TestReportLoad:
