@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 import logging
 
-from .bnp_test import log_bayes_factor, log_bayes_factors
+from .bnp_test import log_bayes_factors
 from .cvb import (
     ClassProbabilities,
     FittedModel,
@@ -53,7 +53,6 @@ __all__ = [
     "fit_model",
     "generate",
     "load_csv",
-    "log_bayes_factor",
     "log_bayes_factors",
     "predictive_density",
     "preprocess",

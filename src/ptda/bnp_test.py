@@ -35,11 +35,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError
 from .polya_tree import TreeForest, alpha_for_layer, check_smoothing
 from .stats import log_gamma
 
-__all__ = ["EvidencePlan", "evidence_plan", "log_bayes_factor", "log_bayes_factors"]
+__all__ = ["EvidencePlan", "evidence_plan", "log_bayes_factors"]
 
 
 class _Layer(NamedTuple):
@@ -110,13 +109,6 @@ def _log_gamma_table(shift: np.ndarray, row, k: np.ndarray) -> np.ndarray:
     table = np.empty(need.size)
     table[at] = log_gamma(shift[r] + count)
     return np.take(table, index)
-
-
-def log_bayes_factor(tree: TreeForest, c: float) -> float:
-    """ln BF of a one-variable forest; exactly zero when either group is empty."""
-    if tree.p != 1:
-        raise InputError(f"log_bayes_factor takes a one-variable forest, got p={tree.p}")
-    return float(log_bayes_factors(tree, c)[0])
 
 
 def log_bayes_factors(source: TreeForest | EvidencePlan, c) -> np.ndarray:

@@ -16,6 +16,10 @@ every command, every key in it is checked on every command that takes
 --config, and each command reads only its own keys (`simulate` the seed,
 `bf` the depth, and so on).  `predict` and `density` read no config
 value and so load no config file.
+
+`bf`'s two-column mode is its matrix mode on one column: --group-column
+is read as the label column, and only the --value-column variable is
+scored and printed.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .bnp_test import log_bayes_factor, log_bayes_factors
+from .bnp_test import log_bayes_factors
 from .cvb import FittedModel, Hyperparameters, classify, fit_model, json_numbers, update_psi
 from .dataio import Dataset, load_csv, preprocess, read_json, write_csv, write_json
 from .errors import ContractViolation, InputError, PtdaError
@@ -220,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data(bf)
     bf.add_argument("--c", type=float, default=1.0, help="smoothing parameter (default 1)")
     bf.add_argument("--value-column", dest="value_column",
-                    help="two-column mode: the value column name")
+                    help="two-column mode (matrix mode on this one column): the value column name")
     bf.add_argument("--group-column", dest="group_column",
-                    help="two-column mode: the group column name")
+                    help="two-column mode: the group column name, read as --label-column")
 
     dens = commands.add_parser("density", help="per-group predictive density grid for one variable")
     dens.add_argument("--model", required=True, help="model JSON from fit")
@@ -321,8 +325,6 @@ def _cmd_predict(args, _) -> int:
     if ds.p != model.p:
         raise InputError(f"model has {model.p} variables, data has {ds.p}")
     _match_names(model.names, ds.names, "model")
-    if not model.selection.converged:
-        raise InputError("the model's selection did not converge; refit it with a larger --max-iter")
     psi = update_psi(model, ds.matrix)
     labels = classify(psi, args.threshold)
     write_csv(args.out, ["row", "psi", "label"],
@@ -352,18 +354,16 @@ def _cmd_bf(args, cfg: Config) -> int:
         if args.label_column is not None:
             raise InputError("two-column mode takes its groups from --group-column; "
                              "drop --label-column")
-        ds = load_csv(args.data, label_column=args.group_column, orientation=args.orientation,
-                      positive_label=args.positive_label)
-        if args.value_column not in ds.names:
-            raise InputError(f"value column {args.value_column!r} not in the data")
-        column = ds.matrix[:, ds.names.index(args.value_column)]
-        tree = TreeForest.from_matrix(column[:, None], ds.labels, cfg.depth)
-        print(f"{args.value_column},{log_bayes_factor(tree, args.c)!r}")
-        return 0
+        args.label_column = args.group_column
     ds = _load_dataset(args)
-    forest = TreeForest.from_matrix(ds.matrix, ds.labels, cfg.depth)
-    values = log_bayes_factors(forest, args.c)
-    for name, value in zip(ds.names, values):
+    names, matrix = ds.names, ds.matrix
+    if args.value_column is not None:
+        if args.value_column not in names:
+            raise InputError(f"value column {args.value_column!r} not in the data")
+        j = names.index(args.value_column)
+        names, matrix = names[j:j + 1], matrix[:, j:j + 1]
+    forest = TreeForest.from_matrix(matrix, ds.labels, cfg.depth)
+    for name, value in zip(names, log_bayes_factors(forest, args.c)):
         print(f"{name},{float(value)!r}")
     return 0
 
@@ -381,8 +381,9 @@ def _cmd_density(args, _) -> int:
         raise InputError(f"the grid ends and their span must be finite, got x-min {lo!r}, x-max {hi!r}")
     if args.grid_points < 2 or hi <= lo:
         raise InputError("need at least 2 grid points and x-max > x-min")
-    rows = [(x, predictive_density(x, tree, c, 1), predictive_density(x, tree, c, 0))
-            for x in np.linspace(lo, hi, args.grid_points).tolist()]
+    grid = np.linspace(lo, hi, args.grid_points)
+    density1, density0 = predictive_density(grid, tree, c)
+    rows = zip(grid.tolist(), density1.tolist(), density0.tolist())
     _write_outputs((args.out, write_csv, ["x", "density_group1", "density_group0"], rows))
     return 0
 

@@ -328,11 +328,12 @@ def update_psi(model: FittedModel, newpoints) -> ClassProbabilities:
 
     Locates each point's deepest-layer cell in every variable's tree and
     gathers the model's per-leaf log-odds table there; `class_log_odds`
-    weights them by omega on top of the prior odds.  A NaN or infinite
-    coordinate raises InputError.
+    weights them by omega on top of the prior odds.  A model whose
+    selection did not converge, or a NaN or infinite coordinate, raises
+    InputError.
     """
     if not model.selection.converged:
-        raise ContractViolation("update_psi requires a converged selection state")
+        raise InputError("the model's selection did not converge; refit it with a larger max_iter")
     x = np.asarray(newpoints, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.p:
         raise InputError(f"expected an (m, {model.p}) matrix, got shape {x.shape}")

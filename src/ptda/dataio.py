@@ -96,55 +96,40 @@ def load_csv(path, label_column: str | None = None, orientation: str = "samples-
         raise InputError(f"{path}: need a header row and at least one data row")
     header, body = rows[0], rows[1:]
 
-    if orientation == "samples-in-rows":
-        names = header
-        if label_column is not None:
-            if label_column not in names:
-                raise InputError(f"label column {label_column!r} not in header")
-            label_idx = names.index(label_column)
-            names = names[:label_idx] + names[label_idx + 1:]
-        raw_labels, cells = [], []
-        bad = []
-        for i, row in enumerate(body, start=2):
-            if len(row) != len(header):
-                bad.append((i, "wrong field count"))
-                continue
-            if label_column is not None:
-                raw_labels.append(row[label_idx])
-                row = row[:label_idx] + row[label_idx + 1:]
-            try:
-                cells.append([float(v) for v in row])
-            except ValueError:
-                bad.append((i, "non-numeric cell"))
-        if bad:
-            detail = "; ".join(f"row {i}: {msg}" for i, msg in bad[:20])
-            raise InputError(f"{path}: {len(bad)} unparseable row(s): {detail}")
-        matrix = np.array(cells, dtype=float)
-    else:
-        sample_ids = header[1:]
-        names, data_rows, label_row = [], [], None
-        bad = []
-        for i, row in enumerate(body, start=2):
-            if len(row) != len(header):
-                bad.append((i, "wrong field count"))
-                continue
-            if label_column is not None and row[0] == label_column:
-                label_row = row[1:]
-                continue
-            try:
-                data_rows.append([float(v) for v in row[1:]])
-                names.append(row[0])
-            except ValueError:
-                bad.append((i, "non-numeric cell"))
-        if bad:
-            detail = "; ".join(f"row {i}: {msg}" for i, msg in bad[:20])
-            raise InputError(f"{path}: {len(bad)} unparseable row(s): {detail}")
+    # `lead` is the field of each data row that is not a value: the row's
+    # variable name with variables in rows, the label with samples in rows
+    by_rows = orientation == "variables-in-rows"
+    names = header
+    lead = 0 if by_rows else None
+    if label_column is not None and not by_rows:
+        if label_column not in names:
+            raise InputError(f"label column {label_column!r} not in header")
+        lead = names.index(label_column)
+        names = names[:lead] + names[lead + 1:]
+    leads, cells, label_row, bad = [], [], None, []
+    for i, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            bad.append((i, "wrong field count"))
+            continue
+        if by_rows and row[0] == label_column:
+            label_row = row[1:]
+            continue
+        if lead is not None:
+            leads.append(row[lead])
+            row = row[:lead] + row[lead + 1:]
+        try:
+            cells.append([float(v) for v in row])
+        except ValueError:
+            bad.append((i, "non-numeric cell"))
+    if bad:
+        detail = "; ".join(f"row {i}: {msg}" for i, msg in bad[:20])
+        raise InputError(f"{path}: {len(bad)} unparseable row(s): {detail}")
+    matrix = np.array(cells, dtype=float).reshape(len(cells), len(header) - (lead is not None))
+    raw_labels = leads
+    if by_rows:
         if label_column is not None and label_row is None:
             raise InputError(f"label row {label_column!r} not found")
-        raw_labels = label_row if label_column is not None else []
-        matrix = np.array(data_rows, dtype=float).T
-        if matrix.size == 0:
-            matrix = matrix.reshape(len(sample_ids), 0)
+        names, raw_labels, matrix = leads, label_row, matrix.T
 
     if len(set(names)) != len(names):
         dupes = sorted({v for v in names if names.count(v) > 1})
@@ -152,7 +137,7 @@ def load_csv(path, label_column: str | None = None, orientation: str = "samples-
 
     labels, mapping = (None, {})
     if label_column is not None:
-        labels, mapping = _map_labels(list(raw_labels), positive_label)
+        labels, mapping = _map_labels(raw_labels, positive_label)
     return Dataset(matrix, labels, list(names), mapping)
 
 

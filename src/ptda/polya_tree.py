@@ -253,27 +253,27 @@ class TreeForest:
         return TreeForest(self.means[sl], self.sds[sl], self.count1[sl], self.count0[sl])
 
 
-def predictive_density(x: float, tree: TreeForest, c: float, group: int) -> float:
-    """Posterior-mean density of one group's distribution at x, one-variable forest.
+def predictive_density(points, tree: TreeForest, c) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior-mean densities of group 1 and of group 0 at each of `points`,
+    for a one-variable forest: two (m,) arrays for the m values of `points`.
 
-    The centring density times, for each layer, twice the posterior-mean
-    branch probability along x's path.  With no observations this is the
-    centring density exactly.
+    Each is the centring density times, for each layer, twice the
+    posterior-mean branch probability along the point's path; with no
+    observations it is the centring density exactly.  The points must be
+    finite (InputError) and `c` must lie in (0, C_MAX] (`check_smoothing`).
     """
-    if group not in (0, 1):
-        raise InputError("group must be 0 or 1")
-    if not math.isfinite(x):
-        raise InputError("predictive_density requires finite x")
-    if not (math.isfinite(c) and c > 0.0):
-        raise InputError("predictive_density requires a finite positive c")
-    counts = (tree.count1 if group == 1 else tree.count0)[0]
-    leaf = int(tree.leaves([[x]])[0, 0])
-    mean, sd = float(tree.means[0]), float(tree.sds[0])
-    value = normal_pdf((x - mean) / sd) / sd
-    parent = counts[1]
+    if tree.p != 1:
+        raise InputError(f"predictive_density takes a one-variable forest, got p={tree.p}")
+    [c] = check_smoothing(c, 1)
+    x = np.asarray(points, dtype=float).ravel()
+    leaf = tree.leaves(x[:, None])[:, 0]
+    sd = tree.sds[0]
+    value = normal_pdf((x - tree.means[0]) / sd) / sd
+    counts = np.concatenate((tree.count1, tree.count0))  # (2, nodes): group 1, group 0
+    parent = counts[:, 1:2]
     for level in range(1, tree.depth + 1):
-        child = counts[(1 << level) + (leaf >> (tree.depth - level))]
+        child = counts[:, (1 << level) + (leaf >> (tree.depth - level))]
         a = alpha_for_layer(level, c)
-        value *= 2.0 * (a + child) / (2.0 * a + parent)
+        value = value * (2.0 * (a + child) / (2.0 * a + parent))
         parent = child
-    return float(value)
+    return value[0], value[1]

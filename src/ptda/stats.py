@@ -256,10 +256,10 @@ def normal_cdf(z):
     return out.reshape(z.shape)
 
 
-def normal_pdf(z: float) -> float:
-    """Standard normal density at a number."""
-    z = float(z)
-    return math.exp(-0.5 * z * z) / _SQRT_2PI
+def normal_pdf(z) -> np.ndarray:
+    """Standard normal density at each value of an array-like."""
+    z = np.asarray(z, dtype=float)
+    return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 def expit(z: np.ndarray) -> np.ndarray:

@@ -11,7 +11,9 @@ of a CDF value and the omega sweep that calls expit and min/max.  Two more
 keep the direct forms of the forest kernels: the log-Bayes-factor layer
 walk calling `log_beta` on every live node, which now gathers from
 count-indexed tables, and the leaf log-path walk repeating each parent,
-which now broadcasts it by reshape.  The Shapiro-Wilk and
+which now broadcasts it by reshape.  The predictive density is walked
+one point and one group at a time, as the package did before it walked
+an array of points.  The Shapiro-Wilk and
 Kolmogorov-Smirnov references score one sample at a time, the way the
 package did before its column kernels: W from `np.dot` and the p-value
 through `math.erfc`, and D from `searchsorted` on each sorted sample.
@@ -228,6 +230,26 @@ def cell_bounds(mean: float, sd: float, level: int, k: int) -> tuple[float, floa
     lower = -math.inf if k == 0 else mean + sd * normal_quantile(k / scale)
     upper = math.inf if k + 1 == scale else mean + sd * normal_quantile((k + 1) / scale)
     return lower, upper
+
+
+def predictive_density_at(x: float, tree, c: float, group: int) -> float:
+    """Posterior-mean density of one group at one point x of a one-variable
+    forest: the package's walk before it took arrays, one point and one group
+    at a time, with the centring density from `math.exp`.  The point's leaf
+    comes from the forest's own `leaves`, which
+    test_polya_tree.TestLeafIndicesAgainstBinaryExpansion checks."""
+    counts = (tree.count1 if group == 1 else tree.count0)[0]
+    leaf = int(tree.leaves([[x]])[0, 0])
+    mean, sd = float(tree.means[0]), float(tree.sds[0])
+    z = (x - mean) / sd
+    value = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / sd
+    parent = counts[1]
+    for level in range(1, tree.depth + 1):
+        child = counts[(1 << level) + (leaf >> (tree.depth - level))]
+        a = alpha_for_layer(level, c)
+        value *= 2.0 * (a + child) / (2.0 * a + parent)
+        parent = child
+    return float(value)
 
 
 def integrate_predictive_density(counts, spec, group, fn, tail_q=1e-9, points_per_cell=64) -> float:

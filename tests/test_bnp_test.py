@@ -7,13 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptda.bnp_test import evidence_plan, log_bayes_factor, log_bayes_factors
+from ptda.bnp_test import evidence_plan, log_bayes_factors
 from ptda.cvb import FittedModel, fit_model
 from ptda.errors import DomainError, InputError
 from ptda.polya_tree import TreeForest
 
 from adapters import LADDER, STD, path_code, path_map, simulated_forest, tree_from_leaves, tree_of
 from oracles import dense_log_bayes_factor, direct_log_bayes_factors, exact_log_bayes_factor_with_point
+
+
+def log_bf(tree, c):
+    """ln BF of a one-variable forest."""
+    [value] = log_bayes_factors(tree, c)
+    return float(value)
 
 
 def random_case(seed, n_max=32, depth_max=5):
@@ -29,22 +35,22 @@ def random_case(seed, n_max=32, depth_max=5):
 class TestFixtures:
     def test_depth_one_hand_value(self):
         tree = tree_from_leaves([2, 0], [0, 2], STD)
-        assert log_bayes_factor(tree, 1.0) == pytest.approx(math.log(10.0 / 3.0), abs=1e-12)
+        assert log_bf(tree, 1.0) == pytest.approx(math.log(10.0 / 3.0), abs=1e-12)
 
     def test_one_group_empty_is_zero(self):
         rng = np.random.default_rng(1)
         col = rng.normal(size=12)
         tree = tree_of(col, np.ones(12, dtype=int), 3, STD)
-        assert log_bayes_factor(tree, 2.0) == 0.0
+        assert log_bf(tree, 2.0) == 0.0
 
     def test_no_observations_is_zero(self):
         tree = tree_from_leaves(np.zeros(8, dtype=int), np.zeros(8, dtype=int), STD)
-        assert log_bayes_factor(tree, 1.0) == 0.0
+        assert log_bf(tree, 1.0) == 0.0
 
     def test_monotone_evidence_under_duplication(self):
         single = tree_from_leaves([2, 0], [0, 2], STD)
         doubled = tree_from_leaves([4, 0], [0, 4], STD)
-        assert log_bayes_factor(doubled, 1.0) > log_bayes_factor(single, 1.0)
+        assert log_bf(doubled, 1.0) > log_bf(single, 1.0)
 
     def test_inconsistent_counts_rejected(self):
         # the dense build conserves counts by construction; a model file
@@ -84,7 +90,7 @@ class TestAgainstDenseOracle:
     def test_sparse_equals_dense(self, seed):
         col, labels, c, depth = random_case(seed)
         tree = tree_of(col, labels, depth)
-        ours = log_bayes_factor(tree, c)
+        ours = log_bf(tree, c)
         ref = dense_log_bayes_factor(path_map(tree), depth, c)
         assert ours == pytest.approx(ref, abs=1e-10)
 
@@ -96,7 +102,7 @@ class TestAgainstDenseOracle:
         col = np.concatenate([values, values])
         labels = np.array([1] * 15 + [0] * 15)
         tree = TreeForest.from_matrix(col[:, None], labels, 4)
-        ours = log_bayes_factor(tree, 1.0)
+        ours = log_bf(tree, 1.0)
         ref = dense_log_bayes_factor(path_map(tree), 4, 1.0)
         assert ours == pytest.approx(ref, abs=1e-10)
 
@@ -107,8 +113,8 @@ class TestSymmetries:
         col, labels, c, depth = random_case(seed, n_max=40)
         tree = tree_of(col, labels, depth)
         swapped = tree_of(col, 1 - labels, depth)
-        assert log_bayes_factor(tree, c) == pytest.approx(
-            log_bayes_factor(swapped, c), abs=1e-12)
+        assert log_bf(tree, c) == pytest.approx(
+            log_bf(swapped, c), abs=1e-12)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(5)
@@ -119,8 +125,8 @@ class TestSymmetries:
         moved = 3.0 * col + 5.0
         tree1 = tree_of(col, labels, 5)
         tree2 = tree_of(moved, labels, 5)
-        v1 = log_bayes_factor(tree1, 2.0)
-        v2 = log_bayes_factor(tree2, 2.0)
+        v1 = log_bf(tree1, 2.0)
+        v2 = log_bf(tree2, 2.0)
         assert v1 == pytest.approx(v2, abs=1e-9)
         assert np.array_equal(tree1.leaves(col[:10, None]), tree2.leaves(moved[:10, None]))
 
@@ -137,7 +143,7 @@ class TestStirlingDrop:
             col = rng.normal(size=n)
             labels = np.array([1, 0] * (n // 2))
             tree = tree_of(col, labels, depth)
-            implemented = log_bayes_factor(tree, 1.0)
+            implemented = log_bf(tree, 1.0)
             for t in range(draws):
                 exact = exact_log_bayes_factor_with_point(
                     path_map(tree), depth, 1.0,
@@ -169,7 +175,7 @@ class TestBatch:
         batch = log_bayes_factors(forest, c)
         for j in range(7):
             centring = (forest.means[j], forest.sds[j])
-            direct = log_bayes_factor(tree_of(x[:, j], y, 5, centring), float(c[j]))
+            direct = log_bf(tree_of(x[:, j], y, 5, centring), float(c[j]))
             assert batch[j] == pytest.approx(direct, abs=1e-10)
 
     @given(st.integers(0, 10_000))

@@ -344,6 +344,28 @@ class TestBf:
         assert code == 0
         assert stdout == expected
 
+    @pytest.mark.parametrize("orientation", ["samples-in-rows", "variables-in-rows"])
+    @pytest.mark.parametrize("c", ["1", "7.3", "100"])
+    def test_two_column_line_is_the_matrix_line(self, tmp_path, capsys, orientation, c):
+        # two-column mode is matrix mode on one column, so it prints that line byte for byte
+        train = simulate_small(tmp_path, seed=17) / "train.csv"
+        if orientation == "variables-in-rows":
+            rows = list(csv.reader(train.read_text(encoding="utf-8").splitlines()))
+            train = tmp_path / "train-t.csv"
+            ids = [f"s{i}" for i in range(len(rows) - 1)]
+            train.write_text("\n".join(map(",".join, [["id", *ids], *zip(*rows)])) + "\n",
+                             encoding="utf-8")
+        common = ["bf", "--data", str(train), "--orientation", orientation, "--c", c]
+        code, stdout, _ = run([*common, "--label-column", "y"], capsys)
+        assert code == 0
+        matrix_lines = stdout.splitlines(keepends=True)
+        assert len(matrix_lines) == 12
+        for j in (0, 6, 11):
+            code, line, _ = run([*common, "--value-column", f"V{j + 1}", "--group-column", "y"],
+                                capsys)
+            assert code == 0
+            assert line == matrix_lines[j]
+
     def test_label_column_in_two_column_mode_exits_one(self, tmp_path, capsys):
         by_rows, _ = self._pairs(tmp_path)
         code, stdout, err = run(["bf", "--data", str(by_rows), "--value-column", "v",

@@ -236,6 +236,13 @@ class TestUpdatePsi:
             update_psi(model, points)
 
 
+    def test_unconverged_model_refused(self):
+        # max_iter is the caller's to choose, so its outcome is an input error
+        x, _, model = training_model(max_iter=1, tol=1e-30)
+        assert not model.selection.converged
+        with pytest.raises(InputError, match="did not converge.*larger max_iter"):
+            update_psi(model, x[:3])
+
 class TestConvergenceWarning:
     def test_unconverged_fit_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="ptda"):

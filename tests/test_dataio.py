@@ -15,6 +15,9 @@ from ptda.errors import InputError
 from ptda.simgen import SimulationSpec, generate
 
 
+SAMPLES, VARIABLES = "samples-in-rows", "variables-in-rows"
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -45,21 +48,42 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="two distinct"):
             load_csv(path, label_column="y")
 
-    def test_non_numeric_cell_reported_with_row(self, tmp_path):
-        path = write(tmp_path, "d.csv", "a,b,y\n1,2,0\n3,oops,1\n5,6,0\n")
-        with pytest.raises(InputError, match="row 3"):
-            load_csv(path, label_column="y")
+    @pytest.mark.parametrize("orientation, text, rows", [
+        (SAMPLES, "a,b,y\n1,2,0\n3,oops,1\n5,6,0\n7,8\n",
+         "row 3: non-numeric cell; row 5: wrong field count"),
+        (VARIABLES, "id,s1,s2,s3\ny,0,1,0\ny,0\na,1,2,3\nb,4,oops,6\n",
+         "row 3: wrong field count; row 5: non-numeric cell"),
+    ], ids=[SAMPLES, VARIABLES])
+    def test_non_numeric_cell_reported_with_row(self, tmp_path, orientation, text, rows):
+        # row numbers are 1-based and count the header
+        path = write(tmp_path, "d.csv", text)
+        with pytest.raises(InputError) as refused:
+            load_csv(path, label_column="y", orientation=orientation)
+        assert str(refused.value) == f"{path}: 2 unparseable row(s): {rows}"
 
-    def test_duplicate_names_rejected(self, tmp_path):
-        path = write(tmp_path, "d.csv", "a,a,y\n1,2,0\n3,4,1\n")
-        with pytest.raises(InputError, match="duplicate"):
-            load_csv(path, label_column="y")
+    @pytest.mark.parametrize("orientation, text", [
+        (SAMPLES, "a,a,y\n1,2,0\n3,4,1\n"),
+        (VARIABLES, "id,s1,s2\na,1,3\ny,0,1\na,2,4\n"),
+    ], ids=[SAMPLES, VARIABLES])
+    def test_duplicate_names_rejected(self, tmp_path, orientation, text):
+        path = write(tmp_path, "d.csv", text)
+        with pytest.raises(InputError) as refused:
+            load_csv(path, label_column="y", orientation=orientation)
+        assert str(refused.value) == "duplicate variable names: ['a']"
 
-    def test_unlabelled_matrix(self, tmp_path):
-        path = write(tmp_path, "d.csv", "a,b\n1,2\n3,4\n")
-        ds = load_csv(path)
+    @pytest.mark.parametrize("orientation, text, missing", [
+        (SAMPLES, "a,b\n1,2\n3,4\n", "label column 'y' not in header"),
+        (VARIABLES, "id,s1,s2\na,1,3\nb,2,4\n", "label row 'y' not found"),
+    ], ids=[SAMPLES, VARIABLES])
+    def test_unlabelled_matrix(self, tmp_path, orientation, text, missing):
+        path = write(tmp_path, "d.csv", text)
+        ds = load_csv(path, orientation=orientation)
         assert ds.labels is None
-        assert ds.matrix.shape == (2, 2)
+        assert ds.names == ["a", "b"]
+        assert ds.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(InputError) as refused:
+            load_csv(path, label_column="y", orientation=orientation)
+        assert str(refused.value) == missing
 
     def test_variables_in_rows(self, tmp_path):
         text = "id,s1,s2,s3\ny,0,1,0\ngeneA,1,2,3\ngeneB,4,5,6\n"
@@ -69,6 +93,10 @@ class TestLoadCsv:
         assert ds.matrix.shape == (3, 2)
         assert ds.labels.tolist() == [0, 1, 0]
         np.testing.assert_allclose(ds.matrix[:, 0], [1, 2, 3])
+        # a file holding only the label row has samples but no variables
+        path = write(tmp_path, "label-only.csv", "id,s1,s2,s3\ny,0,1,0\n")
+        ds = load_csv(path, label_column="y", orientation="variables-in-rows")
+        assert (ds.matrix.shape, ds.names, ds.labels.tolist()) == ((3, 0), [], [0, 1, 0])
 
     def test_unknown_orientation(self, tmp_path):
         path = write(tmp_path, "d.csv", "a\n1\n")

@@ -25,7 +25,16 @@ from ptda.polya_tree import (
 from ptda.stats import normal_cdf, normal_pdf
 
 from adapters import STD, path_map, sample_centring, spec_of, tree_from_leaves, tree_of
-from oracles import binary_expansion_leaves, cell_bounds, integrate_predictive_density
+from oracles import (
+    binary_expansion_leaves,
+    cell_bounds,
+    integrate_predictive_density,
+    predictive_density_at,
+)
+
+# the array density takes its centring density from numpy's exp, the
+# per-point reference from math.exp; they differ by a few ulp at most
+PDF_RTOL = 4 * 2.0 ** -52
 
 
 def empty_tree(depth=3, centring=STD):
@@ -38,7 +47,8 @@ def leaf_of(x, tree):
 
 
 def density_at(x, tree, spec, group):
-    return predictive_density(x, tree, spec.c, group)
+    density1, density0 = predictive_density([x], tree, spec.c)
+    return float((density1 if group == 1 else density0)[0])
 
 
 class TestAlpha:
@@ -296,26 +306,34 @@ class TestAccumulateCounts:
 
 
 class TestPredictiveDensity:
-    @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0, 200.0])
     def test_non_finite_or_non_positive_c_rejected(self, c):
+        # the c domain of check_smoothing, which fit and log_bayes_factors take
         tree = tree_from_leaves([1, 0], [0, 1], STD)
-        with pytest.raises(InputError, match="finite positive c"):
-            predictive_density(0.5, tree, c, 1)
+        with pytest.raises(DomainError, match="finite and positive"):
+            predictive_density([0.5], tree, c)
+
+    def test_one_variable_forest_and_finite_points_required(self):
+        forest = TreeForest.from_matrix(np.random.default_rng(4).normal(size=(8, 2)),
+                                        np.array([1, 0] * 4), 2)
+        with pytest.raises(InputError, match="one-variable forest, got p=2"):
+            predictive_density([0.5], forest, 1.0)
+        with pytest.raises(InputError, match="finite"):
+            predictive_density([0.5, math.nan], forest.variable(0), 1.0)
 
     def test_prior_predictive_is_centring(self):
         tree = empty_tree(depth=3)
-        for x in (-2.0, -0.3, 0.0, 1.7):
-            assert predictive_density(x, tree, 1.0, 1) == normal_pdf(x)
+        xs = np.array([-2.0, -0.3, 0.0, 1.7])
+        for density in predictive_density(xs, tree, 1.0):
+            assert np.array_equal(density, normal_pdf(xs))
 
     def test_single_point_depth_one(self):
         # one group-1 point in the left cell lifts it to (4/3) g(x)
         tree = tree_from_leaves([1, 0], [0, 0], STD)
-        x = -0.7
-        assert predictive_density(x, tree, 1.0, 1) == pytest.approx(
-            (4.0 / 3.0) * normal_pdf(x), rel=1e-12)
-        # other side is down-weighted to (2/3) g(x)
-        assert predictive_density(0.7, tree, 1.0, 1) == pytest.approx(
-            (2.0 / 3.0) * normal_pdf(0.7), rel=1e-12)
+        density1, _ = predictive_density([-0.7, 0.7], tree, 1.0)
+        # the other side is down-weighted to (2/3) g(x)
+        assert density1 == pytest.approx([(4.0 / 3.0) * normal_pdf(-0.7),
+                                           (2.0 / 3.0) * normal_pdf(0.7)], rel=1e-12)
 
     def test_large_c_pins_to_centring(self):
         rng = np.random.default_rng(8)
@@ -323,9 +341,25 @@ class TestPredictiveDensity:
         labels = np.ones(32, dtype=int)
         mean, sd = sample_centring(col)
         dense = tree_of(col, labels, 5, (mean, sd))
-        for x in (-1.0, 0.2):
-            ratio = predictive_density(x, dense, 100.0, 1) / (normal_pdf((x - mean) / sd) / sd)
-            assert ratio == pytest.approx(1.0, abs=0.25)
+        xs = np.array([-1.0, 0.2])
+        density1, _ = predictive_density(xs, dense, 100.0)
+        ratio = density1 / (normal_pdf((xs - mean) / sd) / sd)
+        assert ratio == pytest.approx([1.0, 1.0], abs=0.25)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_point_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n, depth = int(rng.integers(2, 60)), int(rng.integers(1, 7))
+        col = rng.normal(1.5, 3.0, size=n)
+        labels = rng.integers(0, 2, size=n)
+        tree = tree_of(col, labels, depth)
+        # the training points, fresh draws and a grid reaching into the tails
+        xs = np.concatenate([col, rng.normal(1.5, 3.0, size=50), np.linspace(-22.0, 25.0, 41)])
+        for c in (1.0, 7.3, float(rng.uniform(0.01, 100.0))):
+            density1, density0 = predictive_density(xs, tree, c)
+            for group, density in ((1, density1), (0, density0)):
+                reference = [predictive_density_at(x, tree, c, group) for x in xs.tolist()]
+                np.testing.assert_allclose(density, reference, rtol=PDF_RTOL, atol=0.0)
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(11)

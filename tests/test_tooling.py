@@ -190,3 +190,14 @@ def test_only_the_two_writers_write_files():
               if (kind := _file_write(call))}
     assert writes == {("dataio.write_csv", "open"), ("dataio.write_json", "open"),
                       ("dataio.write_json", "json.dump")}
+
+
+def test_only_the_reader_and_writers_open_files():
+    # input has one boundary too: every file the package reads goes through
+    # dataio.load_csv or read_json, so encoding and parse errors are handled once
+    opens = {f"{path.stem}.{owner}"
+             for path in sorted(SRC.glob("*.py"))
+             for owner, call in _calls(ast.parse(path.read_text(encoding="utf-8")))
+             if (target := ast.unparse(call.func)) == "open" or target.endswith(".open")}
+    assert opens == {"dataio.load_csv", "dataio.read_json", "dataio.write_csv",
+                     "dataio.write_json"}
