@@ -38,6 +38,10 @@ ETA_CLAMP = 700.0
 MODEL_FORMAT = 2
 _OPEN_LO = 1e-300
 _OPEN_HI = float(np.nextafter(1.0, 0.0))
+# values per block wherever a matrix is scored in blocks (row_blocks here,
+# column blocks in smoothing.column_pvalues): each float64 temporary of a
+# block takes about 0.5 MiB
+_BLOCK_VALUES = 1 << 16
 
 _log = logging.getLogger(__name__)
 
@@ -65,6 +69,17 @@ class SelectionState:
 @dataclass
 class ClassProbabilities:
     psi: np.ndarray
+
+
+def row_blocks(m: int, p: int) -> list[slice]:
+    """Slices over the m rows of an (m, p) matrix, each of about
+    _BLOCK_VALUES values.  Every block but the last is a multiple of 16
+    rows, so each row keeps its place modulo 16: with OpenBLAS a row's
+    matvec result is then the same bits as in one call over all m rows,
+    while blocks of 13 or 65 rows changed a few rows in a thousand in the
+    last bit."""
+    rows = max(16, _BLOCK_VALUES // max(p, 1) // 16 * 16)
+    return [slice(start, start + rows) for start in range(0, m, rows)]
 
 
 def _open_unit(values):
@@ -328,16 +343,21 @@ def update_psi(model: FittedModel, newpoints) -> ClassProbabilities:
 
     Locates each point's deepest-layer cell in every variable's tree and
     gathers the model's per-leaf log-odds table there; `class_log_odds`
-    weights them by omega on top of the prior odds.  A model whose
-    selection did not converge, or a NaN or infinite coordinate, raises
-    InputError.
+    weights them by omega on top of the prior odds.  The points are scored
+    in `row_blocks`, so beyond the (m,) result and the model's leaf log-odds
+    table the call holds a few block-sized temporaries (a few MB), not
+    several (m, p) arrays; the psi are the same bits as one call over all
+    rows.  A model whose selection did not converge, or a NaN or infinite
+    coordinate, raises InputError.
     """
     if not model.selection.converged:
         raise InputError("the model's selection did not converge; refit it with a larger max_iter")
     x = np.asarray(newpoints, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.p:
         raise InputError(f"expected an (m, {model.p}) matrix, got shape {x.shape}")
-    eta = model.class_log_odds(model.forest.flat_leaves(x))
+    eta = np.empty(x.shape[0])
+    for rows in row_blocks(*x.shape):
+        eta[rows] = model.class_log_odds(model.forest.flat_leaves(x[rows]))
     return ClassProbabilities(_open_unit(expit(eta)))
 
 

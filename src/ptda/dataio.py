@@ -85,7 +85,8 @@ def load_csv(path, label_column: str | None = None, orientation: str = "samples-
     With `orientation="variables-in-rows"` the first column holds row
     names, the header holds sample ids, and the row named `label_column`
     carries the labels.  Cells that fail to parse are reported with their
-    row numbers (1-based, header included).
+    row numbers (1-based, header included).  A label named by more than
+    one column, or by more than one well-formed row, is refused.
     """
     if orientation not in ("samples-in-rows", "variables-in-rows"):
         raise InputError(f"unknown orientation {orientation!r}")
@@ -106,13 +107,13 @@ def load_csv(path, label_column: str | None = None, orientation: str = "samples-
             raise InputError(f"label column {label_column!r} not in header")
         lead = names.index(label_column)
         names = names[:lead] + names[lead + 1:]
-    leads, cells, label_row, bad = [], [], None, []
+    leads, cells, label_rows, bad = [], [], [], []
     for i, row in enumerate(body, start=2):
         if len(row) != len(header):
             bad.append((i, "wrong field count"))
             continue
         if by_rows and row[0] == label_column:
-            label_row = row[1:]
+            label_rows.append(row[1:])
             continue
         if lead is not None:
             leads.append(row[lead])
@@ -125,11 +126,15 @@ def load_csv(path, label_column: str | None = None, orientation: str = "samples-
         detail = "; ".join(f"row {i}: {msg}" for i, msg in bad[:20])
         raise InputError(f"{path}: {len(bad)} unparseable row(s): {detail}")
     matrix = np.array(cells, dtype=float).reshape(len(cells), len(header) - (lead is not None))
-    raw_labels = leads
-    if by_rows:
-        if label_column is not None and label_row is None:
+    raw_labels = label_rows[0] if by_rows and label_rows else leads
+    if label_column is not None:
+        named = len(label_rows) if by_rows else header.count(label_column)
+        if named == 0:  # with samples in rows, the header check above refused it
             raise InputError(f"label row {label_column!r} not found")
-        names, raw_labels, matrix = leads, label_row, matrix.T
+        if named > 1:
+            raise InputError(f"label {label_column!r} is named {named} times; name it once")
+    if by_rows:
+        names, matrix = leads, matrix.T
 
     if len(set(names)) != len(names):
         dupes = sorted({v for v in names if names.count(v) > 1})

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import dataio
 from .bnp_test import evidence_plan, log_bayes_factors
-from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, SelectionState, json_numbers,
-                  leaf_log_path_tables, prior_log_odds, update_omega)
+from .cvb import (_BLOCK_VALUES, ETA_CLAMP, FittedModel, Hyperparameters, SelectionState,
+                  json_numbers, leaf_log_path_tables, prior_log_odds, update_omega)
 from .errors import DomainError, InputError
 from .polya_tree import TreeForest, check_smoothing, training_data
 from .rng import SUBSAMPLE_STREAM, substream
@@ -50,9 +50,6 @@ __all__ = [
 
 DEFAULT_LADDER = (1.0, 5.0, 10.0, 50.0, 100.0)
 SHAPIRO_MAX_N = 5000
-# values per column block in column_pvalues: each (columns, n) temporary of
-# a block takes about 0.5 MiB
-_BLOCK_VALUES = 1 << 16
 
 _log = logging.getLogger(__name__)
 
@@ -285,10 +282,11 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     converged vector uses and scores every converged vector at once: per
     (bin, value) the training points' leaf log-odds are gathered once and
     multiplied against all the omega columns that use them.  The summation
-    order differs from `update_psi`'s one matvec, so a score may differ
-    from it in the last bits.  The per-value log BF vectors, the (K, p) omega
-    matrix and the per-vector errors stay local to the search; only the
-    winner's fit is returned.
+    order differs from the one matvec per row block that `update_psi` does
+    with the winner's omega, so a score may differ from it in the last
+    bits.  The per-value log BF vectors, the (K, p) omega matrix and the
+    per-vector errors stay local to the search; only the winner's fit is
+    returned.
 
     Returns (report, model): `model` is the winning candidate's fit, equal
     to `fit_model(matrix, labels, report.c)` with the same hyperparameters,

@@ -717,6 +717,19 @@ class TestLadderOption:
         assert not out_path.exists()
 
 
+class TestDoubledLabel:
+    def test_fit_exits_one_without_model(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("id,s1,s2,s3,s4\ny,0,1,0,1\na,1,2,3,4\ny,1,1,0,0\n", encoding="utf-8")
+        model = tmp_path / "m.json"
+        code, _, err = run(["fit", "--data", str(data), "--label-column", "y",
+                            "--orientation", "variables-in-rows", "--c", "1.0",
+                            "--out", str(model)], capsys)
+        assert code == 1
+        assert "label 'y' is named 2 times" in err
+        assert not model.exists()
+
+
 class TestLargeMagnitudeColumn:
     def test_select_c_accepts_a_column_near_1e200(self, tmp_path, capsys):
         rng = np.random.default_rng(71)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from ptda.cvb import (
     fit_model,
     leaf_log_path_tables,
     log_path_probability_matrix,
+    prior_log_odds,
+    row_blocks,
     update_omega,
     update_psi,
 )
@@ -235,6 +238,51 @@ class TestUpdatePsi:
         with pytest.raises(InputError):
             update_psi(model, points)
 
+
+    def _blocked(self, monkeypatch):
+        # 16-row blocks: 53 points span three full blocks and a ragged one of 5
+        monkeypatch.setattr(ptda.cvb, "_BLOCK_VALUES", 16)
+        x, _, model = training_model(shift=3.0)
+        points = np.random.default_rng(8).normal(size=(53, model.p)) + x[:1]
+        assert [len(range(53)[b]) for b in row_blocks(53, model.p)] == [16, 16, 16, 5]
+        return model, points
+
+    def test_row_blocks_match_one_call(self, monkeypatch):
+        model, points = self._blocked(monkeypatch)
+        flat = model.forest.flat_leaves(points)
+        prior = prior_log_odds(model.hyper, model.forest)
+        eta = prior + np.take(model.leaf_log_odds, flat) @ model.omega
+        reference = ClassProbabilities(1.0 / (1.0 + np.exp(-eta)))
+        psi = update_psi(model, points)
+        np.testing.assert_allclose(psi.psi, reference.psi, rtol=1e-12, atol=0)
+        assert np.array_equal(classify(psi), classify(reference))
+        assert 0 < classify(psi).sum() < len(points)
+
+    def test_non_finite_point_in_the_last_block_refused(self, monkeypatch):
+        model, points = self._blocked(monkeypatch)
+        points[-1, 0] = math.nan
+        with pytest.raises(InputError, match="finite"):
+            update_psi(model, points)
+
+    def test_no_points_give_no_probabilities(self, monkeypatch):
+        model, _ = self._blocked(monkeypatch)
+        assert update_psi(model, np.zeros((0, model.p))).psi.shape == (0,)
+
+    def test_scoring_holds_no_point_sized_temporary(self):
+        # one (m, p) temporary is 16 MiB here; the blocked path holds about
+        # 2.4 MiB whatever m is (two 0.5-MiB block arrays and normal_cdf's erfc
+        # temporaries), so at 4096 rows it would sit above a quarter
+        m, p = 8192, 256
+        _, _, model = training_model(n=64, p=p)
+        model.leaf_log_odds  # built and kept before the scoring is traced
+        points = np.random.default_rng(6).normal(size=(m, p))
+        tracemalloc.start()
+        try:
+            update_psi(model, points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * p * 8 / 4
 
     def test_unconverged_model_refused(self):
         # max_iter is the caller's to choose, so its outcome is an input error

@@ -71,6 +71,16 @@ class TestLoadCsv:
             load_csv(path, label_column="y", orientation=orientation)
         assert str(refused.value) == "duplicate variable names: ['a']"
 
+    @pytest.mark.parametrize("orientation, text", [
+        (SAMPLES, "a,y,y\n1,0,1\n2,1,0\n"),
+        (VARIABLES, "id,s1,s2,s3,s4\ny,0,1,0,1\na,1,2,3,4\ny,1,1,0,0\n"),
+    ], ids=[SAMPLES, VARIABLES])
+    def test_label_named_twice_rejected(self, tmp_path, orientation, text):
+        path = write(tmp_path, "d.csv", text)
+        with pytest.raises(InputError) as refused:
+            load_csv(path, label_column="y", orientation=orientation)
+        assert str(refused.value) == "label 'y' is named 2 times; name it once"
+
     @pytest.mark.parametrize("orientation, text, missing", [
         (SAMPLES, "a,b\n1,2\n3,4\n", "label column 'y' not in header"),
         (VARIABLES, "id,s1,s2\na,1,3\nb,2,4\n", "label row 'y' not found"),

@@ -1,10 +1,13 @@
 """Harness behavior: metrics arithmetic, determinism, baseline, CV."""
 
 import functools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import ptda.cvb
 import ptda.evalharness
 from ptda.dataio import Dataset
 from ptda.errors import InputError
@@ -66,6 +69,36 @@ class TestGaussianBaseline:
         test.matrix[:, 1] = 3.0
         metrics = gaussian_nb_baseline(train, test)  # must not divide by zero
         assert np.isfinite(metrics.classification_error)
+
+    def test_row_blocks_give_the_one_expression_error(self, monkeypatch):
+        # 16-row blocks: 70 test points span four full blocks and a ragged one of 6
+        monkeypatch.setattr(ptda.cvb, "_BLOCK_VALUES", 16)
+        train, test = self._blobs(0.4, n=70, p=5, seed=3)
+        y, z = train.labels, test.matrix
+        x1, x0 = train.matrix[y == 1], train.matrix[y == 0]
+        mu1, mu0 = x1.mean(axis=0), x0.mean(axis=0)
+        pooled = np.maximum((np.sum((x1 - mu1) ** 2, axis=0) + np.sum((x0 - mu0) ** 2, axis=0))
+                            / (y.size - 2), ptda.evalharness.VARIANCE_FLOOR)
+        n1 = int(np.sum(y == 1))
+        log_odds = math.log(n1 / (y.size - n1)) + np.sum(
+            (-((z - mu1) ** 2) + (z - mu0) ** 2) / (2.0 * pooled), axis=1)
+        error = float(np.mean((log_odds >= 0.0).astype(np.int8) != test.labels))
+        assert 0.0 < error < 0.5
+        assert gaussian_nb_baseline(train, test).classification_error == error
+
+    def test_scoring_holds_no_test_sized_temporary(self):
+        # one (m, p) temporary is 8 MiB here; the blocked path holds about 1.2 MiB
+        m, p = 4096, 256
+        train, _ = self._blobs(1.0, n=64, p=p)
+        rng = np.random.default_rng(5)
+        test = Dataset(rng.normal(size=(m, p)), np.arange(m) % 2, train.names)
+        tracemalloc.start()
+        try:
+            gaussian_nb_baseline(train, test)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * p * 8 / 4
 
     def test_tiny_group_rejected(self):
         rng = np.random.default_rng(1)

@@ -1,10 +1,12 @@
 """Pinned outputs of whole reps, so that refactors of the fit and scoring path
 must reproduce them bit for bit."""
 
+import hashlib
+
 import numpy as np
 
 from ptda.bnp_test import log_bayes_factors
-from ptda.cvb import fit_model, update_psi
+from ptda.cvb import fit_model, row_blocks, update_psi
 from ptda.evalharness import run_simulation_study
 from ptda.polya_tree import TreeForest
 from ptda.simgen import SimulationSpec, generate
@@ -15,6 +17,8 @@ COLUMNS = ("rep", "method", "classification_error", "selection_accuracy", "tp", 
 
 SHAPE_1 = dict(n_train=40, n_test=30, p=24, n_discriminative=4, base_seed=11)
 SHAPE_2 = dict(n_train=60, n_test=30, p=16, n_discriminative=4, base_seed=13)
+# 300 test points at p=600 are scored in row blocks of 96, 96, 96 and 12
+SHAPE_3 = dict(n_train=80, n_test=300, p=600, n_discriminative=60, base_seed=17)
 
 ROWS_1 = [
     (0, 'ptda', 0.4, 0.8333333333333334, 0, 20, 0, 4, 0, 5, True, '1.0:1.0:1.0:5.0'),
@@ -29,6 +33,14 @@ ROWS_2 = [
     (1, 'ptda', 0.43333333333333335, 0.75, 0, 12, 0, 4, 0, 5, True, '1.0:1.0:1.0:1.0'),
     (1, 'gaussian_nb', 0.43333333333333335, 0.25, 4, 0, 12, 0, 16, 0, True, ''),
 ]
+
+ROWS_3 = [
+    (0, 'ptda', 0.18, 0.9083333333333333, 5, 540, 0, 55, 5, 7, True, '1.0:1.0:1.0:1.0'),
+    (0, 'gaussian_nb', 0.12, 0.1, 60, 0, 540, 0, 600, 0, True, ''),
+]
+
+# SHA-256 of the little-endian float64 test-set psi of rep 0 of SHAPE_3 (setting 2, seed 17)
+PSI_3_SHA256 = "7ca7f79053df307a4569e454cfc196710a6485c500cd0bd1ad551bae8000f22b"
 
 # rep 0 of SHAPE_1 (setting 1, seed 11): omega of the selected fit and its test-set psi
 OMEGA = [
@@ -73,6 +85,21 @@ class TestGoldenReps:
         _, model = select_c(train.matrix, train.labels, seed=11)
         assert model.omega.tolist() == OMEGA
         assert update_psi(model, test.matrix).psi.tolist() == PSI
+
+
+class TestGoldenRowBlocks:
+    def test_shape_spans_blocks_with_a_ragged_tail(self):
+        assert [len(range(300)[b]) for b in row_blocks(300, 600)] == [96, 96, 96, 12]
+
+    def test_setting_2_rows(self):
+        rows, _ = run_simulation_study(2, reps=1, **SHAPE_3)
+        assert table(rows) == ROWS_3
+
+    def test_test_psi(self):
+        train, test, _ = generate(SimulationSpec(2, 80, 300, 600, 60, 17))
+        _, model = select_c(train.matrix, train.labels, seed=17)
+        psi = update_psi(model, test.matrix).psi
+        assert hashlib.sha256(psi.astype("<f8").tobytes()).hexdigest() == PSI_3_SHA256
 
 
 class TestOneFitPerRep:
