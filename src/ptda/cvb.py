@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import read_json, write_json
 from .errors import ContractViolation, DomainError, InputError
-from .polya_tree import TreeForest, alpha_for_layer, check_smoothing
+from .polya_tree import _BLOCK_VALUES, TreeForest, alpha_for_layer, check_smoothing
 from .stats import expit
 
 __all__ = [
@@ -38,10 +38,6 @@ ETA_CLAMP = 700.0
 MODEL_FORMAT = 2
 _OPEN_LO = 1e-300
 _OPEN_HI = float(np.nextafter(1.0, 0.0))
-# values per block wherever a matrix is scored in blocks (row_blocks here,
-# column blocks in smoothing.column_pvalues): each float64 temporary of a
-# block takes about 0.5 MiB
-_BLOCK_VALUES = 1 << 16
 
 _log = logging.getLogger(__name__)
 

@@ -2,9 +2,11 @@
 
 One tree per variable: layer l splits the real line into 2**l half-open
 cells (lower, upper] at the quantiles of the variable's centring Gaussian,
-held as its mean and sd, and a point's path through the tree is the
-binary expansion of its centring CDF value.  A value on a dyadic boundary
-belongs to the left cell, matching the (lower, upper] convention.
+held as its mean and sd.  A point is located on its standardized value z
+= (x - mean) / sd: its deepest-layer cell is the number of standard
+normal quantiles inv_cdf(k / 2**depth) strictly below z, so a value on a
+boundary belongs to the left cell, and its layer-l cells are the leading
+binary digits of that index.
 
 The p trees of a dataset share one heap layout: each group holds a
 (p, 2**(depth+1)) int64 count array in which node 2**l + k is cell k of
@@ -18,11 +20,12 @@ from __future__ import annotations
 
 import logging
 import math
+from statistics import NormalDist
 
 import numpy as np
 
 from .errors import DomainError, InputError
-from .stats import normal_cdf, normal_pdf, square_safe_shift
+from .stats import normal_pdf, square_safe_shift
 
 __all__ = [
     "SD_FLOOR",
@@ -49,7 +52,14 @@ MAX_FOREST_CELLS = 1 << 26
 
 Two int64 arrays of this many nodes take 1 GiB, the memory budget of a
 forest; a depth beyond it raises DomainError before anything is allocated.
+Locating points adds one table per depth, kept for the process: under
+32 * 2**depth bytes (27 * 2**depth at depth 20), less than the two count
+arrays of a one-variable forest at that depth.
 """
+
+# values per block wherever a matrix is handled in blocks (the forest build,
+# cvb.row_blocks, smoothing.column_pvalues): a float64 block takes 0.5 MiB
+_BLOCK_VALUES = 1 << 16
 
 
 def default_depth(n: int) -> int:
@@ -96,21 +106,62 @@ def alpha_for_layer(layer: int, c) -> np.ndarray:
     return np.ones_like(c) if parent_len == 0 else c * (parent_len * parent_len)
 
 
-def leaf_indices(u, depth: int) -> np.ndarray:
-    """Deepest-layer cell index of each CDF value: its first `depth` binary digits.
+_LOCATORS: dict[int, tuple[float, float, np.ndarray, np.ndarray, int]] = {}  # by depth
 
-    That is ceil(u * 2**depth) - 1, floored at 0, so a value on a dyadic
-    boundary goes to the left cell.  Multiplying by a power of two only
-    moves the exponent, so u * 2**depth is exact and the one step gives
-    the digits that `depth` halvings of the interval would.  The layer-l
-    cell is the index shifted right by depth - l.
+
+def _locator(depth: int) -> tuple[float, float, np.ndarray, np.ndarray, int]:
+    """(scale, half, cells, bounds, fixups) of `depth`, built once per process.
+
+    `bounds` holds the cell boundaries inv_cdf(k / 2**depth), k = 1 ..
+    2**depth - 1, then +inf.  Buckets 1 / scale = 2**(1 - depth) wide span
+    [-half / scale, half / scale], and `cells[i]` is the cell of bucket i's
+    left edge minus half a bucket.  z * scale + half rounds once, and
+    monotonically, so a value in bucket i lies in the 1.5 buckets above
+    that point, and at most `fixups` boundaries, the most 1.5 buckets can
+    hold, separate the two.
     """
-    k = np.array(u, dtype=float)
-    k *= float(1 << depth)
-    np.ceil(k, out=k)
-    k -= 1.0
-    np.maximum(k, 0.0, out=k)
-    return k.astype(np.int64)
+    loc = _LOCATORS.get(depth)
+    if loc is None:
+        width = 1 << depth
+        inv_cdf = NormalDist().inv_cdf
+        lower = np.fromiter((inv_cdf(k / width) for k in range(1, width // 2)), float,
+                            width // 2 - 1)
+        # 1 - k / 2**depth is exact, and inv_cdf is exactly odd about 1/2
+        # there, so the upper boundaries mirror the lower ones
+        bounds = np.concatenate((lower, [0.0], -lower[::-1], [math.inf]))
+        scale = float(1 << (depth - 1))
+        half = math.ceil(bounds[-2] * scale) + 2  # the outer buckets hold no boundary
+        cells = np.empty(2 * half, dtype=np.int32)
+        for start in range(0, cells.size, _BLOCK_VALUES):
+            edges = np.arange(start, min(start + _BLOCK_VALUES, cells.size)) - (half + 0.5)
+            cells[start:start + edges.size] = np.searchsorted(bounds, edges / scale)
+        # no two boundaries are closer than this
+        gap = np.min(np.diff(bounds[:-1]), initial=math.inf)
+        loc = (scale, float(half), cells, bounds, int(1.5 / (scale * gap)) + 1)
+        _LOCATORS[depth] = loc
+    return loc
+
+
+def leaf_indices(z, depth: int) -> np.ndarray:
+    """Deepest-layer cell index of each standardized value: int32 values in
+    the shape of `z`, which must hold no NaN.
+
+    The index counts the cell boundaries inv_cdf(k / 2**depth) strictly
+    below z, as np.searchsorted(boundaries, z, side="left") does, so a value
+    on a boundary goes to the left cell.  The value's bucket in the depth's
+    cached grid (`_locator`) gives a cell at most `fixups` boundaries too
+    low, and each `k += z > bounds[k]` moves it past one.  The layer-l cell
+    is the index shifted right by depth - l.
+    """
+    scale, half, cells, bounds, fixups = _locator(depth)
+    z = np.asarray(z, dtype=float)
+    t = np.clip(z, -half / scale, (half - 1.0) / scale)  # beyond the grid: an outer bucket
+    t *= scale
+    t += half
+    k = cells[t.astype(np.intp)]
+    for _ in range(fixups):
+        k += z > bounds[k]
+    return k
 
 
 def training_data(matrix, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -226,8 +277,12 @@ class TreeForest:
                        "and are centred with SD_FLOOR = %g", np.count_nonzero(floored), p, SD_FLOOR)
             sds = np.where(floored, SD_FLOOR, sds)
         width = 1 << depth
-        flat = np.add(leaf_indices(normal_cdf((x - means) / sds), depth),
-                      np.arange(p, dtype=np.int64) * width, out=_flat_out)
+        offsets = np.arange(p, dtype=np.int64) * width
+        flat = np.empty((n, p), dtype=np.int64) if _flat_out is None else _flat_out
+        step = max(1, _BLOCK_VALUES // p)  # row blocks: no (n, p) float temporary
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            np.add(leaf_indices((x[rows] - means) / sds, depth), offsets, out=flat[rows])
         leaf1 = np.bincount(flat[y].ravel(), minlength=p * width).reshape(p, width)
         leaf0 = np.bincount(flat[~y].ravel(), minlength=p * width).reshape(p, width)
         return cls.from_leaves(means, sds, leaf1, leaf0)
@@ -240,7 +295,7 @@ class TreeForest:
             raise InputError(f"expected points with {self.p} variables, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise InputError("points must be finite")
-        return leaf_indices(normal_cdf((x - self.means) / self.sds), self.depth)
+        return leaf_indices((x - self.means) / self.sds, self.depth)
 
     def flat_leaves(self, matrix) -> np.ndarray:
         """(m, p) index leaf + j * 2**depth of each point's deepest-layer cell

@@ -31,10 +31,10 @@ import numpy as np
 
 from . import dataio
 from .bnp_test import evidence_plan, log_bayes_factors
-from .cvb import (_BLOCK_VALUES, ETA_CLAMP, FittedModel, Hyperparameters, SelectionState,
-                  json_numbers, leaf_log_path_tables, prior_log_odds, update_omega)
+from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, SelectionState, json_numbers,
+                  leaf_log_path_tables, prior_log_odds, update_omega)
 from .errors import DomainError, InputError
-from .polya_tree import TreeForest, check_smoothing, training_data
+from .polya_tree import _BLOCK_VALUES, TreeForest, check_smoothing, training_data
 from .rng import SUBSAMPLE_STREAM, substream
 from .stats import ks_two_sample_sorted, shapiro_wilk_sorted
 

@@ -2,17 +2,14 @@
 
 The statistics the model needs and numpy and the standard library lack,
 so the package carries no dependency beyond numpy: log-gamma, the
-standard normal CDF, a stable expit of arrays, the Shapiro-Wilk
+standard normal CDF of arrays, a stable expit of arrays, the Shapiro-Wilk
 normality test (Royston's AS R94 recipe) and the two-sample
 Kolmogorov-Smirnov test with the asymptotic p-value.  Accuracy fixtures
 for all of them are recorded in the test suite.
 
-The normal CDF runs on a numpy port of fdlibm's erfc (the Sun
-Microsystems s_erf.c that glibc's erfc is derived from), so that locating
-millions of points costs no Python per value.  It agrees with glibc's
-own erfc to within 4 ulp.  The normal quantile behind the Shapiro-Wilk
-weights is the standard library's `statistics.NormalDist().inv_cdf`
-(Wichura's AS 241).
+The normal CDF is the standard library's `math.erfc`, and the normal
+quantile behind the Shapiro-Wilk weights is its
+`statistics.NormalDist().inv_cdf` (Wichura's AS 241).
 
 Both tests are column kernels: `shapiro_wilk_sorted` and
 `ks_two_sample_sorted` score a block of equal-length samples, one per row
@@ -118,142 +115,12 @@ def log_gamma(x):
 # standard normal CDF
 # ---------------------------------------------------------------------------
 
-# erfc for arrays: fdlibm's s_erf.c (Sun Microsystems, 1993), the source of
-# glibc's erfc, with glibc's split polynomial evaluation order and branch
-# points.  Each branch is evaluated only on the values that fall in it.
-_ERX = 8.45062911510467529297e-01
-# |x| < 0.84375: erf(x) = x + x * P(x**2) / Q(x**2)
-_PP = (1.28379167095512558561e-01, -3.25042107247001499370e-01, -2.84817495755985104766e-02,
-       -5.77027029648944159157e-03, -2.37630166566501626084e-05)
-_QQ = (3.97917223959155352819e-01, 6.50222499887672944485e-02, 5.08130628187576562776e-03,
-       1.32494738004321644526e-04, -3.96022827877536812320e-06)
-# 0.84375 <= |x| < 1.25: erf(|x|) = erx + P(s) / Q(s), s = |x| - 1
-_PA = (-2.36211856075265944077e-03, 4.14856118683748331666e-01, -3.72207876035701323847e-01,
-       3.18346619901161753674e-01, -1.10894694282396677476e-01, 3.54783043256182359371e-02,
-       -2.16637559486879084300e-03)
-_QA = (1.06420880400844228286e-01, 5.40397917702171048937e-01, 7.18286544141962662868e-02,
-       1.26171219808761642112e-01, 1.36370839120290507362e-02, 1.19844998467991074170e-02)
-# 1.25 <= |x| < 1/0.35: erfc(|x|) = exp(-x**2 - 0.5625 + R(s) / S(s)) / |x|, s = 1 / x**2
-_RA = (-9.86494403484714822705e-03, -6.93858572707181764372e-01, -1.05586262253232909814e+01,
-       -6.23753324503260060396e+01, -1.62396669462573470355e+02, -1.84605092906711035994e+02,
-       -8.12874355063065934246e+01, -9.81432934416914548592e+00)
-_SA = (1.96512716674392571292e+01, 1.37657754143519042600e+02, 4.34565877475229228821e+02,
-       6.45387271733267880336e+02, 4.29008140027567833386e+02, 1.08635005541779435134e+02,
-       6.57024977031928170135e+00, -6.04244152148580987438e-02)
-# 1/0.35 <= |x| < 28: the same form with other coefficients
-_RB = (-9.86494292470009928597e-03, -7.99283237680523006574e-01, -1.77579549177547519889e+01,
-       -1.60636384855821916062e+02, -6.37566443368389627722e+02, -1.02509513161107724954e+03,
-       -4.83519191608651397019e+02)
-_SB = (3.03380607434824582924e+01, 3.25792512996573918826e+02, 1.53672958608443695994e+03,
-       3.19985821950859553908e+03, 2.55305040643316442583e+03, 4.74528541206955367215e+02,
-       -2.24409524465858183362e+01)
-# fdlibm tests the high word against 0x4006DB6D, so the exact cut is this double
-_ERFC_CUT = float(np.array(0x4006DB6D << 32, dtype=np.uint64).view(np.float64))
-_HIGH_WORD = np.uint64(0xFFFFFFFF00000000)
-# values per block of the array path: a block's dozen or so temporaries
-# (128 KiB each) fit in a core's L2 cache
-_ERFC_BLOCK = 1 << 14
-
-
-def _erfc_near_zero(x):
-    """|x| < 0.84375.  glibc returns 1 - x below 2**-56; this rounds to the same 1.0."""
-    p0, p1, p2, p3, p4 = _PP
-    q1, q2, q3, q4, q5 = _QQ
-    z = x * x
-    z2 = z * z
-    z4 = z2 * z2
-    r = (p0 + z * p1) + z2 * (p2 + z * p3) + z4 * p4
-    s = (1.0 + z * q1) + z2 * (q2 + z * q3) + z4 * (q4 + z * q5)
-    xy = x * (r / s)
-    return np.where(x < 0.25, 1.0 - (x + xy), 0.5 - (xy + (x - 0.5)))
-
-
-def _erfc_near_one(x, ax):
-    """0.84375 <= |x| < 1.25."""
-    p0, p1, p2, p3, p4, p5, p6 = _PA
-    q1, q2, q3, q4, q5, q6 = _QA
-    s = ax - 1.0
-    s2 = s * s
-    s4 = s2 * s2
-    s6 = s4 * s2
-    pq = (((p0 + s * p1) + s2 * (p2 + s * p3) + s4 * (p4 + s * p5) + s6 * p6)
-          / ((1.0 + s * q1) + s2 * (q2 + s * q3) + s4 * (q4 + s * q5) + s6 * q6))
-    return np.where(x >= 0.0, (1.0 - _ERX) - pq, 1.0 + (_ERX + pq))
-
-
-def _tail_ratio_near(s):
-    """R(s) / S(s) for 1.25 <= |x| < 1/0.35."""
-    r0, r1, r2, r3, r4, r5, r6, r7 = _RA
-    q1, q2, q3, q4, q5, q6, q7, q8 = _SA
-    s2 = s * s
-    s4 = s2 * s2
-    s6 = s4 * s2
-    return (((r0 + s * r1) + s2 * (r2 + s * r3) + s4 * (r4 + s * r5) + s6 * (r6 + s * r7))
-            / ((1.0 + s * q1) + s2 * (q2 + s * q3) + s4 * (q4 + s * q5) + s6 * (q6 + s * q7)
-               + (s4 * s4) * q8))
-
-
-def _tail_ratio_far(s):
-    """R(s) / S(s) for 1/0.35 <= |x| < 28."""
-    r0, r1, r2, r3, r4, r5, r6 = _RB
-    q1, q2, q3, q4, q5, q6, q7 = _SB
-    s2 = s * s
-    s4 = s2 * s2
-    s6 = s4 * s2
-    return (((r0 + s * r1) + s2 * (r2 + s * r3) + s4 * (r4 + s * r5) + s6 * r6)
-            / ((1.0 + s * q1) + s2 * (q2 + s * q3) + s4 * (q4 + s * q5) + s6 * (q6 + s * q7)))
-
-
-def _erfc_tail(x, ax):
-    """1.25 <= |x| < 28 and x > -6: exp(-x**2 - 0.5625 + R/S) / |x|, with x**2
-    split at |x| cut to its high 32 bits so that the first exponent is exact."""
-    s = 1.0 / (ax * ax)
-    near = ax < _ERFC_CUT
-    rs = np.empty_like(s)
-    rs[near] = _tail_ratio_near(s[near])
-    rs[~near] = _tail_ratio_far(s[~near])
-    z = (ax.view(np.uint64) & _HIGH_WORD).view(np.float64)
-    r = np.exp(-z * z - 0.5625) * np.exp((z - ax) * (z + ax) + rs)
-    return np.where(x > 0.0, r / ax, 2.0 - r / ax)
-
-
-def _erfc_block(x: np.ndarray, out: np.ndarray) -> None:
-    """out[:] = erfc(x) for a 1-d float64 block."""
-    ax = np.abs(x)
-    i = np.flatnonzero(ax < 0.84375)
-    if i.size:
-        out[i] = _erfc_near_zero(x[i])
-    i = np.flatnonzero((ax >= 0.84375) & (ax < 1.25))
-    if i.size:
-        out[i] = _erfc_near_one(x[i], ax[i])
-    i = np.flatnonzero((ax >= 1.25) & (ax < 28.0) & (x > -6.0))
-    if i.size:
-        out[i] = _erfc_tail(x[i], ax[i])
-    i = np.flatnonzero(~(ax < 28.0) | (x <= -6.0))  # both infinities and NaN too
-    if i.size:
-        xi = x[i]
-        out[i] = np.where(xi > 0.0, 0.0, np.where(xi < 0.0, 2.0, np.nan))
-
-
-def normal_cdf(z):
-    """Standard normal CDF, Phi(z) = erfc(-z / sqrt 2) / 2.
-
-    Any array-like goes through a numpy port of fdlibm's erfc (the
-    rational approximation glibc's erfc derives from), block by block, and
-    comes back as an ndarray of its shape, 0-d for a number.  Where
-    |z| / sqrt 2 < 1.25 the port repeats glibc's arithmetic exactly; beyond
-    that it calls numpy's exp where glibc calls its own, and stays within
-    4 ulp of glibc's erfc (largest relative difference 6.2e-16 in a sweep
-    of 4M values).
-    """
+def normal_cdf(z) -> np.ndarray:
+    """Standard normal CDF, Phi(z) = erfc(-z / sqrt 2) / 2, of each value of
+    an array-like, as an ndarray of its shape: one `math.erfc` call per
+    value, for the Shapiro-Wilk tail's one value per sample."""
     z = np.asarray(z, dtype=float)
-    flat = z.ravel()
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, _ERFC_BLOCK):
-        block = out[start:start + _ERFC_BLOCK]
-        _erfc_block(-flat[start:start + _ERFC_BLOCK] / _SQRT2, block)
-        block *= 0.5
-    return out.reshape(z.shape)
+    return np.array([0.5 * math.erfc(-v / _SQRT2) for v in z.ravel().tolist()]).reshape(z.shape)
 
 
 def normal_pdf(z) -> np.ndarray:

@@ -14,9 +14,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ptda.polya_tree import SD_FLOOR, TreeForest, leaf_indices
+from ptda.polya_tree import SD_FLOOR, TreeForest
 from ptda.simgen import SimulationSpec, generate
-from ptda.stats import normal_cdf
+
+from oracles import quantile_boundaries
 
 STD = (0.0, 1.0)
 LADDER = (1.0, 5.0, 10.0, 50.0, 100.0)
@@ -41,8 +42,10 @@ def tree_of(column, labels, depth: int, centring: tuple | None = None) -> TreeFo
     x = np.asarray(column, dtype=float)
     y = np.asarray(labels)
     mean, sd = centring or sample_centring(x)
-    leaf = leaf_indices(normal_cdf((x - mean) / sd), depth)
     width = 1 << depth
+    # the cell rule on its own, apart from the package's locator: a leaf is
+    # the number of centring quantiles strictly below the value
+    leaf = np.searchsorted(quantile_boundaries(depth), (x - mean) / sd, side="left")
     leaf1 = np.bincount(leaf[y == 1], minlength=width)
     leaf0 = np.bincount(leaf[y == 0], minlength=width)
     return TreeForest.from_leaves([mean], [sd], leaf1[None, :], leaf0[None, :])

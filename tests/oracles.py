@@ -4,10 +4,11 @@ Everything here deliberately avoids the package's own computational paths:
 enumeration of every cell of a tree, math.lgamma instead of the
 vectorized log-gamma, Jacobi fixed-point iteration instead of sweeps, and
 brute-force double loops for distances.  Normal quantiles (cell edges and
-Blom scores) come from the standard library's `NormalDist().inv_cdf`, not
-from the array CDF that locates points.  Two references keep the earlier,
-plainer forms of rewritten kernels: the digit-by-digit binary expansion
-of a CDF value and the omega sweep that calls expit and min/max.  Two more
+Blom scores) come from the standard library's `NormalDist().inv_cdf`, one
+call per quantile, not from the cached table that locates points.  Two
+references keep the earlier, plainer forms of rewritten kernels: the
+digit-by-digit binary expansion of a CDF value and the omega sweep that
+calls expit and min/max.  Two more
 keep the direct forms of the forest kernels: the log-Bayes-factor layer
 walk calling `log_beta` on every live node, which now gathers from
 count-indexed tables, and the leaf log-path walk repeating each parent,
@@ -151,6 +152,12 @@ def expit(z):
         return 1.0 / (1.0 + math.exp(-z))
     ez = math.exp(z)
     return ez / (1.0 + ez)
+
+
+def quantile_boundaries(depth: int) -> np.ndarray:
+    """The 2**depth - 1 standard normal quantiles q(k / 2**depth) that bound
+    the deepest-layer cells, in increasing order."""
+    return np.array([normal_quantile(k / 2 ** depth) for k in range(1, 2 ** depth)])
 
 
 def binary_expansion_leaves(u, depth: int) -> np.ndarray:

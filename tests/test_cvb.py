@@ -269,10 +269,10 @@ class TestUpdatePsi:
         assert update_psi(model, np.zeros((0, model.p))).psi.shape == (0,)
 
     def test_scoring_holds_no_point_sized_temporary(self):
-        # one (m, p) temporary is 16 MiB here; the blocked path holds about
-        # 2.4 MiB whatever m is (two 0.5-MiB block arrays and normal_cdf's erfc
-        # temporaries), so at 4096 rows it would sit above a quarter
-        m, p = 8192, 256
+        # one (m, p) temporary is 8 MiB here; the blocked path holds about
+        # 1.85 MiB whatever m is (the (m,) result and a few 0.5-MiB block
+        # arrays of the shift, the bucket index and the boundary gather)
+        m, p = 4096, 256
         _, _, model = training_model(n=64, p=p)
         model.leaf_log_odds  # built and kept before the scoring is traced
         points = np.random.default_rng(6).normal(size=(m, p))

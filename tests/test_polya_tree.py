@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -22,7 +23,7 @@ from ptda.polya_tree import (
     predictive_density,
     training_data,
 )
-from ptda.stats import normal_cdf, normal_pdf
+from ptda.stats import normal_pdf
 
 from adapters import STD, path_map, sample_centring, spec_of, tree_from_leaves, tree_of
 from oracles import (
@@ -30,6 +31,7 @@ from oracles import (
     cell_bounds,
     integrate_predictive_density,
     predictive_density_at,
+    quantile_boundaries,
 )
 
 # the array density takes its centring density from numpy's exp, the
@@ -175,9 +177,10 @@ class TestCellBoundaries:
 
     def test_first_layer(self):
         tree = empty_tree(depth=1)
-        assert [leaf_of(x, tree) for x in (-1e300, -1.0, -5e-324, 0.0)] == [0] * 4
-        # the smallest doubles above 0 have CDF value 0.5 and stay left
-        assert [leaf_of(x, tree) for x in (1e-15, 1.0, 1e300)] == [1] * 3
+        assert [leaf_of(x, tree) for x in (-1e300, -1.0, -5e-324, -0.0, 0.0)] == [0] * 5
+        # cells are bounded in z, so every double above the median goes right,
+        # even those whose CDF value rounds to 0.5
+        assert [leaf_of(x, tree) for x in (5e-324, 1e-17, 1e-15, 1.0, 1e300)] == [1] * 5
         assert cell_bounds(0.0, 1.0, 1, 0) == (-math.inf, 0.0)
         assert cell_bounds(0.0, 1.0, 1, 1) == (0.0, math.inf)
 
@@ -212,7 +215,8 @@ class TestCellBoundaries:
 
 
 class TestPathOf:
-    """A point's leaf read as its path: the binary digits of its centring CDF value."""
+    """A point's leaf read as its path: its cell's index in binary, the
+    leading digits of its centring CDF value."""
 
     def test_mean_goes_left(self):
         # CDF value 0.5 sits on the layer-1 boundary and belongs to the left cell
@@ -232,16 +236,15 @@ class TestPathOf:
     @given(st.floats(-4.0, 4.0), st.integers(1, 8))
     @settings(max_examples=200)
     def test_path_cell_consistency(self, x, depth):
-        # exact in CDF space; x-space membership gets one-ulp slack because
-        # a point whose CDF value rounds onto a boundary goes to the left cell
+        # exact in x for the standard centring, whose cell bounds are the
+        # quantiles themselves; in CDF space up to erfc's rounding
         leaf = leaf_of(x, empty_tree(depth=depth))
-        u = normal_cdf(x)
+        u = 0.5 * math.erfc(-x / math.sqrt(2.0))
         for level in range(1, depth + 1):
             k = leaf >> (depth - level)
-            assert k / 2 ** level <= u <= (k + 1) / 2 ** level
             lo, hi = cell_bounds(0.0, 1.0, level, k)
-            slack = 1e-9
-            assert lo - slack < x <= hi + slack
+            assert lo < x <= hi
+            assert k / 2 ** level - 1e-15 <= u <= (k + 1) / 2 ** level + 1e-15
 
 
 class TestAccumulateCounts:
@@ -391,7 +394,7 @@ class TestTreeForest:
         forest = TreeForest.from_matrix(x, y, 3)
         leaves = forest.leaves(x)
         for j in range(3):
-            k = leaf_indices(normal_cdf((x[:, j] - forest.means[j]) / forest.sds[j]), 3)
+            k = leaf_indices((x[:, j] - forest.means[j]) / forest.sds[j], 3)
             assert np.array_equal(leaves[:, j], k)
             # the deepest-layer nodes 8..15 count exactly these training leaves
             assert np.array_equal(forest.count1[j, 8:], np.bincount(k[y == 1], minlength=8))
@@ -404,44 +407,64 @@ class TestTreeForest:
 
 
 class TestLeafIndicesAgainstBinaryExpansion:
-    """The one-step leaf (ceil of u * 2**depth) against the digit-by-digit loop."""
+    """The cached grid locator against a search of the quantile boundaries
+    and, away from them, against the binary expansion of the CDF value."""
 
-    @staticmethod
-    def hard_values(depth, rng):
-        # dyadics one layer coarser, at and one finer than the leaves, 0, 1
-        # and subnormals, each with its neighbouring doubles
-        values = [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5 ** 1074 * 3]
-        for level in (depth - 1, depth, depth + 1):
-            if level < 1:
-                continue
-            k = np.unique(np.concatenate([
-                np.arange(min(2 ** level, 64) + 1),
-                2 ** level - np.arange(min(2 ** level, 64) + 1),
-                rng.integers(0, 2 ** level + 1, size=500),
-            ]))
-            values.extend((k / 2.0 ** level).tolist())
-        u = np.array(values)
-        u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(u, 1.0)])
-        return u[(u >= 0.0) & (u <= 1.0)]
-
-    @pytest.mark.parametrize("depth", [1, 6, 9, 25])
+    @pytest.mark.parametrize("depth", [*range(1, 16), 20])
     def test_dyadics_neighbours_and_extremes(self, depth):
-        u = self.hard_values(depth, np.random.default_rng(depth))
-        assert np.array_equal(leaf_indices(u, depth), binary_expansion_leaves(u, depth))
+        # every boundary q(k / 2**depth) goes to the cell on its left, the
+        # doubles one ulp either side of it to the cells they lie in, and
+        # the extremes to the end cells
+        b = quantile_boundaries(depth)
+        ends = [-np.inf, -1e300, -40.0, 40.0, 1e300, np.inf]
+        z = np.concatenate([ends, b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)])
+        leaf = leaf_indices(z, depth)
+        assert np.array_equal(leaf, np.searchsorted(b, z, side="left"))
+        assert leaf[:6].tolist() == [0] * 3 + [2 ** depth - 1] * 3
 
-    @pytest.mark.parametrize("depth", [1, 6, 9, 25])
+    @pytest.mark.parametrize("depth", [1, 6, 9, 20])
     def test_random_cdf_values(self, depth):
+        # the digits of 0.5 erfc(-z / sqrt 2) for values whose CDF lies well
+        # inside a leaf, where erfc's rounding cannot cross a boundary; all
+        # values against the boundary search
         rng = np.random.default_rng(100 + depth)
-        u = np.concatenate([rng.uniform(size=5000), normal_cdf(rng.normal(scale=4.0, size=5000))])
-        assert np.array_equal(leaf_indices(u, depth), binary_expansion_leaves(u, depth))
+        z = np.concatenate([rng.normal(size=5000), rng.normal(scale=4.0, size=5000),
+                            [-0.0, 0.0, 5e-324, -5e-324, 1e-17]])
+        u = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
+        scaled = u * 2.0 ** depth
+        inside = np.abs(scaled - np.round(scaled)) > 1e-6
+        assert inside.mean() > 0.8
+        leaf = leaf_indices(z, depth)
+        assert np.array_equal(leaf[inside], binary_expansion_leaves(u[inside], depth))
+        assert np.array_equal(leaf, np.searchsorted(quantile_boundaries(depth), z, side="left"))
 
     def test_dyadic_boundary_goes_left(self):
-        assert leaf_indices(np.array([0.5, 0.25, 0.0, 1.0]), 2).tolist() == [1, 0, 0, 3]
+        q = NormalDist().inv_cdf
+        assert leaf_indices(np.array([q(0.5), q(0.25), q(0.75), -np.inf, np.inf]),
+                            2).tolist() == [1, 0, 2, 0, 3]
 
     def test_shape_kept(self):
         assert leaf_indices(0.3, 3).shape == ()
         assert leaf_indices(np.empty((0, 4)), 3).shape == (0, 4)
-        assert leaf_indices(np.full((2, 3), 0.7), 3).tolist() == [[5] * 3] * 2
+        z = NormalDist().inv_cdf(0.7)  # in leaf 5 of 8, (0.625, 0.75]
+        assert leaf_indices(np.full((2, 3), z), 3).tolist() == [[5] * 3] * 2
+
+    def test_forest_build_holds_no_point_sized_float(self):
+        # the points are located in row blocks: beyond the caller's flat
+        # index, the build's traced peak is the deviations x.std needs
+        # (one (n, p) float), not further (n, p) temporaries
+        n, p = 4096, 64
+        x = np.random.default_rng(24).normal(size=(n, p))
+        y = np.arange(n) % 2
+        flat = np.empty((n, p), dtype=np.int64)
+        TreeForest.from_matrix(x[:64], y[:64], 6)  # the depth's table, built before tracing
+        tracemalloc.start()
+        try:
+            TreeForest.from_matrix(x, y, 6, _flat_out=flat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
 
 
 class TestLocatingPoints:

@@ -390,13 +390,13 @@ class TestOnePassPerForest:
         # scores gather with; locating the points again would double this
         x, y = two_group_data(seed=12, n=30, p=7)
         located = []
-        cdf = ptda.polya_tree.normal_cdf
+        locate = ptda.polya_tree.leaf_indices
 
-        def counting(z):
+        def counting(z, depth):
             located.append(np.size(z))
-            return cdf(z)
+            return locate(z, depth)
 
-        monkeypatch.setattr(ptda.polya_tree, "normal_cdf", counting)
+        monkeypatch.setattr(ptda.polya_tree, "leaf_indices", counting)
         select_c(x, y, grid=(1.0, 10.0))
         assert sum(located) == x.size
 

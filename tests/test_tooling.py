@@ -1,7 +1,7 @@
 """The benchmark's layer tracer, its calls into the package and the package's
 exports must name things that exist, the package must define no function
-that only tests reach, and the oracles may import from the package only
-names that are not the kernels they check."""
+that only tests reach, and the oracles and the test adapters may import
+from the package only names that are not the kernels they check."""
 
 import ast
 import importlib
@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
 SRC = ROOT / "src" / "ptda"
 ORACLES = ROOT / "tests" / "oracles.py"
+ADAPTERS = ROOT / "tests" / "adapters.py"
 
 # functions that no program code references and that stay, with the reason
 UNREFERENCED: dict = {}
@@ -154,6 +155,18 @@ def test_oracles_import_only_allowed_package_names():
         elif isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names if alias.name.split(".")[0] == "ptda"}
     assert imported == set(ORACLE_IMPORTS), "the oracles' package imports differ from the allowlist"
+
+
+def test_adapters_do_not_locate_with_the_package():
+    # tree_of builds the reference forests that the package's leaves are
+    # checked against, so it finds leaves without the package's locator
+    names = set()
+    for node in ast.walk(ast.parse(ADAPTERS.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"leaf_indices", "normal_cdf"}
 
 
 def _calls(node, owner="<module>"):
