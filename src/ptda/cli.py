@@ -117,8 +117,7 @@ def _config_from(args) -> Config:
             setattr(cfg, name, value)
     if getattr(args, "ladder", None):
         cfg.ladder = tuple(_ladder_value(v) for v in args.ladder.split(","))
-    if cfg.u <= 1.0:
-        raise InputError(f"u must exceed 1, got {cfg.u}")
+    cfg.hyper()  # a_y, b_y and u are checked on every command, NaN refused
     if not cfg.tol > 0:
         raise InputError(f"--tol must be positive, got {cfg.tol}")
     if cfg.max_iter < 1:

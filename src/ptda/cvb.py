@@ -239,7 +239,9 @@ class FittedModel:
     @cached_property
     def leaf_log_odds(self) -> np.ndarray:
         """(p, 2**depth) group-1 minus group-0 log path probability of every leaf;
-        built on first use and kept, so a model must not change once it has scored."""
+        built on first use and kept, so a model must not change once it has scored.
+        This is the only place a model's table is built, whether the model
+        came from `fit_model`, `select_c` or `load`."""
         lp1, lp0 = leaf_log_path_tables(self.forest, self.c)
         return np.subtract(lp1, lp0, out=lp1)
 

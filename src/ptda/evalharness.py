@@ -5,12 +5,11 @@ Rows come out as plain dicts (one per rep/fold/method) so they can be
 dumped to tidy CSV; summaries aggregate means/medians and per-variable
 selection rates.  Cross-validation folds are independent and may run on
 a thread pool; results are assembled by index so the thread count never
-changes them.  The pool pays off where numpy's forest and table work,
-which releases the GIL, outweighs the Python omega sweep: on a 2-vCPU
-host, four setting-2 simulation reps at n=1000, p=1000 on such a pool
-took 9.3-10.3 s on one thread and 6.6-7.4 s on two, while four setting-1
-reps at n=100, p=3000 took 8.0-9.0 s either way.  Simulation reps run in
-turn.
+changes them.  On a 2-vCPU host with one BLAS thread, six alternating pairs
+of k = 5 runs took 3.0-3.7 s on one thread and 3.2-6.2 s on two at setting
+2, n=1000, p=1000, and 3.1-4.4 s against 4.1-8.4 s at setting 1, n=100,
+p=3000, so the pool does not pay off at these shapes.  Simulation reps run
+in turn.
 """
 
 from __future__ import annotations

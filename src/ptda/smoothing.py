@@ -15,9 +15,8 @@ scores, and one evidence plan of that forest (`bnp_test.evidence_plan`)
 gives the log Bayes factors of every ladder value.  The search runs in two
 phases over the distinct per-variable c vectors: first one omega
 selection per vector, then the resubstitution log-odds of every converged
-vector together, one gather per (bin, ladder value) from per-value leaf
-log-odds tables and one matrix product against the omega columns that use
-it.  The winning candidate's model is returned as the fitted one.
+vector together, one ladder value's leaf log-odds table at a time.  The
+winner is returned as an ordinary fit, which builds its own table.
 """
 
 from __future__ import annotations
@@ -227,32 +226,41 @@ def column_pvalues(matrix, labels, seed: int = 0) -> tuple[np.ndarray, np.ndarra
     return v0, v1
 
 
-def _by_bin(by_value: dict, vector: tuple, columns: list, out: np.ndarray) -> np.ndarray:
-    """Fill `out`'s rows from per-value arrays: the rows of columns[i] from by_value[vector[i]]."""
+def _by_bin(by_value: dict, vector: tuple, columns: list) -> np.ndarray:
+    """One per-variable array from per-value ones: on columns[i], by_value[vector[i]]."""
+    out = np.empty_like(by_value[vector[0]])
     for value, cols in zip(vector, columns):
         out[cols] = by_value[value][cols]
     return out
 
 
-def _resubstitution_log_odds(flat: np.ndarray, odds: dict, omega: np.ndarray, vectors: list,
-                             columns: list) -> np.ndarray:
+def _resubstitution_log_odds(forest: TreeForest, flat: np.ndarray, omega: np.ndarray,
+                             vectors: list, columns: list) -> np.ndarray:
     """(n, K) omega-weighted sums of the training points' leaf log-odds, one
     column per candidate c vector.
 
-    `flat` holds the points' (n, p) flat leaf indices, `odds` one (p,
-    2**depth) leaf log-odds table per ladder value, `omega` the (K, p)
-    selection probabilities, and vectors[k][i] candidate k's value on the
-    variables columns[i].  For each bin and value the points' leaf log-odds
-    on the bin's variables are gathered once and multiplied against the
-    omega columns of every candidate that gives the bin that value.
+    `flat` holds the points' (n, p) flat leaf indices into `forest`, `omega`
+    the (K, p) selection probabilities, and vectors[k][i] candidate k's value
+    on the variables columns[i].  Each ladder value's (p, 2**depth) leaf
+    log-odds table is built in turn and dropped before the next; per bin, the
+    points' leaf log-odds on the bin's variables are gathered from it once
+    and multiplied against the omega columns of every candidate that gives
+    the bin that value.
     """
     eta = np.zeros((flat.shape[0], len(vectors)))
-    for i, cols in enumerate(columns):
-        index = flat[:, cols]
-        for value, table in odds.items():
+    # every vector is non-decreasing over the bins (`monotone_tuples`, or a
+    # grid tuple that passed `_is_monotone_tuple`), so with the values in
+    # ascending order each column still gets its bins added in ascending
+    # order: the same sums, bit for bit, as a loop over bins
+    for value in sorted(set().union(*vectors)):
+        lp1, lp0 = leaf_log_path_tables(forest, value)
+        table = np.subtract(lp1, lp0, out=lp1)
+        del lp1, lp0
+        for i, cols in enumerate(columns):
             ks = [k for k, vector in enumerate(vectors) if vector[i] == value]
             if ks:
-                eta[:, ks] += np.take(table, index) @ omega[np.ix_(ks, cols)].T
+                eta[:, ks] += np.take(table, flat[:, cols]) @ omega[np.ix_(ks, cols)].T
+        del table
     return eta
 
 
@@ -278,15 +286,14 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     the forest that is dropped before phase 2 allocates its tables, then
     runs `update_omega` once per vector on evidence assembled by bin from
     those vectors, and keeps only the omegas, sweep counts and converged
-    flags.  Phase 2 builds one leaf log-odds table per ladder value that a
-    converged vector uses and scores every converged vector at once: per
-    (bin, value) the training points' leaf log-odds are gathered once and
-    multiplied against all the omega columns that use them.  The summation
+    flags.  Phase 2 scores every converged vector at once, holding one leaf
+    log-odds table at a time (`_resubstitution_log_odds`).  Its summation
     order differs from the one matvec per row block that `update_psi` does
     with the winner's omega, so a score may differ from it in the last
     bits.  The per-value log BF vectors, the (K, p) omega matrix and the
-    per-vector errors stay local to the search; only the winner's fit is
-    returned.
+    per-vector errors stay local to the search.  The winner is returned as
+    an ordinary `FittedModel` of its omega, forest and c, which builds its
+    leaf log-odds table on first use, as every model does.
 
     Returns (report, model): `model` is the winning candidate's fit, equal
     to `fit_model(matrix, labels, report.c)` with the same hyperparameters,
@@ -319,11 +326,6 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     flat = np.empty(x.shape, dtype=np.int64)
     forest = TreeForest.from_matrix(x, yb, depth, _flat_out=flat)
     names = [f"V{j + 1}" for j in range(p)]
-    # the winner's arrays, allocated before the scoring arrays: allocated
-    # after them, they raised the peak RSS of a rep at n=100, p=5000 (the
-    # test-set scoring that follows) by 10-20 MB
-    leaf_log_odds = np.empty((p, 1 << forest.depth))
-    winner_omega = np.empty(p)
 
     # a tuple's c vector is its values on the occupied bins
     occupied = np.unique(bins)
@@ -342,19 +344,14 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     sweeps = np.empty(len(vectors), dtype=np.int64)
     converged = np.empty(len(vectors), dtype=bool)
     for k, vector in enumerate(vectors):
-        state = update_omega(_by_bin(log_bf, vector, columns, np.empty(p)), hyper,
-                             tol=tol, max_iter=max_iter)
+        state = update_omega(_by_bin(log_bf, vector, columns), hyper, tol=tol, max_iter=max_iter)
         omega[k], sweeps[k], converged[k] = state.omega, state.iteration, state.converged
 
     # phase 2: resubstitution error of every converged vector
     live = np.flatnonzero(converged)
-    odds = {}
-    for v in sorted(set().union(*(vectors[k] for k in live))):
-        lp1, lp0 = leaf_log_path_tables(forest, v)
-        odds[v] = np.subtract(lp1, lp0, out=lp1)
     errors = np.full(len(vectors), math.inf)
     if live.size:
-        eta = _resubstitution_log_odds(flat, odds, omega[live], [vectors[k] for k in live], columns)
+        eta = _resubstitution_log_odds(forest, flat, omega[live], [vectors[k] for k in live], columns)
         eta = np.clip(prior_log_odds(hyper, forest) + eta, -ETA_CLAMP, ETA_CLAMP)
         # expit is monotone: psi >= 0.5 iff eta >= logit(0.5) = 0
         errors[live] = np.mean((eta >= 0.0) != yb[:, None], axis=0)
@@ -375,8 +372,6 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
         raise InputError(f"no smoothing candidate's selection converged within max_iter={max_iter} "
                          f"sweeps (tol {tol}); raise max_iter")
     candidate, k = best
-    np.copyto(winner_omega, omega[k])
-    selection = SelectionState(winner_omega, int(sweeps[k]), True)
+    selection = SelectionState(omega[k].copy(), int(sweeps[k]), True)
     model = FittedModel(hyper, selection, forest, np.asarray(candidate)[bins - 1], names)
-    model.leaf_log_odds = _by_bin(odds, vectors[k], columns, leaf_log_odds)
     return SmoothingReport(v0, v1, expected, bins, candidate, best_error, names), model

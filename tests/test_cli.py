@@ -555,6 +555,23 @@ class TestConfig:
                          "--u", "0.9", "--c", "1.0", "--out", str(tmp_path / "m.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("doc", [
+        {"u": float("nan")}, {"a_y": -1.0}, {"a_y": 0}, {"b_y": 0.0}, {"b_y": -2},
+    ], ids=["u-nan", "a-y-negative", "a-y-zero", "b-y-zero", "b-y-negative"])
+    def test_bad_hyperparameter_config_exits_one(self, tmp_path, capsys, doc):
+        # checked on every command that takes --config, even those that never use them
+        data = simulate_small(tmp_path, seed=43) / "train.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")  # NaN is written as the literal NaN
+        code, _, err = run(simulate_tiny(cfg, tmp_path / "out"), capsys)
+        assert code == 1
+        assert "must" in err
+        assert not (tmp_path / "out").exists()
+        code, stdout, _ = run(["bf", "--config", str(cfg), "--data", str(data),
+                               "--label-column", "y"], capsys)
+        assert code == 1
+        assert stdout == ""
+
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         for doc in ({"nope": 1}, {"paper_protocol": True}):

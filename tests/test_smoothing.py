@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import ptda.polya_tree
 import ptda.smoothing
 from ptda.bnp_test import log_bayes_factors
-from ptda.cvb import Hyperparameters, classify, fit_model, leaf_log_path_tables, update_psi
+from ptda.cvb import (Hyperparameters, classify, fit_model, leaf_log_path_tables, prior_log_odds,
+                      update_psi)
 from ptda.errors import DomainError, InputError
 from ptda.polya_tree import TreeForest
 from ptda.rng import SUBSAMPLE_STREAM, substream
@@ -513,6 +515,22 @@ def per_candidate_choice(x, y, tuples, bins, max_iter=1000):
     return best, best_error
 
 
+def bin_outer_log_odds(forest, flat, omega, vectors, columns):
+    """The phase-2 scores in the bin-outer order: every ladder value's table
+    built up front, and per bin, per value, one gather and product."""
+    odds = {}
+    for value in sorted(set().union(*vectors)):
+        lp1, lp0 = leaf_log_path_tables(forest, value)
+        odds[value] = lp1 - lp0
+    eta = np.zeros((flat.shape[0], len(vectors)))
+    for i, cols in enumerate(columns):
+        for value, table in odds.items():
+            ks = [k for k, vector in enumerate(vectors) if vector[i] == value]
+            if ks:
+                eta[:, ks] += np.take(table, flat[:, cols]) @ omega[np.ix_(ks, cols)].T
+    return eta
+
+
 class TestTwoPhaseScores:
     # (data, ladder, max_iter): bin 1 empty at p = 6 and only bin 4 at p = 3;
     # a repeated ladder value repeats tuples; a low max_iter skips candidates
@@ -533,9 +551,9 @@ class TestTwoPhaseScores:
             calls.append(1)
             return count_omega(*args, **kwargs)
 
-        def keeping(flat, odds, omega, vectors, columns):
-            scored.update(omega=omega, vectors=vectors, columns=columns,
-                          eta=score(flat, odds, omega, vectors, columns))
+        def keeping(forest, flat, omega, vectors, columns):
+            scored.update(forest=forest, flat=flat, omega=omega, vectors=vectors, columns=columns,
+                          eta=score(forest, flat, omega, vectors, columns))
             return scored["eta"]
 
         monkeypatch.setattr(ptda.smoothing, "update_omega", counting)
@@ -564,6 +582,18 @@ class TestTwoPhaseScores:
             bound = 1e-12 * (np.abs(terms) @ scored["omega"][k])
             assert np.all(np.abs(scored["eta"][:, k] - ref) <= bound)
 
+    @pytest.mark.parametrize("case", ["repeated value", "skipped"])
+    def test_value_outer_sums_equal_the_bin_outer_ones(self, monkeypatch, case):
+        # the candidates mix ladder values across bins, and some err, so
+        # every column sums terms of several tables into scores that matter
+        _, y, _, _, _, _, _, scored = self.run(monkeypatch, case)
+        assert any(len(set(vector)) > 1 for vector in scored["vectors"])
+        eta = prior_log_odds(Hyperparameters(), scored["forest"]) + scored["eta"]
+        assert np.any(np.mean((eta >= 0.0) != y[:, None], axis=0) > 0.0)
+        ref = bin_outer_log_odds(scored["forest"], scored["flat"], scored["omega"],
+                                 scored["vectors"], scored["columns"])
+        assert np.array_equal(scored["eta"], ref)
+
     @pytest.mark.parametrize("case", list(CASES))
     def test_choice_matches_the_per_candidate_search(self, monkeypatch, case):
         x, y, tuples, max_iter, report, model, _, _ = self.run(monkeypatch, case)
@@ -576,3 +606,29 @@ class TestTwoPhaseScores:
                               log_bayes_factors(refit.forest, refit.c))
         assert np.array_equal(model.leaf_log_odds, refit.leaf_log_odds)
         assert model.selection.iteration == refit.selection.iteration
+
+
+class TestPhaseTwoMemory:
+    def test_one_leaf_table_alive_at_a_time(self, monkeypatch):
+        # deep trees over few points make the (p, 2**depth) leaf tables the
+        # largest arrays of phase 2, so the memory traced as each ladder
+        # value's table starts to build counts the earlier tables still alive
+        n, p, depth = 64, 200, 10
+        x, y = two_group_data(seed=5, n=n, p=p)
+        table_bytes = p * (1 << depth) * 8
+        held = []
+        build = ptda.smoothing.leaf_log_path_tables
+
+        def tracing(forest, c):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return build(forest, c)
+
+        monkeypatch.setattr(ptda.smoothing, "leaf_log_path_tables", tracing)
+        tracemalloc.start()
+        try:
+            _, model = select_c(x, y, depth=depth)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == len(DEFAULT_LADDER)
+        assert max(held) - held[0] < table_bytes / 2
+        assert "leaf_log_odds" not in vars(model)  # the model builds its own table on first use
