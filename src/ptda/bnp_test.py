@@ -9,17 +9,18 @@ zero total count, or with observations from a single group, contributes
 exactly zero, which is what makes the truncated sum equal the infinite one.
 
 The counts never depend on the smoothing parameters c; only each layer's
-alpha does.  `evidence_plan` therefore gathers, once per forest and per
-parent layer, the live nodes' variables and their four child counts (c1l,
-c1r, c0l, c0r), deduplicated into count patterns.  A pattern's key packs
-each group's (left, right) pair below (n_g + 1)**2 and the two pairs into
-one int64; when that product would overflow (n above about 110,000), it
-packs the two pairs' ranks instead, below (live nodes)**2 < 2**52, so any
-n is keyed exactly.  `log_bayes_factors` scores a layer at any c from the
-plan and adds it with one `bincount` in (variable, cell) order.  With one
-alpha on the layer, as for a scalar c, there is one term per pattern and
-one gather of the terms onto the nodes; with several, one term per node.
-The log-gamma values come from count-indexed tables, evaluated once per
+alpha does.  `log_bayes_factors` therefore plans each parent layer once,
+gathering its live nodes' variables and their four child counts (c1l,
+c1r, c0l, c0r), deduplicated into count patterns, and scores every row of
+a stack of c settings from that plan before it moves to the next layer.
+A pattern's key packs each group's (left, right) pair below (n_g + 1)**2
+and the two pairs into one int64; when that product would overflow (n
+above about 110,000), it packs the two pairs' ranks instead, below (live
+nodes)**2 < 2**52, so any n is keyed exactly.  A row's layer terms are
+added with one `bincount` in (variable, cell) order.  With one alpha on
+the layer, as for a scalar c, there is one term per pattern and one
+gather of the terms onto the nodes; with several, one term per node.  The
+log-gamma values come from count-indexed tables, evaluated once per
 distinct (alpha, count) that a term reads.
 
 A contrast's log-beta terms keep one form, lg(a + x) + lg(a + y) -
@@ -38,7 +39,7 @@ import numpy as np
 from .polya_tree import TreeForest, alpha_for_layer, check_smoothing
 from .stats import log_gamma
 
-__all__ = ["EvidencePlan", "evidence_plan", "log_bayes_factors"]
+__all__ = ["log_bayes_factors"]
 
 
 class _Layer(NamedTuple):
@@ -49,13 +50,6 @@ class _Layer(NamedTuple):
     pattern: np.ndarray  # (L,) each live node's count pattern
     single: np.ndarray   # (6, P) c1l, c1r, c0l, c0r, n_left, n_right of each pattern
     double: np.ndarray   # (3, P) c1l + c1r, c0l + c0r, n_left + n_right of each pattern
-
-
-class EvidencePlan(NamedTuple):
-    """A forest's variable count `p` and the scoring `layers` of `evidence_plan`."""
-
-    p: int
-    layers: list
 
 
 def _ranks(key: np.ndarray) -> tuple[int, np.ndarray]:
@@ -92,11 +86,6 @@ def _plan_layers(forest: TreeForest):
                      np.stack((c1l + c1r, c0l + c0r, n_left + n_right)))
 
 
-def evidence_plan(forest: TreeForest) -> EvidencePlan:
-    """The c-independent part of `log_bayes_factors` for one forest."""
-    return EvidencePlan(forest.p, list(_plan_layers(forest)))
-
-
 def _log_gamma_table(shift: np.ndarray, row, k: np.ndarray) -> np.ndarray:
     """log_gamma(shift[row] + k) for integer counts k >= 0, evaluated once per
     distinct (row, k) of a count-indexed table; `row` broadcasts against k."""
@@ -111,29 +100,34 @@ def _log_gamma_table(shift: np.ndarray, row, k: np.ndarray) -> np.ndarray:
     return np.take(table, index)
 
 
-def log_bayes_factors(source: TreeForest | EvidencePlan, c) -> np.ndarray:
-    """Per-variable ln BF of a forest, or of the `evidence_plan` of one.
+def log_bayes_factors(forest: TreeForest, c) -> np.ndarray:
+    """Per-variable ln BF of a forest at one or several smoothing settings.
 
-    `c` is a scalar or a length-p vector of smoothing parameters, each in
-    (0, C_MAX] (`check_smoothing`).  Terms are summed per variable in
-    (variable, cell) order.  A forest is planned one layer at a time, so
-    only one layer's plan is held.
+    `c` is a scalar or a length-p vector, giving a (p,) result, or a (k, 1)
+    or (k, p) stack of k such settings, giving a (k, p) result whose row r
+    is the ln BF at c[r]; each value lies in (0, C_MAX] (`check_smoothing`).
+    Terms are summed per variable in (variable, cell) order.  The forest is
+    planned one layer at a time, and every row is scored from that layer's
+    plan, so only one layer's plan is held and each row is the same bits as
+    a call with that row alone.
     """
-    p = source.p
-    c = check_smoothing(c, p)
-    out = np.zeros(p)
-    for layer in source.layers if isinstance(source, EvidencePlan) else _plan_layers(source):
-        alphas, row = np.unique(alpha_for_layer(layer.level + 1, c), return_inverse=True)
-        single, double = layer.single, layer.double
-        if alphas.size == 1:  # one term per count pattern
-            at, row = layer.pattern, 0
-        else:  # one term per live node
-            at, row = slice(None), row[layer.var]
-            single, double = (np.take(k, layer.pattern, axis=1) for k in (single, double))
-        lg_a = _log_gamma_table(alphas, row, single)
-        lg_2a = _log_gamma_table(2.0 * alphas, row, double)
-        lb1, lb2, lb3 = lg_a[0::2] + lg_a[1::2] - lg_2a
-        beta_aa = log_gamma(alphas) + log_gamma(alphas) - log_gamma(2.0 * alphas)
-        terms = lb1 + lb2 - lb3 - beta_aa[row]
-        out += np.bincount(layer.var, weights=terms[at], minlength=p)
-    return out
+    c = np.asarray(c, dtype=float)
+    p = forest.p
+    settings = [check_smoothing(c_r, p) for c_r in (c if c.ndim == 2 else [c])]
+    out = np.zeros((len(settings), p))
+    for layer in _plan_layers(forest):
+        for r, c_r in enumerate(settings):
+            alphas, row = np.unique(alpha_for_layer(layer.level + 1, c_r), return_inverse=True)
+            single, double = layer.single, layer.double
+            if alphas.size == 1:  # one term per count pattern
+                at, row = layer.pattern, 0
+            else:  # one term per live node
+                at, row = slice(None), row[layer.var]
+                single, double = (np.take(k, layer.pattern, axis=1) for k in (single, double))
+            lg_a = _log_gamma_table(alphas, row, single)
+            lg_2a = _log_gamma_table(2.0 * alphas, row, double)
+            lb1, lb2, lb3 = lg_a[0::2] + lg_a[1::2] - lg_2a
+            beta_aa = log_gamma(alphas) + log_gamma(alphas) - log_gamma(2.0 * alphas)
+            terms = lb1 + lb2 - lb3 - beta_aa[row]
+            out[r] += np.bincount(layer.var, weights=terms[at], minlength=p)
+    return out if c.ndim == 2 else out[0]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import read_json, write_json
 from .errors import ContractViolation, DomainError, InputError
-from .polya_tree import _BLOCK_VALUES, TreeForest, alpha_for_layer, check_smoothing
+from .polya_tree import TreeForest, alpha_for_layer, check_smoothing, row_blocks
 from .stats import expit
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "SelectionState",
     "ClassProbabilities",
     "FittedModel",
+    "complexity_weight",
     "update_omega",
     "update_psi",
     "leaf_log_path_tables",
@@ -49,10 +50,11 @@ class Hyperparameters:
     u: float = 1.5
 
     def __post_init__(self):
-        if not (self.a_y > 0.0 and self.b_y > 0.0):
-            raise DomainError("a_y and b_y must be positive")
-        if not self.u > 1.0:
-            raise DomainError(f"the complexity exponent u must exceed 1, got {self.u!r}")
+        if not (0.0 < self.a_y < math.inf and 0.0 < self.b_y < math.inf):  # NaN fails too
+            raise DomainError("a_y and b_y must be positive and finite")
+        if not 1.0 < self.u < math.inf:
+            raise DomainError(f"the complexity exponent u must be finite and exceed 1, "
+                              f"got {self.u!r}")
 
 
 @dataclass
@@ -67,20 +69,25 @@ class ClassProbabilities:
     psi: np.ndarray
 
 
-def row_blocks(m: int, p: int) -> list[slice]:
-    """Slices over the m rows of an (m, p) matrix, each of about
-    _BLOCK_VALUES values.  Every block but the last is a multiple of 16
-    rows, so each row keeps its place modulo 16: with OpenBLAS a row's
-    matvec result is then the same bits as in one call over all m rows,
-    while blocks of 13 or 65 rows changed a few rows in a thousand in the
-    last bit."""
-    rows = max(16, _BLOCK_VALUES // max(p, 1) // 16 * 16)
-    return [slice(start, start + rows) for start in range(0, m, rows)]
-
-
 def _open_unit(values):
     """Clip into the open interval (0, 1); expit(700.0) rounds to 1.0 in doubles."""
     return np.clip(values, _OPEN_LO, _OPEN_HI)
+
+
+def complexity_weight(p: int, u: float) -> float:
+    """p**u, the complexity prior's weight, for p >= 1 variables and an
+    exponent u > 1.  `expected_pvalue` and `update_omega` both take it from
+    here; DomainError when p or u is out of range or p**u is not a finite
+    double (at p = 80, from u = 162 on)."""
+    if p < 1 or not u > 1.0:
+        raise DomainError("requires p >= 1 and u > 1")
+    try:
+        weight = float(p) ** u
+    except OverflowError:
+        weight = math.inf
+    if weight == math.inf:
+        raise DomainError(f"the complexity weight p**u = {p}**{u!r} exceeds the double range")
+    return weight
 
 
 def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
@@ -103,7 +110,7 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
         raise InputError("update_omega requires at least one variable")
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
-    base = float(p) ** hyper.u + p - 1.0
+    base = complexity_weight(p, hyper.u) + p - 1.0
     bf = log_bf.tolist()
     om = [0.5] * p
     s = sum(om)

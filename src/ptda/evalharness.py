@@ -5,11 +5,11 @@ Rows come out as plain dicts (one per rep/fold/method) so they can be
 dumped to tidy CSV; summaries aggregate means/medians and per-variable
 selection rates.  Cross-validation folds are independent and may run on
 a thread pool; results are assembled by index so the thread count never
-changes them.  On a 2-vCPU host with one BLAS thread, six alternating pairs
-of k = 5 runs took 3.0-3.7 s on one thread and 3.2-6.2 s on two at setting
-2, n=1000, p=1000, and 3.1-4.4 s against 4.1-8.4 s at setting 1, n=100,
-p=3000, so the pool does not pay off at these shapes.  Simulation reps run
-in turn.
+changes them.  On a 2-vCPU host with one BLAS thread, ten alternating
+pairs of k = 5 runs took a median 2.48 s on one thread and 1.90 s on two
+at setting 2, n=1000, p=1000 (two faster in 10 of 10 pairs), and 2.75 s
+against 2.67 s at setting 1, n=100, p=3000 (6 of 10): the pool pays off
+where n is large and breaks even where p is.  Simulation reps run in turn.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cvb import Hyperparameters, classify, row_blocks, update_psi
+from .cvb import Hyperparameters, classify, update_psi
 from .dataio import Dataset, split_folds, write_csv
 from .errors import InputError
+from .polya_tree import row_blocks
 from .simgen import SimulationSpec, generate
 from .smoothing import select_c
 
@@ -92,7 +93,7 @@ def gaussian_nb_baseline(train: Dataset, test: Dataset) -> RunMetrics:
 
     The comparison foil: empirical prior odds plus per-variable Gaussian
     log-likelihood ratios over all variables.  The test points are scored
-    in `cvb.row_blocks`, so the call holds a few block-sized temporaries
+    in `polya_tree.row_blocks`, so the call holds a few block-sized temporaries
     (a few MB) beyond the training moments, not (m, p) arrays; each row's
     sum is the same bits as in one expression over all rows.
     """

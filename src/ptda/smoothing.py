@@ -11,12 +11,12 @@ resubstitution classification error.
 Counts are independent of the smoothing parameters, so the grid search
 fits every candidate on one forest.  The forest build locates each
 training point once and hands its leaf index on to the resubstitution
-scores, and one evidence plan of that forest (`bnp_test.evidence_plan`)
-gives the log Bayes factors of every ladder value.  The search runs in two
-phases over the distinct per-variable c vectors: first one omega
-selection per vector, then the resubstitution log-odds of every converged
-vector together, one ladder value's leaf log-odds table at a time.  The
-winner is returned as an ordinary fit, which builds its own table.
+scores, and one `log_bayes_factors` call over that forest gives the log
+Bayes factors of every ladder value.  The search runs in two phases over
+the distinct per-variable c vectors: first one omega selection per vector,
+then the resubstitution log-odds of every converged vector together, one
+ladder value's leaf log-odds table at a time.  The winner is returned as
+an ordinary fit, which builds its own table.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dataio
-from .bnp_test import evidence_plan, log_bayes_factors
-from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, SelectionState, json_numbers,
+from .bnp_test import log_bayes_factors
+from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, complexity_weight, json_numbers,
                   leaf_log_path_tables, prior_log_odds, update_omega)
 from .errors import DomainError, InputError
 from .polya_tree import _BLOCK_VALUES, TreeForest, check_smoothing, training_data
@@ -133,9 +133,7 @@ def expected_pvalue(v0, v1, p: int, u: float) -> np.ndarray:
     v1 = np.asarray(v1, dtype=float)
     if not (np.all((v0 >= 0.0) & (v0 <= 1.0)) and np.all((v1 >= 0.0) & (v1 <= 1.0))):
         raise DomainError("p-values must lie in [0, 1]")
-    if p < 1 or not u > 1.0:
-        raise DomainError("requires p >= 1 and u > 1")
-    weight = float(p) ** u
+    weight = complexity_weight(p, u)
     return (v1 + weight * v0) / (1.0 + weight)
 
 
@@ -226,14 +224,6 @@ def column_pvalues(matrix, labels, seed: int = 0) -> tuple[np.ndarray, np.ndarra
     return v0, v1
 
 
-def _by_bin(by_value: dict, vector: tuple, columns: list) -> np.ndarray:
-    """One per-variable array from per-value ones: on columns[i], by_value[vector[i]]."""
-    out = np.empty_like(by_value[vector[0]])
-    for value, cols in zip(vector, columns):
-        out[cols] = by_value[value][cols]
-    return out
-
-
 def _resubstitution_log_odds(forest: TreeForest, flat: np.ndarray, omega: np.ndarray,
                              vectors: list, columns: list) -> np.ndarray:
     """(n, K) omega-weighted sums of the training points' leaf log-odds, one
@@ -282,18 +272,18 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     located again.  The search runs in two phases over the distinct
     per-variable c vectors the tuples give (tuples that differ only on an
     empty bin, or repeat a ladder value, give one vector).  Phase 1 scores
-    the log BF of each distinct ladder value once, from one evidence plan of
-    the forest that is dropped before phase 2 allocates its tables, then
-    runs `update_omega` once per vector on evidence assembled by bin from
-    those vectors, and keeps only the omegas, sweep counts and converged
-    flags.  Phase 2 scores every converged vector at once, holding one leaf
-    log-odds table at a time (`_resubstitution_log_odds`).  Its summation
-    order differs from the one matvec per row block that `update_psi` does
-    with the winner's omega, so a score may differ from it in the last
-    bits.  The per-value log BF vectors, the (K, p) omega matrix and the
-    per-vector errors stay local to the search.  The winner is returned as
-    an ordinary `FittedModel` of its omega, forest and c, which builds its
-    leaf log-odds table on first use, as every model does.
+    the log BF of every distinct ladder value in one `log_bayes_factors`
+    call, as a (values, 1) column of settings, gathers each vector's
+    evidence from that (values, p) result by one (vectors, p) row index,
+    and keeps one `update_omega` selection state per vector.  Phase 2
+    scores every converged vector at once, holding one leaf log-odds table
+    at a time (`_resubstitution_log_odds`).  Its summation order differs
+    from the one matvec per row block that `update_psi` does with the
+    winner's omega, so a score may differ from it in the last bits.  The
+    candidate with the least error wins, an unconverged one counting as
+    an infinite error.  The winner is returned as an ordinary `FittedModel`
+    of its selection state, forest and c, which builds its leaf log-odds
+    table on first use, as every model does.
 
     Returns (report, model): `model` is the winning candidate's fit, equal
     to `fit_model(matrix, labels, report.c)` with the same hyperparameters,
@@ -335,43 +325,35 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     slot = {vector: k for k, vector in enumerate(vectors)}
 
     # phase 1: one selection per distinct vector (counts never change, only
-    # the alphas do, so the evidence is one log BF vector per ladder value,
-    # all scored from one plan, which goes before phase 2 allocates)
-    plan = evidence_plan(forest)
-    log_bf = {v: log_bayes_factors(plan, v) for v in sorted(set().union(*vectors))}
-    del plan
-    omega = np.empty((len(vectors), p))
-    sweeps = np.empty(len(vectors), dtype=np.int64)
-    converged = np.empty(len(vectors), dtype=bool)
-    for k, vector in enumerate(vectors):
-        state = update_omega(_by_bin(log_bf, vector, columns), hyper, tol=tol, max_iter=max_iter)
-        omega[k], sweeps[k], converged[k] = state.omega, state.iteration, state.converged
+    # the alphas do, so the evidence is one log BF row per ladder value)
+    values = sorted(set().union(*vectors))
+    log_bf = log_bayes_factors(forest, np.array(values)[:, None])
+    row = {v: r for r, v in enumerate(values)}
+    position = np.searchsorted(occupied, bins)  # each variable's place in a vector
+    index = np.array([[row[v] for v in vector] for vector in vectors])[:, position]
+    states = [update_omega(log_bf[rows, np.arange(p)], hyper, tol=tol, max_iter=max_iter)
+              for rows in index]
 
     # phase 2: resubstitution error of every converged vector
-    live = np.flatnonzero(converged)
+    live = [k for k, state in enumerate(states) if state.converged]
     errors = np.full(len(vectors), math.inf)
-    if live.size:
-        eta = _resubstitution_log_odds(forest, flat, omega[live], [vectors[k] for k in live], columns)
+    if live:
+        omega = np.array([states[k].omega for k in live])
+        eta = _resubstitution_log_odds(forest, flat, omega, [vectors[k] for k in live], columns)
         eta = np.clip(prior_log_odds(hyper, forest) + eta, -ETA_CLAMP, ETA_CLAMP)
         # expit is monotone: psi >= 0.5 iff eta >= logit(0.5) = 0
         errors[live] = np.mean((eta >= 0.0) != yb[:, None], axis=0)
 
-    best: tuple | None = None  # (candidate, its vector's slot)
-    best_error = math.inf
-    skipped = 0
-    for candidate, key in zip(tuples, keys):
-        k = slot[key]
-        if not converged[k]:
-            skipped += 1
-        elif errors[k] < best_error:
-            best, best_error = (candidate, k), float(errors[k])
+    # the first least error over the sorted tuples; inf marks an unconverged one
+    scores = [float(errors[slot[key]]) for key in keys]
+    best = scores.index(min(scores))
+    skipped = scores.count(math.inf)
     if skipped:
         _log.warning("select_c skipped %d of %d smoothing candidates whose selection did not "
                      "converge within max_iter=%d sweeps", skipped, len(tuples), max_iter)
-    if best is None:
+    if skipped == len(tuples):
         raise InputError(f"no smoothing candidate's selection converged within max_iter={max_iter} "
                          f"sweeps (tol {tol}); raise max_iter")
-    candidate, k = best
-    selection = SelectionState(omega[k].copy(), int(sweeps[k]), True)
-    model = FittedModel(hyper, selection, forest, np.asarray(candidate)[bins - 1], names)
-    return SmoothingReport(v0, v1, expected, bins, candidate, best_error, names), model
+    candidate = tuples[best]
+    model = FittedModel(hyper, states[slot[keys[best]]], forest, np.asarray(candidate)[bins - 1], names)
+    return SmoothingReport(v0, v1, expected, bins, candidate, scores[best], names), model

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptda.bnp_test import evidence_plan, log_bayes_factors
+from ptda.bnp_test import log_bayes_factors
 from ptda.cvb import FittedModel, fit_model
 from ptda.errors import DomainError, InputError
 from ptda.polya_tree import TreeForest
@@ -63,9 +63,10 @@ class TestFixtures:
             FittedModel.from_json_dict(doc)
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -1.0,
-                                   [1.0, math.nan], [math.inf, 1.0]],
+                                   [1.0, math.nan], [math.inf, 1.0],
+                                   [[1.0], [math.nan]], [[1.0, 1.0], [1.0, math.inf]]],
                              ids=["nan", "inf", "-inf", "zero", "negative",
-                                  "vector-nan", "vector-inf"])
+                                  "vector-nan", "vector-inf", "column-nan", "stack-inf"])
     @pytest.mark.parametrize("depth", [1, 3])
     def test_non_finite_or_non_positive_c_rejected(self, c, depth):
         # at depth 1 the one scored layer has alpha 1, so c never reaches log_gamma's own check
@@ -74,8 +75,9 @@ class TestFixtures:
         with pytest.raises(DomainError, match="finite and positive"):
             log_bayes_factors(forest, c)
 
-    @pytest.mark.parametrize("c", [200.0, np.nextafter(100.0, 101.0), [1.0, 100.5]],
-                             ids=["200", "just-above-100", "vector"])
+    @pytest.mark.parametrize("c", [200.0, np.nextafter(100.0, 101.0), [1.0, 100.5],
+                                   [[1.0], [200.0]]],
+                             ids=["200", "just-above-100", "vector", "column"])
     def test_c_above_the_fit_range_rejected(self, c):
         # the evidence takes the c that fit, select-c and model files take
         rng = np.random.default_rng(3)
@@ -194,7 +196,7 @@ class TestBatch:
 
 class TestCountTables:
     """The log-gamma values are taken once per distinct (alpha, count
-    pattern) of the evidence plan; the per-node `log_beta` evaluation kept
+    pattern) of a layer's plan; the per-node `log_beta` evaluation kept
     in the oracles is the reference."""
 
     @pytest.mark.parametrize("setting", [1, 2])
@@ -227,21 +229,42 @@ class TestCountTables:
 dyadic_c = st.integers(1, 800).map(lambda m: m / 8.0)
 
 
+def heavy_tailed_forest(seed, depth, p):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 80))
+    return TreeForest.from_matrix(rng.standard_t(3, size=(n, p)), np.arange(n) % 2, depth)
+
+
 class TestEvidencePlan:
+    """Each parent layer is planned once, and every setting is scored from it."""
+
     @given(seed=st.integers(0, 10_000), depth=st.integers(1, 5), p=st.integers(1, 6),
            c=st.one_of(dyadic_c, st.lists(dyadic_c, min_size=6, max_size=6, unique=True)))
     @settings(max_examples=60, deadline=None)
     def test_plan_equals_the_direct_walk_bit_for_bit(self, seed, depth, p, c):
         # scalar c, and p distinct per-variable values; integer and
         # non-integer alphas both occur
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 80))
-        y = np.arange(n) % 2
-        forest = TreeForest.from_matrix(rng.standard_t(3, size=(n, p)), y, depth)
+        forest = heavy_tailed_forest(seed, depth, p)
         c = c if np.isscalar(c) else np.asarray(c[:p])
-        plan = evidence_plan(forest)
-        assert np.array_equal(log_bayes_factors(plan, c), direct_log_bayes_factors(forest, c))
-        assert np.array_equal(log_bayes_factors(forest, c), log_bayes_factors(plan, c))
+        assert np.array_equal(log_bayes_factors(forest, c), direct_log_bayes_factors(forest, c))
+
+    @given(seed=st.integers(0, 10_000), depth=st.integers(1, 5), p=st.integers(1, 6),
+           scalars=st.lists(dyadic_c, min_size=1, max_size=4),
+           vectors=st.lists(st.lists(dyadic_c, min_size=6, max_size=6), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_settings_equal_single_calls_bit_for_bit(self, seed, depth, p, scalars,
+                                                             vectors):
+        # a (k, 1) column of scalars and a (k, p) stack of per-variable
+        # vectors and broadcast scalars: row r is the call at row r alone
+        forest = heavy_tailed_forest(seed, depth, p)
+        column = np.array(scalars)[:, None]
+        stack = np.array([v[:p] for v in vectors] + [[s] * p for s in scalars])
+        for stacked, singles in ((column, scalars), (stack, list(stack))):
+            rows = log_bayes_factors(forest, stacked)
+            assert rows.shape == (len(singles), p)
+            for row, c in zip(rows, singles):
+                assert np.array_equal(row, log_bayes_factors(forest, c))
+                assert np.array_equal(row, direct_log_bayes_factors(forest, c))
 
     @pytest.mark.parametrize("leaf1, leaf0", [
         ([20000, 7000, 3, 0, 1, 2500, 0, 9], [1, 15000, 8000, 2, 0, 4000, 1200, 77]),

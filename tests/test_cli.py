@@ -557,12 +557,15 @@ class TestConfig:
 
     @pytest.mark.parametrize("doc", [
         {"u": float("nan")}, {"a_y": -1.0}, {"a_y": 0}, {"b_y": 0.0}, {"b_y": -2},
-    ], ids=["u-nan", "a-y-negative", "a-y-zero", "b-y-zero", "b-y-negative"])
+        {"u": float("inf")}, {"a_y": float("inf")}, {"b_y": float("inf")},
+    ], ids=["u-nan", "a-y-negative", "a-y-zero", "b-y-zero", "b-y-negative",
+            "u-inf", "a-y-inf", "b-y-inf"])
     def test_bad_hyperparameter_config_exits_one(self, tmp_path, capsys, doc):
         # checked on every command that takes --config, even those that never use them
         data = simulate_small(tmp_path, seed=43) / "train.csv"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc), encoding="utf-8")  # NaN is written as the literal NaN
+        # NaN and infinity are written as the literals NaN and Infinity
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
         code, _, err = run(simulate_tiny(cfg, tmp_path / "out"), capsys)
         assert code == 1
         assert "must" in err
@@ -571,6 +574,26 @@ class TestConfig:
                                "--label-column", "y"], capsys)
         assert code == 1
         assert stdout == ""
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--c", "1.0"], ["fit"], ["select-c", "--out-csv", "{out}.csv"],
+        ["cv", "--k", "2", "--out-summary", "{out}.json"],
+    ], ids=["fit-at-c", "fit-selecting", "select-c", "cv"])
+    def test_complexity_weight_beyond_the_double_range_exits_one(self, tmp_path, capsys,
+                                                                 command):
+        # 80**200 overflows a double: a user's --u, refused as input
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--setting", "3", "--seed", "5", "--n-train", "30", "--n-test",
+                    "4", "--p", "80", "--n-disc", "4", "--out-dir", str(sim)]) == 0
+        out = tmp_path / "out"
+        argv = [a.format(out=out) for a in command] + [
+            "--data", str(sim / "train.csv"), "--label-column", "y", "--u", "200",
+            "--ladder", "1,10", "--out", str(out)]
+        code, stdout, err = run(argv, capsys)
+        assert code == 1
+        assert "complexity weight" in err
+        assert stdout == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sim"]
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -19,15 +19,17 @@ from ptda.cvb import (
     FittedModel,
     Hyperparameters,
     classify,
+    complexity_weight,
     fit_model,
     leaf_log_path_tables,
     log_path_probability_matrix,
     prior_log_odds,
-    row_blocks,
     update_omega,
     update_psi,
 )
 from ptda.errors import DomainError, InputError
+from ptda.polya_tree import row_blocks
+from ptda.smoothing import expected_pvalue
 
 from adapters import LADDER, simulated_forest, tree_from_leaves
 from oracles import direct_leaf_log_path_tables, jacobi_omega, sweep_omega
@@ -47,7 +49,22 @@ class TestHyperparameters:
             Hyperparameters(u=1.0)
         with pytest.raises(DomainError):
             Hyperparameters(a_y=0.0)
+        for name in ("u", "a_y", "b_y"):
+            with pytest.raises(DomainError, match="finite"):
+                Hyperparameters(**{name: math.inf})
         assert Hyperparameters().u == 1.5
+
+    def test_complexity_weight_beyond_the_double_range_refused(self):
+        # 80**162 is about 2e308; both of its users raise the same error
+        assert complexity_weight(80, 2.0) == 6400.0
+        assert complexity_weight(80, 161.0) == 80.0 ** 161
+        for u in (162.0, 200.0):
+            with pytest.raises(DomainError, match="double range"):
+                complexity_weight(80, u)
+        with pytest.raises(DomainError, match="double range"):
+            update_omega(np.zeros(80), Hyperparameters(u=200.0))
+        with pytest.raises(DomainError, match="double range"):
+            expected_pvalue(np.full(80, 0.5), np.full(80, 0.5), 80, 200.0)
 
 
 class TestUpdateOmega:
@@ -241,7 +258,7 @@ class TestUpdatePsi:
 
     def _blocked(self, monkeypatch):
         # 16-row blocks: 53 points span three full blocks and a ragged one of 5
-        monkeypatch.setattr(ptda.cvb, "_BLOCK_VALUES", 16)
+        monkeypatch.setattr(ptda.polya_tree, "_BLOCK_VALUES", 16)
         x, _, model = training_model(shift=3.0)
         points = np.random.default_rng(8).normal(size=(53, model.p)) + x[:1]
         assert [len(range(53)[b]) for b in row_blocks(53, model.p)] == [16, 16, 16, 5]

@@ -72,7 +72,7 @@ class TestGaussianBaseline:
 
     def test_row_blocks_give_the_one_expression_error(self, monkeypatch):
         # 16-row blocks: 70 test points span four full blocks and a ragged one of 6
-        monkeypatch.setattr(ptda.cvb, "_BLOCK_VALUES", 16)
+        monkeypatch.setattr(ptda.polya_tree, "_BLOCK_VALUES", 16)
         train, test = self._blobs(0.4, n=70, p=5, seed=3)
         y, z = train.labels, test.matrix
         x1, x0 = train.matrix[y == 1], train.matrix[y == 0]

@@ -406,18 +406,20 @@ class TestOnePassPerForest:
                                       [(1.0, 1.0, 10.0, 10.0), (1.0, 10.0, 10.0, 10.0)]],
                              ids=["default", "repeated value", "tuples"])
     def test_one_evidence_call_per_ladder_value(self, monkeypatch, grid):
+        # one call, whose rows are the distinct ladder values as a column
         x, y = two_group_data(seed=13, p=8)
-        values = []
+        calls = []
         score = ptda.smoothing.log_bayes_factors
 
-        def counting(source, c):
-            values.append(c)
-            return score(source, c)
+        def counting(forest, c):
+            calls.append(np.asarray(c))
+            return score(forest, c)
 
         monkeypatch.setattr(ptda.smoothing, "log_bayes_factors", counting)
         select_c(x, y, grid=grid)
         distinct = set(grid) if np.isscalar(grid[0]) else set().union(*grid)
-        assert sorted(values) == sorted(distinct)
+        [c] = calls
+        assert c.tolist() == [[v] for v in sorted(distinct)]
 
 
 class TestReportLoad:
