@@ -6,8 +6,11 @@ randomness flows from --seed, and exit codes are 0 (success), 1 (input
 error, including a size too large to allocate), 2 (internal error).
 
 Every command computes all of its outputs before it writes any, and on
-failure it leaves none of them behind.  Files are written only by
-`dataio.write_csv` and `write_json`; CSV fields are quoted where needed.
+failure it leaves none of them behind (`_write_outputs`).  Files are
+written only by `dataio.write_csv` and `write_json`.  CSV fields are
+quoted where needed; JSON (model, report, cv summary) is compact on one
+line and encoded before its file is opened, and `python -m json.tool FILE`
+pretty-prints it.
 
 Each subcommand accepts only the flags its handler reads.  Defaults may
 be overridden by a JSON config file passed with --config or named by the
@@ -255,7 +258,9 @@ def _cmd_simulate(args, cfg: Config) -> int:
 def _write_outputs(*outputs):
     """Write each (path, write, *args) as write(path, *args), in order, skipping an
     unset path; if one fails, remove the files the earlier ones wrote, so a
-    failed command leaves none of its outputs behind."""
+    failed command leaves none of its outputs behind.  A failing writer
+    removes its own file: only it knows whether it opened it, and a file it
+    could not open is not touched."""
     written = []
     try:
         for path, write, *rest in outputs:
@@ -312,7 +317,7 @@ def _cmd_fit(args, cfg: Config) -> int:
                          f"(--tol {cfg.tol}); raise --max-iter")
     model.names = list(ds.names)
     error = float(np.mean(classify(update_psi(model, ds.matrix)) != ds.labels))
-    model.save(args.out)
+    _write_outputs((args.out, model.save))
     print(f"fitted p={ds.p} n={ds.n}  sweeps={model.selection.iteration} "
           f"converged={model.selection.converged}  resubstitution error: {error}")
     return 0
@@ -326,8 +331,8 @@ def _cmd_predict(args, _) -> int:
     _match_names(model.names, ds.names, "model")
     psi = update_psi(model, ds.matrix)
     labels = classify(psi, args.threshold)
-    write_csv(args.out, ["row", "psi", "label"],
-              zip(range(labels.size), psi.psi.tolist(), labels.tolist()))
+    _write_outputs((args.out, write_csv, ["row", "psi", "label"],
+                    zip(range(labels.size), psi.psi.tolist(), labels.tolist())))
     if ds.labels is not None:
         error = float(np.mean(labels != ds.labels))
         print(f"classification error: {error}")

@@ -296,7 +296,9 @@ class FittedModel:
         deepest-layer cell counts "leaf1" and "leaf0" (2**depth integers
         each, so the depth is their length's log2).  Loading checks the
         counts against n1 and n0 and sums them back up into the internal
-        nodes; format-1 files (path-code count maps) are refused.
+        nodes; format-1 files (path-code count maps) are refused.  The JSON
+        is compact, on one line, and encoded in full before the file is
+        opened (`dataio.write_json`); `python -m json.tool` pretty-prints it.
         """
         write_json(path, self.to_json_dict())
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,10 +118,9 @@ def load_csv(path, label_column: str | None = None, orientation: str = "samples-
             label_rows.append(row[1:])
             continue
         if lead is not None:
-            leads.append(row[lead])
-            row = row[:lead] + row[lead + 1:]
+            leads.append(row.pop(lead))
         try:
-            cells.append([float(v) for v in row])
+            cells.append(list(map(float, row)))
         except ValueError:
             bad.append((i, "non-numeric cell"))
     if bad:
@@ -198,11 +199,25 @@ def split_folds(dataset: Dataset, k: int, seed: int = 0) -> list[tuple[np.ndarra
     return out
 
 
+@contextmanager
+def _kept_if_complete(fh):
+    """The open file `fh`, closed at the end of the block; if the block or the
+    close raises, the file is removed, so a failed write leaves no file."""
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        with suppress(OSError):  # the write's own error is the one to report
+            os.remove(fh.name)
+        raise
+
+
 def write_csv(path, header, rows):
     """Write a header row, unless it is empty, and then `rows` as CSV lines.
     A field holding a comma, a quote or a line break is quoted, and a float
-    is written as its repr.  This and `write_json` are the only file writers."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    is written as its repr.  If a row fails (a raising iterator, say), the
+    file is removed.  This and `write_json` are the only file writers."""
+    with _kept_if_complete(open(path, "w", encoding="utf-8", newline="")) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         if header:
             writer.writerow(header)
@@ -220,7 +235,12 @@ def read_json(path, what: str):
 
 
 def write_json(path, doc):
-    """Write `doc` as JSON indented by one space, keys in its own order, and a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    """Write `doc` as compact JSON on one line, keys in its own order, and a newline.
+
+    The whole text is encoded (by the C encoder, floats as their repr) before
+    the file is opened, so a value JSON cannot hold raises TypeError or
+    ValueError and no file is created.  `python -m json.tool FILE`
+    pretty-prints the result."""
+    text = json.dumps(doc, separators=(",", ":"))
+    with _kept_if_complete(open(path, "w", encoding="utf-8")) as fh:
+        fh.write(text + "\n")

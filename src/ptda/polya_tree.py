@@ -201,13 +201,15 @@ def training_data(matrix, labels) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sum_layers(leaf: np.ndarray) -> np.ndarray:
-    """Heap-layout counts from (p, 2**depth) leaf counts; each parent is its children's sum."""
+    """Heap-layout counts from (p, 2**depth) leaf counts; each parent is its children's sum.
+    A leaf array passed as a temporary is freed once copied; parents are summed in place."""
     p, width = leaf.shape
     heap = np.zeros((p, 2 * width), dtype=np.int64)
     heap[:, width:] = leaf
+    del leaf
     lo = width // 2
     while lo >= 1:
-        heap[:, lo:2 * lo] = heap[:, 2 * lo:4 * lo:2] + heap[:, 2 * lo + 1:4 * lo:2]
+        np.add(heap[:, 2 * lo:4 * lo:2], heap[:, 2 * lo + 1:4 * lo:2], out=heap[:, lo:2 * lo])
         lo //= 2
     return heap
 
@@ -293,9 +295,11 @@ class TreeForest:
         flat = np.empty((n, p), dtype=np.int64) if _flat_out is None else _flat_out
         for rows in row_blocks(n, p):  # no (n, p) float temporary
             np.add(leaf_indices((x[rows] - means) / sds, depth), offsets, out=flat[rows])
-        leaf1 = np.bincount(flat[y].ravel(), minlength=p * width).reshape(p, width)
-        leaf0 = np.bincount(flat[~y].ravel(), minlength=p * width).reshape(p, width)
-        return cls.from_leaves(means, sds, leaf1, leaf0)
+        # group 1's heap is built, and its leaf counts dropped, before group 0
+        # is counted; the centring is finite and the depth checked above
+        heaps = (_sum_layers(np.bincount(flat[group].ravel(), minlength=p * width).reshape(p, width))
+                 for group in (y, ~y))
+        return cls(means, sds, *heaps)
 
     def leaves(self, matrix) -> np.ndarray:
         """(m, p) deepest-layer cell index of each point in each variable's tree;

@@ -83,6 +83,9 @@ class SmoothingReport:
         }
 
     def save(self, path):
+        """Write the report as compact JSON on one line, encoded in full before
+        the file is opened (`dataio.write_json`); `python -m json.tool`
+        pretty-prints it."""
         dataio.write_json(path, self.to_json_dict())
 
     @classmethod

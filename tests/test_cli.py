@@ -9,6 +9,7 @@ import pytest
 
 import ptda.cli
 from ptda.cli import build_parser, dispatch
+from ptda.dataio import write_csv, write_json
 from ptda.errors import ContractViolation
 
 from adapters import path_map, tree_of
@@ -530,6 +531,20 @@ class TestNoPartialOutput:
         assert code == 1
         assert "error" in err and "internal error" not in err
         assert sorted(out.rglob("*")) == before
+
+    @pytest.mark.parametrize("failing", ["csv", "json"])
+    def test_failed_write_leaves_no_file(self, tmp_path, failing):
+        # the output whose own write raises is removed as well as the ones before it
+        def rows():
+            yield [1, 2.5]
+            raise RuntimeError("row source failed")
+
+        first, second = tmp_path / "first.csv", tmp_path / f"second.{failing}"
+        last = {"csv": (second, write_csv, ["a", "b"], rows()),
+                "json": (second, write_json, {"a": 1, "b": np.int64(2)})}[failing]
+        with pytest.raises((RuntimeError, TypeError)):
+            ptda.cli._write_outputs((first, write_csv, ["a"], [[1]]), last)
+        assert sorted(tmp_path.iterdir()) == []
 
 
 def simulate_tiny(cfg, out_dir):

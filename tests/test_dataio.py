@@ -1,18 +1,23 @@
-"""CSV ingestion, preprocessing protocol, and fold plumbing."""
+"""CSV ingestion, preprocessing protocol, fold plumbing and the two writers."""
+
+import json
 
 import numpy as np
 import pytest
 
-from ptda.cvb import fit_model, update_psi
+from ptda.cvb import FittedModel, fit_model, update_psi
 from ptda.dataio import (
     Dataset,
     load_csv,
     preprocess,
     split_folds,
     write_csv,
+    write_json,
 )
 from ptda.errors import InputError
+from ptda.evalharness import cross_validate
 from ptda.simgen import SimulationSpec, generate
+from ptda.smoothing import select_c
 
 
 SAMPLES, VARIABLES = "samples-in-rows", "variables-in-rows"
@@ -226,3 +231,57 @@ class TestPredictionsCsv:
         assert lines[0] == "row,psi,label"
         assert lines[1] == "0,0.2,0"
         assert lines[2] == "1,0.8,1"
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    """An n=100, p=5000 model, the size `ptda predict` loads, and test points."""
+    train, test, _ = generate(SimulationSpec(1, n_train=100, n_test=20, p=5000,
+                                             n_discriminative=50, seed=3))
+    return fit_model(train.matrix, train.labels, 1.0, names=train.names), test.matrix
+
+
+class TestJsonWriter:
+    def test_non_json_value_raises_before_any_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 1, "b": np.int64(2)})
+        assert not path.exists()
+
+    def test_compact_on_one_line(self, tmp_path):
+        path = tmp_path / "out.json"
+        write_json(path, {"a": [1, 2.5, -0.0], "b": {"c": "d"}, "e": True})
+        assert path.read_text(encoding="utf-8") == '{"a":[1,2.5,-0.0],"b":{"c":"d"},"e":true}\n'
+
+    def test_outputs_parse_to_the_indented_document(self, tmp_path, wide_model):
+        # the compact text differs from json.dump(doc, fh, indent=1) only in
+        # whitespace: both give every float its repr, so the documents parse
+        # equal and re-encode to the same indented text
+        train, _, _ = generate(SimulationSpec(3, n_train=40, n_test=10, p=30,
+                                              n_discriminative=5, seed=5))
+        model, _ = wide_model
+        report, _ = select_c(train.matrix, train.labels, grid=[(1.0, 1.0, 5.0, 10.0)])
+        report.names = list(train.names)
+        _, summary = cross_validate(train, 4, grid=[(1.0, 1.0, 1.0, 1.0)], seed=5, threads=1)
+        path = tmp_path / "out.json"
+        for doc, save in ((model.to_json_dict(), model.save), (report.to_json_dict(), report.save),
+                          (summary, lambda out: write_json(out, summary))):
+            save(path)
+            text = path.read_text(encoding="utf-8")
+            assert text.endswith("}\n") and text.count("\n") == 1
+            indented = json.dumps(doc, indent=1)
+            assert json.loads(text) == json.loads(indented)
+            assert json.dumps(json.loads(text), indent=1) == indented
+
+    def test_reloaded_model_is_bit_identical(self, tmp_path, wide_model):
+        model, points = wide_model
+        path = tmp_path / "model.json"
+        model.save(path)
+        loaded = FittedModel.load(path)
+        for got, want in ((loaded.omega, model.omega), (loaded.forest.means, model.forest.means),
+                          (loaded.forest.sds, model.forest.sds), (loaded.c, model.c),
+                          (loaded.forest.count1, model.forest.count1),
+                          (loaded.forest.count0, model.forest.count0),
+                          (update_psi(loaded, points).psi, update_psi(model, points).psi)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

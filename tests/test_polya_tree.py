@@ -466,6 +466,23 @@ class TestLeafIndicesAgainstBinaryExpansion:
             tracemalloc.stop()
         assert peak < 1.5 * x.nbytes
 
+    def test_forest_build_holds_one_leaf_array_beside_the_heaps(self):
+        # group 1's heap is built, and its leaf counts dropped, before group 0
+        # is counted, and the parents are summed in place: the peak is the two
+        # heaps plus one (p, 2**depth) leaf array, 1.25 times the heaps
+        n, p, depth = 32, 20000, 5
+        x = np.random.default_rng(25).normal(size=(n, p))
+        y = np.arange(n) % 2
+        flat = np.empty((n, p), dtype=np.int64)
+        TreeForest.from_matrix(x[:, :8], y, depth)  # the depth's table, built before tracing
+        tracemalloc.start()
+        try:
+            forest = TreeForest.from_matrix(x, y, depth, _flat_out=flat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * (forest.count1.nbytes + forest.count0.nbytes)
+
 
 class TestLocatingPoints:
     def forest(self):

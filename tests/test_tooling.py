@@ -196,13 +196,14 @@ def _file_write(call):
 
 def test_only_the_two_writers_write_files():
     # one boundary: every output goes through dataio.write_csv or write_json,
-    # so quoting, float formatting and the trailing newline are decided once
+    # so quoting, float formatting and the trailing newline are decided once;
+    # json.dump appears nowhere, since it streams into an open file and an
+    # encoding error would leave half a document behind
     writes = {(f"{path.stem}.{owner}", kind)
               for path in sorted(SRC.glob("*.py"))
               for owner, call in _calls(ast.parse(path.read_text(encoding="utf-8")))
               if (kind := _file_write(call))}
-    assert writes == {("dataio.write_csv", "open"), ("dataio.write_json", "open"),
-                      ("dataio.write_json", "json.dump")}
+    assert writes == {("dataio.write_csv", "open"), ("dataio.write_json", "open")}
 
 
 def test_only_the_reader_and_writers_open_files():
