@@ -13,6 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -67,11 +68,6 @@ class SelectionState:
 @dataclass
 class ClassProbabilities:
     psi: np.ndarray
-
-
-def _open_unit(values):
-    """Clip into the open interval (0, 1); expit(700.0) rounds to 1.0 in doubles."""
-    return np.clip(values, _OPEN_LO, _OPEN_HI)
 
 
 def complexity_weight(p: int, u: float) -> float:
@@ -151,22 +147,23 @@ def leaf_log_path_tables(forest: TreeForest, c) -> tuple[np.ndarray, np.ndarray]
     """(p, 2**depth) log path probability of every deepest-layer cell, per group.
 
     One top-down walk over the heap: each layer adds log(alpha + child
-    count) - log(2 alpha + parent count) to its parent's sum, the parent
-    terms broadcast over the two children by reshape.  `c` is a scalar or
-    one value per variable.
+    count) - log(2 alpha + parent count) to its parent's sum, through the
+    two strided halves of the layer, the left and the right children.  `c`
+    is a scalar or one value per variable.
     """
     c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
-    p = forest.p
     tables = []
     for counts in (forest.count1, forest.count0):
-        lp = np.zeros((p, 1))
+        lp = np.zeros((forest.p, 1))
         for level in range(1, forest.depth + 1):
             a = alpha_for_layer(level, c)[:, None]
             lo = 1 << level
-            step = np.log(a + counts[:, lo:2 * lo]).reshape(p, lo // 2, 2)
-            step -= np.log(2.0 * a + counts[:, lo // 2:lo])[:, :, None]
-            step += lp[:, :, None]  # lp + (child - parent), each parent's sum on both children
-            lp = step.reshape(p, lo)
+            step = np.log(a + counts[:, lo:2 * lo])
+            parent = np.log(2.0 * a + counts[:, lo // 2:lo])
+            for children in (step[:, 0::2], step[:, 1::2]):
+                children -= parent
+                children += lp  # lp + (child - parent), each parent's sum on both children
+            lp = step
         tables.append(lp)
     return tables[0], tables[1]
 
@@ -187,7 +184,10 @@ def prior_log_odds(hyper: Hyperparameters, forest: TreeForest) -> float:
 def _leaf_counts(rows, total: int, group: int) -> np.ndarray:
     """Validated (p, 2**depth) leaf counts of one group from a model file."""
     [total] = json_numbers([total], int, f"'n{group}'")
-    if len({len(json_numbers(r, int, f"every group-{group} leaf count")) for r in rows}) != 1:
+    if not (all(isinstance(r, list) for r in rows)
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
+        raise InputError(f"every group-{group} leaf count must be an integer")
+    if len(set(map(len, rows))) != 1:
         raise InputError(f"group-{group} leaf counts must be lists of one length")
     counts = np.array(rows, dtype=np.int64)
     if np.any(counts < 0):
@@ -261,21 +261,12 @@ class FittedModel:
         return np.clip(eta, -ETA_CLAMP, ETA_CLAMP)
 
     def to_json_dict(self) -> dict:
-        width = 1 << self.forest.depth
-        leaf1 = self.forest.count1[:, width:].tolist()
-        leaf0 = self.forest.count0[:, width:].tolist()
-        means, sds = self.forest.means.tolist(), self.forest.sds.tolist()
-        variables = []
-        for j, name in enumerate(self.names):
-            variables.append({
-                "name": name,
-                "mean": means[j],
-                "sd": sds[j],
-                "c": float(self.c[j]),
-                "omega": float(self.selection.omega[j]),
-                "leaf1": leaf1[j],
-                "leaf0": leaf0[j],
-            })
+        forest, width = self.forest, 1 << self.forest.depth
+        columns = (self.names, forest.means.tolist(), forest.sds.tolist(), self.c.tolist(),
+                   self.selection.omega.tolist(), forest.count1[:, width:].tolist(),
+                   forest.count0[:, width:].tolist())
+        keys = ("name", "mean", "sd", "c", "omega", "leaf1", "leaf0")
+        variables = [dict(zip(keys, values)) for values in zip(*columns)]
         return {
             "format": MODEL_FORMAT,
             "hyperparameters": {"a_y": self.hyper.a_y, "b_y": self.hyper.b_y, "u": self.hyper.u},
@@ -365,7 +356,8 @@ def update_psi(model: FittedModel, newpoints) -> ClassProbabilities:
     eta = np.empty(x.shape[0])
     for rows in row_blocks(*x.shape):
         eta[rows] = model.class_log_odds(model.forest.flat_leaves(x[rows]))
-    return ClassProbabilities(_open_unit(expit(eta)))
+    # clipped into the open interval (0, 1): expit(700.0) rounds to 1.0 in doubles
+    return ClassProbabilities(np.clip(expit(eta), _OPEN_LO, _OPEN_HI))
 
 
 def classify(psi: ClassProbabilities, threshold: float = 0.5) -> np.ndarray:

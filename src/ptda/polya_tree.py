@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+from functools import cache, cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -54,8 +55,8 @@ MAX_FOREST_CELLS = 1 << 26
 Two int64 arrays of this many nodes take 1 GiB, the memory budget of a
 forest; a depth beyond it raises DomainError before anything is allocated.
 Locating points adds one table per depth, kept for the process: under
-32 * 2**depth bytes (27 * 2**depth at depth 20), less than the two count
-arrays of a one-variable forest at that depth.
+30 * 2**depth bytes at any depth a forest allows (27 * 2**depth at depth
+20), less than the two count arrays of a one-variable forest at that depth.
 """
 
 # values per block wherever a matrix is handled in blocks (`row_blocks`,
@@ -118,61 +119,55 @@ def alpha_for_layer(layer: int, c) -> np.ndarray:
     return np.ones_like(c) if parent_len == 0 else c * (parent_len * parent_len)
 
 
-_LOCATORS: dict[int, tuple[float, float, np.ndarray, np.ndarray, int]] = {}  # by depth
-
-
-def _locator(depth: int) -> tuple[float, float, np.ndarray, np.ndarray, int]:
-    """(scale, half, cells, bounds, fixups) of `depth`, built once per process.
+@cache
+def _locator(depth: int) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(scale, half, cells, bounds) of `depth`, built once per process.
 
     `bounds` holds the cell boundaries inv_cdf(k / 2**depth), k = 1 ..
-    2**depth - 1, then +inf.  Buckets 1 / scale = 2**(1 - depth) wide span
-    [-half / scale, half / scale], and `cells[i]` is the cell of bucket i's
-    left edge minus half a bucket.  z * scale + half rounds once, and
-    monotonically, so a value in bucket i lies in the 1.5 buckets above
-    that point, and at most `fixups` boundaries, the most 1.5 buckets can
-    hold, separate the two.
+    2**depth - 1, then +inf.  Bucket i, 1 / scale = 2**(1 - depth) wide,
+    starts at (i - half) / scale, and int32 `cells[i]` counts the boundaries
+    strictly below that edge.  The closest boundaries, 0 and inv_cdf(1/2 +
+    2**-depth), are over 1.25 buckets apart at every depth, so a bucket
+    holds at most one boundary, bounds[cells[i]].
     """
-    loc = _LOCATORS.get(depth)
-    if loc is None:
-        width = 1 << depth
-        inv_cdf = NormalDist().inv_cdf
-        lower = np.fromiter((inv_cdf(k / width) for k in range(1, width // 2)), float,
-                            width // 2 - 1)
-        # 1 - k / 2**depth is exact, and inv_cdf is exactly odd about 1/2
-        # there, so the upper boundaries mirror the lower ones
-        bounds = np.concatenate((lower, [0.0], -lower[::-1], [math.inf]))
-        scale = float(1 << (depth - 1))
-        half = math.ceil(bounds[-2] * scale) + 2  # the outer buckets hold no boundary
-        cells = np.empty(2 * half, dtype=np.int32)
-        for start in range(0, cells.size, _BLOCK_VALUES):
-            edges = np.arange(start, min(start + _BLOCK_VALUES, cells.size)) - (half + 0.5)
-            cells[start:start + edges.size] = np.searchsorted(bounds, edges / scale)
-        # no two boundaries are closer than this
-        gap = np.min(np.diff(bounds[:-1]), initial=math.inf)
-        loc = (scale, float(half), cells, bounds, int(1.5 / (scale * gap)) + 1)
-        _LOCATORS[depth] = loc
-    return loc
+    width = 1 << depth
+    inv_cdf = NormalDist().inv_cdf
+    lower = np.fromiter((inv_cdf(k / width) for k in range(1, width // 2)), float, width // 2 - 1)
+    # 1 - k / 2**depth is exact, and inv_cdf is exactly odd about 1/2
+    # there, so the upper boundaries mirror the lower ones
+    bounds = np.concatenate((lower, [0.0], -lower[::-1], [math.inf]))
+    scale = float(1 << (depth - 1))
+    half = math.ceil(bounds[-2] * scale) + 2  # the outer buckets hold no boundary
+    cells = np.empty(2 * half, dtype=np.int32)
+    for start in range(0, cells.size, _BLOCK_VALUES):
+        edges = np.arange(start, min(start + _BLOCK_VALUES, cells.size)) - half
+        cells[start:start + edges.size] = np.searchsorted(bounds, edges / scale)
+    return scale, float(half), cells, bounds
 
 
 def leaf_indices(z, depth: int) -> np.ndarray:
-    """Deepest-layer cell index of each standardized value: int32 values in
+    """Deepest-layer cell index of each standardized value: intp values in
     the shape of `z`, which must hold no NaN.
 
     The index counts the cell boundaries inv_cdf(k / 2**depth) strictly
     below z, as np.searchsorted(boundaries, z, side="left") does, so a value
-    on a boundary goes to the left cell.  The value's bucket in the depth's
-    cached grid (`_locator`) gives a cell at most `fixups` boundaries too
-    low, and each `k += z > bounds[k]` moves it past one.  The layer-l cell
-    is the index shifted right by depth - l.
+    on a boundary goes to the left cell.  z's bucket in the depth's cached
+    grid (`_locator`) is floor(z * scale) + half, exactly, as z is clipped
+    into the grid first and scale is a power of two; the bucket's `cells`
+    entry misses at most the one boundary the bucket holds, which
+    `k += z > bounds[k]` adds.  The layer-l cell is the index shifted right
+    by depth - l.
     """
-    scale, half, cells, bounds, fixups = _locator(depth)
+    scale, half, cells, bounds = _locator(depth)
     z = np.asarray(z, dtype=float)
-    t = np.clip(z, -half / scale, (half - 1.0) / scale)  # beyond the grid: an outer bucket
+    t = np.clip(z, -half / scale, (half - 1.0) / scale, out=np.empty(z.shape))
     t *= scale
+    np.floor(t, out=t)
     t += half
-    k = cells[t.astype(np.intp)]
-    for _ in range(fixups):
-        k += z > bounds[k]
+    k = t.astype(np.intp)
+    k[...] = np.take(cells, k, mode="clip")  # in range: "clip" skips the checks of "raise"
+    np.take(bounds, k, out=t, mode="clip")
+    k += z > t
     return k
 
 
@@ -294,7 +289,10 @@ class TreeForest:
         offsets = np.arange(p, dtype=np.int64) * width
         flat = np.empty((n, p), dtype=np.int64) if _flat_out is None else _flat_out
         for rows in row_blocks(n, p):  # no (n, p) float temporary
-            np.add(leaf_indices((x[rows] - means) / sds, depth), offsets, out=flat[rows])
+            z = np.subtract(x[rows], means)  # standardized in one buffer
+            z /= sds
+            np.add(leaf_indices(z, depth), offsets, out=flat[rows])
+        del z  # the last block is not held through the heap build
         # group 1's heap is built, and its leaf counts dropped, before group 0
         # is counted; the centring is finite and the depth checked above
         heaps = (_sum_layers(np.bincount(flat[group].ravel(), minlength=p * width).reshape(p, width))
@@ -309,12 +307,20 @@ class TreeForest:
             raise InputError(f"expected points with {self.p} variables, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise InputError("points must be finite")
-        return leaf_indices((x - self.means) / self.sds, self.depth)
+        z = np.subtract(x, self.means)  # standardized in one buffer
+        z /= self.sds
+        return leaf_indices(z, self.depth)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """(p,) intp start j * 2**depth of each variable's leaves in a flat table."""
+        return np.arange(self.p, dtype=np.intp) << self.depth
 
     def flat_leaves(self, matrix) -> np.ndarray:
         """(m, p) index leaf + j * 2**depth of each point's deepest-layer cell
         in a flattened (p, 2**depth) per-leaf table; `np.take` gathers with it."""
-        return self.leaves(matrix) + np.arange(self.p, dtype=np.int64) * (1 << self.depth)
+        flat = self.leaves(matrix)
+        return np.add(flat, self.offsets, out=flat)
 
     def variable(self, j: int) -> "TreeForest":
         """One-variable forest (a view) of variable j."""

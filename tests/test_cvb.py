@@ -287,8 +287,10 @@ class TestUpdatePsi:
 
     def test_scoring_holds_no_point_sized_temporary(self):
         # one (m, p) temporary is 8 MiB here; the blocked path holds about
-        # 1.85 MiB whatever m is (the (m,) result and a few 0.5-MiB block
-        # arrays of the shift, the bucket index and the boundary gather)
+        # 1.8 MiB whatever m is (the (m,) result, three 0.5-MiB block arrays:
+        # the standardized values, the clip buffer that then takes the
+        # gathered boundaries, the bucket index that becomes the leaf, and
+        # the 0.25-MiB int32 gather of the bucket's cells)
         m, p = 4096, 256
         _, _, model = training_model(n=64, p=p)
         model.leaf_log_odds  # built and kept before the scoring is traced
@@ -457,6 +459,17 @@ class TestFittedModel:
         doc = json.loads(json.dumps(model.to_json_dict()))
         edit(doc)
         with pytest.raises(InputError):
+            FittedModel.from_json_dict(doc)
+
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None], ids=["bool", "float", "string", "null"])
+    @pytest.mark.parametrize("group", [1, 0])
+    def test_loader_refuses_a_non_integer_count_in_the_last_variable(self, group, value):
+        # the rows are type-checked in one pass over all their values, so the
+        # last variable's last count is reached, with the same message
+        _, _, model = training_model(seed=16, n=20, p=3)
+        doc = json.loads(json.dumps(model.to_json_dict()))
+        doc["variables"][-1][f"leaf{group}"][-1] = value
+        with pytest.raises(InputError, match=f"^every group-{group} leaf count must be an integer$"):
             FittedModel.from_json_dict(doc)
 
     def test_loader_accepts_omega_at_the_ends(self):

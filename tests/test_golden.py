@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 
 from ptda.bnp_test import log_bayes_factors
-from ptda.cvb import fit_model, row_blocks, update_psi
+from ptda.cvb import FittedModel, fit_model, row_blocks, update_psi
 from ptda.evalharness import run_simulation_study
 from ptda.polya_tree import TreeForest
 from ptda.simgen import SimulationSpec, generate
@@ -41,6 +41,12 @@ ROWS_3 = [
 
 # SHA-256 of the little-endian float64 test-set psi of rep 0 of SHAPE_3 (setting 2, seed 17)
 PSI_3_SHA256 = "7ca7f79053df307a4569e454cfc196710a6485c500cd0bd1ad551bae8000f22b"
+
+# SHA-256 of the little-endian int64 flat leaves and the float64 psi of the
+# 300 test points of the predict_stream shape (setting 1, n=100, p=5000, seed
+# 1900), fitted at c=1
+STREAM_FLAT_SHA256 = "15fbb9929c03a8b5671e529da9265df078f246d5794d9f67f874a384a81f3253"
+STREAM_PSI_SHA256 = "7de138c6ccc5b8fbae967e154bd2d994f954b5f18cfa197c0d8036ac00b87ac1"
 
 # rep 0 of SHAPE_1 (setting 1, seed 11): omega of the selected fit and its test-set psi
 OMEGA = [
@@ -100,6 +106,18 @@ class TestGoldenRowBlocks:
         _, model = select_c(train.matrix, train.labels, seed=17)
         psi = update_psi(model, test.matrix).psi
         assert hashlib.sha256(psi.astype("<f8").tobytes()).hexdigest() == PSI_3_SHA256
+
+
+class TestGoldenStream:
+    def test_flat_leaves_and_psi_in_memory_and_loaded(self, tmp_path):
+        train, test, _ = generate(SimulationSpec(1, 100, 300, 5000, 50, 1900))
+        model = fit_model(train.matrix, train.labels, 1.0)
+        model.save(tmp_path / "model.json")
+        for scored in (model, FittedModel.load(tmp_path / "model.json")):
+            flat = scored.forest.flat_leaves(test.matrix).astype("<i8")
+            assert hashlib.sha256(flat.tobytes()).hexdigest() == STREAM_FLAT_SHA256
+            psi = update_psi(scored, test.matrix).psi.astype("<f8")
+            assert hashlib.sha256(psi.tobytes()).hexdigest() == STREAM_PSI_SHA256
 
 
 class TestOneFitPerRep:

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import sys
 import tracemalloc
 from statistics import NormalDist
 
@@ -16,6 +17,7 @@ from ptda.polya_tree import (
     MAX_FOREST_CELLS,
     SD_FLOOR,
     TreeForest,
+    _locator,
     alpha_for_layer,
     check_depth,
     default_depth,
@@ -30,6 +32,7 @@ from oracles import (
     binary_expansion_leaves,
     cell_bounds,
     integrate_predictive_density,
+    normal_quantile,
     predictive_density_at,
     quantile_boundaries,
 )
@@ -410,17 +413,55 @@ class TestLeafIndicesAgainstBinaryExpansion:
     """The cached grid locator against a search of the quantile boundaries
     and, away from them, against the binary expansion of the CDF value."""
 
-    @pytest.mark.parametrize("depth", [*range(1, 16), 20])
+    @pytest.mark.parametrize("depth", [*range(1, 17), 20])
     def test_dyadics_neighbours_and_extremes(self, depth):
         # every boundary q(k / 2**depth) goes to the cell on its left, the
         # doubles one ulp either side of it to the cells they lie in, and
-        # the extremes to the end cells
+        # the extremes to the end cells, without an overflow warning
         b = quantile_boundaries(depth)
-        ends = [-np.inf, -1e300, -40.0, 40.0, 1e300, np.inf]
+        big = sys.float_info.max
+        ends = [-np.inf, -big, -1e300, -40.0, 40.0, 1e300, big, np.inf]
         z = np.concatenate([ends, b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)])
         leaf = leaf_indices(z, depth)
         assert np.array_equal(leaf, np.searchsorted(b, z, side="left"))
-        assert leaf[:6].tolist() == [0] * 3 + [2 ** depth - 1] * 3
+        assert leaf[:8].tolist() == [0] * 4 + [2 ** depth - 1] * 4
+
+    @pytest.mark.parametrize("depth", [*range(1, 17), 20])
+    def test_bucket_edges_and_neighbours(self, depth):
+        # every bucket's left edge (i - half) / scale, one bucket past each
+        # end of the grid, and the doubles one ulp either side of each edge:
+        # the values nearest a change of bucket
+        scale, half, _, _ = _locator(depth)
+        b = quantile_boundaries(depth)
+        i = np.arange(-half - 1.0, half + 2.0)
+        for block in np.array_split(i, -(-i.size // (1 << 19))):
+            e = block / scale
+            z = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)])
+            assert np.array_equal(leaf_indices(z, depth), np.searchsorted(b, z, side="left"))
+
+    @pytest.mark.parametrize("depth", range(1, 26))
+    def test_no_bucket_holds_two_boundaries(self, depth):
+        # the grid's premise: no two boundaries are as close as a bucket is
+        # wide, 2**(1 - depth).  The quantile function is odd about 1/2 and
+        # convex above it, so the two gaps beside the centre are the least;
+        # every gap is checked up to depth 14, and those near the centre
+        # beyond, without building a table
+        width = 2 ** depth
+        if depth <= 14:
+            b = quantile_boundaries(depth)
+        else:
+            b = np.array([normal_quantile(k / width) for k in range(width // 2 - 8, width // 2 + 9)])
+        gaps = np.diff(b)
+        assert np.all(gaps * 2.0 ** (depth - 1) > 1.25)
+        if depth > 1:
+            assert gaps.min() == gaps[b.size // 2 - 1] == gaps[b.size // 2]
+
+    def test_depth_16_table_does_not_grow(self):
+        # int32 cells for 2 * half buckets and 2**16 float boundaries: 1,617,336
+        # bytes, about 24.7 * 2**16
+        _, _, cells, bounds = _locator(16)
+        assert cells.dtype == np.int32 and bounds.dtype == np.float64
+        assert cells.nbytes + bounds.nbytes <= 1_617_336
 
     @pytest.mark.parametrize("depth", [1, 6, 9, 20])
     def test_random_cdf_values(self, depth):
