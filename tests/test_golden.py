@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 
 from ptda.bnp_test import log_bayes_factors
+from ptda.cli import dispatch
 from ptda.cvb import FittedModel, fit_model, row_blocks, update_psi
 from ptda.evalharness import run_simulation_study
 from ptda.polya_tree import TreeForest
@@ -118,6 +119,51 @@ class TestGoldenStream:
             assert hashlib.sha256(flat.tobytes()).hexdigest() == STREAM_FLAT_SHA256
             psi = update_psi(scored, test.matrix).psi.astype("<f8")
             assert hashlib.sha256(psi.tobytes()).hexdigest() == STREAM_PSI_SHA256
+
+
+# SHA-256 of every file of one CLI pipeline (setting 3, seed 5, 100 training
+# and 200 test points, p=400), and of the standard output of its `bf` call
+PIPELINE_SHA256 = {
+    "sim/train.csv": "fd1e712a582474afead15f6c8c3b608a684f903c834b2bc543156d4351f92b6c",
+    "sim/test.csv": "79cc1b3b42dd2466869c07b34cdbc1f7f972304f5383d631661160e20b60e0b8",
+    "sim/truth.csv": "00a17942face7ac6956d872cc8fa1dd7eef75ca4bc29e227b6fd9fad911ec39d",
+    "report.json": "97b91554a364f5a42605e255866b7414781613bc54194c9b8e63aa298bdd2154",
+    "report.csv": "b843ac2e725eb69a9ed20d9f32b981902104963700aa75c2e6d9d7458ddc06ea",
+    "selected.json": "f757fd72f8ff67fa48a90a45a2b004967a7765e934de872f9aae2acb881f5c1b",
+    "reported.json": "f757fd72f8ff67fa48a90a45a2b004967a7765e934de872f9aae2acb881f5c1b",
+    "c5.json": "6f728b03fee54d862327fd53500c74e9804e1a412238efc0b22485c6ca92a767",
+    "predictions.csv": "515975e9dea23df1d2a9ee8bbfabe112ede58caccccafd17f059cb69bfa01def",
+    "cv.csv": "fb8dbcb8835efa993edf4fd76a94dca96c8f29813feec8e41b9e3b9f9800b0c4",
+    "cv.json": "79de2b3da04b6ae288c87f7932917df281ae402f252c18be5ff1d60c5f3e6e2e",
+    "density.csv": "7bcabd71111bf370c90faec653d5846e35ca44d827d6f002dbb90b74f6230cd8",
+    "bf stdout": "b167d7feb44a660b398196d69dd413636393e822d48274acfd9a60800364fb7a",
+}
+
+
+class TestGoldenPipeline:
+    def test_every_output_of_the_cli_pipeline(self, tmp_path, capsys):
+        def run(*argv):
+            assert dispatch(list(argv)) == 0, argv
+            return capsys.readouterr().out
+
+        train, test = str(tmp_path / "sim" / "train.csv"), str(tmp_path / "sim" / "test.csv")
+        data = ("--data", train, "--label-column", "y", "--seed", "5")
+        out = {name: str(tmp_path / name) for name in PIPELINE_SHA256}
+        run("simulate", "--setting", "3", "--seed", "5", "--n-train", "100", "--n-test", "200",
+            "--p", "400", "--out-dir", str(tmp_path / "sim"))
+        run("select-c", *data, "--out", out["report.json"], "--out-csv", out["report.csv"])
+        run("fit", *data, "--out", out["selected.json"])
+        run("fit", *data, "--c-report", out["report.json"], "--out", out["reported.json"])
+        run("fit", *data, "--c", "5", "--out", out["c5.json"])
+        run("predict", "--model", out["selected.json"], "--data", test, "--label-column", "y",
+            "--out", out["predictions.csv"])
+        run("cv", *data, "--k", "4", "--out", out["cv.csv"], "--out-summary", out["cv.json"])
+        bf = run("bf", "--data", train, "--label-column", "y")
+        run("density", "--model", out["selected.json"], "--variable", "V1", "--out", out["density.csv"])
+        found = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 for name in PIPELINE_SHA256 if name != "bf stdout"}
+        found["bf stdout"] = hashlib.sha256(bf.encode()).hexdigest()
+        assert found == PIPELINE_SHA256
 
 
 class TestOneFitPerRep:
