@@ -64,12 +64,14 @@ def _plan_layers(forest: TreeForest):
     for level in range(forest.depth):  # parent layers
         lo = 1 << level
         live = (k1[:, lo:2 * lo] > 0) & (k0[:, lo:2 * lo] > 0)
-        var = np.nonzero(live)[0]
+        var = np.repeat(np.arange(forest.p), np.count_nonzero(live, axis=1))
         if var.size == 0:
             continue
         left, right = slice(2 * lo, 4 * lo, 2), slice(2 * lo + 1, 4 * lo, 2)
-        c1l, c1r = k1[:, left][live], k1[:, right][live]
-        c0l, c0r = k0[:, left][live], k0[:, right][live]
+        # int64, so that the keys below cannot wrap
+        c1l, c1r, c0l, c0r = (k[:, side][live].astype(np.int64)
+                              for k in (k1, k0) for side in (left, right))
+        del live
         # each group's (left, right) pair packs below (n_g + 1)**2, and the
         # two pairs into one int64 while the product fits (n up to ~110,000);
         # past that, the two pair ranks do, below (live nodes)**2 < 2**52
@@ -77,7 +79,11 @@ def _plan_layers(forest: TreeForest):
         key1, key0, span = c1l * base1 + c1r, c0l * base0 + c0r, base0 * base0
         if base1 * base1 * span >= 1 << 63:
             (_, key1), (span, key0) = _ranks(key1), _ranks(key0)
-        patterns, pattern = _ranks(key1 * span + key0)
+        key1 *= span
+        key1 += key0
+        del key0
+        patterns, pattern = _ranks(key1)
+        del key1
         first = np.empty(patterns, dtype=np.int64)
         first[pattern] = np.arange(var.size)  # a node of each pattern
         c1l, c1r, c0l, c0r = c1l[first], c1r[first], c0l[first], c0r[first]

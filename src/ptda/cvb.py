@@ -158,8 +158,10 @@ def leaf_log_path_tables(forest: TreeForest, c) -> tuple[np.ndarray, np.ndarray]
         for level in range(1, forest.depth + 1):
             a = alpha_for_layer(level, c)[:, None]
             lo = 1 << level
-            step = np.log(a + counts[:, lo:2 * lo])
-            parent = np.log(2.0 * a + counts[:, lo // 2:lo])
+            step = np.add(a, counts[:, lo:2 * lo])
+            np.log(step, out=step)
+            parent = np.add(2.0 * a, counts[:, lo // 2:lo])
+            np.log(parent, out=parent)
             for children in (step[:, 0::2], step[:, 1::2]):
                 children -= parent
                 children += lp  # lp + (child - parent), each parent's sum on both children

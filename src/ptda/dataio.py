@@ -13,8 +13,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+from array import array
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -86,47 +88,57 @@ def load_csv(path, label_column: str | None = None, orientation: str = "samples-
 
     With `orientation="variables-in-rows"` the first column holds row
     names, the header holds sample ids, and the row named `label_column`
-    carries the labels.  Cells that fail to parse are reported with their
-    row numbers (1-based, header included).  A label named by more than
-    one column, or by more than one well-formed row, is refused.
+    carries the labels.  Blank lines are skipped.  Cells that fail to parse
+    are reported with their row numbers (1-based, header included, blank
+    lines not counted).  A label named by more than one column, or by more
+    than one well-formed row, is refused.
+
+    Rows are parsed as they are read: each accepted row's cells go through
+    `float` into one float buffer, which becomes the matrix without a copy.
+    Beyond the Dataset, the loader holds one row of strings at a time (and
+    the labels and names), never a list of all the rows.
     """
     if orientation not in ("samples-in-rows", "variables-in-rows"):
         raise InputError(f"unknown orientation {orientation!r}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
-    if len(rows) < 2:
-        raise InputError(f"{path}: need a header row and at least one data row")
-    header, body = rows[0], rows[1:]
-
-    # `lead` is the field of each data row that is not a value: the row's
-    # variable name with variables in rows, the label with samples in rows
     by_rows = orientation == "variables-in-rows"
-    names = header
-    lead = 0 if by_rows else None
-    if label_column is not None and not by_rows:
-        if label_column not in names:
-            raise InputError(f"label column {label_column!r} not in header")
-        lead = names.index(label_column)
-        names = names[:lead] + names[lead + 1:]
-    leads, cells, label_rows, bad = [], [], [], []
-    for i, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            bad.append((i, "wrong field count"))
-            continue
-        if by_rows and row[0] == label_column:
-            label_rows.append(row[1:])
-            continue
-        if lead is not None:
-            leads.append(row.pop(lead))
-        try:
-            cells.append(list(map(float, row)))
-        except ValueError:
-            bad.append((i, "non-numeric cell"))
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = filter(None, csv.reader(fh))  # a blank line reads as []
+        header, first = next(rows, None), next(rows, None)
+        if first is None:
+            raise InputError(f"{path}: need a header row and at least one data row")
+
+        # `lead` is the field of each data row that is not a value: the row's
+        # variable name with variables in rows, the label with samples in rows
+        names = header
+        lead = 0 if by_rows else None
+        if label_column is not None and not by_rows:
+            if label_column not in names:
+                raise InputError(f"label column {label_column!r} not in header")
+            lead = names.index(label_column)
+            names = names[:lead] + names[lead + 1:]
+        values = array("d")
+        accepted, leads, label_rows, bad = 0, [], [], []
+        for i, row in enumerate(chain([first], rows), start=2):
+            if len(row) != len(header):
+                bad.append((i, "wrong field count"))
+                continue
+            if by_rows and row[0] == label_column:
+                label_rows.append(row[1:])
+                continue
+            if lead is not None:
+                leads.append(row.pop(lead))
+            end = len(values)
+            try:
+                values.extend(map(float, row))
+            except ValueError:
+                del values[end:]  # the row's cells parsed before the bad one
+                bad.append((i, "non-numeric cell"))
+            else:
+                accepted += 1
     if bad:
         detail = "; ".join(f"row {i}: {msg}" for i, msg in bad[:20])
         raise InputError(f"{path}: {len(bad)} unparseable row(s): {detail}")
-    matrix = np.array(cells, dtype=float).reshape(len(cells), len(header) - (lead is not None))
+    matrix = np.frombuffer(values, dtype=float).reshape(accepted, len(header) - (lead is not None))
     raw_labels = label_rows[0] if by_rows and label_rows else leads
     if label_column is not None:
         named = len(label_rows) if by_rows else header.count(label_column)

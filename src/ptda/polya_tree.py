@@ -9,7 +9,7 @@ boundary belongs to the left cell, and its layer-l cells are the leading
 binary digits of that index.
 
 The p trees of a dataset share one heap layout: each group holds a
-(p, 2**(depth+1)) int64 count array in which node 2**l + k is cell k of
+(p, 2**(depth+1)) int32 count array in which node 2**l + k is cell k of
 layer l, the children of node i are 2i and 2i+1, node 1 is the root and
 node 0 is unused.  Every cell is stored, occupied or not, so a point's
 layer-l node is (1 << l) + (leaf >> (depth - l)) for its deepest-layer
@@ -31,6 +31,7 @@ from .stats import normal_pdf, square_safe_shift
 __all__ = [
     "SD_FLOOR",
     "MAX_FOREST_CELLS",
+    "FOREST_BYTES",
     "TreeForest",
     "training_data",
     "default_depth",
@@ -52,15 +53,22 @@ _log = logging.getLogger(__name__)
 MAX_FOREST_CELLS = 1 << 26
 """Upper bound on p * 2**(depth+1), the nodes of one group's count array.
 
-Two int64 arrays of this many nodes take 1 GiB, the memory budget of a
-forest; a depth beyond it raises DomainError before anything is allocated.
-Locating points adds one table per depth, kept for the process: under
-30 * 2**depth bytes at any depth a forest allows (27 * 2**depth at depth
-20), less than the two count arrays of a one-variable forest at that depth.
+Two int32 arrays of this many nodes take 512 MiB.  `check_depth` charges
+them, and the point locator's table of the depth (`_locator`, kept for the
+process: under 30 * 2**depth bytes, 27 * 2**depth at depth 20), to one
+budget of FOREST_BYTES; a depth beyond either bound raises DomainError
+before anything is allocated.
 """
 
+FOREST_BYTES = 1 << 30
+"""Memory budget of a forest: its two int32 count arrays plus the locator table."""
+
+# the largest count an int32 forest holds
+_COUNT_MAX = int(np.iinfo(np.int32).max)
+
 # values per block wherever a matrix is handled in blocks (`row_blocks`,
-# `_locator`, smoothing.column_pvalues): a float64 block takes 0.5 MiB
+# `_locator`, `_count_leaves`, smoothing.column_pvalues): a float64 block
+# takes 0.5 MiB
 _BLOCK_VALUES = 1 << 16
 
 
@@ -83,13 +91,19 @@ def default_depth(n: int) -> int:
 
 
 def check_depth(depth, p: int) -> int:
-    """Return `depth` if it is an integer >= 1 whose forest fits MAX_FOREST_CELLS."""
+    """Return `depth` if it is an integer >= 1 whose forest fits MAX_FOREST_CELLS
+    and, with the locator table of the depth, FOREST_BYTES."""
     if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 1:
         raise DomainError(f"depth must be an integer >= 1, got {depth!r}")
     # p * 2**(depth+1) <= MAX_FOREST_CELLS, without forming 2**depth
     if depth + 1 > (MAX_FOREST_CELLS // max(p, 1)).bit_length() - 1:
         raise DomainError(f"depth {depth} with {p} variables exceeds the forest budget of "
                           f"{MAX_FOREST_CELLS} cells per group")
+    # depth <= 25 here: two int32 arrays of p * 2**(depth+1) nodes, and the locator table
+    needed = (2 * p * 2 * 4 + 30) << depth
+    if needed > FOREST_BYTES:
+        raise DomainError(f"depth {depth} with {p} variables needs up to {needed} bytes of counts "
+                          f"and locator table, beyond the forest budget of {FOREST_BYTES} bytes")
     return int(depth)
 
 
@@ -195,24 +209,38 @@ def training_data(matrix, labels) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _sum_layers(leaf: np.ndarray) -> np.ndarray:
-    """Heap-layout counts from (p, 2**depth) leaf counts; each parent is its children's sum.
-    A leaf array passed as a temporary is freed once copied; parents are summed in place."""
-    p, width = leaf.shape
-    heap = np.zeros((p, 2 * width), dtype=np.int64)
-    heap[:, width:] = leaf
-    del leaf
-    lo = width // 2
+def _sum_layers(heap: np.ndarray) -> np.ndarray:
+    """`heap`, a (p, 2**(depth+1)) int32 count array whose deepest layer
+    heap[:, 2**depth:] holds the leaf counts, with every parent set in place
+    to its children's sum."""
+    lo = heap.shape[1] // 4
     while lo >= 1:
         np.add(heap[:, 2 * lo:4 * lo:2], heap[:, 2 * lo + 1:4 * lo:2], out=heap[:, lo:2 * lo])
         lo //= 2
     return heap
 
 
+def _count_leaves(flat: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
+    """(p, 2 * width) int32 heap of the points `rows` (a boolean mask) at
+    (n, p) flat leaf indices.  The leaves are counted a block of variables at
+    a time, each block's int64 `bincount` about _BLOCK_VALUES cells (one
+    variable's `width` cells if that is more), so no (p, width) int64 count
+    array is held beside the heap."""
+    p = flat.shape[1]
+    heap = np.zeros((p, 2 * width), dtype=np.int32)
+    step = max(1, _BLOCK_VALUES // width)
+    for start in range(0, p, step):
+        block = flat[rows, start:start + step]  # a copy: rows is a mask
+        block -= start * width  # the block's first variable counts from 0
+        heap[start:start + step, width:] = np.bincount(
+            block.ravel(), minlength=block.shape[1] * width).reshape(-1, width)
+    return _sum_layers(heap)
+
+
 class TreeForest:
     """All p trees of a dataset as two dense heap-layout count arrays.
 
-    `count1` / `count0` are (p, 2**(depth+1)) int64 arrays, one per group,
+    `count1` / `count0` are (p, 2**(depth+1)) int32 arrays, one per group,
     laid out as described in the module docstring.  Counts are independent
     of the smoothing parameters, so one forest serves every candidate c.
     A single variable is a forest with p = 1.  Each tree's centring
@@ -235,7 +263,9 @@ class TreeForest:
         """Forest from per-variable centring means and sds, each (p,), and the
         (p, 2**depth) deepest-layer counts of each group.
 
-        A centring needs a finite mean and a finite sd > 0 (DomainError).
+        A centring needs a finite mean and a finite sd > 0 (DomainError).  A
+        variable's counts of a group must sum to at most 2**31 - 1, the
+        largest int32 count (InputError, raised before any count is cast).
         """
         means = np.asarray(means, dtype=float)
         sds = np.asarray(sds, dtype=float)
@@ -249,8 +279,13 @@ class TreeForest:
                              "per variable")
         if not np.all(np.isfinite(means) & np.isfinite(sds) & (sds > 0.0)):
             raise DomainError("a centring requires a finite mean and a finite sd > 0")
+        if any(np.any(leaf.sum(axis=1) > _COUNT_MAX) for leaf in (leaf1, leaf0)):
+            raise InputError(f"a variable's counts of a group sum past {_COUNT_MAX}, the largest "
+                             f"count a forest holds")
         check_depth(depth, p)
-        return cls(means, sds, _sum_layers(leaf1), _sum_layers(leaf0))
+        count1, count0 = (np.zeros((p, 2 * width), dtype=np.int32) for _ in range(2))
+        count1[:, width:], count0[:, width:] = leaf1, leaf0
+        return cls(means, sds, _sum_layers(count1), _sum_layers(count0))
 
     @classmethod
     def from_matrix(cls, matrix, labels, depth: int | None = None, *,
@@ -261,10 +296,11 @@ class TreeForest:
         at any finite magnitude; a zero sd, or one beyond the float range,
         is replaced by SD_FLOOR, and the count of such columns is reported
         at DEBUG on the `ptda.polya_tree` logger.  The data must pass
-        `training_data`.  `_flat_out`, an (n, p) int64 array, receives the
+        `training_data`.  `_flat_out`, an (n, p) int32 array, receives the
         training points' flat leaf indices, the ones `flat_leaves(matrix)`
-        gives: a caller that scores the training points (`smoothing.select_c`)
-        locates them once, and the forest does not carry them.
+        gives (each is below MAX_FOREST_CELLS / 2): a caller that scores the
+        training points (`smoothing.select_c`) locates them once, and the
+        forest does not carry them.
         """
         x, y = training_data(matrix, labels)
         n, p = x.shape
@@ -287,17 +323,14 @@ class TreeForest:
             sds = np.where(floored, SD_FLOOR, sds)
         width = 1 << depth
         offsets = np.arange(p, dtype=np.int64) * width
-        flat = np.empty((n, p), dtype=np.int64) if _flat_out is None else _flat_out
+        flat = np.empty((n, p), dtype=np.int32) if _flat_out is None else _flat_out
         for rows in row_blocks(n, p):  # no (n, p) float temporary
             z = np.subtract(x[rows], means)  # standardized in one buffer
             z /= sds
             np.add(leaf_indices(z, depth), offsets, out=flat[rows])
         del z  # the last block is not held through the heap build
-        # group 1's heap is built, and its leaf counts dropped, before group 0
-        # is counted; the centring is finite and the depth checked above
-        heaps = (_sum_layers(np.bincount(flat[group].ravel(), minlength=p * width).reshape(p, width))
-                 for group in (y, ~y))
-        return cls(means, sds, *heaps)
+        # the centring is finite and the depth checked above
+        return cls(means, sds, _count_leaves(flat, y, width), _count_leaves(flat, ~y, width))
 
     def leaves(self, matrix) -> np.ndarray:
         """(m, p) deepest-layer cell index of each point in each variable's tree;

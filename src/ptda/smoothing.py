@@ -316,7 +316,7 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     expected = expected_pvalue(v0, v1, p, hyper.u)
     bins = assign_bins(expected)
 
-    flat = np.empty(x.shape, dtype=np.int64)
+    flat = np.empty(x.shape, dtype=np.int32)
     forest = TreeForest.from_matrix(x, yb, depth, _flat_out=flat)
     names = [f"V{j + 1}" for j in range(p)]
 

@@ -13,6 +13,7 @@ from ptda.dataio import write_csv, write_json
 from ptda.errors import ContractViolation
 
 from adapters import path_map, tree_of
+from conftest import traced_peak
 from oracles import dense_log_bayes_factor
 
 
@@ -817,19 +818,41 @@ class TestDepthOption:
         assert not (tmp_path / "m.json").exists()
 
     def test_oversized_depth_exits_one_without_allocating(self, tmp_path, capsys):
-        import tracemalloc
-
         out = simulate_small(tmp_path, seed=59)
         argv = ["bf", "--data", str(out / "train.csv"), "--label-column", "y", "--depth", "40"]
-        tracemalloc.start()
-        try:
-            code, _, err = run(argv, capsys)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, (code, _, err) = traced_peak(lambda: run(argv, capsys))
         assert code == 1
         assert "depth" in err
         assert peak < 10 * 2 ** 20  # a depth-40 forest would need 2**41 cells per variable
+
+    def test_locator_beyond_the_budget_exits_one_without_allocating(self, tmp_path, capsys):
+        # depth 25 fits one variable's cell budget, but its locator table
+        # (~1 GB, ~16 s to build) beside 0.5 GiB of counts does not
+        path = tmp_path / "one.csv"
+        write_csv(path, ["x", "y"], [[0.5 * i, i % 2] for i in range(20)])
+        argv = ["bf", "--data", str(path), "--label-column", "y", "--depth", "25"]
+        peak, (code, _, err) = traced_peak(lambda: run(argv, capsys))
+        assert code == 1
+        assert "depth" in err
+        assert peak < 10 * 2 ** 20
+
+
+class TestCountRange:
+    def test_model_with_a_group_past_int32_exits_one(self, tmp_path, capsys):
+        out = simulate_small(tmp_path, seed=61)
+        model = tmp_path / "m.json"
+        assert run(["fit", "--data", str(out / "train.csv"), "--label-column", "y", "--c", "1",
+                    "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        for record in doc["variables"]:
+            record["leaf1"][0] += 2 ** 31 - doc["n1"]
+        doc["n1"] = 2 ** 31
+        write_json(model, doc)
+        code, _, err = run(["predict", "--model", str(model), "--data", str(out / "test.csv"),
+                            "--out", str(tmp_path / "p.csv")], capsys)
+        assert code == 1
+        assert "2147483647" in err
+        assert not (tmp_path / "p.csv").exists()
 
 
 def valid_report(p=12):

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from ptda.polya_tree import row_blocks
 from ptda.smoothing import expected_pvalue
 
 from adapters import LADDER, simulated_forest, tree_from_leaves
+from conftest import traced_peak
 from oracles import direct_leaf_log_path_tables, jacobi_omega, sweep_omega
 
 
@@ -295,12 +295,7 @@ class TestUpdatePsi:
         _, _, model = training_model(n=64, p=p)
         model.leaf_log_odds  # built and kept before the scoring is traced
         points = np.random.default_rng(6).normal(size=(m, p))
-        tracemalloc.start()
-        try:
-            update_psi(model, points)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: update_psi(model, points))
         assert peak < m * p * 8 / 4
 
     def test_unconverged_model_refused(self):
@@ -471,6 +466,24 @@ class TestFittedModel:
         doc["variables"][-1][f"leaf{group}"][-1] = value
         with pytest.raises(InputError, match=f"^every group-{group} leaf count must be an integer$"):
             FittedModel.from_json_dict(doc)
+
+    @pytest.mark.parametrize("group", [1, 0])
+    def test_loader_refuses_a_count_past_int32(self, group):
+        # counts are held as int32: n_g = 2**31 passes the int64 sum check,
+        # then is refused before any count is cast; 2**31 - 1 loads unwrapped
+        _, _, model = training_model(seed=16, n=20, p=3)
+        doc = json.loads(json.dumps(model.to_json_dict()))
+        key = f"n{group}"
+        for total in (2 ** 31 - 1, 2 ** 31):
+            for record in doc["variables"]:
+                record[f"leaf{group}"][0] += total - doc[key]
+            doc[key] = total
+            if total < 2 ** 31:
+                loaded = FittedModel.from_json_dict(doc)
+                assert (loaded.forest.n1, loaded.forest.n0)[1 - group] == total
+                continue
+            with pytest.raises(InputError, match="sum past 2147483647, the largest count"):
+                FittedModel.from_json_dict(doc)
 
     def test_loader_accepts_omega_at_the_ends(self):
         _, _, model = training_model(seed=16, n=20, p=3)

@@ -19,6 +19,7 @@ from ptda.evalharness import cross_validate
 from ptda.simgen import SimulationSpec, generate
 from ptda.smoothing import select_c
 
+from conftest import traced_peak
 
 SAMPLES, VARIABLES = "samples-in-rows", "variables-in-rows"
 
@@ -112,6 +113,65 @@ class TestLoadCsv:
         path = write(tmp_path, "label-only.csv", "id,s1,s2,s3\ny,0,1,0\n")
         ds = load_csv(path, label_column="y", orientation="variables-in-rows")
         assert (ds.matrix.shape, ds.names, ds.labels.tolist()) == ((3, 0), [], [0, 1, 0])
+
+    # each file read with label "y" in both orientations, and what the loader
+    # gives for it: a Dataset as (matrix, names, labels, mapping), or the
+    # message of its InputError with the path as PATH
+    STREAMED = {
+        (SAMPLES, "header only"): ("a,b,y\n", "PATH: need a header row and at least one data row"),
+        (SAMPLES, "header only, no label column"): (
+            "a,b\n", "PATH: need a header row and at least one data row"),
+        (SAMPLES, "empty file"): ("", "PATH: need a header row and at least one data row"),
+        (SAMPLES, "blank lines"): ("\na,b,y\n\n1,2,g\n\n\n3,4.5,h\n\n", (
+            [[1.0, 2.0], [3.0, 4.5]], ["a", "b"], [0, 1], {"g": 0, "h": 1})),
+        (SAMPLES, "wrong field count"): (
+            "a,b,y\n1,2,g\n\n3,h\n5,6,g,7\n8,9,h\n",
+            "PATH: 2 unparseable row(s): row 3: wrong field count; row 4: wrong field count"),
+        (SAMPLES, "non-numeric cell mid-file"): (
+            "a,b,y\n1,2,g\n\n3,x,h\n5,6,g\n", "PATH: 1 unparseable row(s): row 3: non-numeric cell"),
+        (SAMPLES, "quoted comma"): ('"a,1",b,y\n1,"2",g\n3,4,"h,1"\n', (
+            [[1.0, 2.0], [3.0, 4.0]], ["a,1", "b"], [0, 1], {"g": 0, "h,1": 1})),
+        (VARIABLES, "header only"): ("id,s1,s2,s3\n", "PATH: need a header row and at least one data row"),
+        (VARIABLES, "empty file"): ("", "PATH: need a header row and at least one data row"),
+        (VARIABLES, "blank lines"): ("\nid,s1,s2\n\ny,g,h\n\nv1,1,2\n\nv2,3,4.5\n\n", (
+            [[1.0, 3.0], [2.0, 4.5]], ["v1", "v2"], [0, 1], {"g": 0, "h": 1})),
+        (VARIABLES, "wrong field count"): (
+            "id,s1,s2\ny,g,h\n\nv1,1\nv2,3,4,5\nv3,6,7\n",
+            "PATH: 2 unparseable row(s): row 3: wrong field count; row 4: wrong field count"),
+        (VARIABLES, "non-numeric cell mid-file"): (
+            "id,s1,s2\ny,g,h\nv1,1,2\n\nv2,x,4\nv3,5,6\n",
+            "PATH: 1 unparseable row(s): row 4: non-numeric cell"),
+        (VARIABLES, "quoted comma"): ('id,s1,s2\ny,"g,1",h\n"v,1",1,"2"\nv2,3,4\n', (
+            [[1.0, 3.0], [2.0, 4.0]], ["v,1", "v2"], [0, 1], {"g,1": 0, "h": 1})),
+    }
+
+    @pytest.mark.parametrize("orientation, case", STREAMED, ids=[" / ".join(k) for k in STREAMED])
+    def test_streamed_rows(self, tmp_path, orientation, case):
+        text, expected = self.STREAMED[orientation, case]
+        path = write(tmp_path, "d.csv", text)
+        if isinstance(expected, str):
+            with pytest.raises(InputError) as refused:
+                load_csv(path, label_column="y", orientation=orientation)
+            assert str(refused.value) == expected.replace("PATH", str(path))
+            return
+        ds = load_csv(path, label_column="y", orientation=orientation)
+        matrix, names, labels, mapping = expected
+        assert ds.matrix.dtype == np.float64 and np.array_equal(ds.matrix, matrix)
+        assert ds.matrix.shape == (2, 2)
+        assert ds.labels.dtype == np.int8 and ds.labels.tolist() == labels
+        assert (ds.names, ds.label_mapping) == (names, mapping)
+
+    def test_load_holds_no_list_of_rows(self, tmp_path):
+        # a list of the rows' strings and floats took ~14 times the matrix;
+        # streamed, the loader holds one row and the growing float buffer
+        n, p = 100, 5000
+        x = np.random.default_rng(8).normal(size=(n, p))
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, np.column_stack([x, np.arange(n) % 2]), delimiter=",", fmt="%.17g",
+                   header=",".join([f"V{j + 1}" for j in range(p)] + ["y"]), comments="")
+        peak, ds = traced_peak(lambda: load_csv(path, label_column="y"))
+        assert np.array_equal(ds.matrix, x)
+        assert peak < 3 * x.nbytes
 
     def test_unknown_orientation(self, tmp_path):
         path = write(tmp_path, "d.csv", "a\n1\n")

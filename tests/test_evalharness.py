@@ -2,7 +2,6 @@
 
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,8 @@ from ptda.evalharness import (
 )
 from ptda.simgen import SimulationSpec, generate
 from ptda.smoothing import select_c
+
+from conftest import traced_peak
 
 
 def strip_times(rows):
@@ -92,12 +93,7 @@ class TestGaussianBaseline:
         train, _ = self._blobs(1.0, n=64, p=p)
         rng = np.random.default_rng(5)
         test = Dataset(rng.normal(size=(m, p)), np.arange(m) % 2, train.names)
-        tracemalloc.start()
-        try:
-            gaussian_nb_baseline(train, test)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: gaussian_nb_baseline(train, test))
         assert peak < m * p * 8 / 4
 
     def test_tiny_group_rejected(self):

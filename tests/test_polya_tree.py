@@ -3,7 +3,6 @@
 import logging
 import math
 import sys
-import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 from ptda.cvb import fit_model
 from ptda.errors import DomainError, InputError
 from ptda.polya_tree import (
+    FOREST_BYTES,
     MAX_FOREST_CELLS,
     SD_FLOOR,
     TreeForest,
@@ -28,6 +28,7 @@ from ptda.polya_tree import (
 from ptda.stats import normal_pdf
 
 from adapters import STD, path_map, sample_centring, spec_of, tree_from_leaves, tree_of
+from conftest import traced_peak
 from oracles import (
     binary_expansion_leaves,
     cell_bounds,
@@ -161,8 +162,16 @@ class TestDepthValidation:
 
     @pytest.mark.parametrize("p", [1, 3, 5000])
     def test_budget_cap(self, p):
-        # p * 2**(depth+1) may reach the cap but not exceed it
+        # p * 2**(depth+1) may reach the cap but not exceed it, and the two
+        # int32 count arrays and the locator table, under 30 * 2**depth bytes,
+        # must fit FOREST_BYTES: of the depths the cap allows, that refuses
+        # only a one-variable forest at depth 25 (0.5 GiB of counts, ~1 GB
+        # of table)
         top = max(d for d in range(1, 64) if p * 2 ** (d + 1) <= MAX_FOREST_CELLS)
+        if p == 1:
+            assert (top, 2 * 4 * p * 2 ** (top + 1) + 30 * 2 ** top) == (25, 1_543_503_872)
+            assert 1_543_503_872 > FOREST_BYTES
+            top -= 1
         assert check_depth(top, p) == top
         with pytest.raises(DomainError):
             check_depth(top + 1, p)
@@ -456,6 +465,15 @@ class TestLeafIndicesAgainstBinaryExpansion:
         if depth > 1:
             assert gaps.min() == gaps[b.size // 2 - 1] == gaps[b.size // 2]
 
+    @pytest.mark.parametrize("depth", range(1, 26))
+    def test_table_stays_under_its_charge(self, depth):
+        # `check_depth` charges the table 30 * 2**depth bytes: int32 cells
+        # for 2 * half buckets, half from the outermost boundary, and 2**depth
+        # float boundaries; checked without building a table
+        outer = NormalDist().inv_cdf(1.0 - 2.0 ** -depth)
+        half = math.ceil(outer * 2.0 ** (depth - 1)) + 2
+        assert 2 * half * 4 + 2 ** depth * 8 < 30 * 2 ** depth
+
     def test_depth_16_table_does_not_grow(self):
         # int32 cells for 2 * half buckets and 2**16 float boundaries: 1,617,336
         # bytes, about 24.7 * 2**16
@@ -497,31 +515,22 @@ class TestLeafIndicesAgainstBinaryExpansion:
         n, p = 4096, 64
         x = np.random.default_rng(24).normal(size=(n, p))
         y = np.arange(n) % 2
-        flat = np.empty((n, p), dtype=np.int64)
+        flat = np.empty((n, p), dtype=np.int32)
         TreeForest.from_matrix(x[:64], y[:64], 6)  # the depth's table, built before tracing
-        tracemalloc.start()
-        try:
-            TreeForest.from_matrix(x, y, 6, _flat_out=flat)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: TreeForest.from_matrix(x, y, 6, _flat_out=flat))
         assert peak < 1.5 * x.nbytes
 
     def test_forest_build_holds_one_leaf_array_beside_the_heaps(self):
-        # group 1's heap is built, and its leaf counts dropped, before group 0
-        # is counted, and the parents are summed in place: the peak is the two
-        # heaps plus one (p, 2**depth) leaf array, 1.25 times the heaps
+        # each group's leaves are counted into its int32 heap a block of
+        # variables at a time, and the parents are summed in place: the peak
+        # is the two heaps plus one block's count, ~1.15 times the heaps (a
+        # whole (p, 2**depth) int64 leaf array beside them would be 2 times)
         n, p, depth = 32, 20000, 5
         x = np.random.default_rng(25).normal(size=(n, p))
         y = np.arange(n) % 2
-        flat = np.empty((n, p), dtype=np.int64)
+        flat = np.empty((n, p), dtype=np.int32)
         TreeForest.from_matrix(x[:, :8], y, depth)  # the depth's table, built before tracing
-        tracemalloc.start()
-        try:
-            forest = TreeForest.from_matrix(x, y, depth, _flat_out=flat)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, forest = traced_peak(lambda: TreeForest.from_matrix(x, y, depth, _flat_out=flat))
         assert peak < 1.4 * (forest.count1.nbytes + forest.count0.nbytes)
 
 

@@ -31,6 +31,7 @@ from ptda.smoothing import (
 from ptda.stats import ks_two_sample_sorted
 
 import oracles
+from conftest import traced_peak
 from oracles import brute_force_ks_distance
 
 # v0 of the column kernels against the per-column oracle: the weight
@@ -626,11 +627,7 @@ class TestPhaseTwoMemory:
             return build(forest, c)
 
         monkeypatch.setattr(ptda.smoothing, "leaf_log_path_tables", tracing)
-        tracemalloc.start()
-        try:
-            _, model = select_c(x, y, depth=depth)
-        finally:
-            tracemalloc.stop()
+        _, (_, model) = traced_peak(lambda: select_c(x, y, depth=depth))
         assert len(held) == len(DEFAULT_LADDER)
         assert max(held) - held[0] < table_bytes / 2
         assert "leaf_log_odds" not in vars(model)  # the model builds its own table on first use
