@@ -468,9 +468,10 @@ class TestLeafIndicesAgainstBinaryExpansion:
     @pytest.mark.parametrize("depth", range(1, 26))
     def test_table_stays_under_its_charge(self, depth):
         # `check_depth` charges the table 30 * 2**depth bytes: int32 cells
-        # for 2 * half buckets, half from the outermost boundary, and 2**depth
-        # float boundaries; checked without building a table
-        outer = NormalDist().inv_cdf(1.0 - 2.0 ** -depth)
+        # for 2 * half buckets, half from the outermost boundary (the mirror
+        # of the lowest), and 2**depth float boundaries; checked without
+        # building a table
+        outer = -NormalDist().inv_cdf(2.0 ** -depth)
         half = math.ceil(outer * 2.0 ** (depth - 1)) + 2
         assert 2 * half * 4 + 2 ** depth * 8 < 30 * 2 ** depth
 
