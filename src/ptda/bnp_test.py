@@ -27,7 +27,8 @@ A contrast's log-beta terms keep one form, lg(a + x) + lg(a + y) -
 lg(2a + (x + y)), and log B(a, a) is lg(a) + lg(a) - lg(2a).  For an
 alpha with an integer value, 2a + (x + y) is exactly (a + x) + (a + y),
 so the result is bit-identical to evaluating that log-beta per node with
-`log_gamma`; otherwise the two round differently in the last bits.
+`math.lgamma`, which `stats.log_gamma` maps over the tables; otherwise the
+two round differently in the last bits.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from itertools import chain
 
 import numpy as np
 
+from .bnp_test import log_bayes_factors
 from .dataio import read_json, write_json
 from .errors import ContractViolation, DomainError, InputError
 from .polya_tree import TreeForest, alpha_for_layer, check_smoothing, row_blocks
@@ -381,8 +382,6 @@ def fit_model(matrix, labels, c, hyper: Hyperparameters | None = None,
     records whether the sweeps converged within `max_iter`; when they did
     not, a warning goes to the `ptda.cvb` logger.
     """
-    from .bnp_test import log_bayes_factors
-
     hyper = hyper or Hyperparameters()
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2:

@@ -87,7 +87,7 @@ def default_depth(n: int) -> int:
     """Default truncation layer, floor(log2 n), never below 1."""
     if n < 1:
         raise DomainError("depth is defined for n >= 1")
-    return max(1, int(math.floor(math.log2(n)))) if n > 1 else 1
+    return max(1, int(n).bit_length() - 1)
 
 
 def check_depth(depth, p: int) -> int:

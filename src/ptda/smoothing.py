@@ -301,7 +301,7 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     p = x.shape[1]
     if grid is None:
         tuples = monotone_tuples(DEFAULT_LADDER)
-    elif all(np.isscalar(v) or isinstance(v, float) for v in grid):
+    elif all(np.isscalar(v) for v in grid):
         tuples = monotone_tuples(grid)
     else:
         tuples = [tuple(float(v) for v in t) for t in grid]

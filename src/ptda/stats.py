@@ -1,15 +1,16 @@
 """Self-contained statistical kernels.
 
 The statistics the model needs and numpy and the standard library lack,
-so the package carries no dependency beyond numpy: log-gamma, the
-standard normal CDF of arrays, a stable expit of arrays, the Shapiro-Wilk
-normality test (Royston's AS R94 recipe) and the two-sample
-Kolmogorov-Smirnov test with the asymptotic p-value.  Accuracy fixtures
+so the package carries no dependency beyond numpy: the standard normal
+CDF of arrays, a stable expit of arrays, the Shapiro-Wilk normality test
+(Royston's AS R94 recipe) and the two-sample Kolmogorov-Smirnov test with
+the asymptotic p-value.  Accuracy fixtures
 for all of them are recorded in the test suite.
 
-The normal CDF is the standard library's `math.erfc`, and the normal
-quantile behind the Shapiro-Wilk weights is its
-`statistics.NormalDist().inv_cdf` (Wichura's AS 241).
+Log-gamma is the standard library's `math.lgamma` and the normal CDF its
+`math.erfc`, each mapped over an array's values, and the normal quantile
+behind the Shapiro-Wilk weights is its `statistics.NormalDist().inv_cdf`
+(Wichura's AS 241).
 
 Both tests are column kernels: `shapiro_wilk_sorted` and
 `ks_two_sample_sorted` score a block of equal-length samples, one per row
@@ -38,39 +39,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-# ---------------------------------------------------------------------------
-# log-gamma
-# ---------------------------------------------------------------------------
-
-# Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy is about
-# 1e-14 over the positive axis, comfortably inside the 1e-12 budget the
-# Bayes-factor arithmetic assumes.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = np.array(
-    [
-        0.99999999999980993,
-        676.5203681218851,
-        -1259.1392167224028,
-        771.32342877765313,
-        -176.61502916214059,
-        12.507343278686905,
-        -0.13857109526572012,
-        9.9843695780195716e-6,
-        1.5056327351493116e-7,
-    ]
-)
-
-
-def _log_gamma_positive(x: np.ndarray) -> np.ndarray:
-    # valid for x >= 0.5
-    series = np.full_like(x, _LANCZOS_COEF[0])
-    for k in range(1, 9):
-        series = series + _LANCZOS_COEF[k] / (x + (k - 1.0))
-    t = x + _LANCZOS_G - 0.5
-    return _LN_SQRT_2PI + (x - 0.5) * np.log(t) - t + np.log(series)
 
 
 def square_safe_shift(values, axis=None):
@@ -87,28 +55,14 @@ def square_safe_shift(values, axis=None):
 
 
 def log_gamma(x):
-    """Natural log of the gamma function for positive arguments.
-
-    Accepts scalars or arrays; arguments in (0, 0.5) are handled through
-    the reflection formula.
-    """
+    """Natural log of the gamma function of a finite positive scalar, or of
+    each value of an array of them: one `math.lgamma` call per value."""
     arr = np.asarray(x, dtype=float)
-    if arr.size and (np.any(~np.isfinite(arr)) or np.any(arr <= 0.0)):
+    if not np.all((arr > 0.0) & (arr < math.inf)):  # also refuses NaN
         raise DomainError("log_gamma requires finite positive arguments")
-    small = arr < 0.5
-    if not small.any():
-        out = _log_gamma_positive(arr)
-    else:
-        out = np.empty_like(arr)
-        big = ~small
-        out[big] = _log_gamma_positive(arr[big])
-        xs = arr[small]
-        out[small] = (
-            math.log(math.pi)
-            - np.log(np.sin(math.pi * xs))
-            - _log_gamma_positive(1.0 - xs)
-        )
-    return float(out) if np.isscalar(x) or out.ndim == 0 else out
+    if arr.ndim == 0:
+        return math.lgamma(float(arr))
+    return np.fromiter(map(math.lgamma, arr.ravel().tolist()), float, arr.size).reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,7 @@ class TestBf:
         labels = np.array([i % 2 for i in range(16)])
         tree = tree_of(values, labels, 3)
         assert printed == pytest.approx(
-            dense_log_bayes_factor(path_map(tree), 3, 1.0), abs=1e-10)
+            dense_log_bayes_factor(path_map(tree), 3, 1.0), abs=1e-13)
 
     def test_matrix_mode_prints_per_variable(self, tmp_path, capsys):
         out = simulate_small(tmp_path, seed=19)

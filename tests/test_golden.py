@@ -4,6 +4,7 @@ must reproduce them bit for bit."""
 import hashlib
 
 import numpy as np
+import pytest
 
 from ptda.bnp_test import log_bayes_factors
 from ptda.cli import dispatch
@@ -41,15 +42,23 @@ ROWS_3 = [
 ]
 
 # SHA-256 of the little-endian float64 test-set psi of rep 0 of SHAPE_3 (setting 2, seed 17)
-PSI_3_SHA256 = "7ca7f79053df307a4569e454cfc196710a6485c500cd0bd1ad551bae8000f22b"
+PSI_3_SHA256 = "09cbce6084b15c0fd06c8735a6007bd6e9d3b1323d4bb987cc03c2fb45f1983e"
 
 # SHA-256 of the little-endian int64 flat leaves and the float64 psi of the
 # 300 test points of the predict_stream shape (setting 1, n=100, p=5000, seed
 # 1900), fitted at c=1
 STREAM_FLAT_SHA256 = "15fbb9929c03a8b5671e529da9265df078f246d5794d9f67f874a384a81f3253"
-STREAM_PSI_SHA256 = "7de138c6ccc5b8fbae967e154bd2d994f954b5f18cfa197c0d8036ac00b87ac1"
+STREAM_PSI_SHA256 = "d7ab672717d0e5076467977641be4413b60709599560e2fdbf7b5222c24e2659"
 
-# rep 0 of SHAPE_1 (setting 1, seed 11): omega of the selected fit and its test-set psi
+# SHA-256 of the little-endian float64 omega of the selected fit of rep 0 of
+# SHAPE_1 (setting 1, seed 11), and of its test-set psi
+OMEGA_SHA256 = "7a2d4693f3cd5c86de7d22944a3dda7f8b8c76977452c26ce5bf323c87a65431"
+PSI_SHA256 = "37a92b723d1198516f20bcb4c85d438d1dc9b1ad21ab442fd30254948b788b0a"
+
+# the same omega and psi as first pinned, from a Lanczos log-gamma series
+# (g = 7, 9 terms); math.lgamma moved them by up to 1.2e-12 relative, and
+# the bit pins above may drift from them by no more than DRIFT
+DRIFT = 1e-10
 OMEGA = [
     0.046209071760733404, 0.08782249915893561, 0.09529510521554102, 0.0537410996134058,
     0.001037521894888571, 2.252255512411301e-06, 0.0006284223901943437,
@@ -73,6 +82,10 @@ PSI = [
 ]
 
 
+def sha256_f8(values):
+    return hashlib.sha256(np.asarray(values).astype("<f8").tobytes()).hexdigest()
+
+
 def table(rows):
     assert all(list(r) == list(COLUMNS) + ["wall_time"] for r in rows)
     return [tuple(r[k] for k in COLUMNS) for r in rows]
@@ -90,8 +103,11 @@ class TestGoldenReps:
     def test_omega_and_test_psi(self):
         train, test, _ = generate(SimulationSpec(1, 40, 30, 24, 4, 11))
         _, model = select_c(train.matrix, train.labels, seed=11)
-        assert model.omega.tolist() == OMEGA
-        assert update_psi(model, test.matrix).psi.tolist() == PSI
+        psi = update_psi(model, test.matrix).psi
+        assert sha256_f8(model.omega) == OMEGA_SHA256
+        assert sha256_f8(psi) == PSI_SHA256
+        assert model.omega == pytest.approx(OMEGA, rel=DRIFT, abs=0.0)
+        assert psi == pytest.approx(PSI, rel=DRIFT, abs=0.0)
 
 
 class TestGoldenRowBlocks:
@@ -105,8 +121,7 @@ class TestGoldenRowBlocks:
     def test_test_psi(self):
         train, test, _ = generate(SimulationSpec(2, 80, 300, 600, 60, 17))
         _, model = select_c(train.matrix, train.labels, seed=17)
-        psi = update_psi(model, test.matrix).psi
-        assert hashlib.sha256(psi.astype("<f8").tobytes()).hexdigest() == PSI_3_SHA256
+        assert sha256_f8(update_psi(model, test.matrix).psi) == PSI_3_SHA256
 
 
 class TestGoldenStream:
@@ -117,8 +132,7 @@ class TestGoldenStream:
         for scored in (model, FittedModel.load(tmp_path / "model.json")):
             flat = scored.forest.flat_leaves(test.matrix).astype("<i8")
             assert hashlib.sha256(flat.tobytes()).hexdigest() == STREAM_FLAT_SHA256
-            psi = update_psi(scored, test.matrix).psi.astype("<f8")
-            assert hashlib.sha256(psi.tobytes()).hexdigest() == STREAM_PSI_SHA256
+            assert sha256_f8(update_psi(scored, test.matrix).psi) == STREAM_PSI_SHA256
 
 
 # SHA-256 of every file of one CLI pipeline (setting 3, seed 5, 100 training
@@ -129,14 +143,14 @@ PIPELINE_SHA256 = {
     "sim/truth.csv": "00a17942face7ac6956d872cc8fa1dd7eef75ca4bc29e227b6fd9fad911ec39d",
     "report.json": "97b91554a364f5a42605e255866b7414781613bc54194c9b8e63aa298bdd2154",
     "report.csv": "b843ac2e725eb69a9ed20d9f32b981902104963700aa75c2e6d9d7458ddc06ea",
-    "selected.json": "f757fd72f8ff67fa48a90a45a2b004967a7765e934de872f9aae2acb881f5c1b",
-    "reported.json": "f757fd72f8ff67fa48a90a45a2b004967a7765e934de872f9aae2acb881f5c1b",
-    "c5.json": "6f728b03fee54d862327fd53500c74e9804e1a412238efc0b22485c6ca92a767",
-    "predictions.csv": "515975e9dea23df1d2a9ee8bbfabe112ede58caccccafd17f059cb69bfa01def",
+    "selected.json": "d28a563c6640250d99ec97139be6e2fc6922c24e7d3d80bbf4da08414550a4e5",
+    "reported.json": "d28a563c6640250d99ec97139be6e2fc6922c24e7d3d80bbf4da08414550a4e5",
+    "c5.json": "9e3a96aa8fa60f2c7302cfdb20c2d7b8d046871b8e737660c517c0f09887292e",
+    "predictions.csv": "3be6eaae343caeb8f35ee53dd8e2fafa6d0aeebd8419430ea9514798448aefba",
     "cv.csv": "fb8dbcb8835efa993edf4fd76a94dca96c8f29813feec8e41b9e3b9f9800b0c4",
     "cv.json": "79de2b3da04b6ae288c87f7932917df281ae402f252c18be5ff1d60c5f3e6e2e",
     "density.csv": "7bcabd71111bf370c90faec653d5846e35ca44d827d6f002dbb90b74f6230cd8",
-    "bf stdout": "b167d7feb44a660b398196d69dd413636393e822d48274acfd9a60800364fb7a",
+    "bf stdout": "ea85ca20c3ef193f6c5cd1048c124b3c6be1af2e6f1f2de26a147c43d4d9eeb3",
 }
 
 

@@ -147,6 +147,12 @@ class TestDefaultDepth:
         assert default_depth(1) == 1
         assert default_depth(1024) == 10
 
+    @pytest.mark.parametrize("k", range(1, 63))
+    def test_exact_at_powers_of_two(self, k):
+        # through a float, log2(2**49 - 1) rounds up to 49
+        assert default_depth(2 ** k) == k
+        assert default_depth(2 ** k - 1) == max(1, k - 1)
+
 
 class TestDepthValidation:
     def test_none_means_default(self):

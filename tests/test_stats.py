@@ -48,17 +48,17 @@ class TestLogGamma:
             np.linspace(0.5, 20.0, 101),
             np.array([50.0, 123.456, 1e3, 1e5]),
         ])
-        ours = log_gamma(xs)
-        ref = np.array([math.lgamma(v) for v in xs])
-        scale = np.maximum(1.0, np.abs(ref))
-        assert np.max(np.abs(ours - ref) / scale) < 1e-12
+        assert np.array_equal(log_gamma(xs), [math.lgamma(v) for v in xs])
+        assert np.array_equal(log_gamma(xs.reshape(4, 32)), log_gamma(xs).reshape(4, 32))
 
     def test_scalar_and_domain(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-        with pytest.raises(DomainError):
-            log_gamma(-3.0)
+        assert log_gamma(1.0) == 0.0
+        assert type(log_gamma(0.3)) is float and log_gamma(0.3) == math.lgamma(0.3)
+        for bad in (0.0, -3.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                log_gamma(bad)
+            with pytest.raises(DomainError):
+                log_gamma(np.array([2.0, bad]))
 
 
 class TestLogBeta:

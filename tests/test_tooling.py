@@ -33,9 +33,6 @@ ORACLE_IMPORTS = {
     "ptda.polya_tree.alpha_for_layer": "the prior's definition (1 on layer 1, c (layer - 1)**2 "
                                        "below), which the references must share to score "
                                        "the same model",
-    "ptda.stats.log_gamma": "the direct log-Bayes-factor reference must be bit-identical to "
-                            "the count tables at integer alpha, so it evaluates the same "
-                            "log-gamma; test_stats checks log_gamma against math.lgamma",
     "ptda.stats._kolmogorov_sf": "the KS reference differs in how it finds D; the survival "
                                  "function is checked against scipy.special.kolmogorov "
                                  "in test_stats",
