@@ -213,6 +213,15 @@ def json_numbers(values, kind, what: str) -> list:
     return values
 
 
+def _checked_names(names, p: int) -> list:
+    """`names` as a new list if it is a list or tuple of p distinct strings,
+    else InputError; the one rule for a fit's names and a model file's."""
+    if not (isinstance(names, (list, tuple)) and len(names) == p
+            and all(isinstance(v, str) for v in names) and len(set(names)) == p):
+        raise InputError("the variables' names must be distinct strings")
+    return list(names)
+
+
 def _reals(records, key: str) -> np.ndarray:
     """One number per variable record from a model file.  The range is the
     caller's check: `TreeForest.from_leaves` refuses a NaN or infinite
@@ -316,9 +325,7 @@ class FittedModel:
             omega = _reals(records, "omega")
             if not np.all((omega >= 0.0) & (omega <= 1.0)):  # NaN fails both
                 raise InputError("every variable's 'omega' must lie in [0, 1]")
-            names = [r["name"] for r in records]
-            if not (all(isinstance(v, str) for v in names) and len(set(names)) == len(names)):
-                raise InputError("the variables' names must be distinct strings")
+            names = _checked_names([r["name"] for r in records], len(records))
             [iteration] = json_numbers([doc["iteration"]], int, "'iteration'")
             if iteration < 0:
                 raise InputError("'iteration' must be a non-negative integer")
@@ -378,7 +385,8 @@ def fit_model(matrix, labels, c, hyper: Hyperparameters | None = None,
     The matrix is taken in raw units; each variable's centring Gaussian
     is fitted from its own column, so no rescaling is needed.  `c` is a
     scalar or per-variable vector of smoothing parameters in (0, 100];
-    `depth` None means floor(log2 n).  The returned selection state
+    `depth` None means floor(log2 n) and `names` None means V1..Vp; given
+    names must be p distinct strings.  The returned selection state
     records whether the sweeps converged within `max_iter`; when they did
     not, a warning goes to the `ptda.cvb` logger.
     """
@@ -387,11 +395,11 @@ def fit_model(matrix, labels, c, hyper: Hyperparameters | None = None,
     if x.ndim != 2:
         raise InputError("matrix must be two-dimensional")
     c_vec = check_smoothing(c, x.shape[1])
+    names = (_checked_names(names, x.shape[1]) if names is not None
+             else [f"V{j + 1}" for j in range(x.shape[1])])
     forest = TreeForest.from_matrix(x, labels, depth)
     selection = update_omega(log_bayes_factors(forest, c_vec), hyper, tol=tol, max_iter=max_iter)
     if not selection.converged:
         _log.warning("fit_model: the selection did not converge within max_iter=%d sweeps "
                      "(tol %g)", max_iter, tol)
-    if names is None:
-        names = [f"V{j + 1}" for j in range(forest.p)]
-    return FittedModel(hyper, selection, forest, c_vec, list(names))
+    return FittedModel(hyper, selection, forest, c_vec, names)

@@ -50,11 +50,13 @@ class Dataset:
         if len(self.names) != self.matrix.shape[1]:
             raise InputError("one name per variable is required")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels).astype(np.int8)
-            if self.labels.shape != (self.matrix.shape[0],):
+            labels = np.asarray(self.labels)
+            if labels.shape != (self.matrix.shape[0],):
                 raise InputError("one label per row is required")
-            if not np.all((self.labels == 0) | (self.labels == 1)):
+            # checked before the cast, which would wrap 256 to 0 and truncate 0.5 to 0
+            if not np.all((labels == 0) | (labels == 1)):
                 raise InputError("labels must be 0 or 1")
+            self.labels = labels.astype(np.int8)
 
     @property
     def n(self) -> int:

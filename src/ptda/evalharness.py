@@ -1,15 +1,16 @@
 """Experiment orchestration: repeated simulations, cross-validation and
 a Gaussian naive-Bayes foil.
 
-Rows come out as plain dicts (one per rep/fold/method) so they can be
-dumped to tidy CSV; summaries aggregate means/medians and per-variable
-selection rates.  Cross-validation folds are independent and may run on
-a thread pool; results are assembled by index so the thread count never
-changes them.  On a 2-vCPU host with one BLAS thread, ten alternating
-pairs of k = 5 runs took a median 2.48 s on one thread and 1.90 s on two
-at setting 2, n=1000, p=1000 (two faster in 10 of 10 pairs), and 2.75 s
-against 2.67 s at setting 1, n=100, p=3000 (6 of 10): the pool pays off
-where n is large and breaks even where p is.  Simulation reps run in turn.
+Rows come out as plain dicts (one per rep/fold/method, each written once
+by `_row`) so they can be dumped to tidy CSV; summaries aggregate
+means/medians and per-variable selection rates.  Cross-validation folds
+are independent and may run on a thread pool; results are assembled by
+index so the thread count never changes them.  On a 2-vCPU host with one
+BLAS thread, ten alternating pairs of k = 5 runs took a median 2.48 s on
+one thread and 1.90 s on two at setting 2, n=1000, p=1000 (two faster in
+10 of 10 pairs), and 2.75 s against 2.67 s at setting 1, n=100, p=3000
+(6 of 10): the pool pays off where n is large and breaks even where p is.
+Simulation reps run in turn.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .simgen import SimulationSpec, generate
 from .smoothing import select_c
 
 __all__ = [
-    "RunMetrics",
     "selection_confusion",
     "run_simulation_study",
     "cross_validate",
@@ -38,21 +37,6 @@ __all__ = [
 ]
 
 VARIANCE_FLOOR = 1e-8
-
-
-@dataclass
-class RunMetrics:
-    classification_error: float
-    selection_accuracy: float
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-    selected: np.ndarray
-    wall_time: float
-    sweeps: int = 0
-    converged: bool = True
-    chosen_a: tuple | None = None
 
 
 def selection_confusion(selected, truth) -> tuple[int, int, int, int, float]:
@@ -69,11 +53,28 @@ def selection_confusion(selected, truth) -> tuple[int, int, int, int, float]:
     return tp, tn, fp, fn, accuracy
 
 
-def _select_and_score(x_train, y_train, x_test, y_test, seed, **options) -> RunMetrics:
-    """One rep or fold on raw columns: select c (`select_c` with `options`),
-    which fits the model, then classify the test points; a variable counts
-    as selected when its omega is at least 0.5, and the selection counts
-    are left at 0.
+def _row(rep: int, method: str, error: float, selected, wall_time: float, truth=None,
+         sweeps: int = 0, converged: bool = True, chosen_a: tuple | None = None) -> dict:
+    """The tidy row of one rep, fold or method.  The selection counts are
+    taken against `truth` when there is one (a rep); without one (a CV
+    fold) they are 0 and the selection accuracy is NaN."""
+    tp, tn, fp, fn, accuracy = (0, 0, 0, 0, float("nan")) if truth is None \
+        else selection_confusion(selected, truth)
+    return {
+        "rep": rep, "method": method,
+        "classification_error": error, "selection_accuracy": accuracy,
+        "tp": tp, "tn": tn, "fp": fp, "fn": fn,
+        "n_selected": int(np.sum(selected)), "sweeps": sweeps, "converged": converged,
+        "chosen_a": "" if chosen_a is None else ":".join(repr(v) for v in chosen_a),
+        "wall_time": wall_time,
+    }
+
+
+def _select_and_score(x_train, y_train, x_test, y_test, seed, rep, truth=None, **options):
+    """(row, selected) of one rep or fold on raw columns: select c
+    (`select_c` with `options`), which fits the model, then classify the
+    test points; a variable counts as selected when its omega is at least
+    0.5.  The row's wall time covers the selection and the scoring.
 
     The centring Gaussians are fitted from the training columns, so the
     test points are scored in the same raw units with no transform.
@@ -83,13 +84,14 @@ def _select_and_score(x_train, y_train, x_test, y_test, seed, **options) -> RunM
     predicted = classify(update_psi(model, x_test))
     error = float(np.mean(predicted != y_test))
     selected = model.omega >= 0.5
-    return RunMetrics(error, float("nan"), 0, 0, 0, 0, selected,
-                      time.perf_counter() - start, model.selection.iteration,
-                      model.selection.converged, report.chosen_a)
+    wall_time = time.perf_counter() - start
+    return _row(rep, "ptda", error, selected, wall_time, truth, model.selection.iteration,
+                model.selection.converged, report.chosen_a), selected
 
 
-def gaussian_nb_baseline(train: Dataset, test: Dataset) -> RunMetrics:
-    """Gaussian class-conditionals with pooled variance, no selection.
+def gaussian_nb_baseline(train: Dataset, test: Dataset) -> float:
+    """Test classification error of Gaussian class-conditionals with pooled
+    variance, no selection.
 
     The comparison foil: empirical prior odds plus per-variable Gaussian
     log-likelihood ratios over all variables.  The test points are scored
@@ -97,7 +99,6 @@ def gaussian_nb_baseline(train: Dataset, test: Dataset) -> RunMetrics:
     (a few MB) beyond the training moments, not (m, p) arrays; each row's
     sum is the same bits as in one expression over all rows.
     """
-    start = time.perf_counter()
     y = train.labels
     n1 = int(np.sum(y == 1))
     n0 = y.size - n1
@@ -117,11 +118,7 @@ def gaussian_nb_baseline(train: Dataset, test: Dataset) -> RunMetrics:
             (-((block - mu1) ** 2) + (block - mu0) ** 2) / (2.0 * pooled), axis=1
         )
     predicted = (log_odds >= 0.0).astype(np.int8)
-    error = float(np.mean(predicted != test.labels))
-    p = train.p
-    selected = np.ones(p, dtype=bool)
-    return RunMetrics(error, float("nan"), 0, 0, 0, 0, selected,
-                      time.perf_counter() - start)
+    return float(np.mean(predicted != test.labels))
 
 
 def run_simulation_study(setting: int, reps: int, base_seed: int = 0,
@@ -131,29 +128,27 @@ def run_simulation_study(setting: int, reps: int, base_seed: int = 0,
 
     Rep r uses seed base_seed + r.  Each rep selects c over `grid` (None
     means the default ladder) with the default hyperparameters, depth and
-    sweep controls, and scores the Gaussian naive-Bayes baseline on the same
-    datasets.  A variable counts as selected when its omega is at least the
-    fixed 0.5; the selection counts and rates are taken against the truth
-    at that cut.  Zero reps yields an empty table.
+    sweep controls, and scores the Gaussian naive-Bayes baseline, which
+    selects every variable, on the same datasets.  A variable counts as
+    selected when its omega is at least the fixed 0.5; the selection counts
+    and rates are taken against the truth at that cut.  Zero reps yields an
+    empty table.
     """
 
     def one_rep(r: int):
         spec = SimulationSpec(setting, n_train, n_test, p, n_discriminative, base_seed + r)
         train, test, truth = generate(spec)
-        metrics = _select_and_score(train.matrix, train.labels, test.matrix, test.labels,
-                                    spec.seed, grid=grid)
-        methods = [("ptda", metrics), ("gaussian_nb", gaussian_nb_baseline(train, test))]
-        for _, m in methods:
-            m.tp, m.tn, m.fp, m.fn, m.selection_accuracy = selection_confusion(m.selected, truth)
-        return [_metrics_row(m, rep=r, method=name) for name, m in methods], metrics.selected
+        row, selected = _select_and_score(train.matrix, train.labels, test.matrix, test.labels,
+                                          spec.seed, r, truth, grid=grid)
+        start = time.perf_counter()
+        error = gaussian_nb_baseline(train, test)
+        foil = _row(r, "gaussian_nb", error, np.ones(train.p, dtype=bool),
+                    time.perf_counter() - start, truth)
+        return [row, foil], selected
 
     results = [one_rep(r) for r in range(reps)]
     rows = [row for rep_rows, _ in results for row in rep_rows]
-    summary = _summarize(rows)
-    if results:
-        rates = np.mean([sel for _, sel in results], axis=0)
-        summary["selection_rate"] = rates.tolist()
-    return rows, summary
+    return rows, _summarize(rows, [sel for _, sel in results])
 
 
 def cross_validate(dataset: Dataset, k: int, hyper: Hyperparameters | None = None,
@@ -162,44 +157,25 @@ def cross_validate(dataset: Dataset, k: int, hyper: Hyperparameters | None = Non
     """Stratified k-fold CV with per-fold c selection; returns (rows, summary).
 
     Each fold fits on its raw training rows, whose moments alone set the
-    centring Gaussians, and scores its raw test rows.
+    centring Gaussians, and scores its raw test rows.  A fold has no true
+    selection, so its row's selection counts are 0 and its accuracy NaN.
     """
     folds = split_folds(dataset, k, seed)
 
     def one_fold(f: int):
         train_idx, test_idx = folds[f]
-        metrics = _select_and_score(dataset.matrix[train_idx], dataset.labels[train_idx],
-                                    dataset.matrix[test_idx], dataset.labels[test_idx], seed,
-                                    hyper=hyper, grid=grid, depth=depth, tol=tol,
-                                    max_iter=max_iter)
-        return _metrics_row(metrics, rep=f, method="ptda"), metrics.selected
+        return _select_and_score(dataset.matrix[train_idx], dataset.labels[train_idx],
+                                 dataset.matrix[test_idx], dataset.labels[test_idx], seed, f,
+                                 hyper=hyper, grid=grid, depth=depth, tol=tol,
+                                 max_iter=max_iter)
 
     results = _map_indexed(one_fold, range(k), threads)
     rows = [row for row, _ in results]
-    summary = _summarize(rows)
-    summary["selection_rate"] = np.mean([sel for _, sel in results], axis=0).tolist()
-    return rows, summary
+    return rows, _summarize(rows, [sel for _, sel in results])
 
 
-def _metrics_row(m: RunMetrics, rep: int, method: str) -> dict:
-    return {
-        "rep": rep,
-        "method": method,
-        "classification_error": m.classification_error,
-        "selection_accuracy": m.selection_accuracy,
-        "tp": m.tp,
-        "tn": m.tn,
-        "fp": m.fp,
-        "fn": m.fn,
-        "n_selected": int(np.sum(m.selected)),
-        "sweeps": m.sweeps,
-        "converged": m.converged,
-        "chosen_a": "" if m.chosen_a is None else ":".join(repr(v) for v in m.chosen_a),
-        "wall_time": m.wall_time,
-    }
-
-
-def _summarize(rows) -> dict:
+def _summarize(rows, selections) -> dict:
+    """Per-method means and medians, and each variable's rate in `selections`."""
     # every dict's keys in sorted order: the summary JSON is written in dict order
     summary: dict = {"methods": {}}
     for method in sorted({r["method"] for r in rows}):
@@ -214,6 +190,8 @@ def _summarize(rows) -> dict:
             "median_selection_accuracy": float(np.median(accs)) if accs.size else float("nan"),
             "reps": len(sub),
         }
+    if selections:
+        summary["selection_rate"] = np.mean(selections, axis=0).tolist()
     return summary
 
 

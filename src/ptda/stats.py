@@ -1,11 +1,10 @@
 """Self-contained statistical kernels.
 
 The statistics the model needs and numpy and the standard library lack,
-so the package carries no dependency beyond numpy: the standard normal
-CDF of arrays, a stable expit of arrays, the Shapiro-Wilk normality test
-(Royston's AS R94 recipe) and the two-sample Kolmogorov-Smirnov test with
-the asymptotic p-value.  Accuracy fixtures
-for all of them are recorded in the test suite.
+so the package carries no dependency beyond numpy: a stable expit of
+arrays, the Shapiro-Wilk normality test (Royston's AS R94 recipe) and the
+two-sample Kolmogorov-Smirnov test with the asymptotic p-value.  Accuracy
+fixtures for all of them are recorded in the test suite.
 
 Log-gamma is the standard library's `math.lgamma` and the normal CDF its
 `math.erfc`, each mapped over an array's values, and the normal quantile
@@ -21,6 +20,7 @@ sample is a one-row block."""
 from __future__ import annotations
 
 import math
+from functools import cache
 from statistics import NormalDist
 
 import numpy as np
@@ -107,9 +107,9 @@ _SW_C6 = (0.0030302, -0.082676, -0.4803)
 _SW_G = (0.459, -2.273)
 
 _STD_NORMAL = NormalDist()  # its inv_cdf gives the Blom scores
-_WEIGHT_CACHE: dict[int, np.ndarray] = {}
 
 
+@cache
 def _royston_weights(n: int) -> np.ndarray:
     """Royston's Shapiro-Wilk weight vector for samples of size n >= 3, cached per n.
 
@@ -119,9 +119,6 @@ def _royston_weights(n: int) -> np.ndarray:
     negated upper half: exactly antisymmetric weights give W = 1 on equally
     spaced points, where the n = 3 p-value turns one ulp of W into ~3e-8.
     """
-    w_vec = _WEIGHT_CACHE.get(n)
-    if w_vec is not None:
-        return w_vec
     m = np.array([_STD_NORMAL.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)])
     ss_m = float(np.dot(m, m))
     rsn = 1.0 / math.sqrt(n)
@@ -141,7 +138,6 @@ def _royston_weights(n: int) -> np.ndarray:
             w_vec = m / math.sqrt(phi)
         w_vec[-1] = a_n
     w_vec[:n // 2] = -w_vec[::-1][:n // 2]
-    _WEIGHT_CACHE[n] = w_vec
     return w_vec
 
 

@@ -406,6 +406,15 @@ class TestFittedModel:
         assert loaded.selection.iteration == model.selection.iteration == 1
         assert loaded.selection.converged is False
 
+    @pytest.mark.parametrize("names", [["a"], ["a"] * 5, [1, 2, 3, 4, 5], "abcde"],
+                             ids=["too-few", "duplicate", "not-strings", "one-string"])
+    def test_fit_refuses_names_a_model_file_cannot_hold(self, names):
+        # the loader's rule at fit time: save would drop the unnamed variables,
+        # or write a file that load refuses
+        x, y, _ = training_model(seed=8, n=30, p=5)
+        with pytest.raises(InputError, match="^the variables' names must be distinct strings$"):
+            fit_model(x, y, 1.0, names=names)
+
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("format"),
         lambda doc: doc.update(format=1),

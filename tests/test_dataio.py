@@ -179,6 +179,21 @@ class TestLoadCsv:
             load_csv(path, orientation="diagonal")
 
 
+class TestDataset:
+    @pytest.mark.parametrize("label", [256, 0.5, -255, 1.9, 2, np.nan])
+    def test_labels_checked_before_the_int8_cast(self, label):
+        # int8 would wrap 256 to 0 and -255 to 1, and truncate 0.5 to 0 and 1.9 to 1
+        with pytest.raises(InputError, match="^labels must be 0 or 1$"):
+            Dataset(np.zeros((3, 1)), [1, 0, label], ["a"])
+
+    @pytest.mark.parametrize("labels", [[True, False, True], [1.0, 0.0, 1.0],
+                                        np.array([1, 0, 1], dtype=np.uint8)])
+    def test_binary_labels_cast_to_int8(self, labels):
+        ds = Dataset(np.zeros((3, 1)), labels, ["a"])
+        assert ds.labels.dtype == np.int8
+        assert ds.labels.tolist() == [1, 0, 1]
+
+
 class TestPreprocess:
     def test_variance_floor_drops_constant(self):
         x = np.column_stack([np.arange(10.0), np.full(10, 3.0)])

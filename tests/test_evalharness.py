@@ -57,19 +57,18 @@ class TestGaussianBaseline:
 
     def test_separated_blobs_near_zero_error(self):
         train, test = self._blobs(6.0)
-        assert gaussian_nb_baseline(train, test).classification_error < 0.02
+        assert gaussian_nb_baseline(train, test) < 0.02
 
     def test_identical_distributions_near_chance(self):
         train, test = self._blobs(0.0, n=400)
-        err = gaussian_nb_baseline(train, test).classification_error
+        err = gaussian_nb_baseline(train, test)
         assert 0.35 < err < 0.65
 
     def test_degenerate_variance_floored(self):
         train, test = self._blobs(2.0)
         train.matrix[:, 1] = 3.0
         test.matrix[:, 1] = 3.0
-        metrics = gaussian_nb_baseline(train, test)  # must not divide by zero
-        assert np.isfinite(metrics.classification_error)
+        assert np.isfinite(gaussian_nb_baseline(train, test))  # must not divide by zero
 
     def test_row_blocks_give_the_one_expression_error(self, monkeypatch):
         # 16-row blocks: 70 test points span four full blocks and a ragged one of 6
@@ -85,7 +84,7 @@ class TestGaussianBaseline:
             (-((z - mu1) ** 2) + (z - mu0) ** 2) / (2.0 * pooled), axis=1)
         error = float(np.mean((log_odds >= 0.0).astype(np.int8) != test.labels))
         assert 0.0 < error < 0.5
-        assert gaussian_nb_baseline(train, test).classification_error == error
+        assert gaussian_nb_baseline(train, test) == error
 
     def test_scoring_holds_no_test_sized_temporary(self):
         # one (m, p) temporary is 8 MiB here; the blocked path holds about 1.2 MiB
@@ -121,6 +120,12 @@ class TestSimulationStudy:
             if row["method"] == "ptda":
                 assert row["tp"] + row["tn"] + row["fp"] + row["fn"] == 20
                 assert row["converged"]
+            else:
+                # the foil selects every variable and scores the rep's own data
+                train, test, truth = generate(SimulationSpec(3, 24, 30, 20, 4, 5 + row["rep"]))
+                assert row["classification_error"] == gaussian_nb_baseline(train, test)
+                assert row["n_selected"] == 20
+                assert (row["tp"], row["fp"]) == (int(truth.sum()), int((~truth).sum()))
 
     def test_thread_count_does_not_change_results(self):
         # the thread pool serves cross_validate's folds; simulation reps run in turn
@@ -159,6 +164,11 @@ class TestCrossValidate:
         rows, summary = cross_validate(ds, 5, grid=[(1.0, 1.0, 1.0, 1.0)], seed=1)
         assert summary["methods"]["ptda"]["mean_classification_error"] == 0.0
         assert len(rows) == 5
+        for row in rows:
+            # a fold has no true selection: no counts, NaN accuracy, the chosen c still set
+            assert (row["tp"], row["tn"], row["fp"], row["fn"]) == (0, 0, 0, 0)
+            assert math.isnan(row["selection_accuracy"])
+            assert row["chosen_a"] == "1.0:1.0:1.0:1.0"
 
     def test_permuted_labels_near_chance(self):
         rng = np.random.default_rng(3)
