@@ -10,18 +10,22 @@ exactly zero, which is what makes the truncated sum equal the infinite one.
 
 The counts never depend on the smoothing parameters c; only each layer's
 alpha does.  `log_bayes_factors` therefore plans each parent layer once,
-gathering its live nodes' variables and their four child counts (c1l,
-c1r, c0l, c0r), deduplicated into count patterns, and scores every row of
-a stack of c settings from that plan before it moves to the next layer.
-A pattern's key packs each group's (left, right) pair below (n_g + 1)**2
+a block of max(1, _BLOCK_VALUES >> level) variables at a time (about
+_BLOCK_VALUES parent cells, the `polya_tree` block size), and scores every
+row of a stack of c settings from a block's plan before it builds the
+next.  A plan gathers the block's live nodes' variables and their four
+child counts (c1l, c1r, c0l, c0r), deduplicated into count patterns.  A
+pattern's key packs each group's (left, right) pair below (n_g + 1)**2
 and the two pairs into one int64; when that product would overflow (n
 above about 110,000), it packs the two pairs' ranks instead, below (live
-nodes)**2 < 2**52, so any n is keyed exactly.  A row's layer terms are
-added with one `bincount` in (variable, cell) order.  With one alpha on
-the layer, as for a scalar c, there is one term per pattern and one
-gather of the terms onto the nodes; with several, one term per node.  The
-log-gamma values come from count-indexed tables, evaluated once per
-distinct (alpha, count) that a term reads.
+nodes)**2 < 2**52, so any n is keyed exactly.  A row's block terms are
+added into the block's variables with one `bincount` in (variable, cell)
+order; each variable's live nodes keep their cell order and its layers
+are added in layer order, so the sums do not depend on the block size.
+With one alpha on the layer, as for a scalar c, there is one term per
+pattern and one gather of the terms onto the nodes; with several, one
+term per node.  The log-gamma values come from count-indexed tables,
+evaluated once per distinct (alpha, count) that a block's terms read.
 
 A contrast's log-beta terms keep one form, lg(a + x) + lg(a + y) -
 lg(2a + (x + y)), and log B(a, a) is lg(a) + lg(a) - lg(2a).  For an
@@ -37,17 +41,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .polya_tree import TreeForest, alpha_for_layer, check_smoothing
+from .polya_tree import _BLOCK_VALUES, TreeForest, alpha_for_layer, check_smoothing
 from .stats import log_gamma
 
 __all__ = ["log_bayes_factors"]
 
 
 class _Layer(NamedTuple):
-    """The c-independent part of one parent layer's scoring."""
+    """The c-independent part of one parent layer's scoring on a block of variables."""
 
     level: int           # parent layer; its children carry alpha_for_layer(level + 1, c)
-    var: np.ndarray      # (L,) variable of each live node, in (variable, cell) order
+    cols: slice          # the block's variables
+    var: np.ndarray      # (L,) block-local variable of each live node, in (variable, cell) order
     pattern: np.ndarray  # (L,) each live node's count pattern
     single: np.ndarray   # (6, P) c1l, c1r, c0l, c0r, n_left, n_right of each pattern
     double: np.ndarray   # (3, P) c1l + c1r, c0l + c0r, n_left + n_right of each pattern
@@ -60,37 +65,43 @@ def _ranks(key: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _plan_layers(forest: TreeForest):
-    """The forest's scoring layers, one at a time, in layer order."""
+    """The forest's scoring plans, one per (parent layer, block of variables),
+    in layer order and, within a layer, in variable order."""
     k1, k0 = forest.count1, forest.count0
     for level in range(forest.depth):  # parent layers
         lo = 1 << level
-        live = (k1[:, lo:2 * lo] > 0) & (k0[:, lo:2 * lo] > 0)
-        var = np.repeat(np.arange(forest.p), np.count_nonzero(live, axis=1))
-        if var.size == 0:
-            continue
-        left, right = slice(2 * lo, 4 * lo, 2), slice(2 * lo + 1, 4 * lo, 2)
-        # int64, so that the keys below cannot wrap
-        c1l, c1r, c0l, c0r = (k[:, side][live].astype(np.int64)
-                              for k in (k1, k0) for side in (left, right))
-        del live
-        # each group's (left, right) pair packs below (n_g + 1)**2, and the
-        # two pairs into one int64 while the product fits (n up to ~110,000);
-        # past that, the two pair ranks do, below (live nodes)**2 < 2**52
-        base1, base0 = forest.n1 + 1, forest.n0 + 1
-        key1, key0, span = c1l * base1 + c1r, c0l * base0 + c0r, base0 * base0
-        if base1 * base1 * span >= 1 << 63:
-            (_, key1), (span, key0) = _ranks(key1), _ranks(key0)
-        key1 *= span
-        key1 += key0
-        del key0
-        patterns, pattern = _ranks(key1)
-        del key1
-        first = np.empty(patterns, dtype=np.int64)
-        first[pattern] = np.arange(var.size)  # a node of each pattern
-        c1l, c1r, c0l, c0r = c1l[first], c1r[first], c0l[first], c0r[first]
-        n_left, n_right = c1l + c0l, c1r + c0r
-        yield _Layer(level, var, pattern, np.stack((c1l, c1r, c0l, c0r, n_left, n_right)),
-                     np.stack((c1l + c1r, c0l + c0r, n_left + n_right)))
+        step = max(1, _BLOCK_VALUES >> level)  # about _BLOCK_VALUES parent cells a block
+        for start in range(0, forest.p, step):
+            cols = slice(start, min(start + step, forest.p))
+            b1, b0 = k1[cols], k0[cols]
+            live = (b1[:, lo:2 * lo] > 0) & (b0[:, lo:2 * lo] > 0)
+            var = np.repeat(np.arange(b1.shape[0]), np.count_nonzero(live, axis=1))
+            if var.size == 0:
+                continue
+            left, right = slice(2 * lo, 4 * lo, 2), slice(2 * lo + 1, 4 * lo, 2)
+            # int64, so that the keys below cannot wrap
+            c1l, c1r, c0l, c0r = (k[:, side][live].astype(np.int64)
+                                  for k in (b1, b0) for side in (left, right))
+            del live
+            # each group's (left, right) pair packs below (n_g + 1)**2, and the
+            # two pairs into one int64 while the product fits (n up to ~110,000);
+            # past that, the two pair ranks do, below (live nodes)**2 < 2**52
+            base1, base0 = forest.n1 + 1, forest.n0 + 1
+            key1, key0, span = c1l * base1 + c1r, c0l * base0 + c0r, base0 * base0
+            if base1 * base1 * span >= 1 << 63:
+                (_, key1), (span, key0) = _ranks(key1), _ranks(key0)
+            key1 *= span
+            key1 += key0
+            del key0
+            patterns, pattern = _ranks(key1)
+            del key1
+            first = np.empty(patterns, dtype=np.int64)
+            first[pattern] = np.arange(var.size)  # a node of each pattern
+            c1l, c1r, c0l, c0r = c1l[first], c1r[first], c0l[first], c0r[first]
+            n_left, n_right = c1l + c0l, c1r + c0r
+            yield _Layer(level, cols, var, pattern,
+                         np.stack((c1l, c1r, c0l, c0r, n_left, n_right)),
+                         np.stack((c1l + c1r, c0l + c0r, n_left + n_right)))
 
 
 def _log_gamma_table(shift: np.ndarray, row, k: np.ndarray) -> np.ndarray:
@@ -114,27 +125,34 @@ def log_bayes_factors(forest: TreeForest, c) -> np.ndarray:
     or (k, p) stack of k such settings, giving a (k, p) result whose row r
     is the ln BF at c[r]; each value lies in (0, C_MAX] (`check_smoothing`).
     Terms are summed per variable in (variable, cell) order.  The forest is
-    planned one layer at a time, and every row is scored from that layer's
-    plan, so only one layer's plan is held and each row is the same bits as
-    a call with that row alone.
+    planned one (parent layer, block of variables) at a time, and every row
+    is scored from that block's plan, so only one block's plan is held and
+    each row is the same bits as a call with that row alone.
     """
     c = np.asarray(c, dtype=float)
     p = forest.p
     settings = [check_smoothing(c_r, p) for c_r in (c if c.ndim == 2 else [c])]
     out = np.zeros((len(settings), p))
+    level = None
     for layer in _plan_layers(forest):
-        for r, c_r in enumerate(settings):
-            alphas, row = np.unique(alpha_for_layer(layer.level + 1, c_r), return_inverse=True)
+        if layer.level != level:  # each setting's alphas on the layer, for all its blocks
+            level = layer.level
+            priors = []
+            for c_r in settings:
+                alphas, row = np.unique(alpha_for_layer(level + 1, c_r), return_inverse=True)
+                beta_aa = log_gamma(alphas) + log_gamma(alphas) - log_gamma(2.0 * alphas)
+                priors.append((alphas, row, beta_aa))
+        block = out[:, layer.cols]
+        for r, (alphas, row, beta_aa) in enumerate(priors):
             single, double = layer.single, layer.double
             if alphas.size == 1:  # one term per count pattern
                 at, row = layer.pattern, 0
             else:  # one term per live node
-                at, row = slice(None), row[layer.var]
+                at, row = slice(None), row[layer.cols][layer.var]
                 single, double = (np.take(k, layer.pattern, axis=1) for k in (single, double))
             lg_a = _log_gamma_table(alphas, row, single)
             lg_2a = _log_gamma_table(2.0 * alphas, row, double)
             lb1, lb2, lb3 = lg_a[0::2] + lg_a[1::2] - lg_2a
-            beta_aa = log_gamma(alphas) + log_gamma(alphas) - log_gamma(2.0 * alphas)
             terms = lb1 + lb2 - lb3 - beta_aa[row]
-            out[r] += np.bincount(layer.var, weights=terms[at], minlength=p)
+            block[r] += np.bincount(layer.var, weights=terms[at], minlength=block.shape[1])
     return out if c.ndim == 2 else out[0]

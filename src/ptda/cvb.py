@@ -20,7 +20,7 @@ import numpy as np
 from .bnp_test import log_bayes_factors
 from .dataio import read_json, write_json
 from .errors import ContractViolation, DomainError, InputError
-from .polya_tree import TreeForest, alpha_for_layer, check_smoothing, row_blocks
+from .polya_tree import _BLOCK_VALUES, TreeForest, alpha_for_layer, check_smoothing, row_blocks
 from .stats import expit
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "update_omega",
     "update_psi",
     "leaf_log_path_tables",
+    "leaf_log_odds_table",
     "prior_log_odds",
     "classify",
     "fit_model",
@@ -171,6 +172,26 @@ def leaf_log_path_tables(forest: TreeForest, c) -> tuple[np.ndarray, np.ndarray]
     return tables[0], tables[1]
 
 
+def leaf_log_odds_table(forest: TreeForest, c, rows=None) -> np.ndarray:
+    """(len(rows), 2**depth) group-1 minus group-0 log path probability of
+    every leaf of the variables `rows`, an index array (None: all p); `c` is
+    a scalar or one value per variable of the forest.  Each block of about
+    _BLOCK_VALUES cells runs `leaf_log_path_tables` on its variables alone,
+    so only one block's walk is held beside the table, and every row is the
+    same bits as in one walk over all variables."""
+    c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
+    rows = np.arange(forest.p) if rows is None else np.asarray(rows)
+    table = np.empty((rows.size, 1 << forest.depth))
+    step = max(1, _BLOCK_VALUES >> forest.depth)
+    for start in range(0, rows.size, step):
+        block = rows[start:start + step]
+        part = TreeForest(forest.means[block], forest.sds[block],
+                          forest.count1[block], forest.count0[block])
+        lp1, lp0 = leaf_log_path_tables(part, c[block])
+        np.subtract(lp1, lp0, out=table[start:start + step])
+    return table
+
+
 def log_path_probability_matrix(forest: TreeForest, c, points) -> tuple[np.ndarray, np.ndarray]:
     """(m, p) log path probabilities of each point, per group: its leaves
     gathered from `leaf_log_path_tables`."""
@@ -260,9 +281,8 @@ class FittedModel:
         """(p, 2**depth) group-1 minus group-0 log path probability of every leaf;
         built on first use and kept, so a model must not change once it has scored.
         This is the only place a model's table is built, whether the model
-        came from `fit_model`, `select_c` or `load`."""
-        lp1, lp0 = leaf_log_path_tables(self.forest, self.c)
-        return np.subtract(lp1, lp0, out=lp1)
+        came from `fit_model`, `select_c` or `load` (`leaf_log_odds_table`)."""
+        return leaf_log_odds_table(self.forest, self.c)
 
     def class_log_odds(self, flat: np.ndarray) -> np.ndarray:
         """Clamped group-1 log-odds of points at (m, p) flat leaf indices

@@ -66,9 +66,9 @@ FOREST_BYTES = 1 << 30
 # the largest count an int32 forest holds
 _COUNT_MAX = int(np.iinfo(np.int32).max)
 
-# values per block wherever a matrix is handled in blocks (`row_blocks`,
-# `_locator`, `_count_leaves`, smoothing.column_pvalues): a float64 block
-# takes 0.5 MiB
+# the package's one block size, in values (a float64 block takes 0.5 MiB):
+# `row_blocks`, `_locator`, `_count_leaves`, smoothing.column_pvalues,
+# bnp_test's evidence plans (parent cells) and cvb.leaf_log_odds_table (leaves)
 _BLOCK_VALUES = 1 << 16
 
 

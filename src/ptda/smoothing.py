@@ -15,8 +15,9 @@ scores, and one `log_bayes_factors` call over that forest gives the log
 Bayes factors of every ladder value.  The search runs in two phases over
 the distinct per-variable c vectors: first one omega selection per vector,
 then the resubstitution log-odds of every converged vector together, one
-ladder value's leaf log-odds table at a time.  The winner is returned as
-an ordinary fit, which builds its own table.
+(ladder value, bin) leaf log-odds table at a time, each holding only the
+bin's variables.  The winner is returned as an ordinary fit, which builds
+its own table.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import dataio
 from .bnp_test import log_bayes_factors
-from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, complexity_weight, json_numbers,
-                  leaf_log_path_tables, prior_log_odds, update_omega)
+from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, _checked_names, complexity_weight,
+                  json_numbers, leaf_log_odds_table, prior_log_odds, update_omega)
 from .errors import DomainError, InputError
 from .polya_tree import _BLOCK_VALUES, TreeForest, check_smoothing, training_data
 from .rng import SUBSAMPLE_STREAM, substream
@@ -114,11 +115,11 @@ class SmoothingReport:
             raise InputError(f"smoothing report {path}: v0, v1, expected and bins differ in length")
         if not all(np.all((a >= 0.0) & (a <= 1.0)) for a in (v0, v1, expected, error)):  # NaN fails
             raise InputError(f"smoothing report {path}: p-values and the error must lie in [0, 1]")
-        names = doc.get("names")
-        if not (isinstance(names, list) and len(names) == bins.size
-                and all(isinstance(v, str) for v in names) and len(set(names)) == len(names)):
-            raise InputError(f"smoothing report {path}: names must list the {bins.size} distinct "
-                             f"variable names; rerun select-c to write them")
+        try:
+            names = _checked_names(doc.get("names"), bins.size)
+        except InputError as exc:
+            raise InputError(f"smoothing report {path}: {exc} ({bins.size} of them); rerun "
+                             f"select-c to write them") from exc
         return cls(v0, v1, expected, bins, tuple(chosen_a.tolist()), float(error), names)
 
     def write_csv(self, path):
@@ -234,26 +235,28 @@ def _resubstitution_log_odds(forest: TreeForest, flat: np.ndarray, omega: np.nda
 
     `flat` holds the points' (n, p) flat leaf indices into `forest`, `omega`
     the (K, p) selection probabilities, and vectors[k][i] candidate k's value
-    on the variables columns[i].  Each ladder value's (p, 2**depth) leaf
-    log-odds table is built in turn and dropped before the next; per bin, the
-    points' leaf log-odds on the bin's variables are gathered from it once
-    and multiplied against the omega columns of every candidate that gives
-    the bin that value.
+    on the variables columns[i].  For each ladder value and each bin that
+    some candidate gives that value, the leaf log-odds table of the bin's
+    variables alone (`leaf_log_odds_table`) is built, the points' leaf
+    log-odds are gathered from it once with bin-local flat indices, and
+    multiplied against the omega columns of every such candidate; the table
+    is dropped before the next one is built.
     """
+    width = 1 << forest.depth
     eta = np.zeros((flat.shape[0], len(vectors)))
     # every vector is non-decreasing over the bins (`monotone_tuples`, or a
     # grid tuple that passed `_is_monotone_tuple`), so with the values in
     # ascending order each column still gets its bins added in ascending
     # order: the same sums, bit for bit, as a loop over bins
     for value in sorted(set().union(*vectors)):
-        lp1, lp0 = leaf_log_path_tables(forest, value)
-        table = np.subtract(lp1, lp0, out=lp1)
-        del lp1, lp0
         for i, cols in enumerate(columns):
             ks = [k for k, vector in enumerate(vectors) if vector[i] == value]
             if ks:
-                eta[:, ks] += np.take(table, flat[:, cols]) @ omega[np.ix_(ks, cols)].T
-        del table
+                table = leaf_log_odds_table(forest, value, cols)
+                local = flat[:, cols]  # row i of the table is variable cols[i]
+                local -= ((cols - np.arange(cols.size)) * width).astype(np.int32)
+                eta[:, ks] += np.take(table, local) @ omega[np.ix_(ks, cols)].T
+                del table, local
     return eta
 
 
@@ -279,8 +282,9 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     call, as a (values, 1) column of settings, gathers each vector's
     evidence from that (values, p) result by one (vectors, p) row index,
     and keeps one `update_omega` selection state per vector.  Phase 2
-    scores every converged vector at once, holding one leaf log-odds table
-    at a time (`_resubstitution_log_odds`).  Its summation order differs
+    scores every converged vector at once, holding one table at a time, the
+    leaf log-odds of one bin's variables at one ladder value
+    (`_resubstitution_log_odds`).  Its summation order differs
     from the one matvec per row block that `update_psi` does with the
     winner's omega, so a score may differ from it in the last bits.  The
     candidate with the least error wins, an unconverged one counting as

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from ptda.bnp_test import log_bayes_factors
 from ptda.cvb import FittedModel, fit_model
 from ptda.errors import DomainError, InputError
-from ptda.polya_tree import TreeForest
+from ptda.polya_tree import _BLOCK_VALUES, TreeForest
 
 from adapters import LADDER, STD, path_code, path_map, simulated_forest, tree_from_leaves, tree_of
+from conftest import traced_peak
 from oracles import dense_log_bayes_factor, direct_log_bayes_factors, exact_log_bayes_factor_with_point
 
 
@@ -200,9 +201,12 @@ class TestCountTables:
     pattern) of a layer's plan; the per-node `log_beta` evaluation kept
     in the oracles is the reference."""
 
-    @pytest.mark.parametrize("setting", [1, 2])
-    def test_ladder_values_bit_identical(self, setting):
-        forest = simulated_forest(setting)
+    @pytest.mark.parametrize("setting, p", [(1, 40), (2, 40), (2, 1100)],
+                             ids=["1", "2", "three blocks"])
+    def test_ladder_values_bit_identical(self, setting, p):
+        # at p = 1100 and depth 8 the deepest parent layer's plans are three
+        # blocks of 512, 512 and 76 variables
+        forest = simulated_forest(setting, p=p)
         mixed = np.random.default_rng(0).choice(LADDER, size=forest.p)
         for c in LADDER + (mixed,):
             assert np.array_equal(log_bayes_factors(forest, c), direct_log_bayes_factors(forest, c))
@@ -237,7 +241,8 @@ def heavy_tailed_forest(seed, depth, p):
 
 
 class TestEvidencePlan:
-    """Each parent layer is planned once, and every setting is scored from it."""
+    """Each parent layer is planned once, a block of variables at a time, and
+    every setting is scored from each block's plan."""
 
     @given(seed=st.integers(0, 10_000), depth=st.integers(1, 5), p=st.integers(1, 6),
            c=st.one_of(dyadic_c, st.lists(dyadic_c, min_size=6, max_size=6, unique=True)))
@@ -266,6 +271,36 @@ class TestEvidencePlan:
             for row, c in zip(rows, singles):
                 assert np.array_equal(row, log_bayes_factors(forest, c))
                 assert np.array_equal(row, direct_log_bayes_factors(forest, c))
+
+    def test_blocks_of_a_layer_equal_single_calls_bit_for_bit(self):
+        # the deepest parent layer spans three blocks of variables (512, 512
+        # and 76 at depth 8): each stacked row is still its single call, bit
+        # for bit (test_ladder_values_bit_identical checks this forest's
+        # single calls against the direct walk)
+        forest = simulated_forest(2, p=1100)
+        assert forest.depth == 8 and forest.p > 2 * (_BLOCK_VALUES >> 7)
+        mixed = np.random.default_rng(3).choice(LADDER, size=forest.p)
+        stack = np.vstack([np.full(forest.p, 5.0), mixed, np.full(forest.p, 2.5)])
+        for stacked, singles in ((np.array(LADDER)[:, None], LADDER), (stack, list(stack))):
+            rows = log_bayes_factors(forest, stacked)
+            for row, c in zip(rows, singles):
+                assert np.array_equal(row, log_bayes_factors(forest, c))
+
+    @pytest.mark.parametrize("c", ["scalar", "per variable"])
+    def test_one_block_plan_held_at_a_time(self, c):
+        # 3072 variables at depth 8: the deepest parent layer has 393,216
+        # nodes, six blocks of 65,536.  A whole layer's plan and terms took
+        # 42 MiB (scalar c) and 93 MiB (per-variable c) here; one block's
+        # take under 24 MiB on either path
+        rng = np.random.default_rng(9)
+        p, width = 3072, 256
+        leaf1, leaf0 = (rng.multinomial(1000, np.full(width, 1.0 / width), size=p)
+                        for _ in range(2))
+        forest = TreeForest.from_leaves(np.zeros(p), np.ones(p), leaf1, leaf0)
+        del leaf1, leaf0
+        c = 5.0 if c == "scalar" else rng.choice(LADDER, size=p)
+        peak, _ = traced_peak(lambda: log_bayes_factors(forest, c))
+        assert peak < 24 << 20
 
     @pytest.mark.parametrize("leaf1, leaf0", [
         ([20000, 7000, 3, 0, 1, 2500, 0, 9], [1, 15000, 8000, 2, 0, 4000, 1200, 77]),

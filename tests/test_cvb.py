@@ -20,6 +20,7 @@ from ptda.cvb import (
     classify,
     complexity_weight,
     fit_model,
+    leaf_log_odds_table,
     leaf_log_path_tables,
     log_path_probability_matrix,
     prior_log_odds,
@@ -27,7 +28,7 @@ from ptda.cvb import (
     update_psi,
 )
 from ptda.errors import DomainError, InputError
-from ptda.polya_tree import row_blocks
+from ptda.polya_tree import _BLOCK_VALUES, row_blocks
 from ptda.smoothing import expected_pvalue
 
 from adapters import LADDER, simulated_forest, tree_from_leaves
@@ -203,6 +204,32 @@ class TestLeafLogPathTables:
                            rng.uniform(0.2, 100.0, size=forest.p)):
             ours, ref = leaf_log_path_tables(forest, c), direct_leaf_log_path_tables(forest, c)
             assert np.array_equal(ours[0], ref[0]) and np.array_equal(ours[1], ref[1])
+
+
+class TestLeafLogOddsTable:
+    @pytest.mark.parametrize("c, rows", [("scalar", None), ("per variable", None),
+                                         ("per variable", "subset")])
+    def test_blocks_equal_one_walk_bit_for_bit(self, c, rows):
+        # 1100 variables at depth 8 fill five blocks of 256 (the last 76):
+        # the blocked table is the one walk's lp1 - lp0 on every row
+        forest = simulated_forest(2, p=1100)
+        assert forest.depth == 8 and forest.p > 4 * (_BLOCK_VALUES >> 8)
+        rng = np.random.default_rng(4)
+        c = 5.0 if c == "scalar" else rng.choice(LADDER, size=forest.p)
+        rows = None if rows is None else rng.permutation(forest.p)[:700]
+        lp1, lp0 = leaf_log_path_tables(forest, c)
+        expected = lp1 - lp0 if rows is None else (lp1 - lp0)[rows]
+        assert np.array_equal(leaf_log_odds_table(forest, c, rows), expected)
+
+    def test_model_table_build_holds_one_block(self):
+        # a (1000, 1024) table is 7.8 MiB; the walk over all variables held
+        # both groups' tables and a layer's temporaries, about three tables
+        # (25.5 MiB), while the blocked build holds the table and one block's
+        # walk, under twelve float64 blocks of _BLOCK_VALUES (6 MiB)
+        _, _, model = training_model(n=64, p=1000, depth=10)
+        peak, table = traced_peak(lambda: model.leaf_log_odds)
+        assert table.shape == (1000, 1024)
+        assert peak < table.nbytes + 12 * _BLOCK_VALUES * 8
 
 
 class TestUpdatePsi:

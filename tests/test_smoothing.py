@@ -613,21 +613,26 @@ class TestTwoPhaseScores:
 
 class TestPhaseTwoMemory:
     def test_one_leaf_table_alive_at_a_time(self, monkeypatch):
-        # deep trees over few points make the (p, 2**depth) leaf tables the
-        # largest arrays of phase 2, so the memory traced as each ladder
-        # value's table starts to build counts the earlier tables still alive
+        # deep trees over few points make the leaf tables the largest arrays
+        # of phase 2.  Each (ladder value, bin) table holds the bin's
+        # variables only, and the memory traced as each one starts to build
+        # counts the earlier tables still alive
         n, p, depth = 64, 200, 10
         x, y = two_group_data(seed=5, n=n, p=p)
         table_bytes = p * (1 << depth) * 8
-        held = []
-        build = ptda.smoothing.leaf_log_path_tables
+        held, sizes = [], []
+        build = ptda.smoothing.leaf_log_odds_table
 
-        def tracing(forest, c):
+        def tracing(forest, c, rows=None):
             held.append(tracemalloc.get_traced_memory()[0])
-            return build(forest, c)
+            table = build(forest, c, rows)
+            sizes.append(table.nbytes)
+            return table
 
-        monkeypatch.setattr(ptda.smoothing, "leaf_log_path_tables", tracing)
-        _, (_, model) = traced_peak(lambda: select_c(x, y, depth=depth))
-        assert len(held) == len(DEFAULT_LADDER)
-        assert max(held) - held[0] < table_bytes / 2
+        monkeypatch.setattr(ptda.smoothing, "leaf_log_odds_table", tracing)
+        _, (report, model) = traced_peak(lambda: select_c(x, y, depth=depth))
+        # every (value, bin) pair is some monotone tuple's, and each is built once
+        assert len(held) == len(DEFAULT_LADDER) * len(np.unique(report.bins)) == 20
+        assert max(sizes) < table_bytes / 3  # a quartile bin's variables
+        assert max(held) - held[0] < min(sizes) / 2
         assert "leaf_log_odds" not in vars(model)  # the model builds its own table on first use

@@ -1,7 +1,8 @@
 """The benchmark's layer tracer, its calls into the package and the package's
 exports must name things that exist, the package must define no function
 that only tests reach, and the oracles and the test adapters may import
-from the package only names that are not the kernels they check."""
+from the package only names that are not the kernels they check.  Blocked
+loops take their one block size from `polya_tree`."""
 
 import ast
 import importlib
@@ -212,3 +213,20 @@ def test_only_the_reader_and_writers_open_files():
              if (target := ast.unparse(call.func)) == "open" or target.endswith(".open")}
     assert opens == {"dataio.load_csv", "dataio.read_json", "dataio.write_csv",
                      "dataio.write_json"}
+
+
+def _module_names(path):
+    """Names a module assigns at its top level."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        yield from (name.id for target in targets for name in ast.walk(target)
+                    if isinstance(name, ast.Name))
+
+
+def test_one_block_size():
+    # every blocked loop sizes its blocks from polya_tree._BLOCK_VALUES, so
+    # the working set of each stage moves with one constant
+    own = sorted(f"{path.stem}.{name}" for path in SRC.glob("*.py") for name in _module_names(path)
+                 if any(word in name.upper() for word in ("BLOCK", "CHUNK", "BATCH")))
+    assert own == ["polya_tree._BLOCK_VALUES"]
