@@ -9,22 +9,20 @@ zero total count, or with observations from a single group, contributes
 exactly zero, which is what makes the truncated sum equal the infinite one.
 
 The counts never depend on the smoothing parameters c; only each layer's
-alpha does.  `log_bayes_factors` therefore plans each parent layer once,
-a block of max(1, _BLOCK_VALUES >> level) variables at a time (about
-_BLOCK_VALUES parent cells, the `polya_tree` block size), and scores every
-row of a stack of c settings from a block's plan before it builds the
-next.  A plan gathers the block's live nodes' variables and their four
-child counts (c1l, c1r, c0l, c0r), deduplicated into count patterns.  A
-pattern's key packs each group's (left, right) pair below (n_g + 1)**2
-and the two pairs into one int64; when that product would overflow (n
-above about 110,000), it packs the two pairs' ranks instead, below (live
-nodes)**2 < 2**52, so any n is keyed exactly.  A row's block terms are
-added into the block's variables with one `bincount` in (variable, cell)
-order; each variable's live nodes keep their cell order and its layers
-are added in layer order, so the sums do not depend on the block size.
-With one alpha on the layer, as for a scalar c, there is one term per
-pattern and one gather of the terms onto the nodes; with several, one
-term per node.  The log-gamma values come from count-indexed tables,
+alpha does.  A c setting is a set of value groups: a scalar, or each row
+of a (k, 1) column of scalars, is one group; a length-p vector has one
+per distinct value (at most four for the paper's per-bin c).
+`log_bayes_factors` plans each parent layer once, a block of
+max(1, _BLOCK_VALUES >> level) variables (about _BLOCK_VALUES parent
+cells) at a time, and scores every row of c from a block's plan: one term
+per (value group, count pattern) of the block's live nodes.  One int64 key
+packs a node's group and its four child counts (c1l, c1r, c0l, c0r), each
+group's (left, right) pair below (n_g + 1)**2; where that would overflow
+(n above about 110,000 for one group), it packs the group and the two
+pairs' ranks, so any n is keyed exactly.  A row's terms are added into
+the block's variables with one `bincount` in (variable, cell) order, layer
+after layer, so the sums depend neither on the block size nor on other
+variables' values.  The log-gamma values come from count-indexed tables,
 evaluated once per distinct (alpha, count) that a block's terms read.
 
 A contrast's log-beta terms keep one form, lg(a + x) + lg(a + y) -
@@ -41,6 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InputError
 from .polya_tree import _BLOCK_VALUES, TreeForest, alpha_for_layer, check_smoothing
 from .stats import log_gamma
 
@@ -53,7 +52,8 @@ class _Layer(NamedTuple):
     level: int           # parent layer; its children carry alpha_for_layer(level + 1, c)
     cols: slice          # the block's variables
     var: np.ndarray      # (L,) block-local variable of each live node, in (variable, cell) order
-    pattern: np.ndarray  # (L,) each live node's count pattern
+    pattern: np.ndarray  # (L,) each live node's (value group, count) pattern
+    group: np.ndarray    # (P,) value group of each pattern, (1,) if there is one
     single: np.ndarray   # (6, P) c1l, c1r, c0l, c0r, n_left, n_right of each pattern
     double: np.ndarray   # (3, P) c1l + c1r, c0l + c0r, n_left + n_right of each pattern
 
@@ -64,9 +64,10 @@ def _ranks(key: np.ndarray) -> tuple[int, np.ndarray]:
     return values.size, rank
 
 
-def _plan_layers(forest: TreeForest):
+def _plan_layers(forest: TreeForest, group: np.ndarray, groups: int):
     """The forest's scoring plans, one per (parent layer, block of variables),
-    in layer order and, within a layer, in variable order."""
+    in layer order and, within a layer, in variable order; `group` holds each
+    variable's value group, one of `groups`."""
     k1, k0 = forest.count1, forest.count0
     for level in range(forest.depth):  # parent layers
         lo = 1 << level
@@ -83,14 +84,16 @@ def _plan_layers(forest: TreeForest):
             c1l, c1r, c0l, c0r = (k[:, side][live].astype(np.int64)
                                   for k in (b1, b0) for side in (left, right))
             del live
-            # each group's (left, right) pair packs below (n_g + 1)**2, and the
-            # two pairs into one int64 while the product fits (n up to ~110,000);
-            # past that, the two pair ranks do, below (live nodes)**2 < 2**52
+            # pair ranks are below (live nodes), so the fallback key is below
+            # groups * (live nodes)**2 <= p * 2**depth * (live nodes) < 2**52
             base1, base0 = forest.n1 + 1, forest.n0 + 1
-            key1, key0, span = c1l * base1 + c1r, c0l * base0 + c0r, base0 * base0
-            if base1 * base1 * span >= 1 << 63:
-                (_, key1), (span, key0) = _ranks(key1), _ranks(key0)
-            key1 *= span
+            key1, key0 = c1l * base1 + c1r, c0l * base0 + c0r
+            span1, span0 = base1 * base1, base0 * base0
+            if groups * span1 * span0 >= 1 << 63:
+                (span1, key1), (span0, key0) = _ranks(key1), _ranks(key0)
+            if groups > 1:  # one value group leaves the key as it is
+                key1 += group[cols][var] * span1
+            key1 *= span0
             key1 += key0
             del key0
             patterns, pattern = _ranks(key1)
@@ -99,7 +102,9 @@ def _plan_layers(forest: TreeForest):
             first[pattern] = np.arange(var.size)  # a node of each pattern
             c1l, c1r, c0l, c0r = c1l[first], c1r[first], c0l[first], c0r[first]
             n_left, n_right = c1l + c0l, c1r + c0r
+            # each pattern's value group; one group is broadcast from (1,)
             yield _Layer(level, cols, var, pattern,
+                         group[cols][var[first]] if groups > 1 else group[:1],
                          np.stack((c1l, c1r, c0l, c0r, n_left, n_right)),
                          np.stack((c1l + c1r, c0l + c0r, n_left + n_right)))
 
@@ -122,37 +127,35 @@ def log_bayes_factors(forest: TreeForest, c) -> np.ndarray:
     """Per-variable ln BF of a forest at one or several smoothing settings.
 
     `c` is a scalar or a length-p vector, giving a (p,) result, or a (k, 1)
-    or (k, p) stack of k such settings, giving a (k, p) result whose row r
-    is the ln BF at c[r]; each value lies in (0, C_MAX] (`check_smoothing`).
-    Terms are summed per variable in (variable, cell) order.  The forest is
-    planned one (parent layer, block of variables) at a time, and every row
-    is scored from that block's plan, so only one block's plan is held and
-    each row is the same bits as a call with that row alone.
+    column of k scalars, giving a (k, p) result whose row r is the ln BF at
+    c[r] (another 2-D `c` raises InputError); each value lies in (0, C_MAX]
+    (`check_smoothing`).  Only one block's plan is held, and each row, and
+    each variable of a vector, is the same bits as a call at its value alone.
     """
     c = np.asarray(c, dtype=float)
     p = forest.p
-    settings = [check_smoothing(c_r, p) for c_r in (c if c.ndim == 2 else [c])]
-    out = np.zeros((len(settings), p))
+    if c.ndim == 2:  # one value group per row
+        if c.shape[1] != 1:
+            raise InputError(f"stacked smoothing settings must be a (k, 1) column, got {c.shape}")
+        for value in c:
+            check_smoothing(value, p)
+        values, group = c, np.zeros(p, dtype=np.int64)
+    else:  # one value group per distinct value
+        values, group = np.unique(check_smoothing(c, p), return_inverse=True)
+        values = values[None]
+    out = np.zeros((len(values), p))
     level = None
-    for layer in _plan_layers(forest):
-        if layer.level != level:  # each setting's alphas on the layer, for all its blocks
+    for layer in _plan_layers(forest, group, values.shape[1]):
+        if layer.level != level:  # every row's alphas on the layer, for all its blocks
             level = layer.level
-            priors = []
-            for c_r in settings:
-                alphas, row = np.unique(alpha_for_layer(level + 1, c_r), return_inverse=True)
-                beta_aa = log_gamma(alphas) + log_gamma(alphas) - log_gamma(2.0 * alphas)
-                priors.append((alphas, row, beta_aa))
+            alphas = alpha_for_layer(level + 1, values)
+            beta_aa = log_gamma(alphas) + log_gamma(alphas) - log_gamma(2.0 * alphas)
         block = out[:, layer.cols]
-        for r, (alphas, row, beta_aa) in enumerate(priors):
-            single, double = layer.single, layer.double
-            if alphas.size == 1:  # one term per count pattern
-                at, row = layer.pattern, 0
-            else:  # one term per live node
-                at, row = slice(None), row[layer.cols][layer.var]
-                single, double = (np.take(k, layer.pattern, axis=1) for k in (single, double))
-            lg_a = _log_gamma_table(alphas, row, single)
-            lg_2a = _log_gamma_table(2.0 * alphas, row, double)
+        for r in range(len(values)):  # one term per (value group, count pattern)
+            lg_a = _log_gamma_table(alphas[r], layer.group, layer.single)
+            lg_2a = _log_gamma_table(2.0 * alphas[r], layer.group, layer.double)
             lb1, lb2, lb3 = lg_a[0::2] + lg_a[1::2] - lg_2a
-            terms = lb1 + lb2 - lb3 - beta_aa[row]
-            block[r] += np.bincount(layer.var, weights=terms[at], minlength=block.shape[1])
+            terms = lb1 + lb2 - lb3 - np.take(beta_aa[r], layer.group)
+            block[r] += np.bincount(layer.var, weights=terms[layer.pattern],
+                                    minlength=block.shape[1])
     return out if c.ndim == 2 else out[0]

@@ -118,7 +118,7 @@ def _config_from(args) -> Config:
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
-    if getattr(args, "ladder", None):
+    if getattr(args, "ladder", None) is not None:
         cfg.ladder = tuple(_ladder_value(v) for v in args.ladder.split(","))
     cfg.hyper()  # a_y, b_y and u are checked on every command, NaN refused
     if not cfg.tol > 0:
@@ -195,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data(fit)
     fit.add_argument("--c", type=float, help="single smoothing parameter for every variable")
     fit.add_argument("--c-report", dest="c_report", help="smoothing report JSON from select-c")
-    fit.add_argument("--ladder", help="comma-separated candidate values if selecting c here")
+    fit.add_argument("--ladder", help="comma-separated candidate values if selecting c here "
+                                      "(default 1,5,10,50,100)")
     fit.add_argument("--median-floor", dest="median_floor", type=float,
                      help="drop variables with median <= this")
     fit.add_argument("--variance-floor", dest="variance_floor", type=float,
@@ -297,6 +298,8 @@ def _resolve_c(args, cfg: Config, ds: Dataset) -> FittedModel:
     """The model `fit` saves: at --c, at a --c-report's c, or at a c selected here."""
     if args.c is not None and args.c_report:
         raise InputError("pass either --c or --c-report, not both")
+    if args.ladder is not None and (args.c is not None or args.c_report):
+        raise InputError("--ladder selects c here; pass it without --c or --c-report")
     options = dict(hyper=cfg.hyper(), depth=cfg.depth, tol=cfg.tol, max_iter=cfg.max_iter)
     if args.c is not None:
         return fit_model(ds.matrix, ds.labels, args.c, **options)

@@ -180,11 +180,12 @@ def leaf_log_odds_table(forest: TreeForest, c, rows=None) -> np.ndarray:
     so only one block's walk is held beside the table, and every row is the
     same bits as in one walk over all variables."""
     c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
-    rows = np.arange(forest.p) if rows is None else np.asarray(rows)
-    table = np.empty((rows.size, 1 << forest.depth))
+    size = forest.p if rows is None else len(rows)
+    table = np.empty((size, 1 << forest.depth))
     step = max(1, _BLOCK_VALUES >> forest.depth)
-    for start in range(0, rows.size, step):
-        block = rows[start:start + step]
+    for start in range(0, size, step):
+        # a slice keeps the block's counts, means and sds as views
+        block = slice(start, start + step) if rows is None else rows[start:start + step]
         part = TreeForest(forest.means[block], forest.sds[block],
                           forest.count1[block], forest.count0[block])
         lp1, lp0 = leaf_log_path_tables(part, c[block])

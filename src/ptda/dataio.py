@@ -195,22 +195,13 @@ def split_folds(dataset: Dataset, k: int, seed: int = 0) -> list[tuple[np.ndarra
     if dataset.labels is None:
         raise InputError("fold splitting requires labels")
     rng = substream(seed, FOLD_STREAM)
-    folds: list[list] = [[] for _ in range(k)]
-    for group in (1, 0):
+    fold = np.full(dataset.n, -1)
+    for group in (1, 0):  # a group's permuted members are dealt to folds 0, 1, ..., k - 1, 0, ...
         idx = np.flatnonzero(dataset.labels == group)
         if idx.size < k:
             raise InputError(f"group {group} has {idx.size} member(s), fewer than k={k}")
-        perm = rng.permutation(idx)
-        for f in range(k):
-            folds[f].extend(perm[f::k].tolist())
-    out = []
-    all_idx = np.arange(dataset.n)
-    for f in range(k):
-        test = np.array(sorted(folds[f]), dtype=int)
-        mask = np.ones(dataset.n, dtype=bool)
-        mask[test] = False
-        out.append((all_idx[mask], test))
-    return out
+        fold[rng.permutation(idx)] = np.arange(idx.size) % k
+    return [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
 
 
 @contextmanager

@@ -361,6 +361,5 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     if skipped == len(tuples):
         raise InputError(f"no smoothing candidate's selection converged within max_iter={max_iter} "
                          f"sweeps (tol {tol}); raise max_iter")
-    candidate = tuples[best]
-    model = FittedModel(hyper, states[slot[keys[best]]], forest, np.asarray(candidate)[bins - 1], names)
-    return SmoothingReport(v0, v1, expected, bins, candidate, scores[best], names), model
+    report = SmoothingReport(v0, v1, expected, bins, tuples[best], scores[best], names)
+    return report, FittedModel(hyper, states[slot[keys[best]]], forest, report.c, names)

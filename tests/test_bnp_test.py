@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ptda.bnp_test
 from ptda.bnp_test import log_bayes_factors
 from ptda.cvb import FittedModel, fit_model
 from ptda.errors import DomainError, InputError
@@ -65,7 +66,7 @@ class TestFixtures:
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -1.0,
                                    [1.0, math.nan], [math.inf, 1.0],
-                                   [[1.0], [math.nan]], [[1.0, 1.0], [1.0, math.inf]]],
+                                   [[1.0], [math.nan]], [[1.0], [5.0], [math.inf]]],
                              ids=["nan", "inf", "-inf", "zero", "negative",
                                   "vector-nan", "vector-inf", "column-nan", "stack-inf"])
     @pytest.mark.parametrize("depth", [1, 3])
@@ -86,6 +87,14 @@ class TestFixtures:
         with pytest.raises(DomainError, match=r"\(0, 100\]"):
             log_bayes_factors(forest, c)
         assert np.all(np.isfinite(log_bayes_factors(forest, 100.0)))
+
+    def test_stack_of_vectors_rejected(self):
+        # a stack of settings is a (k, 1) column of scalars; per-variable
+        # vectors are scored one call each
+        rng = np.random.default_rng(3)
+        forest = TreeForest.from_matrix(rng.normal(size=(16, 2)), np.array([1, 0] * 8), 3)
+        with pytest.raises(InputError, match=r"\(k, 1\) column"):
+            log_bayes_factors(forest, [[1.0, 5.0], [5.0, 1.0]])
 
 
 class TestAgainstDenseOracle:
@@ -197,9 +206,10 @@ class TestBatch:
 
 
 class TestCountTables:
-    """The log-gamma values are taken once per distinct (alpha, count
-    pattern) of a layer's plan; the per-node `log_beta` evaluation kept
-    in the oracles is the reference."""
+    """The log-gamma values are taken once per distinct (value group, count)
+    of a layer's plan, a scalar c being one group and a vector one per
+    distinct value; the per-node `log_beta` evaluation kept in the oracles
+    is the reference."""
 
     @pytest.mark.parametrize("setting, p", [(1, 40), (2, 40), (2, 1100)],
                              ids=["1", "2", "three blocks"])
@@ -260,38 +270,45 @@ class TestEvidencePlan:
     @settings(max_examples=60, deadline=None)
     def test_stacked_settings_equal_single_calls_bit_for_bit(self, seed, depth, p, scalars,
                                                              vectors):
-        # a (k, 1) column of scalars and a (k, p) stack of per-variable
-        # vectors and broadcast scalars: row r is the call at row r alone
+        # a (k, 1) column of scalars: row r is the call at row r alone, as a
+        # scalar or a broadcast vector; a per-variable vector, one value group
+        # per distinct value, takes each variable's bits from the column
         forest = heavy_tailed_forest(seed, depth, p)
-        column = np.array(scalars)[:, None]
-        stack = np.array([v[:p] for v in vectors] + [[s] * p for s in scalars])
-        for stacked, singles in ((column, scalars), (stack, list(stack))):
-            rows = log_bayes_factors(forest, stacked)
-            assert rows.shape == (len(singles), p)
-            for row, c in zip(rows, singles):
-                assert np.array_equal(row, log_bayes_factors(forest, c))
-                assert np.array_equal(row, direct_log_bayes_factors(forest, c))
+        values = sorted(set(scalars).union(*(v[:p] for v in vectors)))
+        rows = log_bayes_factors(forest, np.array(values)[:, None])
+        assert rows.shape == (len(values), p)
+        for row, c in zip(rows, values):
+            assert np.array_equal(row, log_bayes_factors(forest, c))
+            assert np.array_equal(row, log_bayes_factors(forest, [c] * p))
+            assert np.array_equal(row, direct_log_bayes_factors(forest, c))
+        for v in vectors:
+            ours = log_bayes_factors(forest, v[:p])
+            assert np.array_equal(ours, rows[[values.index(x) for x in v[:p]], np.arange(p)])
+            assert np.array_equal(ours, direct_log_bayes_factors(forest, v[:p]))
 
     def test_blocks_of_a_layer_equal_single_calls_bit_for_bit(self):
         # the deepest parent layer spans three blocks of variables (512, 512
-        # and 76 at depth 8): each stacked row is still its single call, bit
-        # for bit (test_ladder_values_bit_identical checks this forest's
-        # single calls against the direct walk)
+        # and 76 at depth 8): each row of a column is still its single call,
+        # and a mixed vector each variable's row, bit for bit
+        # (test_ladder_values_bit_identical checks this forest's single calls
+        # against the direct walk)
         forest = simulated_forest(2, p=1100)
         assert forest.depth == 8 and forest.p > 2 * (_BLOCK_VALUES >> 7)
-        mixed = np.random.default_rng(3).choice(LADDER, size=forest.p)
-        stack = np.vstack([np.full(forest.p, 5.0), mixed, np.full(forest.p, 2.5)])
-        for stacked, singles in ((np.array(LADDER)[:, None], LADDER), (stack, list(stack))):
-            rows = log_bayes_factors(forest, stacked)
-            for row, c in zip(rows, singles):
-                assert np.array_equal(row, log_bayes_factors(forest, c))
+        values = LADDER + (2.5,)
+        rows = log_bayes_factors(forest, np.array(values)[:, None])
+        for row, c in zip(rows, values):
+            assert np.array_equal(row, log_bayes_factors(forest, c))
+            assert np.array_equal(row, log_bayes_factors(forest, np.full(forest.p, c)))
+        pick = np.random.default_rng(3).integers(len(values), size=forest.p)
+        mixed = np.array(values)[pick]
+        assert np.array_equal(log_bayes_factors(forest, mixed), rows[pick, np.arange(forest.p)])
 
     @pytest.mark.parametrize("c", ["scalar", "per variable"])
     def test_one_block_plan_held_at_a_time(self, c):
         # 3072 variables at depth 8: the deepest parent layer has 393,216
         # nodes, six blocks of 65,536.  A whole layer's plan and terms took
-        # 42 MiB (scalar c) and 93 MiB (per-variable c) here; one block's
-        # take under 24 MiB on either path
+        # 42 MiB (scalar c) and 93 MiB (per-variable c, then scored per node)
+        # here; one block's take under 24 MiB with one value group or five
         rng = np.random.default_rng(9)
         p, width = 3072, 256
         leaf1, leaf0 = (rng.multinomial(1000, np.full(width, 1.0 / width), size=p)
@@ -302,19 +319,31 @@ class TestEvidencePlan:
         peak, _ = traced_peak(lambda: log_bayes_factors(forest, c))
         assert peak < 24 << 20
 
-    @pytest.mark.parametrize("leaf1, leaf0", [
-        ([20000, 7000, 3, 0, 1, 2500, 0, 9], [1, 15000, 8000, 2, 0, 4000, 1200, 77]),
-        ([40000, 7000, 3, 0, 1, 2500, 0, 9000], [1, 30000, 8000, 2, 0, 4000, 14000, 77]),
-    ], ids=["pair keys", "pair ranks"])
-    def test_counts_past_the_four_count_packing(self, leaf1, leaf0):
+    @pytest.mark.parametrize("leaf1, leaf0, ranked", [
+        ([20000, 7000, 3, 0, 1, 2500, 0, 9], [1, 15000, 8000, 2, 0, 4000, 1200, 77],
+         (False, False, False)),
+        ([40000, 7000, 3, 0, 1, 2500, 0, 9000], [1, 30000, 8000, 2, 0, 4000, 14000, 77],
+         (True, True, True)),
+        ([20000, 7000, 3, 0, 1, 2500, 0, 20496], [1, 15000, 8000, 2, 0, 4000, 1200, 21797],
+         (False, False, True)),
+    ], ids=["pair keys", "pair ranks", "groups past the pair keys"])
+    def test_counts_past_the_four_count_packing(self, monkeypatch, leaf1, leaf0, ranked):
         # n1 + n0 >= 55,109: four counts packed with base n + 1 would
-        # overflow int64.  The plan packs each group's (left, right) pair and
-        # then the two pair keys, or past ~110,000 points the two pair ranks
+        # overflow int64.  The plan packs the value group and each group's
+        # (left, right) pair, then the two pair keys, or past 2**63 the two
+        # pair ranks: at n1 = n0 = 50,000 one value group (c = 1, 2.5) packs
+        # pair keys and two (c = [1, 50]) take the ranks.  The ranks are
+        # taken of the two pairs and then of the key, the key alone otherwise
         forest = TreeForest.from_leaves([0.0, 0.0], [1.0, 1.0], [leaf1, leaf1[::-1]],
                                         [leaf0, leaf0[::-1]])
         assert forest.n1 + forest.n0 >= 55_109
-        for c in (1.0, 2.5, [1.0, 50.0]):
+        calls = []
+        ranks = ptda.bnp_test._ranks
+        monkeypatch.setattr(ptda.bnp_test, "_ranks", lambda key: calls.append(1) or ranks(key))
+        for c, by_rank in zip((1.0, 2.5, [1.0, 50.0]), ranked):
+            calls.clear()
             ours = log_bayes_factors(forest, c)
+            assert len(calls) == forest.depth * (3 if by_rank else 1)
             assert np.array_equal(ours, direct_log_bayes_factors(forest, c))
             cs = np.broadcast_to(c, (2,))
             oracle = [dense_log_bayes_factor(path_map(forest, j), 3, float(cs[j])) for j in range(2)]

@@ -592,19 +592,21 @@ class TestConfig:
         assert stdout == ""
 
     @pytest.mark.parametrize("command", [
-        ["fit", "--c", "1.0"], ["fit"], ["select-c", "--out-csv", "{out}.csv"],
-        ["cv", "--k", "2", "--out-summary", "{out}.json"],
+        ["fit", "--c", "1.0"], ["fit", "--ladder", "1,10"],
+        ["select-c", "--ladder", "1,10", "--out-csv", "{out}.csv"],
+        ["cv", "--ladder", "1,10", "--k", "2", "--out-summary", "{out}.json"],
     ], ids=["fit-at-c", "fit-selecting", "select-c", "cv"])
     def test_complexity_weight_beyond_the_double_range_exits_one(self, tmp_path, capsys,
                                                                  command):
-        # 80**200 overflows a double: a user's --u, refused as input
+        # 80**200 overflows a double: a user's --u, refused as input (fit at
+        # a given c takes no --ladder)
         sim = tmp_path / "sim"
         assert run(["simulate", "--setting", "3", "--seed", "5", "--n-train", "30", "--n-test",
                     "4", "--p", "80", "--n-disc", "4", "--out-dir", str(sim)]) == 0
         out = tmp_path / "out"
         argv = [a.format(out=out) for a in command] + [
             "--data", str(sim / "train.csv"), "--label-column", "y", "--u", "200",
-            "--ladder", "1,10", "--out", str(out)]
+            "--out", str(out)]
         code, stdout, err = run(argv, capsys)
         assert code == 1
         assert "complexity weight" in err
@@ -771,6 +773,31 @@ class TestLadderOption:
         bad = ladder.split(",")[1]
         assert f"--ladder entry {bad!r}" in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["select-c", "fit", "cv"])
+    def test_empty_ladder_exits_one_without_output(self, tmp_path, capsys, command):
+        # an empty flag is read, not taken for an absent one
+        out = simulate_small(tmp_path, seed=2, setting=2)
+        out_path = tmp_path / "out"
+        code, _, err = run([command, "--data", str(out / "train.csv"), "--label-column", "y",
+                            "--ladder", "", "--out", str(out_path)], capsys)
+        assert code == 1
+        assert "--ladder entry '' is not a number" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("given", ["--c", "--c-report"])
+    def test_fit_refuses_ladder_beside_a_given_c(self, tmp_path, capsys, given):
+        # the ladder selects c, so beside a given c it would be ignored
+        out = simulate_small(tmp_path, seed=2, setting=2)
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(valid_report()), encoding="utf-8")
+        model_path = tmp_path / "model.json"
+        code, _, err = run(["fit", "--data", str(out / "train.csv"), "--label-column", "y",
+                            given, "5" if given == "--c" else str(report),
+                            "--ladder", "7000", "--out", str(model_path)], capsys)
+        assert code == 1
+        assert "--ladder" in err
+        assert not model_path.exists()
 
 
 class TestDoubledLabel:

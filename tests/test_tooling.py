@@ -2,20 +2,22 @@
 exports must name things that exist, the package must define no function
 that only tests reach, and the oracles and the test adapters may import
 from the package only names that are not the kernels they check.  Blocked
-loops take their one block size from `polya_tree`."""
+loops take their one block size from `polya_tree`, and a default that
+both the CLI and the library state is stated once."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import ptda
-from ptda import cvb, dataio, evalharness, simgen
+from ptda import cli, cvb, dataio, evalharness, simgen, smoothing
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -230,3 +232,39 @@ def test_one_block_size():
     own = sorted(f"{path.stem}.{name}" for path in SRC.glob("*.py") for name in _module_names(path)
                  if any(word in name.upper() for word in ("BLOCK", "CHUNK", "BATCH")))
     assert own == ["polya_tree._BLOCK_VALUES"]
+
+
+# Config fields whose CLI default differs from the library's on purpose
+DEFAULT_EXEMPT = {"threads": "the CLI runs cross-validation on all cores (0), the library "
+                             "call `cross_validate` on one thread unless asked"}
+
+
+@pytest.mark.parametrize("name", sorted(cli._CONFIG_FLAGS))
+def test_flag_help_states_the_config_default(name):
+    # "(default X)" in a flag's help is what --help tells a user; a numeric X
+    # must be the value that Config gives the flag when it is not passed
+    stated = re.search(r"\(default ([^)]*)\)", cli._CONFIG_FLAGS[name][1]["help"]).group(1)
+    if re.fullmatch(r"[-+0-9.e]+", stated):
+        assert float(stated) == getattr(cli.Config(), name)
+
+
+def test_config_defaults_equal_the_library_defaults():
+    config = cli.Config()
+    hyper = cvb.Hyperparameters()
+    assert (config.u, config.a_y, config.b_y) == (hyper.u, hyper.a_y, hyper.b_y)
+    assert config.ladder == smoothing.DEFAULT_LADDER
+    for fn in (cvb.fit_model, smoothing.select_c, cvb.update_omega, evalharness.cross_validate):
+        parameters = inspect.signature(fn).parameters
+        for name in ("tol", "max_iter", "seed", "depth", "threads"):
+            if name in parameters and name not in DEFAULT_EXEMPT:
+                assert parameters[name].default == getattr(config, name), f"{fn.__name__} {name}"
+
+
+def test_ladder_help_names_the_default_ladder():
+    ladder = ",".join(f"{value:g}" for value in smoothing.DEFAULT_LADDER)
+    commands = next(action for action in cli.build_parser()._actions
+                    if action.dest == "command").choices
+    helps = [action.help for parser in commands.values() for action in parser._actions
+             if action.dest == "ladder"]
+    assert len(helps) == 3
+    assert all(f"(default {ladder})" in text for text in helps)
