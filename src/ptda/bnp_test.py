@@ -2,9 +2,10 @@
 
 Evidence that a variable's two group-conditional distributions differ:
 a sum of log-beta contrasts over tree nodes, truncated at the layer above
-the tree depth.  Each parent layer is a contiguous block of the dense
-heap-layout forest, and its children are the even and odd nodes of the
-next block.  Only nodes that both groups occupy are scored: a node with
+the tree depth.  A parent layer and its child layer are summed from the
+forest's leaf counts a block of variables at a time (`count_layers`), and
+a parent cell's children are the even and odd cells of the child layer.
+Only nodes that both groups occupy are scored: a node with
 zero total count, or with observations from a single group, contributes
 exactly zero, which is what makes the truncated sum equal the infinite one.
 
@@ -35,12 +36,13 @@ two round differently in the last bits.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
-from .polya_tree import _BLOCK_VALUES, TreeForest, alpha_for_layer, check_smoothing
+from .polya_tree import _BLOCK_VALUES, TreeForest, alpha_for_layer, check_smoothing, count_layers
 from .stats import log_gamma
 
 __all__ = ["log_bayes_factors"]
@@ -67,23 +69,24 @@ def _ranks(key: np.ndarray) -> tuple[int, np.ndarray]:
 def _plan_layers(forest: TreeForest, group: np.ndarray, groups: int):
     """The forest's scoring plans, one per (parent layer, block of variables),
     in layer order and, within a layer, in variable order; `group` holds each
-    variable's value group, one of `groups`."""
-    k1, k0 = forest.count1, forest.count0
+    variable's value group, one of `groups`.  A block's plan is made from its
+    child and parent layers of each group's counts, and no other layer."""
     for level in range(forest.depth):  # parent layers
-        lo = 1 << level
         step = max(1, _BLOCK_VALUES >> level)  # about _BLOCK_VALUES parent cells a block
+        skip = forest.depth - level - 1  # the layers below the child layer
         for start in range(0, forest.p, step):
             cols = slice(start, min(start + step, forest.p))
-            b1, b0 = k1[cols], k0[cols]
-            live = (b1[:, lo:2 * lo] > 0) & (b0[:, lo:2 * lo] > 0)
-            var = np.repeat(np.arange(b1.shape[0]), np.count_nonzero(live, axis=1))
+            (child1, parent1), (child0, parent0) = (
+                islice(count_layers(leaves[cols]), skip, skip + 2)
+                for leaves in (forest.leaf1, forest.leaf0))
+            live = (parent1 > 0) & (parent0 > 0)
+            var = np.repeat(np.arange(live.shape[0]), np.count_nonzero(live, axis=1))
             if var.size == 0:
                 continue
-            left, right = slice(2 * lo, 4 * lo, 2), slice(2 * lo + 1, 4 * lo, 2)
             # int64, so that the keys below cannot wrap
-            c1l, c1r, c0l, c0r = (k[:, side][live].astype(np.int64)
-                                  for k in (b1, b0) for side in (left, right))
-            del live
+            c1l, c1r, c0l, c0r = (child[:, side::2][live].astype(np.int64)
+                                  for child in (child1, child0) for side in (0, 1))
+            del live, child1, child0
             # pair ranks are below (live nodes), so the fallback key is below
             # groups * (live nodes)**2 <= p * 2**depth * (live nodes) < 2**52
             base1, base0 = forest.n1 + 1, forest.n0 + 1
@@ -132,14 +135,13 @@ def log_bayes_factors(forest: TreeForest, c) -> np.ndarray:
     (`check_smoothing`).  Only one block's plan is held, and each row, and
     each variable of a vector, is the same bits as a call at its value alone.
     """
-    c = np.asarray(c, dtype=float)
     p = forest.p
-    if c.ndim == 2:  # one value group per row
-        if c.shape[1] != 1:
-            raise InputError(f"stacked smoothing settings must be a (k, 1) column, got {c.shape}")
-        for value in c:
-            check_smoothing(value, p)
-        values, group = c, np.zeros(p, dtype=np.int64)
+    stacked = np.ndim(c) == 2
+    if stacked:  # one value group per row
+        if np.shape(c)[1] != 1:
+            raise InputError(f"stacked smoothing settings must be a (k, 1) column, "
+                             f"got {np.shape(c)}")
+        values, group = check_smoothing(np.ravel(c), len(c))[:, None], np.zeros(p, dtype=np.int64)
     else:  # one value group per distinct value
         values, group = np.unique(check_smoothing(c, p), return_inverse=True)
         values = values[None]
@@ -158,4 +160,4 @@ def log_bayes_factors(forest: TreeForest, c) -> np.ndarray:
             terms = lb1 + lb2 - lb3 - np.take(beta_aa[r], layer.group)
             block[r] += np.bincount(layer.var, weights=terms[layer.pattern],
                                     minlength=block.shape[1])
-    return out if c.ndim == 2 else out[0]
+    return out if stacked else out[0]

@@ -20,7 +20,8 @@ import numpy as np
 from .bnp_test import log_bayes_factors
 from .dataio import read_json, write_json
 from .errors import ContractViolation, DomainError, InputError
-from .polya_tree import _BLOCK_VALUES, TreeForest, alpha_for_layer, check_smoothing, row_blocks
+from .polya_tree import (_BLOCK_VALUES, TreeForest, alpha_for_layer, check_smoothing,
+                         count_layers, row_blocks)
 from .stats import expit
 
 __all__ = [
@@ -148,21 +149,22 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
 def leaf_log_path_tables(forest: TreeForest, c) -> tuple[np.ndarray, np.ndarray]:
     """(p, 2**depth) log path probability of every deepest-layer cell, per group.
 
-    One top-down walk over the heap: each layer adds log(alpha + child
-    count) - log(2 alpha + parent count) to its parent's sum, through the
-    two strided halves of the layer, the left and the right children.  `c`
-    is a scalar or one value per variable.
+    Each group's layers are summed from its leaves (`count_layers`) and
+    walked top-down: each layer adds log(alpha + child count) - log(2 alpha
+    + parent count) to its parent's sum, through the two strided halves of
+    the layer, the left and the right children.  `c` is a scalar or one
+    value per variable (`check_smoothing`).
     """
-    c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
+    c = check_smoothing(c, forest.p)
     tables = []
-    for counts in (forest.count1, forest.count0):
+    for leaves in (forest.leaf1, forest.leaf0):
+        layers = list(count_layers(leaves))[::-1]  # layers[l] is layer l
         lp = np.zeros((forest.p, 1))
         for level in range(1, forest.depth + 1):
             a = alpha_for_layer(level, c)[:, None]
-            lo = 1 << level
-            step = np.add(a, counts[:, lo:2 * lo])
+            step = np.add(a, layers[level])
             np.log(step, out=step)
-            parent = np.add(2.0 * a, counts[:, lo // 2:lo])
+            parent = np.add(2.0 * a, layers[level - 1])
             np.log(parent, out=parent)
             for children in (step[:, 0::2], step[:, 1::2]):
                 children -= parent
@@ -175,11 +177,11 @@ def leaf_log_path_tables(forest: TreeForest, c) -> tuple[np.ndarray, np.ndarray]
 def leaf_log_odds_table(forest: TreeForest, c, rows=None) -> np.ndarray:
     """(len(rows), 2**depth) group-1 minus group-0 log path probability of
     every leaf of the variables `rows`, an index array (None: all p); `c` is
-    a scalar or one value per variable of the forest.  Each block of about
-    _BLOCK_VALUES cells runs `leaf_log_path_tables` on its variables alone,
-    so only one block's walk is held beside the table, and every row is the
-    same bits as in one walk over all variables."""
-    c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
+    a scalar or one value per variable of the forest (`check_smoothing`).
+    Each block of about _BLOCK_VALUES leaves runs `leaf_log_path_tables` on
+    its variables alone, so only one block's layers and walk are held beside
+    the table, and every row is the same bits as in one walk over all."""
+    c = check_smoothing(c, forest.p)
     size = forest.p if rows is None else len(rows)
     table = np.empty((size, 1 << forest.depth))
     step = max(1, _BLOCK_VALUES >> forest.depth)
@@ -187,7 +189,7 @@ def leaf_log_odds_table(forest: TreeForest, c, rows=None) -> np.ndarray:
         # a slice keeps the block's counts, means and sds as views
         block = slice(start, start + step) if rows is None else rows[start:start + step]
         part = TreeForest(forest.means[block], forest.sds[block],
-                          forest.count1[block], forest.count0[block])
+                          forest.leaf1[block], forest.leaf0[block])
         lp1, lp0 = leaf_log_path_tables(part, c[block])
         np.subtract(lp1, lp0, out=table[start:start + step])
     return table
@@ -256,8 +258,8 @@ def _reals(records, key: str) -> np.ndarray:
 class FittedModel:
     """Selection state plus everything prediction needs.
 
-    `forest` holds every variable's tree as dense heap-layout counts and
-    `c` the per-variable smoothing parameters.  The model lives in the
+    `forest` holds every variable's tree as its leaf counts and `c` the
+    per-variable smoothing parameters.  The model lives in the
     units of the matrix it was fitted on: the forest's `means` and `sds`
     arrays are the variables' sample means and sds, the centring Gaussians,
     so new points are passed in those same raw units.
@@ -294,10 +296,9 @@ class FittedModel:
         return np.clip(eta, -ETA_CLAMP, ETA_CLAMP)
 
     def to_json_dict(self) -> dict:
-        forest, width = self.forest, 1 << self.forest.depth
+        forest = self.forest
         columns = (self.names, forest.means.tolist(), forest.sds.tolist(), self.c.tolist(),
-                   self.selection.omega.tolist(), forest.count1[:, width:].tolist(),
-                   forest.count0[:, width:].tolist())
+                   self.selection.omega.tolist(), forest.leaf1.tolist(), forest.leaf0.tolist())
         keys = ("name", "mean", "sd", "c", "omega", "leaf1", "leaf0")
         variables = [dict(zip(keys, values)) for values in zip(*columns)]
         return {
@@ -319,8 +320,8 @@ class FittedModel:
         raw-unit centring "mean" and "sd", "c", "omega", and the
         deepest-layer cell counts "leaf1" and "leaf0" (2**depth integers
         each, so the depth is their length's log2).  Loading checks the
-        counts against n1 and n0 and sums them back up into the internal
-        nodes; format-1 files (path-code count maps) are refused.  The JSON
+        counts against n1 and n0 and keeps them as the forest's leaves;
+        format-1 files (path-code count maps) are refused.  The JSON
         is compact, on one line, and encoded in full before the file is
         opened (`dataio.write_json`); `python -m json.tool` pretty-prints it.
         """

@@ -1,4 +1,4 @@
-"""Dyadic quantile-partition trees centred on Gaussians, stored as one dense forest.
+"""Dyadic quantile-partition trees centred on Gaussians, stored as their leaf counts.
 
 One tree per variable: layer l splits the real line into 2**l half-open
 cells (lower, upper] at the quantiles of the variable's centring Gaussian,
@@ -8,12 +8,12 @@ normal quantiles inv_cdf(k / 2**depth) strictly below z, so a value on a
 boundary belongs to the left cell, and its layer-l cells are the leading
 binary digits of that index.
 
-The p trees of a dataset share one heap layout: each group holds a
-(p, 2**(depth+1)) int32 count array in which node 2**l + k is cell k of
-layer l, the children of node i are 2i and 2i+1, node 1 is the root and
-node 0 is unused.  Every cell is stored, occupied or not, so a point's
-layer-l node is (1 << l) + (leaf >> (depth - l)) for its deepest-layer
-cell `leaf`, and count lookups are plain indexing.
+The p trees of a dataset are stored as one forest: each group holds a
+(p, 2**depth) int32 array of deepest-layer (leaf) counts, every cell
+stored, occupied or not.  Every other count is a sum of leaves: cell k of
+layer l has children 2k and 2k + 1 in layer l + 1, and a point's layer-l
+cell is leaf >> (depth - l).  `count_layers` sums a block of variables'
+layers pairwise, where they are read.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ __all__ = [
     "check_smoothing",
     "alpha_for_layer",
     "leaf_indices",
+    "count_layers",
     "row_blocks",
     "predictive_density",
 ]
@@ -51,17 +52,20 @@ SD_FLOOR = 1e-8
 _log = logging.getLogger(__name__)
 
 MAX_FOREST_CELLS = 1 << 26
-"""Upper bound on p * 2**(depth+1), the nodes of one group's count array.
+"""Upper bound on p * 2**(depth+1), the cells of every layer of one group's trees.
 
-Two int32 arrays of this many nodes take 512 MiB.  `check_depth` charges
-them, and the point locator's table of the depth (`_locator`, kept for the
-process: under 30 * 2**depth bytes, 27 * 2**depth at depth 20), to one
-budget of FOREST_BYTES; a depth beyond either bound raises DomainError
-before anything is allocated.
+A forest keeps the leaves, half of these cells, and sums the layers above
+a block of variables at a time (`count_layers`).  Two int32 arrays of this
+many cells take 512 MiB.  `check_depth` charges them, and the point
+locator's table of the depth (`_locator`, kept for the process: under 30
+* 2**depth bytes, 27 * 2**depth at depth 20), to one budget of
+FOREST_BYTES; a depth beyond either bound raises DomainError before
+anything is allocated.
 """
 
 FOREST_BYTES = 1 << 30
-"""Memory budget of a forest: its two int32 count arrays plus the locator table."""
+"""Memory budget of a forest: every layer of its two groups' int32 counts, of
+which it keeps the leaves, plus the locator table."""
 
 # the largest count an int32 forest holds
 _COUNT_MAX = int(np.iinfo(np.int32).max)
@@ -91,15 +95,16 @@ def default_depth(n: int) -> int:
 
 
 def check_depth(depth, p: int) -> int:
-    """Return `depth` if it is an integer >= 1 whose forest fits MAX_FOREST_CELLS
-    and, with the locator table of the depth, FOREST_BYTES."""
+    """Return `depth` if it is an integer >= 1 whose trees' cells, every layer
+    counted, fit MAX_FOREST_CELLS and, with the locator table of the depth,
+    FOREST_BYTES."""
     if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 1:
         raise DomainError(f"depth must be an integer >= 1, got {depth!r}")
     # p * 2**(depth+1) <= MAX_FOREST_CELLS, without forming 2**depth
     if depth + 1 > (MAX_FOREST_CELLS // max(p, 1)).bit_length() - 1:
         raise DomainError(f"depth {depth} with {p} variables exceeds the forest budget of "
                           f"{MAX_FOREST_CELLS} cells per group")
-    # depth <= 25 here: two int32 arrays of p * 2**(depth+1) nodes, and the locator table
+    # depth <= 25 here: two int32 arrays of p * 2**(depth+1) cells, and the locator table
     needed = (2 * p * 2 * 4 + 30) << depth
     if needed > FOREST_BYTES:
         raise DomainError(f"depth {depth} with {p} variables needs up to {needed} bytes of counts "
@@ -113,8 +118,16 @@ C_MAX = 100.0
 
 def check_smoothing(c, p: int) -> np.ndarray:
     """`c`, a scalar or one value per variable, as a (p,) float array; each
-    value must lie in (0, C_MAX] (DomainError, which a NaN fails too)."""
-    c = np.broadcast_to(np.asarray(c, dtype=float), (p,))
+    value must lie in (0, C_MAX] (DomainError, which a NaN fails too).  A
+    `c` that is not numbers, or not one value or p of them, raises InputError."""
+    try:
+        c = np.asarray(c, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError("smoothing parameters must be numbers") from None
+    if c.ndim > 1 or c.size not in (1, p):
+        raise InputError(f"expected one smoothing parameter or {p}, one per variable, "
+                         f"got shape {c.shape}")
+    c = np.broadcast_to(c, (p,))
     if not np.all((c > 0.0) & (c <= C_MAX)):
         raise DomainError(f"smoothing parameters must be finite and positive, in (0, {C_MAX:g}]")
     return c
@@ -209,59 +222,72 @@ def training_data(matrix, labels) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _sum_layers(heap: np.ndarray) -> np.ndarray:
-    """`heap`, a (p, 2**(depth+1)) int32 count array whose deepest layer
-    heap[:, 2**depth:] holds the leaf counts, with every parent set in place
-    to its children's sum."""
-    lo = heap.shape[1] // 4
-    while lo >= 1:
-        np.add(heap[:, 2 * lo:4 * lo:2], heap[:, 2 * lo + 1:4 * lo:2], out=heap[:, lo:2 * lo])
-        lo //= 2
-    return heap
+def count_layers(leaves: np.ndarray):
+    """Each layer of a block of trees, from the leaves up: yields the
+    (b, 2**depth) array `leaves`, then each layer above it, (b, 2**l) for l
+    = depth - 1 down to 0, each cell the sum of its two children in the
+    layer before.  Only the layer last yielded is held here, so a reader
+    that keeps one layer holds no other."""
+    layer = leaves
+    yield layer
+    while layer.shape[1] > 1:
+        layer = layer[:, 0::2] + layer[:, 1::2]
+        yield layer
 
 
 def _count_leaves(flat: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
-    """(p, 2 * width) int32 heap of the points `rows` (a boolean mask) at
+    """(p, width) int32 leaf counts of the points `rows` (a boolean mask) at
     (n, p) flat leaf indices.  The leaves are counted a block of variables at
     a time, each block's int64 `bincount` about _BLOCK_VALUES cells (one
     variable's `width` cells if that is more), so no (p, width) int64 count
-    array is held beside the heap."""
+    array is held beside the result."""
     p = flat.shape[1]
-    heap = np.zeros((p, 2 * width), dtype=np.int32)
+    leaves = np.empty((p, width), dtype=np.int32)
     step = max(1, _BLOCK_VALUES // width)
     for start in range(0, p, step):
         block = flat[rows, start:start + step]  # a copy: rows is a mask
         block -= start * width  # the block's first variable counts from 0
-        heap[start:start + step, width:] = np.bincount(
+        leaves[start:start + step] = np.bincount(
             block.ravel(), minlength=block.shape[1] * width).reshape(-1, width)
-    return _sum_layers(heap)
+    return leaves
+
+
+def _standardized(x, means, sds) -> np.ndarray:
+    """(x - means) / sds, in one buffer.  A value past the double range there
+    is the infinity of its sign, which `leaf_indices` puts in the outer cell
+    and the centring density maps to 0; that overflow is not warned about."""
+    with np.errstate(over="ignore"):
+        z = np.subtract(x, means)
+        z /= sds
+    return z
 
 
 class TreeForest:
-    """All p trees of a dataset as two dense heap-layout count arrays.
+    """All p trees of a dataset as the leaf counts of each group.
 
-    `count1` / `count0` are (p, 2**(depth+1)) int32 arrays, one per group,
-    laid out as described in the module docstring.  Counts are independent
-    of the smoothing parameters, so one forest serves every candidate c.
-    A single variable is a forest with p = 1.  Each tree's centring
-    Gaussian is its entry of the (p,) float arrays `means` and `sds`: they
-    locate points, and a model file stores them.
+    `leaf1` / `leaf0` are (p, 2**depth) int32 arrays, one per group, of
+    deepest-layer counts; the layers above are sums of them, derived where
+    they are read (`count_layers`).  Counts are independent of the smoothing
+    parameters, so one forest serves every candidate c.  A single variable
+    is a forest with p = 1.  Each tree's centring Gaussian is its entry of
+    the (p,) float arrays `means` and `sds`: they locate points, and a model
+    file stores them.
     """
 
-    def __init__(self, means: np.ndarray, sds: np.ndarray, count1: np.ndarray, count0: np.ndarray):
+    def __init__(self, means: np.ndarray, sds: np.ndarray, leaf1: np.ndarray, leaf0: np.ndarray):
         self.means = means
         self.sds = sds
-        self.count1 = count1
-        self.count0 = count0
-        self.p = count1.shape[0]
-        self.depth = count1.shape[1].bit_length() - 2
-        self.n1 = int(count1[0, 1])
-        self.n0 = int(count0[0, 1])
+        self.leaf1 = leaf1
+        self.leaf0 = leaf0
+        self.p = leaf1.shape[0]
+        self.depth = leaf1.shape[1].bit_length() - 1
+        self.n1 = int(leaf1[0].sum())
+        self.n0 = int(leaf0[0].sum())
 
     @classmethod
     def from_leaves(cls, means, sds, leaf1, leaf0) -> "TreeForest":
         """Forest from per-variable centring means and sds, each (p,), and the
-        (p, 2**depth) deepest-layer counts of each group.
+        (p, 2**depth) deepest-layer counts of each group, kept as int32.
 
         A centring needs a finite mean and a finite sd > 0 (DomainError).  A
         variable's counts of a group must sum to at most 2**31 - 1, the
@@ -283,9 +309,7 @@ class TreeForest:
             raise InputError(f"a variable's counts of a group sum past {_COUNT_MAX}, the largest "
                              f"count a forest holds")
         check_depth(depth, p)
-        count1, count0 = (np.zeros((p, 2 * width), dtype=np.int32) for _ in range(2))
-        count1[:, width:], count0[:, width:] = leaf1, leaf0
-        return cls(means, sds, _sum_layers(count1), _sum_layers(count0))
+        return cls(means, sds, leaf1.astype(np.int32), leaf0.astype(np.int32))
 
     @classmethod
     def from_matrix(cls, matrix, labels, depth: int | None = None, *,
@@ -325,10 +349,9 @@ class TreeForest:
         offsets = np.arange(p, dtype=np.int64) * width
         flat = np.empty((n, p), dtype=np.int32) if _flat_out is None else _flat_out
         for rows in row_blocks(n, p):  # no (n, p) float temporary
-            z = np.subtract(x[rows], means)  # standardized in one buffer
-            z /= sds
+            z = _standardized(x[rows], means, sds)
             np.add(leaf_indices(z, depth), offsets, out=flat[rows])
-        del z  # the last block is not held through the heap build
+        del z  # the last block is not held through the leaf counts
         # the centring is finite and the depth checked above
         return cls(means, sds, _count_leaves(flat, y, width), _count_leaves(flat, ~y, width))
 
@@ -340,9 +363,7 @@ class TreeForest:
             raise InputError(f"expected points with {self.p} variables, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise InputError("points must be finite")
-        z = np.subtract(x, self.means)  # standardized in one buffer
-        z /= self.sds
-        return leaf_indices(z, self.depth)
+        return leaf_indices(_standardized(x, self.means, self.sds), self.depth)
 
     @cached_property
     def offsets(self) -> np.ndarray:
@@ -358,7 +379,7 @@ class TreeForest:
     def variable(self, j: int) -> "TreeForest":
         """One-variable forest (a view) of variable j."""
         sl = slice(j, j + 1)
-        return TreeForest(self.means[sl], self.sds[sl], self.count1[sl], self.count0[sl])
+        return TreeForest(self.means[sl], self.sds[sl], self.leaf1[sl], self.leaf0[sl])
 
 
 def predictive_density(points, tree: TreeForest, c) -> tuple[np.ndarray, np.ndarray]:
@@ -376,11 +397,12 @@ def predictive_density(points, tree: TreeForest, c) -> tuple[np.ndarray, np.ndar
     x = np.asarray(points, dtype=float).ravel()
     leaf = tree.leaves(x[:, None])[:, 0]
     sd = tree.sds[0]
-    value = normal_pdf((x - tree.means[0]) / sd) / sd
-    counts = np.concatenate((tree.count1, tree.count0))  # (2, nodes): group 1, group 0
-    parent = counts[:, 1:2]
+    value = normal_pdf(_standardized(x, tree.means[0], sd)) / sd
+    # layers[l] is layer l, (2, 2**l): group 1, group 0
+    layers = list(count_layers(np.concatenate((tree.leaf1, tree.leaf0))))[::-1]
+    parent = layers[0]
     for level in range(1, tree.depth + 1):
-        child = counts[:, (1 << level) + (leaf >> (tree.depth - level))]
+        child = layers[level][:, leaf >> (tree.depth - level)]
         a = alpha_for_layer(level, c)
         value = value * (2.0 * (a + child) / (2.0 * a + parent))
         parent = child

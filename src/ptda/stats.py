@@ -78,9 +78,11 @@ def normal_cdf(z) -> np.ndarray:
 
 
 def normal_pdf(z) -> np.ndarray:
-    """Standard normal density at each value of an array-like."""
+    """Standard normal density at each value of an array-like; 0 where z * z
+    passes the double range, without an overflow warning."""
     z = np.asarray(z, dtype=float)
-    return np.exp(-0.5 * z * z) / _SQRT_2PI
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
 def expit(z: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from ptda.polya_tree import SD_FLOOR, TreeForest
 from ptda.simgen import SimulationSpec, generate
 
-from oracles import quantile_boundaries
+from oracles import node_counts, quantile_boundaries
 
 STD = (0.0, 1.0)
 LADDER = (1.0, 5.0, 10.0, 50.0, 100.0)
@@ -65,10 +65,11 @@ def path_code(tree: TreeForest, x: float) -> str:
 def path_map(forest: TreeForest, j: int = 0) -> dict:
     """Occupied nodes of variable j as {path code: (n1, n0)}, root included."""
     out = {}
+    k1, k0 = node_counts(forest.leaf1[j:j + 1])[0], node_counts(forest.leaf0[j:j + 1])[0]
     for level in range(forest.depth + 1):
         for k in range(1 << level):
             node = (1 << level) + k
-            c1, c0 = int(forest.count1[j, node]), int(forest.count0[j, node])
+            c1, c0 = int(k1[node]), int(k0[node])
             if level == 0 or c1 + c0 > 0:
                 out[format(k, f"0{level}b") if level else ""] = (c1, c0)
     return out

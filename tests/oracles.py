@@ -13,7 +13,9 @@ calls expit and min/max.  Two more
 keep the direct forms of the forest kernels: the log-Bayes-factor layer
 walk calling `log_beta` on every live node, which now gathers from
 count-indexed tables, and the leaf log-path walk repeating each parent,
-which now broadcasts it by reshape.  The predictive density is walked
+which now broadcasts it by reshape.  Both read every layer's counts from
+`node_counts`, which sums each cell's leaves directly, apart from the
+package's pairwise sums.  The predictive density is walked
 one point and one group at a time, as the package did before it walked
 an array of points.  The Shapiro-Wilk and
 Kolmogorov-Smirnov references score one sample at a time, the way the
@@ -111,10 +113,23 @@ def exact_log_bayes_factor_with_point(counts_map: dict, depth: int, c: float,
     return total
 
 
+def node_counts(leaves) -> np.ndarray:
+    """(p, 2**(depth+1)) int64 counts of every node of a (p, 2**depth) leaf
+    count array in heap order: node 2**l + k is cell k of layer l, the sum
+    of its 2**(depth - l) leaves, node 1 the root and node 0 unused."""
+    leaves = np.asarray(leaves, dtype=np.int64)
+    p, width = leaves.shape
+    heap = np.zeros((p, 2 * width), dtype=np.int64)
+    for level in range(width.bit_length()):
+        cells = 1 << level
+        heap[:, cells:2 * cells] = leaves.reshape(p, cells, width // cells).sum(axis=2)
+    return heap
+
+
 def direct_log_bayes_factors(forest, c) -> np.ndarray:
     """Per-variable ln BF with `log_beta` evaluated on every live node's counts."""
     c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
-    k1, k0 = forest.count1, forest.count0
+    k1, k0 = node_counts(forest.leaf1), node_counts(forest.leaf0)
     out = np.zeros(forest.p)
     for level in range(forest.depth):
         lo = 1 << level
@@ -137,7 +152,7 @@ def direct_leaf_log_path_tables(forest, c) -> tuple[np.ndarray, np.ndarray]:
     and the parent sums repeated over their children."""
     c = np.broadcast_to(np.asarray(c, dtype=float), (forest.p,))
     tables = []
-    for counts in (forest.count1, forest.count0):
+    for counts in (node_counts(forest.leaf1), node_counts(forest.leaf0)):
         lp = np.zeros((forest.p, 1))
         for level in range(1, forest.depth + 1):
             a = alpha_for_layer(level, c)[:, None]
@@ -247,7 +262,7 @@ def predictive_density_at(x: float, tree, c: float, group: int) -> float:
     at a time, with the centring density from `math.exp`.  The point's leaf
     comes from the forest's own `leaves`, which
     test_polya_tree.TestLeafIndicesAgainstBinaryExpansion checks."""
-    counts = (tree.count1 if group == 1 else tree.count0)[0]
+    counts = node_counts(tree.leaf1 if group == 1 else tree.leaf0)[0]
     leaf = int(tree.leaves([[x]])[0, 0])
     mean, sd = float(tree.means[0]), float(tree.sds[0])
     z = (x - mean) / sd

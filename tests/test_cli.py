@@ -449,6 +449,25 @@ class TestDensity:
         assert "finite" in err
         assert not grid_path.exists()
 
+    def test_far_finite_grid_gives_zero_density_without_warning(self, tmp_path, capsys):
+        # at 1e308 and beyond, (x - mean) / sd and its square pass the double
+        # range: the point is in the outer cell and its density is 0.0; with
+        # warnings as errors an overflow warning would exit 2
+        out = tmp_path / "sim"
+        assert run(["simulate", "--setting", "2", "--seed", "7", "--n-train", "40",
+                    "--n-test", "10", "--p", "4", "--n-disc", "2", "--out-dir", str(out)]) == 0
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--data", str(out / "train.csv"), "--label-column", "y",
+                    "--c", "1.0", "--out", str(model_path)]) == 0
+        grid_path = tmp_path / "d.csv"
+        code, _, err = run(["density", "--model", str(model_path), "--variable", "V1",
+                            "--x-min", "1e308", "--x-max", "1.7e308", "--grid-points", "3",
+                            "--out", str(grid_path)], capsys)
+        assert code == 0 and "Warning" not in err
+        rows = [line.split(",") for line in grid_path.read_text().strip().splitlines()[1:]]
+        assert [float(row[0]) for row in rows] == [1e308, 1.35e308, 1.7e308]
+        assert [float(v) for row in rows for v in row[1:]] == [0.0] * 6
+
 
 class TestCv:
     def test_fold_metrics_csv(self, tmp_path, capsys):

@@ -27,13 +27,15 @@ from ptda.cvb import (
     update_omega,
     update_psi,
 )
+from ptda.bnp_test import log_bayes_factors
 from ptda.errors import DomainError, InputError
 from ptda.polya_tree import _BLOCK_VALUES, row_blocks
-from ptda.smoothing import expected_pvalue
+from ptda.simgen import SimulationSpec, generate
+from ptda.smoothing import expected_pvalue, select_c
 
 from adapters import LADDER, simulated_forest, tree_from_leaves
 from conftest import traced_peak
-from oracles import direct_leaf_log_path_tables, jacobi_omega, sweep_omega
+from oracles import direct_leaf_log_path_tables, jacobi_omega, node_counts, sweep_omega
 
 
 def training_model(seed=0, n=40, p=6, c=1.0, shift=1.5, **kwargs):
@@ -182,7 +184,7 @@ class TestPathProbability:
                 # the product form of the path probability, layer by layer
                 leaf = int(tree.leaves([[new[r, j]]])[0, 0])
                 for group, lp in ((1, lp1), (0, lp0)):
-                    counts = (tree.count1 if group == 1 else tree.count0)[0]
+                    counts = node_counts(tree.leaf1 if group == 1 else tree.leaf0)[0]
                     prob, parent = 1.0, counts[1]
                     for level in range(1, tree.depth + 1):
                         child = counts[(1 << level) + (leaf >> (tree.depth - level))]
@@ -325,6 +327,17 @@ class TestUpdatePsi:
         peak, _ = traced_peak(lambda: update_psi(model, points))
         assert peak < m * p * 8 / 4
 
+    def test_far_finite_point_goes_to_the_outer_cell_without_warning(self):
+        # with sds near 0.1, (x - mean) / sd at 1e308 passes the double range:
+        # z is +-inf, in the outer cell, where a point at 1e3 also is
+        rng = np.random.default_rng(6)
+        model = fit_model(rng.normal(scale=0.1, size=(40, 3)), np.arange(40) % 2, 1.0)
+        far = np.array([[1e308, -1e308, 1.7e308]])
+        top = (1 << model.forest.depth) - 1
+        assert model.forest.leaves(far).tolist() == [[top, 0, top]]
+        near = np.array([[1e3, -1e3, 1e3]])
+        assert np.array_equal(update_psi(model, far).psi, update_psi(model, near).psi)
+
     def test_unconverged_model_refused(self):
         # max_iter is the caller's to choose, so its outcome is an input error
         x, _, model = training_model(max_iter=1, tol=1e-30)
@@ -375,7 +388,38 @@ class TestClassify:
             classify(ClassProbabilities(np.array([0.5])), threshold=1.0)
 
 
+class TestSmoothingShape:
+    @pytest.mark.parametrize("c, message", [
+        ([1.0, 2.0], "or 3, one per variable"), (np.ones((1, 1, 3)), "or 3, one per variable"),
+        ("a", "must be numbers"), ([1.0, "a", 2.0], "must be numbers"),
+    ], ids=["wrong length", "3-D", "string", "a string among numbers"])
+    def test_fit_evidence_and_leaf_table_raise_input_error(self, c, message):
+        # a c that is not one number or p of them is refused as input, naming p
+        x, y, model = training_model(p=3)
+        for call in (lambda: fit_model(x, y, c), lambda: log_bayes_factors(model.forest, c),
+                     lambda: leaf_log_odds_table(model.forest, c)):
+            with pytest.raises(InputError, match=message):
+                call()
+
+
 class TestFittedModel:
+    def test_models_hold_only_the_leaf_counts(self, tmp_path):
+        # a fitted, a selected and a loaded model each keep their counts as
+        # the two (p, 2**depth) int32 leaf arrays, also once they have scored:
+        # the layers above the leaves are summed where they are read
+        train, test, _ = generate(SimulationSpec(3, 50, 10, 20, 4, 5))
+        fitted = fit_model(train.matrix, train.labels, 5.0)
+        _, selected = select_c(train.matrix, train.labels, grid=(1.0, 5.0), seed=5)
+        fitted.save(tmp_path / "model.json")
+        loaded = FittedModel.load(tmp_path / "model.json")
+        for model in (fitted, selected, loaded):
+            update_psi(model, test.matrix)
+            forest = model.forest
+            counts = [v for v in vars(forest).values()
+                      if isinstance(v, np.ndarray) and v.dtype == np.int32]
+            assert sum(v.size for v in counts) == 2 * forest.p << forest.depth
+            assert [v.shape for v in counts] == [(forest.p, 1 << forest.depth)] * 2
+
     def test_json_round_trip_preserves_reals(self, tmp_path):
         x, y, model = training_model(seed=8, n=30, p=4, c=2.5)
         path = tmp_path / "model.json"
@@ -385,8 +429,8 @@ class TestFittedModel:
         # json round-trips repr floats exactly
         doc = json.loads(path.read_text())
         assert doc["variables"][0]["omega"] == model.omega[0]
-        assert np.array_equal(loaded.forest.count1, model.forest.count1)
-        assert np.array_equal(loaded.forest.count0, model.forest.count0)
+        assert np.array_equal(loaded.forest.leaf1, model.forest.leaf1)
+        assert np.array_equal(loaded.forest.leaf0, model.forest.leaf0)
         assert np.array_equal(loaded.c, model.c)
 
     def test_loaded_model_predicts_identically(self, tmp_path):

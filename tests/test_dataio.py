@@ -249,8 +249,8 @@ class TestAffineInvariance:
         c = [1.0, 5.0, 10.0, 50.0, 100.0, 1.0, 5.0, 10.0]
         raw = fit_model(train.matrix, train.labels, c)
         mapped = fit_model(a * train.matrix + b, train.labels, c)
-        assert np.array_equal(raw.forest.count1, mapped.forest.count1)
-        assert np.array_equal(raw.forest.count0, mapped.forest.count0)
+        assert np.array_equal(raw.forest.leaf1, mapped.forest.leaf1)
+        assert np.array_equal(raw.forest.leaf0, mapped.forest.leaf0)
         assert np.array_equal(raw.omega, mapped.omega)
         assert np.array_equal(update_psi(raw, test.matrix).psi,
                               update_psi(mapped, a * test.matrix + b).psi)
@@ -355,8 +355,8 @@ class TestJsonWriter:
         loaded = FittedModel.load(path)
         for got, want in ((loaded.omega, model.omega), (loaded.forest.means, model.forest.means),
                           (loaded.forest.sds, model.forest.sds), (loaded.c, model.c),
-                          (loaded.forest.count1, model.forest.count1),
-                          (loaded.forest.count0, model.forest.count0),
+                          (loaded.forest.leaf1, model.forest.leaf1),
+                          (loaded.forest.leaf0, model.forest.leaf0),
                           (update_psi(loaded, points).psi, update_psi(model, points).psi)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()

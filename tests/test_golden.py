@@ -202,7 +202,7 @@ class TestOneFitPerRep:
         assert np.array_equal(log_bayes_factors(model.forest, model.c),
                               log_bayes_factors(refit.forest, refit.c))
         assert np.array_equal(model.omega, refit.omega)
-        assert np.array_equal(model.forest.count1, refit.forest.count1)
-        assert np.array_equal(model.forest.count0, refit.forest.count0)
+        assert np.array_equal(model.forest.leaf1, refit.forest.leaf1)
+        assert np.array_equal(model.forest.leaf0, refit.forest.leaf0)
         assert model.selection.iteration == refit.selection.iteration
         assert model.selection.converged and refit.selection.converged

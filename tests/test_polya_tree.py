@@ -20,6 +20,7 @@ from ptda.polya_tree import (
     _locator,
     alpha_for_layer,
     check_depth,
+    count_layers,
     default_depth,
     leaf_indices,
     predictive_density,
@@ -27,12 +28,14 @@ from ptda.polya_tree import (
 )
 from ptda.stats import normal_pdf
 
-from adapters import STD, path_map, sample_centring, spec_of, tree_from_leaves, tree_of
+from adapters import (STD, path_map, sample_centring, simulated_forest, spec_of,
+                      tree_from_leaves, tree_of)
 from conftest import traced_peak
 from oracles import (
     binary_expansion_leaves,
     cell_bounds,
     integrate_predictive_density,
+    node_counts,
     normal_quantile,
     predictive_density_at,
     quantile_boundaries,
@@ -114,7 +117,7 @@ class TestCentring:
         [record] = caplog.records
         assert record.name == "ptda.polya_tree" and record.levelno == logging.DEBUG
         assert "2 of 3 columns" in record.getMessage()
-        for name in ("means", "sds", "count1", "count0"):
+        for name in ("means", "sds", "leaf1", "leaf0"):
             assert getattr(loud, name).tobytes() == getattr(quiet, name).tobytes()
 
     def test_training_data_refusals(self):
@@ -154,12 +157,40 @@ class TestDefaultDepth:
         assert default_depth(2 ** k - 1) == max(1, k - 1)
 
 
+class TestCountLayers:
+    """Every layer summed from the leaves, against the oracle's direct sum of
+    each cell's leaves."""
+
+    @pytest.mark.parametrize("forest", [
+        lambda: simulated_forest(2, p=12),
+        lambda: TreeForest.from_leaves([0.0, 1.0], [1.0, 2.0], [[3, 1], [0, 4]], [[2, 2], [1, 0]]),
+        lambda: tree_from_leaves([1, 0, 4, 2, 0, 0, 7, 1], [0, 3, 0, 0, 2, 5, 1, 1]),
+        lambda: tree_from_leaves([0] * 8, [5, 0, 1, 0, 0, 2, 7, 1]),
+        lambda: TreeForest.from_leaves(
+            [0.0, 0.0], [1.0, 1.0],
+            [[20000, 7000, 3, 0, 1, 2500, 0, 20496], [20496, 0, 2500, 1, 0, 3, 7000, 20000]],
+            [[1, 15000, 8000, 2, 0, 4000, 1200, 21797], [21797, 1200, 4000, 0, 2, 8000, 15000, 1]]),
+    ], ids=["simulated", "depth 1", "one variable", "empty group", "n1 = n0 = 50,000"])
+    def test_every_layer_equals_the_node_sums(self, forest):
+        forest = forest()
+        for leaves in (forest.leaf1, forest.leaf0):
+            heap = node_counts(leaves)
+            for cols in (slice(None), slice(forest.p - 1, None)):  # all variables, a block
+                layers = list(count_layers(leaves[cols]))
+                assert len(layers) == forest.depth + 1
+                for level, layer in zip(range(forest.depth, -1, -1), layers):
+                    assert layer.dtype == np.int32
+                    assert np.array_equal(layer, heap[cols, 1 << level:2 << level])
+        assert (forest.n1, forest.n0) == (node_counts(forest.leaf1)[0, 1],
+                                          node_counts(forest.leaf0)[0, 1])
+
+
 class TestDepthValidation:
     def test_none_means_default(self):
         x = np.random.default_rng(1).normal(size=(100, 2))
         forest = TreeForest.from_matrix(x, np.array([1, 0] * 50), None)
         assert forest.depth == default_depth(100) == 6
-        assert forest.count1.shape == (2, 2 ** 7)
+        assert forest.leaf1.shape == (2, 2 ** 6)
 
     @pytest.mark.parametrize("depth", [0, -1, 2.0, None])
     def test_non_positive_or_non_integer_rejected(self, depth):
@@ -297,11 +328,13 @@ class TestAccumulateCounts:
         col = rng.normal(size=n)
         labels = rng.integers(0, 2, size=n)
         tree = tree_of(col, labels, depth)
-        for counts in (tree.count1[0], tree.count0[0]):
-            # every parent node i holds the sum of its children 2i and 2i + 1
-            parents = np.arange(1, 2 ** depth)
-            assert np.array_equal(counts[parents], counts[2 * parents] + counts[2 * parents + 1])
-            assert np.all(counts >= 0)
+        for leaves in (tree.leaf1, tree.leaf0):
+            # every cell of a layer holds the sum of its children 2k and
+            # 2k + 1 in the layer below, and the root the group's size
+            layers = list(count_layers(leaves))[::-1]
+            for parent, child in zip(layers, layers[1:]):
+                assert np.array_equal(parent[0], child[0, 0::2] + child[0, 1::2])
+            assert np.all(leaves >= 0)
         assert (tree.n1, tree.n0) == (int(labels.sum()), int(n - labels.sum()))
 
     def test_affine_equivariance_of_paths(self):
@@ -322,8 +355,8 @@ class TestAccumulateCounts:
                   for i in (0, 1)]  # (group 1, group 0)
         back = tree_from_leaves(leaves[0], leaves[1], (tree.means[0], tree.sds[0]))
         assert path_map(back) == path_map(tree)
-        assert np.array_equal(back.count1, tree.count1)
-        assert np.array_equal(back.count0, tree.count0)
+        assert np.array_equal(back.leaf1, tree.leaf1)
+        assert np.array_equal(back.leaf0, tree.leaf0)
 
 
 class TestPredictiveDensity:
@@ -414,9 +447,9 @@ class TestTreeForest:
         for j in range(3):
             k = leaf_indices((x[:, j] - forest.means[j]) / forest.sds[j], 3)
             assert np.array_equal(leaves[:, j], k)
-            # the deepest-layer nodes 8..15 count exactly these training leaves
-            assert np.array_equal(forest.count1[j, 8:], np.bincount(k[y == 1], minlength=8))
-            assert np.array_equal(forest.count0[j, 8:], np.bincount(k[y == 0], minlength=8))
+            # the 8 deepest-layer cells count exactly these training leaves
+            assert np.array_equal(forest.leaf1[j], np.bincount(k[y == 1], minlength=8))
+            assert np.array_equal(forest.leaf0[j], np.bincount(k[y == 0], minlength=8))
 
     def test_single_group_rejected(self):
         x = np.random.default_rng(0).normal(size=(8, 2))
@@ -528,17 +561,19 @@ class TestLeafIndicesAgainstBinaryExpansion:
         assert peak < 1.5 * x.nbytes
 
     def test_forest_build_holds_one_leaf_array_beside_the_heaps(self):
-        # each group's leaves are counted into its int32 heap a block of
-        # variables at a time, and the parents are summed in place: the peak
-        # is the two heaps plus one block's count, ~1.15 times the heaps (a
-        # whole (p, 2**depth) int64 leaf array beside them would be 2 times)
+        # each group's leaves are counted into its int32 leaf array a block of
+        # variables at a time, and no layer above them is kept: the counting
+        # holds the two leaf arrays plus one block's count, ~1.15 times the
+        # leaf arrays, under the ~1.9 times that locating a row block of these
+        # 20,000 variables takes (whole (p, 2**depth) int64 leaf arrays of
+        # both groups beside them would be 3 times)
         n, p, depth = 32, 20000, 5
         x = np.random.default_rng(25).normal(size=(n, p))
         y = np.arange(n) % 2
         flat = np.empty((n, p), dtype=np.int32)
         TreeForest.from_matrix(x[:, :8], y, depth)  # the depth's table, built before tracing
         peak, forest = traced_peak(lambda: TreeForest.from_matrix(x, y, depth, _flat_out=flat))
-        assert peak < 1.4 * (forest.count1.nbytes + forest.count0.nbytes)
+        assert peak < 2.0 * (forest.leaf1.nbytes + forest.leaf0.nbytes)
 
 
 class TestLocatingPoints:
