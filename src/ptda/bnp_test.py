@@ -83,7 +83,8 @@ def _plan_layers(forest: TreeForest, group: np.ndarray, groups: int):
             var = np.repeat(np.arange(live.shape[0]), np.count_nonzero(live, axis=1))
             if var.size == 0:
                 continue
-            # int64, so that the keys below cannot wrap
+            # int64, so that the keys below cannot wrap: the leaves' own type
+            # holds only sums up to n1 + n0
             c1l, c1r, c0l, c0r = (child[:, side::2][live].astype(np.int64)
                                   for child in (child1, child0) for side in (0, 1))
             del live, child1, child0

@@ -258,8 +258,9 @@ def _reals(records, key: str) -> np.ndarray:
 class FittedModel:
     """Selection state plus everything prediction needs.
 
-    `forest` holds every variable's tree as its leaf counts and `c` the
-    per-variable smoothing parameters.  The model lives in the
+    `forest` holds every variable's tree as its leaf counts, in the
+    narrowest integer type that holds n1 + n0 (uint8 up to 255 points), and
+    `c` the per-variable smoothing parameters.  The model lives in the
     units of the matrix it was fitted on: the forest's `means` and `sds`
     arrays are the variables' sample means and sds, the centring Gaussians,
     so new points are passed in those same raw units.
@@ -319,11 +320,14 @@ class FittedModel:
         "converged" flag.  Each entry of "variables" carries the name, the
         raw-unit centring "mean" and "sd", "c", "omega", and the
         deepest-layer cell counts "leaf1" and "leaf0" (2**depth integers
-        each, so the depth is their length's log2).  Loading checks the
-        counts against n1 and n0 and keeps them as the forest's leaves;
-        format-1 files (path-code count maps) are refused.  The JSON
-        is compact, on one line, and encoded in full before the file is
-        opened (`dataio.write_json`); `python -m json.tool` pretty-prints it.
+        each, so the depth is their length's log2), written as plain JSON
+        integers whatever type the forest holds them in.  Loading checks
+        the counts against n1 and n0 as int64 and keeps them as the
+        forest's leaves, in the count type of n1 + n0
+        (`TreeForest.from_leaves`); format-1 files (path-code count maps)
+        are refused.  The JSON is compact, on one line, and encoded in full
+        before the file is opened (`dataio.write_json`); `python -m
+        json.tool` pretty-prints it.
         """
         write_json(path, self.to_json_dict())
 

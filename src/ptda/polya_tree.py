@@ -9,8 +9,9 @@ boundary belongs to the left cell, and its layer-l cells are the leading
 binary digits of that index.
 
 The p trees of a dataset are stored as one forest: each group holds a
-(p, 2**depth) int32 array of deepest-layer (leaf) counts, every cell
-stored, occupied or not.  Every other count is a sum of leaves: cell k of
+(p, 2**depth) array of deepest-layer (leaf) counts, every cell stored,
+occupied or not, in the narrowest of uint8, uint16 and int32 that holds
+n = n1 + n0 (`_count_dtype`).  Every other count is a sum of leaves: cell k of
 layer l has children 2k and 2k + 1 in layer l + 1, and a point's layer-l
 cell is leaf >> (depth - l).  `count_layers` sums a block of variables'
 layers pairwise, where they are read.
@@ -55,8 +56,9 @@ MAX_FOREST_CELLS = 1 << 26
 """Upper bound on p * 2**(depth+1), the cells of every layer of one group's trees.
 
 A forest keeps the leaves, half of these cells, and sums the layers above
-a block of variables at a time (`count_layers`).  Two int32 arrays of this
-many cells take 512 MiB.  `check_depth` charges them, and the point
+a block of variables at a time (`count_layers`).  Two arrays of this many
+cells take at most 512 MiB, at 4 bytes a count, the widest count type.
+`check_depth` charges them at that width, and the point
 locator's table of the depth (`_locator`, kept for the process: under 30
 * 2**depth bytes, 27 * 2**depth at depth 20), to one budget of
 FOREST_BYTES; a depth beyond either bound raises DomainError before
@@ -64,11 +66,25 @@ anything is allocated.
 """
 
 FOREST_BYTES = 1 << 30
-"""Memory budget of a forest: every layer of its two groups' int32 counts, of
-which it keeps the leaves, plus the locator table."""
+"""Memory budget of a forest: every layer of its two groups' counts at 4
+bytes a count, of which it keeps the leaves, plus the locator table."""
 
-# the largest count an int32 forest holds
+# the largest count a forest holds, in its widest count type
 _COUNT_MAX = int(np.iinfo(np.int32).max)
+
+
+def _count_dtype(n: int) -> np.dtype:
+    """The count type of a forest of n = n1 + n0 points: uint8 if n <= 255,
+    uint16 if n <= 65,535, else int32.  Any sum of a forest's counts, even
+    across the groups, is at most n, so it fits the type while n does (and
+    int32 holds any one group's sums: `from_leaves`).  numpy array
+    arithmetic wraps silently, so a value that can pass n, such as
+    `bnp_test`'s pattern keys, is made after a cast to int64."""
+    for dtype in (np.uint8, np.uint16):
+        if n <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int32)
+
 
 # the package's one block size, in values (a float64 block takes 0.5 MiB):
 # `row_blocks`, `_locator`, `_count_leaves`, smoothing.column_pvalues,
@@ -104,7 +120,7 @@ def check_depth(depth, p: int) -> int:
     if depth + 1 > (MAX_FOREST_CELLS // max(p, 1)).bit_length() - 1:
         raise DomainError(f"depth {depth} with {p} variables exceeds the forest budget of "
                           f"{MAX_FOREST_CELLS} cells per group")
-    # depth <= 25 here: two int32 arrays of p * 2**(depth+1) cells, and the locator table
+    # depth <= 25 here: two arrays of p * 2**(depth+1) counts at 4 bytes, and the locator table
     needed = (2 * p * 2 * 4 + 30) << depth
     if needed > FOREST_BYTES:
         raise DomainError(f"depth {depth} with {p} variables needs up to {needed} bytes of counts "
@@ -226,8 +242,9 @@ def count_layers(leaves: np.ndarray):
     """Each layer of a block of trees, from the leaves up: yields the
     (b, 2**depth) array `leaves`, then each layer above it, (b, 2**l) for l
     = depth - 1 down to 0, each cell the sum of its two children in the
-    layer before.  Only the layer last yielded is held here, so a reader
-    that keeps one layer holds no other."""
+    layer before, in the type of `leaves`: a forest's count type holds
+    every such sum (`_count_dtype`).  Only the layer last yielded is held
+    here, so a reader that keeps one layer holds no other."""
     layer = leaves
     yield layer
     while layer.shape[1] > 1:
@@ -236,13 +253,14 @@ def count_layers(leaves: np.ndarray):
 
 
 def _count_leaves(flat: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
-    """(p, width) int32 leaf counts of the points `rows` (a boolean mask) at
-    (n, p) flat leaf indices.  The leaves are counted a block of variables at
-    a time, each block's int64 `bincount` about _BLOCK_VALUES cells (one
-    variable's `width` cells if that is more), so no (p, width) int64 count
-    array is held beside the result."""
-    p = flat.shape[1]
-    leaves = np.empty((p, width), dtype=np.int32)
+    """(p, width) leaf counts of the points `rows` (a boolean mask) at (n, p)
+    flat leaf indices, of the count type of all n points (`_count_dtype`).
+    The leaves are counted a block of variables at a time, each block's
+    int64 `bincount` about _BLOCK_VALUES cells (one variable's `width` cells
+    if that is more), so no (p, width) int64 count array is held beside the
+    result."""
+    n, p = flat.shape
+    leaves = np.empty((p, width), dtype=_count_dtype(n))
     step = max(1, _BLOCK_VALUES // width)
     for start in range(0, p, step):
         block = flat[rows, start:start + step]  # a copy: rows is a mask
@@ -265,10 +283,12 @@ def _standardized(x, means, sds) -> np.ndarray:
 class TreeForest:
     """All p trees of a dataset as the leaf counts of each group.
 
-    `leaf1` / `leaf0` are (p, 2**depth) int32 arrays, one per group, of
-    deepest-layer counts; the layers above are sums of them, derived where
-    they are read (`count_layers`).  Counts are independent of the smoothing
-    parameters, so one forest serves every candidate c.  A single variable
+    `leaf1` / `leaf0` are (p, 2**depth) arrays, one per group, of
+    deepest-layer counts, both of the narrowest type that holds n1 + n0
+    (`_count_dtype`: uint8 up to 255 points, a quarter of int32's bytes);
+    the layers above are sums of them, derived where they are read
+    (`count_layers`).  Counts are independent of the smoothing parameters,
+    so one forest serves every candidate c.  A single variable
     is a forest with p = 1.  Each tree's centring Gaussian is its entry of
     the (p,) float arrays `means` and `sds`: they locate points, and a model
     file stores them.
@@ -287,11 +307,14 @@ class TreeForest:
     @classmethod
     def from_leaves(cls, means, sds, leaf1, leaf0) -> "TreeForest":
         """Forest from per-variable centring means and sds, each (p,), and the
-        (p, 2**depth) deepest-layer counts of each group, kept as int32.
+        (p, 2**depth) deepest-layer counts of each group.  The counts are
+        checked as int64 and kept in the type of n, the largest variable
+        total of group 1 plus that of group 0 (`_count_dtype`).
 
-        A centring needs a finite mean and a finite sd > 0 (DomainError).  A
-        variable's counts of a group must sum to at most 2**31 - 1, the
-        largest int32 count (InputError, raised before any count is cast).
+        A centring needs a finite mean and a finite sd > 0 (DomainError).
+        Counts must be non-negative, and a variable's counts of a group must
+        sum to at most 2**31 - 1, the largest int32 count (InputError, raised
+        before any count is cast).
         """
         means = np.asarray(means, dtype=float)
         sds = np.asarray(sds, dtype=float)
@@ -305,11 +328,16 @@ class TreeForest:
                              "per variable")
         if not np.all(np.isfinite(means) & np.isfinite(sds) & (sds > 0.0)):
             raise DomainError("a centring requires a finite mean and a finite sd > 0")
-        if any(np.any(leaf.sum(axis=1) > _COUNT_MAX) for leaf in (leaf1, leaf0)):
+        if min(leaf1.min(initial=0), leaf0.min(initial=0)) < 0:
+            raise InputError("leaf counts must be non-negative")
+        # float sums cannot wrap as int64 ones can, and are exact below 2**53
+        total1, total0 = (leaf.sum(axis=1, dtype=float).max(initial=0.0) for leaf in (leaf1, leaf0))
+        if max(total1, total0) > _COUNT_MAX:
             raise InputError(f"a variable's counts of a group sum past {_COUNT_MAX}, the largest "
                              f"count a forest holds")
         check_depth(depth, p)
-        return cls(means, sds, leaf1.astype(np.int32), leaf0.astype(np.int32))
+        dtype = _count_dtype(int(total1 + total0))
+        return cls(means, sds, leaf1.astype(dtype), leaf0.astype(dtype))
 
     @classmethod
     def from_matrix(cls, matrix, labels, depth: int | None = None, *,

@@ -228,19 +228,20 @@ def column_pvalues(matrix, labels, seed: int = 0) -> tuple[np.ndarray, np.ndarra
     return v0, v1
 
 
-def _resubstitution_log_odds(forest: TreeForest, flat: np.ndarray, omega: np.ndarray,
+def _resubstitution_log_odds(forest: TreeForest, flat: np.ndarray, omegas: list,
                              vectors: list, columns: list) -> np.ndarray:
     """(n, K) omega-weighted sums of the training points' leaf log-odds, one
     column per candidate c vector.
 
-    `flat` holds the points' (n, p) flat leaf indices into `forest`, `omega`
-    the (K, p) selection probabilities, and vectors[k][i] candidate k's value
-    on the variables columns[i].  For each ladder value and each bin that
-    some candidate gives that value, the leaf log-odds table of the bin's
-    variables alone (`leaf_log_odds_table`) is built, the points' leaf
+    `flat` holds the points' (n, p) flat leaf indices into `forest`,
+    omegas[k] candidate k's (p,) selection probabilities, and vectors[k][i]
+    its value on the variables columns[i].  For each ladder value and each
+    bin that some candidate gives that value, the leaf log-odds table of the
+    bin's variables alone (`leaf_log_odds_table`) is built, the points' leaf
     log-odds are gathered from it once with bin-local flat indices, and
-    multiplied against the omega columns of every such candidate; the table
-    is dropped before the next one is built.
+    multiplied against the bin's omegas of every such candidate, gathered
+    into one (candidates, bin) array; the table is dropped before the next
+    one is built.
     """
     width = 1 << forest.depth
     eta = np.zeros((flat.shape[0], len(vectors)))
@@ -255,7 +256,7 @@ def _resubstitution_log_odds(forest: TreeForest, flat: np.ndarray, omega: np.nda
                 table = leaf_log_odds_table(forest, value, cols)
                 local = flat[:, cols]  # row i of the table is variable cols[i]
                 local -= ((cols - np.arange(cols.size)) * width).astype(np.int32)
-                eta[:, ks] += np.take(table, local) @ omega[np.ix_(ks, cols)].T
+                eta[:, ks] += np.take(table, local) @ np.array([omegas[k][cols] for k in ks]).T
                 del table, local
     return eta
 
@@ -280,9 +281,9 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     empty bin, or repeat a ladder value, give one vector).  Phase 1 scores
     the log BF of every distinct ladder value in one `log_bayes_factors`
     call, as a (values, 1) column of settings, gathers each vector's
-    evidence from that (values, p) result by one (vectors, p) row index,
-    and keeps one `update_omega` selection state per vector.  Phase 2
-    scores every converged vector at once, holding one table at a time, the
+    evidence from that (values, p) result by its own row index, and keeps
+    one `update_omega` selection state per vector.  Phase 2 scores every
+    converged vector at once, holding one table at a time, the
     leaf log-odds of one bin's variables at one ladder value
     (`_resubstitution_log_odds`).  Its summation order differs
     from the one matvec per row block that `update_psi` does with the
@@ -337,16 +338,18 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     log_bf = log_bayes_factors(forest, np.array(values)[:, None])
     row = {v: r for r, v in enumerate(values)}
     position = np.searchsorted(occupied, bins)  # each variable's place in a vector
-    index = np.array([[row[v] for v in vector] for vector in vectors])[:, position]
-    states = [update_omega(log_bf[rows, np.arange(p)], hyper, tol=tol, max_iter=max_iter)
-              for rows in index]
+    variables = np.arange(p)
+    states = []
+    for vector in vectors:  # each vector's evidence row, gathered in turn
+        rows = np.array([row[v] for v in vector])[position]
+        states.append(update_omega(log_bf[rows, variables], hyper, tol=tol, max_iter=max_iter))
 
     # phase 2: resubstitution error of every converged vector
     live = [k for k, state in enumerate(states) if state.converged]
     errors = np.full(len(vectors), math.inf)
     if live:
-        omega = np.array([states[k].omega for k in live])
-        eta = _resubstitution_log_odds(forest, flat, omega, [vectors[k] for k in live], columns)
+        eta = _resubstitution_log_odds(forest, flat, [states[k].omega for k in live],
+                                       [vectors[k] for k in live], columns)
         eta = np.clip(prior_log_odds(hyper, forest) + eta, -ETA_CLAMP, ETA_CLAMP)
         # expit is monotone: psi >= 0.5 iff eta >= logit(0.5) = 0
         errors[live] = np.mean((eta >= 0.0) != yb[:, None], axis=0)

@@ -405,8 +405,9 @@ class TestSmoothingShape:
 class TestFittedModel:
     def test_models_hold_only_the_leaf_counts(self, tmp_path):
         # a fitted, a selected and a loaded model each keep their counts as
-        # the two (p, 2**depth) int32 leaf arrays, also once they have scored:
-        # the layers above the leaves are summed where they are read
+        # the two (p, 2**depth) leaf arrays, uint8 at these 50 points, also
+        # once they have scored: the layers above the leaves are summed where
+        # they are read
         train, test, _ = generate(SimulationSpec(3, 50, 10, 20, 4, 5))
         fitted = fit_model(train.matrix, train.labels, 5.0)
         _, selected = select_c(train.matrix, train.labels, grid=(1.0, 5.0), seed=5)
@@ -416,7 +417,8 @@ class TestFittedModel:
             update_psi(model, test.matrix)
             forest = model.forest
             counts = [v for v in vars(forest).values()
-                      if isinstance(v, np.ndarray) and v.dtype == np.int32]
+                      if isinstance(v, np.ndarray) and v.ndim == 2]
+            assert [v.dtype for v in counts] == [np.uint8] * 2
             assert sum(v.size for v in counts) == 2 * forest.p << forest.depth
             assert [v.shape for v in counts] == [(forest.p, 1 << forest.depth)] * 2
 
@@ -522,13 +524,16 @@ class TestFittedModel:
         lambda doc: doc["variables"][0]["leaf0"].__setitem__(0, 2 ** 64),
         lambda doc: doc.update(n1=float(doc["n1"])),
         lambda doc: doc["hyperparameters"].update(a_y=True),
+        # four counts 2**62 larger each: the int64 sums wrap back to n1
+        lambda doc: [doc["variables"][0]["leaf1"].__setitem__(k, doc["variables"][0]["leaf1"][k]
+                                                              + 2 ** 62) for k in range(4)],
     ], ids=["no-format", "format-1", "negative", "non-integer", "wrong-length",
             "sum-differs", "missing-key", "mean-string", "mean-bool", "sd-null", "sd-zero", "sd-nan",
             "c-string", "c-bool", "omega-nan", "omega-inf", "omega-above-1", "omega-negative", "omega-string",
             "omega-bool", "duplicate-names", "name-int", "name-null", "iteration-string",
             "iteration-float", "iteration-bool", "iteration-negative", "converged-string",
             "converged-int", "converged-null", "mean-huge-integer", "leaf-count-true",
-            "leaf-count-huge-integer", "n1-float", "a_y-bool"])
+            "leaf-count-huge-integer", "n1-float", "a_y-bool", "leaf-sum-wraps-int64"])
     def test_loader_rejects_malformed(self, edit):
         _, _, model = training_model(seed=16, n=20, p=3)
         doc = json.loads(json.dumps(model.to_json_dict()))
@@ -549,8 +554,9 @@ class TestFittedModel:
 
     @pytest.mark.parametrize("group", [1, 0])
     def test_loader_refuses_a_count_past_int32(self, group):
-        # counts are held as int32: n_g = 2**31 passes the int64 sum check,
-        # then is refused before any count is cast; 2**31 - 1 loads unwrapped
+        # counts past 65,535 points are held as int32: n_g = 2**31 passes the
+        # int64 sum check, then is refused before any count is cast; 2**31 - 1
+        # loads unwrapped
         _, _, model = training_model(seed=16, n=20, p=3)
         doc = json.loads(json.dumps(model.to_json_dict()))
         key = f"n{group}"

@@ -11,6 +11,7 @@ import ptda.evalharness
 from ptda.dataio import Dataset
 from ptda.errors import InputError
 from ptda.evalharness import (
+    _group_sums,
     cross_validate,
     gaussian_nb_baseline,
     run_simulation_study,
@@ -94,6 +95,35 @@ class TestGaussianBaseline:
         test = Dataset(rng.normal(size=(m, p)), np.arange(m) % 2, train.names)
         peak, _ = traced_peak(lambda: gaussian_nb_baseline(train, test))
         assert peak < m * p * 8 / 4
+
+    @pytest.mark.parametrize("n, p, block_values", [
+        (1000, 1000, None), (100, 5000, None), (37, 300, None), (70, 5, 16), (3000, 2, None)])
+    def test_moments_are_the_one_expression_bits(self, monkeypatch, n, p, block_values):
+        # the group sums over row blocks equal numpy's sums over copies of
+        # each group's rows, which the foil took before, bit for bit
+        if block_values:
+            monkeypatch.setattr(ptda.polya_tree, "_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(n + p)
+        x = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3, 3, size=(n, p))
+        y = (rng.random(n) < 0.4).astype(np.int8)
+        x1, x0 = x[y == 1], x[y == 0]
+        mu1, mu0 = x1.mean(axis=0), x0.mean(axis=0)
+        sum1, sum0 = _group_sums(x, y)
+        assert np.array_equal(sum1 / x1.shape[0], mu1) and np.array_equal(sum0 / x0.shape[0], mu0)
+        ss1, ss0 = _group_sums(x, y, (mu1, mu0))
+        assert np.array_equal(ss1 + ss0,
+                              np.sum((x1 - mu1) ** 2, axis=0) + np.sum((x0 - mu0) ** 2, axis=0))
+
+    def test_training_moments_copy_no_group(self):
+        # a copy of one group's rows is 4 MiB here; the foil held both groups'
+        # copies and a squared-deviation array, 12 MiB, and now ~0.8 MiB
+        n, p = 2048, 512
+        rng = np.random.default_rng(6)
+        names = [f"V{j}" for j in range(p)]
+        train = Dataset(rng.normal(size=(n, p)), np.arange(n) % 2, names)
+        test = Dataset(rng.normal(size=(16, p)), np.arange(16) % 2, names)
+        peak, _ = traced_peak(lambda: gaussian_nb_baseline(train, test))
+        assert peak < (n // 2) * p * 8 / 2
 
     def test_tiny_group_rejected(self):
         rng = np.random.default_rng(1)

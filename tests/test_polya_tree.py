@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptda.cvb import fit_model
+from ptda.bnp_test import log_bayes_factors
+from ptda.cvb import FittedModel, fit_model, leaf_log_odds_table
 from ptda.errors import DomainError, InputError
 from ptda.polya_tree import (
     FOREST_BYTES,
@@ -26,9 +27,10 @@ from ptda.polya_tree import (
     predictive_density,
     training_data,
 )
+from ptda.simgen import SimulationSpec, generate
 from ptda.stats import normal_pdf
 
-from adapters import (STD, path_map, sample_centring, simulated_forest, spec_of,
+from adapters import (LADDER, STD, path_map, sample_centring, simulated_forest, spec_of,
                       tree_from_leaves, tree_of)
 from conftest import traced_peak
 from oracles import (
@@ -44,6 +46,11 @@ from oracles import (
 # the array density takes its centring density from numpy's exp, the
 # per-point reference from math.exp; they differ by a few ulp at most
 PDF_RTOL = 4 * 2.0 ** -52
+
+
+def rule_dtype(n):
+    """The count type a forest of n points should hold its counts in."""
+    return np.dtype(np.uint8 if n <= 255 else np.uint16 if n <= 65_535 else np.int32)
 
 
 def empty_tree(depth=3, centring=STD):
@@ -170,16 +177,21 @@ class TestCountLayers:
             [0.0, 0.0], [1.0, 1.0],
             [[20000, 7000, 3, 0, 1, 2500, 0, 20496], [20496, 0, 2500, 1, 0, 3, 7000, 20000]],
             [[1, 15000, 8000, 2, 0, 4000, 1200, 21797], [21797, 1200, 4000, 0, 2, 8000, 15000, 1]]),
-    ], ids=["simulated", "depth 1", "one variable", "empty group", "n1 = n0 = 50,000"])
+        lambda: TreeForest.from_leaves(  # uint8: the layers climb to n1 = 200 in one cell
+            [0.0, 0.0], [1.0, 1.0], [[0, 0, 0, 200, 0, 0, 0, 0], [90, 0, 0, 0, 0, 0, 60, 50]],
+            [[0, 0, 55, 0, 0, 0, 0, 0], [0, 0, 0, 1, 54, 0, 0, 0]]),
+    ], ids=["simulated", "depth 1", "one variable", "empty group", "n1 = n0 = 50,000",
+            "n1 = 200, n0 = 55"])
     def test_every_layer_equals_the_node_sums(self, forest):
         forest = forest()
+        assert forest.leaf1.dtype == forest.leaf0.dtype == rule_dtype(forest.n1 + forest.n0)
         for leaves in (forest.leaf1, forest.leaf0):
             heap = node_counts(leaves)
             for cols in (slice(None), slice(forest.p - 1, None)):  # all variables, a block
                 layers = list(count_layers(leaves[cols]))
                 assert len(layers) == forest.depth + 1
                 for level, layer in zip(range(forest.depth, -1, -1), layers):
-                    assert layer.dtype == np.int32
+                    assert layer.dtype == leaves.dtype
                     assert np.array_equal(layer, heap[cols, 1 << level:2 << level])
         assert (forest.n1, forest.n0) == (node_counts(forest.leaf1)[0, 1],
                                           node_counts(forest.leaf0)[0, 1])
@@ -457,6 +469,45 @@ class TestTreeForest:
             TreeForest.from_matrix(x, np.ones(8, dtype=int), 3)
 
 
+class TestCountType:
+    """A forest of n = n1 + n0 points holds its counts in the narrowest of
+    uint8, uint16 and int32 that holds n, however it is made, and scores
+    them as it would int32 counts."""
+
+    @pytest.mark.parametrize("n", [255, 256, 65_535, 65_536])
+    def test_rule_at_the_type_boundaries(self, tmp_path, n):
+        y = np.arange(n) % 2
+        fitted = fit_model(np.random.default_rng(n).normal(size=(n, 1)), y, 1.0, depth=1)
+        fitted.save(tmp_path / "model.json")
+        loaded = FittedModel.load(tmp_path / "model.json")
+        # the total decides, not a group: at n = 256 neither group passes 255
+        direct = TreeForest.from_leaves([0.0], [1.0], [[n - 1, 0]], [[0, 1]])
+        for forest in (fitted.forest, loaded.forest, direct):
+            assert forest.n1 + forest.n0 == n
+            assert forest.leaf1.dtype == forest.leaf0.dtype == rule_dtype(n)
+
+    def test_negative_counts_refused_before_the_cast(self):
+        with pytest.raises(InputError, match="non-negative"):
+            TreeForest.from_leaves([0.0], [1.0], [[3, -1]], [[1, 1]])
+
+    @pytest.mark.parametrize("n", [255, 300])
+    def test_narrow_counts_score_the_bits_of_int32_counts(self, n):
+        train, _, _ = generate(SimulationSpec(1, n, 10, 24, 8, 3))
+        narrow = TreeForest.from_matrix(train.matrix, train.labels)
+        assert narrow.leaf1.dtype == rule_dtype(n)
+        wide = TreeForest(narrow.means, narrow.sds, narrow.leaf1.astype(np.int32),
+                          narrow.leaf0.astype(np.int32))
+        c = np.repeat([1.0, 5.0, 10.0, 50.0], 6)
+        for setting in (np.array(LADDER)[:, None], c, 5.0):
+            assert np.array_equal(log_bayes_factors(narrow, setting),
+                                  log_bayes_factors(wide, setting))
+        assert np.array_equal(leaf_log_odds_table(narrow, c), leaf_log_odds_table(wide, c))
+        points = np.linspace(-4.0, 4.0, 41)
+        for j in (0, 23):
+            assert np.array_equal(predictive_density(points, narrow.variable(j), c[j]),
+                                  predictive_density(points, wide.variable(j), c[j]))
+
+
 class TestLeafIndicesAgainstBinaryExpansion:
     """The cached grid locator against a search of the quantile boundaries
     and, away from them, against the binary expansion of the CDF value."""
@@ -561,19 +612,20 @@ class TestLeafIndicesAgainstBinaryExpansion:
         assert peak < 1.5 * x.nbytes
 
     def test_forest_build_holds_one_leaf_array_beside_the_heaps(self):
-        # each group's leaves are counted into its int32 leaf array a block of
-        # variables at a time, and no layer above them is kept: the counting
-        # holds the two leaf arrays plus one block's count, ~1.15 times the
-        # leaf arrays, under the ~1.9 times that locating a row block of these
-        # 20,000 variables takes (whole (p, 2**depth) int64 leaf arrays of
-        # both groups beside them would be 3 times)
+        # each group's leaves are counted into its leaf array (uint8 at these
+        # 32 points) a block of variables at a time, and no layer above them
+        # is kept.  The bound is twice both groups' leaves at 4 bytes a
+        # count, 10.24 MB: locating a row block of these 20,000 variables
+        # takes ~9 MB, and whole (p, 2**depth) int64 leaf arrays of both
+        # groups beside the leaves would add 10.24 MB more
         n, p, depth = 32, 20000, 5
         x = np.random.default_rng(25).normal(size=(n, p))
         y = np.arange(n) % 2
         flat = np.empty((n, p), dtype=np.int32)
         TreeForest.from_matrix(x[:, :8], y, depth)  # the depth's table, built before tracing
         peak, forest = traced_peak(lambda: TreeForest.from_matrix(x, y, depth, _flat_out=flat))
-        assert peak < 2.0 * (forest.leaf1.nbytes + forest.leaf0.nbytes)
+        assert forest.leaf1.dtype == np.uint8
+        assert peak < 2 * (2 * 4 * p << depth)
 
 
 class TestLocatingPoints:

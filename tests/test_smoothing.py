@@ -554,9 +554,9 @@ class TestTwoPhaseScores:
             calls.append(1)
             return count_omega(*args, **kwargs)
 
-        def keeping(forest, flat, omega, vectors, columns):
-            scored.update(forest=forest, flat=flat, omega=omega, vectors=vectors, columns=columns,
-                          eta=score(forest, flat, omega, vectors, columns))
+        def keeping(forest, flat, omegas, vectors, columns):
+            scored.update(forest=forest, flat=flat, omega=omegas, vectors=vectors, columns=columns,
+                          eta=score(forest, flat, omegas, vectors, columns))
             return scored["eta"]
 
         monkeypatch.setattr(ptda.smoothing, "update_omega", counting)
@@ -593,7 +593,8 @@ class TestTwoPhaseScores:
         assert any(len(set(vector)) > 1 for vector in scored["vectors"])
         eta = prior_log_odds(Hyperparameters(), scored["forest"]) + scored["eta"]
         assert np.any(np.mean((eta >= 0.0) != y[:, None], axis=0) > 0.0)
-        ref = bin_outer_log_odds(scored["forest"], scored["flat"], scored["omega"],
+        # the reference gathers each bin's omegas from one stacked (K, p) array
+        ref = bin_outer_log_odds(scored["forest"], scored["flat"], np.array(scored["omega"]),
                                  scored["vectors"], scored["columns"])
         assert np.array_equal(scored["eta"], ref)
 
