@@ -121,8 +121,8 @@ def _config_from(args) -> Config:
     if getattr(args, "ladder", None) is not None:
         cfg.ladder = tuple(_ladder_value(v) for v in args.ladder.split(","))
     cfg.hyper()  # a_y, b_y and u are checked on every command, NaN refused
-    if not cfg.tol > 0:
-        raise InputError(f"--tol must be positive, got {cfg.tol}")
+    if not 0 < cfg.tol < math.inf:  # NaN fails too
+        raise InputError(f"--tol must be positive and finite, got {cfg.tol}")
     if cfg.max_iter < 1:
         raise InputError(f"--max-iter must be at least 1, got {cfg.max_iter}")
     if cfg.threads < 0:

@@ -4,7 +4,8 @@ The selection probabilities omega are updated one coordinate at a time
 within a sweep (each update sees the current sweep's earlier coordinates
 and the previous sweep's later ones); once omega has converged, each new
 point's class probability psi is computed independently from the prior
-odds plus an omega-weighted sum of log path-probability ratios.
+odds plus an omega-weighted sum of log path-probability ratios, which
+`polya_tree` tables, as it checks a model file's counts (`from_leaves`).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from .bnp_test import log_bayes_factors
 from .dataio import read_json, write_json
 from .errors import ContractViolation, DomainError, InputError
-from .polya_tree import (_BLOCK_VALUES, TreeForest, alpha_for_layer, check_smoothing,
-                         count_layers, row_blocks)
+from .polya_tree import (TreeForest, check_smoothing, leaf_log_odds_table, leaf_log_path_tables,
+                         row_blocks)
 from .stats import expit
 
 __all__ = [
@@ -32,8 +33,6 @@ __all__ = [
     "complexity_weight",
     "update_omega",
     "update_psi",
-    "leaf_log_path_tables",
-    "leaf_log_odds_table",
     "prior_log_odds",
     "classify",
     "fit_model",
@@ -100,15 +99,15 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
     The loop is plain Python over floats, with `expit` and the clamps
     written inline; `tests/oracles.py` keeps the sweep that calls them and
     the two agree bit for bit.  Stops when the squared Euclidean distance
-    between consecutive sweeps is at most `tol`; the converged flag records
-    whether that happened within `max_iter` sweeps.
+    between consecutive sweeps is at most `tol`, finite and positive; the
+    converged flag records whether that happened within `max_iter` sweeps.
     """
     log_bf = np.asarray(log_bf, dtype=float)
     p = log_bf.size
     if p < 1:
         raise InputError("update_omega requires at least one variable")
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:  # NaN fails too; an infinite tol ends any sweep "converged"
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     base = complexity_weight(p, hyper.u) + p - 1.0
     bf = log_bf.tolist()
     om = [0.5] * p
@@ -146,55 +145,6 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
     return SelectionState(np.array(om), max_iter, False)
 
 
-def leaf_log_path_tables(forest: TreeForest, c) -> tuple[np.ndarray, np.ndarray]:
-    """(p, 2**depth) log path probability of every deepest-layer cell, per group.
-
-    Each group's layers are summed from its leaves (`count_layers`) and
-    walked top-down: each layer adds log(alpha + child count) - log(2 alpha
-    + parent count) to its parent's sum, through the two strided halves of
-    the layer, the left and the right children.  `c` is a scalar or one
-    value per variable (`check_smoothing`).
-    """
-    c = check_smoothing(c, forest.p)
-    tables = []
-    for leaves in (forest.leaf1, forest.leaf0):
-        layers = list(count_layers(leaves))[::-1]  # layers[l] is layer l
-        lp = np.zeros((forest.p, 1))
-        for level in range(1, forest.depth + 1):
-            a = alpha_for_layer(level, c)[:, None]
-            step = np.add(a, layers[level])
-            np.log(step, out=step)
-            parent = np.add(2.0 * a, layers[level - 1])
-            np.log(parent, out=parent)
-            for children in (step[:, 0::2], step[:, 1::2]):
-                children -= parent
-                children += lp  # lp + (child - parent), each parent's sum on both children
-            lp = step
-        tables.append(lp)
-    return tables[0], tables[1]
-
-
-def leaf_log_odds_table(forest: TreeForest, c, rows=None) -> np.ndarray:
-    """(len(rows), 2**depth) group-1 minus group-0 log path probability of
-    every leaf of the variables `rows`, an index array (None: all p); `c` is
-    a scalar or one value per variable of the forest (`check_smoothing`).
-    Each block of about _BLOCK_VALUES leaves runs `leaf_log_path_tables` on
-    its variables alone, so only one block's layers and walk are held beside
-    the table, and every row is the same bits as in one walk over all."""
-    c = check_smoothing(c, forest.p)
-    size = forest.p if rows is None else len(rows)
-    table = np.empty((size, 1 << forest.depth))
-    step = max(1, _BLOCK_VALUES >> forest.depth)
-    for start in range(0, size, step):
-        # a slice keeps the block's counts, means and sds as views
-        block = slice(start, start + step) if rows is None else rows[start:start + step]
-        part = TreeForest(forest.means[block], forest.sds[block],
-                          forest.leaf1[block], forest.leaf0[block])
-        lp1, lp0 = leaf_log_path_tables(part, c[block])
-        np.subtract(lp1, lp0, out=table[start:start + step])
-    return table
-
-
 def log_path_probability_matrix(forest: TreeForest, c, points) -> tuple[np.ndarray, np.ndarray]:
     """(m, p) log path probabilities of each point, per group: its leaves
     gathered from `leaf_log_path_tables`."""
@@ -208,20 +158,14 @@ def prior_log_odds(hyper: Hyperparameters, forest: TreeForest) -> float:
     return math.log(hyper.a_y + forest.n1) - math.log(hyper.b_y + forest.n0)
 
 
-def _leaf_counts(rows, total: int, group: int) -> np.ndarray:
-    """Validated (p, 2**depth) leaf counts of one group from a model file."""
-    [total] = json_numbers([total], int, f"'n{group}'")
+def _leaf_counts(rows, group: int) -> np.ndarray:
+    """One group's (p, 2**depth) leaf counts from a model file's integers, as int64."""
     if not (all(isinstance(r, list) for r in rows)
             and set(map(type, chain.from_iterable(rows))) <= {int}):
         raise InputError(f"every group-{group} leaf count must be an integer")
     if len(set(map(len, rows))) != 1:
         raise InputError(f"group-{group} leaf counts must be lists of one length")
-    counts = np.array(rows, dtype=np.int64)
-    if np.any(counts < 0):
-        raise InputError(f"group-{group} leaf counts must be non-negative")
-    if np.any(counts.sum(axis=1) != total):
-        raise InputError(f"group-{group} leaf counts of a variable do not sum to n{group}={total}")
-    return counts
+    return np.array(rows, dtype=np.int64)
 
 
 def json_numbers(values, kind, what: str) -> list:
@@ -346,8 +290,10 @@ class FittedModel:
                 raise InputError("the model has no variables")
             forest = TreeForest.from_leaves(
                 _reals(records, "mean"), _reals(records, "sd"),
-                _leaf_counts([r["leaf1"] for r in records], doc["n1"], 1),
-                _leaf_counts([r["leaf0"] for r in records], doc["n0"], 0))
+                _leaf_counts([r["leaf1"] for r in records], 1),
+                _leaf_counts([r["leaf0"] for r in records], 0))
+            if [forest.n1, forest.n0] != json_numbers([doc["n1"], doc["n0"]], int, "'n1', 'n0'"):
+                raise InputError("the leaf counts do not sum to the file's 'n1' and 'n0'")
             omega = _reals(records, "omega")
             if not np.all((omega >= 0.0) & (omega <= 1.0)):  # NaN fails both
                 raise InputError("every variable's 'omega' must lie in [0, 1]")

@@ -14,7 +14,9 @@ occupied or not, in the narrowest of uint8, uint16 and int32 that holds
 n = n1 + n0 (`_count_dtype`).  Every other count is a sum of leaves: cell k of
 layer l has children 2k and 2k + 1 in layer l + 1, and a point's layer-l
 cell is leaf >> (depth - l).  `count_layers` sums a block of variables'
-layers pairwise, where they are read.
+layers pairwise, where they are read: by the log path probability walk
+here (`leaf_log_odds_table`) and by `bnp_test`.  `TreeForest.from_leaves`
+checks counts from outside: a group's sum to its size in every variable.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ __all__ = [
     "leaf_indices",
     "count_layers",
     "row_blocks",
+    "leaf_log_path_tables",
+    "leaf_log_odds_table",
     "predictive_density",
 ]
 
@@ -88,7 +92,7 @@ def _count_dtype(n: int) -> np.dtype:
 
 # the package's one block size, in values (a float64 block takes 0.5 MiB):
 # `row_blocks`, `_locator`, `_count_leaves`, smoothing.column_pvalues,
-# bnp_test's evidence plans (parent cells) and cvb.leaf_log_odds_table (leaves)
+# bnp_test's evidence plans (parent cells) and `leaf_log_odds_table` (leaves)
 _BLOCK_VALUES = 1 << 16
 
 
@@ -252,6 +256,52 @@ def count_layers(leaves: np.ndarray):
         yield layer
 
 
+def _log_paths(leaves: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(b, 2**depth) log path probability of every leaf of b trees of one
+    group, from their leaf counts and checked c.  The layers (`count_layers`)
+    are walked top-down: each adds log(alpha + child count) - log(2 alpha +
+    parent count) to its parent's sum, through its strided left and right
+    halves.  A row's bits depend on its own counts and c alone."""
+    layers = list(count_layers(leaves))[::-1]  # layers[l] is layer l
+    lp = np.zeros((leaves.shape[0], 1))
+    for level in range(1, len(layers)):
+        a = alpha_for_layer(level, c)[:, None]
+        step = np.add(a, layers[level])
+        np.log(step, out=step)
+        parent = np.add(2.0 * a, layers[level - 1])
+        np.log(parent, out=parent)
+        for children in (step[:, 0::2], step[:, 1::2]):
+            children -= parent
+            children += lp  # lp + (child - parent), each parent's sum on both children
+        lp = step
+    return lp
+
+
+def leaf_log_path_tables(forest: TreeForest, c) -> tuple[np.ndarray, np.ndarray]:
+    """(p, 2**depth) log path probability of every leaf, per group (`_log_paths`);
+    `c` is a scalar or one value per variable (`check_smoothing`)."""
+    c = check_smoothing(c, forest.p)
+    return _log_paths(forest.leaf1, c), _log_paths(forest.leaf0, c)
+
+
+def leaf_log_odds_table(forest: TreeForest, c, rows=None) -> np.ndarray:
+    """(len(rows), 2**depth) group-1 minus group-0 log path probability of
+    every leaf of the variables `rows`, an index array (None: all p); `c` is
+    a scalar or one value per variable of the forest (`check_smoothing`).
+    Blocks of about _BLOCK_VALUES leaves are walked one at a time
+    (`_log_paths`), so only one block's layers are held beside the table."""
+    c = check_smoothing(c, forest.p)
+    size = forest.p if rows is None else len(rows)
+    table = np.empty((size, 1 << forest.depth))
+    step = max(1, _BLOCK_VALUES >> forest.depth)
+    for start in range(0, size, step):
+        # a slice keeps the block's counts as views
+        block = slice(start, start + step) if rows is None else rows[start:start + step]
+        np.subtract(_log_paths(forest.leaf1[block], c[block]),
+                    _log_paths(forest.leaf0[block], c[block]), out=table[start:start + step])
+    return table
+
+
 def _count_leaves(flat: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
     """(p, width) leaf counts of the points `rows` (a boolean mask) at (n, p)
     flat leaf indices, of the count type of all n points (`_count_dtype`).
@@ -291,7 +341,8 @@ class TreeForest:
     so one forest serves every candidate c.  A single variable
     is a forest with p = 1.  Each tree's centring Gaussian is its entry of
     the (p,) float arrays `means` and `sds`: they locate points, and a model
-    file stores them.
+    file stores them.  `n1` and `n0` are read from variable 0: both builds,
+    `from_matrix` and `from_leaves`, give every variable the same totals.
     """
 
     def __init__(self, means: np.ndarray, sds: np.ndarray, leaf1: np.ndarray, leaf0: np.ndarray):
@@ -312,9 +363,9 @@ class TreeForest:
         total of group 1 plus that of group 0 (`_count_dtype`).
 
         A centring needs a finite mean and a finite sd > 0 (DomainError).
-        Counts must be non-negative, and a variable's counts of a group must
-        sum to at most 2**31 - 1, the largest int32 count (InputError, raised
-        before any count is cast).
+        Counts must be non-negative, and a group's counts must sum to its
+        size in every variable, at most 2**31 - 1, the largest int32 count
+        (InputError, raised before any count is cast).
         """
         means = np.asarray(means, dtype=float)
         sds = np.asarray(sds, dtype=float)
@@ -331,10 +382,13 @@ class TreeForest:
         if min(leaf1.min(initial=0), leaf0.min(initial=0)) < 0:
             raise InputError("leaf counts must be non-negative")
         # float sums cannot wrap as int64 ones can, and are exact below 2**53
-        total1, total0 = (leaf.sum(axis=1, dtype=float).max(initial=0.0) for leaf in (leaf1, leaf0))
+        totals = [leaf.sum(axis=1, dtype=float) for leaf in (leaf1, leaf0)]
+        total1, total0 = (total.max(initial=0.0) for total in totals)
         if max(total1, total0) > _COUNT_MAX:
             raise InputError(f"a variable's counts of a group sum past {_COUNT_MAX}, the largest "
                              f"count a forest holds")
+        if any(np.any(total != total[:1]) for total in totals):
+            raise InputError("a group's leaf counts must sum to one total in every variable")
         check_depth(depth, p)
         dtype = _count_dtype(int(total1 + total0))
         return cls(means, sds, leaf1.astype(dtype), leaf0.astype(dtype))
@@ -377,8 +431,10 @@ class TreeForest:
         offsets = np.arange(p, dtype=np.int64) * width
         flat = np.empty((n, p), dtype=np.int32) if _flat_out is None else _flat_out
         for rows in row_blocks(n, p):  # no (n, p) float temporary
-            z = _standardized(x[rows], means, sds)
-            np.add(leaf_indices(z, depth), offsets, out=flat[rows])
+            step = _BLOCK_VALUES // (rows.stop - rows.start)  # past p = 4096, column chunks
+            for cols in (slice(start, start + step) for start in range(0, p, step)):
+                z = _standardized(x[rows, cols], means[cols], sds[cols])
+                np.add(leaf_indices(z, depth), offsets[cols], out=flat[rows, cols])
         del z  # the last block is not held through the leaf counts
         # the centring is finite and the depth checked above
         return cls(means, sds, _count_leaves(flat, y, width), _count_leaves(flat, ~y, width))

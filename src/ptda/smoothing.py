@@ -32,9 +32,10 @@ import numpy as np
 from . import dataio
 from .bnp_test import log_bayes_factors
 from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, _checked_names, complexity_weight,
-                  json_numbers, leaf_log_odds_table, prior_log_odds, update_omega)
+                  json_numbers, prior_log_odds, update_omega)
 from .errors import DomainError, InputError
-from .polya_tree import _BLOCK_VALUES, TreeForest, check_smoothing, training_data
+from .polya_tree import (_BLOCK_VALUES, TreeForest, check_smoothing, leaf_log_odds_table,
+                         training_data)
 from .rng import SUBSAMPLE_STREAM, substream
 from .stats import ks_two_sample_sorted, shapiro_wilk_sorted
 
@@ -179,7 +180,8 @@ def monotone_tuples(ladder) -> list[tuple]:
 
 
 def column_pvalues(matrix, labels, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """(v0, v1): per-column normality and two-sample p-values.
+    """(v0, v1): per-column normality and two-sample p-values of data that
+    passed `training_data` in `select_c` (both groups non-empty, all finite).
 
     v0 is the Shapiro-Wilk p-value of the pooled column and v1 the
     Kolmogorov-Smirnov p-value between the label-1 and label-0 rows.  The
@@ -189,16 +191,13 @@ def column_pvalues(matrix, labels, seed: int = 0) -> tuple[np.ndarray, np.ndarra
     the group masks for `ks_two_sample_sorted`.  With n > SHAPIRO_MAX_N,
     Shapiro-Wilk runs on one deterministic subsample of SHAPIRO_MAX_N rows
     (the SUBSAMPLE_STREAM substream of `seed`), sorted per block.  A
-    constant column, and every column when n < 3, scores v0 = 0.  A
-    non-finite value, or an empty group, raises InputError.  Subsampling and
-    the count of constant columns are reported at DEBUG on the
-    `ptda.smoothing` logger.
+    constant column, and every column when n < 3, scores v0 = 0.
+    Subsampling and the count of constant columns are reported at DEBUG on
+    the `ptda.smoothing` logger.
     """
     x = np.asarray(matrix, dtype=float)
     y = np.asarray(labels).astype(bool)
     n, p = x.shape
-    if not (y.any() and (~y).any()):
-        raise InputError("both groups must be non-empty")
     v0 = np.zeros(p)
     v1 = np.empty(p)
     sub = None
@@ -212,8 +211,6 @@ def column_pvalues(matrix, labels, seed: int = 0) -> tuple[np.ndarray, np.ndarra
     for start in range(0, p, step):
         cols = slice(start, start + step)
         block = np.ascontiguousarray(x[:, cols].T)
-        if not np.all(np.isfinite(block)):
-            raise InputError("the matrix must be finite")
         order = block.argsort(axis=1)
         ordered = np.take_along_axis(block, order, axis=1)
         in1 = y[order]

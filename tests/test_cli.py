@@ -755,6 +755,19 @@ class TestExitCodes:
         assert "--tol" in err
         assert not model_path.exists()
 
+    def test_infinite_tol_exits_one_without_output(self, tmp_path, capsys):
+        # with tol = inf the first sweep would end as converged
+        out = simulate_small(tmp_path, seed=47)
+        model_path = tmp_path / "model.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tol": Infinity}', encoding="utf-8")
+        for extra in (["--tol", "inf"], ["--config", str(cfg)]):
+            code, _, err = run(["fit", "--data", str(out / "train.csv"), "--label-column", "y",
+                                "--c", "1.0", *extra, "--out", str(model_path)], capsys)
+            assert code == 1
+            assert "--tol must be positive and finite" in err
+            assert not model_path.exists()
+
     def test_unconverged_grid_search_exits_one_without_output(self, tmp_path, capsys):
         out = simulate_small(tmp_path, seed=47)
         cv_path = tmp_path / "folds.csv"

@@ -20,8 +20,6 @@ from ptda.cvb import (
     classify,
     complexity_weight,
     fit_model,
-    leaf_log_odds_table,
-    leaf_log_path_tables,
     log_path_probability_matrix,
     prior_log_odds,
     update_omega,
@@ -29,7 +27,7 @@ from ptda.cvb import (
 )
 from ptda.bnp_test import log_bayes_factors
 from ptda.errors import DomainError, InputError
-from ptda.polya_tree import _BLOCK_VALUES, row_blocks
+from ptda.polya_tree import _BLOCK_VALUES, leaf_log_odds_table, leaf_log_path_tables, row_blocks
 from ptda.simgen import SimulationSpec, generate
 from ptda.smoothing import expected_pvalue, select_c
 
@@ -120,10 +118,10 @@ class TestUpdateOmega:
     def test_preconditions(self):
         with pytest.raises(InputError):
             update_omega(np.array([]), Hyperparameters())
-        with pytest.raises(DomainError):
-            update_omega(np.zeros(3), Hyperparameters(), tol=0.0)
-        with pytest.raises(DomainError):
-            update_omega(np.zeros(3), Hyperparameters(), tol=float("nan"))
+        # an infinite tol would end the first sweep as converged
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="positive and finite"):
+                update_omega(np.zeros(3), Hyperparameters(), tol=tol)
 
 
 class TestUpdateOmegaAgainstSweepOracle:

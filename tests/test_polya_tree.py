@@ -11,19 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptda.bnp_test import log_bayes_factors
-from ptda.cvb import FittedModel, fit_model, leaf_log_odds_table
+from ptda.cvb import FittedModel, fit_model
 from ptda.errors import DomainError, InputError
 from ptda.polya_tree import (
     FOREST_BYTES,
     MAX_FOREST_CELLS,
     SD_FLOOR,
     TreeForest,
+    _BLOCK_VALUES,
     _locator,
     alpha_for_layer,
     check_depth,
     count_layers,
     default_depth,
     leaf_indices,
+    leaf_log_odds_table,
     predictive_density,
     training_data,
 )
@@ -170,7 +172,7 @@ class TestCountLayers:
 
     @pytest.mark.parametrize("forest", [
         lambda: simulated_forest(2, p=12),
-        lambda: TreeForest.from_leaves([0.0, 1.0], [1.0, 2.0], [[3, 1], [0, 4]], [[2, 2], [1, 0]]),
+        lambda: TreeForest.from_leaves([0.0, 1.0], [1.0, 2.0], [[3, 1], [0, 4]], [[2, 2], [1, 3]]),
         lambda: tree_from_leaves([1, 0, 4, 2, 0, 0, 7, 1], [0, 3, 0, 0, 2, 5, 1, 1]),
         lambda: tree_from_leaves([0] * 8, [5, 0, 1, 0, 0, 2, 7, 1]),
         lambda: TreeForest.from_leaves(
@@ -490,6 +492,20 @@ class TestCountType:
         with pytest.raises(InputError, match="non-negative"):
             TreeForest.from_leaves([0.0], [1.0], [[3, -1]], [[1, 1]])
 
+    @pytest.mark.parametrize("leaf1, leaf0", [
+        ([[1, 0, 0, 0], [2, 3, 3, 1]], [[0, 0, 0, 1], [1, 1, 1, 1]]),
+        ([[1, 0], [0, 1]], [[2, 0], [1, 0]]),
+    ], ids=["both groups", "group 0"])
+    def test_unequal_totals_refused(self, leaf1, leaf0):
+        # n1 and n0 are read from variable 0, and the evidence packs its
+        # pattern keys with them, so a variable of other totals would be
+        # scored as if its group sizes were variable 0's
+        with pytest.raises(InputError, match="one total"):
+            TreeForest.from_leaves([0.0, 0.0], [1.0, 1.0], leaf1, leaf0)
+        for j in range(2):
+            forest = TreeForest.from_leaves([0.0], [1.0], leaf1[j:j + 1], leaf0[j:j + 1])
+            assert (forest.n1, forest.n0) == (sum(leaf1[j]), sum(leaf0[j]))
+
     @pytest.mark.parametrize("n", [255, 300])
     def test_narrow_counts_score_the_bits_of_int32_counts(self, n):
         train, _, _ = generate(SimulationSpec(1, n, 10, 24, 8, 3))
@@ -615,9 +631,9 @@ class TestLeafIndicesAgainstBinaryExpansion:
         # each group's leaves are counted into its leaf array (uint8 at these
         # 32 points) a block of variables at a time, and no layer above them
         # is kept.  The bound is twice both groups' leaves at 4 bytes a
-        # count, 10.24 MB: locating a row block of these 20,000 variables
-        # takes ~9 MB, and whole (p, 2**depth) int64 leaf arrays of both
-        # groups beside the leaves would add 10.24 MB more
+        # count, 10.24 MB: the deviations x.std needs take 5.12 MB, and
+        # whole (p, 2**depth) int64 leaf arrays of both groups beside the
+        # leaves would add 10.24 MB more
         n, p, depth = 32, 20000, 5
         x = np.random.default_rng(25).normal(size=(n, p))
         y = np.arange(n) % 2
@@ -626,6 +642,21 @@ class TestLeafIndicesAgainstBinaryExpansion:
         peak, forest = traced_peak(lambda: TreeForest.from_matrix(x, y, depth, _flat_out=flat))
         assert forest.leaf1.dtype == np.uint8
         assert peak < 2 * (2 * 4 * p << depth)
+
+    def test_wide_row_blocks_are_located_in_column_chunks(self):
+        # past 4096 variables a block of row_blocks' 16 rows exceeds
+        # _BLOCK_VALUES, so it is located a chunk of columns at a time:
+        # beyond the deviations x.std needs (one (n, p) float), the build
+        # holds a few block-sized temporaries, not three 16-row ones
+        # (2.56 MB each at these 20,000 variables)
+        n, p, depth = 32, 20000, 5
+        x = np.random.default_rng(26).normal(size=(n, p))
+        y = np.arange(n) % 2
+        flat = np.empty((n, p), dtype=np.int32)
+        TreeForest.from_matrix(x[:, :8], y, depth)  # the depth's table, built before tracing
+        peak, forest = traced_peak(lambda: TreeForest.from_matrix(x, y, depth, _flat_out=flat))
+        assert peak < x.nbytes + 4 * 8 * _BLOCK_VALUES
+        assert np.array_equal(flat, forest.flat_leaves(x))  # located in one piece
 
 
 class TestLocatingPoints:

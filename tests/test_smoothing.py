@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 import ptda.polya_tree
 import ptda.smoothing
 from ptda.bnp_test import log_bayes_factors
-from ptda.cvb import (Hyperparameters, classify, fit_model, leaf_log_path_tables, prior_log_odds,
-                      update_psi)
+from ptda.cvb import Hyperparameters, classify, fit_model, prior_log_odds, update_psi
 from ptda.errors import DomainError, InputError
-from ptda.polya_tree import TreeForest
+from ptda.polya_tree import TreeForest, leaf_log_path_tables
 from ptda.rng import SUBSAMPLE_STREAM, substream
 from ptda.smoothing import (
     DEFAULT_LADDER,
@@ -288,10 +287,12 @@ class TestColumnPvalues:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_refused(self, bad):
+        # column_pvalues takes data that passed training_data, which its
+        # caller select_c runs before any p-value is computed
         x, y = two_group_data(seed=1)
         x[7, 4] = bad
         with pytest.raises(InputError, match="finite"):
-            column_pvalues(x, y)
+            select_c(x, y)
 
 
 class TestSelectC:

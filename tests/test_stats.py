@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptda.errors import DomainError, InputError
-from ptda.smoothing import column_pvalues
+from ptda.smoothing import select_c
 from ptda.stats import (
     expit,
     ks_two_sample_sorted,
@@ -227,9 +227,10 @@ class TestKsTwoSample:
         assert p == pytest.approx(0.5546299561090957, abs=1e-4)
 
     def test_empty_errors(self):
-        # the kernel needs both samples in every row; column_pvalues refuses an empty group
+        # the kernel needs both samples in every row; select_c refuses an
+        # empty group (`training_data`) before it computes any p-value
         with pytest.raises(InputError, match="both groups"):
-            column_pvalues(np.arange(8.0).reshape(4, 2), np.ones(4, dtype=np.int8))
+            select_c(np.arange(8.0).reshape(4, 2), np.ones(4, dtype=np.int8))
 
     @given(
         st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=12),

@@ -234,6 +234,23 @@ def test_one_block_size():
     assert own == ["polya_tree._BLOCK_VALUES"]
 
 
+def test_forest_facts_have_one_owner():
+    # polya_tree owns the forest: a forest from outside counts is checked in
+    # TreeForest.from_leaves, which no bare constructor call skips, and the
+    # layers and alphas are read by its walks and by bnp_test's evidence only
+    constructs, reads = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("TreeForest"):
+                constructs.add(path.stem)
+            names = ({alias.name for alias in node.names} if isinstance(node, ast.ImportFrom)
+                     else {node.attr} if isinstance(node, ast.Attribute) else set())
+            if names & {"count_layers", "alpha_for_layer"}:
+                reads.add(path.stem)
+    assert constructs == {"polya_tree"}
+    assert reads == {"bnp_test"}
+
+
 # Config fields whose CLI default differs from the library's on purpose
 DEFAULT_EXEMPT = {"threads": "the CLI runs cross-validation on all cores (0), the library "
                              "call `cross_validate` on one thread unless asked"}
