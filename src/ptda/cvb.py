@@ -21,8 +21,8 @@ import numpy as np
 from .bnp_test import log_bayes_factors
 from .dataio import read_json, write_json
 from .errors import ContractViolation, DomainError, InputError
-from .polya_tree import (TreeForest, check_smoothing, leaf_log_odds_table, leaf_log_path_tables,
-                         row_blocks)
+from .polya_tree import (TreeForest, check_smoothing, float_array, leaf_log_odds_table,
+                         leaf_log_path_tables, row_blocks, training_data)
 from .stats import expit
 
 __all__ = [
@@ -101,11 +101,13 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
     the two agree bit for bit.  Stops when the squared Euclidean distance
     between consecutive sweeps is at most `tol`, finite and positive; the
     converged flag records whether that happened within `max_iter` sweeps.
+    `log_bf` must be a non-empty 1-D array of numbers (InputError).
     """
-    log_bf = np.asarray(log_bf, dtype=float)
+    log_bf = float_array(log_bf, "log Bayes factors")
     p = log_bf.size
-    if p < 1:
-        raise InputError("update_omega requires at least one variable")
+    if log_bf.ndim != 1 or p < 1:
+        raise InputError(f"update_omega requires a non-empty 1-D array of log Bayes factors, "
+                         f"got shape {log_bf.shape}")
     if not 0.0 < tol < math.inf:  # NaN fails too; an infinite tol ends any sweep "converged"
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     base = complexity_weight(p, hyper.u) + p - 1.0
@@ -332,7 +334,7 @@ def update_psi(model: FittedModel, newpoints) -> ClassProbabilities:
     """
     if not model.selection.converged:
         raise InputError("the model's selection did not converge; refit it with a larger max_iter")
-    x = np.asarray(newpoints, dtype=float)
+    x = float_array(newpoints, "points")
     if x.ndim != 2 or x.shape[1] != model.p:
         raise InputError(f"expected an (m, {model.p}) matrix, got shape {x.shape}")
     eta = np.empty(x.shape[0])
@@ -358,18 +360,17 @@ def fit_model(matrix, labels, c, hyper: Hyperparameters | None = None,
     is fitted from its own column, so no rescaling is needed.  `c` is a
     scalar or per-variable vector of smoothing parameters in (0, 100];
     `depth` None means floor(log2 n) and `names` None means V1..Vp; given
-    names must be p distinct strings.  The returned selection state
-    records whether the sweeps converged within `max_iter`; when they did
-    not, a warning goes to the `ptda.cvb` logger.
+    names must be p distinct strings; data that fail `training_data` raise
+    InputError.  The returned selection state records whether the sweeps
+    converged within `max_iter`; when they did not, a warning goes to the
+    `ptda.cvb` logger.
     """
     hyper = hyper or Hyperparameters()
-    x = np.asarray(matrix, dtype=float)
-    if x.ndim != 2:
-        raise InputError("matrix must be two-dimensional")
+    x, y = training_data(matrix, labels)
     c_vec = check_smoothing(c, x.shape[1])
     names = (_checked_names(names, x.shape[1]) if names is not None
              else [f"V{j + 1}" for j in range(x.shape[1])])
-    forest = TreeForest.from_matrix(x, labels, depth)
+    forest = TreeForest.from_matrix(x, y, depth)
     selection = update_omega(log_bayes_factors(forest, c_vec), hyper, tol=tol, max_iter=max_iter)
     if not selection.converged:
         _log.warning("fit_model: the selection did not converge within max_iter=%d sweeps "

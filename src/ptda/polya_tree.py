@@ -13,10 +13,11 @@ The p trees of a dataset are stored as one forest: each group holds a
 occupied or not, in the narrowest of uint8, uint16 and int32 that holds
 n = n1 + n0 (`_count_dtype`).  Every other count is a sum of leaves: cell k of
 layer l has children 2k and 2k + 1 in layer l + 1, and a point's layer-l
-cell is leaf >> (depth - l).  `count_layers` sums a block of variables'
-layers pairwise, where they are read: by the log path probability walk
-here (`leaf_log_odds_table`) and by `bnp_test`.  `TreeForest.from_leaves`
-checks counts from outside: a group's sum to its size in every variable.
+cell is leaf >> (depth - l).  Only `bnp_test` and `_log_paths`, the one
+walk over branch probabilities (its leaf tables serve the classifier and
+the predictive density alike), sum layers (`count_layers`).
+`TreeForest.from_leaves` checks counts from outside: a group's sum to its
+size in every variable.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "default_depth",
     "check_depth",
     "C_MAX",
+    "float_array",
     "check_smoothing",
     "alpha_for_layer",
     "leaf_indices",
@@ -136,14 +138,20 @@ C_MAX = 100.0
 """Largest smoothing parameter: every c lies in (0, C_MAX]."""
 
 
+def float_array(values, what: str) -> np.ndarray:
+    """`values` as a float array; InputError naming `what` when numpy cannot
+    convert them (TypeError or ValueError: a string, a ragged list)."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be numbers") from None
+
+
 def check_smoothing(c, p: int) -> np.ndarray:
     """`c`, a scalar or one value per variable, as a (p,) float array; each
     value must lie in (0, C_MAX] (DomainError, which a NaN fails too).  A
     `c` that is not numbers, or not one value or p of them, raises InputError."""
-    try:
-        c = np.asarray(c, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError("smoothing parameters must be numbers") from None
+    c = float_array(c, "smoothing parameters")
     if c.ndim > 1 or c.size not in (1, p):
         raise InputError(f"expected one smoothing parameter or {p}, one per variable, "
                          f"got shape {c.shape}")
@@ -225,7 +233,7 @@ def training_data(matrix, labels) -> tuple[np.ndarray, np.ndarray]:
     or 1, both groups are non-empty, there is at least one variable and
     every value is finite.
     """
-    x = np.asarray(matrix, dtype=float)
+    x = float_array(matrix, "the matrix's values")
     y = np.asarray(labels)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise InputError("matrix must be (n, p) with one label per row")
@@ -357,8 +365,8 @@ class TreeForest:
 
     @classmethod
     def from_leaves(cls, means, sds, leaf1, leaf0) -> "TreeForest":
-        """Forest from per-variable centring means and sds, each (p,), and the
-        (p, 2**depth) deepest-layer counts of each group.  The counts are
+        """Forest from per-variable centring means and sds, each (p,), p >= 1, and
+        the (p, 2**depth) deepest-layer counts of each group.  The counts are
         checked as int64 and kept in the type of n, the largest variable
         total of group 1 plus that of group 0 (`_count_dtype`).
 
@@ -371,9 +379,9 @@ class TreeForest:
         sds = np.asarray(sds, dtype=float)
         leaf1 = np.asarray(leaf1, dtype=np.int64)
         leaf0 = np.asarray(leaf0, dtype=np.int64)
-        p, width = leaf1.shape
+        p, width = leaf1.shape if leaf1.ndim == 2 else (0, 0)
         depth = width.bit_length() - 1
-        if (leaf0.shape != leaf1.shape or width < 1 or width != 1 << depth
+        if (leaf0.shape != leaf1.shape or p < 1 or width < 1 or width != 1 << depth
                 or means.shape != (p,) or sds.shape != (p,)):
             raise InputError("leaf counts must be (p, 2**depth) per group with one mean and sd "
                              "per variable")
@@ -441,8 +449,8 @@ class TreeForest:
 
     def leaves(self, matrix) -> np.ndarray:
         """(m, p) deepest-layer cell index of each point in each variable's tree;
-        the points must be finite."""
-        x = np.asarray(matrix, dtype=float)
+        the points must be finite numbers."""
+        x = float_array(matrix, "points")
         if x.ndim != 2 or x.shape[1] != self.p:
             raise InputError(f"expected points with {self.p} variables, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
@@ -470,24 +478,16 @@ def predictive_density(points, tree: TreeForest, c) -> tuple[np.ndarray, np.ndar
     """Posterior-mean densities of group 1 and of group 0 at each of `points`,
     for a one-variable forest: two (m,) arrays for the m values of `points`.
 
-    Each is the centring density times, for each layer, twice the
-    posterior-mean branch probability along the point's path; with no
-    observations it is the centring density exactly.  The points must be
-    finite (InputError) and `c` must lie in (0, C_MAX] (`check_smoothing`).
+    Each is the centring density times 2**depth times the path probability
+    of the point's leaf (`leaf_log_path_tables`); with no observations, the
+    centring density up to rounding.  The points must be finite numbers
+    (InputError) and `c` must lie in (0, C_MAX] (`check_smoothing`).
     """
     if tree.p != 1:
         raise InputError(f"predictive_density takes a one-variable forest, got p={tree.p}")
-    [c] = check_smoothing(c, 1)
-    x = np.asarray(points, dtype=float).ravel()
+    tables = leaf_log_path_tables(tree, c)
+    x = float_array(points, "points").ravel()
     leaf = tree.leaves(x[:, None])[:, 0]
     sd = tree.sds[0]
-    value = normal_pdf(_standardized(x, tree.means[0], sd)) / sd
-    # layers[l] is layer l, (2, 2**l): group 1, group 0
-    layers = list(count_layers(np.concatenate((tree.leaf1, tree.leaf0))))[::-1]
-    parent = layers[0]
-    for level in range(1, tree.depth + 1):
-        child = layers[level][:, leaf >> (tree.depth - level)]
-        a = alpha_for_layer(level, c)
-        value = value * (2.0 * (a + child) / (2.0 * a + parent))
-        parent = child
-    return value[0], value[1]
+    centring = normal_pdf(_standardized(x, tree.means[0], sd)) / sd * 2.0 ** tree.depth
+    return tuple(centring * np.exp(lp[0, leaf]) for lp in tables)

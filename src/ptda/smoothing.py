@@ -15,7 +15,7 @@ scores, and one `log_bayes_factors` call over that forest gives the log
 Bayes factors of every ladder value.  The search runs in two phases over
 the distinct per-variable c vectors: first one omega selection per vector,
 then the resubstitution log-odds of every converged vector together, one
-(ladder value, bin) leaf log-odds table at a time, each holding only the
+(bin, ladder value) leaf log-odds table at a time, each holding only the
 bin's variables.  The winner is returned as an ordinary fit, which builds
 its own table.
 """
@@ -171,11 +171,12 @@ def _is_monotone_tuple(t: tuple) -> bool:
 
 
 def monotone_tuples(ladder) -> list[tuple]:
-    """All non-decreasing 4-tuples over the ladder, in lexicographic order."""
-    values = sorted(float(v) for v in ladder)
+    """All non-decreasing 4-tuples over the ladder, in lexicographic order.
+    The values must be numbers (InputError) and lie in (0, 100] (`check_smoothing`)."""
+    values = list(ladder)
     if not values:
         raise InputError("the candidate ladder is empty")
-    check_smoothing(values, len(values))
+    values = sorted(check_smoothing(values, len(values)).tolist())
     return list(itertools.combinations_with_replacement(values, 4))
 
 
@@ -232,29 +233,24 @@ def _resubstitution_log_odds(forest: TreeForest, flat: np.ndarray, omegas: list,
 
     `flat` holds the points' (n, p) flat leaf indices into `forest`,
     omegas[k] candidate k's (p,) selection probabilities, and vectors[k][i]
-    its value on the variables columns[i].  For each ladder value and each
-    bin that some candidate gives that value, the leaf log-odds table of the
-    bin's variables alone (`leaf_log_odds_table`) is built, the points' leaf
-    log-odds are gathered from it once with bin-local flat indices, and
-    multiplied against the bin's omegas of every such candidate, gathered
-    into one (candidates, bin) array; the table is dropped before the next
-    one is built.
+    its value on the variables columns[i].  Bin by bin, the points' flat
+    indices are made bin-local once; then for each ladder value some
+    candidate gives the bin, ascending, the bin's leaf log-odds table
+    (`leaf_log_odds_table`, its variables alone) is built, gathered from,
+    multiplied against the bin's omegas of every such candidate, one
+    (candidates, bin) array, and dropped before the next.  So each column
+    adds its bins in bin order, whatever its vector.
     """
     width = 1 << forest.depth
     eta = np.zeros((flat.shape[0], len(vectors)))
-    # every vector is non-decreasing over the bins (`monotone_tuples`, or a
-    # grid tuple that passed `_is_monotone_tuple`), so with the values in
-    # ascending order each column still gets its bins added in ascending
-    # order: the same sums, bit for bit, as a loop over bins
-    for value in sorted(set().union(*vectors)):
-        for i, cols in enumerate(columns):
+    for i, cols in enumerate(columns):
+        local = flat[:, cols]  # row i of the table is variable cols[i]
+        local -= ((cols - np.arange(cols.size)) * width).astype(np.int32)
+        for value in sorted({vector[i] for vector in vectors}):
             ks = [k for k, vector in enumerate(vectors) if vector[i] == value]
-            if ks:
-                table = leaf_log_odds_table(forest, value, cols)
-                local = flat[:, cols]  # row i of the table is variable cols[i]
-                local -= ((cols - np.arange(cols.size)) * width).astype(np.int32)
-                eta[:, ks] += np.take(table, local) @ np.array([omegas[k][cols] for k in ks]).T
-                del table, local
+            table = leaf_log_odds_table(forest, value, cols)
+            eta[:, ks] += np.take(table, local) @ np.array([omegas[k][cols] for k in ks]).T
+            del table
     return eta
 
 
@@ -280,8 +276,8 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     call, as a (values, 1) column of settings, gathers each vector's
     evidence from that (values, p) result by its own row index, and keeps
     one `update_omega` selection state per vector.  Phase 2 scores every
-    converged vector at once, holding one table at a time, the
-    leaf log-odds of one bin's variables at one ladder value
+    converged vector at once, bin by bin in order, holding one table at a
+    time, the leaf log-odds of one bin's variables at one ladder value
     (`_resubstitution_log_odds`).  Its summation order differs
     from the one matvec per row block that `update_psi` does with the
     winner's omega, so a score may differ from it in the last bits.  The

@@ -175,7 +175,7 @@ def shapiro_wilk_sorted(rows) -> tuple[np.ndarray, np.ndarray]:
     """
     s = np.asarray(rows, dtype=float)
     n = s.shape[1]
-    constant = s[:, -1] - s[:, 0] <= 0.0
+    constant = s[:, -1] <= s[:, 0]  # the rows are sorted; their max - min can overflow
     shift = square_safe_shift(s[:, [0, -1]], axis=1)
     big = np.flatnonzero(shift)
     if big.size:

@@ -846,10 +846,8 @@ class TestDoubledLabel:
 
 
 class TestLargeMagnitudeColumn:
-    def test_select_c_accepts_a_column_near_1e200(self, tmp_path, capsys):
-        rng = np.random.default_rng(71)
-        x = rng.normal(size=(40, 3))
-        x[:, 1] *= 1e200
+    @staticmethod
+    def select_c_exits_zero(tmp_path, capsys, x):
         y = np.array([1, 0] * 20)
         data = tmp_path / "big.csv"
         with open(data, "w", encoding="utf-8") as fh:
@@ -861,6 +859,19 @@ class TestLargeMagnitudeColumn:
                             "--out", str(report)], capsys)
         assert code == 0, err
         assert report.exists()
+
+    def test_select_c_accepts_a_column_near_1e200(self, tmp_path, capsys):
+        x = np.random.default_rng(71).normal(size=(40, 3))
+        x[:, 1] *= 1e200
+        self.select_c_exits_zero(tmp_path, capsys, x)
+
+    def test_select_c_accepts_a_column_spanning_past_the_double_range(self, tmp_path, capsys):
+        # column b runs from -1.7e308 to 1.7e308, so its range is not a
+        # double; a RuntimeWarning, an error in this suite, would exit 2
+        rng = np.random.default_rng(72)
+        x = rng.normal(size=(40, 3))
+        x[:, 1] = rng.permutation(np.linspace(-1.7, 1.7, 40)) * 1e308
+        self.select_c_exits_zero(tmp_path, capsys, x)
 
 
 class TestDepthOption:

@@ -27,7 +27,8 @@ from ptda.cvb import (
 )
 from ptda.bnp_test import log_bayes_factors
 from ptda.errors import DomainError, InputError
-from ptda.polya_tree import _BLOCK_VALUES, leaf_log_odds_table, leaf_log_path_tables, row_blocks
+from ptda.polya_tree import (_BLOCK_VALUES, TreeForest, leaf_log_odds_table, leaf_log_path_tables,
+                             predictive_density, row_blocks)
 from ptda.simgen import SimulationSpec, generate
 from ptda.smoothing import expected_pvalue, select_c
 
@@ -580,3 +581,34 @@ class TestFittedModel:
         assert model.selection.converged
         assert model.selection.iteration <= 100
         assert model.omega[0] == max(model.omega)
+
+
+# calls at the library boundary with inputs numpy cannot take as numbers, or
+# of the wrong shape: each is refused as InputError naming the input, not as
+# a bare ValueError, TypeError or IndexError from inside
+MALFORMED_CALLS = {
+    "fit_model, strings": (lambda x, y, model: fit_model([["a", "b"]] * 4, [1, 0] * 2, 1.0),
+                           "matrix's values"),
+    "update_psi, strings": (lambda x, y, model: update_psi(model, [["a"] * model.p]), "points"),
+    "predictive_density, strings": (
+        lambda x, y, model: predictive_density(["a"], model.forest.variable(0), 1.0), "points"),
+    "select_c, string grid": (lambda x, y, model: select_c(x, y, grid="abc"),
+                              "smoothing parameters"),
+    "update_omega, 2-D": (lambda x, y, model: update_omega(np.zeros((2, 2)), Hyperparameters()),
+                          "log Bayes factors"),
+    "update_omega, strings": (lambda x, y, model: update_omega(["a"], Hyperparameters()),
+                              "log Bayes factors"),
+    "from_leaves, 1-D counts": (
+        lambda x, y, model: TreeForest.from_leaves([0.0], [1.0], [1, 1], [1, 1]), "leaf counts"),
+    "from_leaves, p = 0": (
+        lambda x, y, model: TreeForest.from_leaves([], [], np.zeros((0, 2)), np.zeros((0, 2))),
+        "leaf counts"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CALLS))
+def test_malformed_input_is_an_input_error(case):
+    call, named = MALFORMED_CALLS[case]
+    x, y, model = training_model(seed=3, n=12, p=4)
+    with pytest.raises(InputError, match=named):
+        call(x, y, model)

@@ -149,7 +149,7 @@ PIPELINE_SHA256 = {
     "predictions.csv": "3be6eaae343caeb8f35ee53dd8e2fafa6d0aeebd8419430ea9514798448aefba",
     "cv.csv": "fb8dbcb8835efa993edf4fd76a94dca96c8f29813feec8e41b9e3b9f9800b0c4",
     "cv.json": "79de2b3da04b6ae288c87f7932917df281ae402f252c18be5ff1d60c5f3e6e2e",
-    "density.csv": "7bcabd71111bf370c90faec653d5846e35ca44d827d6f002dbb90b74f6230cd8",
+    "density.csv": "38e62953013fc6f2297a78cd298f4267fa17c9700c42066b787eee26361ace4c",
     "bf stdout": "ea85ca20c3ef193f6c5cd1048c124b3c6be1af2e6f1f2de26a147c43d4d9eeb3",
 }
 

@@ -189,6 +189,13 @@ class TestShapiroWilk:
         assert np.isnan(w_stat[[0, 2]]).all() and p[[0, 2]].tolist() == [0.0, 0.0]
         assert (w_stat[1], p[1]) == pytest.approx(sw_row(np.arange(10.0)), abs=1e-14)
 
+    def test_row_spanning_past_the_double_range(self):
+        # max - min of this sorted row overflows; the constant check compares
+        # the ends instead, so no RuntimeWarning (an error in this suite) is raised
+        w_stat, p = shapiro_wilk_sorted([[-1.7e308, 0.0, 1.7e308]])
+        assert w_stat.tolist() == [1.0]
+        assert p.tolist() == [1.0]
+
     def test_location_scale_invariance(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=40)

@@ -237,18 +237,25 @@ def test_one_block_size():
 def test_forest_facts_have_one_owner():
     # polya_tree owns the forest: a forest from outside counts is checked in
     # TreeForest.from_leaves, which no bare constructor call skips, and the
-    # layers and alphas are read by its walks and by bnp_test's evidence only
-    constructs, reads = set(), set()
+    # layers and alphas are read by one walk over branch probabilities,
+    # `_log_paths` (whose leaf tables the classifier and the predictive
+    # density share), and by bnp_test's evidence only
+    constructs, reads, callers = set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("TreeForest"):
                 constructs.add(path.stem)
             names = ({alias.name for alias in node.names} if isinstance(node, ast.ImportFrom)
                      else {node.attr} if isinstance(node, ast.Attribute) else set())
             if names & {"count_layers", "alpha_for_layer"}:
                 reads.add(path.stem)
+        for owner, call in _calls(tree):
+            if ast.unparse(call.func).rpartition(".")[2] in {"count_layers", "alpha_for_layer"}:
+                callers.add(path.stem if path.stem != "polya_tree" else f"polya_tree.{owner}")
     assert constructs == {"polya_tree"}
     assert reads == {"bnp_test"}
+    assert callers == {"polya_tree._log_paths", "bnp_test"}
 
 
 # Config fields whose CLI default differs from the library's on purpose
