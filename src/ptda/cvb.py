@@ -21,7 +21,7 @@ import numpy as np
 from .bnp_test import log_bayes_factors
 from .dataio import read_json, write_json
 from .errors import ContractViolation, DomainError, InputError
-from .polya_tree import (TreeForest, check_smoothing, float_array, leaf_log_odds_table,
+from .polya_tree import (TreeForest, check_smoothing, float_array, integer, leaf_log_odds_table,
                          leaf_log_path_tables, row_blocks, training_data)
 from .stats import expit
 
@@ -100,16 +100,21 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
     written inline; `tests/oracles.py` keeps the sweep that calls them and
     the two agree bit for bit.  Stops when the squared Euclidean distance
     between consecutive sweeps is at most `tol`, finite and positive; the
-    converged flag records whether that happened within `max_iter` sweeps.
-    `log_bf` must be a non-empty 1-D array of numbers (InputError).
+    converged flag records whether that happened within `max_iter` >= 1
+    sweeps.  `log_bf` must be a non-empty 1-D array of numbers, `tol` a
+    number and `max_iter` an integer (InputError).
     """
     log_bf = float_array(log_bf, "log Bayes factors")
     p = log_bf.size
     if log_bf.ndim != 1 or p < 1:
         raise InputError(f"update_omega requires a non-empty 1-D array of log Bayes factors, "
                          f"got shape {log_bf.shape}")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
+        raise InputError(f"tol must be a number, got {tol!r}")
     if not 0.0 < tol < math.inf:  # NaN fails too; an infinite tol ends any sweep "converged"
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    if integer(max_iter, "max_iter") < 1:  # no sweep could converge
+        raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
     base = complexity_weight(p, hyper.u) + p - 1.0
     bf = log_bf.tolist()
     om = [0.5] * p
@@ -327,10 +332,11 @@ def update_psi(model: FittedModel, newpoints) -> ClassProbabilities:
     gathers the model's per-leaf log-odds table there; `class_log_odds`
     weights them by omega on top of the prior odds.  The points are scored
     in `row_blocks`, so beyond the (m,) result and the model's leaf log-odds
-    table the call holds a few block-sized temporaries (a few MB), not
-    several (m, p) arrays; the psi are the same bits as one call over all
-    rows.  A model whose selection did not converge, or a NaN or infinite
-    coordinate, raises InputError.
+    table the call holds one block's flat index and gathered log-odds (~1
+    MiB together up to p = 4096, 256 p bytes past it) and one tile's locator
+    temporaries (`TreeForest.flat_leaves`); the psi are the same bits as
+    one call over all rows.  A model whose selection did not converge, or
+    a NaN or infinite coordinate, raises InputError.
     """
     if not model.selection.converged:
         raise InputError("the model's selection did not converge; refit it with a larger max_iter")

@@ -24,7 +24,7 @@ import numpy as np
 from .cvb import Hyperparameters, classify, update_psi
 from .dataio import Dataset, split_folds, write_csv
 from .errors import InputError
-from .polya_tree import row_blocks
+from .polya_tree import column_sums, row_blocks
 from .simgen import SimulationSpec, generate
 from .smoothing import select_c
 
@@ -89,47 +89,26 @@ def _select_and_score(x_train, y_train, x_test, y_test, seed, rep, truth=None, *
                 model.selection.converged, report.chosen_a), selected
 
 
-def _group_sums(x: np.ndarray, y: np.ndarray, means=None) -> list:
-    """[group 1, group 0] column sums of each group's rows of the (n, p)
-    matrix x, or, given the groups' (p,) `means` in that order, of their
-    squared deviations from them, a `row_blocks` block at a time: no
-    (n_g, p) copy of a group is made.  The running sum is prepended to each
-    block's rows, and numpy sums axis 0 row after row, so each sum is the
-    same bits as one over all the group's rows (except at p = 1 past one
-    block of 65,536 rows: numpy sums a single column pairwise)."""
-    sums = [None, None]
-    for rows in row_blocks(*x.shape):
-        block, labels = x[rows], y[rows]
-        for g, label in enumerate((1, 0)):
-            part = block[labels == label]
-            if means is not None:
-                part = (part - means[g]) ** 2
-            if part.shape[0]:
-                sums[g] = part.sum(axis=0) if sums[g] is None else \
-                    np.concatenate((sums[g][None], part)).sum(axis=0)
-    return sums
-
-
 def gaussian_nb_baseline(train: Dataset, test: Dataset) -> float:
     """Test classification error of Gaussian class-conditionals with pooled
     variance, no selection.
 
     The comparison foil: empirical prior odds plus per-variable Gaussian
-    log-likelihood ratios over all variables.  The training moments are
-    summed over row blocks (`_group_sums`) and the test points scored in
-    `polya_tree.row_blocks`, so the call holds a few block-sized
-    temporaries (a few MB) beyond the moments, not (n_g, p) or (m, p)
-    arrays; the moments and each row's sum are the same bits as in one
-    expression over all rows.
+    log-likelihood ratios over all variables.  Each group's training
+    moments are summed a tile at a time (`polya_tree.column_sums`) and the
+    test points scored in `polya_tree.row_blocks`, so the call holds a few
+    block-sized temporaries (a few MB) beyond the moments, not (n_g, p) or
+    (m, p) arrays; the moments and each row's sum are the same bits as in
+    one expression over all rows.
     """
     y = train.labels
     n1 = int(np.sum(y == 1))
     n0 = y.size - n1
     if min(n1, n0) < 2:
         raise InputError("the baseline requires at least two members per group")
-    sum1, sum0 = _group_sums(train.matrix, y)
-    mu1, mu0 = sum1 / n1, sum0 / n0
-    ss1, ss0 = _group_sums(train.matrix, y, (mu1, mu0))
+    x, groups = train.matrix, (y == 1, y == 0)
+    mu1, mu0 = (column_sums(x, rows) / size for rows, size in zip(groups, (n1, n0)))
+    ss1, ss0 = (column_sums(x, rows, mu) for rows, mu in zip(groups, (mu1, mu0)))
     pooled = np.maximum((ss1 + ss0) / (y.size - 2), VARIANCE_FLOOR)
     z = test.matrix
     log_odds = np.empty(z.shape[0])

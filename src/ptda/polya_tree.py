@@ -18,13 +18,17 @@ walk over branch probabilities (its leaf tables serve the classifier and
 the predictive density alike), sum layers (`count_layers`).
 `TreeForest.from_leaves` checks counts from outside: a group's sum to its
 size in every variable.
+
+An (m, p) matrix is read a tile at a time (`_tiles`): `_locate` alone
+finds points' leaves and `column_sums` alone sums columns (the centring
+moments, and the naive-Bayes foil's), with no (m, p) float temporary.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from functools import cache, cached_property
+from functools import cache
 from statistics import NormalDist
 
 import numpy as np
@@ -42,11 +46,13 @@ __all__ = [
     "check_depth",
     "C_MAX",
     "float_array",
+    "integer",
     "check_smoothing",
     "alpha_for_layer",
     "leaf_indices",
     "count_layers",
     "row_blocks",
+    "column_sums",
     "leaf_log_path_tables",
     "leaf_log_odds_table",
     "predictive_density",
@@ -92,9 +98,9 @@ def _count_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32)
 
 
-# the package's one block size, in values (a float64 block takes 0.5 MiB):
-# `row_blocks`, `_locator`, `_count_leaves`, smoothing.column_pvalues,
-# bnp_test's evidence plans (parent cells) and `leaf_log_odds_table` (leaves)
+# the package's one block size, in values (a float64 block takes 0.5 MiB): `row_blocks`,
+# `_tiles`, `_locator`, `_count_leaves`, smoothing.column_pvalues, bnp_test's evidence
+# plans (parent cells) and `leaf_log_odds_table` (leaves)
 _BLOCK_VALUES = 1 << 16
 
 
@@ -104,9 +110,37 @@ def row_blocks(m: int, p: int) -> list[slice]:
     rows, so each row keeps its place modulo 16: with OpenBLAS a row's
     matvec result is then the same bits as in one call over all m rows,
     while blocks of 13 or 65 rows changed a few rows in a thousand in the
-    last bit."""
+    last bit; `_tiles` splits blocks past _BLOCK_VALUES (p > 4096) into column chunks."""
     rows = max(16, _BLOCK_VALUES // max(p, 1) // 16 * 16)
     return [slice(start, start + rows) for start in range(0, m, rows)]
+
+
+def _tiles(m: int, p: int):
+    """(rows, cols) slices tiling an (m, p) matrix: each `row_blocks` block split
+    evenly into column chunks of at most _BLOCK_VALUES values of its own rows,
+    two columns or more when p >= 2 (numpy sums a lone column pairwise)."""
+    for rows in row_blocks(m, p):
+        chunks = min(-(-p // max(1, _BLOCK_VALUES // len(range(m)[rows]))), max(1, p // 2))
+        for k in range(chunks):
+            yield rows, slice(k * p // chunks, (k + 1) * p // chunks)
+
+
+def column_sums(x: np.ndarray, rows=None, centre=None) -> np.ndarray:
+    """(p,) column sums of an (m, p) matrix's rows in the boolean mask `rows`
+    (None: all), or of their squared deviations from the (p,) `centre`.  Each
+    tile (`_tiles`) is summed after its columns' running totals, row after row
+    as numpy sums a C-ordered matrix's axis 0: the bits of one sum over all the
+    rows, with no (m, p) temporary, except at p = 1 past one row block or for
+    an F-ordered x, whose whole columns numpy sums pairwise."""
+    sums, begun = np.zeros(x.shape[1]), np.zeros(x.shape[1], dtype=bool)
+    for block, cols in _tiles(*x.shape):
+        part = x[block, cols] if rows is None else x[block, cols][rows[block]]
+        part = part if centre is None else (part - centre[cols]) ** 2
+        if part.shape[0]:  # a column's first rows start its sum, later ones follow its total
+            if begun[cols.start]:
+                part = np.concatenate((sums[None, cols], part))
+            sums[cols], begun[cols] = part.sum(axis=0), True
+    return sums
 
 
 def default_depth(n: int) -> int:
@@ -145,6 +179,13 @@ def float_array(values, what: str) -> np.ndarray:
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise InputError(f"{what} must be numbers") from None
+
+
+def integer(value, what: str) -> int:
+    """`value` as an int; InputError naming `what` unless it is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_smoothing(c, p: int) -> np.ndarray:
@@ -200,9 +241,10 @@ def _locator(depth: int) -> tuple[float, float, np.ndarray, np.ndarray]:
     return scale, float(half), cells, bounds
 
 
-def leaf_indices(z, depth: int) -> np.ndarray:
+def leaf_indices(z, depth: int, out: np.ndarray | None = None) -> np.ndarray:
     """Deepest-layer cell index of each standardized value: intp values in
-    the shape of `z`, which must hold no NaN.
+    the shape of `z`, which must hold no NaN, or written into the integer
+    array `out` of that shape, which is returned.
 
     The index counts the cell boundaries inv_cdf(k / 2**depth) strictly
     below z, as np.searchsorted(boundaries, z, side="left") does, so a value
@@ -218,8 +260,7 @@ def leaf_indices(z, depth: int) -> np.ndarray:
     t = np.clip(z, -half / scale, (half - 1.0) / scale, out=np.empty(z.shape))
     t *= scale
     np.floor(t, out=t)
-    t += half
-    k = t.astype(np.intp)
+    k = np.add(t, half, out=np.empty(z.shape, np.intp) if out is None else out, casting="unsafe")
     k[...] = np.take(cells, k, mode="clip")  # in range: "clip" skips the checks of "raise"
     np.take(bounds, k, out=t, mode="clip")
     k += z > t
@@ -328,6 +369,24 @@ def _count_leaves(flat: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
     return leaves
 
 
+def _locate(x: np.ndarray, means, sds, depth: int, out: np.ndarray) -> np.ndarray:
+    """`out`, an (m, p) integer array, filled with the flat leaf index leaf + j * 2**depth of
+    each point of x in variable j's tree, a tile (`_tiles`) at a time whatever m and p."""
+    offsets = np.arange(0, x.shape[1] << depth, 1 << depth)
+    for rows, cols in _tiles(*x.shape):
+        tile = out[rows, cols]
+        leaf_indices(_standardized(x[rows, cols], means[cols], sds[cols]), depth, tile)
+        tile += offsets[cols]
+    return out
+
+
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x.mean(axis=0) and x.std(axis=0, ddof=1) of an (n, p) x, n >= 2, bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = column_sums(x) / x.shape[0]
+        return means, np.sqrt(column_sums(x, centre=means) / (x.shape[0] - 1))
+
+
 def _standardized(x, means, sds) -> np.ndarray:
     """(x - means) / sds, in one buffer.  A value past the double range there
     is the infinity of its sign, which `leaf_indices` puts in the outer cell
@@ -412,61 +471,45 @@ class TreeForest:
         at DEBUG on the `ptda.polya_tree` logger.  The data must pass
         `training_data`.  `_flat_out`, an (n, p) int32 array, receives the
         training points' flat leaf indices, the ones `flat_leaves(matrix)`
-        gives (each is below MAX_FOREST_CELLS / 2): a caller that scores the
-        training points (`smoothing.select_c`) locates them once, and the
-        forest does not carry them.
+        gives by the same `_locate` (each below MAX_FOREST_CELLS / 2): a
+        caller that scores the training points (`smoothing.select_c`) locates
+        them once, and the forest does not carry them.  The moments and the
+        leaves read x a tile at a time, with no (n, p) float temporary.
         """
         x, y = training_data(matrix, labels)
         n, p = x.shape
         depth = check_depth(default_depth(n) if depth is None else depth, p)
-        with np.errstate(over="ignore", invalid="ignore"):
-            means = x.mean(axis=0)
-            sds = x.std(axis=0, ddof=1)
+        means, sds = _moments(x)
         # a column whose squares leave the double range is redone at a
         # moderate magnitude, an exact power-of-two scaling
         shift = square_safe_shift(x, axis=0)
         big = np.flatnonzero(shift)
         if big.size:
-            moderate = np.ldexp(x[:, big], -shift[big])
-            means[big] = np.ldexp(moderate.mean(axis=0), shift[big])
-            sds[big] = np.ldexp(moderate.std(axis=0, ddof=1), shift[big])
+            scaled = _moments(np.ldexp(x[:, big], -shift[big]))
+            means[big], sds[big] = (np.ldexp(m, shift[big]) for m in scaled)
         floored = ~(np.isfinite(sds) & (sds > 0.0))
         if floored.any():
             _log.debug("TreeForest.from_matrix: %d of %d columns have a zero or non-finite sd "
                        "and are centred with SD_FLOOR = %g", np.count_nonzero(floored), p, SD_FLOOR)
             sds = np.where(floored, SD_FLOOR, sds)
-        width = 1 << depth
-        offsets = np.arange(p, dtype=np.int64) * width
         flat = np.empty((n, p), dtype=np.int32) if _flat_out is None else _flat_out
-        for rows in row_blocks(n, p):  # no (n, p) float temporary
-            step = _BLOCK_VALUES // (rows.stop - rows.start)  # past p = 4096, column chunks
-            for cols in (slice(start, start + step) for start in range(0, p, step)):
-                z = _standardized(x[rows, cols], means[cols], sds[cols])
-                np.add(leaf_indices(z, depth), offsets[cols], out=flat[rows, cols])
-        del z  # the last block is not held through the leaf counts
+        _locate(x, means, sds, depth, flat)
+        width = 1 << depth
         # the centring is finite and the depth checked above
         return cls(means, sds, _count_leaves(flat, y, width), _count_leaves(flat, ~y, width))
 
-    def leaves(self, matrix) -> np.ndarray:
-        """(m, p) deepest-layer cell index of each point in each variable's tree;
-        the points must be finite numbers."""
+    def flat_leaves(self, matrix) -> np.ndarray:
+        """(m, p) intp index leaf + j * 2**depth of each point's deepest-layer
+        cell in variable j's tree, in a flattened (p, 2**depth) per-leaf
+        table; `np.take` gathers with it, and leaf is the index less j *
+        2**depth.  The points must be finite numbers (InputError)."""
         x = float_array(matrix, "points")
         if x.ndim != 2 or x.shape[1] != self.p:
             raise InputError(f"expected points with {self.p} variables, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
+        # min and max propagate NaN, and they need no (m, p) temporary
+        if not (math.isfinite(x.min(initial=0.0)) and math.isfinite(x.max(initial=0.0))):
             raise InputError("points must be finite")
-        return leaf_indices(_standardized(x, self.means, self.sds), self.depth)
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """(p,) intp start j * 2**depth of each variable's leaves in a flat table."""
-        return np.arange(self.p, dtype=np.intp) << self.depth
-
-    def flat_leaves(self, matrix) -> np.ndarray:
-        """(m, p) index leaf + j * 2**depth of each point's deepest-layer cell
-        in a flattened (p, 2**depth) per-leaf table; `np.take` gathers with it."""
-        flat = self.leaves(matrix)
-        return np.add(flat, self.offsets, out=flat)
+        return _locate(x, self.means, self.sds, self.depth, np.empty(x.shape, dtype=np.intp))
 
     def variable(self, j: int) -> "TreeForest":
         """One-variable forest (a view) of variable j."""
@@ -487,7 +530,7 @@ def predictive_density(points, tree: TreeForest, c) -> tuple[np.ndarray, np.ndar
         raise InputError(f"predictive_density takes a one-variable forest, got p={tree.p}")
     tables = leaf_log_path_tables(tree, c)
     x = float_array(points, "points").ravel()
-    leaf = tree.leaves(x[:, None])[:, 0]
+    leaf = tree.flat_leaves(x[:, None])[:, 0]  # variable 0's leaves start at 0
     sd = tree.sds[0]
     centring = normal_pdf(_standardized(x, tree.means[0], sd)) / sd * 2.0 ** tree.depth
     return tuple(centring * np.exp(lp[0, leaf]) for lp in tables)

@@ -34,8 +34,8 @@ from .bnp_test import log_bayes_factors
 from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, _checked_names, complexity_weight,
                   json_numbers, prior_log_odds, update_omega)
 from .errors import DomainError, InputError
-from .polya_tree import (_BLOCK_VALUES, TreeForest, check_smoothing, leaf_log_odds_table,
-                         training_data)
+from .polya_tree import (_BLOCK_VALUES, TreeForest, check_smoothing, float_array, integer,
+                         leaf_log_odds_table, training_data)
 from .rng import SUBSAMPLE_STREAM, substream
 from .stats import ks_two_sample_sorted, shapiro_wilk_sorted
 
@@ -194,8 +194,10 @@ def column_pvalues(matrix, labels, seed: int = 0) -> tuple[np.ndarray, np.ndarra
     (the SUBSAMPLE_STREAM substream of `seed`), sorted per block.  A
     constant column, and every column when n < 3, scores v0 = 0.
     Subsampling and the count of constant columns are reported at DEBUG on
-    the `ptda.smoothing` logger.
+    the `ptda.smoothing` logger.  A `seed` that is not an integer raises
+    InputError, even where no subsample is drawn.
     """
+    seed = integer(seed, "seed")
     x = np.asarray(matrix, dtype=float)
     y = np.asarray(labels).astype(bool)
     n, p = x.shape
@@ -302,13 +304,15 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     elif all(np.isscalar(v) for v in grid):
         tuples = monotone_tuples(grid)
     else:
-        tuples = [tuple(float(v) for v in t) for t in grid]
+        tuples = [float_array(t, "grid tuples") for t in grid]
         if not tuples:
             raise InputError("the candidate grid is empty")
+        if any(t.ndim != 1 for t in tuples):  # a scalar or None beside tuples
+            raise InputError("every entry of a grid of tuples must be a tuple of numbers")
+        tuples = sorted(tuple(t.tolist()) for t in tuples)
         for t in tuples:
             if not _is_monotone_tuple(t):
                 raise DomainError(f"grid tuples must be monotone 4-tuples in (0, 100], got {t}")
-        tuples.sort()
 
     v0, v1 = column_pvalues(x, yb, seed=seed)
     expected = expected_pvalue(v0, v1, p, hyper.u)

@@ -57,9 +57,16 @@ def tree_from_leaves(leaf1, leaf0, centring: tuple = STD) -> TreeForest:
     return TreeForest.from_leaves([mean], [sd], [leaf1], [leaf0])
 
 
+def leaves_of(forest: TreeForest, points) -> np.ndarray:
+    """(m, p) deepest-layer cell index of each point in each variable's tree:
+    the forest's flat index (`flat_leaves`) less each variable's offset j *
+    2**depth."""
+    return forest.flat_leaves(points) - (np.arange(forest.p) << forest.depth)
+
+
 def path_code(tree: TreeForest, x: float) -> str:
     """Depth-D path code of a point in a one-variable forest."""
-    return format(int(tree.leaves([[x]])[0, 0]), f"0{tree.depth}b")
+    return format(int(leaves_of(tree, [[x]])[0, 0]), f"0{tree.depth}b")
 
 
 def path_map(forest: TreeForest, j: int = 0) -> dict:

@@ -260,10 +260,10 @@ def predictive_density_at(x: float, tree, c: float, group: int) -> float:
     """Posterior-mean density of one group at one point x of a one-variable
     forest: the package's walk before it took arrays, one point and one group
     at a time, with the centring density from `math.exp`.  The point's leaf
-    comes from the forest's own `leaves`, which
-    test_polya_tree.TestLeafIndicesAgainstBinaryExpansion checks."""
+    comes from the forest's own `flat_leaves` (one variable: its offset is
+    0), which test_polya_tree.TestLeafIndicesAgainstBinaryExpansion checks."""
     counts = node_counts(tree.leaf1 if group == 1 else tree.leaf0)[0]
-    leaf = int(tree.leaves([[x]])[0, 0])
+    leaf = int(tree.flat_leaves([[x]])[0, 0])
     mean, sd = float(tree.means[0]), float(tree.sds[0])
     z = (x - mean) / sd
     value = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) / sd

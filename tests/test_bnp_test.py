@@ -13,7 +13,8 @@ from ptda.cvb import FittedModel, fit_model
 from ptda.errors import DomainError, InputError
 from ptda.polya_tree import _BLOCK_VALUES, TreeForest
 
-from adapters import LADDER, STD, path_code, path_map, simulated_forest, tree_from_leaves, tree_of
+from adapters import (LADDER, STD, leaves_of, path_code, path_map, simulated_forest,
+                      tree_from_leaves, tree_of)
 from conftest import traced_peak
 from oracles import dense_log_bayes_factor, direct_log_bayes_factors, exact_log_bayes_factor_with_point
 
@@ -141,7 +142,7 @@ class TestSymmetries:
         v1 = log_bf(tree1, 2.0)
         v2 = log_bf(tree2, 2.0)
         assert v1 == pytest.approx(v2, abs=1e-9)
-        assert np.array_equal(tree1.leaves(col[:10, None]), tree2.leaves(moved[:10, None]))
+        assert np.array_equal(leaves_of(tree1, col[:10, None]), leaves_of(tree2, moved[:10, None]))
 
 
 class TestStirlingDrop:

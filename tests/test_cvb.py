@@ -32,7 +32,7 @@ from ptda.polya_tree import (_BLOCK_VALUES, TreeForest, leaf_log_odds_table, lea
 from ptda.simgen import SimulationSpec, generate
 from ptda.smoothing import expected_pvalue, select_c
 
-from adapters import LADDER, simulated_forest, tree_from_leaves
+from adapters import LADDER, leaves_of, simulated_forest, tree_from_leaves
 from conftest import traced_peak
 from oracles import direct_leaf_log_path_tables, jacobi_omega, node_counts, sweep_omega
 
@@ -181,7 +181,7 @@ class TestPathProbability:
             for j in range(model.p):
                 tree, c = model.forest.variable(j), model.c[j]
                 # the product form of the path probability, layer by layer
-                leaf = int(tree.leaves([[new[r, j]]])[0, 0])
+                leaf = int(leaves_of(tree, [[new[r, j]]])[0, 0])
                 for group, lp in ((1, lp1), (0, lp0)):
                     counts = node_counts(tree.leaf1 if group == 1 else tree.leaf0)[0]
                     prob, parent = 1.0, counts[1]
@@ -326,6 +326,18 @@ class TestUpdatePsi:
         peak, _ = traced_peak(lambda: update_psi(model, points))
         assert peak < m * p * 8 / 4
 
+    def test_wide_points_are_located_in_tiles(self):
+        # 16 points span one row block of 50,000 variables; they are located
+        # a tile of about _BLOCK_VALUES values at a time, so beside the (16, p)
+        # flat index and the gather of log-odds (2 x 6.1 MiB) no (16, p)
+        # float temporary of the locator is held (three of them read 21.4 MiB)
+        m, p = 16, 50000
+        _, _, model = training_model(n=32, p=p)
+        model.leaf_log_odds  # built and kept before the scoring is traced
+        points = np.random.default_rng(9).normal(size=(m, p))
+        peak, _ = traced_peak(lambda: update_psi(model, points))
+        assert peak < 2.5 * points.nbytes
+
     def test_far_finite_point_goes_to_the_outer_cell_without_warning(self):
         # with sds near 0.1, (x - mean) / sd at 1e308 passes the double range:
         # z is +-inf, in the outer cell, where a point at 1e3 also is
@@ -333,7 +345,7 @@ class TestUpdatePsi:
         model = fit_model(rng.normal(scale=0.1, size=(40, 3)), np.arange(40) % 2, 1.0)
         far = np.array([[1e308, -1e308, 1.7e308]])
         top = (1 << model.forest.depth) - 1
-        assert model.forest.leaves(far).tolist() == [[top, 0, top]]
+        assert leaves_of(model.forest, far).tolist() == [[top, 0, top]]
         near = np.array([[1e3, -1e3, 1e3]])
         assert np.array_equal(update_psi(model, far).psi, update_psi(model, near).psi)
 

@@ -11,13 +11,13 @@ import ptda.evalharness
 from ptda.dataio import Dataset
 from ptda.errors import InputError
 from ptda.evalharness import (
-    _group_sums,
     cross_validate,
     gaussian_nb_baseline,
     run_simulation_study,
     selection_confusion,
     write_rows_csv,
 )
+from ptda.polya_tree import column_sums
 from ptda.simgen import SimulationSpec, generate
 from ptda.smoothing import select_c
 
@@ -96,22 +96,32 @@ class TestGaussianBaseline:
         peak, _ = traced_peak(lambda: gaussian_nb_baseline(train, test))
         assert peak < m * p * 8 / 4
 
-    @pytest.mark.parametrize("n, p, block_values", [
-        (1000, 1000, None), (100, 5000, None), (37, 300, None), (70, 5, 16), (3000, 2, None)])
-    def test_moments_are_the_one_expression_bits(self, monkeypatch, n, p, block_values):
-        # the group sums over row blocks equal numpy's sums over copies of
-        # each group's rows, which the foil took before, bit for bit
+    @pytest.mark.parametrize("n, p, block_values, head", [
+        pytest.param(1000, 1000, None, 0, id="1000-1000-None"),
+        pytest.param(100, 5000, None, 0, id="100-5000-None"),
+        pytest.param(37, 300, None, 0, id="37-300-None"),
+        pytest.param(70, 5, 16, 0, id="70-5-16"),
+        pytest.param(3000, 2, None, 0, id="3000-2-None"),
+        pytest.param(100, 5000, 4096, 0, id="100-5000-4096"),
+        pytest.param(40, 7, 16, 0, id="40-7-16"),
+        pytest.param(70, 5, 16, 16, id="70-5-16-no-group-1-row-in-block-1")])
+    def test_moments_are_the_one_expression_bits(self, monkeypatch, n, p, block_values, head):
+        # the group sums a tile at a time equal numpy's sums over copies of
+        # each group's rows, which the foil took before, bit for bit: with
+        # column chunks (at _BLOCK_VALUES 4096, 20 chunks of 250 columns),
+        # where 16 values would give one-column chunks, and when group 1
+        # has none of the first block's `head` rows
         if block_values:
             monkeypatch.setattr(ptda.polya_tree, "_BLOCK_VALUES", block_values)
         rng = np.random.default_rng(n + p)
         x = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3, 3, size=(n, p))
         y = (rng.random(n) < 0.4).astype(np.int8)
+        y[:head] = 0
         x1, x0 = x[y == 1], x[y == 0]
         mu1, mu0 = x1.mean(axis=0), x0.mean(axis=0)
-        sum1, sum0 = _group_sums(x, y)
-        assert np.array_equal(sum1 / x1.shape[0], mu1) and np.array_equal(sum0 / x0.shape[0], mu0)
-        ss1, ss0 = _group_sums(x, y, (mu1, mu0))
-        assert np.array_equal(ss1 + ss0,
+        assert np.array_equal(column_sums(x, y == 1) / x1.shape[0], mu1)
+        assert np.array_equal(column_sums(x, y == 0) / x0.shape[0], mu0)
+        assert np.array_equal(column_sums(x, y == 1, mu1) + column_sums(x, y == 0, mu0),
                               np.sum((x1 - mu1) ** 2, axis=0) + np.sum((x0 - mu0) ** 2, axis=0))
 
     def test_training_moments_copy_no_group(self):

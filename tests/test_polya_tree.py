@@ -32,8 +32,8 @@ from ptda.polya_tree import (
 from ptda.simgen import SimulationSpec, generate
 from ptda.stats import normal_pdf
 
-from adapters import (LADDER, STD, path_map, sample_centring, simulated_forest, spec_of,
-                      tree_from_leaves, tree_of)
+from adapters import (LADDER, STD, leaves_of, path_map, sample_centring, simulated_forest,
+                      spec_of, tree_from_leaves, tree_of)
 from conftest import traced_peak
 from oracles import (
     binary_expansion_leaves,
@@ -64,7 +64,7 @@ def empty_tree(depth=3, centring=STD):
 
 
 def leaf_of(x, tree):
-    return int(tree.leaves([[x]])[0, 0])
+    return int(leaves_of(tree, [[x]])[0, 0])
 
 
 def density_at(x, tree, spec, group):
@@ -111,6 +111,16 @@ class TestCentring:
         assert forest.means.tolist() == x.mean(axis=0).tolist()
         assert forest.means[0] == pytest.approx(2.5)
         assert forest.sds.tolist() == x.std(axis=0, ddof=1).tolist()
+
+    def test_wide_moments_are_numpys_bits(self):
+        # past p = 4096 the moments are summed in tiles of two column chunks,
+        # and the last block of 4 rows in one; each column still sums row
+        # after row, as x.mean and x.std do
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(100, 5000)) * 10.0 ** rng.uniform(-3, 3, size=(100, 5000))
+        forest = TreeForest.from_matrix(x, np.arange(100) % 2, 4)
+        assert np.array_equal(forest.means, x.mean(axis=0))
+        assert np.array_equal(forest.sds, x.std(axis=0, ddof=1))
 
     def test_degenerate_column_floored(self):
         x = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
@@ -264,7 +274,7 @@ class TestCellBoundaries:
         # every finite point falls in one of the 2**depth leaves
         tree = empty_tree(depth=4)
         x = np.array([[-1e308], [-40.0], [-1e-300], [0.0], [3.0], [40.0], [1e308]])
-        leaves = tree.leaves(x)[:, 0]
+        leaves = leaves_of(tree, x)[:, 0]
         assert leaves.tolist() == [0, 0, 7, 7, 15, 15, 15]
 
     def test_layer_cells_tile_the_line(self):
@@ -275,7 +285,7 @@ class TestCellBoundaries:
             uppers = [cell_bounds(5.0, 2.0, level, k)[1] for k in range(2 ** level)]
             assert all(b > a for a, b in zip(uppers, uppers[1:])) and uppers[-1] == math.inf
             x = np.linspace(-5.0, 15.0, 4001)
-            leaves = tree.leaves(x[:, None])[:, 0]
+            leaves = leaves_of(tree, x[:, None])[:, 0]
             assert np.all(np.diff(leaves) >= 0)
             assert set(leaves.tolist()) == set(range(2 ** level))
 
@@ -297,7 +307,7 @@ class TestPathOf:
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(InputError):
-                empty_tree().leaves([[bad]])
+                leaves_of(empty_tree(), [[bad]])
 
     @given(st.floats(-4.0, 4.0), st.integers(1, 8))
     @settings(max_examples=200)
@@ -359,8 +369,8 @@ class TestAccumulateCounts:
         col = rng.normal(size=64)
         a, b = 3.0, 5.0
         labels = np.ones(64, dtype=int)
-        k1 = tree_of(col, labels, 6).leaves(col[:, None])
-        k2 = tree_of(a * col + b, labels, 6).leaves((a * col + b)[:, None])
+        k1 = leaves_of(tree_of(col, labels, 6), col[:, None])
+        k2 = leaves_of(tree_of(a * col + b, labels, 6), (a * col + b)[:, None])
         assert np.array_equal(k1, k2)
 
     def test_path_map_round_trip(self):
@@ -461,7 +471,7 @@ class TestTreeForest:
         x = rng.normal(size=(16, 3))
         y = np.array([1, 0] * 8)
         forest = TreeForest.from_matrix(x, y, 3)
-        leaves = forest.leaves(x)
+        leaves = leaves_of(forest, x)
         for j in range(3):
             k = leaf_indices((x[:, j] - forest.means[j]) / forest.sds[j], 3)
             assert np.array_equal(leaves[:, j], k)
@@ -620,9 +630,10 @@ class TestLeafIndicesAgainstBinaryExpansion:
         assert leaf_indices(np.full((2, 3), z), 3).tolist() == [[5] * 3] * 2
 
     def test_forest_build_holds_no_point_sized_float(self):
-        # the points are located in row blocks: beyond the caller's flat
-        # index, the build's traced peak is the deviations x.std needs
-        # (one (n, p) float), not further (n, p) temporaries
+        # the points are located and their moments summed a tile at a time:
+        # beyond the caller's flat index the build holds its leaf counts and
+        # a few tiles, under the one (n, p) float that x.std's deviations
+        # took when it computed the sds, and no further (n, p) temporaries
         n, p = 4096, 64
         x = np.random.default_rng(24).normal(size=(n, p))
         y = np.arange(n) % 2
@@ -635,9 +646,9 @@ class TestLeafIndicesAgainstBinaryExpansion:
         # each group's leaves are counted into its leaf array (uint8 at these
         # 32 points) a block of variables at a time, and no layer above them
         # is kept.  The bound is twice both groups' leaves at 4 bytes a
-        # count, 10.24 MB: the deviations x.std needs take 5.12 MB, and
-        # whole (p, 2**depth) int64 leaf arrays of both groups beside the
-        # leaves would add 10.24 MB more
+        # count, 10.24 MB: the (n, p) deviations x.std made took 5.12 MB,
+        # and whole (p, 2**depth) int64 leaf arrays of both groups beside
+        # the leaves would add 10.24 MB more
         n, p, depth = 32, 20000, 5
         x = np.random.default_rng(25).normal(size=(n, p))
         y = np.arange(n) % 2
@@ -647,12 +658,25 @@ class TestLeafIndicesAgainstBinaryExpansion:
         assert forest.leaf1.dtype == np.uint8
         assert peak < 2 * (2 * 4 * p << depth)
 
+    def test_build_holds_no_tile_beyond_its_index_and_leaves(self):
+        # the moments and the leaves are read a tile at a time, so beside the
+        # caller's flat index the build holds its leaf counts (2 x 0.6 MiB
+        # of uint8 here) and a few tiles, not the (n, p) deviations x.std
+        # made (30.5 MiB at these 200 points and 20,000 variables)
+        n, p, depth = 200, 20000, 5
+        x = np.random.default_rng(28).normal(size=(n, p))
+        y = np.arange(n) % 2
+        flat = np.empty((n, p), dtype=np.int32)
+        TreeForest.from_matrix(x[:, :8], y, depth)  # the depth's table, built before tracing
+        peak, _ = traced_peak(lambda: TreeForest.from_matrix(x, y, depth, _flat_out=flat))
+        assert peak < x.nbytes / 3
+
     def test_wide_row_blocks_are_located_in_column_chunks(self):
         # past 4096 variables a block of row_blocks' 16 rows exceeds
-        # _BLOCK_VALUES, so it is located a chunk of columns at a time:
-        # beyond the deviations x.std needs (one (n, p) float), the build
-        # holds a few block-sized temporaries, not three 16-row ones
-        # (2.56 MB each at these 20,000 variables)
+        # _BLOCK_VALUES, so it is located a chunk of columns at a time
+        # (`_tiles`): the build holds a few block-sized temporaries, not
+        # three 16-row ones (2.56 MB each at these 20,000 variables), under
+        # the bound that also allowed x.std's one (n, p) float of deviations
         n, p, depth = 32, 20000, 5
         x = np.random.default_rng(26).normal(size=(n, p))
         y = np.arange(n) % 2
@@ -673,12 +697,12 @@ class TestLocatingPoints:
         x = np.zeros((2, 3))
         x[1, 2] = bad
         with pytest.raises(InputError):
-            self.forest().leaves(x)
+            leaves_of(self.forest(), x)
 
     def test_flat_leaves_index_a_flattened_table(self):
         forest = self.forest()
         x = np.random.default_rng(24).normal(size=(7, 3))
-        leaves = forest.leaves(x)
+        leaves = leaves_of(forest, x)
         table = np.arange(3 * 8).reshape(3, 8)
         expected = [[table[j, leaves[i, j]] for j in range(3)] for i in range(7)]
         assert np.take(table, forest.flat_leaves(x)).tolist() == expected

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import ptda.polya_tree
 import ptda.smoothing
 from ptda.bnp_test import log_bayes_factors
-from ptda.cvb import Hyperparameters, classify, fit_model, prior_log_odds, update_psi
+from ptda.cvb import (Hyperparameters, classify, fit_model, prior_log_odds, update_omega,
+                      update_psi)
 from ptda.errors import DomainError, InputError
 from ptda.polya_tree import TreeForest, leaf_log_path_tables
 from ptda.rng import SUBSAMPLE_STREAM, substream
@@ -30,6 +31,7 @@ from ptda.smoothing import (
 from ptda.stats import ks_two_sample_sorted
 
 import oracles
+from adapters import leaves_of
 from conftest import traced_peak
 from oracles import brute_force_ks_distance
 
@@ -247,8 +249,8 @@ class TestColumnPvalues:
         scaled[:, 2] *= factor
         v0, v1 = column_pvalues(x, y)
         s0, s1 = column_pvalues(scaled, y)
-        leaves = TreeForest.from_matrix(x, y).leaves(x)
-        assert np.array_equal(TreeForest.from_matrix(scaled, y).leaves(scaled), leaves)
+        leaves = leaves_of(TreeForest.from_matrix(x, y), x)
+        assert np.array_equal(leaves_of(TreeForest.from_matrix(scaled, y), scaled), leaves)
         assert np.array_equal(s1, v1)
         np.testing.assert_allclose(s0, v0, rtol=0, atol=1e-12)
         assert_matches_oracle(scaled, y, s0, s1)
@@ -320,6 +322,26 @@ class TestSelectC:
         x, y = two_group_data()
         with pytest.raises(DomainError):
             select_c(x, y, grid=[(5.0, 1.0, 1.0, 1.0)])
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda x, y: select_c(x, y, grid=[(1, 1, 1, "a")]), InputError),
+        (lambda x, y: select_c(x, y, grid=[(1, 1, 1, 1), 5]), InputError),
+        (lambda x, y: select_c(x, y, grid=[None]), InputError),
+        (lambda x, y: select_c(x, y, grid=(1.0,), seed="a"), InputError),
+        (lambda x, y: update_omega(np.zeros(3), Hyperparameters(), tol="a"), InputError),
+        (lambda x, y: update_omega(np.zeros(3), Hyperparameters(), max_iter="a"), InputError),
+        (lambda x, y: update_omega(np.zeros(3), Hyperparameters(), max_iter=2.5), InputError),
+        (lambda x, y: update_omega(np.zeros(3), Hyperparameters(), max_iter=0), DomainError),
+    ], ids=["grid-str-in-tuple", "grid-scalar-beside-tuples", "grid-none", "seed-str",
+            "tol-str", "max-iter-str", "max-iter-float", "max-iter-zero"])
+    def test_library_inputs_raise_package_errors(self, call, error):
+        # a caller's bad argument is an input error (exit code 1), never a
+        # bare TypeError or ValueError; a zero-sweep selection is refused as
+        # the CLI refuses --max-iter 0, and a seed is checked even where n is
+        # too small to draw the subsample it seeds
+        x, y = two_group_data()
+        with pytest.raises(error):
+            call(x, y)
 
     def test_monotone_range_guaranteed(self):
         x, y = two_group_data(seed=5)
@@ -396,9 +418,9 @@ class TestOnePassPerForest:
         located = []
         locate = ptda.polya_tree.leaf_indices
 
-        def counting(z, depth):
+        def counting(z, depth, out=None):
             located.append(np.size(z))
-            return locate(z, depth)
+            return locate(z, depth, out)
 
         monkeypatch.setattr(ptda.polya_tree, "leaf_indices", counting)
         select_c(x, y, grid=(1.0, 10.0))

@@ -234,6 +234,22 @@ def test_one_block_size():
     assert own == ["polya_tree._BLOCK_VALUES"]
 
 
+def test_points_are_located_and_columns_summed_once():
+    # one tiled locator, polya_tree._locate, serves the build and
+    # flat_leaves, and column sums go through polya_tree.column_sums: no
+    # module calls .std(, whose deviations are one (n, p) temporary
+    locators, stds = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for owner, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
+            name = ast.unparse(call.func)
+            if name.rpartition(".")[2] == "leaf_indices":
+                locators.add(f"{path.stem}.{owner}")
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "std":
+                stds.add(f"{path.stem}.{owner}")
+    assert locators == {"polya_tree._locate"}
+    assert stds == set()
+
+
 def test_forest_facts_have_one_owner():
     # polya_tree owns the forest: a forest from outside counts is checked in
     # TreeForest.from_leaves, which no bare constructor call skips, and the
