@@ -13,10 +13,10 @@ The counts never depend on the smoothing parameters c; only each layer's
 alpha does.  A c setting is a set of value groups: a scalar, or each row
 of a (k, 1) column of scalars, is one group; a length-p vector has one
 per distinct value (at most four for the paper's per-bin c).
-`log_bayes_factors` plans each parent layer once, a block of
-max(1, _BLOCK_VALUES >> level) variables (about _BLOCK_VALUES parent
-cells) at a time, and scores every row of c from a block's plan: one term
-per (value group, count pattern) of the block's live nodes.  One int64 key
+`log_bayes_factors` plans each parent layer once, a block of variables
+at a time (`polya_tree.blocks` of 2**level parent cells a variable), and
+scores every row of c from a block's plan: one term per (value group,
+count pattern) of the block's live nodes.  One int64 key
 packs a node's group and its four child counts (c1l, c1r, c0l, c0r), each
 group's (left, right) pair below (n_g + 1)**2; where that would overflow
 (n above about 110,000 for one group), it packs the group and the two
@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .polya_tree import _BLOCK_VALUES, TreeForest, alpha_for_layer, check_smoothing, count_layers
+from .polya_tree import TreeForest, alpha_for_layer, blocks, check_smoothing, count_layers
 from .stats import log_gamma
 
 __all__ = ["log_bayes_factors"]
@@ -72,10 +72,8 @@ def _plan_layers(forest: TreeForest, group: np.ndarray, groups: int):
     variable's value group, one of `groups`.  A block's plan is made from its
     child and parent layers of each group's counts, and no other layer."""
     for level in range(forest.depth):  # parent layers
-        step = max(1, _BLOCK_VALUES >> level)  # about _BLOCK_VALUES parent cells a block
         skip = forest.depth - level - 1  # the layers below the child layer
-        for start in range(0, forest.p, step):
-            cols = slice(start, min(start + step, forest.p))
+        for cols in blocks(forest.p, 1 << level):  # a block's parent cells
             (child1, parent1), (child0, parent0) = (
                 islice(count_layers(leaves[cols]), skip, skip + 2)
                 for leaves in (forest.leaf1, forest.leaf0))

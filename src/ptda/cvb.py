@@ -22,7 +22,7 @@ from .bnp_test import log_bayes_factors
 from .dataio import read_json, write_json
 from .errors import ContractViolation, DomainError, InputError
 from .polya_tree import (TreeForest, check_smoothing, float_array, integer, leaf_log_odds_table,
-                         leaf_log_path_tables, row_blocks, training_data)
+                         leaf_log_path_tables, number, row_blocks, training_data)
 from .stats import expit
 
 __all__ = [
@@ -53,6 +53,8 @@ class Hyperparameters:
     u: float = 1.5
 
     def __post_init__(self):
+        for name in ("a_y", "b_y", "u"):
+            number(getattr(self, name), name)
         if not (0.0 < self.a_y < math.inf and 0.0 < self.b_y < math.inf):  # NaN fails too
             raise DomainError("a_y and b_y must be positive and finite")
         if not 1.0 < self.u < math.inf:
@@ -75,9 +77,10 @@ class ClassProbabilities:
 def complexity_weight(p: int, u: float) -> float:
     """p**u, the complexity prior's weight, for p >= 1 variables and an
     exponent u > 1.  `expected_pvalue` and `update_omega` both take it from
-    here; DomainError when p or u is out of range or p**u is not a finite
-    double (at p = 80, from u = 162 on)."""
-    if p < 1 or not u > 1.0:
+    here; InputError unless p is an integer and u a number, DomainError when
+    p or u is out of range or p**u is not a finite double (at p = 80, from
+    u = 162 on)."""
+    if integer(p, "p") < 1 or not number(u, "u") > 1.0:
         raise DomainError("requires p >= 1 and u > 1")
     try:
         weight = float(p) ** u
@@ -101,17 +104,22 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
     the two agree bit for bit.  Stops when the squared Euclidean distance
     between consecutive sweeps is at most `tol`, finite and positive; the
     converged flag records whether that happened within `max_iter` >= 1
-    sweeps.  `log_bf` must be a non-empty 1-D array of numbers, `tol` a
-    number and `max_iter` an integer (InputError).
+    sweeps.  `log_bf` must be a non-empty 1-D array of numbers with no NaN,
+    `hyper` a Hyperparameters, `tol` a number and `max_iter` an integer
+    (InputError): `log_bayes_factors` gives no NaN, and a NaN would select
+    its variable.  A log BF of +inf or -inf is certain evidence: its exponent
+    is clamped, so omega_j goes to the top or the bottom of (0, 1).
     """
     log_bf = float_array(log_bf, "log Bayes factors")
     p = log_bf.size
     if log_bf.ndim != 1 or p < 1:
         raise InputError(f"update_omega requires a non-empty 1-D array of log Bayes factors, "
                          f"got shape {log_bf.shape}")
-    if isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating)):
-        raise InputError(f"tol must be a number, got {tol!r}")
-    if not 0.0 < tol < math.inf:  # NaN fails too; an infinite tol ends any sweep "converged"
+    if np.isnan(log_bf).any():
+        raise InputError("log Bayes factors must not be NaN")
+    hyper = _checked_hyper(hyper)
+    # NaN fails too; an infinite tol would end any sweep "converged"
+    if not 0.0 < number(tol, "tol") < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
     if integer(max_iter, "max_iter") < 1:  # no sweep could converge
         raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
@@ -130,7 +138,7 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
             if denom <= 0.0:
                 raise ContractViolation("penalty denominator is non-positive")
             eta = bf[j] + log1p(s_minus) - log(denom)
-            if not eta < clamp:  # NaN too, as min(clamp, eta) gives
+            if not eta < clamp:
                 eta = clamp
             elif eta < -clamp:
                 eta = -clamp
@@ -150,6 +158,13 @@ def update_omega(log_bf, hyper: Hyperparameters, tol: float = 1e-6,
         if delta <= tol:
             return SelectionState(np.array(om), sweep, True)
     return SelectionState(np.array(om), max_iter, False)
+
+
+def _checked_hyper(hyper) -> Hyperparameters:
+    """`hyper` if it is a Hyperparameters, else InputError."""
+    if not isinstance(hyper, Hyperparameters):
+        raise InputError(f"hyper must be a Hyperparameters, got {hyper!r}")
+    return hyper
 
 
 def log_path_probability_matrix(forest: TreeForest, c, points) -> tuple[np.ndarray, np.ndarray]:
@@ -312,8 +327,7 @@ class FittedModel:
                 raise InputError("'converged' must be true or false")
             selection = SelectionState(omega, iteration, doc["converged"])
             c = check_smoothing(_reals(records, "c"), len(records))
-            hyper = Hyperparameters(**doc["hyperparameters"])
-            json_numbers([hyper.a_y, hyper.b_y, hyper.u], float, "every hyperparameter")
+            hyper = Hyperparameters(**doc["hyperparameters"])  # refuses non-numbers and bools
             return cls(hyper, selection, forest, c, names)
         except InputError:
             raise
@@ -351,8 +365,12 @@ def update_psi(model: FittedModel, newpoints) -> ClassProbabilities:
 
 
 def classify(psi: ClassProbabilities, threshold: float = 0.5) -> np.ndarray:
-    """Hard labels from class probabilities; a tie at the threshold goes to group 1."""
-    if not 0.0 < threshold < 1.0:
+    """Hard labels from the class probabilities of `update_psi`; a tie at the
+    threshold goes to group 1.  Anything else than ClassProbabilities, or a
+    threshold that is not a number, raises InputError."""
+    if not isinstance(psi, ClassProbabilities):
+        raise InputError(f"classify takes the ClassProbabilities of update_psi, got {psi!r}")
+    if not 0.0 < number(threshold, "threshold") < 1.0:
         raise InputError(f"threshold must lie in (0, 1), got {threshold!r}")
     return (psi.psi >= threshold).astype(np.int8)
 
@@ -366,12 +384,13 @@ def fit_model(matrix, labels, c, hyper: Hyperparameters | None = None,
     is fitted from its own column, so no rescaling is needed.  `c` is a
     scalar or per-variable vector of smoothing parameters in (0, 100];
     `depth` None means floor(log2 n) and `names` None means V1..Vp; given
-    names must be p distinct strings; data that fail `training_data` raise
-    InputError.  The returned selection state records whether the sweeps
-    converged within `max_iter`; when they did not, a warning goes to the
-    `ptda.cvb` logger.
+    names must be p distinct strings; data that fail `training_data`, and a
+    `hyper` that is neither None nor a Hyperparameters, raise InputError.
+    The returned selection state records whether the sweeps converged
+    within `max_iter`; when they did not, a warning goes to the `ptda.cvb`
+    logger.
     """
-    hyper = hyper or Hyperparameters()
+    hyper = _checked_hyper(Hyperparameters() if hyper is None else hyper)
     x, y = training_data(matrix, labels)
     c_vec = check_smoothing(c, x.shape[1])
     names = (_checked_names(names, x.shape[1]) if names is not None

@@ -21,6 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InputError
+from .polya_tree import column_sums, integer, number
 from .rng import FOLD_STREAM, substream
 
 __all__ = [
@@ -36,7 +37,9 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """Dense numeric matrix in raw units with optional binary labels."""
+    """Dense numeric matrix in raw units with optional binary labels.  The
+    matrix is kept C-ordered (a C-ordered one is not copied), so no column sum,
+    and no fitted result, depends on the orientation the data came in."""
 
     matrix: np.ndarray
     labels: np.ndarray | None
@@ -44,7 +47,7 @@ class Dataset:
     label_mapping: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
+        self.matrix = np.ascontiguousarray(self.matrix, dtype=float)
         if self.matrix.ndim != 2:
             raise InputError("matrix must be two-dimensional")
         if len(self.names) != self.matrix.shape[1]:
@@ -96,7 +99,9 @@ def load_csv(path, label_column: str | None = None, orientation: str = "samples-
     than one well-formed row, is refused.
 
     Rows are parsed as they are read: each accepted row's cells go through
-    `float` into one float buffer, which becomes the matrix without a copy.
+    `float` into one float buffer, which becomes the matrix without a copy;
+    with variables in rows, the transpose is copied once into C order
+    (`Dataset`).
     Beyond the Dataset, the loader holds one row of strings at a time (and
     the labels and names), never a list of all the rows.
     """
@@ -167,17 +172,21 @@ def preprocess(dataset: Dataset, median_floor: float | None = None,
 
     A variable is dropped when its median is <= `median_floor` or its
     sample variance is <= `variance_floor` (inclusive, matching the
-    filtering protocol this mirrors).  No column is rescaled: up to float
-    rounding at cell boundaries, every fitted result is invariant to a
-    per-column affine map with positive slope.
+    filtering protocol this mirrors); a floor must be None or a number
+    (InputError).  The variances are the ddof-1 sums of squared deviations
+    of `polya_tree.column_sums`, the bits of x.var(axis=0, ddof=1) on the
+    C-ordered matrix, with no (n, p) temporary.  No column is rescaled: up
+    to float rounding at cell boundaries, every fitted result is invariant
+    to a per-column affine map with positive slope.
     """
-    x = dataset.matrix
+    x, n = dataset.matrix, dataset.n
     keep = np.ones(dataset.p, dtype=bool)
     if median_floor is not None:
-        keep &= np.median(x, axis=0) > median_floor
+        keep &= np.median(x, axis=0) > number(median_floor, "median_floor")
     if variance_floor is not None:
-        variances = x.var(axis=0, ddof=1) if dataset.n > 1 else np.zeros(dataset.p)
-        keep &= variances > variance_floor
+        variances = (column_sums(x, centre=column_sums(x) / n) / (n - 1) if n > 1
+                     else np.zeros(dataset.p))
+        keep &= variances > number(variance_floor, "variance_floor")
     if not keep.any():
         raise InputError("preprocessing filtered out every variable")
     names = [nm for nm, k in zip(dataset.names, keep) if k]
@@ -188,9 +197,10 @@ def split_folds(dataset: Dataset, k: int, seed: int = 0) -> list[tuple[np.ndarra
     """Stratified k-fold split: list of (train_idx, test_idx) pairs.
 
     Group proportions are preserved within one member per fold; both
-    groups must have at least k members.
+    groups must have at least k members, and k must be an integer
+    (InputError).
     """
-    if k < 2:
+    if integer(k, "k") < 2:
         raise InputError("k must be at least 2")
     if dataset.labels is None:
         raise InputError("fold splitting requires labels")

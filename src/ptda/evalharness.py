@@ -27,6 +27,7 @@ from .errors import InputError
 from .polya_tree import column_sums, row_blocks
 from .simgen import SimulationSpec, generate
 from .smoothing import select_c
+from .stats import square_safe_shift
 
 __all__ = [
     "selection_confusion",
@@ -100,20 +101,38 @@ def gaussian_nb_baseline(train: Dataset, test: Dataset) -> float:
     block-sized temporaries (a few MB) beyond the moments, not (n_g, p) or
     (m, p) arrays; the moments and each row's sum are the same bits as in
     one expression over all rows.
+
+    A training column whose squares would leave the double range is scaled
+    by its power of two (`stats.square_safe_shift`, exact), in training and
+    in each test block, as the forest build redoes its moments; other
+    columns keep their bits.  A test value far beyond its column's training
+    scale can still overflow.
     """
     y = train.labels
     n1 = int(np.sum(y == 1))
     n0 = y.size - n1
     if min(n1, n0) < 2:
         raise InputError("the baseline requires at least two members per group")
-    x, groups = train.matrix, (y == 1, y == 0)
-    mu1, mu0 = (column_sums(x, rows) / size for rows, size in zip(groups, (n1, n0)))
-    ss1, ss0 = (column_sums(x, rows, mu) for rows, mu in zip(groups, (mu1, mu0)))
-    pooled = np.maximum((ss1 + ss0) / (y.size - 2), VARIANCE_FLOOR)
+    groups = (y == 1, y == 0)
+
+    def moments(x):
+        mu1, mu0 = (column_sums(x, rows) / size for rows, size in zip(groups, (n1, n0)))
+        ss1, ss0 = (column_sums(x, rows, mu) for rows, mu in zip(groups, (mu1, mu0)))
+        return mu1, mu0, (ss1 + ss0) / (y.size - 2)
+
+    x = train.matrix
+    shift = square_safe_shift(x, axis=0)
+    big = np.flatnonzero(shift)
+    with np.errstate(over="ignore", invalid="ignore"):  # the big columns are redone below
+        mu1, mu0, variance = moments(x)
+    if big.size:
+        for full, part in zip((mu1, mu0, variance), moments(np.ldexp(x[:, big], -shift[big]))):
+            full[big] = part
+    pooled = np.maximum(variance, VARIANCE_FLOOR)
     z = test.matrix
     log_odds = np.empty(z.shape[0])
     for rows in row_blocks(*z.shape):
-        block = z[rows]
+        block = np.ldexp(z[rows], -shift) if big.size else z[rows]  # ldexp by 0 is exact
         log_odds[rows] = math.log(n1 / n0) + np.sum(
             (-((block - mu1) ** 2) + (block - mu0) ** 2) / (2.0 * pooled), axis=1
         )

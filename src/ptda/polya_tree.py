@@ -19,9 +19,11 @@ the predictive density alike), sum layers (`count_layers`).
 `TreeForest.from_leaves` checks counts from outside: a group's sum to its
 size in every variable.
 
-An (m, p) matrix is read a tile at a time (`_tiles`): `_locate` alone
-finds points' leaves and `column_sums` alone sums columns (the centring
-moments, and the naive-Bayes foil's), with no (m, p) float temporary.
+One block size, `_BLOCK_VALUES` values, read only here, bounds every
+working set: a loop over items of one width takes its slices from
+`blocks(count, width)`, and an (m, p) matrix is read a tile at a time
+(`_tiles`): `_locate` alone finds points' leaves and `column_sums` alone
+sums columns (every column moment), with no (m, p) float temporary.
 """
 
 from __future__ import annotations
@@ -47,10 +49,12 @@ __all__ = [
     "C_MAX",
     "float_array",
     "integer",
+    "number",
     "check_smoothing",
     "alpha_for_layer",
     "leaf_indices",
     "count_layers",
+    "blocks",
     "row_blocks",
     "column_sums",
     "leaf_log_path_tables",
@@ -98,10 +102,17 @@ def _count_dtype(n: int) -> np.dtype:
     return np.dtype(np.int32)
 
 
-# the package's one block size, in values (a float64 block takes 0.5 MiB): `row_blocks`,
-# `_tiles`, `_locator`, `_count_leaves`, smoothing.column_pvalues, bnp_test's evidence
-# plans (parent cells) and `leaf_log_odds_table` (leaves)
+# the package's one block size, in values (a float64 block takes 0.5 MiB), read here
+# only: by `blocks`, whose loops are smoothing.column_pvalues, bnp_test's evidence plans,
+# `leaf_log_odds_table`, `_count_leaves` and `_locator`, and by `row_blocks` and `_tiles`
 _BLOCK_VALUES = 1 << 16
+
+
+def blocks(count: int, width: int) -> list[slice]:
+    """Slices over `count` items of `width` values, max(1, _BLOCK_VALUES // width)
+    items each (about _BLOCK_VALUES values), the last clipped to `count`."""
+    step = max(1, _BLOCK_VALUES // width)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def row_blocks(m: int, p: int) -> list[slice]:
@@ -130,8 +141,10 @@ def column_sums(x: np.ndarray, rows=None, centre=None) -> np.ndarray:
     (None: all), or of their squared deviations from the (p,) `centre`.  Each
     tile (`_tiles`) is summed after its columns' running totals, row after row
     as numpy sums a C-ordered matrix's axis 0: the bits of one sum over all the
-    rows, with no (m, p) temporary, except at p = 1 past one row block or for
-    an F-ordered x, whose whole columns numpy sums pairwise."""
+    rows, with no (m, p) temporary, except at p = 1 past one row block.  The
+    package's matrices are C-ordered where they enter (`training_data`,
+    `dataio.Dataset`); an F-ordered x in a direct call is summed as numpy
+    sums its whole columns, pairwise, so its bits may differ."""
     sums, begun = np.zeros(x.shape[1]), np.zeros(x.shape[1], dtype=bool)
     for block, cols in _tiles(*x.shape):
         part = x[block, cols] if rows is None else x[block, cols][rows[block]]
@@ -144,8 +157,9 @@ def column_sums(x: np.ndarray, rows=None, centre=None) -> np.ndarray:
 
 
 def default_depth(n: int) -> int:
-    """Default truncation layer, floor(log2 n), never below 1."""
-    if n < 1:
+    """Default truncation layer, floor(log2 n), never below 1; n must be an
+    integer (InputError) and at least 1 (DomainError)."""
+    if integer(n, "n") < 1:
         raise DomainError("depth is defined for n >= 1")
     return max(1, int(n).bit_length() - 1)
 
@@ -186,6 +200,14 @@ def integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def number(value, what: str):
+    """`value`, unchanged; InputError naming `what` unless it is a real number
+    (a bool is not).  Its range is the caller's check."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return value
 
 
 def check_smoothing(c, p: int) -> np.ndarray:
@@ -235,9 +257,8 @@ def _locator(depth: int) -> tuple[float, float, np.ndarray, np.ndarray]:
     scale = float(1 << (depth - 1))
     half = math.ceil(bounds[-2] * scale) + 2  # the outer buckets hold no boundary
     cells = np.empty(2 * half, dtype=np.int32)
-    for start in range(0, cells.size, _BLOCK_VALUES):
-        edges = np.arange(start, min(start + _BLOCK_VALUES, cells.size)) - half
-        cells[start:start + edges.size] = np.searchsorted(bounds, edges / scale)
+    for block in blocks(cells.size, 1):
+        cells[block] = np.searchsorted(bounds, (np.arange(block.start, block.stop) - half) / scale)
     return scale, float(half), cells, bounds
 
 
@@ -268,13 +289,14 @@ def leaf_indices(z, depth: int, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def training_data(matrix, labels) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y): the (n, p) float matrix and boolean labels of a training set.
+    """(x, y): the (n, p) C-ordered float matrix and boolean labels of a
+    training set; C-ordered input is not copied.
 
     Raises InputError unless there is one label per row, every label is 0
     or 1, both groups are non-empty, there is at least one variable and
     every value is finite.
     """
-    x = float_array(matrix, "the matrix's values")
+    x = np.ascontiguousarray(float_array(matrix, "the matrix's values"))
     y = np.asarray(labels)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise InputError("matrix must be (n, p) with one label per row")
@@ -337,35 +359,32 @@ def leaf_log_odds_table(forest: TreeForest, c, rows=None) -> np.ndarray:
     """(len(rows), 2**depth) group-1 minus group-0 log path probability of
     every leaf of the variables `rows`, an index array (None: all p); `c` is
     a scalar or one value per variable of the forest (`check_smoothing`).
-    Blocks of about _BLOCK_VALUES leaves are walked one at a time
+    `blocks` of 2**depth leaves a variable are walked one at a time
     (`_log_paths`), so only one block's layers are held beside the table."""
     c = check_smoothing(c, forest.p)
     size = forest.p if rows is None else len(rows)
     table = np.empty((size, 1 << forest.depth))
-    step = max(1, _BLOCK_VALUES >> forest.depth)
-    for start in range(0, size, step):
+    for block in blocks(size, 1 << forest.depth):
         # a slice keeps the block's counts as views
-        block = slice(start, start + step) if rows is None else rows[start:start + step]
-        np.subtract(_log_paths(forest.leaf1[block], c[block]),
-                    _log_paths(forest.leaf0[block], c[block]), out=table[start:start + step])
+        var = block if rows is None else rows[block]
+        np.subtract(_log_paths(forest.leaf1[var], c[var]),
+                    _log_paths(forest.leaf0[var], c[var]), out=table[block])
     return table
 
 
 def _count_leaves(flat: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
     """(p, width) leaf counts of the points `rows` (a boolean mask) at (n, p)
     flat leaf indices, of the count type of all n points (`_count_dtype`).
-    The leaves are counted a block of variables at a time, each block's
-    int64 `bincount` about _BLOCK_VALUES cells (one variable's `width` cells
-    if that is more), so no (p, width) int64 count array is held beside the
-    result."""
+    The leaves are counted a block of variables at a time (`blocks` of
+    `width` cells a variable), each block's one int64 `bincount`, so no (p,
+    width) int64 count array is held beside the result."""
     n, p = flat.shape
     leaves = np.empty((p, width), dtype=_count_dtype(n))
-    step = max(1, _BLOCK_VALUES // width)
-    for start in range(0, p, step):
-        block = flat[rows, start:start + step]  # a copy: rows is a mask
-        block -= start * width  # the block's first variable counts from 0
-        leaves[start:start + step] = np.bincount(
-            block.ravel(), minlength=block.shape[1] * width).reshape(-1, width)
+    for cols in blocks(p, width):
+        block = flat[rows, cols]  # a copy: rows is a mask
+        block -= cols.start * width  # the block's first variable counts from 0
+        leaves[cols] = np.bincount(block.ravel(),
+                                   minlength=block.shape[1] * width).reshape(-1, width)
     return leaves
 
 

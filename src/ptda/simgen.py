@@ -14,6 +14,7 @@ import numpy as np
 
 from .dataio import Dataset
 from .errors import DomainError, InputError
+from .polya_tree import integer
 from .rng import LABEL_TEST_STREAM, LABEL_TRAIN_STREAM, substream
 
 __all__ = [
@@ -143,6 +144,8 @@ class SimulationSpec:
     def __post_init__(self):
         if self.setting not in SETTINGS:
             raise InputError(f"unknown simulation setting {self.setting!r}")
+        for name in ("n_train", "n_test", "p", "n_discriminative", "seed"):
+            integer(getattr(self, name), name)
         if self.p < 1:
             raise InputError(f"p must be at least 1, got {self.p}")
         if not 0 <= self.n_discriminative <= self.p:

@@ -31,10 +31,10 @@ import numpy as np
 
 from . import dataio
 from .bnp_test import log_bayes_factors
-from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, _checked_names, complexity_weight,
-                  json_numbers, prior_log_odds, update_omega)
+from .cvb import (ETA_CLAMP, FittedModel, Hyperparameters, _checked_hyper, _checked_names,
+                  complexity_weight, json_numbers, prior_log_odds, update_omega)
 from .errors import DomainError, InputError
-from .polya_tree import (_BLOCK_VALUES, TreeForest, check_smoothing, float_array, integer,
+from .polya_tree import (TreeForest, blocks, check_smoothing, float_array, integer,
                          leaf_log_odds_table, training_data)
 from .rng import SUBSAMPLE_STREAM, substream
 from .stats import ks_two_sample_sorted, shapiro_wilk_sorted
@@ -132,10 +132,11 @@ class SmoothingReport:
 def expected_pvalue(v0, v1, p: int, u: float) -> np.ndarray:
     """Prior-expected p-values, (v1 + p**u * v0) / (1 + p**u) elementwise.
 
-    `v0` and `v1` are scalars or arrays of p-values in [0, 1].
+    `v0` and `v1` are scalars or arrays of p-values in [0, 1] (numbers:
+    InputError), and p and u as `complexity_weight` takes them.
     """
-    v0 = np.asarray(v0, dtype=float)
-    v1 = np.asarray(v1, dtype=float)
+    v0 = float_array(v0, "p-values")
+    v1 = float_array(v1, "p-values")
     if not (np.all((v0 >= 0.0) & (v0 <= 1.0)) and np.all((v1 >= 0.0) & (v1 <= 1.0))):
         raise DomainError("p-values must lie in [0, 1]")
     weight = complexity_weight(p, u)
@@ -148,9 +149,9 @@ def assign_bins(expected) -> np.ndarray:
     Thresholds are the floor(p/4), floor(p/2), floor(3p/4) order
     statistics; a value below the first threshold gets bin 1, and a value
     at or above the last gets bin 4.  With fewer than four variables every
-    variable falls in bin 4.
+    variable falls in bin 4.  The values must be numbers (InputError).
     """
-    e = np.asarray(expected, dtype=float)
+    e = float_array(expected, "expected p-values")
     p = e.size
     if p < 4:
         return np.full(p, 4, dtype=np.int64)
@@ -186,7 +187,7 @@ def column_pvalues(matrix, labels, seed: int = 0) -> tuple[np.ndarray, np.ndarra
 
     v0 is the Shapiro-Wilk p-value of the pooled column and v1 the
     Kolmogorov-Smirnov p-value between the label-1 and label-0 rows.  The
-    columns are scored in blocks of about _BLOCK_VALUES values: each block
+    columns are scored in `polya_tree.blocks` of n values a column: each block
     is transposed to (columns, n), argsorted once along its rows, and that
     one order gives both the sorted values for `shapiro_wilk_sorted` and
     the group masks for `ks_two_sample_sorted`.  With n > SHAPIRO_MAX_N,
@@ -210,9 +211,7 @@ def column_pvalues(matrix, labels, seed: int = 0) -> tuple[np.ndarray, np.ndarra
         _log.debug("column_pvalues: Shapiro-Wilk on a subsample of %d of the %d rows (seed %d)",
                    SHAPIRO_MAX_N, n, seed)
     constant = 0
-    step = max(1, _BLOCK_VALUES // n)
-    for start in range(0, p, step):
-        cols = slice(start, start + step)
+    for cols in blocks(p, n):
         block = np.ascontiguousarray(x[:, cols].T)
         order = block.argsort(axis=1)
         ordered = np.take_along_axis(block, order, axis=1)
@@ -293,10 +292,11 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     depth, tol and max_iter, and both carry the names V1..Vp.  Skipped
     candidate tuples are counted in a warning on the `ptda.smoothing`
     logger; InputError is raised when no candidate converged.  Data that
-    fail `training_data` (labels other than 0 and 1, a non-finite value)
-    raise InputError before any p-value is computed.
+    fail `training_data` (labels other than 0 and 1, a non-finite value),
+    and a `hyper` that is neither None nor a Hyperparameters, raise
+    InputError before any p-value is computed.
     """
-    hyper = hyper or Hyperparameters()
+    hyper = _checked_hyper(Hyperparameters() if hyper is None else hyper)
     x, yb = training_data(matrix, labels)
     p = x.shape[1]
     if grid is None:

@@ -27,10 +27,11 @@ from ptda.cvb import (
 )
 from ptda.bnp_test import log_bayes_factors
 from ptda.errors import DomainError, InputError
-from ptda.polya_tree import (_BLOCK_VALUES, TreeForest, leaf_log_odds_table, leaf_log_path_tables,
-                             predictive_density, row_blocks)
+from ptda.polya_tree import (_BLOCK_VALUES, TreeForest, default_depth, leaf_log_odds_table,
+                             leaf_log_path_tables, predictive_density, row_blocks)
+from ptda.dataio import Dataset, preprocess, split_folds
 from ptda.simgen import SimulationSpec, generate
-from ptda.smoothing import expected_pvalue, select_c
+from ptda.smoothing import assign_bins, expected_pvalue, select_c
 
 from adapters import LADDER, leaves_of, simulated_forest, tree_from_leaves
 from conftest import traced_peak
@@ -115,6 +116,15 @@ class TestUpdateOmega:
     def test_open_interval_invariant(self):
         state = update_omega(np.array([800.0, -800.0]), Hyperparameters())
         assert np.all(state.omega > 0.0) and np.all(state.omega < 1.0)
+
+    def test_nan_evidence_refused_and_infinite_evidence_clamped(self):
+        # a NaN would otherwise select its variable (omega 1 - 2**-53); an
+        # infinite log BF is clamped like any beyond ETA_CLAMP
+        with pytest.raises(InputError, match="must not be NaN"):
+            update_omega([math.nan, 1.0], Hyperparameters())
+        infinite = update_omega([math.inf, -math.inf, 1.0], Hyperparameters())
+        clamped = update_omega([800.0, -800.0, 1.0], Hyperparameters())
+        assert np.array_equal(infinite.omega, clamped.omega)
 
     def test_preconditions(self):
         with pytest.raises(InputError):
@@ -596,8 +606,8 @@ class TestFittedModel:
 
 
 # calls at the library boundary with inputs numpy cannot take as numbers, or
-# of the wrong shape: each is refused as InputError naming the input, not as
-# a bare ValueError, TypeError or IndexError from inside
+# of the wrong type or shape: each is refused as InputError naming the input,
+# not as a bare ValueError, TypeError, AttributeError or IndexError from inside
 MALFORMED_CALLS = {
     "fit_model, strings": (lambda x, y, model: fit_model([["a", "b"]] * 4, [1, 0] * 2, 1.0),
                            "matrix's values"),
@@ -615,6 +625,28 @@ MALFORMED_CALLS = {
     "from_leaves, p = 0": (
         lambda x, y, model: TreeForest.from_leaves([], [], np.zeros((0, 2)), np.zeros((0, 2))),
         "leaf counts"),
+    "classify, a list": (lambda x, y, model: classify([0.5]), "ClassProbabilities"),
+    "classify, string threshold": (
+        lambda x, y, model: classify(update_psi(model, x), "a"), "threshold"),
+    "Hyperparameters, string": (lambda x, y, model: Hyperparameters("a"), "a_y"),
+    "update_omega, int hyper": (lambda x, y, model: update_omega(np.zeros(3), 1), "hyper"),
+    "fit_model, int hyper": (lambda x, y, model: fit_model(x, y, 1.0, hyper=1), "hyper"),
+    "select_c, int hyper": (lambda x, y, model: select_c(x, y, hyper=1), "hyper"),
+    "expected_pvalue, string p-value": (lambda x, y, model: expected_pvalue("a", 0.5, 5, 1.5),
+                                        "p-values"),
+    "expected_pvalue, string p": (lambda x, y, model: expected_pvalue(0.5, 0.5, "a", 1.5),
+                                  "p must be an integer"),
+    "assign_bins, strings": (lambda x, y, model: assign_bins(["a"] * 5), "expected p-values"),
+    "default_depth, string": (lambda x, y, model: default_depth("a"), "n must be an integer"),
+    "default_depth, 2.5": (lambda x, y, model: default_depth(2.5), "n must be an integer"),
+    "split_folds, string k": (
+        lambda x, y, model: split_folds(Dataset(x, y, model.names), "a"), "k must be an integer"),
+    "SimulationSpec, string p": (lambda x, y, model: SimulationSpec(1, p="a"),
+                                 "p must be an integer"),
+    "SimulationSpec, n_train 4.5": (
+        lambda x, y, model: SimulationSpec(1, n_train=4.5, n_test=10, p=20), "n_train"),
+    "preprocess, string floor": (
+        lambda x, y, model: preprocess(Dataset(x, y, model.names), "a"), "median_floor"),
 }
 
 

@@ -16,6 +16,7 @@ from ptda.dataio import (
 )
 from ptda.errors import InputError
 from ptda.evalharness import cross_validate
+from ptda.polya_tree import TreeForest, column_sums
 from ptda.simgen import SimulationSpec, generate
 from ptda.smoothing import select_c
 
@@ -194,6 +195,29 @@ class TestDataset:
         assert ds.labels.tolist() == [1, 0, 1]
 
 
+class TestCOrder:
+    def test_orientations_and_fortran_order_give_one_fit(self, tmp_path):
+        # numpy sums an F-ordered matrix's columns pairwise and a C-ordered
+        # one's row after row; the matrix is C-ordered where it enters, so
+        # neither the file's orientation nor the caller's order moves a bit
+        train, _, _ = generate(SimulationSpec(3, n_train=100, n_test=10, p=400, seed=5))
+        x, y = train.matrix, train.labels
+        write_csv(tmp_path / "samples.csv", train.names + ["y"],
+                  (row + [label] for row, label in zip(x.tolist(), y.tolist())))
+        write_csv(tmp_path / "variables.csv", ["id"] + [f"s{i}" for i in range(y.size)],
+                  [["y"] + y.tolist()] + [[name] + column
+                                          for name, column in zip(train.names, x.T.tolist())])
+        reads = (load_csv(tmp_path / "samples.csv", label_column="y"),
+                 load_csv(tmp_path / "variables.csv", label_column="y", orientation=VARIABLES))
+        assert all(ds.matrix.flags.c_contiguous for ds in reads)
+        forests = [TreeForest.from_matrix(ds.matrix, ds.labels) for ds in reads]
+        fits = [fit_model(np.asfortranarray(x), y, 1.0).forest, fit_model(x, y, 1.0).forest]
+        for first, second in (forests, fits):
+            for part in ("means", "sds", "leaf1", "leaf0"):
+                assert np.array_equal(getattr(first, part), getattr(second, part)), part
+        assert np.array_equal(forests[0].means, fits[1].means)
+
+
 class TestPreprocess:
     def test_variance_floor_drops_constant(self):
         x = np.column_stack([np.arange(10.0), np.full(10, 3.0)])
@@ -236,6 +260,20 @@ class TestPreprocess:
         assert all(name not in out.names for name in (f"g{i}" for i in range(100)))
         keep = [int(name[1:]) for name in out.names]
         assert np.array_equal(out.matrix, x[:, keep])  # kept columns stay raw
+
+    @pytest.mark.parametrize("n, p", [(20, 6), (100, 5000), (1000, 1000), (5000, 300),
+                                      (70000, 2), (200, 50), (37, 4097)])
+    def test_variances_are_the_bits_of_var(self, n, p):
+        # the floor compares column_sums' variances, which equal numpy's
+        # x.var on a C-ordered matrix bit for bit; at a floor equal to one
+        # column's variance, that column is dropped and every larger one kept
+        x = np.random.default_rng(n + p).normal(size=(n, p)) * np.geomspace(1e-3, 1e3, p)
+        variances = x.var(axis=0, ddof=1)
+        assert np.array_equal(column_sums(x, centre=column_sums(x) / n) / (n - 1), variances)
+        floor = float(np.sort(variances)[(p - 1) // 2])
+        out = preprocess(Dataset(x, np.arange(n) % 2, [f"g{j}" for j in range(p)]),
+                         variance_floor=floor)
+        assert out.names == [f"g{j}" for j in np.flatnonzero(variances > floor)]
 
 
 class TestAffineInvariance:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ptda.evalharness import (
 from ptda.polya_tree import column_sums
 from ptda.simgen import SimulationSpec, generate
 from ptda.smoothing import select_c
+from ptda.stats import square_safe_shift
 
 from conftest import traced_peak
 
@@ -86,6 +88,29 @@ class TestGaussianBaseline:
         error = float(np.mean((log_odds >= 0.0).astype(np.int8) != test.labels))
         assert 0.0 < error < 0.5
         assert gaussian_nb_baseline(train, test) == error
+
+    def test_columns_at_any_magnitude(self):
+        # a 1e200 column's squares leave the double range; it and a 1e-200
+        # column are scaled by their power of two, so the error is the one on
+        # data with those two columns pre-scaled, and nothing warns.  4097
+        # columns: the training moments run in column chunks
+        rng = np.random.default_rng(12)
+        y = np.arange(120) % 2
+        x = rng.normal(size=(120, 4097))
+        x[:, :40] += 0.6 * y[:, None]
+        x[:, 7] *= 1e200
+        x[:, 4000] *= 1e-200
+        shift = square_safe_shift(x[:60], axis=0)
+        assert np.flatnonzero(shift).tolist() == [7, 4000]
+        names = [f"V{j}" for j in range(x.shape[1])]
+        scaled = np.ldexp(x, -shift)
+        expected = gaussian_nb_baseline(Dataset(scaled[:60], y[:60], names),
+                                        Dataset(scaled[60:], y[60:], names))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            error = gaussian_nb_baseline(Dataset(x[:60], y[:60], names),
+                                         Dataset(x[60:], y[60:], names))
+        assert error == expected and 0.0 < error < 0.5
 
     def test_scoring_holds_no_test_sized_temporary(self):
         # one (m, p) temporary is 8 MiB here; the blocked path holds about 1.2 MiB

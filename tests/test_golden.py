@@ -136,16 +136,18 @@ class TestGoldenStream:
 
 
 # SHA-256 of every file of one CLI pipeline (setting 3, seed 5, 100 training
-# and 200 test points, p=400), and of the standard output of its `bf` call
+# and 200 test points, p=400), and of the standard output of its `bf` call.
+# The three model files hold the centring means and sds of the C-ordered
+# matrix, summed row after row, as `select-c` and the library fit them
 PIPELINE_SHA256 = {
     "sim/train.csv": "fd1e712a582474afead15f6c8c3b608a684f903c834b2bc543156d4351f92b6c",
     "sim/test.csv": "79cc1b3b42dd2466869c07b34cdbc1f7f972304f5383d631661160e20b60e0b8",
     "sim/truth.csv": "00a17942face7ac6956d872cc8fa1dd7eef75ca4bc29e227b6fd9fad911ec39d",
     "report.json": "97b91554a364f5a42605e255866b7414781613bc54194c9b8e63aa298bdd2154",
     "report.csv": "b843ac2e725eb69a9ed20d9f32b981902104963700aa75c2e6d9d7458ddc06ea",
-    "selected.json": "d28a563c6640250d99ec97139be6e2fc6922c24e7d3d80bbf4da08414550a4e5",
-    "reported.json": "d28a563c6640250d99ec97139be6e2fc6922c24e7d3d80bbf4da08414550a4e5",
-    "c5.json": "9e3a96aa8fa60f2c7302cfdb20c2d7b8d046871b8e737660c517c0f09887292e",
+    "selected.json": "33a054fc00dbe8178e9cb7f7ce46d78346e2713e9526ff5f5a32cff853e561c4",
+    "reported.json": "33a054fc00dbe8178e9cb7f7ce46d78346e2713e9526ff5f5a32cff853e561c4",
+    "c5.json": "c6615c05d319edecaa57b713d88283347b7c7d3e2c82e36e9e5c10f2e9628c5c",
     "predictions.csv": "3be6eaae343caeb8f35ee53dd8e2fafa6d0aeebd8419430ea9514798448aefba",
     "cv.csv": "fb8dbcb8835efa993edf4fd76a94dca96c8f29813feec8e41b9e3b9f9800b0c4",
     "cv.json": "79de2b3da04b6ae288c87f7932917df281ae402f252c18be5ff1d60c5f3e6e2e",

@@ -263,7 +263,7 @@ class TestColumnPvalues:
 
     def test_blocks_cover_every_column(self, monkeypatch):
         # blocks of two columns at n = 40: the last block is a single column
-        monkeypatch.setattr(ptda.smoothing, "_BLOCK_VALUES", 80)
+        monkeypatch.setattr(ptda.polya_tree, "_BLOCK_VALUES", 80)
         x, y = two_group_data(seed=4, p=7)
         v0, v1 = column_pvalues(x, y)
         assert_matches_oracle(x, y, v0, v1)

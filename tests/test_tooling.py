@@ -2,8 +2,8 @@
 exports must name things that exist, the package must define no function
 that only tests reach, and the oracles and the test adapters may import
 from the package only names that are not the kernels they check.  Blocked
-loops take their one block size from `polya_tree`, and a default that
-both the CLI and the library state is stated once."""
+loops take their one block size from `polya_tree`, which alone reads it,
+and a default that both the CLI and the library state is stated once."""
 
 import ast
 import importlib
@@ -14,10 +14,12 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ptda
-from ptda import cli, cvb, dataio, evalharness, simgen, smoothing
+from ptda import bnp_test, cli, cvb, dataio, evalharness, polya_tree, simgen, smoothing
+from ptda.simgen import SimulationSpec, generate
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -234,20 +236,78 @@ def test_one_block_size():
     assert own == ["polya_tree._BLOCK_VALUES"]
 
 
+def test_only_polya_tree_reads_the_block_size():
+    # a module that imported _BLOCK_VALUES would hold its own copy, which a
+    # patch of polya_tree._BLOCK_VALUES never reaches; the blocked loops take
+    # their slices from polya_tree.blocks instead
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ({alias.name for alias in node.names}
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     else {node.attr} if isinstance(node, ast.Attribute)
+                     else {node.id} if isinstance(node, ast.Name) else set())
+            if "_BLOCK_VALUES" in names:
+                readers.add(path.stem)
+    assert readers == {"polya_tree"}
+
+
+def test_the_block_size_reaches_every_blocked_loop(monkeypatch):
+    # patched smaller, the one block size splits the p-values, the evidence
+    # plans and the leaf tables into more blocks, and no output moves a bit.
+    # 640 values are 16 columns of 40 points: the Shapiro-Wilk matvec keeps
+    # its bits in blocks of 16 rows (`row_blocks`), not in blocks of 6
+    train, _, _ = generate(SimulationSpec(1, n_train=40, n_test=4, p=60, n_discriminative=5,
+                                          seed=3))
+    x, y = train.matrix, train.labels.astype(bool)
+    ks, plan, walk = smoothing.ks_two_sample_sorted, bnp_test._plan_layers, polya_tree._log_paths
+
+    def run():
+        calls = {"p-value blocks": 0, "plans": 0, "table walks": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def plans(*args):
+            for layer in plan(*args):
+                calls["plans"] += 1
+                yield layer
+
+        monkeypatch.setattr(smoothing, "ks_two_sample_sorted", counted("p-value blocks", ks))
+        monkeypatch.setattr(bnp_test, "_plan_layers", plans)
+        monkeypatch.setattr(polya_tree, "_log_paths", counted("table walks", walk))
+        forest = polya_tree.TreeForest.from_matrix(x, y)
+        outputs = (*smoothing.column_pvalues(x, y), forest.leaf1, forest.leaf0,
+                   bnp_test.log_bayes_factors(forest, 1.0),
+                   polya_tree.leaf_log_odds_table(forest, 1.0))
+        return calls, outputs
+
+    calls, outputs = run()
+    monkeypatch.setattr(polya_tree, "_BLOCK_VALUES", 640)
+    patched, patched_outputs = run()
+    assert calls == {"p-value blocks": 1, "plans": 5, "table walks": 2}
+    assert patched == {"p-value blocks": 4, "plans": 6, "table walks": 6}
+    for before, after in zip(outputs, patched_outputs):
+        assert np.array_equal(before, after)
+
+
 def test_points_are_located_and_columns_summed_once():
     # one tiled locator, polya_tree._locate, serves the build and
-    # flat_leaves, and column sums go through polya_tree.column_sums: no
-    # module calls .std(, whose deviations are one (n, p) temporary
-    locators, stds = set(), set()
+    # flat_leaves, and column moments go through polya_tree.column_sums: no
+    # module calls .std( or .var(, whose deviations are one (n, p) temporary
+    locators, moments = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for owner, call in _calls(ast.parse(path.read_text(encoding="utf-8"))):
             name = ast.unparse(call.func)
             if name.rpartition(".")[2] == "leaf_indices":
                 locators.add(f"{path.stem}.{owner}")
-            if isinstance(call.func, ast.Attribute) and call.func.attr == "std":
-                stds.add(f"{path.stem}.{owner}")
+            if isinstance(call.func, ast.Attribute) and call.func.attr in ("std", "var"):
+                moments.add(f"{path.stem}.{owner}")
     assert locators == {"polya_tree._locate"}
-    assert stds == set()
+    assert moments == set()
 
 
 def test_forest_facts_have_one_owner():
