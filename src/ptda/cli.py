@@ -326,7 +326,7 @@ def _cmd_fit(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_predict(args, _) -> int:
+def _cmd_predict(args, cfg: Config) -> int:
     model = FittedModel.load(args.model)
     ds = _load_dataset(args, need_labels=False)
     if ds.p != model.p:
@@ -375,12 +375,12 @@ def _cmd_bf(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_density(args, _) -> int:
+def _cmd_density(args, cfg: Config) -> int:
     model = FittedModel.load(args.model)
     if args.variable not in model.names:
         raise InputError(f"variable {args.variable!r} not in the model")
     j = model.names.index(args.variable)
-    tree, c = model.forest.variable(j), float(model.c[j])
+    tree, c = model.forest.variables([j]), float(model.c[j])
     mean, sd = float(tree.means[0]), float(tree.sds[0])
     lo = args.x_min if args.x_min is not None else mean - 4.0 * sd
     hi = args.x_max if args.x_max is not None else mean + 4.0 * sd

@@ -50,8 +50,8 @@ class Dataset:
         self.matrix = np.ascontiguousarray(self.matrix, dtype=float)
         if self.matrix.ndim != 2:
             raise InputError("matrix must be two-dimensional")
-        if len(self.names) != self.matrix.shape[1]:
-            raise InputError("one name per variable is required")
+        if not isinstance(self.names, (list, tuple)) or len(self.names) != self.matrix.shape[1]:
+            raise InputError("names must be a list of one name per variable")
         if self.labels is not None:
             labels = np.asarray(self.labels)
             if labels.shape != (self.matrix.shape[0],):
@@ -197,9 +197,10 @@ def split_folds(dataset: Dataset, k: int, seed: int = 0) -> list[tuple[np.ndarra
     """Stratified k-fold split: list of (train_idx, test_idx) pairs.
 
     Group proportions are preserved within one member per fold; both
-    groups must have at least k members, and k must be an integer
+    groups must have at least k members, and k and seed must be integers
     (InputError).
     """
+    seed = integer(seed, "seed")
     if integer(k, "k") < 2:
         raise InputError("k must be at least 2")
     if dataset.labels is None:

@@ -24,7 +24,7 @@ import numpy as np
 from .cvb import Hyperparameters, classify, update_psi
 from .dataio import Dataset, split_folds, write_csv
 from .errors import InputError
-from .polya_tree import column_sums, row_blocks
+from .polya_tree import column_sums, integer, row_blocks
 from .simgen import SimulationSpec, generate
 from .smoothing import select_c
 from .stats import square_safe_shift
@@ -151,8 +151,9 @@ def run_simulation_study(setting: int, reps: int, base_seed: int = 0,
     selects every variable, on the same datasets.  A variable counts as
     selected when its omega is at least the fixed 0.5; the selection counts
     and rates are taken against the truth at that cut.  Zero reps yields an
-    empty table.
+    empty table; `reps` must be an integer (InputError).
     """
+    reps = integer(reps, "reps")
 
     def one_rep(r: int):
         spec = SimulationSpec(setting, n_train, n_test, p, n_discriminative, base_seed + r)
@@ -178,7 +179,9 @@ def cross_validate(dataset: Dataset, k: int, hyper: Hyperparameters | None = Non
     Each fold fits on its raw training rows, whose moments alone set the
     centring Gaussians, and scores its raw test rows.  A fold has no true
     selection, so its row's selection counts are 0 and its accuracy NaN.
+    `threads` must be an integer (InputError); below 2 the folds run in turn.
     """
+    threads = integer(threads, "threads")
     folds = split_folds(dataset, k, seed)
 
     def one_fold(f: int):
@@ -216,7 +219,7 @@ def _summarize(rows, selections) -> dict:
 
 def _map_indexed(fn, indices, threads: int):
     indices = list(indices)
-    if threads and threads > 1 and len(indices) > 1:
+    if threads > 1 and len(indices) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, indices))
     return [fn(i) for i in indices]

@@ -104,7 +104,8 @@ def _count_dtype(n: int) -> np.dtype:
 
 # the package's one block size, in values (a float64 block takes 0.5 MiB), read here
 # only: by `blocks`, whose loops are smoothing.column_pvalues, bnp_test's evidence plans,
-# `leaf_log_odds_table`, `_count_leaves` and `_locator`, and by `row_blocks` and `_tiles`
+# `leaf_log_odds_table`, `_locator` and the build's locate-and-count (`_count_leaves`),
+# and by `row_blocks` and `_tiles`
 _BLOCK_VALUES = 1 << 16
 
 
@@ -355,37 +356,36 @@ def leaf_log_path_tables(forest: TreeForest, c) -> tuple[np.ndarray, np.ndarray]
     return _log_paths(forest.leaf1, c), _log_paths(forest.leaf0, c)
 
 
-def leaf_log_odds_table(forest: TreeForest, c, rows=None) -> np.ndarray:
-    """(len(rows), 2**depth) group-1 minus group-0 log path probability of
-    every leaf of the variables `rows`, an index array (None: all p); `c` is
-    a scalar or one value per variable of the forest (`check_smoothing`).
-    `blocks` of 2**depth leaves a variable are walked one at a time
-    (`_log_paths`), so only one block's layers are held beside the table."""
+def leaf_log_odds_table(forest: TreeForest, c) -> np.ndarray:
+    """(p, 2**depth) group-1 minus group-0 log path probability of every leaf;
+    `c` is a scalar or one value per variable (`check_smoothing`).  `blocks`
+    of 2**depth leaves a variable are walked one at a time (`_log_paths`), so
+    only one block's layers are held beside the table."""
     c = check_smoothing(c, forest.p)
-    size = forest.p if rows is None else len(rows)
-    table = np.empty((size, 1 << forest.depth))
-    for block in blocks(size, 1 << forest.depth):
-        # a slice keeps the block's counts as views
-        var = block if rows is None else rows[block]
+    table = np.empty((forest.p, 1 << forest.depth))
+    for var in blocks(forest.p, 1 << forest.depth):
         np.subtract(_log_paths(forest.leaf1[var], c[var]),
-                    _log_paths(forest.leaf0[var], c[var]), out=table[block])
+                    _log_paths(forest.leaf0[var], c[var]), out=table[var])
     return table
 
 
-def _count_leaves(flat: np.ndarray, rows: np.ndarray, width: int) -> np.ndarray:
-    """(p, width) leaf counts of the points `rows` (a boolean mask) at (n, p)
-    flat leaf indices, of the count type of all n points (`_count_dtype`).
-    The leaves are counted a block of variables at a time (`blocks` of
-    `width` cells a variable), each block's one int64 `bincount`, so no (p,
-    width) int64 count array is held beside the result."""
-    n, p = flat.shape
-    leaves = np.empty((p, width), dtype=_count_dtype(n))
-    for cols in blocks(p, width):
-        block = flat[rows, cols]  # a copy: rows is a mask
-        block -= cols.start * width  # the block's first variable counts from 0
-        leaves[cols] = np.bincount(block.ravel(),
-                                   minlength=block.shape[1] * width).reshape(-1, width)
-    return leaves
+def _count_leaves(x, y, means, sds, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """(leaf1, leaf0): the (p, 2**depth) leaf counts of the rows of x in y and
+    in ~y, of the count type of all n points (`_count_dtype`).  A block of
+    variables at a time (`blocks` of max(n, 2**depth) values a variable), the
+    block's points are located (`_locate`) into a block-sized int32 index and
+    each group counted from it by one int64 `bincount`, so neither an (n, p)
+    index nor a (p, 2**depth) int64 count array is held beside the result."""
+    n, p = x.shape
+    width = 1 << depth
+    leaf1, leaf0 = (np.empty((p, width), dtype=_count_dtype(n)) for _ in range(2))
+    for cols in blocks(p, max(n, width)):
+        part = x[:, cols]
+        flat = _locate(part, means[cols], sds[cols], depth, np.empty(part.shape, np.int32))
+        for leaves, rows in ((leaf1, y), (leaf0, ~y)):
+            leaves[cols] = np.bincount(flat[rows].ravel(),
+                                       minlength=flat.shape[1] * width).reshape(-1, width)
+    return leaf1, leaf0
 
 
 def _locate(x: np.ndarray, means, sds, depth: int, out: np.ndarray) -> np.ndarray:
@@ -480,20 +480,16 @@ class TreeForest:
         return cls(means, sds, leaf1.astype(dtype), leaf0.astype(dtype))
 
     @classmethod
-    def from_matrix(cls, matrix, labels, depth: int | None = None, *,
-                    _flat_out: np.ndarray | None = None) -> "TreeForest":
+    def from_matrix(cls, matrix, labels, depth: int | None = None) -> "TreeForest":
         """Forest of an (n, p) matrix; depth None means default_depth(n).
 
         Each variable is centred on its column's mean and ddof-1 sd, computed
         at any finite magnitude; a zero sd, or one beyond the float range,
         is replaced by SD_FLOOR, and the count of such columns is reported
         at DEBUG on the `ptda.polya_tree` logger.  The data must pass
-        `training_data`.  `_flat_out`, an (n, p) int32 array, receives the
-        training points' flat leaf indices, the ones `flat_leaves(matrix)`
-        gives by the same `_locate` (each below MAX_FOREST_CELLS / 2): a
-        caller that scores the training points (`smoothing.select_c`) locates
-        them once, and the forest does not carry them.  The moments and the
-        leaves read x a tile at a time, with no (n, p) float temporary.
+        `training_data`.  The moments read x a tile at a time, and the leaves
+        a block of variables at a time (`_count_leaves`), with no (n, p)
+        float or index temporary.
         """
         x, y = training_data(matrix, labels)
         n, p = x.shape
@@ -511,11 +507,8 @@ class TreeForest:
             _log.debug("TreeForest.from_matrix: %d of %d columns have a zero or non-finite sd "
                        "and are centred with SD_FLOOR = %g", np.count_nonzero(floored), p, SD_FLOOR)
             sds = np.where(floored, SD_FLOOR, sds)
-        flat = np.empty((n, p), dtype=np.int32) if _flat_out is None else _flat_out
-        _locate(x, means, sds, depth, flat)
-        width = 1 << depth
         # the centring is finite and the depth checked above
-        return cls(means, sds, _count_leaves(flat, y, width), _count_leaves(flat, ~y, width))
+        return cls(means, sds, *_count_leaves(x, y, means, sds, depth))
 
     def flat_leaves(self, matrix) -> np.ndarray:
         """(m, p) intp index leaf + j * 2**depth of each point's deepest-layer
@@ -530,10 +523,10 @@ class TreeForest:
             raise InputError("points must be finite")
         return _locate(x, self.means, self.sds, self.depth, np.empty(x.shape, dtype=np.intp))
 
-    def variable(self, j: int) -> "TreeForest":
-        """One-variable forest (a view) of variable j."""
-        sl = slice(j, j + 1)
-        return TreeForest(self.means[sl], self.sds[sl], self.leaf1[sl], self.leaf0[sl])
+    def variables(self, cols) -> "TreeForest":
+        """Forest of the variables `cols`, a slice (a view) or an index array
+        (a copy) of them; `[j]` is the one-variable forest of variable j."""
+        return TreeForest(self.means[cols], self.sds[cols], self.leaf1[cols], self.leaf0[cols])
 
 
 def predictive_density(points, tree: TreeForest, c) -> tuple[np.ndarray, np.ndarray]:

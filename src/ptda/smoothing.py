@@ -9,15 +9,15 @@ and a grid of monotone bin-value tuples is searched for the one minimising
 resubstitution classification error.
 
 Counts are independent of the smoothing parameters, so the grid search
-fits every candidate on one forest.  The forest build locates each
-training point once and hands its leaf index on to the resubstitution
-scores, and one `log_bayes_factors` call over that forest gives the log
-Bayes factors of every ladder value.  The search runs in two phases over
-the distinct per-variable c vectors: first one omega selection per vector,
-then the resubstitution log-odds of every converged vector together, one
-(bin, ladder value) leaf log-odds table at a time, each holding only the
-bin's variables.  The winner is returned as an ordinary fit, which builds
-its own table.
+fits every candidate on one forest, and one `log_bayes_factors` call over
+that forest gives the log Bayes factors of every ladder value.  The search
+runs in two phases over the distinct per-variable c vectors: first one
+omega selection per vector, then the resubstitution log-odds of every
+converged vector together, bin by bin: the bin's sub-forest locates the
+training points in its variables, and one (bin, ladder value) leaf
+log-odds table at a time is gathered from.  No (n, p) leaf index is held
+between the build and the scores.  The winner is returned as an ordinary
+fit, which builds its own table.
 """
 
 from __future__ import annotations
@@ -227,31 +227,28 @@ def column_pvalues(matrix, labels, seed: int = 0) -> tuple[np.ndarray, np.ndarra
     return v0, v1
 
 
-def _resubstitution_log_odds(forest: TreeForest, flat: np.ndarray, omegas: list,
+def _resubstitution_log_odds(forest: TreeForest, x: np.ndarray, omegas: list,
                              vectors: list, columns: list) -> np.ndarray:
     """(n, K) omega-weighted sums of the training points' leaf log-odds, one
     column per candidate c vector.
 
-    `flat` holds the points' (n, p) flat leaf indices into `forest`,
-    omegas[k] candidate k's (p,) selection probabilities, and vectors[k][i]
-    its value on the variables columns[i].  Bin by bin, the points' flat
-    indices are made bin-local once; then for each ladder value some
-    candidate gives the bin, ascending, the bin's leaf log-odds table
-    (`leaf_log_odds_table`, its variables alone) is built, gathered from,
-    multiplied against the bin's omegas of every such candidate, one
-    (candidates, bin) array, and dropped before the next.  So each column
-    adds its bins in bin order, whatever its vector.
+    `x` holds the (n, p) training points of `forest`, omegas[k] candidate
+    k's (p,) selection probabilities, and vectors[k][i] its value on the
+    variables columns[i].  Bin by bin, the bin's forest (`variables`)
+    locates the points in its own trees; then for each ladder value some
+    candidate gives the bin, ascending, the bin's leaf log-odds table is
+    built, gathered from and dropped, and the gather multiplied against the
+    bin's omegas of every such candidate, one (candidates, bin) array.  So
+    each column adds its bins in bin order, whatever its vector.
     """
-    width = 1 << forest.depth
-    eta = np.zeros((flat.shape[0], len(vectors)))
+    eta = np.zeros((x.shape[0], len(vectors)))
     for i, cols in enumerate(columns):
-        local = flat[:, cols]  # row i of the table is variable cols[i]
-        local -= ((cols - np.arange(cols.size)) * width).astype(np.int32)
+        part = forest.variables(cols)
+        flat = part.flat_leaves(x[:, cols])
         for value in sorted({vector[i] for vector in vectors}):
             ks = [k for k, vector in enumerate(vectors) if vector[i] == value]
-            table = leaf_log_odds_table(forest, value, cols)
-            eta[:, ks] += np.take(table, local) @ np.array([omegas[k][cols] for k in ks]).T
-            del table
+            eta[:, ks] += (np.take(leaf_log_odds_table(part, value), flat)
+                           @ np.array([omegas[k][cols] for k in ks]).T)
     return eta
 
 
@@ -268,20 +265,19 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     candidates whose selection converged within `max_iter` sweeps
     compete, and ties in error go to the lexicographically smallest tuple.
 
-    The forest is built once, and its build writes the training points'
-    flat leaf indices, which phase 2 gathers with; the points are not
-    located again.  The search runs in two phases over the distinct
-    per-variable c vectors the tuples give (tuples that differ only on an
-    empty bin, or repeat a ladder value, give one vector).  Phase 1 scores
-    the log BF of every distinct ladder value in one `log_bayes_factors`
-    call, as a (values, 1) column of settings, gathers each vector's
-    evidence from that (values, p) result by its own row index, and keeps
-    one `update_omega` selection state per vector.  Phase 2 scores every
-    converged vector at once, bin by bin in order, holding one table at a
-    time, the leaf log-odds of one bin's variables at one ladder value
-    (`_resubstitution_log_odds`).  Its summation order differs
-    from the one matvec per row block that `update_psi` does with the
-    winner's omega, so a score may differ from it in the last bits.  The
+    The forest is built once.  The search runs in two phases over the
+    distinct per-variable c vectors the tuples give (tuples that differ
+    only on an empty bin, or repeat a ladder value, give one vector).
+    Phase 1 scores the log BF of every distinct ladder value in one
+    `log_bayes_factors` call, as a (values, 1) column of settings, gathers
+    each vector's evidence from that (values, p) result by its own row
+    index, and keeps one `update_omega` selection state per vector.  Phase
+    2 scores every converged vector at once, bin by bin in order: it
+    locates the points in the bin's trees and holds one table at a time,
+    the leaf log-odds of the bin's variables at one ladder value
+    (`_resubstitution_log_odds`).  Its summation order differs from the
+    one matvec per row block that `update_psi` does with the winner's
+    omega, so a score may differ from it in the last bits.  The
     candidate with the least error wins, an unconverged one counting as
     an infinite error.  The winner is returned as an ordinary `FittedModel`
     of its selection state, forest and c, which builds its leaf log-odds
@@ -318,8 +314,7 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     expected = expected_pvalue(v0, v1, p, hyper.u)
     bins = assign_bins(expected)
 
-    flat = np.empty(x.shape, dtype=np.int32)
-    forest = TreeForest.from_matrix(x, yb, depth, _flat_out=flat)
+    forest = TreeForest.from_matrix(x, yb, depth)
     names = [f"V{j + 1}" for j in range(p)]
 
     # a tuple's c vector is its values on the occupied bins
@@ -345,7 +340,7 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     live = [k for k, state in enumerate(states) if state.converged]
     errors = np.full(len(vectors), math.inf)
     if live:
-        eta = _resubstitution_log_odds(forest, flat, [states[k].omega for k in live],
+        eta = _resubstitution_log_odds(forest, x, [states[k].omega for k in live],
                                        [vectors[k] for k in live], columns)
         eta = np.clip(prior_log_odds(hyper, forest) + eta, -ETA_CLAMP, ETA_CLAMP)
         # expit is monotone: psi >= 0.5 iff eta >= logit(0.5) = 0

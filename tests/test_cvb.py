@@ -30,6 +30,7 @@ from ptda.errors import DomainError, InputError
 from ptda.polya_tree import (_BLOCK_VALUES, TreeForest, default_depth, leaf_log_odds_table,
                              leaf_log_path_tables, predictive_density, row_blocks)
 from ptda.dataio import Dataset, preprocess, split_folds
+from ptda.evalharness import cross_validate, run_simulation_study
 from ptda.simgen import SimulationSpec, generate
 from ptda.smoothing import assign_bins, expected_pvalue, select_c
 
@@ -189,7 +190,7 @@ class TestPathProbability:
         lp1, lp0 = log_path_probability_matrix(model.forest, model.c, new)
         for r in range(8):
             for j in range(model.p):
-                tree, c = model.forest.variable(j), model.c[j]
+                tree, c = model.forest.variables([j]), model.c[j]
                 # the product form of the path probability, layer by layer
                 leaf = int(leaves_of(tree, [[new[r, j]]])[0, 0])
                 for group, lp in ((1, lp1), (0, lp0)):
@@ -227,10 +228,13 @@ class TestLeafLogOddsTable:
         assert forest.depth == 8 and forest.p > 4 * (_BLOCK_VALUES >> 8)
         rng = np.random.default_rng(4)
         c = 5.0 if c == "scalar" else rng.choice(LADDER, size=forest.p)
-        rows = None if rows is None else rng.permutation(forest.p)[:700]
         lp1, lp0 = leaf_log_path_tables(forest, c)
-        expected = lp1 - lp0 if rows is None else (lp1 - lp0)[rows]
-        assert np.array_equal(leaf_log_odds_table(forest, c, rows), expected)
+        if rows is None:
+            assert np.array_equal(leaf_log_odds_table(forest, c), lp1 - lp0)
+        else:  # a sub-forest of 700 variables in any order, each with its own c
+            rows = rng.permutation(forest.p)[:700]
+            assert np.array_equal(leaf_log_odds_table(forest.variables(rows), c[rows]),
+                                  (lp1 - lp0)[rows])
 
     def test_model_table_build_holds_one_block(self):
         # a (1000, 1024) table is 7.8 MiB; the walk over all variables held
@@ -272,7 +276,7 @@ class TestUpdatePsi:
         model = fit_model(x, y, 1.0, depth=2)
         model.selection.omega = np.ones(1)
         x_new = np.array([[-1.0]])
-        tree, c = model.forest.variable(0), model.c[0]
+        tree, c = model.forest.variables([0]), model.c[0]
         pi1 = path_probability(-1.0, tree, 1, c)
         pi0 = path_probability(-1.0, tree, 0, c)
         expected = 1.0 / (1.0 + math.exp(-(math.log(4.0 / 4.0) + math.log(pi1) - math.log(pi0))))
@@ -613,7 +617,7 @@ MALFORMED_CALLS = {
                            "matrix's values"),
     "update_psi, strings": (lambda x, y, model: update_psi(model, [["a"] * model.p]), "points"),
     "predictive_density, strings": (
-        lambda x, y, model: predictive_density(["a"], model.forest.variable(0), 1.0), "points"),
+        lambda x, y, model: predictive_density(["a"], model.forest.variables([0]), 1.0), "points"),
     "select_c, string grid": (lambda x, y, model: select_c(x, y, grid="abc"),
                               "smoothing parameters"),
     "update_omega, 2-D": (lambda x, y, model: update_omega(np.zeros((2, 2)), Hyperparameters()),
@@ -641,6 +645,15 @@ MALFORMED_CALLS = {
     "default_depth, 2.5": (lambda x, y, model: default_depth(2.5), "n must be an integer"),
     "split_folds, string k": (
         lambda x, y, model: split_folds(Dataset(x, y, model.names), "a"), "k must be an integer"),
+    "split_folds, string seed": (
+        lambda x, y, model: split_folds(Dataset(x, y, model.names), 2, seed="a"),
+        "seed must be an integer"),
+    "Dataset, no names": (lambda x, y, model: Dataset(x, y, None), "names"),
+    "cross_validate, string threads": (
+        lambda x, y, model: cross_validate(Dataset(x, y, model.names), 2, threads="a"),
+        "threads must be an integer"),
+    "run_simulation_study, string reps": (lambda x, y, model: run_simulation_study(1, "a"),
+                                          "reps must be an integer"),
     "SimulationSpec, string p": (lambda x, y, model: SimulationSpec(1, p="a"),
                                  "p must be an integer"),
     "SimulationSpec, n_train 4.5": (

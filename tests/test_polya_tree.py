@@ -400,7 +400,7 @@ class TestPredictiveDensity:
         with pytest.raises(InputError, match="one-variable forest, got p=2"):
             predictive_density([0.5], forest, 1.0)
         with pytest.raises(InputError, match="finite"):
-            predictive_density([0.5, math.nan], forest.variable(0), 1.0)
+            predictive_density([0.5, math.nan], forest.variables([0]), 1.0)
 
     def test_prior_predictive_is_centring(self):
         tree = empty_tree(depth=3)
@@ -464,7 +464,7 @@ class TestTreeForest:
         for j in range(5):
             tree = tree_of(x[:, j], y, 4, sample_centring(x[:, j]))
             assert path_map(forest, j) == path_map(tree)
-            assert path_map(forest.variable(j)) == path_map(tree)
+            assert path_map(forest.variables([j])) == path_map(tree)
 
     def test_new_point_keys_match_training_paths(self):
         rng = np.random.default_rng(22)
@@ -534,8 +534,8 @@ class TestCountType:
         assert np.array_equal(leaf_log_odds_table(narrow, c), leaf_log_odds_table(wide, c))
         points = np.linspace(-4.0, 4.0, 41)
         for j in (0, 23):
-            assert np.array_equal(predictive_density(points, narrow.variable(j), c[j]),
-                                  predictive_density(points, wide.variable(j), c[j]))
+            assert np.array_equal(predictive_density(points, narrow.variables([j]), c[j]),
+                                  predictive_density(points, wide.variables([j]), c[j]))
 
 
 class TestLeafIndicesAgainstBinaryExpansion:
@@ -630,16 +630,15 @@ class TestLeafIndicesAgainstBinaryExpansion:
         assert leaf_indices(np.full((2, 3), z), 3).tolist() == [[5] * 3] * 2
 
     def test_forest_build_holds_no_point_sized_float(self):
-        # the points are located and their moments summed a tile at a time:
-        # beyond the caller's flat index the build holds its leaf counts and
-        # a few tiles, under the one (n, p) float that x.std's deviations
+        # the moments are summed a tile at a time and the points located a
+        # block of variables at a time: the build holds its leaf counts and
+        # a few blocks, under the one (n, p) float that x.std's deviations
         # took when it computed the sds, and no further (n, p) temporaries
         n, p = 4096, 64
         x = np.random.default_rng(24).normal(size=(n, p))
         y = np.arange(n) % 2
-        flat = np.empty((n, p), dtype=np.int32)
         TreeForest.from_matrix(x[:64], y[:64], 6)  # the depth's table, built before tracing
-        peak, _ = traced_peak(lambda: TreeForest.from_matrix(x, y, 6, _flat_out=flat))
+        peak, _ = traced_peak(lambda: TreeForest.from_matrix(x, y, 6))
         assert peak < 1.5 * x.nbytes
 
     def test_forest_build_holds_one_leaf_array_beside_the_heaps(self):
@@ -652,23 +651,21 @@ class TestLeafIndicesAgainstBinaryExpansion:
         n, p, depth = 32, 20000, 5
         x = np.random.default_rng(25).normal(size=(n, p))
         y = np.arange(n) % 2
-        flat = np.empty((n, p), dtype=np.int32)
         TreeForest.from_matrix(x[:, :8], y, depth)  # the depth's table, built before tracing
-        peak, forest = traced_peak(lambda: TreeForest.from_matrix(x, y, depth, _flat_out=flat))
+        peak, forest = traced_peak(lambda: TreeForest.from_matrix(x, y, depth))
         assert forest.leaf1.dtype == np.uint8
         assert peak < 2 * (2 * 4 * p << depth)
 
     def test_build_holds_no_tile_beyond_its_index_and_leaves(self):
-        # the moments and the leaves are read a tile at a time, so beside the
-        # caller's flat index the build holds its leaf counts (2 x 0.6 MiB
-        # of uint8 here) and a few tiles, not the (n, p) deviations x.std
-        # made (30.5 MiB at these 200 points and 20,000 variables)
+        # the moments are read a tile at a time and the leaves a block of
+        # variables at a time, so the build holds its leaf counts (2 x 0.6
+        # MiB of uint8 here) and a few blocks, not the (n, p) deviations
+        # x.std made (30.5 MiB at these 200 points and 20,000 variables)
         n, p, depth = 200, 20000, 5
         x = np.random.default_rng(28).normal(size=(n, p))
         y = np.arange(n) % 2
-        flat = np.empty((n, p), dtype=np.int32)
         TreeForest.from_matrix(x[:, :8], y, depth)  # the depth's table, built before tracing
-        peak, _ = traced_peak(lambda: TreeForest.from_matrix(x, y, depth, _flat_out=flat))
+        peak, _ = traced_peak(lambda: TreeForest.from_matrix(x, y, depth))
         assert peak < x.nbytes / 3
 
     def test_wide_row_blocks_are_located_in_column_chunks(self):
@@ -680,11 +677,27 @@ class TestLeafIndicesAgainstBinaryExpansion:
         n, p, depth = 32, 20000, 5
         x = np.random.default_rng(26).normal(size=(n, p))
         y = np.arange(n) % 2
-        flat = np.empty((n, p), dtype=np.int32)
         TreeForest.from_matrix(x[:, :8], y, depth)  # the depth's table, built before tracing
-        peak, forest = traced_peak(lambda: TreeForest.from_matrix(x, y, depth, _flat_out=flat))
+        peak, forest = traced_peak(lambda: TreeForest.from_matrix(x, y, depth))
         assert peak < x.nbytes + 4 * 8 * _BLOCK_VALUES
-        assert np.array_equal(flat, forest.flat_leaves(x))  # located in one piece
+        # the blocks' counts are those of all the points located in one piece
+        flat, width = forest.flat_leaves(x), 1 << depth
+        for leaves, rows in ((forest.leaf1, y == 1), (forest.leaf0, y == 0)):
+            counts = np.bincount(flat[rows].ravel(), minlength=p * width).reshape(p, width)
+            assert np.array_equal(leaves, counts)
+
+    def test_build_holds_no_leaf_index(self):
+        # each block of variables is located into its own int32 index,
+        # counted and dropped: both groups' uint8 leaves take 6.1 MiB at
+        # these 32 points and 100,000 variables, and an (n, p) int32 index
+        # held through the build would add 12.2 MiB
+        n, p, depth = 32, 100000, 5
+        x = np.random.default_rng(29).normal(size=(n, p))
+        y = np.arange(n) % 2
+        TreeForest.from_matrix(x[:, :8], y, depth)  # the depth's table, built before tracing
+        peak, forest = traced_peak(lambda: TreeForest.from_matrix(x, y, depth))
+        assert forest.leaf1.nbytes + forest.leaf0.nbytes == 2 * p << depth
+        assert peak < 12 * 2**20
 
 
 class TestLocatingPoints:

@@ -18,6 +18,7 @@ from ptda.cvb import (Hyperparameters, classify, fit_model, prior_log_odds, upda
 from ptda.errors import DomainError, InputError
 from ptda.polya_tree import TreeForest, leaf_log_path_tables
 from ptda.rng import SUBSAMPLE_STREAM, substream
+from ptda.simgen import SimulationSpec, generate
 from ptda.smoothing import (
     DEFAULT_LADDER,
     SHAPIRO_MAX_N,
@@ -411,9 +412,10 @@ class TestSelectC:
 
 
 class TestOnePassPerForest:
-    def test_training_points_located_once(self, monkeypatch):
-        # the forest build's leaf index is the one the resubstitution
-        # scores gather with; locating the points again would double this
+    def test_training_points_located_twice(self, monkeypatch):
+        # once by the forest build, a block of variables at a time, and once
+        # by the resubstitution scores, a bin's variables at a time; the
+        # winner's model locates none, and a third pass would show here
         x, y = two_group_data(seed=12, n=30, p=7)
         located = []
         locate = ptda.polya_tree.leaf_indices
@@ -424,7 +426,7 @@ class TestOnePassPerForest:
 
         monkeypatch.setattr(ptda.polya_tree, "leaf_indices", counting)
         select_c(x, y, grid=(1.0, 10.0))
-        assert sum(located) == x.size
+        assert sum(located) == 2 * x.size
 
     @pytest.mark.parametrize("grid", [DEFAULT_LADDER, (1.0, 5.0, 5.0, 50.0),
                                       [(1.0, 1.0, 10.0, 10.0), (1.0, 10.0, 10.0, 10.0)]],
@@ -541,13 +543,15 @@ def per_candidate_choice(x, y, tuples, bins, max_iter=1000):
     return best, best_error
 
 
-def bin_outer_log_odds(forest, flat, omega, vectors, columns):
+def bin_outer_log_odds(forest, x, omega, vectors, columns):
     """The phase-2 scores in the bin-outer order: every ladder value's table
-    built up front, and per bin, per value, one gather and product."""
+    built up front, the points located in the whole forest, and per bin, per
+    value, one gather and product."""
     odds = {}
     for value in sorted(set().union(*vectors)):
         lp1, lp0 = leaf_log_path_tables(forest, value)
         odds[value] = lp1 - lp0
+    flat = forest.flat_leaves(x)
     eta = np.zeros((flat.shape[0], len(vectors)))
     for i, cols in enumerate(columns):
         for value, table in odds.items():
@@ -577,9 +581,9 @@ class TestTwoPhaseScores:
             calls.append(1)
             return count_omega(*args, **kwargs)
 
-        def keeping(forest, flat, omegas, vectors, columns):
-            scored.update(forest=forest, flat=flat, omega=omegas, vectors=vectors, columns=columns,
-                          eta=score(forest, flat, omegas, vectors, columns))
+        def keeping(forest, x, omegas, vectors, columns):
+            scored.update(forest=forest, x=x, omega=omegas, vectors=vectors, columns=columns,
+                          eta=score(forest, x, omegas, vectors, columns))
             return scored["eta"]
 
         monkeypatch.setattr(ptda.smoothing, "update_omega", counting)
@@ -617,7 +621,7 @@ class TestTwoPhaseScores:
         eta = prior_log_odds(Hyperparameters(), scored["forest"]) + scored["eta"]
         assert np.any(np.mean((eta >= 0.0) != y[:, None], axis=0) > 0.0)
         # the reference gathers each bin's omegas from one stacked (K, p) array
-        ref = bin_outer_log_odds(scored["forest"], scored["flat"], np.array(scored["omega"]),
+        ref = bin_outer_log_odds(scored["forest"], scored["x"], np.array(scored["omega"]),
                                  scored["vectors"], scored["columns"])
         assert np.array_equal(scored["eta"], ref)
 
@@ -647,9 +651,9 @@ class TestPhaseTwoMemory:
         held, sizes = [], []
         build = ptda.smoothing.leaf_log_odds_table
 
-        def tracing(forest, c, rows=None):
+        def tracing(forest, c):
             held.append(tracemalloc.get_traced_memory()[0])
-            table = build(forest, c, rows)
+            table = build(forest, c)
             sizes.append(table.nbytes)
             return table
 
@@ -660,3 +664,13 @@ class TestPhaseTwoMemory:
         assert max(sizes) < table_bytes / 3  # a quartile bin's variables
         assert max(held) - held[0] < min(sizes) / 2
         assert "leaf_log_odds" not in vars(model)  # the model builds its own table on first use
+
+    def test_no_leaf_index_held_from_the_build(self):
+        # phase 2 locates the training points a bin at a time, so no (n, p)
+        # int32 leaf index (3.1 MiB at these 400 points and 2000 variables)
+        # is held from the build through the scores
+        train, _, _ = generate(SimulationSpec(1, n_train=400, n_test=10, p=2000, seed=5))
+        x, y = train.matrix, train.labels
+        select_c(x[:, :8], y)  # the caches of n and of the depth, built before tracing
+        peak, _ = traced_peak(lambda: select_c(x, y))
+        assert peak < 11.5 * 2**20

@@ -3,7 +3,8 @@ exports must name things that exist, the package must define no function
 that only tests reach, and the oracles and the test adapters may import
 from the package only names that are not the kernels they check.  Blocked
 loops take their one block size from `polya_tree`, which alone reads it,
-and a default that both the CLI and the library state is stated once."""
+a default that both the CLI and the library state is stated once, and no
+function takes a parameter named like a private one."""
 
 import ast
 import importlib
@@ -146,6 +147,20 @@ def test_every_function_is_referenced():
     defined = set(_defined_functions())
     unreferenced = sorted(f for f in defined if f.rpartition(".")[2] not in referenced)
     assert unreferenced == sorted(UNREFERENCED), "unreferenced functions differ from the allowlist"
+
+
+def test_no_private_parameters():
+    # a parameter named like a private one is a second channel into a
+    # function that its signature hides from callers; a function takes what
+    # it needs in the open, or the work moves to where the data is
+    private = sorted(f"{path.stem}.{node.name}({arg.arg})"
+                     for path in sorted(SRC.glob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                                 *filter(None, (node.args.vararg, node.args.kwarg)))
+                     if arg.arg.startswith("_"))
+    assert private == []
 
 
 def test_oracles_import_only_allowed_package_names():
