@@ -2,20 +2,25 @@
 
 Every column draws from its own Philox substream keyed by (seed, column
 index), so datasets are bit-reproducible and shared columns are unchanged
-when p varies.  Labels are Bernoulli(1/2) from reserved substreams, with
-rejection of draws that leave a group below two members.
+when p varies; `generate` walks the columns through one re-keyed generator
+(`rng.substreams`).  Labels are Bernoulli(1/2) from reserved substreams,
+with rejection of draws that leave a group below two members.  Every
+distribution checks its parameters when it is built: a non-number raises
+InputError, a non-finite location or a scale, df, shape or rate that is not
+finite and positive raises DomainError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import Dataset
 from .errors import DomainError, InputError
-from .polya_tree import integer
-from .rng import LABEL_TEST_STREAM, LABEL_TRAIN_STREAM, substream
+from .polya_tree import integer, number
+from .rng import LABEL_TEST_STREAM, LABEL_TRAIN_STREAM, substream, substreams
 
 __all__ = [
     "Normal",
@@ -31,10 +36,27 @@ __all__ = [
 ]
 
 
+def _finite(value, what: str, positive: bool = False):
+    """`value`; InputError unless it is a number, DomainError unless it is
+    finite (and > 0 when `positive`)."""
+    number(value, what)
+    try:
+        ok = math.isfinite(value) and (value > 0 or not positive)
+    except OverflowError:  # an int past the float range
+        ok = False
+    if not ok:
+        raise DomainError(f"{what} must be finite{' and > 0' if positive else ''}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Normal:
     mu: float
     sigma: float
+
+    def __post_init__(self):
+        _finite(self.mu, "Normal mu")
+        _finite(self.sigma, "Normal sigma", positive=True)
 
     def sample(self, rng, size):
         return rng.normal(self.mu, self.sigma, size)
@@ -45,6 +67,10 @@ class Cauchy:
     loc: float
     scale: float
 
+    def __post_init__(self):
+        _finite(self.loc, "Cauchy loc")
+        _finite(self.scale, "Cauchy scale", positive=True)
+
     def sample(self, rng, size):
         return self.loc + self.scale * rng.standard_cauchy(size)
 
@@ -52,6 +78,9 @@ class Cauchy:
 @dataclass(frozen=True)
 class StudentT:
     df: float
+
+    def __post_init__(self):
+        _finite(self.df, "StudentT df", positive=True)
 
     def sample(self, rng, size):
         return rng.standard_t(self.df, size)
@@ -64,6 +93,10 @@ class Gamma:
     shape: float
     rate: float
 
+    def __post_init__(self):
+        _finite(self.shape, "Gamma shape", positive=True)
+        _finite(self.rate, "Gamma rate", positive=True)
+
     def sample(self, rng, size):
         return rng.gamma(self.shape, 1.0 / self.rate, size)
 
@@ -72,32 +105,55 @@ class Gamma:
 class Exponential:
     rate: float
 
+    def __post_init__(self):
+        _finite(self.rate, "Exponential rate", positive=True)
+
     def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
 
 
 @dataclass(frozen=True)
 class Mixture:
+    """A finite mixture of Normals, component i drawn with probability weights[i].
+
+    `sample` draws the labels from one uniform vector, as
+    `Generator.choice(p=weights)` does, then one standard-normal vector that
+    it hands out to the components in label order.  Consecutive normal draws
+    of a stream equal one draw of their total, and `Generator.normal` is
+    mu + sigma * standard normal, so these are bit for bit the values of one
+    masked `normal` call per component in turn.
+    """
+
     weights: tuple
     components: tuple
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        if len(self.weights) != len(self.components):
+            raise DomainError("one weight per component is required")
+        if not all(isinstance(comp, Normal) for comp in self.components):
+            raise InputError("mixture components must be Normal distributions")
+        w = np.array([_finite(v, "mixture weight") for v in self.weights], dtype=float)
         if np.any(w < 0.0):
             raise DomainError("mixture weights must be non-negative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise DomainError(f"mixture weights must sum to 1, got {float(w.sum())!r}")
-        if len(self.weights) != len(self.components):
-            raise DomainError("one weight per component is required")
+        cdf = w.cumsum()
+        cdf /= cdf[-1]
+        mu, sigma = np.array([(comp.mu, comp.sigma) for comp in self.components], dtype=float).T
+        # the narrowest label type, so that the stable sort below is a radix sort
+        label_type = np.min_scalar_type(len(self.components) - 1)
+        for name, value in (("_cdf", cdf), ("_mu", mu), ("_sigma", sigma),
+                            ("_label_type", label_type)):
+            object.__setattr__(self, name, value)
 
     def sample(self, rng, size):
-        which = rng.choice(len(self.components), size=size, p=list(self.weights))
+        labels = self._cdf.searchsorted(rng.random(size), side="right").astype(self._label_type)
+        counts = np.bincount(labels, minlength=len(self.components))
+        z = rng.standard_normal(size)
+        z *= self._sigma.repeat(counts)
+        z += self._mu.repeat(counts)
         out = np.empty(size, dtype=float)
-        for i, comp in enumerate(self.components):
-            mask = which == i
-            count = int(mask.sum())
-            if count:
-                out[mask] = comp.sample(rng, count)
+        out[labels.argsort(kind="stable")] = z
         return out
 
 
@@ -186,8 +242,7 @@ def generate(spec: SimulationSpec) -> tuple[Dataset, Dataset, np.ndarray]:
     train = np.empty((spec.n_train, spec.p))
     test = np.empty((spec.n_test, spec.p))
     f1, f0 = SETTINGS[spec.setting]
-    for j in range(spec.p):
-        rng = substream(spec.seed, j)
+    for j, rng in enumerate(substreams(spec.seed, range(spec.p))):
         if j < spec.n_discriminative:
             # draw both group variants from the same stream, select by label
             a1 = f1.sample(rng, spec.n_train)

@@ -21,6 +21,9 @@ an array of points.  The Shapiro-Wilk and
 Kolmogorov-Smirnov references score one sample at a time, the way the
 package did before its column kernels: W from `np.dot` and the p-value
 through `math.erfc`, and D from `searchsorted` on each sorted sample.
+Mixtures of Normals are drawn through `Generator.choice` and one masked
+`normal` call per component, as the package drew them before it handed
+out one standard-normal vector in label order.
 
 The package names imported here are the allowlist in
 tests/test_tooling.py, each with the reason it is not a kernel an oracle
@@ -388,3 +391,18 @@ def column_pvalues(matrix, labels, rows=None) -> tuple[np.ndarray, np.ndarray]:
             v0[j] = 0.0
         v1[j] = ks_two_sample(col[y], col[~y])[1]
     return v0, v1
+
+
+def choice_mixture_sample(mixture, rng, size) -> np.ndarray:
+    """`size` draws of a mixture of Normals the way the package first drew
+    them: every label from `Generator.choice` with the weights as `p`, then
+    one `normal` call per component with members, in component order, each
+    filling that component's positions through a mask."""
+    which = rng.choice(len(mixture.components), size=size, p=list(mixture.weights))
+    out = np.empty(size, dtype=float)
+    for i, comp in enumerate(mixture.components):
+        mask = which == i
+        count = int(mask.sum())
+        if count:
+            out[mask] = rng.normal(comp.mu, comp.sigma, count)
+    return out

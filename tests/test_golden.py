@@ -91,6 +91,30 @@ def table(rows):
     return [tuple(r[k] for k in COLUMNS) for r in rows]
 
 
+# SHA-256 of generate's train matrix, test matrix, train labels and test
+# labels (little-endian float64, then int8), fed in that order, of each
+# setting at 30 training and 20 test points, p=40, 10 discriminative, seed 7
+GENERATE_SHA256 = {
+    1: "3905c9824f6f3e386330838e92c7fe29fcb8fc5eb82b172280824d37f64cd671",
+    2: "4f15174229184d7b76b95fb8dfc19a374b3db89774113c38bb32eb36d3c12ba6",
+    3: "e7be6a4067d0edb8d9353b51d91222ffef37bcf624dae2ae262915498100982c",
+    4: "b96618f576133a8c6e6bd6db5d0b9a8fe027fe0a50f646ab8462f2748351f478",
+    5: "da7002973360b4ac951507f2664f11ba89b624d4d59da7c411f0cda9e20c6523",
+    6: "126c0787951876f894768ba7d4f10da3f67c335108b36ebf3691df61a810d86d",
+}
+
+
+class TestGoldenGenerator:
+    @pytest.mark.parametrize("setting", sorted(GENERATE_SHA256))
+    def test_setting_bits(self, setting):
+        train, test, _ = generate(SimulationSpec(setting, 30, 20, 40, 10, 7))
+        digest = hashlib.sha256()
+        for values in (train.matrix.astype("<f8"), test.matrix.astype("<f8"),
+                       train.labels.astype("<i1"), test.labels.astype("<i1")):
+            digest.update(values.tobytes())
+        assert digest.hexdigest() == GENERATE_SHA256[setting]
+
+
 class TestGoldenReps:
     def test_setting_1_rows(self):
         rows, _ = run_simulation_study(1, reps=2, **SHAPE_1)

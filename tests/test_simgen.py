@@ -8,10 +8,13 @@ from ptda.rng import substream
 from ptda.simgen import (
     NOISE_FAMILIES,
     SETTINGS,
+    Cauchy,
     Exponential,
+    Gamma,
     Mixture,
     Normal,
     SimulationSpec,
+    StudentT,
     generate,
 )
 
@@ -103,12 +106,97 @@ class TestDistributions:
             assert oracles.ks_two_sample(a, b)[1] > 0.01
 
 
+NAN, INF = float("nan"), float("inf")
+
+# each distribution's parameters, one bad value at a time
+NOT_NUMBERS = [
+    (Normal, ("0", 1.0)), (Normal, (0.0, None)), (Cauchy, (True, 1.0)), (Cauchy, (0.0, [2.0])),
+    (StudentT, ("3",)), (Gamma, (None, 1.0)), (Gamma, (1.0, "2")), (Exponential, (False,)),
+    (Mixture, (("0.5", 0.5), (Normal(0, 1), Normal(1, 1)))),
+]
+OUT_OF_DOMAIN = [
+    (Normal, (NAN, 1.0)), (Normal, (-INF, 1.0)), (Normal, (0, -1)), (Normal, (0, 0)),
+    (Normal, (0, NAN)), (Normal, (0, INF)), (Cauchy, (INF, 1.0)), (Cauchy, (0, -2)),
+    (Cauchy, (0, NAN)), (StudentT, (-1,)), (StudentT, (0.0,)), (StudentT, (INF,)),
+    (Gamma, (-1, 1)), (Gamma, (1, 0)), (Gamma, (NAN, 1)), (Gamma, (1, INF)),
+    (Exponential, (0,)), (Exponential, (-1.0,)), (Exponential, (NAN,)),
+    (Exponential, (np.float64(INF),)), (Normal, (10**400, 1.0)), (Gamma, (1.0, -(10**400))),
+]
+
+
+def _case_id(case):
+    cls, args = case
+    return f"{cls.__name__}{args!r}"
+
+
+class TestDistributionParameters:
+    @pytest.mark.parametrize("case", NOT_NUMBERS, ids=_case_id)
+    def test_non_numbers_refused(self, case):
+        cls, args = case
+        with pytest.raises(InputError):
+            cls(*args)
+
+    @pytest.mark.parametrize("case", OUT_OF_DOMAIN, ids=_case_id)
+    def test_bad_values_refused(self, case):
+        cls, args = case
+        with pytest.raises(DomainError):
+            cls(*args)
+
+    @pytest.mark.parametrize("dist", [Normal(np.float64(-1.0), 2), Cauchy(3, np.float32(0.5)),
+                                      StudentT(np.int64(4)), Gamma(0.5, 1e-3), Exponential(1e6)])
+    def test_numpy_and_int_parameters_accepted(self, dist):
+        assert np.isfinite(dist.sample(substream(0, 0), 5)).all()
+
+
+# every distinct mixture of the six settings and the noise families
+MIXTURES = list(dict.fromkeys(d for d in (*(d for pair in SETTINGS.values() for d in pair),
+                                          *NOISE_FAMILIES) if isinstance(d, Mixture)))
+
+
 class TestMixtureSample:
     def test_weight_validation(self):
         with pytest.raises(DomainError):
             Mixture((0.5, 0.6), (Normal(0, 1), Normal(1, 1))).sample(substream(0, 0), 1)
         with pytest.raises(DomainError):
             Mixture((-0.5, 1.5), (Normal(0, 1), Normal(1, 1)))
+
+    @pytest.mark.parametrize("weights", [(NAN, 1.0), (1.0, NAN), (INF, 1.0), (0.5, -INF)])
+    def test_non_finite_weights_refused(self, weights):
+        with pytest.raises(DomainError):
+            Mixture(weights, (Normal(0, 1), Normal(1, 1)))
+
+    def test_components_must_be_normal(self):
+        with pytest.raises(InputError):
+            Mixture((0.5, 0.5), (Normal(0, 1), Cauchy(0, 1)))
+
+    def test_package_mixtures_have_two_three_and_eight_components(self):
+        assert sorted({len(m.components) for m in MIXTURES}) == [2, 3, 8]
+
+    @pytest.mark.parametrize("size", [1, 7, 1000])
+    @pytest.mark.parametrize("mixture", MIXTURES,
+                             ids=[f"{i}-{len(m.components)}-components" for i, m in enumerate(MIXTURES)])
+    def test_package_mixtures_equal_the_choice_reference(self, mixture, size):
+        self._assert_equals_reference(mixture, size)
+
+    @pytest.mark.parametrize("weights", [(0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)])
+    def test_zero_weight_equals_the_choice_reference(self, weights):
+        mixture = Mixture(weights, (Normal(-3.0, 1.0), Normal(0.0, 0.5), Normal(3.0, 2.0)))
+        self._assert_equals_reference(mixture, 1000)
+
+    def test_wide_labels_equal_the_choice_reference(self):
+        # 300 components: labels run past 255, out of uint8
+        mixture = Mixture(tuple(1 / 300 for _ in range(300)),
+                          tuple(Normal(float(k), 1.0 + k / 300) for k in range(300)))
+        assert substream(8, 0).choice(300, size=1000, p=list(mixture.weights)).max() > 255
+        self._assert_equals_reference(mixture, 1000)
+
+    @staticmethod
+    def _assert_equals_reference(mixture, size):
+        # the same values bit for bit, and the stream left at the same place
+        rng, ref = substream(8, 0), substream(8, 0)
+        assert np.array_equal(mixture.sample(rng, size),
+                              oracles.choice_mixture_sample(mixture, ref, size))
+        assert rng.random() == ref.random()
 
     def test_single_component_passthrough(self):
         rng = substream(3, 0)

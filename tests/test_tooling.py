@@ -3,8 +3,9 @@ exports must name things that exist, the package must define no function
 that only tests reach, and the oracles and the test adapters may import
 from the package only names that are not the kernels they check.  Blocked
 loops take their one block size from `polya_tree`, which alone reads it,
-a default that both the CLI and the library state is stated once, and no
-function takes a parameter named like a private one."""
+a default that both the CLI and the library state is stated once, no
+function takes a parameter named like a private one, and only `rng` builds
+random streams."""
 
 import ast
 import importlib
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import ptda
-from ptda import bnp_test, cli, cvb, dataio, evalharness, polya_tree, simgen, smoothing
+from ptda import bnp_test, cli, cvb, dataio, evalharness, polya_tree, rng, simgen, smoothing
 from ptda.simgen import SimulationSpec, generate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -323,6 +324,41 @@ def test_points_are_located_and_columns_summed_once():
                 moments.add(f"{path.stem}.{owner}")
     assert locators == {"polya_tree._locate"}
     assert moments == set()
+
+
+def test_only_rng_builds_random_streams():
+    # every stream is a (seed, stream id) Philox key from rng.substreams, so
+    # no module builds a bit generator or a Generator of its own
+    builders = {f"{path.stem}.{owner}"
+                for path in sorted(SRC.glob("*.py"))
+                for owner, call in _calls(ast.parse(path.read_text(encoding="utf-8")))
+                if ast.unparse(call.func).rpartition(".")[2] in {"Philox", "Generator",
+                                                                 "default_rng"}}
+    assert builders == {"rng.substreams"}
+
+
+@pytest.mark.parametrize("seed,ids", [
+    (0, [0, 1, 4999]),
+    (202000, [rng.LABEL_TRAIN_STREAM, rng.LABEL_TEST_STREAM, 3]),
+    (-7, [5, 2]),
+    (2**64 + 5, [1, rng.FOLD_STREAM]),
+    (3, [4, 4, 0, 4]),
+    (3, []),
+])
+def test_substreams_equal_substream(seed, ids):
+    # each re-keyed stream starts where a fresh one does, even after its
+    # predecessor left a part-used buffer and a cached 32-bit half behind;
+    # and both equal a Philox keyed by (seed, id) directly
+    drawn = []
+    for stream in rng.substreams(seed, iter(ids)):
+        drawn.append(stream.random(1000))
+        stream.integers(0, 10, 3, dtype=np.uint32)
+    assert len(drawn) == len(ids)
+    mask = (1 << 64) - 1
+    for stream_id, draws in zip(ids, drawn):
+        key = np.array([seed & mask, stream_id & mask], dtype=np.uint64)
+        assert np.array_equal(draws, rng.substream(seed, stream_id).random(1000))
+        assert np.array_equal(draws, np.random.Generator(np.random.Philox(key=key)).random(1000))
 
 
 def test_forest_facts_have_one_owner():
