@@ -21,8 +21,8 @@ import numpy as np
 from .bnp_test import log_bayes_factors
 from .dataio import read_json, write_json
 from .errors import ContractViolation, DomainError, InputError
-from .polya_tree import (TreeForest, check_smoothing, float_array, integer, leaf_log_odds_table,
-                         leaf_log_path_tables, number, row_blocks, training_data)
+from .polya_tree import (TreeForest, blocks, check_smoothing, float_array, integer,
+                         leaf_log_odds_table, leaf_log_path_tables, number, training_data)
 from .stats import expit
 
 __all__ = [
@@ -257,9 +257,10 @@ class FittedModel:
     def class_log_odds(self, flat: np.ndarray) -> np.ndarray:
         """Clamped group-1 log-odds of points at (m, p) flat leaf indices
         (`TreeForest.flat_leaves`): the prior odds plus the omega-weighted
-        sum of each variable's leaf log-odds."""
+        sum of each variable's leaf log-odds, added in one fixed order (einsum,
+        not BLAS), so each row's bits depend on that row alone."""
         prior = prior_log_odds(self.hyper, self.forest)
-        eta = prior + np.take(self.leaf_log_odds, flat) @ self.selection.omega
+        eta = prior + np.einsum("ij,j->i", np.take(self.leaf_log_odds, flat), self.selection.omega)
         return np.clip(eta, -ETA_CLAMP, ETA_CLAMP)
 
     def to_json_dict(self) -> dict:
@@ -345,12 +346,12 @@ def update_psi(model: FittedModel, newpoints) -> ClassProbabilities:
     Locates each point's deepest-layer cell in every variable's tree and
     gathers the model's per-leaf log-odds table there; `class_log_odds`
     weights them by omega on top of the prior odds.  The points are scored
-    in `row_blocks`, so beyond the (m,) result and the model's leaf log-odds
-    table the call holds one block's flat index and gathered log-odds (~1
-    MiB together up to p = 4096, 256 p bytes past it) and one tile's locator
-    temporaries (`TreeForest.flat_leaves`); the psi are the same bits as
-    one call over all rows.  A model whose selection did not converge, or
-    a NaN or infinite coordinate, raises InputError.
+    in row `blocks`, so beyond the (m,) result and the model's leaf log-odds
+    table the call holds one block's flat index and gathered log-odds (one
+    block of values each, one row past p = 65,536) and one tile's locator
+    temporaries (`TreeForest.flat_leaves`); each row's psi is the same bits
+    whatever block it falls in.  A model whose selection did not converge,
+    or a NaN or infinite coordinate, raises InputError.
     """
     if not model.selection.converged:
         raise InputError("the model's selection did not converge; refit it with a larger max_iter")
@@ -358,7 +359,7 @@ def update_psi(model: FittedModel, newpoints) -> ClassProbabilities:
     if x.ndim != 2 or x.shape[1] != model.p:
         raise InputError(f"expected an (m, {model.p}) matrix, got shape {x.shape}")
     eta = np.empty(x.shape[0])
-    for rows in row_blocks(*x.shape):
+    for rows in blocks(*x.shape):
         eta[rows] = model.class_log_odds(model.forest.flat_leaves(x[rows]))
     # clipped into the open interval (0, 1): expit(700.0) rounds to 1.0 in doubles
     return ClassProbabilities(np.clip(expit(eta), _OPEN_LO, _OPEN_HI))

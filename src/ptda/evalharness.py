@@ -24,7 +24,7 @@ import numpy as np
 from .cvb import Hyperparameters, classify, update_psi
 from .dataio import Dataset, split_folds, write_csv
 from .errors import InputError
-from .polya_tree import column_sums, integer, row_blocks
+from .polya_tree import blocks, column_sums, integer
 from .simgen import SimulationSpec, generate
 from .smoothing import select_c
 from .stats import square_safe_shift
@@ -97,10 +97,12 @@ def gaussian_nb_baseline(train: Dataset, test: Dataset) -> float:
     The comparison foil: empirical prior odds plus per-variable Gaussian
     log-likelihood ratios over all variables.  Each group's training
     moments are summed a tile at a time (`polya_tree.column_sums`) and the
-    test points scored in `polya_tree.row_blocks`, so the call holds a few
+    test points scored in row `polya_tree.blocks`, so the call holds a few
     block-sized temporaries (a few MB) beyond the moments, not (n_g, p) or
     (m, p) arrays; the moments and each row's sum are the same bits as in
-    one expression over all rows.
+    one expression over all rows.  Both sets must be labelled and have the
+    same variables, the test set at least one point, and each training
+    group two members (InputError).
 
     A training column whose squares would leave the double range is scaled
     by its power of two (`stats.square_safe_shift`, exact), in training and
@@ -108,6 +110,11 @@ def gaussian_nb_baseline(train: Dataset, test: Dataset) -> float:
     columns keep their bits.  A test value far beyond its column's training
     scale can still overflow.
     """
+    if train.labels is None or test.labels is None:
+        raise InputError("the baseline needs labelled training and test sets")
+    if test.p != train.p or test.n == 0:
+        raise InputError(f"the baseline scores test points of the {train.p} training variables, "
+                         f"got {test.n} points of {test.p}")
     y = train.labels
     n1 = int(np.sum(y == 1))
     n0 = y.size - n1
@@ -131,7 +138,7 @@ def gaussian_nb_baseline(train: Dataset, test: Dataset) -> float:
     pooled = np.maximum(variance, VARIANCE_FLOOR)
     z = test.matrix
     log_odds = np.empty(z.shape[0])
-    for rows in row_blocks(*z.shape):
+    for rows in blocks(*z.shape):
         block = np.ldexp(z[rows], -shift) if big.size else z[rows]  # ldexp by 0 is exact
         log_odds[rows] = math.log(n1 / n0) + np.sum(
             (-((block - mu1) ** 2) + (block - mu0) ** 2) / (2.0 * pooled), axis=1

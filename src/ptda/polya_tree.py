@@ -55,7 +55,6 @@ __all__ = [
     "leaf_indices",
     "count_layers",
     "blocks",
-    "row_blocks",
     "column_sums",
     "leaf_log_path_tables",
     "leaf_log_odds_table",
@@ -103,38 +102,25 @@ def _count_dtype(n: int) -> np.dtype:
 
 
 # the package's one block size, in values (a float64 block takes 0.5 MiB), read here
-# only: by `blocks`, whose loops are smoothing.column_pvalues, bnp_test's evidence plans,
-# `leaf_log_odds_table`, `_locator` and the build's locate-and-count (`_count_leaves`),
-# and by `row_blocks` and `_tiles`
+# only, by `blocks`: its loops are smoothing.column_pvalues, bnp_test's evidence plans,
+# `leaf_log_odds_table`, `_locator`, the build's locate-and-count (`_count_leaves`), the
+# tiles of `_locate` and `column_sums` (`_tiles`), and the row blocks that
+# cvb.update_psi and the naive-Bayes foil score
 _BLOCK_VALUES = 1 << 16
 
 
 def blocks(count: int, width: int) -> list[slice]:
-    """Slices over `count` items of `width` values, max(1, _BLOCK_VALUES // width)
-    items each (about _BLOCK_VALUES values), the last clipped to `count`."""
-    step = max(1, _BLOCK_VALUES // width)
+    """Slices over `count` items of `width` values (0 counts as 1), max(1,
+    _BLOCK_VALUES // width) items each, the last clipped to `count`."""
+    step = max(1, _BLOCK_VALUES // max(1, width))
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def row_blocks(m: int, p: int) -> list[slice]:
-    """Slices over the m rows of an (m, p) matrix, each of about
-    _BLOCK_VALUES values.  Every block but the last is a multiple of 16
-    rows, so each row keeps its place modulo 16: with OpenBLAS a row's
-    matvec result is then the same bits as in one call over all m rows,
-    while blocks of 13 or 65 rows changed a few rows in a thousand in the
-    last bit; `_tiles` splits blocks past _BLOCK_VALUES (p > 4096) into column chunks."""
-    rows = max(16, _BLOCK_VALUES // max(p, 1) // 16 * 16)
-    return [slice(start, start + rows) for start in range(0, m, rows)]
-
-
-def _tiles(m: int, p: int):
-    """(rows, cols) slices tiling an (m, p) matrix: each `row_blocks` block split
-    evenly into column chunks of at most _BLOCK_VALUES values of its own rows,
-    two columns or more when p >= 2 (numpy sums a lone column pairwise)."""
-    for rows in row_blocks(m, p):
-        chunks = min(-(-p // max(1, _BLOCK_VALUES // len(range(m)[rows]))), max(1, p // 2))
-        for k in range(chunks):
-            yield rows, slice(k * p // chunks, (k + 1) * p // chunks)
+def _tiles(m: int, p: int) -> list[tuple[slice, slice]]:
+    """(rows, cols) slices tiling an (m, p) matrix in at most _BLOCK_VALUES
+    values each: `blocks` of rows, each split into `blocks` of columns, which
+    is one chunk up to p = _BLOCK_VALUES and one row a tile past it."""
+    return [(rows, cols) for rows in blocks(m, p) for cols in blocks(p, 1)]
 
 
 def column_sums(x: np.ndarray, rows=None, centre=None) -> np.ndarray:

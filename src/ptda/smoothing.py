@@ -275,13 +275,13 @@ def select_c(matrix, labels, hyper: Hyperparameters | None = None, grid=None,
     2 scores every converged vector at once, bin by bin in order: it
     locates the points in the bin's trees and holds one table at a time,
     the leaf log-odds of the bin's variables at one ladder value
-    (`_resubstitution_log_odds`).  Its summation order differs from the
-    one matvec per row block that `update_psi` does with the winner's
-    omega, so a score may differ from it in the last bits.  The
-    candidate with the least error wins, an unconverged one counting as
-    an infinite error.  The winner is returned as an ordinary `FittedModel`
-    of its selection state, forest and c, which builds its leaf log-odds
-    table on first use, as every model does.
+    (`_resubstitution_log_odds`).  Its summation order, bin by bin through
+    BLAS, differs from the one fixed-order sum per row that `update_psi`
+    does with the winner's omega, so a score may differ from it in the last
+    bits.  The candidate with the least error wins, an unconverged one
+    counting as an infinite error.  The winner is returned as an ordinary
+    `FittedModel` of its selection state, forest and c, which builds its
+    leaf log-odds table on first use, as every model does.
 
     Returns (report, model): `model` is the winning candidate's fit, equal
     to `fit_model(matrix, labels, report.c)` with the same hyperparameters,

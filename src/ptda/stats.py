@@ -166,12 +166,13 @@ def _shapiro_pvalue(w_stat: np.ndarray, n: int) -> np.ndarray:
 def shapiro_wilk_sorted(rows) -> tuple[np.ndarray, np.ndarray]:
     """(W, p) of each row of a (b, n) array holding b samples sorted ascending.
 
-    The rows share one Royston weight vector, so every W comes from one
-    matrix-vector product, and the AS R94 p-value transform runs on all of
-    them at once.  Rows must be finite, and 3 <= n <= 5000.  A constant
-    row gets W = NaN and p = 0.  A row whose max |x| lies outside
-    [2**-257, 2**256) is first scaled by a power of two (`square_safe_shift`);
-    W is scale-free, and the squares then stay finite.
+    The rows share one Royston weight vector; each row's numerator is summed
+    in one fixed order (einsum, not BLAS), so its W depends on that row
+    alone, and the AS R94 p-value transform runs on all of them at once.
+    Rows must be finite, and 3 <= n <= 5000.  A constant row gets W = NaN
+    and p = 0.  A row whose max |x| lies outside [2**-257, 2**256) is first
+    scaled by a power of two (`square_safe_shift`); W is scale-free, and the
+    squares then stay finite.
     """
     s = np.asarray(rows, dtype=float)
     n = s.shape[1]
@@ -185,7 +186,8 @@ def shapiro_wilk_sorted(rows) -> tuple[np.ndarray, np.ndarray]:
     # is but keeps a large common offset from cancelling in it
     xc = s - s.mean(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w_stat = np.minimum((xc @ _royston_weights(n)) ** 2 / np.einsum("ij,ij->i", xc, xc), 1.0)
+        w_stat = np.minimum(np.einsum("ij,j->i", xc, _royston_weights(n)) ** 2
+                            / np.einsum("ij,ij->i", xc, xc), 1.0)
     w_stat[constant] = np.nan
     p = _shapiro_pvalue(w_stat, n)
     p[constant] = 0.0

@@ -792,6 +792,18 @@ class TestExitCodes:
         assert "did not converge" in err
         assert not pred_path.exists()
 
+    def test_labels_only_data_exits_one_without_output(self, tmp_path, capsys):
+        # with no variable, the blocks of the (n, 0) moments are empty, not a
+        # division by zero: preprocessing reports that nothing is left
+        data = tmp_path / "labels.csv"
+        data.write_text("y\n0\n1\n0\n1\n", encoding="utf-8")
+        model_path = tmp_path / "m.json"
+        code, _, err = run(["fit", "--data", str(data), "--label-column", "y",
+                            "--variance-floor", "0", "--out", str(model_path)], capsys)
+        assert code == 1
+        assert "filtered out every variable" in err
+        assert not model_path.exists()
+
 
 class TestLadderOption:
     @pytest.mark.parametrize("ladder", ["1,x", "1,,5"])

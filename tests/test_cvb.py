@@ -27,8 +27,8 @@ from ptda.cvb import (
 )
 from ptda.bnp_test import log_bayes_factors
 from ptda.errors import DomainError, InputError
-from ptda.polya_tree import (_BLOCK_VALUES, TreeForest, default_depth, leaf_log_odds_table,
-                             leaf_log_path_tables, predictive_density, row_blocks)
+from ptda.polya_tree import (_BLOCK_VALUES, TreeForest, blocks, default_depth,
+                             leaf_log_odds_table, leaf_log_path_tables, predictive_density)
 from ptda.dataio import Dataset, preprocess, split_folds
 from ptda.evalharness import cross_validate, run_simulation_study
 from ptda.simgen import SimulationSpec, generate
@@ -299,14 +299,14 @@ class TestUpdatePsi:
 
 
     def _blocked(self, monkeypatch):
-        # 16-row blocks: 53 points span three full blocks and a ragged one of 5
-        monkeypatch.setattr(ptda.polya_tree, "_BLOCK_VALUES", 16)
+        # blocks of 16 rows: 53 points span three full blocks and a ragged one of 5
         x, _, model = training_model(shift=3.0)
+        monkeypatch.setattr(ptda.polya_tree, "_BLOCK_VALUES", 16 * model.p)
         points = np.random.default_rng(8).normal(size=(53, model.p)) + x[:1]
-        assert [len(range(53)[b]) for b in row_blocks(53, model.p)] == [16, 16, 16, 5]
+        assert [len(range(53)[b]) for b in blocks(53, model.p)] == [16, 16, 16, 5]
         return model, points
 
-    def test_row_blocks_match_one_call(self, monkeypatch):
+    def test_blocked_rows_match_one_call(self, monkeypatch):
         model, points = self._blocked(monkeypatch)
         flat = model.forest.flat_leaves(points)
         prior = prior_log_odds(model.hyper, model.forest)
@@ -314,6 +314,9 @@ class TestUpdatePsi:
         reference = ClassProbabilities(1.0 / (1.0 + np.exp(-eta)))
         psi = update_psi(model, points)
         np.testing.assert_allclose(psi.psi, reference.psi, rtol=1e-12, atol=0)
+        # each row's psi is the bits it has in one block of all 53 rows
+        monkeypatch.setattr(ptda.polya_tree, "_BLOCK_VALUES", 53 * model.p)
+        assert np.array_equal(psi.psi, update_psi(model, points).psi)
         assert np.array_equal(classify(psi), classify(reference))
         assert 0 < classify(psi).sum() < len(points)
 
@@ -341,16 +344,16 @@ class TestUpdatePsi:
         assert peak < m * p * 8 / 4
 
     def test_wide_points_are_located_in_tiles(self):
-        # 16 points span one row block of 50,000 variables; they are located
-        # a tile of about _BLOCK_VALUES values at a time, so beside the (16, p)
-        # flat index and the gather of log-odds (2 x 6.1 MiB) no (16, p)
-        # float temporary of the locator is held (three of them read 21.4 MiB)
+        # 16 points of 50,000 variables are scored in blocks of one row, each
+        # located a tile of about _BLOCK_VALUES values at a time, so neither
+        # the (16, p) flat index nor the gather of log-odds (6.1 MiB at
+        # float64) is held, nor a (16, p) float temporary of the locator
         m, p = 16, 50000
         _, _, model = training_model(n=32, p=p)
         model.leaf_log_odds  # built and kept before the scoring is traced
         points = np.random.default_rng(9).normal(size=(m, p))
         peak, _ = traced_peak(lambda: update_psi(model, points))
-        assert peak < 2.5 * points.nbytes
+        assert peak < 0.5 * points.nbytes
 
     def test_far_finite_point_goes_to_the_outer_cell_without_warning(self):
         # with sds near 0.1, (x - mean) / sd at 1e308 passes the double range:

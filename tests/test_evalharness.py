@@ -18,7 +18,7 @@ from ptda.evalharness import (
     selection_confusion,
     write_rows_csv,
 )
-from ptda.polya_tree import column_sums
+from ptda.polya_tree import blocks, column_sums
 from ptda.simgen import SimulationSpec, generate
 from ptda.smoothing import select_c
 from ptda.stats import square_safe_shift
@@ -73,9 +73,25 @@ class TestGaussianBaseline:
         test.matrix[:, 1] = 3.0
         assert np.isfinite(gaussian_nb_baseline(train, test))  # must not divide by zero
 
-    def test_row_blocks_give_the_one_expression_error(self, monkeypatch):
-        # 16-row blocks: 70 test points span four full blocks and a ragged one of 6
-        monkeypatch.setattr(ptda.polya_tree, "_BLOCK_VALUES", 16)
+    @pytest.mark.parametrize("case", ["test-p", "unlabelled-test", "unlabelled-train",
+                                      "no-test-points"])
+    def test_refuses_what_it_cannot_score(self, case):
+        train, test = self._blobs(2.0)
+        if case == "test-p":
+            test = Dataset(test.matrix[:, :3], test.labels, test.names[:3])
+        elif case == "unlabelled-test":
+            test = Dataset(test.matrix, None, test.names)
+        elif case == "unlabelled-train":
+            train = Dataset(train.matrix, None, train.names)
+        else:
+            test = Dataset(test.matrix[:0], test.labels[:0], test.names)
+        with pytest.raises(InputError):
+            gaussian_nb_baseline(train, test)
+
+    def test_blocked_rows_give_the_one_expression_error(self, monkeypatch):
+        # blocks of 16 rows: 70 test points span four full blocks and a ragged one of 6
+        monkeypatch.setattr(ptda.polya_tree, "_BLOCK_VALUES", 16 * 5)
+        assert [len(range(70)[b]) for b in blocks(70, 5)] == [16, 16, 16, 16, 6]
         train, test = self._blobs(0.4, n=70, p=5, seed=3)
         y, z = train.labels, test.matrix
         x1, x0 = train.matrix[y == 1], train.matrix[y == 0]
@@ -132,10 +148,10 @@ class TestGaussianBaseline:
         pytest.param(70, 5, 16, 16, id="70-5-16-no-group-1-row-in-block-1")])
     def test_moments_are_the_one_expression_bits(self, monkeypatch, n, p, block_values, head):
         # the group sums a tile at a time equal numpy's sums over copies of
-        # each group's rows, which the foil took before, bit for bit: with
-        # column chunks (at _BLOCK_VALUES 4096, 20 chunks of 250 columns),
-        # where 16 values would give one-column chunks, and when group 1
-        # has none of the first block's `head` rows
+        # each group's rows, which the foil took before, bit for bit: in
+        # blocks of a few rows (at _BLOCK_VALUES 16), in column chunks (at
+        # _BLOCK_VALUES 4096, one-row tiles of 4096 and 904 columns), and
+        # when group 1 has none of the first block's `head` rows
         if block_values:
             monkeypatch.setattr(ptda.polya_tree, "_BLOCK_VALUES", block_values)
         rng = np.random.default_rng(n + p)

@@ -8,9 +8,9 @@ import pytest
 
 from ptda.bnp_test import log_bayes_factors
 from ptda.cli import dispatch
-from ptda.cvb import FittedModel, fit_model, row_blocks, update_psi
+from ptda.cvb import FittedModel, fit_model, update_psi
 from ptda.evalharness import run_simulation_study
-from ptda.polya_tree import TreeForest
+from ptda.polya_tree import TreeForest, blocks
 from ptda.simgen import SimulationSpec, generate
 from ptda.smoothing import select_c
 
@@ -19,7 +19,7 @@ COLUMNS = ("rep", "method", "classification_error", "selection_accuracy", "tp", 
 
 SHAPE_1 = dict(n_train=40, n_test=30, p=24, n_discriminative=4, base_seed=11)
 SHAPE_2 = dict(n_train=60, n_test=30, p=16, n_discriminative=4, base_seed=13)
-# 300 test points at p=600 are scored in row blocks of 96, 96, 96 and 12
+# 300 test points at p=600 are scored in row blocks of 109, 109 and 82
 SHAPE_3 = dict(n_train=80, n_test=300, p=600, n_discriminative=60, base_seed=17)
 
 ROWS_1 = [
@@ -42,18 +42,18 @@ ROWS_3 = [
 ]
 
 # SHA-256 of the little-endian float64 test-set psi of rep 0 of SHAPE_3 (setting 2, seed 17)
-PSI_3_SHA256 = "09cbce6084b15c0fd06c8735a6007bd6e9d3b1323d4bb987cc03c2fb45f1983e"
+PSI_3_SHA256 = "bf7eae59a91af210cc783ccd718f4a9675a6d1c7df2d76b16c78306cd5049f8f"
 
 # SHA-256 of the little-endian int64 flat leaves and the float64 psi of the
 # 300 test points of the predict_stream shape (setting 1, n=100, p=5000, seed
 # 1900), fitted at c=1
 STREAM_FLAT_SHA256 = "15fbb9929c03a8b5671e529da9265df078f246d5794d9f67f874a384a81f3253"
-STREAM_PSI_SHA256 = "d7ab672717d0e5076467977641be4413b60709599560e2fdbf7b5222c24e2659"
+STREAM_PSI_SHA256 = "68ac3edc953e629202c57eea01d3edb1116b05009c2bbc93ed7090b724d44ac3"
 
 # SHA-256 of the little-endian float64 omega of the selected fit of rep 0 of
 # SHAPE_1 (setting 1, seed 11), and of its test-set psi
 OMEGA_SHA256 = "7a2d4693f3cd5c86de7d22944a3dda7f8b8c76977452c26ce5bf323c87a65431"
-PSI_SHA256 = "37a92b723d1198516f20bcb4c85d438d1dc9b1ad21ab442fd30254948b788b0a"
+PSI_SHA256 = "d5b687ccbba633da86181e0600fe70dc8b3b6775db82e1ee85fce4198de3d7e4"
 
 # the same omega and psi as first pinned, from a Lanczos log-gamma series
 # (g = 7, 9 terms); math.lgamma moved them by up to 1.2e-12 relative, and
@@ -136,7 +136,7 @@ class TestGoldenReps:
 
 class TestGoldenRowBlocks:
     def test_shape_spans_blocks_with_a_ragged_tail(self):
-        assert [len(range(300)[b]) for b in row_blocks(300, 600)] == [96, 96, 96, 12]
+        assert [len(range(300)[b]) for b in blocks(300, 600)] == [109, 109, 82]
 
     def test_setting_2_rows(self):
         rows, _ = run_simulation_study(2, reps=1, **SHAPE_3)
@@ -167,12 +167,12 @@ PIPELINE_SHA256 = {
     "sim/train.csv": "fd1e712a582474afead15f6c8c3b608a684f903c834b2bc543156d4351f92b6c",
     "sim/test.csv": "79cc1b3b42dd2466869c07b34cdbc1f7f972304f5383d631661160e20b60e0b8",
     "sim/truth.csv": "00a17942face7ac6956d872cc8fa1dd7eef75ca4bc29e227b6fd9fad911ec39d",
-    "report.json": "97b91554a364f5a42605e255866b7414781613bc54194c9b8e63aa298bdd2154",
-    "report.csv": "b843ac2e725eb69a9ed20d9f32b981902104963700aa75c2e6d9d7458ddc06ea",
+    "report.json": "2fe0ef98e911e78a84731ef45e0f5187dab28c579667f9eba72e5833833871d4",
+    "report.csv": "b2b6ec7a162f4ec4c1b817193dac3332ff3ce12f4f968f39c039b9c14fd72029",
     "selected.json": "33a054fc00dbe8178e9cb7f7ce46d78346e2713e9526ff5f5a32cff853e561c4",
     "reported.json": "33a054fc00dbe8178e9cb7f7ce46d78346e2713e9526ff5f5a32cff853e561c4",
     "c5.json": "c6615c05d319edecaa57b713d88283347b7c7d3e2c82e36e9e5c10f2e9628c5c",
-    "predictions.csv": "3be6eaae343caeb8f35ee53dd8e2fafa6d0aeebd8419430ea9514798448aefba",
+    "predictions.csv": "7bd7c635298eaa8dfb8b3e874d01b018e6eccd9937fbf8860e8651bef931c974",
     "cv.csv": "fb8dbcb8835efa993edf4fd76a94dca96c8f29813feec8e41b9e3b9f9800b0c4",
     "cv.json": "79de2b3da04b6ae288c87f7932917df281ae402f252c18be5ff1d60c5f3e6e2e",
     "density.csv": "38e62953013fc6f2297a78cd298f4267fa17c9700c42066b787eee26361ace4c",

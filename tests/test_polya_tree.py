@@ -668,12 +668,11 @@ class TestLeafIndicesAgainstBinaryExpansion:
         peak, _ = traced_peak(lambda: TreeForest.from_matrix(x, y, depth))
         assert peak < x.nbytes / 3
 
-    def test_wide_row_blocks_are_located_in_column_chunks(self):
-        # past 4096 variables a block of row_blocks' 16 rows exceeds
-        # _BLOCK_VALUES, so it is located a chunk of columns at a time
-        # (`_tiles`): the build holds a few block-sized temporaries, not
-        # three 16-row ones (2.56 MB each at these 20,000 variables), under
-        # the bound that also allowed x.std's one (n, p) float of deviations
+    def test_wide_rows_are_located_in_tiles(self):
+        # at 20,000 variables a tile (`_tiles`) holds the 3 rows that fit
+        # _BLOCK_VALUES: the build holds a few block-sized temporaries, not
+        # the locator's three (n, p) floats (5.12 MB each here), under the
+        # bound that also allowed x.std's one (n, p) float of deviations
         n, p, depth = 32, 20000, 5
         x = np.random.default_rng(26).normal(size=(n, p))
         y = np.arange(n) % 2

@@ -36,8 +36,8 @@ from adapters import leaves_of
 from conftest import traced_peak
 from oracles import brute_force_ks_distance
 
-# v0 of the column kernels against the per-column oracle: the weight
-# matvec and the sum of squares run in another order, and the array CDF is
+# v0 of the column kernels against the per-column oracle: the weighted
+# sum and the sum of squares run in another order, and the array CDF is
 # within 4 ulp of math.erfc; the largest difference seen at the benchmark
 # shapes was 1.3e-12
 V0_TOL = 1e-11
@@ -530,7 +530,7 @@ class TestSkippedCandidatesWarning:
 
 def per_candidate_choice(x, y, tuples, bins, max_iter=1000):
     """(chosen tuple, its error) of a search that fits each tuple on its own
-    and scores it with `class_log_odds`'s one gather and matvec."""
+    and scores it with `class_log_odds`'s one gather and weighted sum."""
     best, best_error = None, math.inf
     for t in sorted(tuples):
         model = fit_model(x, y, np.asarray(t)[bins - 1], max_iter=max_iter)

@@ -4,15 +4,20 @@ that only tests reach, and the oracles and the test adapters may import
 from the package only names that are not the kernels they check.  Blocked
 loops take their one block size from `polya_tree`, which alone reads it,
 a default that both the CLI and the library state is stated once, no
-function takes a parameter named like a private one, and only `rng` builds
-random streams."""
+function takes a parameter named like a private one, only `rng` builds
+random streams, and only an allowlist of functions multiplies through BLAS,
+whose kernel the golden pins are checked not to depend on."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import platform
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -46,6 +51,18 @@ ORACLE_IMPORTS = {
     "ptda.stats.square_safe_shift": "an exact power-of-two rescaling that leaves W unchanged; "
                                     "the Shapiro-Wilk reference needs it to score the same "
                                     "extreme samples",
+}
+
+# the functions of the package that multiply through BLAS (`@`, np.dot,
+# np.matmul, np.inner, np.vdot), each with the reason; a BLAS product's bits
+# depend on the kernel OpenBLAS picks and on where a row falls in its block,
+# so every other product is an einsum, summed in one fixed order
+BLAS_PRODUCTS = {
+    "smoothing._resubstitution_log_odds": "phase 2's (n, bin) x (bin, K) product: einsum there "
+                                          "cost 7-10 % of select_c at n=1000, p=1000, and its "
+                                          "bits reach only the error counts, through the sign "
+                                          "of each score",
+    "stats._royston_weights": "one np.dot(m, m) per sample size, cached, outside any block",
 }
 
 
@@ -187,13 +204,17 @@ def test_adapters_do_not_locate_with_the_package():
     assert not names & {"leaf_indices", "normal_cdf"}
 
 
-def _calls(node, owner="<module>"):
-    """(innermost enclosing function, call) of every call under an AST node."""
+def _nodes(node, owner="<module>"):
+    """(innermost enclosing function, node) of every node under an AST node."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
-            yield owner, child
+        yield owner, child
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
-        yield from _calls(child, inner)
+        yield from _nodes(child, inner)
+
+
+def _calls(node):
+    """(innermost enclosing function, call) of every call under an AST node."""
+    return ((owner, call) for owner, call in _nodes(node) if isinstance(call, ast.Call))
 
 
 def _file_write(call):
@@ -270,11 +291,11 @@ def test_only_polya_tree_reads_the_block_size():
 
 def test_the_block_size_reaches_every_blocked_loop(monkeypatch):
     # patched smaller, the one block size splits the p-values, the evidence
-    # plans and the leaf tables into more blocks, and no output moves a bit.
-    # 640 values are 16 columns of 40 points: the Shapiro-Wilk matvec keeps
-    # its bits in blocks of 16 rows (`row_blocks`), not in blocks of 6
-    train, _, _ = generate(SimulationSpec(1, n_train=40, n_test=4, p=60, n_discriminative=5,
-                                          seed=3))
+    # plans, the leaf tables and the scored rows into more blocks, and no
+    # output moves a bit.  600 values are 15 columns of 40 points and 10 rows
+    # of 60 variables: no sum depends on where its row or column falls
+    train, test, _ = generate(SimulationSpec(1, n_train=40, n_test=25, p=60, n_discriminative=5,
+                                             seed=3))
     x, y = train.matrix, train.labels.astype(bool)
     ks, plan, walk = smoothing.ks_two_sample_sorted, bnp_test._plan_layers, polya_tree._log_paths
 
@@ -299,15 +320,45 @@ def test_the_block_size_reaches_every_blocked_loop(monkeypatch):
         outputs = (*smoothing.column_pvalues(x, y), forest.leaf1, forest.leaf0,
                    bnp_test.log_bayes_factors(forest, 1.0),
                    polya_tree.leaf_log_odds_table(forest, 1.0))
-        return calls, outputs
+        counts = dict(calls)
+        psi = cvb.update_psi(cvb.fit_model(x, y, 1.0), test.matrix).psi
+        return counts, (*outputs, psi, evalharness.gaussian_nb_baseline(train, test))
 
     calls, outputs = run()
-    monkeypatch.setattr(polya_tree, "_BLOCK_VALUES", 640)
+    monkeypatch.setattr(polya_tree, "_BLOCK_VALUES", 600)
     patched, patched_outputs = run()
     assert calls == {"p-value blocks": 1, "plans": 5, "table walks": 2}
-    assert patched == {"p-value blocks": 4, "plans": 6, "table walks": 6}
-    for before, after in zip(outputs, patched_outputs):
+    assert patched == {"p-value blocks": 4, "plans": 6, "table walks": 8}
+    assert [len(range(25)[b]) for b in polya_tree.blocks(25, 60)] == [10, 10, 5]
+    for before, after in zip(outputs, patched_outputs, strict=True):
         assert np.array_equal(before, after)
+
+
+def test_blas_products_only_where_allowed():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for owner, node in _nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Call) and ast.unparse(node.func).rpartition(".")[2]
+                    in ("dot", "matmul", "inner", "vdot")):
+                found.add(f"{path.stem}.{owner}")
+    assert found == set(BLAS_PRODUCTS)
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_golden_pins_hold_under_another_blas_kernel():
+    """tests/test_golden.py re-run in a subprocess with OpenBLAS held to its
+    Sandybridge kernels, about 4 s: no pinned output may depend on the BLAS
+    kernel.  numpy's own CPU-feature switch (NPY_DISABLE_CPU_FEATURES) still
+    moves psi through np.log and np.exp; this test leaves it out."""
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC.parent),
+                                                       os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          str(ROOT / "tests" / "test_golden.py")],
+                         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
 
 
 def test_points_are_located_and_columns_summed_once():
